@@ -222,9 +222,6 @@ Status ClusterDriver::RecordOutputs(OpRouting& routing, size_t input_idx,
 Result<PumpStats> ClusterDriver::Pump() {
   auto start = std::chrono::steady_clock::now();
   PumpStats stats;
-  if (!options_.pipelined) {
-    stats.max_inflight = 1;  // one request at a time, by construction
-  }
   // Topological passes: an operator drains its inputs before anything
   // downstream of it pumps, and the loop repeats until a full pass moves
   // no cursor — so one Pump() pushes source data through the whole graph.
@@ -257,11 +254,9 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
     if (input.cursor >= end) continue;
     *advanced = true;
 
-    // Scratch shared with completion callbacks (pipelined mode; they run
-    // on transport reader threads). The pump drains to zero in flight
-    // before reading it single-threaded, so callbacks never outlive this
-    // frame. Blocking mode fills the same reply map synchronously so the
-    // cursor-advance walk below is one implementation.
+    // Scratch shared with completion callbacks (they run on transport
+    // reader threads). The pump drains to zero in flight before reading
+    // it single-threaded, so callbacks never outlive this frame.
     struct Shared {
       std::mutex mu;
       std::condition_variable cv;
@@ -277,14 +272,12 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
           replies;
     } shared;
     std::map<uint32_t, obs::Gauge*> credit_gauges;
-    if (options_.pipelined) {
-      for (uint32_t node = 0; node < endpoints_.size(); ++node) {
-        if (!alive_[node]) continue;
-        shared.credits[node] = options_.credit_window;
-        credit_gauges[node] = obs_->metrics().GetGauge(
-            "rhino_net_credits", {{"node", std::to_string(node)}});
-        credit_gauges[node]->Set(options_.credit_window);
-      }
+    for (uint32_t node = 0; node < endpoints_.size(); ++node) {
+      if (!alive_[node]) continue;
+      shared.credits[node] = options_.credit_window;
+      credit_gauges[node] = obs_->metrics().GetGauge(
+          "rhino_net_credits", {{"node", std::to_string(node)}});
+      credit_gauges[node]->Set(options_.credit_window);
     }
 
     struct OffsetWork {
@@ -333,6 +326,8 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
 
       for (auto& [node, sub] : per_node) {
         if (node >= endpoints_.size() || !alive_[node]) {
+          // Earlier submits' callbacks may be writing first_error.
+          std::lock_guard<std::mutex> lock(shared.mu);
           if (shared.first_error.ok()) {
             shared.first_error = Status::FailedPrecondition(
                 "node " + std::to_string(node) + " is not alive");
@@ -350,23 +345,6 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
         req.EncodeTo(&body);
         stats->batches_sent += 1;
         stats->records_sent += req.batch.records.size();
-
-        if (!options_.pipelined) {
-          std::string reply_body;
-          Status st = Call(node, MessageType::kProcessBatch, body,
-                           &reply_body);
-          Result<ProcessBatchReply> decoded =
-              st.ok() ? ProcessBatchReply::Decode(reply_body)
-                      : Result<ProcessBatchReply>(st);
-          const bool failed = !decoded.ok();
-          shared.replies.insert_or_assign(std::make_pair(off, node),
-                                          std::move(decoded));
-          if (failed) {
-            aborted = true;  // blocking mode stops at the first failure
-            break;
-          }
-          continue;
-        }
 
         // Acquire one credit for this node — the backpressure point.
         {
@@ -427,7 +405,7 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
       works.push_back(std::move(work));
     }
 
-    if (options_.pipelined) {
+    {
       // Drain: all acks in (or failed) before touching cursors/edge log.
       std::unique_lock<std::mutex> lock(shared.mu);
       shared.cv.wait(lock, [&] { return shared.total_inflight == 0; });
@@ -515,69 +493,55 @@ Result<CheckpointStats> ClusterDriver::Checkpoint() {
   std::string body;
   EncodeControlEvent(barrier, &body);
 
-  if (options_.pipelined) {
-    // Concurrent barrier broadcast: every node persists (and drains its
-    // replication stream) in parallel, so the cluster-wide checkpoint
-    // costs one slowest-node barrier, not the sum.
-    struct Shared {
-      std::mutex mu;
-      std::condition_variable cv;
-      uint32_t outstanding = 0;
-      uint64_t bytes = 0;
-      uint32_t replicated = 0;
-      Status first_error;
-    } shared;
-    for (uint32_t node = 0; node < endpoints_.size(); ++node) {
-      if (!alive_[node]) continue;
-      {
-        std::lock_guard<std::mutex> lock(shared.mu);
-        ++shared.outstanding;
-      }
-      stats.nodes += 1;
-      Status submitted = transport_->CallAsync(
-          endpoints_[node], MessageType::kCheckpoint, body,
-          [&shared](Status st, std::string reply_body) {
-            std::lock_guard<std::mutex> lock(shared.mu);
-            if (st.ok()) {
-              auto reply = CheckpointReply::Decode(reply_body);
-              if (reply.ok()) {
-                shared.bytes += reply->bytes;
-                shared.replicated += reply->replicated;
-              } else if (shared.first_error.ok()) {
-                shared.first_error = reply.status();
-              }
-            } else if (shared.first_error.ok()) {
-              shared.first_error = st;
-            }
-            --shared.outstanding;
-            shared.cv.notify_all();
-          });
-      if (!submitted.ok()) {
-        std::lock_guard<std::mutex> lock(shared.mu);
-        --shared.outstanding;
-        if (shared.first_error.ok()) shared.first_error = submitted;
-      }
-    }
+  // Concurrent barrier broadcast: every node persists (and drains its
+  // replication stream) in parallel, so the cluster-wide checkpoint costs
+  // one slowest-node barrier, not the sum.
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable cv;
+    uint32_t outstanding = 0;
+    uint64_t bytes = 0;
+    uint32_t replicated = 0;
+    Status first_error;
+  } shared;
+  for (uint32_t node = 0; node < endpoints_.size(); ++node) {
+    if (!alive_[node]) continue;
     {
-      std::unique_lock<std::mutex> lock(shared.mu);
-      shared.cv.wait(lock, [&] { return shared.outstanding == 0; });
+      std::lock_guard<std::mutex> lock(shared.mu);
+      ++shared.outstanding;
     }
-    RHINO_RETURN_NOT_OK(shared.first_error);
-    stats.bytes = shared.bytes;
-    stats.replicated_nodes = shared.replicated;
-  } else {
-    for (uint32_t node = 0; node < endpoints_.size(); ++node) {
-      if (!alive_[node]) continue;
-      std::string reply_body;
-      RHINO_RETURN_NOT_OK(
-          Call(node, MessageType::kCheckpoint, body, &reply_body));
-      RHINO_ASSIGN_OR_RETURN(CheckpointReply reply,
-                             CheckpointReply::Decode(reply_body));
-      stats.bytes += reply.bytes;
-      stats.nodes += 1;
-      stats.replicated_nodes += reply.replicated;
+    stats.nodes += 1;
+    Status submitted = transport_->CallAsync(
+        endpoints_[node], MessageType::kCheckpoint, body,
+        [&shared](Status st, std::string reply_body) {
+          std::lock_guard<std::mutex> lock(shared.mu);
+          if (st.ok()) {
+            auto reply = CheckpointReply::Decode(reply_body);
+            if (reply.ok()) {
+              shared.bytes += reply->bytes;
+              shared.replicated += reply->replicated;
+            } else if (shared.first_error.ok()) {
+              shared.first_error = reply.status();
+            }
+          } else if (shared.first_error.ok()) {
+            shared.first_error = st;
+          }
+          --shared.outstanding;
+          shared.cv.notify_all();
+        });
+    if (!submitted.ok()) {
+      std::lock_guard<std::mutex> lock(shared.mu);
+      --shared.outstanding;
+      if (shared.first_error.ok()) shared.first_error = submitted;
     }
   }
+  {
+    std::unique_lock<std::mutex> lock(shared.mu);
+    shared.cv.wait(lock, [&] { return shared.outstanding == 0; });
+  }
+  RHINO_RETURN_NOT_OK(shared.first_error);
+  stats.bytes = shared.bytes;
+  stats.replicated_nodes = shared.replicated;
   obs_->trace().Emit("net", "cluster_checkpoint", "driver",
                      stats.checkpoint_id,
                      {{"bytes", static_cast<int64_t>(stats.bytes)},

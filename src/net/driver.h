@@ -46,19 +46,17 @@
 /// watermarks — every operator input has its own source id, so the same
 /// rule covers broker partitions and operator edges uniformly.
 ///
-/// The pump has two modes (`DriverOptions::pipelined`, default from
-/// `RHINO_NET_PIPELINE`). Blocking: one batch, one round trip — the
-/// original correctness skeleton. Pipelined: batches stream to all nodes
-/// concurrently through `Transport::CallAsync` under credit-based flow
-/// control — each node has `credit_window` credits, a submit spends one
-/// and its ack returns it, and a submitter with no credit BLOCKS
-/// (backpressure, never unbounded buffering). Per-node submission order
-/// is (input, offset) order, which the channel turns into per-node FIFO
-/// apply — that is what keeps replay watermarks safe. Either mode drains
-/// an operator's inputs before its downstream consumers pump, so one
-/// `Pump()` pushes data through the whole graph. On any error a cursor
-/// only advances over the contiguous prefix of fully-acked offsets; the
-/// next pump replays the rest and nodes dedup.
+/// The pump streams batches to all nodes concurrently through
+/// `Transport::CallAsync` under credit-based flow control: each node has
+/// `credit_window` credits, a submit spends one and its ack returns it,
+/// and a submitter with no credit BLOCKS (backpressure, never unbounded
+/// buffering). A window of 1 is the blocking pump, one batch per node in
+/// flight. Per-node submission order is (input, offset) order, which the
+/// channel turns into per-node FIFO apply — that is what keeps replay
+/// watermarks safe. An operator's inputs drain before its downstream
+/// consumers pump, so one `Pump()` pushes data through the whole graph.
+/// On any error a cursor only advances over the contiguous prefix of
+/// fully-acked offsets; the next pump replays the rest and nodes dedup.
 ///
 /// Single-threaded by design — every method must be called from one
 /// coordinating thread, mirroring how the paper's coordinator serializes
@@ -68,12 +66,7 @@
 namespace rhino::net {
 
 struct DriverOptions {
-  /// Pipelined pump + concurrent checkpoint broadcast when true; the
-  /// blocking batch-at-a-time path when false. Defaults to the
-  /// `RHINO_NET_PIPELINE` toggle so one env var flips a whole deployment
-  /// (nodes read the same toggle for continuous replication).
-  bool pipelined = NetPipelineEnabled();
-  /// Credits (max batches in flight) per node during a pipelined pump.
+  /// Credits (max batches in flight) per node during a pump.
   uint32_t credit_window = 16;
 };
 
@@ -82,10 +75,10 @@ struct PumpStats {
   uint64_t records_sent = 0;
   uint64_t applied = 0;
   uint64_t deduped = 0;
-  /// Wall-clock duration of this Pump() call, both modes.
+  /// Wall-clock duration of this Pump() call.
   double wall_s = 0;
-  /// Pipelined mode: submits that had to wait for a credit (backpressure
-  /// events), and the in-flight high-water marks actually reached.
+  /// Submits that had to wait for a credit (backpressure events), and the
+  /// in-flight high-water marks actually reached.
   uint64_t credit_stalls = 0;
   uint32_t max_inflight = 0;                        ///< cluster-wide
   std::map<uint32_t, uint32_t> node_inflight_hwm;   ///< per node id
@@ -155,8 +148,9 @@ class ClusterDriver {
 
   // ------------------------------------------------------- control plane --
 
-  /// Broadcasts a checkpoint barrier; every node persists + replicates its
-  /// image before acking.
+  /// Broadcasts a checkpoint barrier to every live node at once; each
+  /// node persists its image and waits for its replication stream to
+  /// drain before acking, so the cluster pays the slowest node's barrier.
   Result<CheckpointStats> Checkpoint();
 
   /// Live handover of `vnodes` of `op` from `origin` to `target`:
@@ -244,7 +238,7 @@ class ClusterDriver {
               std::string* reply);
 
   /// Drains every input of `op`; sets `*advanced` when at least one offset
-  /// was pumped. Blocking or pipelined per `options_.pipelined`.
+  /// was pumped.
   Status PumpOperator(const std::string& op, OpRouting& routing,
                       PumpStats* stats, bool* advanced);
 

@@ -15,6 +15,11 @@ namespace {
 /// successor turns the replicator into a busy loop (loopback Call and a
 /// broken channel Submit both fail instantly).
 constexpr auto kReplErrorPacing = std::chrono::milliseconds(20);
+/// Deltas in flight to the successor before the replicator waits for
+/// acks (the stream's own credit window).
+constexpr uint32_t kReplCreditWindow = 2;
+/// Upper bound on the checkpoint barrier's wait for stream drain.
+constexpr int kBarrierTimeoutMs = 10'000;
 }  // namespace
 
 std::string CheckpointImagePath(const std::string& ckpt_dir,
@@ -29,7 +34,7 @@ NodeServer::NodeServer(lsm::Env* env, Transport* transport,
       transport_(transport),
       options_(std::move(options)),
       obs_(obs != nullptr ? obs : obs::Observability::Default()) {
-  if (options_.continuous_replication && transport_ != nullptr) {
+  if (transport_ != nullptr) {
     replicating_ = true;
     replicator_ = std::thread([this] { ReplicatorLoop(); });
   }
@@ -257,35 +262,21 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
       std::vector<uint32_t> owned(owned_set.begin(), owned_set.end());
       RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
                              Snapshot(&shard, owned, ev.id));
-      std::string image;
-      rhino::EncodeReplicaState(rs, &image);
-      reply.bytes += image.size();
+      RHINO_ASSIGN_OR_RETURN(
+          uint64_t bytes,
+          rhino::WriteCheckpointImage(
+              env_,
+              CheckpointImagePath(options_.ckpt_dir, node_id_.load(), op),
+              rs));
+      reply.bytes += bytes;
       ++reply.operators;
-      // Durable image first (the "DFS" copy), then the chain hop: a crash
-      // between the two leaves at least the image restorable.
-      RHINO_RETURN_NOT_OK(rhino::WriteCheckpointImage(
-          env_, CheckpointImagePath(options_.ckpt_dir, node_id_.load(), op),
-          rs));
-      if (!replicating_ && !successor_.empty() && transport_ != nullptr) {
-        // Sync mode: the full image hops the chain inside the barrier —
-        // checkpoint cost scales with total state volume.
-        ReplicateStateRequest rep;
-        rep.origin_node = node_id_.load();
-        rep.op = op;
-        rep.replica = std::move(image);
-        std::string rep_body;
-        rep.EncodeTo(&rep_body);
-        RHINO_RETURN_NOT_OK(transport_->Call(
-            successor_, MessageType::kReplicateState, rep_body, nullptr));
-        reply.replicated = 1;
-      }
     }
     want_barrier = replicating_ && !successor_.empty();
   }
   if (want_barrier) {
-    // Continuous mode: replication already streamed in the background;
-    // the barrier only waits for the stream to drain (sequence-number
-    // barrier), independent of how much state the deltas carried.
+    // Replication already streamed in the background; the barrier only
+    // waits for the stream to drain (sequence-number barrier),
+    // independent of how much state the deltas carried.
     RHINO_RETURN_NOT_OK(WaitReplicationBarrier());
     reply.replicated = 1;
   }
@@ -370,14 +361,9 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
                          ReplicateStateRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
                          rhino::DecodeReplicaState(req.replica));
-  if (req.delta == 0) {
-    // Full image (sync-mode checkpoint hop): wholesale replace.
-    replicas_[{req.origin_node, req.op}] = std::move(rs);
-    return std::string();
-  }
-  // Streamed delta: merge per vnode. The channel delivers deltas in
-  // stream order, so last-writer-wins per vnode is exactly the origin's
-  // latest snapshot of it.
+  // Merge per vnode. The channel delivers deltas in stream order, so
+  // last-writer-wins per vnode is exactly the origin's latest snapshot of
+  // it.
   auto& dst = replicas_[{req.origin_node, req.op}];
   if (rs.latest_checkpoint_id > dst.latest_checkpoint_id) {
     dst.latest_checkpoint_id = rs.latest_checkpoint_id;
@@ -506,7 +492,7 @@ void NodeServer::ReplicatorLoop() {
       repl->work_cv.wait(lock, [&] {
         return repl->stop ||
                ((!repl->dirty.empty() || !repl->dropped.empty()) &&
-                repl->inflight < options_.repl_credit_window);
+                repl->inflight < kReplCreditWindow);
       });
       if (repl->stop) return;
       op = !repl->dirty.empty() ? repl->dirty.begin()->first
@@ -579,7 +565,6 @@ void NodeServer::ReplicatorLoop() {
             req.op = op;
             rhino::EncodeReplicaState(rs, &req.replica);
             req.stream_seq = seq;
-            req.delta = 1;
             req.dropped_vnodes = dropped;
             have = true;
           }
@@ -650,7 +635,7 @@ Status NodeServer::WaitReplicationBarrier() {
   auto repl = repl_;
   const auto deadline =
       std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.barrier_timeout_ms);
+      std::chrono::milliseconds(kBarrierTimeoutMs);
   std::unique_lock<std::mutex> lock(repl->mu);
   bool done = repl->barrier_cv.wait_until(lock, deadline, [&] {
     return repl->stop || !repl->error.ok() ||
@@ -665,8 +650,7 @@ Status NodeServer::WaitReplicationBarrier() {
   if (repl->stop) return Status::Aborted("node stopping");
   if (!done) {
     return Status::TimedOut("replication barrier: stream not drained after " +
-                            std::to_string(options_.barrier_timeout_ms) +
-                            "ms");
+                            std::to_string(kBarrierTimeoutMs) + "ms");
   }
   return Status::OK();
 }

@@ -39,20 +39,17 @@
 ///    thread-mode `StatefulInstance` runs (keyed counter, symmetric hash
 ///    join, modeled state); records below a vnode's replay watermark are
 ///    deduplicated (exactly-once under replay);
-///  * **replication** — in continuous mode (the default), every write
-///    marks its vnode dirty and a background replicator streams
-///    per-vnode deltas (state blob + replay watermarks, captured
-///    atomically) to the ring successor as pipelined `kReplicateState`
-///    requests under a small credit window — Rhino's state-centric
-///    replication as a continuous ordered stream, off the checkpoint
-///    path. In sync mode (`RHINO_NET_PIPELINE=0`) replication instead
-///    happens inside `kCheckpoint` as a blocking full-image hop;
+///  * **replication** — every write marks its vnode dirty and a
+///    background replicator streams per-vnode deltas (state blob + replay
+///    watermarks, captured atomically) to the ring successor as pipelined
+///    `kReplicateState` requests under a small credit window — Rhino's
+///    state-centric replication as a continuous ordered stream, off the
+///    checkpoint path. A node replicates exactly when it has a transport;
 ///  * **checkpoint** — `kCheckpoint` snapshots every shard (vnode blobs +
-///    watermarks) and persists a framed image to the shared checkpoint
-///    directory (the DFS stand-in). Continuous mode then shrinks the
-///    barrier to "durable image + wait for the replication stream to
-///    drain" (a sequence-number barrier), so checkpoint cost no longer
-///    scales with replication traffic volume;
+///    watermarks), persists a framed image to the shared checkpoint
+///    directory (the DFS stand-in), and then waits for the replication
+///    stream to drain (a sequence-number barrier), so checkpoint cost
+///    does not scale with replication traffic volume;
 ///  * **handover** — `kExtractVnodes` / `kIngestVnodes` / `kDropVnodes`
 ///    implement the origin and target halves of a live migration, moving
 ///    state *and* dedup watermarks;
@@ -67,7 +64,7 @@
 /// `mu_` before `ReplStream::mu`, never the reverse). `kCheckpoint`
 /// releases `mu_` before waiting on the stream barrier, so the
 /// replicator can drain while the barrier waits — the one place a cycle
-/// could otherwise form.
+/// could otherwise form. No handler makes a nested blocking RPC.
 
 namespace rhino::net {
 
@@ -78,21 +75,11 @@ struct NodeServerOptions {
   /// Shared checkpoint directory (all nodes + driver see the same files;
   /// stands in for a DFS).
   std::string ckpt_dir;
-  /// Continuous background replication (dirty-vnode deltas stream to the
-  /// successor; checkpoints barrier on stream drain) vs legacy
-  /// synchronous full-image shipping inside kCheckpoint. Defaults to the
-  /// cluster-wide `RHINO_NET_PIPELINE` toggle.
-  bool continuous_replication = NetPipelineEnabled();
-  /// Deltas in flight to the successor before the replicator waits for
-  /// acks (the stream's own credit window).
-  uint32_t repl_credit_window = 2;
-  /// Upper bound on the checkpoint barrier's wait for stream drain.
-  int barrier_timeout_ms = 10'000;
   /// Bench seam: emulated service latency (sleep, microseconds) per
   /// kProcessBatch, taken BEFORE the server lock. Loopback on a small
   /// host hides the round-trip structure real deployments have (network
   /// hops, remote storage); `bench/dist_pipeline` reintroduces it in a
-  /// controlled way to measure how much of it each pump mode hides.
+  /// controlled way to measure how much of it the credit window hides.
   /// Always 0 outside benches.
   int apply_delay_us = 0;
 };
@@ -105,14 +92,22 @@ std::string CheckpointImagePath(const std::string& ckpt_dir,
 
 class NodeServer {
  public:
-  /// `transport` issues the successor replication RPC; it may be null when
-  /// replication is disabled (single-node clusters).
+  /// `transport` carries this node's replication stream to its ring
+  /// successor; null turns replication off (single-node clusters, benches
+  /// that isolate the data plane).
+  ///
+  /// Over TCP, give every node a transport of its own, never the
+  /// driver's or a peer's. `RpcServer` serves each connection serially
+  /// and a `kCheckpoint` handler waits for this node's stream to drain,
+  /// so a shared connection can queue a node's barrier ahead of its
+  /// predecessor's delta and stall the checkpoint until the barrier
+  /// times out.
   NodeServer(lsm::Env* env, Transport* transport, NodeServerOptions options,
              obs::Observability* obs = nullptr);
 
-  /// Joins the replicator thread (continuous mode). In-flight
-  /// kReplicateState callbacks only touch the shared stream block, so a
-  /// transport may complete them after the node is gone.
+  /// Joins the replicator thread. In-flight kReplicateState callbacks
+  /// only touch the shared stream block, so a transport may complete them
+  /// after the node is gone.
   ~NodeServer();
 
   /// Stops the replication stream and joins its thread. Idempotent; the
@@ -195,7 +190,7 @@ class NodeServer {
                 const std::vector<uint32_t>& vnodes, bool already_durable);
 
   /// Marks `vnodes` of `op` dirty on the replication stream. Caller holds
-  /// `mu_`; no-op unless continuous replication is running.
+  /// `mu_`; no-op unless the node replicates.
   template <typename Container>
   void MarkReplDirty(const std::string& op, const Container& vnodes) {
     if (!replicating_ || vnodes.empty()) return;
@@ -214,7 +209,7 @@ class NodeServer {
 
   /// Blocks (with `mu_` RELEASED) until the stream has drained — dirty
   /// and dropped empty, nothing in flight — or fails on a sticky stream
-  /// error / the configured timeout.
+  /// error / the barrier timeout.
   Status WaitReplicationBarrier();
 
   lsm::Env* env_;
@@ -228,12 +223,11 @@ class NodeServer {
   std::mutex mu_;
   std::string successor_;  ///< replication successor endpoint ("" = off)
   std::map<std::string, Shard> shards_;
-  /// Replica catalog: (origin node, op) -> latest chain-replicated image.
-  /// Continuous mode merges per-vnode deltas into it; sync mode replaces
-  /// it wholesale at each checkpoint.
+  /// Replica catalog: (origin node, op) -> latest chain-replicated image,
+  /// merged per vnode from the origin's stream deltas.
   std::map<std::pair<uint32_t, std::string>, rhino::ReplicaState> replicas_;
 
-  /// True when the replicator thread was started (continuous mode with a
+  /// True when the replicator thread was started (the node has a
   /// transport); constant after construction.
   bool replicating_ = false;
   std::shared_ptr<ReplStream> repl_ = std::make_shared<ReplStream>();

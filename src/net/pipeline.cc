@@ -192,7 +192,8 @@ void PipelinedChannel::ReaderLoop() {
 bool PipelinedChannel::ReconnectAndReplay() {
   std::unique_lock<std::mutex> wlock(wmu_);
   // Fresh budget per outage episode, seeded deterministically (endpoint +
-  // progress so far) like the blocking client.
+  // progress so far) so channels de-synchronize without wall-clock
+  // entropy.
   runtime::BlockingRetrier retrier(options_.retry,
                                    Fnv1a64(host_) + port_ + next_seq_,
                                    what_ + ":reconnect");

@@ -21,12 +21,14 @@
 /// matching, per-request deadlines, and idempotent window replay on
 /// reconnect.
 ///
-/// The blocking `RpcClient` pays a full round trip per request; at the
-/// driver's batch sizes that makes the network the pipeline. This channel
-/// overlaps serialization, send, remote apply, and the reply path:
-/// `Submit` enqueues a request and returns as soon as it is on the wire
-/// (or queued for replay), and the completion callback fires from the
-/// reader thread when the matching reply arrives.
+/// Paying a full round trip per request would make the network the
+/// pipeline at the driver's batch sizes. This channel overlaps
+/// serialization, send, remote apply, and the reply path: `Submit`
+/// enqueues a request and returns as soon as it is on the wire (or queued
+/// for replay), and the completion callback fires from the reader thread
+/// when the matching reply arrives. It is the only RPC client:
+/// `TcpTransport` keeps one channel per peer and runs blocking calls on it
+/// as a submit plus a wait.
 ///
 /// Ordering contract — load-bearing for exactly-once: requests are
 /// WRITTEN in correlation-id order (the id is assigned and the frame

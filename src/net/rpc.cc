@@ -72,15 +72,15 @@ void RpcServer::Serve(Socket& conn) {
       // Aborted = client hung up cleanly; IOError = mid-message
       // disconnect; Corruption = garbage framing. None of them can be
       // answered (the stream is unsynchronized), so drop the connection —
-      // the client's whole-call retry reconnects on a fresh stream.
+      // the client reconnects on a fresh stream and replays its window.
       break;
     }
     auto request = RequestEnvelope::Decode(frame);
     ReplyEnvelope reply;
     if (!request.ok()) {
       // Framing was intact but the envelope is malformed: report it on
-      // seq 0 (the client detects the mismatch and fails the call), then
-      // resynchronize by closing.
+      // seq 0 (no request carries it, so the client's per-request deadline
+      // fails the call), then resynchronize by closing.
       reply.seq = 0;
       reply.code = request.status().code();
       reply.message = request.status().message();
@@ -99,76 +99,10 @@ void RpcServer::Serve(Socket& conn) {
     if (!WriteFrame(conn, encoded).ok()) break;
     if (!request.ok()) break;
   }
+  // Under mu_: Stop() shuts down every live connection under the same
+  // lock, and must not read the fd while it is being closed.
+  std::lock_guard<std::mutex> lock(mu_);
   conn.Close();
-}
-
-// ---------------------------------------------------------------- client --
-
-RpcClient::RpcClient(std::string host, uint16_t port, RpcClientOptions options,
-                     std::string what)
-    : host_(std::move(host)),
-      port_(port),
-      options_(options),
-      what_(std::move(what)) {}
-
-RpcClient::~RpcClient() { Disconnect(); }
-
-void RpcClient::Disconnect() {
-  std::lock_guard<std::mutex> lock(mu_);
-  conn_.Close();
-}
-
-Status RpcClient::Call(MessageType type, std::string_view body,
-                       std::string* reply_body) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Seed the backoff jitter from the endpoint + call count so concurrent
-  // clients de-synchronize deterministically (no wall-clock entropy).
-  runtime::BlockingRetrier retrier(
-      options_.retry, Fnv1a64(host_) + port_ + next_seq_, what_);
-  Status last;
-  while (true) {
-    last = CallOnce(type, body, reply_body);
-    if (last.ok() || !runtime::IsTransientStatus(last)) return last;
-    conn_.Close();  // reconnect on a fresh stream
-    if (!retrier.BackoffAndRetry()) break;
-  }
-  return retrier.Exhausted(last);
-}
-
-Status RpcClient::CallOnce(MessageType type, std::string_view body,
-                           std::string* reply_body) {
-  if (!conn_.valid()) {
-    RHINO_ASSIGN_OR_RETURN(conn_, Socket::Connect(host_, port_));
-    RHINO_RETURN_NOT_OK(conn_.SetRecvTimeout(options_.recv_timeout_ms));
-  }
-  RequestEnvelope request;
-  request.type = type;
-  request.seq = next_seq_++;
-  request.body.assign(body);
-  std::string frame;
-  request.EncodeTo(&frame);
-  RHINO_RETURN_NOT_OK(WriteFrame(conn_, frame));
-
-  std::string reply_frame;
-  Status read = ReadFrame(conn_, &reply_frame);
-  if (read.code() == StatusCode::kAborted) {
-    // The peer closed cleanly after we sent the request (e.g. a server
-    // restart). Every verb is idempotent, so surface it as a transient
-    // IOError and let the whole-call retry reconnect and resend.
-    return Status::IOError(what_ + ": connection closed before reply");
-  }
-  RHINO_RETURN_NOT_OK(read);
-  RHINO_ASSIGN_OR_RETURN(ReplyEnvelope reply,
-                         ReplyEnvelope::Decode(reply_frame));
-  if (reply.seq != request.seq) {
-    // The server lost sync (e.g. it rejected our envelope on seq 0).
-    // Treat as an IO failure so the retry path reconnects cleanly.
-    return Status::IOError(what_ + ": reply seq " + std::to_string(reply.seq) +
-                           " for request " + std::to_string(request.seq));
-  }
-  RHINO_RETURN_NOT_OK(reply.ToStatus());
-  if (reply_body != nullptr) *reply_body = std::move(reply.body);
-  return Status::OK();
 }
 
 }  // namespace rhino::net

@@ -13,23 +13,22 @@
 #include "common/status.h"
 #include "net/socket.h"
 #include "net/wire.h"
-#include "runtime/retry.h"
 
 /// \file rpc.h
-/// Blocking request/reply RPC over framed TCP.
+/// Server side of request/reply RPC over framed TCP.
 ///
 /// One frame carries one `RequestEnvelope` (client -> server) or one
 /// `ReplyEnvelope` (server -> client); the handler's `Status` travels
 /// inside the reply so application failures are distinguishable from
-/// transport failures. Transport failures never hang or crash either side:
+/// transport failures. Transport failures never hang or crash the server:
 /// corrupt frames produce error replies or clean connection teardown, and
 /// all reads are bounded by receive timeouts.
 ///
-/// `RpcClient::Call` retries the WHOLE call (reconnect included) through a
-/// `runtime::BlockingRetrier` on transient transport errors. That is safe
+/// The client side is `PipelinedChannel` (pipeline.h), reached through
+/// `TcpTransport`. Its reconnect replays pending requests, which is safe
 /// because every verb a node serves is idempotent — batch application
-/// dedups on replay watermarks, ingest/drop/replicate are
-/// set-state operations — mirroring how the in-process protocol tolerates
+/// dedups on replay watermarks, ingest/drop/replicate are set-state
+/// operations — mirroring how the in-process protocol tolerates
 /// re-delivered completions.
 
 namespace rhino::net {
@@ -74,59 +73,6 @@ class RpcServer {
   std::vector<std::thread> conn_threads_;
   /// fds of live connections, shut down on Stop to unblock their reads.
   std::vector<std::shared_ptr<Socket>> conns_;
-};
-
-struct RpcClientOptions {
-  /// Receive timeout per reply. Checkpoints serialize and replicate whole
-  /// shards, so this is generous; a SIGKILLed peer still fails fast
-  /// because its kernel resets the connection rather than timing out.
-  int recv_timeout_ms = 10'000;
-  /// Whole-call retry budget. Small so the driver detects a dead node in
-  /// well under a second of backoff.
-  runtime::RetryOptions retry;
-  /// In-flight window per endpoint for the pipelined path
-  /// (`Transport::CallAsync` via `PipelinedChannel`); the blocking `Call`
-  /// path ignores it.
-  uint32_t pipeline_window = 32;
-};
-
-/// Client side: one connection, one outstanding call at a time (guarded by
-/// an internal mutex — callers on different threads serialize).
-class RpcClient {
- public:
-  RpcClient(std::string host, uint16_t port, RpcClientOptions options,
-            std::string what);
-  ~RpcClient();
-
-  RpcClient(const RpcClient&) = delete;
-  RpcClient& operator=(const RpcClient&) = delete;
-
-  /// Sends `body` as a `type` request; on success `*reply_body` holds the
-  /// reply payload. Application errors come back verbatim from the
-  /// handler; transport errors surface after the retry budget (typically
-  /// as `IOError`/`TimedOut` naming the endpoint).
-  Status Call(MessageType type, std::string_view body,
-              std::string* reply_body);
-
-  /// Drops the cached connection (next call reconnects).
-  void Disconnect();
-
-  const std::string& host() const { return host_; }
-  uint16_t port() const { return port_; }
-  std::string endpoint() const { return FormatEndpoint(host_, port_); }
-
- private:
-  Status CallOnce(MessageType type, std::string_view body,
-                  std::string* reply_body);
-
-  std::string host_;
-  uint16_t port_;
-  RpcClientOptions options_;
-  std::string what_;
-
-  std::mutex mu_;
-  Socket conn_;
-  uint64_t next_seq_ = 1;
 };
 
 }  // namespace rhino::net

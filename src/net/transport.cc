@@ -1,30 +1,36 @@
 #include "net/transport.h"
 
+#include <condition_variable>
 #include <utility>
 
 namespace rhino::net {
 
 Status TcpTransport::Call(const std::string& endpoint, MessageType type,
                           std::string_view body, std::string* reply_body) {
-  RpcClient* client = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = clients_.find(endpoint);
-    if (it == clients_.end()) {
-      std::string host;
-      uint16_t port = 0;
-      RHINO_RETURN_NOT_OK(ParseEndpoint(endpoint, &host, &port));
-      it = clients_
-               .emplace(endpoint,
-                        std::make_unique<RpcClient>(
-                            host, port, options_, "rpc_call:" + endpoint))
-               .first;
-    }
-    client = it->second.get();
-  }
-  // The client serializes its own calls; holding mu_ across the RPC would
-  // needlessly serialize calls to DIFFERENT endpoints.
-  return client->Call(type, body, reply_body);
+  // Shared with the callback, which may still be returning on the reader
+  // thread after this caller wakes.
+  struct Completion {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+    Status status;
+    std::string reply;
+  };
+  auto completion = std::make_shared<Completion>();
+  RHINO_RETURN_NOT_OK(CallAsync(
+      endpoint, type, std::string(body),
+      [completion](Status st, std::string reply) {
+        std::lock_guard<std::mutex> lock(completion->mu);
+        completion->status = std::move(st);
+        completion->reply = std::move(reply);
+        completion->done = true;
+        completion->cv.notify_all();
+      }));
+  std::unique_lock<std::mutex> lock(completion->mu);
+  completion->cv.wait(lock, [&] { return completion->done; });
+  RHINO_RETURN_NOT_OK(completion->status);
+  if (reply_body != nullptr) *reply_body = std::move(completion->reply);
+  return Status::OK();
 }
 
 Status TcpTransport::CallAsync(const std::string& endpoint, MessageType type,
@@ -37,13 +43,9 @@ Status TcpTransport::CallAsync(const std::string& endpoint, MessageType type,
       std::string host;
       uint16_t port = 0;
       RHINO_RETURN_NOT_OK(ParseEndpoint(endpoint, &host, &port));
-      PipelinedChannelOptions opts;
-      opts.window = options_.pipeline_window;
-      opts.deadline_ms = options_.recv_timeout_ms;
-      opts.retry = options_.retry;
       it = channels_
                .emplace(endpoint, std::make_unique<PipelinedChannel>(
-                                      host, port, opts,
+                                      host, port, options_,
                                       "pipelined_call:" + endpoint))
                .first;
     }
@@ -60,7 +62,6 @@ void TcpTransport::Forget(const std::string& endpoint) {
   std::unique_ptr<PipelinedChannel> channel;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    clients_.erase(endpoint);
     auto it = channels_.find(endpoint);
     if (it != channels_.end()) {
       channel = std::move(it->second);

@@ -19,8 +19,9 @@
 /// never touch sockets directly; the `Transport` implementation decides
 /// what an endpoint means:
 ///
-///  * `TcpTransport`      — "host:port" over real sockets via `RpcClient`
-///    (multi-process clusters);
+///  * `TcpTransport`      — "host:port" over real sockets, one
+///    `PipelinedChannel` (one connection) per peer (multi-process
+///    clusters);
 ///  * `LoopbackTransport` — a name registered in an in-process table
 ///    (deterministic single-process tests of the same protocol logic,
 ///    including simulated node death by unregistering).
@@ -38,9 +39,13 @@ class Transport {
   /// status plus the reply body.
   using AsyncCallback = std::function<void(Status, std::string)>;
 
-  /// Issues one RPC to `endpoint`. Application errors come back from the
-  /// remote handler; unreachable/dead endpoints surface as transient
-  /// transport errors (`IOError`/`TimedOut`).
+  /// Issues one RPC to `endpoint` and waits for its reply. Application
+  /// errors come back from the remote handler; unreachable/dead endpoints
+  /// surface as transport errors (`IOError`/`TimedOut`).
+  ///
+  /// Must never run on a channel's reader thread (i.e. inside a
+  /// `CallAsync` completion): over TCP the wait is for a completion that
+  /// only a reader thread delivers.
   virtual Status Call(const std::string& endpoint, MessageType type,
                       std::string_view body, std::string* reply_body) = 0;
 
@@ -69,12 +74,15 @@ class Transport {
   virtual void Forget(const std::string& /*endpoint*/) {}
 };
 
-/// Real sockets. Caches one `RpcClient` (blocking calls) and one
-/// `PipelinedChannel` (async calls) per endpoint; both reconnect with
-/// backoff internally, so `Call`/`CallAsync` here are thin lookups.
+/// Real sockets. Caches one `PipelinedChannel` per endpoint, so blocking
+/// and pipelined calls to a peer share one connection and one
+/// reconnect/replay path. `Call` is `CallAsync` plus a wait; each call
+/// has one deadline (`PipelinedChannelOptions::deadline_ms`). A channel
+/// whose reconnect budget ran out fails every call fast until the
+/// endpoint is `Forget`-ed.
 class TcpTransport : public Transport {
  public:
-  explicit TcpTransport(RpcClientOptions options = {})
+  explicit TcpTransport(PipelinedChannelOptions options = {})
       : options_(options) {}
 
   Status Call(const std::string& endpoint, MessageType type,
@@ -84,9 +92,8 @@ class TcpTransport : public Transport {
   void Forget(const std::string& endpoint) override;
 
  private:
-  RpcClientOptions options_;
+  PipelinedChannelOptions options_;
   std::mutex mu_;
-  std::map<std::string, std::unique_ptr<RpcClient>> clients_;
   std::map<std::string, std::unique_ptr<PipelinedChannel>> channels_;
 };
 

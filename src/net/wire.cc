@@ -1,18 +1,12 @@
 #include "net/wire.h"
 
 #include <bit>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "common/serde.h"
 
 namespace rhino::net {
-
-bool NetPipelineEnabled() {
-  const char* v = std::getenv("RHINO_NET_PIPELINE");
-  return v == nullptr || std::string_view(v) != "0";
-}
 
 namespace {
 
@@ -457,7 +451,6 @@ void ReplicateStateRequest::EncodeTo(std::string* out) const {
   w.PutString(op);
   w.PutString(replica);
   w.PutU64(stream_seq);
-  w.PutU8(delta);
   PutVnodes(&w, dropped_vnodes);
 }
 
@@ -469,7 +462,6 @@ Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
   RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
   RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
-  RHINO_RETURN_NOT_OK(r.GetU8(&req.delta));
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.dropped_vnodes));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "replicate-state request"));
   return req;

@@ -37,7 +37,7 @@ enum class MessageType : uint8_t {
   kExtractVnodes = 5,         ///< handover origin: serialize moved vnodes
   kIngestVnodes = 6,          ///< handover target: ingest moved vnodes
   kDropVnodes = 7,            ///< handover origin: release migrated state
-  kReplicateState = 8,        ///< node -> node: chain-replicated image
+  kReplicateState = 8,        ///< node -> node: replication stream delta
   kPromoteReplica = 9,        ///< recovery: fold a held replica into live state
   kRestoreFromCheckpoint = 10,///< recovery: load a dead node's durable image
   kQueryCount = 11,           ///< read side: keyed counter lookup
@@ -55,15 +55,14 @@ const char* MessageTypeName(MessageType type);
 /// Version 2 made `kAddOperator` carry a full operator spec (kind +
 /// config + input arity), `kProcessBatch` carry the input side and an
 /// output-collection flag, and widened the batch/query replies.
-constexpr uint8_t kWireVersion = 2;
+/// Version 3 dropped the full-image shape of `kReplicateState`: the verb
+/// only carries continuous-stream deltas.
+constexpr uint8_t kWireVersion = 3;
 
-/// Reads the `RHINO_NET_PIPELINE` toggle: `0` reverts the data plane to
-/// the blocking batch-at-a-time pump and synchronous checkpoint-time
-/// replication; unset or any other value selects the pipelined pump and
-/// the continuous replication stream. Driver and node consult the same
-/// switch so one environment variable flips both halves of the data
-/// plane (the protocol itself is identical either way).
-bool NetPipelineEnabled();
+/// Always true: the pipelined data plane with continuous replication is
+/// the only one. Kept as a constant because `perfbench/` still guards on
+/// it.
+inline bool NetPipelineEnabled() { return true; }
 
 /// Key -> virtual node mapping of the networked runtime. Driver (routing)
 /// and nodes (ownership checks) must agree, so it lives here.
@@ -78,9 +77,9 @@ inline uint32_t VnodeForKey(uint64_t key, uint32_t num_vnodes) {
 // ----------------------------------------------------------- envelopes --
 
 /// Client -> server: `u8 type | u8 version | u64 seq | body`. `seq` is
-/// the correlation id: a pipelined client keeps a window of requests in
-/// flight and matches replies back by `seq`, so the server echoes it
-/// verbatim (replies may then arrive out of submission order).
+/// the correlation id: the client (`PipelinedChannel`) keeps a window of
+/// requests in flight and matches replies back by `seq`, so the server
+/// echoes it verbatim (replies may then arrive out of submission order).
 struct RequestEnvelope {
   MessageType type = MessageType::kReply;
   uint64_t seq = 0;
@@ -193,7 +192,8 @@ struct CheckpointReply {
   uint64_t checkpoint_id = 0;
   uint64_t bytes = 0;
   uint32_t operators = 0;
-  /// 1 when the image was also chain-replicated to the successor.
+  /// 1 when the node's replication stream to its successor had drained
+  /// before the ack (0 when the node has no successor).
   uint8_t replicated = 0;
 
   void EncodeTo(std::string* out) const;
@@ -224,24 +224,19 @@ struct VnodeSetRequest {
   static Result<VnodeSetRequest> Decode(std::string_view data);
 };
 
-/// kReplicateState: chain-replicated state from `origin_node` (`replica`
-/// = encoded ReplicaState). The receiver stores it in its replica
-/// catalog; it does NOT touch live state until promoted.
-///
-/// Two shapes share the verb. `delta == 0` is the legacy full image: the
-/// receiver replaces its whole catalog entry (checkpoint-time sync
-/// replication). `delta == 1` is one element of the continuous stream:
-/// `replica` carries only the vnodes that changed since the last delta
-/// (each with its state blob AND replay watermarks, captured atomically
-/// per vnode), `dropped_vnodes` lists vnodes the origin no longer owns
-/// (handover tombstones), and `stream_seq` orders the stream for
-/// observability. The receiver merges vnode-by-vnode.
+/// kReplicateState: one element of `origin_node`'s continuous
+/// replication stream. `replica` (an encoded ReplicaState) carries only
+/// the vnodes that changed since the last delta, each with its state blob
+/// AND replay watermarks, captured atomically per vnode;
+/// `dropped_vnodes` lists vnodes the origin no longer owns (handover
+/// tombstones), and `stream_seq` orders the stream for observability. The
+/// receiver merges vnode-by-vnode into its replica catalog; it does NOT
+/// touch live state until promoted.
 struct ReplicateStateRequest {
   uint32_t origin_node = 0;
   std::string op;
   std::string replica;
   uint64_t stream_seq = 0;
-  uint8_t delta = 0;
   std::vector<uint32_t> dropped_vnodes;
 
   void EncodeTo(std::string* out) const;

@@ -174,8 +174,8 @@ void DfsCheckpointStorage::SeedCheckpoint(
   rep.vnode_blobs = std::move(blobs);
 }
 
-Status WriteCheckpointImage(lsm::Env* env, const std::string& path,
-                            const ReplicaState& rs) {
+Result<uint64_t> WriteCheckpointImage(lsm::Env* env, const std::string& path,
+                                      const ReplicaState& rs) {
   size_t slash = path.rfind('/');
   if (slash != std::string::npos && slash > 0) {
     RHINO_RETURN_NOT_OK(env->CreateDir(path.substr(0, slash)));
@@ -187,7 +187,8 @@ Status WriteCheckpointImage(lsm::Env* env, const std::string& path,
   lsm::AppendLogRecord(&framed, payload);
   // Env::WriteFile replaces atomically (fresh content), so a reader never
   // observes a half-written image under a stable name.
-  return env->WriteFile(path, framed);
+  RHINO_RETURN_NOT_OK(env->WriteFile(path, framed));
+  return static_cast<uint64_t>(payload.size());
 }
 
 Result<ReplicaState> ReadCheckpointImage(lsm::Env* env,

@@ -121,9 +121,10 @@ std::map<uint32_t, std::string> CaptureVnodeBlobs(
 // rather than half-restored.
 
 /// Atomically writes the framed image of `rs` at `path` (parent directory
-/// is created if missing).
-Status WriteCheckpointImage(lsm::Env* env, const std::string& path,
-                            const ReplicaState& rs);
+/// is created if missing). Returns the size of the encoded image, frame
+/// header excluded.
+Result<uint64_t> WriteCheckpointImage(lsm::Env* env, const std::string& path,
+                                      const ReplicaState& rs);
 
 /// Loads and validates an image written by `WriteCheckpointImage`. A torn
 /// or checksum-corrupt file is `Corruption`; a missing file is the Env's

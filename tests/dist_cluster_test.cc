@@ -245,8 +245,11 @@ TEST(DistClusterTest, FailStopRecoveryPromotesReplicaExactlyOnce) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
 
-  // Wave 3 lands AFTER the checkpoint: the failed node's share of it
-  // exists only in its live state and must come back via replay.
+  // Freeze the victim's stream once its replica holds waves 1-2, so wave
+  // 3 lives only in node 2's live state — the stream cannot make the
+  // replica current before the kill — and must come back via replay.
+  ASSERT_TRUE(cluster.WaitReplIdle(2));
+  cluster.nodes[2]->StopReplication();
   cluster.AppendWave();
   ASSERT_TRUE(cluster.driver->Pump().ok());
 
@@ -258,23 +261,15 @@ TEST(DistClusterTest, FailStopRecoveryPromotesReplicaExactlyOnce) {
   ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
   EXPECT_FALSE(cluster.driver->IsAlive(2));
   EXPECT_TRUE(cluster.driver->VnodesOwnedBy(kOp, 2).empty());
-  if (!NetPipelineEnabled()) {
-    // Blocking mode: the promoted replica is frozen at the checkpoint, so
-    // the cursor rewound and wave 3 must replay. (In continuous mode the
-    // replica may already be CURRENT — the stream ships between
-    // checkpoints — so there may be nothing to rewind; exactness below is
-    // the invariant that holds in both modes.)
-    EXPECT_LT(cluster.driver->cursor(0), cluster.partition.end_offset());
-  }
+  // The promoted replica stops before wave 3, so the cursor rewound.
+  EXPECT_LT(cluster.driver->cursor(0), cluster.partition.end_offset());
 
   auto replayed = cluster.driver->Pump();
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  if (!NetPipelineEnabled()) {
-    // Surviving vnodes already hold wave 3: their replayed records dedup.
-    // The recovered vnodes (rolled back to the checkpoint) apply them.
-    EXPECT_GT(replayed->deduped, 0u);
-    EXPECT_GT(replayed->applied, 0u);
-  }
+  // Surviving vnodes already hold wave 3: their replayed records dedup.
+  // The recovered vnodes (rolled back to the frozen replica) apply them.
+  EXPECT_GT(replayed->deduped, 0u);
+  EXPECT_GT(replayed->applied, 0u);
   cluster.ExpectAllCounts(3);
 
   // Steady state continues on the survivors.
@@ -318,9 +313,6 @@ TEST(DistClusterTest, RecoveryFallsBackToDurableImageWhenReplicaDiedToo) {
 }
 
 TEST(DistClusterTest, ContinuousReplicationRecoversWithoutAnyCheckpoint) {
-  if (!NetPipelineEnabled()) {
-    GTEST_SKIP() << "continuous replication is off (RHINO_NET_PIPELINE=0)";
-  }
   // The stream makes replicas current WITHOUT any checkpoint barrier:
   // pump, wait for the stream to drain, kill a node — its successor's
   // replica alone must carry recovery (no durable image exists).
@@ -355,8 +347,8 @@ TEST(DistClusterTest, CheckpointFailsCleanlyWhenANodeIsDownUndeclared) {
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
 
   // A node died but nobody told the driver yet: the barrier must surface
-  // an error (no silent partial checkpoint) — node 0's chain hop to its
-  // dead successor fails, and the failure propagates.
+  // an error (no silent partial checkpoint) — the barrier call to the
+  // dead node fails, and the failure propagates.
   cluster.transport.Kill("node1");
   auto broken = cluster.driver->Checkpoint();
   EXPECT_FALSE(broken.ok());

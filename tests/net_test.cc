@@ -195,12 +195,17 @@ TEST(FrameTest, OversizedLengthPrefixIsRejectedBeforeAllocation) {
 
 // ------------------------------------------------------------------ rpc --
 
-RpcClientOptions FastRetryOptions() {
-  RpcClientOptions options;
+PipelinedChannelOptions FastChannelOptions() {
+  PipelinedChannelOptions options;
+  options.poll_ms = 10;
   options.retry.initial_backoff_us = 1000;  // 1ms: keep tests snappy
   options.retry.max_backoff_us = 10000;
   options.retry.max_attempts = 4;
   return options;
+}
+
+std::string LocalEndpoint(uint16_t port) {
+  return FormatEndpoint("127.0.0.1", port);
 }
 
 TEST(RpcTest, EchoAndApplicationError) {
@@ -211,12 +216,13 @@ TEST(RpcTest, EchoAndApplicationError) {
     return std::string(body);
   });
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
-  RpcClient client("127.0.0.1", server.port(), FastRetryOptions(), "test");
+  TcpTransport client(FastChannelOptions());
+  const std::string endpoint = LocalEndpoint(server.port());
   std::string reply;
-  ASSERT_TRUE(client.Call(MessageType::kHello, "ping", &reply).ok());
+  ASSERT_TRUE(client.Call(endpoint, MessageType::kHello, "ping", &reply).ok());
   EXPECT_EQ(reply, "ping");
   // Application errors are not transport errors: no retry, code preserved.
-  Status st = client.Call(MessageType::kStats, "", &reply);
+  Status st = client.Call(endpoint, MessageType::kStats, "", &reply);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(st.message(), "stats refused");
 }
@@ -257,9 +263,12 @@ TEST(RpcTest, ServerSurvivesGarbageBytes) {
   }
 
   // After all that abuse, a well-formed client still gets service.
-  RpcClient client("127.0.0.1", server.port(), FastRetryOptions(), "test");
+  TcpTransport client(FastChannelOptions());
   std::string reply;
-  ASSERT_TRUE(client.Call(MessageType::kHello, "still alive", &reply).ok());
+  ASSERT_TRUE(client
+                  .Call(LocalEndpoint(server.port()), MessageType::kHello,
+                        "still alive", &reply)
+                  .ok());
   EXPECT_EQ(reply, "still alive");
   EXPECT_GE(served.load(), 1);
 }
@@ -282,11 +291,12 @@ TEST(RpcTest, ClientSurvivesGarbageReply) {
       (void)conn->WriteAll(garbage);
     }
   });
-  RpcClientOptions options = FastRetryOptions();
+  PipelinedChannelOptions options = FastChannelOptions();
   options.retry.max_attempts = 2;
-  RpcClient client("127.0.0.1", port, options, "test");
+  TcpTransport client(options);
   std::string reply;
-  Status st = client.Call(MessageType::kHello, "hi", &reply);
+  Status st = client.Call(LocalEndpoint(port), MessageType::kHello, "hi",
+                          &reply);
   EXPECT_FALSE(st.ok());  // corrupt reply is an error, never a hang/crash
   server.join();
 }
@@ -299,17 +309,18 @@ TEST(RpcTest, ClientReconnectsAfterServerRestart) {
   ASSERT_TRUE(server->Start("127.0.0.1", 0).ok());
   uint16_t port = server->port();
 
-  RpcClient client("127.0.0.1", port, FastRetryOptions(), "test");
+  TcpTransport client(FastChannelOptions());
+  const std::string endpoint = LocalEndpoint(port);
   std::string reply;
-  ASSERT_TRUE(client.Call(MessageType::kHello, "before", &reply).ok());
+  ASSERT_TRUE(client.Call(endpoint, MessageType::kHello, "before", &reply).ok());
 
   // Restart the server on the same port (SO_REUSEADDR): the client's
   // cached connection is now stale, so the next call must transparently
-  // reconnect via its whole-call retry.
+  // reconnect and replay.
   server->Stop();
   server = std::make_unique<RpcServer>(handler);
   ASSERT_TRUE(server->Start("127.0.0.1", port).ok());
-  ASSERT_TRUE(client.Call(MessageType::kHello, "after", &reply).ok());
+  ASSERT_TRUE(client.Call(endpoint, MessageType::kHello, "after", &reply).ok());
   EXPECT_EQ(reply, "after");
 }
 
@@ -320,8 +331,9 @@ TEST(RpcTest, DeadEndpointFailsFastWithExhaustedRetries) {
     ASSERT_TRUE(listen.ok());
     dead_port = listen->local_port();
   }
-  RpcClient client("127.0.0.1", dead_port, FastRetryOptions(), "test");
-  Status st = client.Call(MessageType::kStats, "", nullptr);
+  TcpTransport client(FastChannelOptions());
+  Status st =
+      client.Call(LocalEndpoint(dead_port), MessageType::kStats, "", nullptr);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("gave up after"), std::string::npos)
       << st.ToString();
@@ -513,14 +525,12 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   msg.op = "counter";
   msg.replica = "replica-bytes";
   msg.stream_seq = 99;
-  msg.delta = 1;
   msg.dropped_vnodes = {3, 7, 11};
   std::string encoded;
   msg.EncodeTo(&encoded);
   auto decoded = ReplicateStateRequest::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->stream_seq, 99u);
-  EXPECT_EQ(decoded->delta, 1);
   EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
   FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
 }
@@ -725,15 +735,6 @@ TEST(WireTest, VnodeForKeySpreadsAndIsStable) {
 }
 
 // ---------------------------------------------------- pipelined channel --
-
-PipelinedChannelOptions FastChannelOptions() {
-  PipelinedChannelOptions options;
-  options.poll_ms = 10;
-  options.retry.initial_backoff_us = 1000;
-  options.retry.max_backoff_us = 10000;
-  options.retry.max_attempts = 4;
-  return options;
-}
 
 /// Writes a reply envelope frame for `seq`.
 void SendReply(Socket* conn, uint64_t seq, const std::string& body) {
@@ -997,6 +998,76 @@ TEST(PipelinedChannelTest, ReconnectReplaysPendingWindowExactlyOnce) {
   EXPECT_EQ(channel.replayed_total(), 2u);
   channel.Close();
   server.join();
+}
+
+TEST(TcpTransportTest, CallAndCallAsyncShareOneConnection) {
+  // A hand-rolled echo server that counts the connections it accepts and
+  // serves each on its own thread, so a client opening a second socket
+  // would be served (and counted) rather than hang.
+  auto listen = Socket::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listen.ok());
+  ASSERT_TRUE(listen->SetRecvTimeout(20).ok());  // accept polls `stop`
+  const uint16_t port = listen->local_port();
+  std::atomic<int> accepted{0};
+  std::atomic<bool> stop{false};
+  std::thread acceptor([&, listener = std::move(listen).MoveValue()]() mutable {
+    std::vector<std::thread> conns;
+    while (!stop.load()) {
+      auto conn = listener.Accept();
+      if (!conn.ok()) continue;
+      ++accepted;
+      conns.emplace_back([c = std::move(conn).MoveValue()]() mutable {
+        // Serves until the client closes the connection.
+        std::string frame;
+        while (true) {
+          Status st = ReadFrame(c, &frame);
+          if (st.code() == StatusCode::kTimedOut) continue;
+          if (!st.ok()) return;
+          auto req = RequestEnvelope::Decode(frame);
+          if (!req.ok()) return;
+          SendReply(&c, req->seq, "echo:" + req->body);
+        }
+      });
+    }
+    for (auto& t : conns) t.join();
+  });
+
+  // Declared before the transport, whose destructor joins the reader
+  // thread that runs the CallAsync callback.
+  std::mutex mu;
+  std::condition_variable cv;
+  Status async_status;
+  std::string async_reply;
+  bool async_done = false;
+  {
+    TcpTransport transport(FastChannelOptions());
+    const std::string endpoint = LocalEndpoint(port);
+    std::string reply;
+    ASSERT_TRUE(transport.Call(endpoint, MessageType::kHello, "a", &reply).ok());
+    EXPECT_EQ(reply, "echo:a");
+    ASSERT_TRUE(transport
+                    .CallAsync(endpoint, MessageType::kHello, "b",
+                               [&](Status st, std::string body) {
+                                 std::lock_guard<std::mutex> lock(mu);
+                                 async_status = st;
+                                 async_reply = body;
+                                 async_done = true;
+                                 cv.notify_all();
+                               })
+                    .ok());
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                              [&] { return async_done; }));
+    }
+    ASSERT_TRUE(async_status.ok()) << async_status.ToString();
+    EXPECT_EQ(async_reply, "echo:b");
+    ASSERT_TRUE(transport.Call(endpoint, MessageType::kHello, "c", &reply).ok());
+    EXPECT_EQ(reply, "echo:c");
+  }  // the transport closes its connections: the echo threads exit
+  stop.store(true);
+  acceptor.join();
+  EXPECT_EQ(accepted.load(), 1);
 }
 
 TEST(LoopbackTransportTest, KillMakesEndpointUnreachable) {
