@@ -57,6 +57,10 @@ GUARDED = [
     ("dist_pipeline", "throughput_records_per_s.pipelined"),
     ("dist_pipeline", "window_fills_ok"),
     ("dist_pipeline", "exactly_once_ok"),
+    # Replica-local handover: the move to the origin's ring successor
+    # loads the state from the replica it holds (no state blobs on the
+    # wire) and the move to a cold target takes the full path.
+    ("dist_handover", "handover_replica_local_ok"),
 ]
 
 # (artifact name, key glob) pairs that are REPORT-ONLY: wall-clock numbers
@@ -74,6 +78,7 @@ REPORT_ONLY = [
     ("realtime_recovery", "catchup.transfers"),
     ("realtime_recovery", "threads"),
     ("dist_handover", "wall_s.*"),
+    ("dist_handover", "bytes.*"),
     ("dist_handover", "records_per_s.*"),
     ("dist_handover", "records.*"),
     ("dist_handover", "vnodes.moved"),

@@ -8,8 +8,12 @@
 //   checkpoint — barrier broadcast, per-node durable image, and a wait
 //                for each node's replication stream to its ring successor
 //                to drain;
-//   handover   — live migration of every vnode node 0 owns (extract ->
-//                ingest -> drop, watermarks included);
+//   handover   — live migration of every vnode node 0 owns to node 1,
+//                its ring successor, which loads them from the replica it
+//                already holds (replica-local: only sizes, watermarks and
+//                stream seqs cross the wire), then the same vnodes back
+//                to node 0, a cold target that gets the full image
+//                (extract -> ingest -> drop, watermarks included);
 //   recovery   — fail-stop of node 2 (its RPC server stops answering),
 //                failure probe, replica promotion on the ring successor,
 //                cursor rewind, and the replay pump.
@@ -18,16 +22,25 @@
 // the re-routed cluster and every key's count is audited exactly-once —
 // `records.lost` and `records.duplicated` are required to be 0.
 //
-// Wall seconds are host-dependent and not regression-gated (report-only
-// in check_regression.py); what CI checks is that the distributed story
-// converges over real sockets with zero loss.
+// Bytes come from the nodes' stream counters (`rhino_repl_*`) and a
+// byte-counting decorator on the driver's transport: replication bytes
+// per user byte over the ingest, and each handover's bytes until the
+// streams re-protected the moved vnodes.
+//
+// Wall seconds and bytes are report-only in check_regression.py; what CI
+// checks is that the distributed story converges over real sockets with
+// zero loss, and that `handover_replica_local_ok` holds: the move to the
+// replica holder took the replica path with no state blobs on the wire,
+// and the move to the cold target took the full path.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "artifact.h"
@@ -41,6 +54,8 @@
 #include "net/rpc.h"
 #include "net/socket.h"
 #include "net/transport.h"
+#include "obs/observability.h"
+#include "rhino/replication_runtime.h"
 
 namespace rhino::net {
 namespace {
@@ -49,6 +64,83 @@ using Clock = std::chrono::steady_clock;
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+/// Counts the request and reply bytes of every call but the bench's own
+/// kStats polls, and keeps the last kExtractVnodes reply.
+class CountingTransport : public Transport {
+ public:
+  explicit CountingTransport(Transport* inner) : inner_(inner) {}
+
+  Status Call(const std::string& endpoint, MessageType type,
+              std::string_view body, std::string* reply_body) override {
+    std::string reply;
+    Status st = inner_->Call(endpoint, type, body, &reply);
+    Count(type, body.size() + reply.size());
+    if (type == MessageType::kExtractVnodes) last_extract_reply = reply;
+    if (reply_body != nullptr) *reply_body = std::move(reply);
+    return st;
+  }
+
+  Status CallAsync(const std::string& endpoint, MessageType type,
+                   std::string body, AsyncCallback cb) override {
+    const size_t request = body.size();
+    return inner_->CallAsync(
+        endpoint, type, std::move(body),
+        [this, type, request, cb](Status st, std::string reply) {
+          Count(type, request + reply.size());
+          cb(st, std::move(reply));
+        });
+  }
+
+  void Forget(const std::string& endpoint) override {
+    inner_->Forget(endpoint);
+  }
+
+  uint64_t bytes() const { return bytes_.load(); }
+  /// Driver thread only.
+  std::string last_extract_reply;
+
+ private:
+  void Count(MessageType type, size_t bytes) {
+    if (type != MessageType::kStats) bytes_.fetch_add(bytes);
+  }
+
+  Transport* inner_;
+  std::atomic<uint64_t> bytes_{0};
+};
+
+uint64_t NodeCounter(const std::string& name, uint32_t node,
+                     const std::string& key = "",
+                     const std::string& value = "") {
+  obs::Labels labels = {{"node", std::to_string(node)}};
+  if (!key.empty()) labels[key] = value;
+  return obs::Observability::Default()
+      ->metrics()
+      .GetCounter(name, labels)
+      ->value();
+}
+
+/// Stream bytes every node of `nodes` shipped so far.
+uint64_t ShippedBytes(uint32_t nodes) {
+  uint64_t total = 0;
+  for (uint32_t node = 0; node < nodes; ++node) {
+    total += NodeCounter("rhino_repl_shipped_bytes_total", node);
+  }
+  return total;
+}
+
+/// Polls every live node until its replication stream is idle.
+void WaitReplicationIdle(ClusterDriver* driver) {
+  for (uint32_t node = 0; node < driver->num_nodes(); ++node) {
+    if (!driver->IsAlive(node)) continue;
+    while (true) {
+      auto stats = driver->NodeStats(node);
+      RHINO_CHECK_OK(stats.status());
+      if (stats->repl_dirty == 0 && stats->repl_inflight == 0) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
 }
 
 constexpr uint32_t kNumNodes = 3;
@@ -95,12 +187,14 @@ void Run(bench::BenchArtifact* artifact) {
   }
   RHINO_CHECK_OK(env.CreateDir(root + "/ckpt"));
 
-  ClusterDriver driver(&transport, endpoints);
+  CountingTransport counted(&transport);
+  ClusterDriver driver(&counted, endpoints);
   RHINO_CHECK_OK(driver.ConnectAll());
   RHINO_CHECK_OK(driver.AddOperator(kOp, kNumVnodes));
   broker::Partition partition{0};
   driver.AddPartition(&partition);
   RHINO_CHECK_OK(driver.ConnectPartition(kOp, 0));
+  WaitReplicationIdle(&driver);
 
   auto produce_wave = [&] {
     dataflow::Batch batch;
@@ -120,6 +214,7 @@ void Run(bench::BenchArtifact* artifact) {
 
   // Phase 1: ingest — every wave crosses a real socket per owning node.
   for (int w = 0; w < waves_before_ckpt; ++w) produce_wave();
+  const uint64_t shipped_before_ingest = ShippedBytes(kNumNodes);
   auto t0 = Clock::now();
   auto pumped = driver.Pump();
   RHINO_CHECK_OK(pumped.status());
@@ -146,17 +241,73 @@ void Run(bench::BenchArtifact* artifact) {
                     std::to_string(ckpt->replicated_nodes) +
                     " drained streams"});
   artifact->Set("wall_s.checkpoint", ckpt_s);
+  // The checkpoint drained every stream: the ingest's replication is done.
+  const double user_bytes = static_cast<double>(ingested) * 32;
+  artifact->Set("bytes.repl_per_user_byte",
+                static_cast<double>(ShippedBytes(kNumNodes) -
+                                    shipped_before_ingest) /
+                    user_bytes);
 
-  // Phase 3: live handover — everything node 0 owns migrates to node 1.
+  // Phase 3: live handovers of everything node 0 owns, to node 1 (its
+  // ring successor, the replica holder) and back to node 0 (a cold
+  // target). Each is measured until the streams re-protected the moved
+  // vnodes: the bytes are the driver's calls plus the stream deltas.
   std::vector<uint32_t> moved = driver.VnodesOwnedBy(kOp, 0);
   RHINO_CHECK(!moved.empty());
-  t0 = Clock::now();
-  RHINO_CHECK_OK(driver.TriggerHandover(kOp, /*origin=*/0, /*target=*/1,
-                                        moved));
-  double handover_s = Seconds(t0, Clock::now());
-  table.AddRow({"handover", std::to_string(handover_s) + " s",
-                std::to_string(moved.size()) + " vnodes node0 -> node1"});
-  artifact->Set("wall_s.handover", handover_s);
+  struct Move {
+    double wall_s = 0;
+    uint64_t bytes = 0;
+    uint64_t replica_path = 0;  // target's handovers by path, this move
+    uint64_t full_path = 0;
+  };
+  auto handover = [&](uint32_t origin, uint32_t target) {
+    WaitReplicationIdle(&driver);
+    const uint64_t wire0 = counted.bytes();
+    const uint64_t stream0 = ShippedBytes(kNumNodes);
+    const uint64_t replica0 =
+        NodeCounter("rhino_handover_total", target, "path", "replica");
+    const uint64_t full0 =
+        NodeCounter("rhino_handover_total", target, "path", "full");
+    auto start = Clock::now();
+    RHINO_CHECK_OK(driver.TriggerHandover(kOp, origin, target, moved));
+    Move m;
+    m.wall_s = Seconds(start, Clock::now());
+    WaitReplicationIdle(&driver);
+    m.bytes = counted.bytes() - wire0 + ShippedBytes(kNumNodes) - stream0;
+    m.replica_path =
+        NodeCounter("rhino_handover_total", target, "path", "replica") -
+        replica0;
+    m.full_path =
+        NodeCounter("rhino_handover_total", target, "path", "full") - full0;
+    return m;
+  };
+  Move to_replica = handover(/*origin=*/0, /*target=*/1);
+  auto extracted = ExtractVnodesReply::Decode(counted.last_extract_reply);
+  RHINO_CHECK_OK(extracted.status());
+  auto extract_image = rhino::DecodeReplicaState(extracted->replica);
+  RHINO_CHECK_OK(extract_image.status());
+  const bool no_blobs =
+      extracted->replica_local == 1 && extract_image->vnode_blobs.empty();
+  Move to_cold = handover(/*origin=*/1, /*target=*/0);
+  const bool replica_local_ok = to_replica.replica_path == 1 &&
+                                to_replica.full_path == 0 && no_blobs &&
+                                to_cold.full_path == 1 &&
+                                to_cold.replica_path == 0;
+  table.AddRow({"handover", std::to_string(to_replica.wall_s) + " s",
+                std::to_string(moved.size()) + " vnodes node0 -> node1 "
+                "(replica target), " + std::to_string(to_replica.bytes) +
+                    " bytes"});
+  table.AddRow({"handover", std::to_string(to_cold.wall_s) + " s",
+                std::to_string(moved.size()) + " vnodes node1 -> node0 "
+                "(cold target), " + std::to_string(to_cold.bytes) +
+                    " bytes"});
+  artifact->Set("wall_s.handover", to_replica.wall_s);
+  artifact->Set("wall_s.handover.cold_target", to_cold.wall_s);
+  artifact->Set("bytes.handover.replica_target",
+                static_cast<double>(to_replica.bytes));
+  artifact->Set("bytes.handover.cold_target",
+                static_cast<double>(to_cold.bytes));
+  artifact->Set("handover_replica_local_ok", replica_local_ok ? 1 : 0);
   artifact->Set("vnodes.moved", static_cast<double>(moved.size()));
 
   // More waves past the checkpoint: this is the window recovery replays.
@@ -208,7 +359,8 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->Set("nodes", kNumNodes);
   artifact->SetInfo("transport", "tcp (loopback)");
   artifact->SetInfo("failed_node", std::to_string(kFailedNode));
-  artifact->SetInfo("regression_gate", "none (wall-clock, host-dependent)");
+  artifact->SetInfo("regression_gate",
+                    "handover_replica_local_ok (walls and bytes report-only)");
 
   driver.Shutdown();
   for (auto& server : servers) server->Stop();

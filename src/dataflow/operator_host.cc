@@ -179,16 +179,21 @@ Result<state::CheckpointDescriptor> OperatorHost::CaptureCheckpoint(
   return desc;
 }
 
+state::CheckpointDescriptor OperatorHost::DescribeVnodes(
+    const std::vector<uint32_t>& vnodes, uint64_t checkpoint_id) const {
+  state::CheckpointDescriptor desc;
+  desc.checkpoint_id = checkpoint_id;
+  desc.operator_name = spec_.name;
+  desc.instance_id = instance_id_;
+  for (uint32_t v : vnodes) desc.vnode_bytes[v] = backend_->VnodeBytes(v);
+  desc.vnode_watermarks = GetWatermarks(vnodes);
+  return desc;
+}
+
 Result<OperatorImage> OperatorHost::ExtractImage(
     const std::vector<uint32_t>& vnodes, uint64_t checkpoint_id) {
   OperatorImage image;
-  image.descriptor.checkpoint_id = checkpoint_id;
-  image.descriptor.operator_name = spec_.name;
-  image.descriptor.instance_id = instance_id_;
-  for (uint32_t v : vnodes) {
-    image.descriptor.vnode_bytes[v] = backend_->VnodeBytes(v);
-  }
-  image.descriptor.vnode_watermarks = GetWatermarks(vnodes);
+  image.descriptor = DescribeVnodes(vnodes, checkpoint_id);
   RHINO_ASSIGN_OR_RETURN(image.blobs, backend_->ExtractVnodeBlobs(vnodes));
   return image;
 }

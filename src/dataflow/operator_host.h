@@ -141,6 +141,11 @@ class OperatorHost {
   /// restored copy deduplicates correctly.
   Result<state::CheckpointDescriptor> CaptureCheckpoint(uint64_t checkpoint_id);
 
+  /// The descriptor part of an image of `vnodes`: sizes and replay
+  /// watermarks, no state blobs.
+  state::CheckpointDescriptor DescribeVnodes(const std::vector<uint32_t>& vnodes,
+                                             uint64_t checkpoint_id) const;
+
   /// Serializes `vnodes` into a consistent image: per-vnode state blobs
   /// plus a descriptor carrying sizes and replay watermarks. Used by
   /// handover extract, replication snapshots, and checkpoint images.

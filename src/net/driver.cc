@@ -571,24 +571,50 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
   marker.id = spec->id;
   marker.handover = spec;
 
-  // Step 1: origin serializes the moved vnodes (state + watermarks).
-  HandoverStateRequest extract;
-  extract.control = marker;
-  extract.move_index = 0;
+  // The origin's ring successor already holds the moved vnodes: ask for
+  // the replica path, where only sizes, watermarks and stream seqs cross
+  // the wire and the target fetches the state locally (paper §4.1).
+  auto successor = NextAlive(origin);
+  bool replica_local = successor.ok() && *successor == target;
   std::string body;
-  extract.EncodeTo(&body);
-  std::string replica;
-  RHINO_RETURN_NOT_OK(Call(origin, MessageType::kExtractVnodes, body, &replica));
+  while (true) {
+    // Step 1: origin serializes the moved vnodes (state + watermarks), or
+    // only describes them once its stream to the successor drained.
+    HandoverStateRequest extract;
+    extract.control = marker;
+    extract.move_index = 0;
+    extract.replica_local = replica_local ? 1 : 0;
+    body.clear();
+    extract.EncodeTo(&body);
+    std::string reply_body;
+    RHINO_RETURN_NOT_OK(
+        Call(origin, MessageType::kExtractVnodes, body, &reply_body));
+    RHINO_ASSIGN_OR_RETURN(ExtractVnodesReply extracted,
+                           ExtractVnodesReply::Decode(reply_body));
 
-  // Step 2: target ingests them (a live migration tail, not yet durable).
-  HandoverStateRequest ingest;
-  ingest.control = marker;
-  ingest.move_index = 0;
-  ingest.replica = std::move(replica);
-  ingest.durable = 0;
-  body.clear();
-  ingest.EncodeTo(&body);
-  RHINO_RETURN_NOT_OK(Call(target, MessageType::kIngestVnodes, body, nullptr));
+    // Step 2: target ingests them (a live migration tail, not yet
+    // durable), from the image or from its own replica.
+    HandoverStateRequest ingest;
+    ingest.control = marker;
+    ingest.move_index = 0;
+    ingest.replica = std::move(extracted.replica);
+    ingest.durable = 0;
+    ingest.replica_local = extracted.replica_local;
+    ingest.vnode_seqs = std::move(extracted.vnode_seqs);
+    body.clear();
+    ingest.EncodeTo(&body);
+    Status st = Call(target, MessageType::kIngestVnodes, body, nullptr);
+    if (st.code() == StatusCode::kFailedPrecondition &&
+        ingest.replica_local != 0) {
+      // The target's replica is not at the origin's last shipped seqs;
+      // it touched nothing. Redo the move through the full path.
+      replica_local = false;
+      continue;
+    }
+    RHINO_RETURN_NOT_OK(st);
+    replica_local = ingest.replica_local != 0;
+    break;
+  }
 
   // Step 3: origin releases the migrated state ("release unneeded
   // resources"), and routing flips — later batches go to the target.
@@ -603,7 +629,8 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
   obs_->trace().Emit("net", "cluster_handover", "driver", spec->id,
                      {{"origin", origin},
                       {"target", target},
-                      {"vnodes", static_cast<int64_t>(vnodes.size())}});
+                      {"vnodes", static_cast<int64_t>(vnodes.size())},
+                      {"replica_local", replica_local ? 1 : 0}});
   return Status::OK();
 }
 

@@ -22,7 +22,8 @@
 /// per operator input), and the protocol clocks (checkpoint and handover
 /// ids). It sequences cluster-wide operations over the RPC layer — the
 /// checkpoint barrier broadcast, the three-step live handover
-/// (extract -> ingest -> drop), and failure recovery (promote the ring
+/// (extract -> ingest -> drop; replica-local when the target is the
+/// origin's ring successor), and failure recovery (promote the ring
 /// successor's replica, or fall back to the durable checkpoint image, then
 /// rewind the dead operator's input cursors to the restored replay
 /// watermarks and re-pump).
@@ -154,7 +155,10 @@ class ClusterDriver {
   Result<CheckpointStats> Checkpoint();
 
   /// Live handover of `vnodes` of `op` from `origin` to `target`:
-  /// extract -> ingest -> drop, then the routing update.
+  /// extract -> ingest -> drop, then the routing update. When `target` is
+  /// `origin`'s ring successor the move is replica-local: the target
+  /// loads the vnodes from the replica it holds, and a target whose
+  /// replica is not current makes the move fall back to the full image.
   Status TriggerHandover(const std::string& op, uint32_t origin,
                          uint32_t target, const std::vector<uint32_t>& vnodes);
 

@@ -1,6 +1,8 @@
 #include "net/node_server.h"
 
+#include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,6 +22,10 @@ constexpr auto kReplErrorPacing = std::chrono::milliseconds(20);
 constexpr uint32_t kReplCreditWindow = 2;
 /// Upper bound on the checkpoint barrier's wait for stream drain.
 constexpr int kBarrierTimeoutMs = 10'000;
+
+void Bump(obs::Counter* counter, uint64_t delta = 1) {
+  if (counter != nullptr) counter->Increment(delta);
+}
 }  // namespace
 
 std::string CheckpointImagePath(const std::string& ckpt_dir,
@@ -59,6 +65,10 @@ Result<std::string> NodeServer::Handle(MessageType type,
     // the replicator can drain the stream.
     return HandleCheckpoint(body);
   }
+  if (type == MessageType::kExtractVnodes) {
+    // Same: a replica-local extract waits for the stream to drain.
+    return HandleExtractVnodes(body);
+  }
   if (type == MessageType::kProcessBatch && options_.apply_delay_us > 0) {
     // Emulated service latency (bench seam) — outside mu_ so it models a
     // slow link, not a held lock.
@@ -74,9 +84,8 @@ Result<std::string> NodeServer::Handle(MessageType type,
     case MessageType::kProcessBatch:
       return HandleProcessBatch(body);
     case MessageType::kCheckpoint:
-      break;  // dispatched above
     case MessageType::kExtractVnodes:
-      return HandleExtractVnodes(body);
+      break;  // dispatched above
     case MessageType::kIngestVnodes:
       return HandleIngestVnodes(body);
     case MessageType::kDropVnodes:
@@ -111,20 +120,47 @@ Result<NodeServer::Shard*> NodeServer::FindShard(const std::string& op) {
 Result<std::string> NodeServer::HandleHello(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(HelloRequest req, HelloRequest::Decode(body));
   node_id_.store(req.node_id);
+  const bool new_successor = req.successor != successor_;
   successor_ = req.successor;
   RHINO_RETURN_NOT_OK(env_->CreateDir(options_.data_dir));
   RHINO_RETURN_NOT_OK(env_->CreateDir(options_.ckpt_dir));
+  auto& registry = obs_->metrics();
+  const obs::Labels node = {{"node", std::to_string(req.node_id)}};
+  auto with = [&node](const char* key, const char* value) {
+    obs::Labels labels = node;
+    labels[key] = value;
+    return labels;
+  };
+  metrics_.shipped_bytes =
+      registry.GetCounter("rhino_repl_shipped_bytes_total", node);
+  metrics_.whole_vnodes =
+      registry.GetCounter("rhino_repl_vnodes_total", with("kind", "whole"));
+  metrics_.key_vnodes =
+      registry.GetCounter("rhino_repl_vnodes_total", with("kind", "keys"));
+  metrics_.entries = registry.GetCounter("rhino_repl_entries_total", node);
+  metrics_.rejected = registry.GetCounter("rhino_repl_rejected_total", node);
+  metrics_.captured_keys = registry.GetGauge("rhino_repl_captured_keys", node);
+  metrics_.handover_replica =
+      registry.GetCounter("rhino_handover_total", with("path", "replica"));
+  metrics_.handover_full =
+      registry.GetCounter("rhino_handover_total", with("path", "full"));
   if (replicating_) {
     // The ring (re)formed: forget the old successor's failures and
-    // re-baseline — everything owned ships again so the NEW successor
-    // holds a complete replica, not just future deltas.
+    // re-baseline — everything owned ships again. A NEW successor holds
+    // none of it yet, so it all ships whole; the capture restarts with
+    // it (off without a successor: nothing would drain it).
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
       repl_->error = Status::OK();
+      if (new_successor) repl_->last_seq.clear();
     }
     for (const auto& [op, shard] : shards_) {
+      if (new_successor) {
+        shard.host->backend()->SetChangeCapture(!successor_.empty());
+      }
       MarkReplDirty(op, shard.host->owned());
     }
+    UpdateCapturedKeys();
     repl_->work_cv.notify_all();
   }
   return std::string();
@@ -174,6 +210,9 @@ Result<std::string> NodeServer::HandleAddOperator(std::string_view body) {
           [num_vnodes](uint64_t key) { return VnodeForKey(key, num_vnodes); },
           node_id_.load()));
   host->InitOwned(req.owned_vnodes);
+  if (replicating_ && !successor_.empty()) {
+    host->backend()->SetChangeCapture(true);
+  }
   Shard shard;
   shard.host = std::move(host);
   shards_.emplace(spec.name, std::move(shard));
@@ -207,6 +246,7 @@ Result<std::string> NodeServer::HandleProcessBatch(std::string_view body) {
     EncodeBatch(out, &reply.outputs);
   }
   MarkReplDirty(req.op, applied.applied_vnodes);
+  UpdateCapturedKeys();
   shard->applied += reply.applied;
   shard->deduped += reply.deduped;
   std::string encoded;
@@ -241,10 +281,67 @@ Status NodeServer::Absorb(const std::string& op, rhino::ReplicaState&& rs,
   // snapshot stopped (the host assigns, never max-merges).
   RHINO_ASSIGN_OR_RETURN(std::vector<uint32_t> absorbed,
                          shard->host->Absorb(image, vnodes, already_durable));
-  // Newly absorbed vnodes are writes this node's OWN successor has not
-  // seen yet.
+  // Newly absorbed vnodes are state this node's OWN successor has not
+  // seen yet: they ship whole.
+  if (replicating_) ForgetShipped(op, absorbed);
   MarkReplDirty(op, absorbed);
   return Status::OK();
+}
+
+Status NodeServer::BuildDelta(Shard* shard, const std::string& op,
+                              uint64_t seq, ReplicateStateRequest* req) {
+  rhino::ReplicaState rs;
+  rs.latest_checkpoint_id = seq;
+  rs.latest_descriptor.checkpoint_id = seq;
+  rs.latest_descriptor.operator_name = op;
+  uint64_t entries = 0;
+  if (shard != nullptr) {
+    std::vector<uint32_t> all, whole;
+    for (ReplicatedVnode& entry : req->vnodes) {
+      all.push_back(entry.vnode);
+      if (entry.keys != 0) {
+        std::optional<uint64_t> keys =
+            shard->host->backend()->TakeChanges(entry.vnode, &entry.changes);
+        if (keys.has_value()) {
+          entries += *keys;
+        } else {
+          entry.keys = 0;
+        }
+      }
+      if (entry.keys == 0) whole.push_back(entry.vnode);
+    }
+    rs.latest_descriptor = shard->host->DescribeVnodes(all, seq);
+    if (!whole.empty()) {
+      // A whole snapshot supersedes whatever was captured for the vnode.
+      RHINO_ASSIGN_OR_RETURN(rs.vnode_blobs,
+                             shard->host->backend()->ExtractVnodeBlobs(whole));
+      shard->host->backend()->DiscardChanges(whole);
+    }
+  }
+  rs.latest_descriptor.instance_id = node_id_.load();
+  rhino::EncodeReplicaState(rs, &req->replica);
+  for (const ReplicatedVnode& entry : req->vnodes) {
+    Bump(entry.keys != 0 ? metrics_.key_vnodes : metrics_.whole_vnodes);
+  }
+  Bump(metrics_.entries, entries);
+  return Status::OK();
+}
+
+void NodeServer::ForgetShipped(const std::string& op,
+                               const std::vector<uint32_t>& vnodes) {
+  std::lock_guard<std::mutex> lock(repl_->mu);
+  auto it = repl_->last_seq.find(op);
+  if (it == repl_->last_seq.end()) return;
+  for (uint32_t vnode : vnodes) it->second.erase(vnode);
+}
+
+void NodeServer::UpdateCapturedKeys() {
+  if (metrics_.captured_keys == nullptr) return;
+  uint64_t keys = 0;
+  for (const auto& [op, shard] : shards_) {
+    keys += shard.host->backend()->CapturedKeys();
+  }
+  metrics_.captured_keys->Set(static_cast<double>(keys));
 }
 
 Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
@@ -297,20 +394,64 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   }
   const auto& spec = *req.control.handover;
   const auto& move = spec.moves[req.move_index];
-  RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(spec.operator_name));
-  for (uint32_t vnode : move.vnodes) {
-    if (!shard->host->Owns(vnode)) {
-      return Status::FailedPrecondition("extract of unowned vnode " +
-                                        std::to_string(vnode));
+  auto owned_shard = [&]() -> Result<Shard*> {
+    RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(spec.operator_name));
+    for (uint32_t vnode : move.vnodes) {
+      if (!shard->host->Owns(vnode)) {
+        return Status::FailedPrecondition("extract of unowned vnode " +
+                                          std::to_string(vnode));
+      }
+    }
+    return shard;
+  };
+  bool replica_local = false;
+  if (req.replica_local != 0) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      RHINO_RETURN_NOT_OK(owned_shard().status());
+      replica_local = replicating_ && !successor_.empty();
+    }
+    // The target is the ring successor: once the stream drained, it holds
+    // every moved vnode as of its last delta. Like the checkpoint barrier,
+    // wait with mu_ released; a failed drain falls back to the full image.
+    if (replica_local) replica_local = WaitReplicationBarrier().ok();
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  RHINO_ASSIGN_OR_RETURN(Shard * shard, owned_shard());
+  ExtractVnodesReply reply;
+  if (replica_local) {
+    // Nothing may have been written since the drain: each moved vnode's
+    // replica must be exactly its last shipped delta.
+    std::lock_guard<std::mutex> rlock(repl_->mu);
+    auto dirty = repl_->dirty.find(spec.operator_name);
+    auto shipped = repl_->last_seq.find(spec.operator_name);
+    for (uint32_t vnode : move.vnodes) {
+      if ((dirty != repl_->dirty.end() && dirty->second.count(vnode) != 0) ||
+          shipped == repl_->last_seq.end() ||
+          shipped->second.count(vnode) == 0) {
+        replica_local = false;
+        reply.vnode_seqs.clear();
+        break;
+      }
+      reply.vnode_seqs[vnode] = shipped->second.at(vnode);
     }
   }
-  RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
-                         Snapshot(shard, move.vnodes, spec.id));
+  rhino::ReplicaState rs;
+  if (replica_local) {
+    rs.latest_checkpoint_id = spec.id;
+    rs.latest_descriptor = shard->host->DescribeVnodes(move.vnodes, spec.id);
+    rs.latest_descriptor.instance_id = node_id_.load();
+  } else {
+    RHINO_ASSIGN_OR_RETURN(rs, Snapshot(shard, move.vnodes, spec.id));
+  }
+  reply.replica_local = replica_local ? 1 : 0;
+  rhino::EncodeReplicaState(rs, &reply.replica);
   obs_->trace().Emit("net", "handover_extract",
                      "node" + std::to_string(node_id_.load()), spec.id,
-                     {{"vnodes", static_cast<int64_t>(move.vnodes.size())}});
+                     {{"vnodes", static_cast<int64_t>(move.vnodes.size())},
+                      {"replica_local", replica_local ? 1 : 0}});
   std::string out;
-  EncodeReplicaState(rs, &out);
+  reply.EncodeTo(&out);
   return out;
 }
 
@@ -325,11 +466,44 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   const auto& move = spec.moves[req.move_index];
   RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
                          rhino::DecodeReplicaState(req.replica));
+  if (req.replica_local != 0) {
+    // The shard exists and every moved vnode is held at exactly the
+    // origin's last shipped seq — checked before any state is touched, so
+    // a mismatch leaves the driver free to redo the move through the full
+    // path.
+    RHINO_RETURN_NOT_OK(FindShard(spec.operator_name).status());
+    auto held = replicas_.find({move.origin_instance, spec.operator_name});
+    for (uint32_t vnode : move.vnodes) {
+      auto seq = req.vnode_seqs.find(vnode);
+      const HeldVnode* copy = nullptr;
+      if (held != replicas_.end()) {
+        auto it = held->second.find(vnode);
+        if (it != held->second.end()) copy = &it->second;
+      }
+      if (seq == req.vnode_seqs.end() || copy == nullptr ||
+          copy->seq != seq->second) {
+        return Status::FailedPrecondition(
+            "replica of node " + std::to_string(move.origin_instance) +
+            " does not hold vnode " + std::to_string(vnode) +
+            " at the origin's last shipped seq");
+      }
+    }
+    // The origin's descriptor brings the watermarks; the state blobs move
+    // out of the catalog.
+    for (uint32_t vnode : move.vnodes) {
+      auto it = held->second.find(vnode);
+      rs.vnode_blobs[vnode] = std::move(it->second.blob);
+      held->second.erase(it);
+    }
+  }
   RHINO_RETURN_NOT_OK(Absorb(spec.operator_name, std::move(rs), move.vnodes,
                              req.durable != 0));
+  Bump(req.replica_local != 0 ? metrics_.handover_replica
+                              : metrics_.handover_full);
   obs_->trace().Emit("net", "handover_ingest",
                      "node" + std::to_string(node_id_.load()), spec.id,
-                     {{"vnodes", static_cast<int64_t>(move.vnodes.size())}});
+                     {{"vnodes", static_cast<int64_t>(move.vnodes.size())},
+                      {"replica_local", req.replica_local}});
   return std::string();
 }
 
@@ -341,6 +515,7 @@ Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
     // Dropped vnodes become stream tombstones: the successor must purge
     // them from its replica, or a later promotion would resurrect state
     // that was handed to another node (double counting).
+    ForgetShipped(req.op, req.vnodes);
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
       auto dit = repl_->dirty.find(req.op);
@@ -353,6 +528,7 @@ Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
     }
     repl_->work_cv.notify_all();
   }
+  UpdateCapturedKeys();
   return std::string();
 }
 
@@ -361,38 +537,66 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
                          ReplicateStateRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
                          rhino::DecodeReplicaState(req.replica));
-  // Merge per vnode. The channel delivers deltas in stream order, so
-  // last-writer-wins per vnode is exactly the origin's latest snapshot of
-  // it.
-  auto& dst = replicas_[{req.origin_node, req.op}];
-  if (rs.latest_checkpoint_id > dst.latest_checkpoint_id) {
-    dst.latest_checkpoint_id = rs.latest_checkpoint_id;
-    dst.latest_descriptor.checkpoint_id = rs.latest_descriptor.checkpoint_id;
-  }
-  dst.latest_descriptor.operator_name = rs.latest_descriptor.operator_name;
-  dst.latest_descriptor.instance_id = rs.latest_descriptor.instance_id;
-  // desc.vnode_bytes names every vnode the delta carries (a blob may be
-  // absent when the vnode's state is empty — then the replica's copy is
-  // cleared, not kept).
-  for (const auto& [vnode, bytes] : rs.latest_descriptor.vnode_bytes) {
-    dst.latest_descriptor.vnode_bytes[vnode] = bytes;
-    auto marks = rs.latest_descriptor.vnode_watermarks.find(vnode);
-    if (marks != rs.latest_descriptor.vnode_watermarks.end()) {
-      dst.latest_descriptor.vnode_watermarks[vnode] = marks->second;
-    } else {
-      dst.latest_descriptor.vnode_watermarks.erase(vnode);
+  HeldReplica& held = replicas_[{req.origin_node, req.op}];
+  auto is_duplicate = [&](uint32_t vnode) {
+    auto it = held.find(vnode);
+    return it != held.end() && req.stream_seq <= it->second.seq;
+  };
+  const auto& desc = rs.latest_descriptor;
+  auto bytes_of = [&desc](uint32_t vnode) -> uint64_t {
+    auto it = desc.vnode_bytes.find(vnode);
+    return it == desc.vnode_bytes.end() ? 0 : it->second;
+  };
+  // Check the chain of every key delta before applying anything: a key
+  // delta extends only the copy at its base_seq.
+  std::map<uint32_t, std::string> merged;
+  std::vector<uint32_t> broken;
+  for (const ReplicatedVnode& entry : req.vnodes) {
+    if (entry.keys == 0 || is_duplicate(entry.vnode)) continue;
+    auto it = held.find(entry.vnode);
+    if (it == held.end() || it->second.seq != entry.base_seq) {
+      broken.push_back(entry.vnode);
+      continue;
     }
-    auto blob = rs.vnode_blobs.find(vnode);
-    if (blob != rs.vnode_blobs.end()) {
-      dst.vnode_blobs[vnode] = std::move(blob->second);
-    } else {
-      dst.vnode_blobs.erase(vnode);
+    auto blob = state::LsmStateBackend::MergeChangesIntoBlob(
+        it->second.blob, entry.changes, bytes_of(entry.vnode));
+    if (!blob.ok()) {
+      broken.push_back(entry.vnode);
+      continue;
     }
+    merged[entry.vnode] = std::move(blob).MoveValue();
   }
-  for (uint32_t vnode : req.dropped_vnodes) {
-    dst.vnode_blobs.erase(vnode);
-    dst.latest_descriptor.vnode_bytes.erase(vnode);
-    dst.latest_descriptor.vnode_watermarks.erase(vnode);
+  if (!broken.empty()) {
+    // Out of chain: the copy is no consistent snapshot any more. Erase it
+    // and make the origin ship the vnode whole.
+    for (uint32_t vnode : broken) held.erase(vnode);
+    Bump(metrics_.rejected);
+    return Status::FailedPrecondition(
+        "replica of node " + std::to_string(req.origin_node) + " op " +
+        req.op + " is not at the base seq of vnode " +
+        std::to_string(broken.front()) + " (delta " +
+        std::to_string(req.stream_seq) + ")");
+  }
+  // Tombstones first: the origin dropped those vnodes before it cut this
+  // delta (a vnode dropped and re-acquired ships whole below).
+  for (uint32_t vnode : req.dropped_vnodes) held.erase(vnode);
+  for (const ReplicatedVnode& entry : req.vnodes) {
+    // A delta at or below the held seq is a replay of an applied one.
+    if (is_duplicate(entry.vnode)) continue;
+    HeldVnode& copy = held[entry.vnode];
+    if (entry.keys != 0) {
+      copy.blob = std::move(merged[entry.vnode]);
+    } else {
+      auto blob = rs.vnode_blobs.find(entry.vnode);
+      copy.blob = blob != rs.vnode_blobs.end() ? std::move(blob->second)
+                                               : std::string();
+    }
+    copy.bytes = bytes_of(entry.vnode);
+    auto marks = desc.vnode_watermarks.find(entry.vnode);
+    copy.watermarks = marks != desc.vnode_watermarks.end()
+                          ? marks->second
+                          : std::map<int, uint64_t>();
+    copy.seq = req.stream_seq;
   }
   return std::string();
 }
@@ -410,7 +614,26 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
                               req.op + " on node " +
                               std::to_string(node_id_.load()));
     }
-    rs = it->second;
+    // Move out only the requested vnodes (the origin is dead, nothing
+    // else of its replica will be asked for twice); a vnode not held is
+    // absorbed empty without watermarks.
+    rs.latest_descriptor.operator_name = req.op;
+    rs.latest_descriptor.instance_id = req.origin_node;
+    for (uint32_t vnode : req.vnodes) {
+      auto held = it->second.find(vnode);
+      if (held == it->second.end()) continue;
+      HeldVnode& copy = held->second;
+      rs.latest_checkpoint_id = std::max(rs.latest_checkpoint_id, copy.seq);
+      rs.latest_descriptor.vnode_bytes[vnode] = copy.bytes;
+      if (!copy.watermarks.empty()) {
+        rs.latest_descriptor.vnode_watermarks[vnode] =
+            std::move(copy.watermarks);
+      }
+      rs.vnode_blobs[vnode] = std::move(copy.blob);
+      it->second.erase(held);
+    }
+    rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
+    if (it->second.empty()) replicas_.erase(it);
   } else {
     RHINO_ASSIGN_OR_RETURN(
         rs, rhino::ReadCheckpointImage(
@@ -520,24 +743,28 @@ void NodeServer::ReplicatorLoop() {
         return;
       }
     }
-    // Snapshot a consistent delta under mu_: each vnode's blob and its
-    // replay watermarks are captured together, so a promoted replica
-    // resumes dedup exactly where its state stopped.
+    // Build a consistent delta under mu_: each vnode's state (its whole
+    // blob, or the keys written since its last delta) and its replay
+    // watermarks are captured together, so a promoted replica resumes
+    // dedup exactly where its state stopped.
     ReplicateStateRequest req;
     std::string successor;
     Status failure;
     bool have = false;
+    obs::Counter* shipped_bytes = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
       successor = successor_;
+      shipped_bytes = metrics_.shipped_bytes;
       if (!successor.empty()) {
         auto it = shards_.find(op);
+        Shard* shard = it != shards_.end() ? &it->second : nullptr;
         std::vector<uint32_t> live;
-        if (it != shards_.end()) {
+        if (shard != nullptr) {
           for (uint32_t vnode : vnodes) {
             // A vnode dirtied then handed away ships as a tombstone, not
             // as state.
-            if (it->second.host->Owns(vnode)) live.push_back(vnode);
+            if (shard->host->Owns(vnode)) live.push_back(vnode);
           }
         }
         if (!live.empty() || !dropped.empty()) {
@@ -545,43 +772,64 @@ void NodeServer::ReplicatorLoop() {
           {
             std::lock_guard<std::mutex> rlock(repl->mu);
             seq = ++repl->stream_seq;
-          }
-          rhino::ReplicaState rs;
-          if (!live.empty()) {
-            auto snap = Snapshot(&it->second, live, seq);
-            if (!snap.ok()) {
-              failure = snap.status();
-            } else {
-              rs = std::move(snap).MoveValue();
+            // A vnode the successor holds as of its last delta ships as
+            // the keys written since; any other ships whole.
+            auto& last = repl->last_seq[op];
+            for (uint32_t vnode : live) {
+              ReplicatedVnode entry;
+              entry.vnode = vnode;
+              auto shipped = last.find(vnode);
+              if (shipped != last.end()) {
+                entry.base_seq = shipped->second;
+                entry.keys = 1;
+              }
+              last[vnode] = seq;
+              req.vnodes.push_back(std::move(entry));
             }
-          } else {
-            rs.latest_checkpoint_id = seq;
-            rs.latest_descriptor.checkpoint_id = seq;
-            rs.latest_descriptor.operator_name = op;
-            rs.latest_descriptor.instance_id = node_id_.load();
           }
+          failure = BuildDelta(shard, op, seq, &req);
           if (failure.ok()) {
             req.origin_node = node_id_.load();
             req.op = op;
-            rhino::EncodeReplicaState(rs, &req.replica);
             req.stream_seq = seq;
             req.dropped_vnodes = dropped;
             have = true;
           }
+          UpdateCapturedKeys();
         }
       }
     }
-    if (!have) {
-      // Nothing to ship (no successor, or the vnodes all moved away) or
-      // the snapshot failed. Return the credit; re-mark on failure.
-      std::lock_guard<std::mutex> lock(repl->mu);
-      --repl->inflight;
-      if (!failure.ok()) {
-        repl->error = failure;
+    // Puts unshipped work back on the stream. Its vnodes ship whole next:
+    // the successor may lack the failed delta's keys.
+    auto requeue = [repl, op, vnodes, dropped](const Status& st) {
+      {
+        std::lock_guard<std::mutex> lock(repl->mu);
+        --repl->inflight;
+        // A chain mismatch only asks for whole vnodes; it does not break
+        // the stream, so it neither paces it nor fails a barrier.
+        if (st.code() != StatusCode::kFailedPrecondition) repl->error = st;
+        auto last = repl->last_seq.find(op);
+        if (last != repl->last_seq.end()) {
+          for (uint32_t vnode : vnodes) last->second.erase(vnode);
+        }
         repl->dirty[op].insert(vnodes.begin(), vnodes.end());
         if (!dropped.empty()) {
           repl->dropped[op].insert(dropped.begin(), dropped.end());
         }
+      }
+      repl->work_cv.notify_all();
+      repl->barrier_cv.notify_all();
+    };
+    if (!have) {
+      // Nothing to ship (no successor, or the vnodes all moved away) or
+      // the build failed. Return the credit; re-mark on failure.
+      if (!failure.ok()) {
+        requeue(failure);
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lock(repl->mu);
+        --repl->inflight;
       }
       repl->work_cv.notify_all();
       repl->barrier_cv.notify_all();
@@ -589,45 +837,30 @@ void NodeServer::ReplicatorLoop() {
     }
     std::string req_body;
     req.EncodeTo(&req_body);
+    Bump(shipped_bytes, req_body.size());
     // The callback captures only the shared stream block (+ the work it
     // would have to re-mark): the transport may run it after this
     // NodeServer is gone.
     Status submitted = transport_->CallAsync(
         successor, MessageType::kReplicateState, std::move(req_body),
-        [repl, op, vnodes, dropped](Status st, std::string /*reply*/) {
+        [repl, requeue](Status st, std::string /*reply*/) {
+          if (!st.ok()) {
+            // Unacked work goes back on the stream; a waiting barrier
+            // fails fast on the sticky error.
+            requeue(st);
+            return;
+          }
           {
             std::lock_guard<std::mutex> lock(repl->mu);
             --repl->inflight;
-            if (st.ok()) {
-              ++repl->shipped;
-              repl->error = Status::OK();
-            } else {
-              // Unacked work goes back on the stream; a waiting barrier
-              // fails fast on the sticky error.
-              repl->error = st;
-              repl->dirty[op].insert(vnodes.begin(), vnodes.end());
-              if (!dropped.empty()) {
-                repl->dropped[op].insert(dropped.begin(), dropped.end());
-              }
-            }
+            ++repl->shipped;
+            repl->error = Status::OK();
           }
           repl->work_cv.notify_all();
           repl->barrier_cv.notify_all();
         });
-    if (!submitted.ok()) {
-      // Never handed to the transport — the callback will not run.
-      {
-        std::lock_guard<std::mutex> lock(repl->mu);
-        --repl->inflight;
-        repl->error = submitted;
-        repl->dirty[op].insert(vnodes.begin(), vnodes.end());
-        if (!dropped.empty()) {
-          repl->dropped[op].insert(dropped.begin(), dropped.end());
-        }
-      }
-      repl->work_cv.notify_all();
-      repl->barrier_cv.notify_all();
-    }
+    // Never handed to the transport — the callback will not run.
+    if (!submitted.ok()) requeue(submitted);
   }
 }
 

@@ -40,11 +40,15 @@
 ///    join, modeled state); records below a vnode's replay watermark are
 ///    deduplicated (exactly-once under replay);
 ///  * **replication** — every write marks its vnode dirty and a
-///    background replicator streams per-vnode deltas (state blob + replay
-///    watermarks, captured atomically) to the ring successor as pipelined
-///    `kReplicateState` requests under a small credit window — Rhino's
-///    state-centric replication as a continuous ordered stream, off the
-///    checkpoint path. A node replicates exactly when it has a transport;
+///    background replicator streams per-vnode deltas to the ring successor
+///    as pipelined `kReplicateState` requests under a small credit window
+///    — Rhino's state-centric replication as a continuous ordered stream,
+///    off the checkpoint path. A node replicates exactly when it has a
+///    transport. The stream is incremental: a vnode the successor already
+///    holds ships as a **key delta**, the keys its backend captured since
+///    the vnode's last delta, chained to that delta by `base_seq`; a vnode
+///    it may lack ships **whole**. Both carry the vnode's size and replay
+///    watermarks, captured atomically with its state;
 ///  * **checkpoint** — `kCheckpoint` snapshots every shard (vnode blobs +
 ///    watermarks), persists a framed image to the shared checkpoint
 ///    directory (the DFS stand-in), and then waits for the replication
@@ -52,19 +56,36 @@
 ///    does not scale with replication traffic volume;
 ///  * **handover** — `kExtractVnodes` / `kIngestVnodes` / `kDropVnodes`
 ///    implement the origin and target halves of a live migration, moving
-///    state *and* dedup watermarks;
-///  * **recovery** — `kPromoteReplica` folds a held replica of a dead peer
-///    into live state; `kRestoreFromCheckpoint` does the same from the
-///    durable image when no replica survived (the RhinoDFS fallback).
+///    state *and* dedup watermarks. When the target is the origin's ring
+///    successor the move is **replica-local**: the origin drains its
+///    stream and sends only sizes, watermarks and the seq of each moved
+///    vnode's last delta, and the target moves its replica of those
+///    vnodes into live state. Any other target gets the full image;
+///  * **recovery** — `kPromoteReplica` moves the requested vnodes of a
+///    held replica of a dead peer into live state; `kRestoreFromCheckpoint`
+///    does the same from the durable image when no replica survived (the
+///    RhinoDFS fallback).
+///
+/// **Replica invariant.** A vnode held in the replica catalog is always
+/// one consistent snapshot of its origin — state and replay watermarks of
+/// the same instant, as of the stream delta whose seq it records — or it
+/// is absent. A key delta therefore applies only to a held copy at
+/// exactly its `base_seq`; a delta at or below the held seq is a
+/// duplicate (a channel replay) and is acked without being applied; any
+/// other mismatch erases the held copy and answers `FailedPrecondition`,
+/// upon which the origin ships the vnode whole. Promoting an absent vnode
+/// absorbs it empty with no watermarks, so the driver replays its inputs
+/// from offset 0 (the broker keeps every offset).
 ///
 /// Thread safety: one mutex (`mu_`) serializes all verbs, so every
 /// checkpoint or extraction observes a consistent shard. The replicator
-/// thread takes `mu_` only while building a delta snapshot; stream
-/// bookkeeping lives under the separate `ReplStream::mu` (lock order:
-/// `mu_` before `ReplStream::mu`, never the reverse). `kCheckpoint`
-/// releases `mu_` before waiting on the stream barrier, so the
-/// replicator can drain while the barrier waits — the one place a cycle
-/// could otherwise form. No handler makes a nested blocking RPC.
+/// thread takes `mu_` only while building a delta; stream bookkeeping
+/// lives under the separate `ReplStream::mu` (lock order: `mu_` before
+/// `ReplStream::mu`, never the reverse). `kCheckpoint` and a
+/// replica-local `kExtractVnodes` release `mu_` before waiting on the
+/// stream barrier, so the replicator can drain while the barrier waits —
+/// the one place a cycle could otherwise form. No handler makes a nested
+/// blocking RPC.
 
 namespace rhino::net {
 
@@ -154,6 +175,10 @@ class NodeServer {
     std::map<std::string, std::set<uint32_t>> dirty;
     /// op -> vnodes dropped (handover) but not yet tombstoned downstream.
     std::map<std::string, std::set<uint32_t>> dropped;
+    /// op -> vnode -> stream_seq of the last delta that carried the vnode
+    /// to the current successor: the `base_seq` of its next key delta.
+    /// Absent means the successor may lack the vnode, so it ships whole.
+    std::map<std::string, std::map<uint32_t, uint64_t>> last_seq;
     uint64_t stream_seq = 0;  ///< last delta sequence number assigned
     uint64_t shipped = 0;     ///< deltas acked by the successor
     uint32_t inflight = 0;    ///< deltas submitted, not yet acked
@@ -184,10 +209,25 @@ class NodeServer {
                                        const std::vector<uint32_t>& vnodes,
                                        uint64_t id);
 
+  /// Fills `req->replica` and the change runs of `req->vnodes` for the
+  /// delta `seq` of `shard` (null when only tombstones ship), and counts
+  /// the delta in the stream metrics. A key entry whose backend cannot
+  /// capture turns whole. Caller holds `mu_`.
+  Status BuildDelta(Shard* shard, const std::string& op, uint64_t seq,
+                    ReplicateStateRequest* req);
+
   /// Folds `rs`'s blobs/watermarks for `vnodes` (empty = all) into the
   /// live shard of `op`. Consumes the image's blobs.
   Status Absorb(const std::string& op, rhino::ReplicaState&& rs,
                 const std::vector<uint32_t>& vnodes, bool already_durable);
+
+  /// The successor may no longer hold `vnodes` of `op` as last shipped:
+  /// their next delta ships whole. Caller holds `mu_`.
+  void ForgetShipped(const std::string& op,
+                     const std::vector<uint32_t>& vnodes);
+
+  /// Publishes the captured-key gauge. Caller holds `mu_`.
+  void UpdateCapturedKeys();
 
   /// Marks `vnodes` of `op` dirty on the replication stream. Caller holds
   /// `mu_`; no-op unless the node replicates.
@@ -220,12 +260,36 @@ class NodeServer {
   std::atomic<uint32_t> node_id_{0};
   std::atomic<bool> shutdown_{false};
 
+  /// One vnode of a held replica: a consistent snapshot of the origin's
+  /// vnode as of the stream delta `seq`.
+  struct HeldVnode {
+    std::string blob;
+    uint64_t bytes = 0;  ///< nominal state bytes
+    std::map<int, uint64_t> watermarks;
+    uint64_t seq = 0;
+  };
+  using HeldReplica = std::map<uint32_t, HeldVnode>;
+
+  /// Stream and handover instruments in the node's registry, labelled
+  /// with the node id (registered by kHello; null before).
+  struct Metrics {
+    obs::Counter* shipped_bytes = nullptr;
+    obs::Counter* whole_vnodes = nullptr;
+    obs::Counter* key_vnodes = nullptr;
+    obs::Counter* entries = nullptr;
+    obs::Counter* rejected = nullptr;
+    obs::Gauge* captured_keys = nullptr;
+    obs::Counter* handover_replica = nullptr;
+    obs::Counter* handover_full = nullptr;
+  };
+
   std::mutex mu_;
   std::string successor_;  ///< replication successor endpoint ("" = off)
   std::map<std::string, Shard> shards_;
-  /// Replica catalog: (origin node, op) -> latest chain-replicated image,
-  /// merged per vnode from the origin's stream deltas.
-  std::map<std::pair<uint32_t, std::string>, rhino::ReplicaState> replicas_;
+  /// Replica catalog: (origin node, op) -> held vnodes, applied from the
+  /// origin's stream deltas (the replica invariant above).
+  std::map<std::pair<uint32_t, std::string>, HeldReplica> replicas_;
+  Metrics metrics_;
 
   /// True when the replicator thread was started (the node has a
   /// transport); constant after construction.

@@ -48,6 +48,28 @@ Status GetVnodes(BinaryReader* r, std::vector<uint32_t>* vnodes) {
   return Status::OK();
 }
 
+void PutVnodeSeqs(BinaryWriter* w, const VnodeSeqs& seqs) {
+  w->PutVarint(seqs.size());
+  for (const auto& [vnode, seq] : seqs) {
+    w->PutU32(vnode);
+    w->PutU64(seq);
+  }
+}
+
+Status GetVnodeSeqs(BinaryReader* r, VnodeSeqs* seqs) {
+  uint64_t n = 0;
+  RHINO_RETURN_NOT_OK(r->GetVarint(&n));
+  seqs->clear();
+  for (uint64_t i = 0; i < n; ++i) {
+    uint32_t vnode = 0;
+    uint64_t seq = 0;
+    RHINO_RETURN_NOT_OK(r->GetU32(&vnode));
+    RHINO_RETURN_NOT_OK(r->GetU64(&seq));
+    (*seqs)[vnode] = seq;
+  }
+  return Status::OK();
+}
+
 // Doubles cross the wire as their IEEE-754 bit pattern in a u64; the
 // serde layer is integers-and-strings only.
 void PutDouble(BinaryWriter* w, double value) {
@@ -414,6 +436,8 @@ void HandoverStateRequest::EncodeTo(std::string* out) const {
   w.PutU32(move_index);
   w.PutString(replica);
   w.PutU8(durable);
+  w.PutU8(replica_local);
+  PutVnodeSeqs(&w, vnode_seqs);
 }
 
 Result<HandoverStateRequest> HandoverStateRequest::Decode(
@@ -426,8 +450,27 @@ Result<HandoverStateRequest> HandoverStateRequest::Decode(
   RHINO_RETURN_NOT_OK(r.GetU32(&req.move_index));
   RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
   RHINO_RETURN_NOT_OK(r.GetU8(&req.durable));
+  RHINO_RETURN_NOT_OK(r.GetU8(&req.replica_local));
+  RHINO_RETURN_NOT_OK(GetVnodeSeqs(&r, &req.vnode_seqs));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "handover state request"));
   return req;
+}
+
+void ExtractVnodesReply::EncodeTo(std::string* out) const {
+  BinaryWriter w(out);
+  w.PutU8(replica_local);
+  w.PutString(replica);
+  PutVnodeSeqs(&w, vnode_seqs);
+}
+
+Result<ExtractVnodesReply> ExtractVnodesReply::Decode(std::string_view data) {
+  BinaryReader r(data);
+  ExtractVnodesReply rep;
+  RHINO_RETURN_NOT_OK(r.GetU8(&rep.replica_local));
+  RHINO_RETURN_NOT_OK(r.GetString(&rep.replica));
+  RHINO_RETURN_NOT_OK(GetVnodeSeqs(&r, &rep.vnode_seqs));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "extract-vnodes reply"));
+  return rep;
 }
 
 void VnodeSetRequest::EncodeTo(std::string* out) const {
@@ -452,6 +495,13 @@ void ReplicateStateRequest::EncodeTo(std::string* out) const {
   w.PutString(replica);
   w.PutU64(stream_seq);
   PutVnodes(&w, dropped_vnodes);
+  w.PutVarint(vnodes.size());
+  for (const ReplicatedVnode& v : vnodes) {
+    w.PutU32(v.vnode);
+    w.PutU64(v.base_seq);
+    w.PutU8(v.keys);
+    w.PutString(v.changes);
+  }
 }
 
 Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
@@ -463,6 +513,20 @@ Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
   RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
   RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.dropped_vnodes));
+  // The count is bounded by the remaining bytes (an encoded vnode takes at
+  // least 14) so a corrupt varint cannot force a huge allocation.
+  uint64_t n = 0;
+  RHINO_RETURN_NOT_OK(r.GetVarint(&n));
+  if (n > r.remaining() / 14) {
+    return Status::Corruption("replicated vnode count exceeds payload size");
+  }
+  req.vnodes.resize(n);
+  for (ReplicatedVnode& v : req.vnodes) {
+    RHINO_RETURN_NOT_OK(r.GetU32(&v.vnode));
+    RHINO_RETURN_NOT_OK(r.GetU64(&v.base_seq));
+    RHINO_RETURN_NOT_OK(r.GetU8(&v.keys));
+    RHINO_RETURN_NOT_OK(r.GetString(&v.changes));
+  }
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "replicate-state request"));
   return req;
 }

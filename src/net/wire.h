@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,7 +58,12 @@ const char* MessageTypeName(MessageType type);
 /// output-collection flag, and widened the batch/query replies.
 /// Version 3 dropped the full-image shape of `kReplicateState`: the verb
 /// only carries continuous-stream deltas.
-constexpr uint8_t kWireVersion = 3;
+/// Version 4 made the stream incremental and the handover replica-local:
+/// `kReplicateState` lists its vnodes, each whole or as the keys written
+/// since `base_seq`; `kExtractVnodes` and `kIngestVnodes` carry a
+/// replica-local flag and per-vnode stream seqs, and the extract reply
+/// became `ExtractVnodesReply`.
+constexpr uint8_t kWireVersion = 4;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on
@@ -200,19 +206,43 @@ struct CheckpointReply {
   static Result<CheckpointReply> Decode(std::string_view data);
 };
 
+/// Per-vnode stream seqs: vnode -> `stream_seq` of the last replication
+/// delta that carried it.
+using VnodeSeqs = std::map<uint32_t, uint64_t>;
+
 /// kExtractVnodes / kIngestVnodes: the handover marker (control event with
 /// the full spec) plus which move of the spec this node participates in.
 /// For ingest, `replica` holds the origin's encoded `ReplicaState` and
 /// `durable` says whether those bytes came from a persisted checkpoint
 /// (recovery) or a live migration tail.
+///
+/// `replica_local` on an extract asks the origin for the replica path (the
+/// target is its ring successor). On an ingest it says `replica` carries
+/// no blobs: the target loads the moved vnodes from its own replica of
+/// the origin, which must hold each at exactly its seq in `vnode_seqs`.
 struct HandoverStateRequest {
   dataflow::ControlEvent control;
   uint32_t move_index = 0;
   std::string replica;
   uint8_t durable = 0;
+  uint8_t replica_local = 0;
+  VnodeSeqs vnode_seqs;
 
   void EncodeTo(std::string* out) const;
   static Result<HandoverStateRequest> Decode(std::string_view data);
+};
+
+/// kExtractVnodes reply: the origin's encoded `ReplicaState` of the moved
+/// vnodes. With `replica_local` set, its stream to the target drained
+/// and the image carries no blobs, only sizes and watermarks, plus the
+/// seq of the last delta that carried each moved vnode.
+struct ExtractVnodesReply {
+  uint8_t replica_local = 0;
+  std::string replica;
+  VnodeSeqs vnode_seqs;
+
+  void EncodeTo(std::string* out) const;
+  static Result<ExtractVnodesReply> Decode(std::string_view data);
 };
 
 /// kDropVnodes.
@@ -224,13 +254,30 @@ struct VnodeSetRequest {
   static Result<VnodeSetRequest> Decode(std::string_view data);
 };
 
+/// One vnode of a kReplicateState delta.
+struct ReplicatedVnode {
+  uint32_t vnode = 0;
+  /// `stream_seq` of the previous delta that carried this vnode to the
+  /// same successor (0 = none). A key delta applies only to a held copy
+  /// at exactly this seq.
+  uint64_t base_seq = 0;
+  /// 1: a key delta, `changes` is the origin backend's change run of the
+  /// keys written since `base_seq` (`StateBackend::TakeChanges`). 0: the
+  /// whole vnode, whose blob rides in the request's `replica`.
+  uint8_t keys = 0;
+  std::string changes;
+
+  bool operator==(const ReplicatedVnode&) const = default;
+};
+
 /// kReplicateState: one element of `origin_node`'s continuous
-/// replication stream. `replica` (an encoded ReplicaState) carries only
-/// the vnodes that changed since the last delta, each with its state blob
-/// AND replay watermarks, captured atomically per vnode;
-/// `dropped_vnodes` lists vnodes the origin no longer owns (handover
-/// tombstones), and `stream_seq` orders the stream for observability. The
-/// receiver merges vnode-by-vnode into its replica catalog; it does NOT
+/// replication stream. `vnodes` lists the vnodes written since their last
+/// delta, each whole or as a key delta; `replica` (an encoded
+/// ReplicaState) carries the size and replay watermarks of every listed
+/// vnode, captured atomically with its state, and the blobs of the whole
+/// ones. `dropped_vnodes` lists vnodes the origin no longer owns
+/// (handover tombstones), and `stream_seq` orders the stream. The
+/// receiver applies vnode by vnode to its replica catalog; it does NOT
 /// touch live state until promoted.
 struct ReplicateStateRequest {
   uint32_t origin_node = 0;
@@ -238,6 +285,7 @@ struct ReplicateStateRequest {
   std::string replica;
   uint64_t stream_seq = 0;
   std::vector<uint32_t> dropped_vnodes;
+  std::vector<ReplicatedVnode> vnodes;
 
   void EncodeTo(std::string* out) const;
   static Result<ReplicateStateRequest> Decode(std::string_view data);

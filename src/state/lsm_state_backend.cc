@@ -1,5 +1,6 @@
 #include "state/lsm_state_backend.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/serde.h"
@@ -33,6 +34,7 @@ Status LsmStateBackend::Put(uint32_t vnode, std::string_view key,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(db_->Put(EncodeKey(vnode, key), value));
   vnode_bytes_[vnode] += nominal_bytes;
+  if (capture_) Capture(vnode, key, /*is_delete=*/false, value);
   return Status::OK();
 }
 
@@ -46,6 +48,7 @@ Status LsmStateBackend::Delete(uint32_t vnode, std::string_view key,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(db_->Delete(EncodeKey(vnode, key)));
   DiscountBytes(vnode, nominal_bytes);
+  if (capture_) Capture(vnode, key, /*is_delete=*/true, {});
   return Status::OK();
 }
 
@@ -67,13 +70,14 @@ Status LsmStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
     }
   }
   RHINO_RETURN_NOT_OK(db_->Write(batch));
-  // Accounting only after the whole run committed.
+  // Accounting (and capture) only after the whole run committed.
   for (const auto& w : writes) {
     if (w.is_delete) {
       DiscountBytes(w.vnode, w.nominal_bytes);
     } else {
       vnode_bytes_[w.vnode] += w.nominal_bytes;
     }
+    if (capture_) Capture(w.vnode, w.key, w.is_delete, w.value);
   }
   return Status::OK();
 }
@@ -272,8 +276,165 @@ Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
     }
     RHINO_RETURN_NOT_OK(db_->Write(batch));
     vnode_bytes_.erase(v);
+    DiscardVnodeChanges(v);
   }
   return Status::OK();
+}
+
+void LsmStateBackend::Capture(uint32_t vnode, std::string_view key,
+                              bool is_delete, std::string_view value) {
+  auto [it, inserted] = captured_[vnode].try_emplace(std::string(key));
+  if (inserted) ++captured_keys_;
+  it->second.is_delete = is_delete;
+  it->second.value.assign(value);
+}
+
+void LsmStateBackend::DiscardVnodeChanges(uint32_t vnode) {
+  auto it = captured_.find(vnode);
+  if (it == captured_.end()) return;
+  captured_keys_ -= it->second.size();
+  captured_.erase(it);
+}
+
+void LsmStateBackend::SetChangeCapture(bool on) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  capture_ = on;
+  if (!on) {
+    captured_.clear();
+    captured_keys_ = 0;
+  }
+}
+
+std::optional<uint64_t> LsmStateBackend::TakeChanges(uint32_t vnode,
+                                                     std::string* run) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  run->clear();
+  // With capture off, writes since the last take went unrecorded: only a
+  // whole vnode is a correct delta.
+  if (!capture_) return std::nullopt;
+  auto it = captured_.find(vnode);
+  if (it == captured_.end()) return 0;
+  // Sort pointers, not entries: moving the strings would dominate.
+  std::vector<std::pair<const std::string*, const CapturedWrite*>> order;
+  order.reserve(it->second.size());
+  for (const auto& [key, write] : it->second) order.emplace_back(&key, &write);
+  std::sort(order.begin(), order.end(),
+            [](const auto& a, const auto& b) { return *a.first < *b.first; });
+  BinaryWriter w(run);
+  for (const auto& [key, write] : order) {
+    w.PutU8(write->is_delete ? 1 : 0);
+    w.PutString(*key);
+    if (!write->is_delete) w.PutString(write->value);
+  }
+  const uint64_t keys = it->second.size();
+  captured_keys_ -= keys;
+  captured_.erase(it);
+  return keys;
+}
+
+void LsmStateBackend::DiscardChanges(const std::vector<uint32_t>& vnodes) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  for (uint32_t v : vnodes) DiscardVnodeChanges(v);
+}
+
+uint64_t LsmStateBackend::CapturedKeys() const {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  return captured_keys_;
+}
+
+Result<std::string> LsmStateBackend::MergeChangesIntoBlob(
+    std::string_view blob, std::string_view run, uint64_t nominal_bytes) {
+  constexpr size_t kCountOffset = 4 + 4 + 8;  // nvnodes | vnode | nominal
+  BinaryReader r(blob);
+  uint32_t num_vnodes = 0, vnode = 0;
+  uint64_t old_nominal = 0, count = 0;
+  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
+  if (num_vnodes != 1) {
+    return Status::Corruption("merge target is not a one-vnode blob");
+  }
+  RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
+  RHINO_RETURN_NOT_OK(r.GetU64(&old_nominal));
+  RHINO_RETURN_NOT_OK(r.GetU64(&count));
+
+  // The run, one change at a time; `change_key` is empty-and-done when
+  // `has_change` is false.
+  BinaryReader changes(run);
+  bool has_change = false;
+  bool change_is_delete = false;
+  std::string_view change_key, change_value;
+  auto next_change = [&]() -> Status {
+    if (changes.AtEnd()) {
+      has_change = false;
+      return Status::OK();
+    }
+    std::string_view previous = change_key;
+    const bool first = !has_change;
+    uint8_t tag = 0;
+    RHINO_RETURN_NOT_OK(changes.GetU8(&tag));
+    if (tag > 1) return Status::Corruption("unknown change tag");
+    change_is_delete = tag == 1;
+    RHINO_RETURN_NOT_OK(changes.GetString(&change_key));
+    change_value = {};
+    if (!change_is_delete) RHINO_RETURN_NOT_OK(changes.GetString(&change_value));
+    if (!first && !(previous < change_key)) {
+      return Status::Corruption("change run is not sorted by key");
+    }
+    has_change = true;
+    return Status::OK();
+  };
+
+  std::string out;
+  out.reserve(blob.size() + run.size());
+  BinaryWriter w(&out);
+  w.PutU32(1);
+  w.PutU32(vnode);
+  w.PutU64(nominal_bytes);
+  w.PutU64(0);  // patched below
+  uint64_t merged = 0;
+  // Untouched entries are copied as raw byte ranges of the blob: `kept`
+  // is where the range not yet copied starts.
+  size_t kept = r.position();
+  auto copy_kept = [&](size_t upto) {
+    out.append(blob.substr(kept, upto - kept));
+    kept = upto;
+  };
+  // Emits the pending change (a put; tombstones emit nothing) and reads
+  // the next one.
+  auto apply_change = [&]() -> Status {
+    if (!change_is_delete) {
+      w.PutString(change_key);
+      w.PutString(change_value);
+      ++merged;
+    }
+    return next_change();
+  };
+  RHINO_RETURN_NOT_OK(next_change());
+  for (uint64_t e = 0; e < count; ++e) {
+    const size_t start = r.position();
+    std::string_view key, value;
+    RHINO_RETURN_NOT_OK(r.GetString(&key));
+    RHINO_RETURN_NOT_OK(r.GetString(&value));
+    if (!has_change || key < change_key) {
+      ++merged;  // untouched: stays in the kept range
+      continue;
+    }
+    copy_kept(start);
+    while (has_change && change_key < key) {
+      RHINO_RETURN_NOT_OK(apply_change());
+    }
+    if (has_change && change_key == key) {
+      // The change replaces this entry; a tombstone erases it.
+      RHINO_RETURN_NOT_OK(apply_change());
+      kept = r.position();
+    } else {
+      ++merged;
+    }
+  }
+  if (!r.AtEnd()) return Status::Corruption("trailing bytes after vnode blob");
+  copy_kept(r.position());
+  while (has_change) RHINO_RETURN_NOT_OK(apply_change());
+  std::memcpy(out.data() + kCountOffset, &merged, sizeof(merged));
+  return out;
 }
 
 }  // namespace rhino::state

@@ -4,6 +4,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "lsm/db.h"
 #include "lsm/env.h"
@@ -60,6 +62,23 @@ class LsmStateBackend : public StateBackend {
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
 
+  void SetChangeCapture(bool on) override;
+  /// The run is a sequence of `u8 tombstone | key | value (puts only)`
+  /// entries, strictly increasing in key.
+  std::optional<uint64_t> TakeChanges(uint32_t vnode,
+                                      std::string* run) override;
+  void DiscardChanges(const std::vector<uint32_t>& vnodes) override;
+  uint64_t CapturedKeys() const override;
+
+  /// Applies a change run of TakeChanges to a one-vnode blob of
+  /// ExtractVnodeBlobs in one linear merge: a change replaces the blob's
+  /// entry for its key, a tombstone erases it. The result is the blob of
+  /// the same vnode with `nominal_bytes` as its size. Corruption on a
+  /// malformed blob or run, or a run out of key order.
+  static Result<std::string> MergeChangesIntoBlob(std::string_view blob,
+                                                  std::string_view run,
+                                                  uint64_t nominal_bytes);
+
   /// The backing DB (exposed for tests).
   lsm::DB* db() { return db_.get(); }
 
@@ -76,6 +95,12 @@ class LsmStateBackend : public StateBackend {
   /// Subtracts nominal bytes from a vnode's accounting, clamping at zero.
   void DiscountBytes(uint32_t vnode, uint64_t nominal_bytes);
 
+  /// Records a write of `key` in `vnode` while capture is on.
+  void Capture(uint32_t vnode, std::string_view key, bool is_delete,
+               std::string_view value);
+  /// Drops the captured keys of `vnode`.
+  void DiscardVnodeChanges(uint32_t vnode);
+
   lsm::Env* env_;
   std::string dir_;
   std::string operator_name_;
@@ -89,6 +114,17 @@ class LsmStateBackend : public StateBackend {
   /// protocols budget with.
   std::map<uint32_t, uint64_t> vnode_bytes_;
   std::vector<StateFile> last_checkpoint_files_;
+
+  /// The latest write of one captured key.
+  struct CapturedWrite {
+    bool is_delete = false;
+    std::string value;
+  };
+  bool capture_ = false;
+  /// vnode -> key -> latest write since the vnode's last take.
+  std::unordered_map<uint32_t, std::unordered_map<std::string, CapturedWrite>>
+      captured_;
+  uint64_t captured_keys_ = 0;
 };
 
 }  // namespace rhino::state

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,37 @@ class StateBackend {
 
   /// Drops all state of `vnodes` (origin side after a successful handover).
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
+
+  // ----------------------------------------------------- change capture --
+  // Incremental replication ships, per vnode, only the keys written since
+  // the vnode's last delta. While capture is on, every key written through
+  // Put, Delete or ApplyBatch is recorded per vnode — its latest value or
+  // a tombstone — until taken, so memory is bounded by the distinct keys
+  // written since the last take, not by the number of writes.
+  // IngestVnodes records nothing (absorbed vnodes ship whole) and
+  // DropVnodes discards the dropped vnodes' captured keys. The defaults
+  // cannot capture, which means "ship whole vnodes".
+
+  /// Turns capture on or off; off discards everything captured.
+  virtual void SetChangeCapture(bool /*on*/) {}
+
+  /// Moves out the changes of `vnode` captured since the last take into
+  /// `*run`, one run in a backend-internal format sorted by key (apply it
+  /// to a blob of the same vnode with the backend's merge). Returns the
+  /// number of keys in the run, or nullopt when the backend cannot
+  /// capture: the caller must ship the vnode whole.
+  virtual std::optional<uint64_t> TakeChanges(uint32_t /*vnode*/,
+                                              std::string* run) {
+    run->clear();
+    return std::nullopt;
+  }
+
+  /// Forgets the captured changes of `vnodes` (a whole snapshot of them
+  /// superseded the changes).
+  virtual void DiscardChanges(const std::vector<uint32_t>& /*vnodes*/) {}
+
+  /// Distinct keys currently captured, over all vnodes.
+  virtual uint64_t CapturedKeys() const { return 0; }
 };
 
 }  // namespace rhino::state

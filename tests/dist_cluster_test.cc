@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "net/node_server.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/observability.h"
+#include "rhino/replication_runtime.h"
 
 /// \file dist_cluster_test.cc
 /// The distributed protocol on an in-process cluster: three `NodeServer`s
@@ -33,6 +37,62 @@ namespace {
 constexpr uint32_t kNumVnodes = 16;
 constexpr uint64_t kNumKeys = 40;
 const char* const kOp = "counter";
+
+/// A counter of `node` in the registry every test node reports into (the
+/// default observability context), with one more label when `key` is set.
+/// Tests of one binary share it, so they compare before and after.
+uint64_t NodeCounter(const std::string& name, uint32_t node,
+                     const std::string& key = "",
+                     const std::string& value = "") {
+  obs::Labels labels = {{"node", std::to_string(node)}};
+  if (!key.empty()) labels[key] = value;
+  return obs::Observability::Default()
+      ->metrics()
+      .GetCounter(name, labels)
+      ->value();
+}
+
+/// The kReplicateState deltas a node received and what it answered.
+/// Deltas arrive on the origin's replicator thread, hence the lock.
+struct DeltaLog {
+  struct Entry {
+    ReplicateStateRequest req;
+    std::string body;
+    StatusCode code = StatusCode::kOk;
+  };
+  std::mutex mu;
+  std::vector<Entry> entries;
+
+  void Record(std::string_view body, const Result<std::string>& reply) {
+    auto req = ReplicateStateRequest::Decode(body);
+    ASSERT_TRUE(req.ok());
+    std::lock_guard<std::mutex> lock(mu);
+    entries.push_back(Entry{std::move(req).MoveValue(), std::string(body),
+                            reply.status().code()});
+  }
+
+  /// Deltas from `origin` that carried `vnode`, in arrival order.
+  std::vector<Entry> Carrying(uint32_t origin, uint32_t vnode) {
+    std::lock_guard<std::mutex> lock(mu);
+    std::vector<Entry> out;
+    for (const Entry& e : entries) {
+      if (e.req.origin_node != origin) continue;
+      for (const ReplicatedVnode& v : e.req.vnodes) {
+        if (v.vnode == vnode) out.push_back(e);
+      }
+    }
+    return out;
+  }
+};
+
+/// The entry of `vnode` in a delta.
+const ReplicatedVnode* EntryOf(const ReplicateStateRequest& req,
+                               uint32_t vnode) {
+  for (const ReplicatedVnode& v : req.vnodes) {
+    if (v.vnode == vnode) return &v;
+  }
+  return nullptr;
+}
 
 /// Three nodes + driver wired over loopback.
 struct Cluster {
@@ -75,6 +135,36 @@ struct Cluster {
     return false;
   }
 
+  bool WaitAllIdle() {
+    for (uint32_t node = 0; node < nodes.size(); ++node) {
+      if (driver->IsAlive(node) && !WaitReplIdle(node)) return false;
+    }
+    return true;
+  }
+
+  /// Re-registers `node` behind `tap`, which sees every request the node
+  /// serves and its reply (on the calling thread, which may be a peer's
+  /// replicator).
+  using TapFn = std::function<void(MessageType, std::string_view,
+                                   const Result<std::string>&)>;
+  void Tap(uint32_t node, TapFn tap) {
+    NodeServer* server = nodes[node].get();
+    transport.Register("node" + std::to_string(node),
+                       [server, tap](MessageType type, std::string_view body) {
+                         auto reply = server->Handle(type, body);
+                         tap(type, body, reply);
+                         return reply;
+                       });
+  }
+
+  /// Records every delta `node` receives into `log`.
+  void LogDeltas(uint32_t node, DeltaLog* log) {
+    Tap(node, [log](MessageType type, std::string_view body,
+                    const Result<std::string>& reply) {
+      if (type == MessageType::kReplicateState) log->Record(body, reply);
+    });
+  }
+
   void Bootstrap() {
     ASSERT_TRUE(driver->ConnectAll().ok());
     ASSERT_TRUE(driver->AddOperator(kOp, kNumVnodes).ok());
@@ -97,13 +187,42 @@ struct Cluster {
     partition.Append(std::move(batch));
   }
 
-  /// Asserts every key counts exactly `waves` (exactly-once invariant).
-  void ExpectAllCounts(uint64_t waves) {
+  /// Appends one batch holding one record per key in `keys`.
+  void AppendKeys(const std::vector<uint64_t>& keys) {
+    dataflow::Batch batch;
+    for (uint64_t key : keys) {
+      dataflow::Record rec;
+      rec.key = key;
+      rec.event_time = 1000;
+      rec.size = 32;
+      batch.records.push_back(rec);
+      batch.count += 1;
+      batch.bytes += rec.size;
+    }
+    partition.Append(std::move(batch));
+  }
+
+  /// Asserts every key counts exactly `waves` (exactly-once invariant),
+  /// plus `extra[key]` for the keys given.
+  void ExpectAllCounts(uint64_t waves,
+                       const std::map<uint64_t, uint64_t>& extra = {}) {
     for (uint64_t key = 0; key < kNumKeys; ++key) {
       auto count = driver->QueryCount(kOp, key);
       ASSERT_TRUE(count.ok()) << count.status().ToString();
-      EXPECT_EQ(*count, waves) << "key " << key;
+      auto it = extra.find(key);
+      EXPECT_EQ(*count, waves + (it == extra.end() ? 0 : it->second))
+          << "key " << key;
     }
+  }
+
+  /// A key of `kOp` that `node` owns.
+  uint64_t KeyOwnedBy(uint32_t node) {
+    for (uint64_t key = 0; key < kNumKeys; ++key) {
+      auto owner = driver->RouteKey(kOp, key);
+      if (owner.ok() && *owner == node) return key;
+    }
+    ADD_FAILURE() << "node " << node << " owns no key";
+    return 0;
   }
 };
 
@@ -210,16 +329,44 @@ TEST(DistClusterTest, StaleRoutingIsRejectedNotApplied) {
 }
 
 TEST(DistClusterTest, LiveHandoverMovesStateAndWatermarks) {
+  std::mutex mu;  // the tap's log outlives the cluster
+  std::vector<std::string> extract_replies;
   Cluster cluster;
   cluster.Bootstrap();
   cluster.AppendWave();
   cluster.AppendWave();
   ASSERT_TRUE(cluster.driver->Pump().ok());
 
+  // Node 1 is node 0's ring successor and holds its replica: the move is
+  // replica-local, so the origin's extract reply carries no state blobs.
+  cluster.Tap(0, [&](MessageType type, std::string_view,
+                     const Result<std::string>& reply) {
+    if (type != MessageType::kExtractVnodes || !reply.ok()) return;
+    std::lock_guard<std::mutex> lock(mu);
+    extract_replies.push_back(*reply);
+  });
+  const uint64_t replica_before =
+      NodeCounter("rhino_handover_total", 1, "path", "replica");
+  const uint64_t full_before =
+      NodeCounter("rhino_handover_total", 1, "path", "full");
+
   std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
   ASSERT_FALSE(moved.empty());
   ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
   EXPECT_TRUE(cluster.driver->VnodesOwnedBy(kOp, 0).empty());
+
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 1, "path", "replica"),
+            replica_before + 1);
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 1, "path", "full"),
+            full_before);
+  ASSERT_EQ(extract_replies.size(), 1u);
+  auto extracted = ExtractVnodesReply::Decode(extract_replies[0]);
+  ASSERT_TRUE(extracted.ok());
+  EXPECT_EQ(extracted->replica_local, 1);
+  EXPECT_EQ(extracted->vnode_seqs.size(), moved.size());
+  auto image = rhino::DecodeReplicaState(extracted->replica);
+  ASSERT_TRUE(image.ok());
+  EXPECT_TRUE(image->vnode_blobs.empty());
 
   // Counts survived the move (state traveled)...
   cluster.ExpectAllCounts(2);
@@ -321,7 +468,8 @@ TEST(DistClusterTest, ContinuousReplicationRecoversWithoutAnyCheckpoint) {
   cluster.AppendWave();
   cluster.AppendWave();
   ASSERT_TRUE(cluster.driver->Pump().ok());
-  ASSERT_TRUE(cluster.WaitReplIdle(2));
+  // Every stream, not only the victim's: node 0's own count is checked.
+  ASSERT_TRUE(cluster.WaitAllIdle());
 
   auto stats = cluster.driver->NodeStats(0);
   ASSERT_TRUE(stats.ok());
@@ -337,6 +485,294 @@ TEST(DistClusterTest, ContinuousReplicationRecoversWithoutAnyCheckpoint) {
   cluster.AppendWave();
   ASSERT_TRUE(cluster.driver->Pump().ok());
   cluster.ExpectAllCounts(3);
+}
+
+TEST(DistClusterTest, PromotionFreesTheDeadOriginsReplica) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  // Node 0 moved node 2's whole replica into live state; the only replica
+  // it still holds is node 1's, whose successor it became.
+  auto stats = cluster.driver->NodeStats(0);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->replicas_held, 1u);
+
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(1);
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(2);
+}
+
+TEST(DistClusterTest, StreamShipsOnlyWrittenKeys) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // One record to one key: its vnode ships as a key delta of one entry.
+  const uint64_t key = 0;
+  auto owner = cluster.driver->RouteKey(kOp, key);
+  ASSERT_TRUE(owner.ok());
+  const uint64_t entries = NodeCounter("rhino_repl_entries_total", *owner);
+  const uint64_t keys =
+      NodeCounter("rhino_repl_vnodes_total", *owner, "kind", "keys");
+  const uint64_t whole =
+      NodeCounter("rhino_repl_vnodes_total", *owner, "kind", "whole");
+  cluster.AppendKeys({key});
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitReplIdle(*owner));
+  EXPECT_EQ(NodeCounter("rhino_repl_entries_total", *owner), entries + 1);
+  EXPECT_EQ(NodeCounter("rhino_repl_vnodes_total", *owner, "kind", "keys"),
+            keys + 1);
+  EXPECT_EQ(NodeCounter("rhino_repl_vnodes_total", *owner, "kind", "whole"),
+            whole);
+
+  // The replica the deltas built is exact: promoted, it needs no replay.
+  cluster.transport.Kill("node" + std::to_string(*owner));
+  ASSERT_TRUE(cluster.driver->RecoverNode(*owner).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u);
+  cluster.ExpectAllCounts(1, {{key, 1}});
+}
+
+TEST(DistClusterTest, KeyDeltaOutOfChainIsRejected) {
+  DeltaLog log;  // outlives the cluster's replicator threads
+  Cluster cluster;
+  cluster.LogDeltas(1, &log);  // node 0's stream lands on node 1
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  const uint64_t key = cluster.KeyOwnedBy(0);
+  const uint32_t vnode = VnodeForKey(key, kNumVnodes);
+  auto carried = log.Carrying(0, vnode);
+  ASSERT_FALSE(carried.empty());
+  const uint64_t held_seq = carried.back().req.stream_seq;
+
+  // A hand-built key delta for the vnode, far ahead of node 0's stream.
+  auto send_key_delta = [&](uint64_t base_seq) {
+    ReplicateStateRequest req;
+    req.origin_node = 0;
+    req.op = kOp;
+    req.stream_seq = held_seq + 1'000'000;
+    ReplicatedVnode entry;
+    entry.vnode = vnode;
+    entry.base_seq = base_seq;
+    entry.keys = 1;
+    req.vnodes.push_back(entry);
+    rhino::ReplicaState rs;
+    rs.latest_descriptor.vnode_bytes[vnode] = 0;
+    rhino::EncodeReplicaState(rs, &req.replica);
+    std::string body;
+    req.EncodeTo(&body);
+    return cluster.transport.Call("node1", MessageType::kReplicateState, body,
+                                  nullptr);
+  };
+  const uint64_t rejected = NodeCounter("rhino_repl_rejected_total", 1);
+  Status wrong_base = send_key_delta(held_seq + 1);
+  EXPECT_EQ(wrong_base.code(), StatusCode::kFailedPrecondition)
+      << wrong_base.ToString();
+  // The copy is gone: even the right base finds no vnode to extend.
+  Status not_held = send_key_delta(held_seq);
+  EXPECT_EQ(not_held.code(), StatusCode::kFailedPrecondition)
+      << not_held.ToString();
+  EXPECT_EQ(NodeCounter("rhino_repl_rejected_total", 1), rejected + 2);
+
+  // Node 0 does not know: its next key delta bounces too, and the vnode
+  // it then ships is whole.
+  const uint64_t whole =
+      NodeCounter("rhino_repl_vnodes_total", 0, "kind", "whole");
+  cluster.AppendKeys({key});
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitReplIdle(0));
+  EXPECT_EQ(NodeCounter("rhino_repl_rejected_total", 1), rejected + 3);
+  EXPECT_EQ(NodeCounter("rhino_repl_vnodes_total", 0, "kind", "whole"),
+            whole + 1);
+  carried = log.Carrying(0, vnode);
+  ASSERT_GE(carried.size(), 2u);
+  const auto& bounced = carried[carried.size() - 2];
+  const auto& last = carried.back();
+  EXPECT_EQ(bounced.code, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(EntryOf(bounced.req, vnode)->keys, 1);
+  EXPECT_EQ(last.code, StatusCode::kOk);
+  EXPECT_EQ(EntryOf(last.req, vnode)->keys, 0);
+
+  // Promotion of the rebuilt replica is exact and needs no replay.
+  cluster.transport.Kill("node0");
+  ASSERT_TRUE(cluster.driver->RecoverNode(0).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u);
+  cluster.ExpectAllCounts(1, {{key, 1}});
+}
+
+TEST(DistClusterTest, DuplicateDeltaIsAckedNotReapplied) {
+  DeltaLog log;  // outlives the cluster's replicator threads
+  Cluster cluster;
+  cluster.LogDeltas(1, &log);
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  std::vector<std::string> first_wave;
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    for (const auto& e : log.entries) {
+      if (e.req.origin_node == 0) first_wave.push_back(e.body);
+    }
+  }
+  ASSERT_FALSE(first_wave.empty());
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // A channel replay of wave-1 deltas: acked, not applied. Applied, they
+  // would roll node 0's replica back to wave 1.
+  const uint64_t rejected = NodeCounter("rhino_repl_rejected_total", 1);
+  for (const std::string& body : first_wave) {
+    Status st = cluster.transport.Call("node1", MessageType::kReplicateState,
+                                       body, nullptr);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_EQ(NodeCounter("rhino_repl_rejected_total", 1), rejected);
+
+  cluster.transport.Kill("node0");
+  ASSERT_TRUE(cluster.driver->RecoverNode(0).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u) << "the replica still held wave 2";
+  cluster.ExpectAllCounts(2);
+}
+
+TEST(DistClusterTest, NoSuccessorCapturesNothing) {
+  Cluster cluster(1);
+  cluster.Bootstrap();
+  const uint64_t shipped = NodeCounter("rhino_repl_shipped_bytes_total", 0);
+  for (int wave = 0; wave < 1000; ++wave) cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitReplIdle(0));
+  EXPECT_EQ(obs::Observability::Default()
+                ->metrics()
+                .GetGauge("rhino_repl_captured_keys", {{"node", "0"}})
+                ->value(),
+            0.0);
+  EXPECT_EQ(NodeCounter("rhino_repl_shipped_bytes_total", 0), shipped);
+  cluster.ExpectAllCounts(1000);
+}
+
+TEST(DistClusterTest, HandoverToColdTargetUsesFullPath) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  const uint64_t replica =
+      NodeCounter("rhino_handover_total", 2, "path", "replica");
+  const uint64_t full = NodeCounter("rhino_handover_total", 2, "path", "full");
+
+  // Node 2 is not node 0's successor: it holds no replica of node 0.
+  std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 2, moved).ok());
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 2, "path", "full"), full + 1);
+  cluster.ExpectAllCounts(1);
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(2);
+
+  // Node 2 is node 1's successor, but node 1's stream is stopped: its
+  // drain fails, so it ships the full image.
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  cluster.nodes[1]->StopReplication();
+  moved = cluster.driver->VnodesOwnedBy(kOp, 1);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 1, 2, moved).ok());
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 2, "path", "full"), full + 2);
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 2, "path", "replica"),
+            replica);
+  cluster.ExpectAllCounts(2);
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(3);
+}
+
+TEST(DistClusterTest, ReplicaIngestWithStaleSeqIsRejectedUntouched) {
+  DeltaLog log;  // outlives the cluster's replicator threads
+  Cluster cluster;
+  cluster.LogDeltas(1, &log);
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  auto before = cluster.driver->NodeStats(1);
+  ASSERT_TRUE(before.ok());
+
+  // A replica-local ingest whose seqs the catalog does not hold.
+  std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  auto spec = std::make_shared<dataflow::HandoverSpec>();
+  spec->id = 77;
+  spec->operator_name = kOp;
+  spec->moves.push_back(dataflow::HandoverMove{0, 1, moved});
+  HandoverStateRequest ingest;
+  ingest.control.type = dataflow::ControlEvent::Type::kHandoverMarker;
+  ingest.control.id = spec->id;
+  ingest.control.handover = spec;
+  rhino::ReplicaState descriptor;
+  rhino::EncodeReplicaState(descriptor, &ingest.replica);
+  ingest.replica_local = 1;
+  for (uint32_t vnode : moved) ingest.vnode_seqs[vnode] = 1'000'000;
+  std::string body;
+  ingest.EncodeTo(&body);
+  Status st =
+      cluster.transport.Call("node1", MessageType::kIngestVnodes, body, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  auto after = cluster.driver->NodeStats(1);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->owned_vnodes, before->owned_vnodes);
+  EXPECT_EQ(after->state_bytes, before->state_bytes);
+  EXPECT_EQ(after->replicas_held, before->replicas_held);
+  cluster.ExpectAllCounts(1);
+
+  // A replica that lost a vnode behind the origin's back (an out-of-chain
+  // delta erased it) fails the replica path; the driver redoes the move
+  // through the full one.
+  const uint32_t lost = moved.front();
+  auto carried = log.Carrying(0, lost);
+  ASSERT_FALSE(carried.empty());
+  ReplicateStateRequest bogus;
+  bogus.origin_node = 0;
+  bogus.op = kOp;
+  bogus.stream_seq = carried.back().req.stream_seq + 1'000'000;
+  ReplicatedVnode entry;
+  entry.vnode = lost;
+  entry.base_seq = bogus.stream_seq;
+  entry.keys = 1;
+  bogus.vnodes.push_back(entry);
+  rhino::EncodeReplicaState(rhino::ReplicaState(), &bogus.replica);
+  body.clear();
+  bogus.EncodeTo(&body);
+  ASSERT_EQ(cluster.transport
+                .Call("node1", MessageType::kReplicateState, body, nullptr)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  const uint64_t replica =
+      NodeCounter("rhino_handover_total", 1, "path", "replica");
+  const uint64_t full = NodeCounter("rhino_handover_total", 1, "path", "full");
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 1, "path", "full"), full + 1);
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 1, "path", "replica"),
+            replica);
+  cluster.ExpectAllCounts(1);
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(2);
 }
 
 TEST(DistClusterTest, CheckpointFailsCleanlyWhenANodeIsDownUndeclared) {

@@ -519,6 +519,11 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
+TEST(WireTest, VersionIsFour) {
+  // Version 4: incremental stream deltas and replica-local handover.
+  EXPECT_EQ(kWireVersion, 4);
+}
+
 TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   ReplicateStateRequest msg;
   msg.origin_node = 2;
@@ -526,13 +531,42 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   msg.replica = "replica-bytes";
   msg.stream_seq = 99;
   msg.dropped_vnodes = {3, 7, 11};
+  ReplicatedVnode whole;
+  whole.vnode = 4;
+  whole.base_seq = 0;
+  ReplicatedVnode keys;
+  keys.vnode = 5;
+  keys.base_seq = 97;
+  keys.keys = 1;
+  keys.changes = "change-run-bytes";
+  msg.vnodes = {whole, keys};
   std::string encoded;
   msg.EncodeTo(&encoded);
   auto decoded = ReplicateStateRequest::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->stream_seq, 99u);
   EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
+  EXPECT_EQ(decoded->vnodes, msg.vnodes);
   FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
+  std::string trailing = encoded + "x";
+  EXPECT_FALSE(ReplicateStateRequest::Decode(trailing).ok());
+}
+
+TEST(WireTest, ExtractVnodesReplyRoundTripAndFuzz) {
+  ExtractVnodesReply msg;
+  msg.replica_local = 1;
+  msg.replica = "descriptor-bytes";
+  msg.vnode_seqs = {{1, 40}, {3, 41}, {5, 7}};
+  std::string encoded;
+  msg.EncodeTo(&encoded);
+  auto decoded = ExtractVnodesReply::Decode(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->replica_local, 1);
+  EXPECT_EQ(decoded->replica, msg.replica);
+  EXPECT_EQ(decoded->vnode_seqs, msg.vnode_seqs);
+  FuzzPrefixes(encoded, ExtractVnodesReply::Decode);
+  std::string trailing = encoded + "x";
+  EXPECT_FALSE(ExtractVnodesReply::Decode(trailing).ok());
 }
 
 TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
@@ -585,6 +619,8 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     msg.move_index = 1;
     msg.replica = "replica-bytes";
     msg.durable = 1;
+    msg.replica_local = 1;
+    msg.vnode_seqs = {{7, 12}};
     std::string encoded;
     msg.EncodeTo(&encoded);
     auto decoded = HandoverStateRequest::Decode(encoded);
@@ -592,6 +628,8 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     EXPECT_EQ(decoded->move_index, 1u);
     EXPECT_EQ(decoded->replica, "replica-bytes");
     EXPECT_EQ(decoded->durable, 1);
+    EXPECT_EQ(decoded->replica_local, 1);
+    EXPECT_EQ(decoded->vnode_seqs, msg.vnode_seqs);
     FuzzPrefixes(encoded, HandoverStateRequest::Decode);
   }
   {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "common/serde.h"
 #include "lsm/env.h"
 #include "state/lsm_state_backend.h"
 #include "state/modeled_state_backend.h"
@@ -184,6 +186,159 @@ TEST_F(LsmBackendTest, ExtractVnodeBlobsMatchesPerVnodeExtraction) {
   EXPECT_EQ(v, "v2-7");
 }
 
+// ------------------------------------------------------ change capture
+
+/// The one-vnode blob of `v` (the replica's unit of state).
+std::string VnodeBlob(LsmStateBackend* backend, uint32_t v) {
+  auto blobs = backend->ExtractVnodeBlobs({v});
+  EXPECT_TRUE(blobs.ok());
+  return blobs.ok() ? blobs->at(v) : std::string();
+}
+
+TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
+  ASSERT_TRUE(backend_->Put(1, "k", "v", 1).ok());
+  std::string run;
+  EXPECT_FALSE(backend_->TakeChanges(1, &run).has_value())
+      << "writes made with capture off must ship the vnode whole";
+  EXPECT_EQ(backend_->CapturedKeys(), 0u);
+}
+
+TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
+  for (const char* key : {"a", "c", "e"}) {
+    ASSERT_TRUE(backend_->Put(1, key, std::string(key) + "0", 1).ok());
+  }
+  const std::string base = VnodeBlob(backend_.get(), 1);
+  backend_->SetChangeCapture(true);
+  ASSERT_TRUE(backend_->Put(1, "b", "b1", 1).ok());
+  ASSERT_TRUE(backend_->Put(1, "a", "a1", 1).ok());
+  ASSERT_TRUE(backend_->Put(1, "b", "b2", 1).ok());
+  ASSERT_TRUE(backend_->Delete(1, "c", 1).ok());
+  std::vector<StateWrite> writes;
+  writes.push_back({1, false, "d", "d1", 1});
+  writes.push_back({1, true, "a", "", 1});
+  writes.push_back({2, false, "z", "z1", 1});
+  ASSERT_TRUE(backend_->ApplyBatch(writes).ok());
+  EXPECT_EQ(backend_->CapturedKeys(), 5u);  // a b c d in 1, z in 2
+
+  std::string run;
+  ASSERT_EQ(backend_->TakeChanges(1, &run), 4u);
+  EXPECT_EQ(backend_->CapturedKeys(), 1u);
+  // The run carries each key's latest write: applied to the vnode as it
+  // was when capture began, it yields the vnode as it is now (a and c
+  // erased, b = b2, d added, e untouched).
+  auto merged = LsmStateBackend::MergeChangesIntoBlob(base, run,
+                                                      backend_->VnodeBytes(1));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 1));
+  ASSERT_EQ(backend_->TakeChanges(1, &run), 0u);
+  EXPECT_TRUE(run.empty()) << "a take moves the changes out";
+}
+
+TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
+  const std::string base = VnodeBlob(backend_.get(), 3);
+  backend_->SetChangeCapture(true);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(backend_
+                    ->Put(3, "k" + std::to_string(i % 10), std::to_string(i),
+                          1)
+                    .ok());
+  }
+  EXPECT_EQ(backend_->CapturedKeys(), 10u);
+  std::string run;
+  ASSERT_EQ(backend_->TakeChanges(3, &run), 10u);
+  EXPECT_LT(run.size(), 10u * 16) << "one entry per key, not per write";
+  auto merged = LsmStateBackend::MergeChangesIntoBlob(base, run,
+                                                      backend_->VnodeBytes(3));
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 3));
+}
+
+TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
+  ASSERT_TRUE(backend_->Put(6, "x", "1", 1).ok());
+  auto blob = backend_->ExtractVnodes({6});
+  ASSERT_TRUE(blob.ok());
+  auto other = LsmStateBackend::Open(&env_, "/state/op-1", "op", 1);
+  ASSERT_TRUE(other.ok());
+  (*other)->SetChangeCapture(true);
+  ASSERT_TRUE((*other)->IngestVnodes(*blob, false).ok());
+  EXPECT_EQ((*other)->CapturedKeys(), 0u) << "absorbed vnodes ship whole";
+
+  ASSERT_TRUE((*other)->Put(6, "y", "2", 1).ok());
+  ASSERT_TRUE((*other)->Put(7, "y", "2", 1).ok());
+  ASSERT_TRUE((*other)->DropVnodes({6}).ok());
+  EXPECT_EQ((*other)->CapturedKeys(), 1u) << "dropped vnodes ship as tombstones";
+  (*other)->SetChangeCapture(false);
+  EXPECT_EQ((*other)->CapturedKeys(), 0u) << "turning capture off discards";
+}
+
+TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
+  for (const char* key : {"b", "d", "f"}) {
+    ASSERT_TRUE(backend_->Put(4, key, std::string("old-") + key, 4).ok());
+  }
+  const std::string before = VnodeBlob(backend_.get(), 4);
+  backend_->SetChangeCapture(true);
+  ASSERT_TRUE(backend_->Put(4, "a", "new-a", 4).ok());  // before every entry
+  ASSERT_TRUE(backend_->Put(4, "d", "new-d", 0).ok());  // overwrite
+  ASSERT_TRUE(backend_->Delete(4, "b", 4).ok());        // erase
+  ASSERT_TRUE(backend_->Put(4, "e", "new-e", 4).ok());  // in between
+  ASSERT_TRUE(backend_->Put(4, "g", "new-g", 4).ok());  // after every entry
+  ASSERT_TRUE(backend_->Delete(4, "zz", 0).ok());       // absent key
+  std::string run;
+  ASSERT_EQ(backend_->TakeChanges(4, &run), 6u);
+  auto merged = LsmStateBackend::MergeChangesIntoBlob(before, run,
+                                                      backend_->VnodeBytes(4));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 4));
+
+  // Malformed input is Corruption, never a crash: every truncation of the
+  // run, a run out of key order, and a target that is no vnode blob.
+  for (size_t len = 1; len < run.size(); ++len) {
+    (void)LsmStateBackend::MergeChangesIntoBlob(before, run.substr(0, len), 0);
+  }
+  std::string unsorted;
+  BinaryWriter w(&unsorted);
+  for (const char* key : {"b", "a"}) {
+    w.PutU8(0);
+    w.PutString(key);
+    w.PutString("v");
+  }
+  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(before, unsorted, 0)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_FALSE(LsmStateBackend::MergeChangesIntoBlob("", run, 0).ok());
+}
+
+TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
+  // A replica that starts from one blob and merges every round's run must
+  // equal the live vnode after each round.
+  backend_->SetChangeCapture(true);
+  std::string held = VnodeBlob(backend_.get(), 9);
+  uint64_t rng = 42;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  for (int round = 0; round < 30; ++round) {
+    const int writes = static_cast<int>(next() % 60);
+    for (int i = 0; i < writes; ++i) {
+      const std::string key = "k" + std::to_string(next() % 200);
+      if (next() % 4 == 0) {
+        ASSERT_TRUE(backend_->Delete(9, key, 1).ok());
+      } else {
+        ASSERT_TRUE(backend_->Put(9, key, std::to_string(next()), 1).ok());
+      }
+    }
+    std::string run;
+    ASSERT_TRUE(backend_->TakeChanges(9, &run).has_value());
+    auto merged = LsmStateBackend::MergeChangesIntoBlob(
+        held, run, backend_->VnodeBytes(9));
+    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+    held = std::move(merged).MoveValue();
+    ASSERT_EQ(held, VnodeBlob(backend_.get(), 9)) << "round " << round;
+  }
+}
+
 // ----------------------------------------------------- ModeledStateBackend
 
 TEST(ModeledBackendTest, ByteAccounting) {
@@ -276,6 +431,15 @@ TEST(ModeledBackendTest, AdoptedCheckpointBytesAreNotReplicatedAgain) {
   EXPECT_EQ(next->DeltaBytes(), 0u)
       << "adopted files are already durable; no new delta";
   EXPECT_EQ(next->TotalBytes(), 123456u);
+}
+
+TEST(ModeledBackendTest, CannotCaptureChanges) {
+  ModeledStateBackend backend("op", 0);
+  backend.SetChangeCapture(true);
+  backend.AddBytes(1, 100);
+  std::string run;
+  EXPECT_FALSE(backend.TakeChanges(1, &run).has_value())
+      << "its vnodes ship whole";
 }
 
 TEST(ModeledBackendTest, ValueOperationsAreNotSupported) {
