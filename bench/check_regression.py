@@ -52,10 +52,12 @@ GUARDED = [
     ("micro_lsm", "mt_put_speedup_4t_ok"),
     # Pipelined data plane: ingest throughput under emulated service
     # latency, the credit window must really fill (window 16 keeps
-    # nodes x 16 batches in flight), and the kill/recover/replay audit
-    # must stay exactly-once.
+    # nodes x 16 batches in flight), an incremental checkpoint's bytes
+    # must not grow with the state (the same keys written at every size),
+    # and the kill/recover/replay audit must stay exactly-once.
     ("dist_pipeline", "throughput_records_per_s.pipelined"),
     ("dist_pipeline", "window_fills_ok"),
+    ("dist_pipeline", "checkpoint_bytes_flat_ok"),
     ("dist_pipeline", "exactly_once_ok"),
     # Replica-local handover: the move to the origin's ring successor
     # loads the state from the replica it holds (no state blobs on the
@@ -101,12 +103,14 @@ REPORT_ONLY = [
     # Pipelined data plane: absolute throughputs other than the guarded
     # pipelined headline (the window sweep is exploratory), the window 16
     # over window 1 speedup (1.0-1.3x at smoke scale, too thin for a wall
-    # gate) and millisecond-scale checkpoint walls, which are too
-    # scheduler-noisy on small hosts to gate as percentages.
+    # gate), millisecond-scale checkpoint walls, which are too
+    # scheduler-noisy on small hosts to gate as percentages, and the
+    # checkpoint byte curve (its flatness is the guarded boolean).
     ("dist_pipeline", "throughput_records_per_s.*"),
     ("dist_pipeline", "window_speedup"),
     ("dist_pipeline", "checkpoint_wall_s.*"),
     ("dist_pipeline", "checkpoint_growth.*"),
+    ("dist_pipeline", "checkpoint_bytes.*"),
     ("dist_pipeline", "credit_stalls.*"),
     ("dist_pipeline", "max_inflight.*"),
     ("dist_pipeline", "records.*"),

@@ -12,7 +12,13 @@
 //                         flight);
 //   checkpoint          — checkpoint wall time at a small and a large
 //                         ingested volume once the replication stream is
-//                         idle (the barrier is a bounded drain wait);
+//                         idle and nothing was written since the last
+//                         checkpoint (an empty increment: the barrier is a
+//                         bounded drain wait);
+//   incremental         — the paper's Figure 1 on real processes: at three
+//                         state sizes, a base checkpoint, then the same
+//                         keys written at every size, then the checkpoint
+//                         whose bytes and wall are measured;
 //   kill + recover      — fail-stop of one node, replica promotion,
 //                         replay, and a per-key exactly-once audit;
 //   two-stage           — counter -> join throughput through the
@@ -29,9 +35,10 @@
 // no replication stream competes with the pump.
 //
 // Guarded keys: pipelined ingest throughput, the window-fill boolean (at
-// window 16 the pump really keeps nodes x 16 batches in flight), and the
-// exactly-once boolean. Wall seconds and the window speedup stay
-// report-only.
+// window 16 the pump really keeps nodes x 16 batches in flight), the
+// flat-checkpoint boolean (incremental checkpoint bytes do not grow with
+// the state) and the exactly-once boolean. Wall seconds, checkpoint bytes
+// and the window speedup stay report-only.
 
 #include <chrono>
 #include <cstdio>
@@ -214,9 +221,10 @@ double MeasureIngest(lsm::PosixEnv* env, const std::string& parent,
 /// Checkpoint wall time after ingesting `keys` of state (fresh cluster).
 /// The stream shipped the deltas in the background during ingest; once
 /// it is idle (the steady state — `WaitReplIdle`) the barrier is a drain
-/// check and the checkpoint pays only the durable image write. Min over a
-/// few repeats: checkpoints are idempotent and sub-millisecond walls are
-/// scheduler-noisy on a small host.
+/// check. Min over a few repeats: the first writes every chain base, the
+/// others find nothing written since and write nothing, so the minimum
+/// is an empty increment (sub-millisecond walls are scheduler-noisy on a
+/// small host).
 double MeasureCheckpointAfter(lsm::PosixEnv* env, const std::string& parent,
                               const std::string& tag, int waves,
                               uint64_t keys) {
@@ -234,6 +242,40 @@ double MeasureCheckpointAfter(lsm::PosixEnv* env, const std::string& parent,
     if (rep == 0 || wall < best) best = wall;
   }
   return best;
+}
+
+/// One point of the incremental-checkpoint curve.
+struct IncrementalCheckpoint {
+  uint64_t base_bytes = 0;
+  uint64_t bytes = 0;
+  double wall_s = 0;
+};
+
+/// A fresh cluster holding `keys` keys: a base checkpoint, then one wave
+/// over the first `touched` keys, then the measured checkpoint, which
+/// writes only those keys' changes whatever the state size.
+IncrementalCheckpoint MeasureIncrementalCheckpoint(lsm::PosixEnv* env,
+                                                   const std::string& parent,
+                                                   const std::string& tag,
+                                                   uint64_t keys,
+                                                   uint64_t touched) {
+  PipelineCluster cluster(env, parent, tag, /*replicate=*/true,
+                          /*credit_window=*/16);
+  cluster.IngestWaves(1, keys);
+  cluster.WaitReplIdle();
+  IncrementalCheckpoint point;
+  auto base = cluster.driver->Checkpoint();
+  RHINO_CHECK_OK(base.status());
+  point.base_bytes = base->bytes;
+  cluster.IngestWaves(1, touched);
+  cluster.WaitReplIdle();
+  auto t0 = Clock::now();
+  auto ckpt = cluster.driver->Checkpoint();
+  point.wall_s = Seconds(t0, Clock::now());
+  RHINO_CHECK_OK(ckpt.status());
+  RHINO_CHECK(ckpt->replicated_nodes == kNumNodes);
+  point.bytes = ckpt->bytes;
+  return point;
 }
 
 void Run(bench::BenchArtifact* artifact) {
@@ -322,17 +364,48 @@ void Run(bench::BenchArtifact* artifact) {
                 window16_inflight == kNumNodes * 16 ? 1.0 : 0.0);
 
   // Phase 3: checkpoint wall vs state volume, once the replication stream
-  // is idle.
+  // is idle. The best of five back-to-back checkpoints is one that finds
+  // nothing written since the previous one: the barrier's drain check.
   double ckpt_small = MeasureCheckpointAfter(&env, root, "ckpt_small",
                                              ckpt_waves, ckpt_keys_small);
   double ckpt_large = MeasureCheckpointAfter(&env, root, "ckpt_large",
                                              ckpt_waves, ckpt_keys_large);
   table.AddRow({"checkpoint", std::to_string(ckpt_small) + " / " +
                                   std::to_string(ckpt_large) + " s",
-                "small / large volume (stream off the barrier path)"});
+                "small / large volume, nothing written since the last "
+                "checkpoint"});
   artifact->Set("checkpoint_wall_s.pipelined.small", ckpt_small);
   artifact->Set("checkpoint_wall_s.pipelined.large", ckpt_large);
   artifact->Set("checkpoint_growth.pipelined", ckpt_large / ckpt_small);
+
+  // Phase 3b: incremental checkpoints against state size. The same keys
+  // change at every size, so a checkpoint that writes only what changed
+  // stays flat while the base grows with the state. Bytes are gated
+  // (deterministic); walls are report-only.
+  const uint64_t touched_keys = 128;  // <= a quarter of the smallest size
+  const std::vector<uint64_t> sizes = {
+      512, bench::SmokeScaled<uint64_t>(4096, 2048),
+      bench::SmokeScaled<uint64_t>(32768, 8192)};
+  std::vector<IncrementalCheckpoint> curve;
+  for (uint64_t size : sizes) {
+    curve.push_back(MeasureIncrementalCheckpoint(
+        &env, root, "incremental" + std::to_string(size), size,
+        touched_keys));
+    const IncrementalCheckpoint& point = curve.back();
+    const std::string suffix = "." + std::to_string(size);
+    artifact->Set("checkpoint_bytes.base" + suffix,
+                  static_cast<double>(point.base_bytes));
+    artifact->Set("checkpoint_bytes.incremental" + suffix,
+                  static_cast<double>(point.bytes));
+    artifact->Set("checkpoint_wall_s.incremental" + suffix, point.wall_s);
+    table.AddRow({"incremental " + std::to_string(size) + " keys",
+                  std::to_string(point.bytes) + " B / " +
+                      std::to_string(point.wall_s) + " s",
+                  std::to_string(touched_keys) + " keys written after a " +
+                      std::to_string(point.base_bytes) + " B base"});
+  }
+  const bool flat = curve.back().bytes <= 1.5 * curve.front().bytes;
+  artifact->Set("checkpoint_bytes_flat_ok", flat ? 1.0 : 0.0);
 
   // Phase 4: fail-stop + exactly-once audit.
   uint64_t lost = 0, duplicated = 0;
@@ -426,7 +499,7 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->SetInfo("transport", "tcp (loopback)");
   artifact->SetInfo("regression_gate",
                     "throughput_records_per_s.pipelined, window_fills_ok, "
-                    "exactly_once_ok");
+                    "checkpoint_bytes_flat_ok, exactly_once_ok");
 
   std::error_code ec;
   std::filesystem::remove_all(root, ec);

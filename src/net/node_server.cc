@@ -28,12 +28,6 @@ void Bump(obs::Counter* counter, uint64_t delta = 1) {
 }
 }  // namespace
 
-std::string CheckpointImagePath(const std::string& ckpt_dir,
-                                uint32_t origin_node, const std::string& op) {
-  return ckpt_dir + "/node-" + std::to_string(origin_node) + "-" + op +
-         ".img";
-}
-
 NodeServer::NodeServer(lsm::Env* env, Transport* transport,
                        NodeServerOptions options, obs::Observability* obs)
     : env_(env),
@@ -140,10 +134,25 @@ Result<std::string> NodeServer::HandleHello(std::string_view body) {
   metrics_.entries = registry.GetCounter("rhino_repl_entries_total", node);
   metrics_.rejected = registry.GetCounter("rhino_repl_rejected_total", node);
   metrics_.captured_keys = registry.GetGauge("rhino_repl_captured_keys", node);
+  metrics_.ckpt_captured_keys =
+      registry.GetGauge("rhino_checkpoint_captured_keys", node);
   metrics_.handover_replica =
       registry.GetCounter("rhino_handover_total", with("path", "replica"));
   metrics_.handover_full =
       registry.GetCounter("rhino_handover_total", with("path", "full"));
+  // Chain records by [ChainPhase][ChainRecord::Kind].
+  const char* const phases[] = {"checkpoint", "handover"};
+  const char* const kinds[] = {"whole", "keys"};
+  for (int p = 0; p < 2; ++p) {
+    for (int k = 0; k < 2; ++k) {
+      obs::Labels labels = with("phase", phases[p]);
+      labels["kind"] = kinds[k];
+      metrics_.image_bytes[p][k] =
+          registry.GetCounter("rhino_checkpoint_image_bytes_total", labels);
+      metrics_.image_vnodes[p][k] =
+          registry.GetCounter("rhino_checkpoint_image_vnodes_total", labels);
+    }
+  }
   if (replicating_) {
     // The ring (re)formed: forget the old successor's failures and
     // re-baseline — everything owned ships again. A NEW successor holds
@@ -156,7 +165,8 @@ Result<std::string> NodeServer::HandleHello(std::string_view body) {
     }
     for (const auto& [op, shard] : shards_) {
       if (new_successor) {
-        shard.host->backend()->SetChangeCapture(!successor_.empty());
+        shard.host->backend()->SetChangeCapture(state::ChangeReader::kStream,
+                                                !successor_.empty());
       }
       MarkReplDirty(op, shard.host->owned());
     }
@@ -211,7 +221,7 @@ Result<std::string> NodeServer::HandleAddOperator(std::string_view body) {
           node_id_.load()));
   host->InitOwned(req.owned_vnodes);
   if (replicating_ && !successor_.empty()) {
-    host->backend()->SetChangeCapture(true);
+    host->backend()->SetChangeCapture(state::ChangeReader::kStream, true);
   }
   Shard shard;
   shard.host = std::move(host);
@@ -285,7 +295,130 @@ Status NodeServer::Absorb(const std::string& op, rhino::ReplicaState&& rs,
   // seen yet: they ship whole.
   if (replicating_) ForgetShipped(op, absorbed);
   MarkReplDirty(op, absorbed);
+  // Whatever this node knew of their chains is stale now: their next
+  // records are whole, unless a handover target adopts the chains.
+  shard->host->backend()->DiscardChanges(state::ChangeReader::kCheckpoint,
+                                         absorbed);
+  for (uint32_t vnode : absorbed) shard->chains.erase(vnode);
   return Status::OK();
+}
+
+void NodeServer::AdoptChains(const std::string& op,
+                             const std::vector<uint32_t>& vnodes) {
+  auto it = shards_.find(op);
+  if (it == shards_.end()) return;
+  Shard& shard = it->second;
+  for (uint32_t vnode : vnodes) {
+    const std::string path = ChainPath(op, vnode);
+    auto size = env_->GetFileSize(path);
+    auto base = rhino::ChainBaseBytes(env_, path);
+    if (!size.ok() || !base.ok()) continue;  // the next record is whole
+    Chain& chain = shard.chains[vnode];
+    chain.base = *base;
+    chain.bytes = *size;
+    chain.nominal = shard.host->backend()->VnodeBytes(vnode);
+    auto marks = shard.host->GetWatermarks({vnode});
+    if (!marks.empty()) chain.watermarks = std::move(marks.begin()->second);
+  }
+}
+
+std::string NodeServer::ChainPath(const std::string& op,
+                                  uint32_t vnode) const {
+  return options_.ckpt_dir + "/" + rhino::ChainFileName(op, vnode);
+}
+
+Status NodeServer::WriteChains(Shard* shard, const std::string& op,
+                               const std::vector<uint32_t>& vnodes,
+                               uint64_t id, ChainPhase phase,
+                               uint64_t* bytes) {
+  using Kind = rhino::ChainRecord::Kind;
+  state::StateBackend* backend = shard->host->backend();
+  Status first_failure;
+  auto wrote = [&](uint32_t vnode, const Status& st, Kind kind,
+                   uint64_t framed) {
+    if (!st.ok()) {
+      shard->chains.erase(vnode);
+      if (first_failure.ok()) first_failure = st;
+      return false;
+    }
+    *bytes += framed;
+    const int p = static_cast<int>(phase), k = static_cast<int>(kind);
+    Bump(metrics_.image_bytes[p][k], framed);
+    Bump(metrics_.image_vnodes[p][k]);
+    return true;
+  };
+  auto record_of = [&](uint32_t vnode, Kind kind, std::string_view body) {
+    rhino::ChainRecord record;
+    record.kind = kind;
+    record.checkpoint_id = id;
+    record.nominal_bytes = backend->VnodeBytes(vnode);
+    auto marks = shard->host->GetWatermarks({vnode});
+    if (!marks.empty()) record.watermarks = std::move(marks.begin()->second);
+    record.body = body;
+    return record;
+  };
+  std::vector<uint32_t> whole;
+  std::string run, framed;
+  for (uint32_t vnode : vnodes) {
+    auto chain = shard->chains.find(vnode);
+    if (chain == shard->chains.end()) {
+      whole.push_back(vnode);
+      continue;
+    }
+    std::optional<uint64_t> keys =
+        backend->TakeChanges(state::ChangeReader::kCheckpoint, vnode, &run);
+    rhino::ChainRecord record = record_of(vnode, Kind::kKeys, run);
+    if (keys == 0u && record.nominal_bytes == chain->second.nominal &&
+        record.watermarks == chain->second.watermarks) {
+      continue;  // the chain's last record is the vnode as it is
+    }
+    framed.clear();
+    if (keys.has_value()) rhino::AppendChainRecord(record, &framed);
+    if (!keys.has_value() ||
+        chain->second.bytes + framed.size() > 2 * chain->second.base) {
+      // The backend cannot capture, or extending would grow the chain past
+      // twice its base: the record is whole.
+      shard->chains.erase(chain);
+      whole.push_back(vnode);
+      continue;
+    }
+    if (!wrote(vnode, env_->AppendFile(ChainPath(op, vnode), framed),
+               Kind::kKeys, framed.size())) {
+      continue;
+    }
+    chain->second.bytes += framed.size();
+    chain->second.nominal = record.nominal_bytes;
+    chain->second.watermarks = std::move(record.watermarks);
+  }
+  if (!whole.empty()) {
+    // One extraction pass for every whole record; it supersedes what the
+    // checkpoint reader captured of those vnodes.
+    auto blobs = backend->ExtractVnodeBlobs(whole);
+    if (!blobs.ok()) return blobs.status();
+    backend->DiscardChanges(state::ChangeReader::kCheckpoint, whole);
+    for (uint32_t vnode : whole) {
+      rhino::ChainRecord record =
+          record_of(vnode, Kind::kWhole, (*blobs)[vnode]);
+      framed.clear();
+      rhino::AppendChainRecord(record, &framed);
+      // WriteFile replaces the chain atomically: a reader sees the old
+      // chain or the new base, never a mix.
+      if (!wrote(vnode, env_->WriteFile(ChainPath(op, vnode), framed),
+                 Kind::kWhole, framed.size())) {
+        continue;
+      }
+      Chain& chain = shard->chains[vnode];
+      chain.base = chain.bytes = framed.size();
+      chain.nominal = record.nominal_bytes;
+      chain.watermarks = std::move(record.watermarks);
+    }
+  }
+  // From the first checkpoint of the operator on, its next records are
+  // the keys written since.
+  if (phase == ChainPhase::kCheckpoint) {
+    backend->SetChangeCapture(state::ChangeReader::kCheckpoint, true);
+  }
+  return first_failure;
 }
 
 Status NodeServer::BuildDelta(Shard* shard, const std::string& op,
@@ -301,7 +434,8 @@ Status NodeServer::BuildDelta(Shard* shard, const std::string& op,
       all.push_back(entry.vnode);
       if (entry.keys != 0) {
         std::optional<uint64_t> keys =
-            shard->host->backend()->TakeChanges(entry.vnode, &entry.changes);
+            shard->host->backend()->TakeChanges(state::ChangeReader::kStream,
+                                                entry.vnode, &entry.changes);
         if (keys.has_value()) {
           entries += *keys;
         } else {
@@ -315,7 +449,8 @@ Status NodeServer::BuildDelta(Shard* shard, const std::string& op,
       // A whole snapshot supersedes whatever was captured for the vnode.
       RHINO_ASSIGN_OR_RETURN(rs.vnode_blobs,
                              shard->host->backend()->ExtractVnodeBlobs(whole));
-      shard->host->backend()->DiscardChanges(whole);
+      shard->host->backend()->DiscardChanges(state::ChangeReader::kStream,
+                                             whole);
     }
   }
   rs.latest_descriptor.instance_id = node_id_.load();
@@ -337,11 +472,14 @@ void NodeServer::ForgetShipped(const std::string& op,
 
 void NodeServer::UpdateCapturedKeys() {
   if (metrics_.captured_keys == nullptr) return;
-  uint64_t keys = 0;
+  uint64_t stream = 0, checkpoint = 0;
   for (const auto& [op, shard] : shards_) {
-    keys += shard.host->backend()->CapturedKeys();
+    const state::StateBackend* backend = shard.host->backend();
+    stream += backend->CapturedKeys(state::ChangeReader::kStream);
+    checkpoint += backend->CapturedKeys(state::ChangeReader::kCheckpoint);
   }
-  metrics_.captured_keys->Set(static_cast<double>(keys));
+  metrics_.captured_keys->Set(static_cast<double>(stream));
+  metrics_.ckpt_captured_keys->Set(static_cast<double>(checkpoint));
 }
 
 Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
@@ -357,17 +495,11 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
     for (auto& [op, shard] : shards_) {
       const auto& owned_set = shard.host->owned();
       std::vector<uint32_t> owned(owned_set.begin(), owned_set.end());
-      RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
-                             Snapshot(&shard, owned, ev.id));
-      RHINO_ASSIGN_OR_RETURN(
-          uint64_t bytes,
-          rhino::WriteCheckpointImage(
-              env_,
-              CheckpointImagePath(options_.ckpt_dir, node_id_.load(), op),
-              rs));
-      reply.bytes += bytes;
+      RHINO_RETURN_NOT_OK(WriteChains(&shard, op, owned, ev.id,
+                                      ChainPhase::kCheckpoint, &reply.bytes));
       ++reply.operators;
     }
+    UpdateCapturedKeys();
     want_barrier = replicating_ && !successor_.empty();
   }
   if (want_barrier) {
@@ -444,6 +576,13 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   } else {
     RHINO_ASSIGN_OR_RETURN(rs, Snapshot(shard, move.vnodes, spec.id));
   }
+  // The final incremental checkpoint O->T: every moved vnode's chain now
+  // ends in the state handed over, so the target extends it. A vnode
+  // without a chain this node may extend is written whole; a failed
+  // write fails the extract, and the vnodes stay here.
+  uint64_t written = 0;
+  RHINO_RETURN_NOT_OK(WriteChains(shard, spec.operator_name, move.vnodes,
+                                  spec.id, ChainPhase::kHandover, &written));
   reply.replica_local = replica_local ? 1 : 0;
   rhino::EncodeReplicaState(rs, &reply.replica);
   obs_->trace().Emit("net", "handover_extract",
@@ -498,6 +637,7 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   }
   RHINO_RETURN_NOT_OK(Absorb(spec.operator_name, std::move(rs), move.vnodes,
                              req.durable != 0));
+  AdoptChains(spec.operator_name, move.vnodes);
   Bump(req.replica_local != 0 ? metrics_.handover_replica
                               : metrics_.handover_full);
   obs_->trace().Emit("net", "handover_ingest",
@@ -511,6 +651,8 @@ Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(VnodeSetRequest req, VnodeSetRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
   RHINO_RETURN_NOT_OK(shard->host->Drop(req.vnodes));
+  // The target extends the chains now (or rewrites them).
+  for (uint32_t vnode : req.vnodes) shard->chains.erase(vnode);
   if (replicating_ && !req.vnodes.empty()) {
     // Dropped vnodes become stream tombstones: the successor must purge
     // them from its replica, or a later promotion would resurrect state
@@ -635,10 +777,25 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
     rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
     if (it->second.empty()) replicas_.erase(it);
   } else {
-    RHINO_ASSIGN_OR_RETURN(
-        rs, rhino::ReadCheckpointImage(
-                env_, CheckpointImagePath(options_.ckpt_dir, req.origin_node,
-                                          req.op)));
+    // Fold the requested vnodes' checkpoint chains, whoever wrote them. A
+    // vnode without a chain (never checkpointed) is absorbed empty, like
+    // a vnode a replica does not hold.
+    rs.latest_descriptor.operator_name = req.op;
+    rs.latest_descriptor.instance_id = req.origin_node;
+    for (uint32_t vnode : req.vnodes) {
+      auto folded = rhino::ReadChain(env_, ChainPath(req.op, vnode));
+      if (folded.status().code() == StatusCode::kNotFound) continue;
+      RHINO_RETURN_NOT_OK(folded.status());
+      rs.latest_checkpoint_id =
+          std::max(rs.latest_checkpoint_id, folded->checkpoint_id);
+      rs.latest_descriptor.vnode_bytes[vnode] = folded->nominal_bytes;
+      if (!folded->watermarks.empty()) {
+        rs.latest_descriptor.vnode_watermarks[vnode] =
+            std::move(folded->watermarks);
+      }
+      rs.vnode_blobs[vnode] = std::move(folded->blob);
+    }
+    rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
   }
   RHINO_RETURN_NOT_OK(
       Absorb(req.op, std::move(rs), req.vnodes, /*already_durable=*/true));

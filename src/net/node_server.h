@@ -49,22 +49,36 @@
 ///    the vnode's last delta, chained to that delta by `base_seq`; a vnode
 ///    it may lack ships **whole**. Both carry the vnode's size and replay
 ///    watermarks, captured atomically with its state;
-///  * **checkpoint** — `kCheckpoint` snapshots every shard (vnode blobs +
-///    watermarks), persists a framed image to the shared checkpoint
-///    directory (the DFS stand-in), and then waits for the replication
-///    stream to drain (a sequence-number barrier), so checkpoint cost
-///    does not scale with replication traffic volume;
+///  * **checkpoint** — `kCheckpoint` brings each owned vnode's chain in
+///    the shared checkpoint directory (the DFS stand-in) up to date: a key
+///    record of the keys written since the vnode's last record, nothing
+///    when it did not change, or one whole record when the node knows no
+///    chain it may extend or extending would grow the chain past twice
+///    its base. It then waits for the replication stream to drain (a
+///    sequence-number barrier). Checkpoint bytes and lock time follow the
+///    keys written since the last checkpoint, not the state size;
 ///  * **handover** — `kExtractVnodes` / `kIngestVnodes` / `kDropVnodes`
 ///    implement the origin and target halves of a live migration, moving
 ///    state *and* dedup watermarks. When the target is the origin's ring
 ///    successor the move is **replica-local**: the origin drains its
 ///    stream and sends only sizes, watermarks and the seq of each moved
 ///    vnode's last delta, and the target moves its replica of those
-///    vnodes into live state. Any other target gets the full image;
+///    vnodes into live state. Any other target gets the full image. Either
+///    way the origin's extract first writes the moved vnodes' pending keys
+///    to their chains (the final incremental checkpoint), and the target
+///    extends those chains from then on;
 ///  * **recovery** — `kPromoteReplica` moves the requested vnodes of a
 ///    held replica of a dead peer into live state; `kRestoreFromCheckpoint`
-///    does the same from the durable image when no replica survived (the
-///    RhinoDFS fallback).
+///    does the same by folding the requested vnodes' chains when no
+///    replica survived (the RhinoDFS fallback). A promoted or restored
+///    vnode's next chain record is whole.
+///
+/// **Chain invariant.** A node extends a vnode's chain only while its
+/// state of the vnode equals the chain's last record plus the keys its
+/// checkpoint reader captured since (`Chain`); absorbing the vnode,
+/// dropping it or a failed write forgets the chain, and the next record
+/// is whole. A chain on disk never exceeds twice its base, and a torn
+/// tail loses only the torn record.
 ///
 /// **Replica invariant.** A vnode held in the replica catalog is always
 /// one consistent snapshot of its origin — state and replay watermarks of
@@ -104,12 +118,6 @@ struct NodeServerOptions {
   /// Always 0 outside benches.
   int apply_delay_us = 0;
 };
-
-/// Path of the durable checkpoint image `origin_node` writes for `op`.
-/// Node (writer) and recovery peers (readers) must agree, so it lives
-/// here.
-std::string CheckpointImagePath(const std::string& ckpt_dir,
-                                uint32_t origin_node, const std::string& op);
 
 class NodeServer {
  public:
@@ -154,14 +162,33 @@ class NodeServer {
   uint32_t node_id() const { return node_id_.load(); }
 
  private:
+  /// What this node knows of one vnode's checkpoint chain. Kept only
+  /// while the node's state of the vnode equals the chain's last record
+  /// plus the keys its checkpoint reader captured since, so the next
+  /// record may extend the chain; absent means the next record is whole.
+  struct Chain {
+    uint64_t base = 0;   ///< framed bytes of the whole record
+    uint64_t bytes = 0;  ///< framed bytes of the chain
+    /// The last record's size and replay watermarks.
+    uint64_t nominal = 0;
+    std::map<int, uint64_t> watermarks;
+  };
+
   /// One hosted operator instance. All state mechanics (backend,
   /// ownership, replay watermarks, apply/extract/absorb/drop) live in the
-  /// host; the shard only keeps node-local traffic counters.
+  /// host; the shard keeps node-local traffic counters and the chains of
+  /// its vnodes.
   struct Shard {
     std::unique_ptr<dataflow::OperatorHost> host;
     uint64_t applied = 0;
     uint64_t deduped = 0;
+    std::map<uint32_t, Chain> chains;
   };
+
+  /// Who writes a chain record: a checkpoint, or a handover origin's
+  /// extract (the final incremental checkpoint before the target takes
+  /// the chain over).
+  enum class ChainPhase { kCheckpoint = 0, kHandover = 1 };
 
   /// Bookkeeping of the continuous replication stream, shared between the
   /// verb handlers (which mark vnodes dirty), the replicator thread, the
@@ -217,16 +244,39 @@ class NodeServer {
                     ReplicateStateRequest* req);
 
   /// Folds `rs`'s blobs/watermarks for `vnodes` (empty = all) into the
-  /// live shard of `op`. Consumes the image's blobs.
+  /// live shard of `op`. Consumes the image's blobs. The absorbed vnodes'
+  /// next chain records are whole.
   Status Absorb(const std::string& op, rhino::ReplicaState&& rs,
                 const std::vector<uint32_t>& vnodes, bool already_durable);
+
+  /// Handover target: takes over the chains of the moved `vnodes` of `op`,
+  /// whose last records the origin's extract made equal to the state it
+  /// handed over. A chain it cannot read gets a whole record next. Caller
+  /// holds `mu_`.
+  void AdoptChains(const std::string& op, const std::vector<uint32_t>& vnodes);
+
+  /// Path of the checkpoint chain of `vnode` of `op`.
+  std::string ChainPath(const std::string& op, uint32_t vnode) const;
+
+  /// Brings the chains of `vnodes` of `shard` up to the node's state as
+  /// of checkpoint or handover `id`, adding the framed bytes written to
+  /// `*bytes`. A vnode with a known chain gets a key record of the keys
+  /// its checkpoint reader captured (nothing when nothing changed),
+  /// unless that would grow the chain past twice its base; then, and for
+  /// a vnode without a known chain, the chain is rewritten as one whole
+  /// record. Every vnode is attempted; a failed write forgets that
+  /// vnode's chain and the first failure is returned. Caller holds `mu_`.
+  Status WriteChains(Shard* shard, const std::string& op,
+                     const std::vector<uint32_t>& vnodes, uint64_t id,
+                     ChainPhase phase, uint64_t* bytes);
 
   /// The successor may no longer hold `vnodes` of `op` as last shipped:
   /// their next delta ships whole. Caller holds `mu_`.
   void ForgetShipped(const std::string& op,
                      const std::vector<uint32_t>& vnodes);
 
-  /// Publishes the captured-key gauge. Caller holds `mu_`.
+  /// Publishes the captured-key gauges of both capture readers. Caller
+  /// holds `mu_`.
   void UpdateCapturedKeys();
 
   /// Marks `vnodes` of `op` dirty on the replication stream. Caller holds
@@ -270,8 +320,9 @@ class NodeServer {
   };
   using HeldReplica = std::map<uint32_t, HeldVnode>;
 
-  /// Stream and handover instruments in the node's registry, labelled
-  /// with the node id (registered by kHello; null before).
+  /// Stream, handover and checkpoint-chain instruments in the node's
+  /// registry, labelled with the node id (registered by kHello; null
+  /// before).
   struct Metrics {
     obs::Counter* shipped_bytes = nullptr;
     obs::Counter* whole_vnodes = nullptr;
@@ -279,8 +330,12 @@ class NodeServer {
     obs::Counter* entries = nullptr;
     obs::Counter* rejected = nullptr;
     obs::Gauge* captured_keys = nullptr;
+    obs::Gauge* ckpt_captured_keys = nullptr;
     obs::Counter* handover_replica = nullptr;
     obs::Counter* handover_full = nullptr;
+    /// Chain records written, by ChainPhase and ChainRecord::Kind.
+    obs::Counter* image_bytes[2][2] = {};
+    obs::Counter* image_vnodes[2][2] = {};
   };
 
   std::mutex mu_;

@@ -18,7 +18,7 @@ PipelinedChannel::PipelinedChannel(std::string host, uint16_t port,
   if (obs == nullptr) obs = obs::Observability::Default();
   inflight_gauge_ = obs->metrics().GetGauge("rhino_net_inflight",
                                             {{"endpoint", endpoint()}});
-  latency_ms_ = obs->metrics().GetHistogram("rhino_net_call_latency_ms",
+  latency_us_ = obs->metrics().GetHistogram("rhino_net_call_latency_us",
                                             {{"endpoint", endpoint()}});
   reader_ = std::thread([this] { ReaderLoop(); });
 }
@@ -321,7 +321,7 @@ void PipelinedChannel::CompleteOne(uint64_t seq, const Status& st,
     inflight_gauge_->Set(static_cast<double>(pending_.size()));
     space_cv_.notify_all();
   }
-  latency_ms_->Observe(std::chrono::duration_cast<std::chrono::milliseconds>(
+  latency_us_->Observe(std::chrono::duration_cast<std::chrono::microseconds>(
                            std::chrono::steady_clock::now() - p.submitted)
                            .count());
   if (p.cb) p.cb(st, std::move(body));

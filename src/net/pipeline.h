@@ -131,7 +131,7 @@ class PipelinedChannel {
   const std::string what_;
 
   obs::Gauge* inflight_gauge_ = nullptr;
-  obs::HistogramMetric* latency_ms_ = nullptr;
+  obs::HistogramMetric* latency_us_ = nullptr;
 
   /// Guards bookkeeping: the pending window, seq counter, connection
   /// state flags. Never held across a syscall or a callback.

@@ -1,8 +1,12 @@
 #include "rhino/checkpoint_storage.h"
 
+#include <cstring>
+
 #include "common/logging.h"
+#include "common/serde.h"
 #include "dataflow/source.h"
 #include "lsm/log_format.h"
+#include "state/lsm_state_backend.h"
 
 namespace rhino::rhino {
 
@@ -174,34 +178,89 @@ void DfsCheckpointStorage::SeedCheckpoint(
   rep.vnode_blobs = std::move(blobs);
 }
 
-Result<uint64_t> WriteCheckpointImage(lsm::Env* env, const std::string& path,
-                                      const ReplicaState& rs) {
-  size_t slash = path.rfind('/');
-  if (slash != std::string::npos && slash > 0) {
-    RHINO_RETURN_NOT_OK(env->CreateDir(path.substr(0, slash)));
-  }
+void AppendChainRecord(const ChainRecord& record, std::string* out) {
   std::string payload;
-  EncodeReplicaState(rs, &payload);
-  std::string framed;
-  framed.reserve(8 + payload.size());
-  lsm::AppendLogRecord(&framed, payload);
-  // Env::WriteFile replaces atomically (fresh content), so a reader never
-  // observes a half-written image under a stable name.
-  RHINO_RETURN_NOT_OK(env->WriteFile(path, framed));
-  return static_cast<uint64_t>(payload.size());
+  payload.reserve(32 + record.body.size());
+  BinaryWriter w(&payload);
+  w.PutU8(static_cast<uint8_t>(record.kind));
+  w.PutVarint(record.checkpoint_id);
+  w.PutVarint(record.nominal_bytes);
+  w.PutVarint(record.watermarks.size());
+  for (const auto& [source, offset] : record.watermarks) {
+    w.PutVarint(static_cast<uint64_t>(static_cast<int64_t>(source)));
+    w.PutVarint(offset);
+  }
+  // The body runs to the end of the payload: the frame's length bounds it.
+  payload.append(record.body);
+  lsm::AppendLogRecord(out, payload);
 }
 
-Result<ReplicaState> ReadCheckpointImage(lsm::Env* env,
-                                         const std::string& path) {
-  std::string framed;
-  RHINO_RETURN_NOT_OK(env->ReadFile(path, &framed));
+Result<FoldedVnode> FoldChain(std::string_view chain) {
+  FoldedVnode folded;
   size_t pos = 0;
   std::string_view payload;
-  lsm::LogRead read = lsm::ReadLogRecord(framed, &pos, &payload);
-  if (read != lsm::LogRead::kRecord) {
-    return Status::Corruption("torn checkpoint image: " + path);
+  // kEnd and kTorn both end the complete prefix: a torn tail loses only
+  // the record it tore.
+  while (lsm::ReadLogRecord(chain, &pos, &payload) == lsm::LogRead::kRecord) {
+    BinaryReader r(payload);
+    uint8_t kind = 0;
+    uint64_t id = 0, nominal = 0, marks = 0;
+    RHINO_RETURN_NOT_OK(r.GetU8(&kind));
+    if (kind > static_cast<uint8_t>(ChainRecord::Kind::kKeys)) {
+      return Status::Corruption("unknown chain record kind");
+    }
+    RHINO_RETURN_NOT_OK(r.GetVarint(&id));
+    RHINO_RETURN_NOT_OK(r.GetVarint(&nominal));
+    RHINO_RETURN_NOT_OK(r.GetVarint(&marks));
+    std::map<int, uint64_t> watermarks;
+    for (uint64_t i = 0; i < marks; ++i) {
+      uint64_t source = 0, offset = 0;
+      RHINO_RETURN_NOT_OK(r.GetVarint(&source));
+      RHINO_RETURN_NOT_OK(r.GetVarint(&offset));
+      watermarks[static_cast<int>(static_cast<int64_t>(source))] = offset;
+    }
+    std::string_view body = payload.substr(r.position());
+    if (kind == static_cast<uint8_t>(ChainRecord::Kind::kWhole)) {
+      folded.blob.assign(body);
+    } else if (folded.records == 0) {
+      return Status::Corruption("checkpoint chain starts with a key record");
+    } else {
+      RHINO_ASSIGN_OR_RETURN(folded.blob,
+                             state::LsmStateBackend::MergeChangesIntoBlob(
+                                 folded.blob, body, nominal));
+    }
+    folded.nominal_bytes = nominal;
+    folded.watermarks = std::move(watermarks);
+    folded.checkpoint_id = id;
+    ++folded.records;
+    folded.valid_bytes = pos;
   }
-  return DecodeReplicaState(payload);
+  if (folded.records == 0) {
+    return Status::Corruption("checkpoint chain holds no complete record");
+  }
+  return folded;
+}
+
+Result<FoldedVnode> ReadChain(lsm::Env* env, const std::string& path) {
+  std::string chain;
+  RHINO_RETURN_NOT_OK(env->ReadFile(path, &chain));
+  return FoldChain(chain);
+}
+
+Result<uint64_t> ChainBaseBytes(lsm::Env* env, const std::string& path) {
+  constexpr size_t kFrameHeader = 8;  // u32 checksum | u32 length
+  std::string header;
+  RHINO_RETURN_NOT_OK(env->ReadFileRange(path, 0, kFrameHeader, &header));
+  if (header.size() < kFrameHeader) {
+    return Status::Corruption("checkpoint chain shorter than a frame header");
+  }
+  uint32_t length = 0;
+  std::memcpy(&length, header.data() + 4, sizeof(length));
+  return kFrameHeader + length;
+}
+
+std::string ChainFileName(const std::string& op, uint32_t vnode) {
+  return op + "-" + std::to_string(vnode) + ".chain";
 }
 
 }  // namespace rhino::rhino

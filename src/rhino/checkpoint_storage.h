@@ -3,6 +3,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dataflow/engine.h"
@@ -20,7 +21,9 @@
 ///    (Flink and RhinoDFS).
 ///
 /// Both capture per-vnode content blobs so recovery can restore actual
-/// state (values in real mode, byte counters in modeled mode).
+/// state (values in real mode, byte counters in modeled mode). The
+/// networked runtime's per-vnode checkpoint chains (below) share this
+/// file's role: durable checkpoint state.
 
 namespace rhino::rhino {
 
@@ -111,25 +114,61 @@ class DfsCheckpointStorage : public dataflow::CheckpointStorage {
 std::map<uint32_t, std::string> CaptureVnodeBlobs(
     dataflow::StatefulInstance* instance);
 
-// ------------------------------------------------- durable image helpers --
+// ------------------------------------------------- checkpoint chains --
 //
-// The networked runtime persists whole replica images (descriptor +
-// blobs) as single files on an `lsm::Env` — the node's "local disk" and
-// the shared checkpoint directory standing in for a DFS. The image is one
-// framed record (len + checksum, the WAL idiom), so a torn write from a
-// SIGKILL mid-checkpoint is detected on load and the image is discarded
-// rather than half-restored.
+// The networked runtime persists each (operator, vnode) as one append-only
+// chain file on an `lsm::Env` — the shared checkpoint directory standing
+// in for a DFS. A chain starts with a whole record, the vnode's blob, and
+// each later checkpoint appends a key record: the keys written since the
+// previous record, as one change run of `StateBackend::TakeChanges`. Every
+// record carries the vnode's nominal size and replay watermarks, so the
+// chain folds to one consistent snapshot. Records are framed (checksum +
+// length, the WAL idiom): a torn append from a SIGKILL mid-checkpoint
+// loses only the torn record, and the chain still folds to the state of
+// its last complete one.
 
-/// Atomically writes the framed image of `rs` at `path` (parent directory
-/// is created if missing). Returns the size of the encoded image, frame
-/// header excluded.
-Result<uint64_t> WriteCheckpointImage(lsm::Env* env, const std::string& path,
-                                      const ReplicaState& rs);
+/// One record of a vnode's checkpoint chain.
+struct ChainRecord {
+  enum class Kind : uint8_t { kWhole = 0, kKeys = 1 };
+  Kind kind = Kind::kWhole;
+  /// The checkpoint (or handover) that wrote the record.
+  uint64_t checkpoint_id = 0;
+  uint64_t nominal_bytes = 0;
+  std::map<int, uint64_t> watermarks;
+  /// kWhole: the one-vnode blob; kKeys: the change run.
+  std::string_view body;
+};
 
-/// Loads and validates an image written by `WriteCheckpointImage`. A torn
-/// or checksum-corrupt file is `Corruption`; a missing file is the Env's
-/// read error.
-Result<ReplicaState> ReadCheckpointImage(lsm::Env* env,
-                                         const std::string& path);
+/// Appends the framed encoding of `record` to `*out`.
+void AppendChainRecord(const ChainRecord& record, std::string* out);
+
+/// The state a chain folds to: the vnode as of its last complete record.
+struct FoldedVnode {
+  std::string blob;
+  uint64_t nominal_bytes = 0;
+  std::map<int, uint64_t> watermarks;
+  uint64_t checkpoint_id = 0;
+  /// Complete records folded, and the bytes they span.
+  uint64_t records = 0;
+  uint64_t valid_bytes = 0;
+};
+
+/// Folds a chain: a whole record replaces the state and a key record is
+/// merged into it (`LsmStateBackend::MergeChangesIntoBlob`). The fold
+/// stops at the first torn record. Corruption when the chain holds no
+/// complete record, starts with a key record, or a complete record does
+/// not decode or merge.
+Result<FoldedVnode> FoldChain(std::string_view chain);
+
+/// Reads and folds the chain at `path`; NotFound when there is none.
+Result<FoldedVnode> ReadChain(lsm::Env* env, const std::string& path);
+
+/// Framed bytes of the first record of the chain at `path` (its base),
+/// read from the record's frame header alone.
+Result<uint64_t> ChainBaseBytes(lsm::Env* env, const std::string& path);
+
+/// Name of the chain of `vnode` of `op` inside the checkpoint directory.
+/// Writers and recovering readers must agree, so it lives here.
+std::string ChainFileName(const std::string& op, uint32_t vnode);
 
 }  // namespace rhino::rhino

@@ -81,11 +81,10 @@ struct ReplicaState {
 
 /// Binary encoding of a full replica image (descriptor — including the
 /// per-vnode replay watermarks — plus the content blobs). This is the
-/// payload chain replication ships between node *processes* and the record
-/// the networked runtime persists as a durable checkpoint image
-/// (`WriteCheckpointImage` in checkpoint_storage.h). Little-endian
-/// `BinaryWriter` format; `DecodeReplicaState` fails with `Corruption` on
-/// any truncation instead of reading out of bounds.
+/// payload the networked runtime's replication stream and handover verbs
+/// carry between node *processes*. Little-endian `BinaryWriter` format;
+/// `DecodeReplicaState` fails with `Corruption` on any truncation instead
+/// of reading out of bounds.
 void EncodeReplicaState(const ReplicaState& rs, std::string* out);
 Result<ReplicaState> DecodeReplicaState(std::string_view data);
 

@@ -34,7 +34,7 @@ Status LsmStateBackend::Put(uint32_t vnode, std::string_view key,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(db_->Put(EncodeKey(vnode, key), value));
   vnode_bytes_[vnode] += nominal_bytes;
-  if (capture_) Capture(vnode, key, /*is_delete=*/false, value);
+  Capture(vnode, key, /*is_delete=*/false, value);
   return Status::OK();
 }
 
@@ -48,7 +48,7 @@ Status LsmStateBackend::Delete(uint32_t vnode, std::string_view key,
   std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(db_->Delete(EncodeKey(vnode, key)));
   DiscountBytes(vnode, nominal_bytes);
-  if (capture_) Capture(vnode, key, /*is_delete=*/true, {});
+  Capture(vnode, key, /*is_delete=*/true, {});
   return Status::OK();
 }
 
@@ -77,7 +77,7 @@ Status LsmStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
     } else {
       vnode_bytes_[w.vnode] += w.nominal_bytes;
     }
-    if (capture_) Capture(w.vnode, w.key, w.is_delete, w.value);
+    Capture(w.vnode, w.key, w.is_delete, w.value);
   }
   return Status::OK();
 }
@@ -276,44 +276,49 @@ Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
     }
     RHINO_RETURN_NOT_OK(db_->Write(batch));
     vnode_bytes_.erase(v);
-    DiscardVnodeChanges(v);
+    for (auto& capture : captures_) capture.Discard(v);
   }
   return Status::OK();
 }
 
-void LsmStateBackend::Capture(uint32_t vnode, std::string_view key,
-                              bool is_delete, std::string_view value) {
-  auto [it, inserted] = captured_[vnode].try_emplace(std::string(key));
-  if (inserted) ++captured_keys_;
+void LsmStateBackend::ReaderCapture::Record(uint32_t vnode,
+                                            std::string_view key,
+                                            bool is_delete,
+                                            std::string_view value) {
+  auto [it, inserted] = vnodes[vnode].try_emplace(std::string(key));
+  if (inserted) ++keys;
   it->second.is_delete = is_delete;
   it->second.value.assign(value);
 }
 
-void LsmStateBackend::DiscardVnodeChanges(uint32_t vnode) {
-  auto it = captured_.find(vnode);
-  if (it == captured_.end()) return;
-  captured_keys_ -= it->second.size();
-  captured_.erase(it);
+void LsmStateBackend::ReaderCapture::Discard(uint32_t vnode) {
+  auto it = vnodes.find(vnode);
+  if (it == vnodes.end()) return;
+  keys -= it->second.size();
+  vnodes.erase(it);
 }
 
-void LsmStateBackend::SetChangeCapture(bool on) {
+void LsmStateBackend::SetChangeCapture(ChangeReader reader, bool on) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  capture_ = on;
+  ReaderCapture& capture = captures_[static_cast<size_t>(reader)];
+  capture.on = on;
   if (!on) {
-    captured_.clear();
-    captured_keys_ = 0;
+    capture.vnodes.clear();
+    capture.keys = 0;
   }
 }
 
-std::optional<uint64_t> LsmStateBackend::TakeChanges(uint32_t vnode,
+std::optional<uint64_t> LsmStateBackend::TakeChanges(ChangeReader reader,
+                                                     uint32_t vnode,
                                                      std::string* run) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   run->clear();
+  ReaderCapture& capture = captures_[static_cast<size_t>(reader)];
   // With capture off, writes since the last take went unrecorded: only a
   // whole vnode is a correct delta.
-  if (!capture_) return std::nullopt;
-  auto it = captured_.find(vnode);
-  if (it == captured_.end()) return 0;
+  if (!capture.on) return std::nullopt;
+  auto it = capture.vnodes.find(vnode);
+  if (it == capture.vnodes.end()) return 0;
   // Sort pointers, not entries: moving the strings would dominate.
   std::vector<std::pair<const std::string*, const CapturedWrite*>> order;
   order.reserve(it->second.size());
@@ -327,19 +332,19 @@ std::optional<uint64_t> LsmStateBackend::TakeChanges(uint32_t vnode,
     if (!write->is_delete) w.PutString(write->value);
   }
   const uint64_t keys = it->second.size();
-  captured_keys_ -= keys;
-  captured_.erase(it);
+  capture.Discard(vnode);
   return keys;
 }
 
-void LsmStateBackend::DiscardChanges(const std::vector<uint32_t>& vnodes) {
+void LsmStateBackend::DiscardChanges(ChangeReader reader,
+                                     const std::vector<uint32_t>& vnodes) {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  for (uint32_t v : vnodes) DiscardVnodeChanges(v);
+  for (uint32_t v : vnodes) captures_[static_cast<size_t>(reader)].Discard(v);
 }
 
-uint64_t LsmStateBackend::CapturedKeys() const {
+uint64_t LsmStateBackend::CapturedKeys(ChangeReader reader) const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
-  return captured_keys_;
+  return captures_[static_cast<size_t>(reader)].keys;
 }
 
 Result<std::string> LsmStateBackend::MergeChangesIntoBlob(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -62,13 +63,14 @@ class LsmStateBackend : public StateBackend {
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
 
-  void SetChangeCapture(bool on) override;
+  void SetChangeCapture(ChangeReader reader, bool on) override;
   /// The run is a sequence of `u8 tombstone | key | value (puts only)`
   /// entries, strictly increasing in key.
-  std::optional<uint64_t> TakeChanges(uint32_t vnode,
+  std::optional<uint64_t> TakeChanges(ChangeReader reader, uint32_t vnode,
                                       std::string* run) override;
-  void DiscardChanges(const std::vector<uint32_t>& vnodes) override;
-  uint64_t CapturedKeys() const override;
+  void DiscardChanges(ChangeReader reader,
+                      const std::vector<uint32_t>& vnodes) override;
+  uint64_t CapturedKeys(ChangeReader reader) const override;
 
   /// Applies a change run of TakeChanges to a one-vnode blob of
   /// ExtractVnodeBlobs in one linear merge: a change replaces the blob's
@@ -95,11 +97,33 @@ class LsmStateBackend : public StateBackend {
   /// Subtracts nominal bytes from a vnode's accounting, clamping at zero.
   void DiscountBytes(uint32_t vnode, uint64_t nominal_bytes);
 
-  /// Records a write of `key` in `vnode` while capture is on.
+  /// The latest write of one captured key.
+  struct CapturedWrite {
+    bool is_delete = false;
+    std::string value;
+  };
+  /// What one reader captured: vnode -> key -> latest write since the
+  /// reader's last take of the vnode.
+  struct ReaderCapture {
+    bool on = false;
+    std::unordered_map<uint32_t, std::unordered_map<std::string, CapturedWrite>>
+        vnodes;
+    uint64_t keys = 0;
+
+    void Record(uint32_t vnode, std::string_view key, bool is_delete,
+                std::string_view value);
+    /// Drops the captured keys of `vnode`.
+    void Discard(uint32_t vnode);
+  };
+
+  /// Records a write of `key` in `vnode` for every reader whose capture
+  /// is on.
   void Capture(uint32_t vnode, std::string_view key, bool is_delete,
-               std::string_view value);
-  /// Drops the captured keys of `vnode`.
-  void DiscardVnodeChanges(uint32_t vnode);
+               std::string_view value) {
+    for (auto& capture : captures_) {
+      if (capture.on) capture.Record(vnode, key, is_delete, value);
+    }
+  }
 
   lsm::Env* env_;
   std::string dir_;
@@ -114,17 +138,8 @@ class LsmStateBackend : public StateBackend {
   /// protocols budget with.
   std::map<uint32_t, uint64_t> vnode_bytes_;
   std::vector<StateFile> last_checkpoint_files_;
-
-  /// The latest write of one captured key.
-  struct CapturedWrite {
-    bool is_delete = false;
-    std::string value;
-  };
-  bool capture_ = false;
-  /// vnode -> key -> latest write since the vnode's last take.
-  std::unordered_map<uint32_t, std::unordered_map<std::string, CapturedWrite>>
-      captured_;
-  uint64_t captured_keys_ = 0;
+  /// One capture per ChangeReader.
+  std::array<ReaderCapture, kChangeReaders> captures_;
 };
 
 }  // namespace rhino::state

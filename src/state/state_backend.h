@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,6 +25,12 @@
 ///    protocol above this interface is identical code in both modes.
 
 namespace rhino::state {
+
+/// The consumers of StateBackend change capture, each with its own
+/// captured keys: the continuous replication stream and the incremental
+/// checkpoint chains.
+enum class ChangeReader : uint8_t { kStream = 0, kCheckpoint = 1 };
+inline constexpr size_t kChangeReaders = 2;
 
 /// One buffered mutation for StateBackend::ApplyBatch.
 struct StateWrite {
@@ -134,35 +141,39 @@ class StateBackend {
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
 
   // ----------------------------------------------------- change capture --
-  // Incremental replication ships, per vnode, only the keys written since
-  // the vnode's last delta. While capture is on, every key written through
-  // Put, Delete or ApplyBatch is recorded per vnode — its latest value or
-  // a tombstone — until taken, so memory is bounded by the distinct keys
-  // written since the last take, not by the number of writes.
-  // IngestVnodes records nothing (absorbed vnodes ship whole) and
-  // DropVnodes discards the dropped vnodes' captured keys. The defaults
-  // cannot capture, which means "ship whole vnodes".
+  // Incremental replication and incremental checkpoints ship, per vnode,
+  // only the keys written since the vnode's last delta. Each consumer is a
+  // reader of its own: while a reader's capture is on, every key written
+  // through Put, Delete or ApplyBatch is recorded for it per vnode — its
+  // latest value or a tombstone — until that reader takes it, so a
+  // reader's memory is bounded by the distinct keys written since its last
+  // take, not by the number of writes. Readers never see each other's
+  // takes. IngestVnodes records nothing for any reader (absorbed vnodes
+  // ship whole) and DropVnodes discards the dropped vnodes' keys for all
+  // readers. The defaults cannot capture, which means "ship whole vnodes".
 
-  /// Turns capture on or off; off discards everything captured.
-  virtual void SetChangeCapture(bool /*on*/) {}
+  /// Turns `reader`'s capture on or off; off discards what it captured.
+  virtual void SetChangeCapture(ChangeReader /*reader*/, bool /*on*/) {}
 
-  /// Moves out the changes of `vnode` captured since the last take into
-  /// `*run`, one run in a backend-internal format sorted by key (apply it
-  /// to a blob of the same vnode with the backend's merge). Returns the
-  /// number of keys in the run, or nullopt when the backend cannot
-  /// capture: the caller must ship the vnode whole.
-  virtual std::optional<uint64_t> TakeChanges(uint32_t /*vnode*/,
+  /// Moves out the changes of `vnode` captured for `reader` since its last
+  /// take into `*run`, one run in a backend-internal format sorted by key
+  /// (apply it to a blob of the same vnode with the backend's merge).
+  /// Returns the number of keys in the run, or nullopt when the reader
+  /// cannot capture: the caller must ship the vnode whole.
+  virtual std::optional<uint64_t> TakeChanges(ChangeReader /*reader*/,
+                                              uint32_t /*vnode*/,
                                               std::string* run) {
     run->clear();
     return std::nullopt;
   }
 
-  /// Forgets the captured changes of `vnodes` (a whole snapshot of them
-  /// superseded the changes).
-  virtual void DiscardChanges(const std::vector<uint32_t>& /*vnodes*/) {}
+  /// Forgets `reader`'s captured changes of `vnodes` (a whole snapshot of
+  /// them superseded the changes).
+  virtual void DiscardChanges(ChangeReader /*reader*/,
+                              const std::vector<uint32_t>& /*vnodes*/) {}
 
-  /// Distinct keys currently captured, over all vnodes.
-  virtual uint64_t CapturedKeys() const { return 0; }
+  /// Distinct keys currently captured for `reader`, over all vnodes.
+  virtual uint64_t CapturedKeys(ChangeReader /*reader*/) const { return 0; }
 };
 
 }  // namespace rhino::state

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/observability.h"
+#include "rhino/checkpoint_storage.h"
 #include "rhino/replication_runtime.h"
 
 /// \file dist_cluster_test.cc
@@ -50,6 +53,34 @@ uint64_t NodeCounter(const std::string& name, uint32_t node,
       ->metrics()
       .GetCounter(name, labels)
       ->value();
+}
+
+/// Checkpoint-chain records (`what` = "vnodes") or bytes ("bytes") of
+/// `kind` ("whole" | "keys") that `node` wrote in `phase`.
+uint64_t ImageCounter(const std::string& what, uint32_t node,
+                      const std::string& kind,
+                      const std::string& phase = "checkpoint") {
+  return obs::Observability::Default()
+      ->metrics()
+      .GetCounter("rhino_checkpoint_image_" + what + "_total",
+                  {{"node", std::to_string(node)},
+                   {"kind", kind},
+                   {"phase", phase}})
+      ->value();
+}
+
+/// ImageCounter summed over the three nodes of a test cluster.
+uint64_t ImageTotal(const std::string& what, const std::string& kind) {
+  uint64_t total = 0;
+  for (uint32_t node = 0; node < 3; ++node) {
+    total += ImageCounter(what, node, kind);
+  }
+  return total;
+}
+
+/// Path of the checkpoint chain of `vnode` of kOp in the shared dir.
+std::string ChainAt(uint32_t vnode) {
+  return "/ckpt/" + rhino::ChainFileName(kOp, vnode);
 }
 
 /// The kReplicateState deltas a node received and what it answered.
@@ -200,6 +231,33 @@ struct Cluster {
       batch.bytes += rec.size;
     }
     partition.Append(std::move(batch));
+  }
+
+  /// Appends one record per key in [first, first + n) and tallies them
+  /// in `expected`.
+  void AppendRange(uint64_t first, uint64_t n,
+                   std::map<uint64_t, uint64_t>* expected) {
+    std::vector<uint64_t> keys;
+    for (uint64_t key = first; key < first + n; ++key) {
+      keys.push_back(key);
+      (*expected)[key] += 1;
+    }
+    AppendKeys(keys);
+  }
+
+  /// Exactly-once audit: every key of `expected` counts exactly its tally.
+  void ExpectCounts(const std::map<uint64_t, uint64_t>& expected) {
+    for (const auto& [key, tally] : expected) {
+      auto count = driver->QueryCount(kOp, key);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(*count, tally) << "key " << key;
+    }
+  }
+
+  /// Framed size of the chain of `vnode` (0 when there is none).
+  uint64_t ChainBytes(uint32_t vnode) {
+    auto size = env.GetFileSize(ChainAt(vnode));
+    return size.ok() ? *size : 0;
   }
 
   /// Asserts every key counts exactly `waves` (exactly-once invariant),
@@ -798,6 +856,281 @@ TEST(DistClusterTest, CheckpointFailsCleanlyWhenANodeIsDownUndeclared) {
   EXPECT_EQ(ckpt->nodes, 2u);
   EXPECT_EQ(ckpt->replicated_nodes, 2u);
   cluster.ExpectAllCounts(1);
+}
+
+TEST(DistClusterTest, CheckpointWritesOnlyChangedKeys) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  const uint64_t whole = ImageTotal("vnodes", "whole");
+  const uint64_t keys = ImageTotal("vnodes", "keys");
+  auto base = cluster.driver->Checkpoint();
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  // The first checkpoint writes every vnode whole, and its reply counts
+  // every byte it wrote, frames included.
+  EXPECT_EQ(ImageTotal("vnodes", "whole"), whole + kNumVnodes);
+  EXPECT_EQ(ImageTotal("vnodes", "keys"), keys);
+  std::map<uint32_t, uint64_t> sizes;
+  uint64_t total = 0;
+  for (uint32_t vnode = 0; vnode < kNumVnodes; ++vnode) {
+    sizes[vnode] = cluster.ChainBytes(vnode);
+    EXPECT_GT(sizes[vnode], 0u) << "vnode " << vnode;
+    total += sizes[vnode];
+  }
+  EXPECT_EQ(base->bytes, total);
+
+  // A wave touching K keys writes K key entries, plus one record header
+  // per touched vnode; the other chains stay as they are.
+  const std::vector<uint64_t> touched = {0, 1, 2, 3, 4, 5};
+  std::set<uint32_t> vnodes;
+  for (uint64_t key : touched) vnodes.insert(VnodeForKey(key, kNumVnodes));
+  cluster.AppendKeys(touched);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  auto delta = cluster.driver->Checkpoint();
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EXPECT_EQ(ImageTotal("vnodes", "keys"), keys + vnodes.size());
+  EXPECT_EQ(ImageTotal("vnodes", "whole"), whole + kNumVnodes);
+  constexpr uint64_t kEntryBytes = 1 + 1 + 8 + 1 + 8;  // tag|key|count
+  constexpr uint64_t kFrameBytes = 8;
+  // kind, checkpoint id, size and one watermark: a few varint bytes.
+  constexpr uint64_t kMaxHeaderBytes = 10;
+  EXPECT_GE(delta->bytes,
+            touched.size() * kEntryBytes + vnodes.size() * kFrameBytes);
+  EXPECT_LE(delta->bytes,
+            touched.size() * kEntryBytes +
+                vnodes.size() * (kFrameBytes + kMaxHeaderBytes));
+  uint64_t grown = 0;
+  for (uint32_t vnode = 0; vnode < kNumVnodes; ++vnode) {
+    const uint64_t growth = cluster.ChainBytes(vnode) - sizes[vnode];
+    if (vnodes.count(vnode) != 0) {
+      EXPECT_GT(growth, 0u) << "vnode " << vnode;
+    } else {
+      EXPECT_EQ(growth, 0u) << "vnode " << vnode;
+    }
+    grown += growth;
+  }
+  EXPECT_EQ(delta->bytes, grown);
+
+  // Nothing written since: the next checkpoint writes nothing.
+  auto idle = cluster.driver->Checkpoint();
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(idle->bytes, 0u);
+}
+
+TEST(DistClusterTest, ChainFoldedAcrossHandoverRestoresExactlyOnce) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  // Large bases (400 keys, ~25 per vnode) next to waves of 40 keys keep
+  // every chain short of twice its base.
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());  // base
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());  // delta
+  cluster.AppendRange(0, 40, &expected);  // pending at the extract
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // The origin's extract appends the moved vnodes' pending keys: the
+  // final incremental checkpoint O->T, counted under phase=handover.
+  const uint32_t vnode = VnodeForKey(cluster.KeyOwnedBy(0), kNumVnodes);
+  std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  std::set<uint32_t> pending;
+  for (uint64_t key = 0; key < 40; ++key) {
+    const uint32_t v = VnodeForKey(key, kNumVnodes);
+    if (std::count(moved.begin(), moved.end(), v) != 0) pending.insert(v);
+  }
+  const uint64_t extract_records =
+      ImageCounter("vnodes", 0, "keys", "handover");
+  const uint64_t extract_bytes = ImageCounter("bytes", 0, "keys", "handover");
+  const uint64_t extract_whole = ImageCounter("vnodes", 0, "whole", "handover");
+  const uint64_t before_extract = cluster.ChainBytes(vnode);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "keys", "handover"),
+            extract_records + pending.size());
+  EXPECT_GT(ImageCounter("bytes", 0, "keys", "handover"), extract_bytes);
+  EXPECT_GT(cluster.ChainBytes(vnode), before_extract);
+  EXPECT_EQ(ImageCounter("vnodes", 0, "whole", "handover"), extract_whole);
+
+  // The target extends the chains it took over instead of rewriting them.
+  const uint64_t target_whole = ImageCounter("vnodes", 1, "whole");
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  EXPECT_EQ(ImageCounter("vnodes", 1, "whole"), target_whole);
+  auto folded = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_EQ(folded->records, 4u)
+      << "base -> delta -> extract record -> target's delta";
+  cluster.AppendRange(0, 40, &expected);  // post-checkpoint tail
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // Correlated failure: node 1 owns the moved vnodes, and node 2, which
+  // held node 1's replica, dies with it. Node 1's vnodes come back from
+  // their chains, whose records two nodes wrote.
+  cluster.transport.Kill("node1");
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNodes({1, 2}).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  // Restored vnodes resume at their last records' watermarks: at most the
+  // 40-record tail applies again (restored empty, all 560 records would).
+  EXPECT_LE(replayed->applied, 40u);
+  cluster.ExpectCounts(expected);
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, TornChainTailRestoresThePreviousRecord) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+
+  // A SIGKILL mid-append tore the last record of one of node 1's chains.
+  const uint32_t vnode = VnodeForKey(cluster.KeyOwnedBy(1), kNumVnodes);
+  std::string raw;
+  ASSERT_TRUE(cluster.env.ReadFile(ChainAt(vnode), &raw).ok());
+  auto whole_chain = rhino::FoldChain(raw);
+  ASSERT_TRUE(whole_chain.ok());
+  ASSERT_EQ(whole_chain->records, 2u);
+  ASSERT_TRUE(
+      cluster.env.WriteFile(ChainAt(vnode), raw.substr(0, raw.size() - 3))
+          .ok());
+  auto torn = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+  ASSERT_TRUE(torn.ok()) << torn.status().ToString();
+  EXPECT_EQ(torn->records, 1u) << "only the torn record is lost";
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // Node 1 and its replica holder fail together: its vnodes restore from
+  // their chains, the torn one as of its base, and replay does the rest.
+  std::vector<uint32_t> restored = cluster.driver->VnodesOwnedBy(kOp, 1);
+  std::vector<uint32_t> promoted = cluster.driver->VnodesOwnedBy(kOp, 2);
+  cluster.transport.Kill("node1");
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNodes({1, 2}).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  // The tail replays, and the torn vnode's share of the wave its lost
+  // record held: far from the 480 records a restore from nothing replays.
+  EXPECT_LE(replayed->applied, 80u);
+  cluster.ExpectCounts(expected);
+
+  // The next owner rewrites every vnode it absorbed as a new base.
+  const uint64_t whole = ImageCounter("vnodes", 0, "whole");
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"),
+            whole + restored.size() + promoted.size());
+  auto rewritten = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+  EXPECT_EQ(rewritten->records, 1u);
+  EXPECT_EQ(rewritten->valid_bytes, cluster.ChainBytes(vnode));
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, PromotedVnodeNextRecordIsWhole) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  std::vector<uint32_t> lost = cluster.driver->VnodesOwnedBy(kOp, 2);
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // Node 0 knows nothing of the promoted vnodes' chains: their next
+  // records are whole, while its own vnodes keep extending theirs.
+  const uint64_t whole = ImageCounter("vnodes", 0, "whole");
+  const uint64_t keys = ImageCounter("vnodes", 0, "keys");
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + lost.size());
+  EXPECT_GT(ImageCounter("vnodes", 0, "keys"), keys);
+  for (uint32_t vnode : lost) {
+    auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    EXPECT_EQ(chain->records, 1u) << "vnode " << vnode;
+  }
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, CheckpointReaderHoldsOnlyKeysSinceTheCheckpoint) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  auto captured = [] {
+    double keys = 0;
+    for (uint32_t node = 0; node < 3; ++node) {
+      keys += obs::Observability::Default()
+                  ->metrics()
+                  .GetGauge("rhino_checkpoint_captured_keys",
+                            {{"node", std::to_string(node)}})
+                  ->value();
+    }
+    return keys;
+  };
+  // A node that never checkpointed captures nothing for its chains.
+  for (int wave = 0; wave < 3; ++wave) cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  EXPECT_EQ(captured(), 0.0);
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+
+  // From then on it holds each key written since the last checkpoint
+  // once, however often it was written; the checkpoint takes them all.
+  cluster.AppendWave();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  EXPECT_EQ(captured(), static_cast<double>(kNumKeys));
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  EXPECT_EQ(captured(), 0.0);
+  cluster.ExpectAllCounts(5);
+}
+
+TEST(DistClusterTest, ChainStaysWithinTwiceItsBase) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  const uint64_t whole = ImageTotal("vnodes", "whole");
+  const uint64_t keys = ImageTotal("vnodes", "keys");
+  // Every wave rewrites every key, so each delta is most of its base:
+  // chains alternate between appending and rewriting.
+  for (uint64_t wave = 1; wave <= 10; ++wave) {
+    cluster.AppendWave();
+    ASSERT_TRUE(cluster.driver->Pump().ok());
+    const uint64_t bytes =
+        ImageTotal("bytes", "whole") + ImageTotal("bytes", "keys");
+    auto ckpt = cluster.driver->Checkpoint();
+    ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
+    EXPECT_EQ(ImageTotal("bytes", "whole") + ImageTotal("bytes", "keys"),
+              bytes + ckpt->bytes);
+    for (uint32_t vnode = 0; vnode < kNumVnodes; ++vnode) {
+      auto base = rhino::ChainBaseBytes(&cluster.env, ChainAt(vnode));
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      EXPECT_LE(cluster.ChainBytes(vnode), 2 * *base)
+          << "vnode " << vnode << " wave " << wave;
+    }
+  }
+  EXPECT_GT(ImageTotal("vnodes", "keys"), keys);
+  EXPECT_GT(ImageTotal("vnodes", "whole"), whole + kNumVnodes)
+      << "chains were rewritten after their first base";
+  cluster.ExpectAllCounts(10);
 }
 
 /// Appends one wave of tagged records to `part` (payload "<tag><key>").

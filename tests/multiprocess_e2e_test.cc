@@ -239,5 +239,76 @@ TEST_F(MultiProcessClusterTest, CheckpointHandoverSigkillRecoveryExactlyOnce) {
   EXPECT_EQ(WaitExit(1), 0);
 }
 
+TEST_F(MultiProcessClusterTest, CorrelatedSigkillRestoresChainsFromPeers) {
+  for (size_t id = 0; id < 3; ++id) {
+    Launch(id);
+    if (HasFatalFailure()) return;
+  }
+  std::vector<std::string> endpoints;
+  for (const auto& node : nodes_) {
+    endpoints.push_back("127.0.0.1:" + std::to_string(node.port));
+  }
+  PipelinedChannelOptions options;
+  options.retry.initial_backoff_us = 2 * kMillisecond;
+  options.retry.max_backoff_us = 100 * kMillisecond;
+  options.retry.max_attempts = 5;
+  TcpTransport transport(options);
+  ClusterDriver driver(&transport, endpoints);
+  ASSERT_TRUE(driver.ConnectAll().ok());
+  ASSERT_TRUE(driver.AddOperator(kOp, kNumVnodes).ok());
+  ASSERT_TRUE(driver.AddOperator(kDownstreamOp, kNumVnodes).ok());
+  broker::Partition partition(0);
+  driver.AddPartition(&partition);
+  ASSERT_TRUE(driver.ConnectPartition(kOp, 0).ok());
+  ASSERT_TRUE(driver.ConnectOperators(kOp, kDownstreamOp).ok());
+
+  // Checkpoint #1 writes every vnode's chain base into the shared dir.
+  AppendWave(&partition);
+  AppendWave(&partition);
+  ASSERT_TRUE(driver.Pump().ok());
+  ASSERT_TRUE(driver.Checkpoint().ok());
+
+  // Node 0 hands its vnodes to node 1 with a wave pending: node 0's
+  // process appends the final records, node 1's process extends the same
+  // chains at checkpoint #2.
+  AppendWave(&partition);  // wave 3
+  ASSERT_TRUE(driver.Pump().ok());
+  std::vector<uint32_t> moved = driver.VnodesOwnedBy(kOp, 0);
+  ASSERT_FALSE(moved.empty());
+  ASSERT_TRUE(driver.TriggerHandover(kOp, 0, 1, moved).ok());
+  AppendWave(&partition);  // wave 4
+  ASSERT_TRUE(driver.Pump().ok());
+  ASSERT_TRUE(driver.Checkpoint().ok());
+  AppendWave(&partition);  // wave 5, after the checkpoint: must replay
+  ASSERT_TRUE(driver.Pump().ok());
+  ExpectAllCounts(&driver, 5);
+
+  // Correlated SIGKILL of node 1 and node 2, which held node 1's replica:
+  // node 0's process restores node 1's vnodes by folding chains other
+  // processes wrote, and promotes its replica of node 2.
+  for (size_t id : {1, 2}) {
+    ASSERT_EQ(::kill(nodes_[id].pid, SIGKILL), 0);
+    ::waitpid(nodes_[id].pid, nullptr, 0);
+    nodes_[id].pid = -1;
+  }
+  EXPECT_EQ(driver.ProbeFailures(), (std::vector<uint32_t>{1, 2}));
+  ASSERT_TRUE(driver.RecoverNodes({1, 2}).ok());
+  EXPECT_EQ(driver.VnodesOwnedBy(kOp, 0).size(), kNumVnodes);
+  auto replayed = driver.Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  // Both stages replay at most wave 5 and what node 2's replica lacked;
+  // node 1's vnodes restored empty would replay all five waves.
+  EXPECT_LE(replayed->applied, 2 * 2 * kNumKeys);
+  ExpectAllCounts(&driver, 5);
+
+  AppendWave(&partition);  // wave 6 on the survivor
+  ASSERT_TRUE(driver.Pump().ok());
+  ExpectAllCounts(&driver, 6);
+  ASSERT_TRUE(driver.Checkpoint().ok());
+
+  driver.Shutdown();
+  EXPECT_EQ(WaitExit(0), 0);
+}
+
 }  // namespace
 }  // namespace rhino::net

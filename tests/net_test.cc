@@ -13,8 +13,10 @@
 #include "net/socket.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/observability.h"
 #include "rhino/checkpoint_storage.h"
 #include "rhino/replication_runtime.h"
+#include "state/lsm_state_backend.h"
 
 /// \file net_test.cc
 /// The networked substrate in isolation: socket error contract, frame
@@ -738,24 +740,162 @@ TEST(WireTest, ReplicaStateRoundTripAndTruncationFuzz) {
             StatusCode::kCorruption);
 }
 
+/// A chain record of vnode state `body` at checkpoint `id`.
+rhino::ChainRecord MakeRecord(rhino::ChainRecord::Kind kind, uint64_t id,
+                              uint64_t nominal, std::string_view body) {
+  rhino::ChainRecord record;
+  record.kind = kind;
+  record.checkpoint_id = id;
+  record.nominal_bytes = nominal;
+  record.watermarks = {{0, 10 * id}, {1 << 20, id}};
+  record.body = body;
+  return record;
+}
+
 TEST(WireTest, TornCheckpointImageIsCorruption) {
   lsm::MemEnv env;
-  rhino::ReplicaState rs;
-  rs.latest_checkpoint_id = 3;
-  rs.latest_descriptor.operator_name = "counter";
-  rs.vnode_blobs = {{1, "some-state"}};
-  ASSERT_TRUE(rhino::WriteCheckpointImage(&env, "/ckpt/img", rs).ok());
-  auto loaded = rhino::ReadCheckpointImage(&env, "/ckpt/img");
+  auto backend = state::LsmStateBackend::Open(&env, "/state/op", "op", 0);
+  ASSERT_TRUE(backend.ok());
+  ASSERT_TRUE((*backend)->Put(1, "k", "some-state", 7).ok());
+  auto blobs = (*backend)->ExtractVnodeBlobs({1});
+  ASSERT_TRUE(blobs.ok());
+  std::string chain;
+  rhino::AppendChainRecord(
+      MakeRecord(rhino::ChainRecord::Kind::kWhole, 3, 7, blobs->at(1)), &chain);
+  ASSERT_TRUE(env.WriteFile("/ckpt/op-1.chain", chain).ok());
+  auto loaded = rhino::ReadChain(&env, "/ckpt/op-1.chain");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->vnode_blobs, rs.vnode_blobs);
+  EXPECT_EQ(loaded->blob, blobs->at(1));
+  EXPECT_EQ(loaded->nominal_bytes, 7u);
+  EXPECT_EQ(loaded->checkpoint_id, 3u);
+  EXPECT_EQ(loaded->watermarks,
+            (std::map<int, uint64_t>{{0, 30}, {1 << 20, 3}}));
+  auto base = rhino::ChainBaseBytes(&env, "/ckpt/op-1.chain");
+  ASSERT_TRUE(base.ok());
+  EXPECT_EQ(*base, chain.size());
 
   // A SIGKILL mid-write leaves a short file: the framed record is torn and
-  // the image must be rejected, not half-restored.
-  std::string raw;
-  ASSERT_TRUE(env.ReadFile("/ckpt/img", &raw).ok());
-  ASSERT_TRUE(env.WriteFile("/ckpt/img", raw.substr(0, raw.size() / 2)).ok());
-  auto torn = rhino::ReadCheckpointImage(&env, "/ckpt/img");
+  // the chain must be rejected, not half-restored.
+  ASSERT_TRUE(env.WriteFile("/ckpt/op-1.chain",
+                            chain.substr(0, chain.size() / 2))
+                  .ok());
+  auto torn = rhino::ReadChain(&env, "/ckpt/op-1.chain");
   EXPECT_EQ(torn.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(rhino::ReadChain(&env, "/ckpt/none.chain").status().code(),
+            StatusCode::kNotFound);
+  // A chain must start whole: a lone key record has nothing to extend.
+  std::string keys_only;
+  rhino::AppendChainRecord(
+      MakeRecord(rhino::ChainRecord::Kind::kKeys, 4, 7, ""), &keys_only);
+  EXPECT_EQ(rhino::FoldChain(keys_only).status().code(),
+            StatusCode::kCorruption);
+}
+
+/// Vnode 2 of a fresh backend through `rounds` rounds of seeded random
+/// writes, as a chain: a whole record, then one key record per round of
+/// the checkpoint reader's changes. `states[i]` is the vnode blob after
+/// record i and `ends[i]` the chain size that completes it.
+struct ChainFixture {
+  lsm::MemEnv env;
+  std::unique_ptr<state::LsmStateBackend> backend;
+  std::string chain;
+  std::vector<std::string> states;
+  std::vector<uint64_t> nominal;
+  std::vector<size_t> ends;
+
+  explicit ChainFixture(int rounds) {
+    auto opened = state::LsmStateBackend::Open(&env, "/state/op", "op", 0);
+    RHINO_CHECK_OK(opened.status());
+    backend = std::move(opened).MoveValue();
+    uint64_t rng = 7;
+    auto next = [&rng] {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      return rng >> 33;
+    };
+    auto write_some = [&] {
+      const int writes = static_cast<int>(next() % 40);
+      for (int i = 0; i < writes; ++i) {
+        const std::string key = "k" + std::to_string(next() % 120);
+        if (next() % 4 == 0) {
+          RHINO_CHECK_OK(backend->Delete(2, key, 1));
+        } else {
+          RHINO_CHECK_OK(backend->Put(2, key, std::to_string(next()), 3));
+        }
+      }
+    };
+    write_some();
+    Record(rhino::ChainRecord::Kind::kWhole, Blob());
+    backend->SetChangeCapture(state::ChangeReader::kCheckpoint, true);
+    for (int round = 0; round < rounds; ++round) {
+      write_some();
+      std::string run;
+      RHINO_CHECK(backend->TakeChanges(state::ChangeReader::kCheckpoint, 2,
+                                       &run)
+                      .has_value());
+      Record(rhino::ChainRecord::Kind::kKeys, run);
+    }
+  }
+
+  std::string Blob() {
+    auto blobs = backend->ExtractVnodeBlobs({2});
+    RHINO_CHECK_OK(blobs.status());
+    return blobs->at(2);
+  }
+
+  void Record(rhino::ChainRecord::Kind kind, std::string_view body) {
+    const uint64_t id = states.size() + 1;
+    rhino::AppendChainRecord(
+        MakeRecord(kind, id, backend->VnodeBytes(2), body), &chain);
+    states.push_back(Blob());
+    nominal.push_back(backend->VnodeBytes(2));
+    ends.push_back(chain.size());
+  }
+};
+
+TEST(WireTest, EveryChainPrefixFoldsToItsLastCompleteRecord) {
+  ChainFixture fixture(6);
+  const std::string& chain = fixture.chain;
+  for (size_t len = 0; len <= chain.size(); ++len) {
+    auto folded = rhino::FoldChain(std::string_view(chain).substr(0, len));
+    if (len < fixture.ends[0]) {
+      EXPECT_EQ(folded.status().code(), StatusCode::kCorruption)
+          << "prefix " << len;
+      continue;
+    }
+    size_t last = 0;
+    while (last + 1 < fixture.ends.size() && fixture.ends[last + 1] <= len) {
+      ++last;
+    }
+    ASSERT_TRUE(folded.ok()) << "prefix " << len << ": "
+                             << folded.status().ToString();
+    EXPECT_EQ(folded->records, last + 1) << "prefix " << len;
+    EXPECT_EQ(folded->valid_bytes, fixture.ends[last]) << "prefix " << len;
+    EXPECT_EQ(folded->blob, fixture.states[last]) << "prefix " << len;
+    EXPECT_EQ(folded->nominal_bytes, fixture.nominal[last]);
+    EXPECT_EQ(folded->checkpoint_id, last + 1);
+    EXPECT_EQ(folded->watermarks.at(0), 10 * (last + 1));
+  }
+  // A flipped byte inside a complete record tears the chain there.
+  std::string flipped = chain;
+  flipped[fixture.ends[2] + 9] ^= 0x20;
+  auto folded = rhino::FoldChain(flipped);
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->records, 3u);
+  EXPECT_EQ(folded->blob, fixture.states[2]);
+}
+
+TEST(WireTest, ChainFoldMatchesExtractionOverRandomRounds) {
+  // 30 rounds of writes and checkpoints: folding the chain after every
+  // round yields exactly the live vnode's blob and size.
+  ChainFixture fixture(30);
+  for (size_t i = 0; i < fixture.ends.size(); ++i) {
+    auto folded = rhino::FoldChain(
+        std::string_view(fixture.chain).substr(0, fixture.ends[i]));
+    ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+    ASSERT_EQ(folded->blob, fixture.states[i]) << "record " << i;
+    ASSERT_EQ(folded->nominal_bytes, fixture.nominal[i]) << "record " << i;
+  }
+  EXPECT_EQ(fixture.states.back(), fixture.Blob());
 }
 
 TEST(WireTest, VnodeForKeySpreadsAndIsStable) {
@@ -1106,6 +1246,30 @@ TEST(TcpTransportTest, CallAndCallAsyncShareOneConnection) {
   stop.store(true);
   acceptor.join();
   EXPECT_EQ(accepted.load(), 1);
+}
+
+TEST(TcpTransportTest, CallLatencyIsRecordedInMicroseconds) {
+  RpcServer server(
+      [](MessageType, std::string_view body) -> Result<std::string> {
+        return std::string(body);
+      });
+  ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
+  const std::string endpoint = LocalEndpoint(server.port());
+  const Histogram& latency =
+      obs::Observability::Default()
+          ->metrics()
+          .GetHistogram("rhino_net_call_latency_us", {{"endpoint", endpoint}})
+          ->histogram();
+  const size_t before = latency.count();
+  {
+    TcpTransport client(FastChannelOptions());
+    std::string reply;
+    ASSERT_TRUE(client.Call(endpoint, MessageType::kHello, "x", &reply).ok());
+  }
+  // A loopback call takes well under a millisecond: at millisecond
+  // resolution it recorded 0.
+  ASSERT_EQ(latency.count(), before + 1);
+  EXPECT_GT(latency.Max(), 0);
 }
 
 TEST(LoopbackTransportTest, KillMakesEndpointUnreachable) {

@@ -198,9 +198,10 @@ std::string VnodeBlob(LsmStateBackend* backend, uint32_t v) {
 TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
   ASSERT_TRUE(backend_->Put(1, "k", "v", 1).ok());
   std::string run;
-  EXPECT_FALSE(backend_->TakeChanges(1, &run).has_value())
+  EXPECT_FALSE(
+      backend_->TakeChanges(ChangeReader::kStream, 1, &run).has_value())
       << "writes made with capture off must ship the vnode whole";
-  EXPECT_EQ(backend_->CapturedKeys(), 0u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 0u);
 }
 
 TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
@@ -208,7 +209,7 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
     ASSERT_TRUE(backend_->Put(1, key, std::string(key) + "0", 1).ok());
   }
   const std::string base = VnodeBlob(backend_.get(), 1);
-  backend_->SetChangeCapture(true);
+  backend_->SetChangeCapture(ChangeReader::kStream, true);
   ASSERT_TRUE(backend_->Put(1, "b", "b1", 1).ok());
   ASSERT_TRUE(backend_->Put(1, "a", "a1", 1).ok());
   ASSERT_TRUE(backend_->Put(1, "b", "b2", 1).ok());
@@ -218,11 +219,12 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
   writes.push_back({1, true, "a", "", 1});
   writes.push_back({2, false, "z", "z1", 1});
   ASSERT_TRUE(backend_->ApplyBatch(writes).ok());
-  EXPECT_EQ(backend_->CapturedKeys(), 5u);  // a b c d in 1, z in 2
+  // a b c d in 1, z in 2
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 5u);
 
   std::string run;
-  ASSERT_EQ(backend_->TakeChanges(1, &run), 4u);
-  EXPECT_EQ(backend_->CapturedKeys(), 1u);
+  ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 1, &run), 4u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
   // The run carries each key's latest write: applied to the vnode as it
   // was when capture began, it yields the vnode as it is now (a and c
   // erased, b = b2, d added, e untouched).
@@ -230,22 +232,22 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
                                                       backend_->VnodeBytes(1));
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
   EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 1));
-  ASSERT_EQ(backend_->TakeChanges(1, &run), 0u);
+  ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 1, &run), 0u);
   EXPECT_TRUE(run.empty()) << "a take moves the changes out";
 }
 
 TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
   const std::string base = VnodeBlob(backend_.get(), 3);
-  backend_->SetChangeCapture(true);
+  backend_->SetChangeCapture(ChangeReader::kStream, true);
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(backend_
                     ->Put(3, "k" + std::to_string(i % 10), std::to_string(i),
                           1)
                     .ok());
   }
-  EXPECT_EQ(backend_->CapturedKeys(), 10u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 10u);
   std::string run;
-  ASSERT_EQ(backend_->TakeChanges(3, &run), 10u);
+  ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 3, &run), 10u);
   EXPECT_LT(run.size(), 10u * 16) << "one entry per key, not per write";
   auto merged = LsmStateBackend::MergeChangesIntoBlob(base, run,
                                                       backend_->VnodeBytes(3));
@@ -259,16 +261,19 @@ TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
   ASSERT_TRUE(blob.ok());
   auto other = LsmStateBackend::Open(&env_, "/state/op-1", "op", 1);
   ASSERT_TRUE(other.ok());
-  (*other)->SetChangeCapture(true);
+  (*other)->SetChangeCapture(ChangeReader::kStream, true);
   ASSERT_TRUE((*other)->IngestVnodes(*blob, false).ok());
-  EXPECT_EQ((*other)->CapturedKeys(), 0u) << "absorbed vnodes ship whole";
+  EXPECT_EQ((*other)->CapturedKeys(ChangeReader::kStream), 0u)
+      << "absorbed vnodes ship whole";
 
   ASSERT_TRUE((*other)->Put(6, "y", "2", 1).ok());
   ASSERT_TRUE((*other)->Put(7, "y", "2", 1).ok());
   ASSERT_TRUE((*other)->DropVnodes({6}).ok());
-  EXPECT_EQ((*other)->CapturedKeys(), 1u) << "dropped vnodes ship as tombstones";
-  (*other)->SetChangeCapture(false);
-  EXPECT_EQ((*other)->CapturedKeys(), 0u) << "turning capture off discards";
+  EXPECT_EQ((*other)->CapturedKeys(ChangeReader::kStream), 1u)
+      << "dropped vnodes ship as tombstones";
+  (*other)->SetChangeCapture(ChangeReader::kStream, false);
+  EXPECT_EQ((*other)->CapturedKeys(ChangeReader::kStream), 0u)
+      << "turning capture off discards";
 }
 
 TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
@@ -276,7 +281,7 @@ TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
     ASSERT_TRUE(backend_->Put(4, key, std::string("old-") + key, 4).ok());
   }
   const std::string before = VnodeBlob(backend_.get(), 4);
-  backend_->SetChangeCapture(true);
+  backend_->SetChangeCapture(ChangeReader::kStream, true);
   ASSERT_TRUE(backend_->Put(4, "a", "new-a", 4).ok());  // before every entry
   ASSERT_TRUE(backend_->Put(4, "d", "new-d", 0).ok());  // overwrite
   ASSERT_TRUE(backend_->Delete(4, "b", 4).ok());        // erase
@@ -284,7 +289,7 @@ TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
   ASSERT_TRUE(backend_->Put(4, "g", "new-g", 4).ok());  // after every entry
   ASSERT_TRUE(backend_->Delete(4, "zz", 0).ok());       // absent key
   std::string run;
-  ASSERT_EQ(backend_->TakeChanges(4, &run), 6u);
+  ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 4, &run), 6u);
   auto merged = LsmStateBackend::MergeChangesIntoBlob(before, run,
                                                       backend_->VnodeBytes(4));
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -312,7 +317,7 @@ TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
 TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
   // A replica that starts from one blob and merges every round's run must
   // equal the live vnode after each round.
-  backend_->SetChangeCapture(true);
+  backend_->SetChangeCapture(ChangeReader::kStream, true);
   std::string held = VnodeBlob(backend_.get(), 9);
   uint64_t rng = 42;
   auto next = [&rng] {
@@ -330,13 +335,60 @@ TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
       }
     }
     std::string run;
-    ASSERT_TRUE(backend_->TakeChanges(9, &run).has_value());
+    ASSERT_TRUE(
+        backend_->TakeChanges(ChangeReader::kStream, 9, &run).has_value());
     auto merged = LsmStateBackend::MergeChangesIntoBlob(
         held, run, backend_->VnodeBytes(9));
     ASSERT_TRUE(merged.ok()) << merged.status().ToString();
     held = std::move(merged).MoveValue();
     ASSERT_EQ(held, VnodeBlob(backend_.get(), 9)) << "round " << round;
   }
+}
+
+TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
+  const std::string base = VnodeBlob(backend_.get(), 5);
+  backend_->SetChangeCapture(ChangeReader::kStream, true);
+  backend_->SetChangeCapture(ChangeReader::kCheckpoint, true);
+  ASSERT_TRUE(backend_->Put(5, "a", "a1", 1).ok());
+  ASSERT_TRUE(backend_->Put(5, "b", "b1", 1).ok());
+
+  // A stream take leaves the checkpoint reader's changes in place...
+  std::string run;
+  ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 5, &run), 2u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 0u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 2u);
+  ASSERT_TRUE(backend_->Put(5, "c", "c1", 1).ok());
+  // ...and the reverse: each reader's run spans its own last take.
+  std::string ckpt_run;
+  ASSERT_EQ(backend_->TakeChanges(ChangeReader::kCheckpoint, 5, &ckpt_run),
+            3u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
+  auto merged = LsmStateBackend::MergeChangesIntoBlob(base, ckpt_run,
+                                                      backend_->VnodeBytes(5));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 5));
+
+  // Discarding one reader's changes leaves the other's.
+  ASSERT_TRUE(backend_->Put(5, "d", "d1", 1).ok());
+  backend_->DiscardChanges(ChangeReader::kCheckpoint, {5});
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 0u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 2u);
+
+  // DropVnodes discards both readers' changes of the dropped vnode.
+  ASSERT_TRUE(backend_->Put(5, "e", "e1", 1).ok());
+  ASSERT_TRUE(backend_->Put(6, "e", "e1", 1).ok());
+  ASSERT_TRUE(backend_->DropVnodes({5}).ok());
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 1u);
+
+  // Turning one reader off keeps the other capturing.
+  backend_->SetChangeCapture(ChangeReader::kStream, false);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 0u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 1u);
+  ASSERT_TRUE(backend_->Put(6, "f", "f1", 1).ok());
+  EXPECT_FALSE(
+      backend_->TakeChanges(ChangeReader::kStream, 6, &run).has_value());
+  EXPECT_EQ(backend_->TakeChanges(ChangeReader::kCheckpoint, 6, &run), 2u);
 }
 
 // ----------------------------------------------------- ModeledStateBackend
@@ -435,10 +487,10 @@ TEST(ModeledBackendTest, AdoptedCheckpointBytesAreNotReplicatedAgain) {
 
 TEST(ModeledBackendTest, CannotCaptureChanges) {
   ModeledStateBackend backend("op", 0);
-  backend.SetChangeCapture(true);
+  backend.SetChangeCapture(ChangeReader::kStream, true);
   backend.AddBytes(1, 100);
   std::string run;
-  EXPECT_FALSE(backend.TakeChanges(1, &run).has_value())
+  EXPECT_FALSE(backend.TakeChanges(ChangeReader::kStream, 1, &run).has_value())
       << "its vnodes ship whole";
 }
 
