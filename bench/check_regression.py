@@ -51,11 +51,14 @@ GUARDED = [
     ("micro_lsm", "throughput_mt_scan_entries_per_s.*"),
     ("micro_lsm", "mt_put_speedup_4t_ok"),
     # Pipelined data plane: ingest throughput under emulated service
-    # latency, the credit window must really fill (window 16 keeps
-    # nodes x 16 batches in flight), an incremental checkpoint's bytes
-    # must not grow with the state (the same keys written at every size),
-    # and the kill/recover/replay audit must stay exactly-once.
+    # latency, WAL appends per applied record (a node commits each
+    # sub-batch as one WAL record; lower is better, exact), the credit
+    # window must really fill (window 16 keeps nodes x 16 batches in
+    # flight), an incremental checkpoint's bytes must not grow with the
+    # state (the same keys written at every size), and the
+    # kill/recover/replay audit must stay exactly-once.
     ("dist_pipeline", "throughput_records_per_s.pipelined"),
+    ("dist_pipeline", "wal_appends_per_record.pipelined_raw"),
     ("dist_pipeline", "window_fills_ok"),
     ("dist_pipeline", "checkpoint_bytes_flat_ok"),
     ("dist_pipeline", "exactly_once_ok"),

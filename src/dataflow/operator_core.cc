@@ -1,6 +1,8 @@
 #include "dataflow/operator_core.h"
 
 #include <algorithm>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "common/serde.h"
@@ -33,6 +35,20 @@ std::string EncodeU64Key(uint64_t key) {
   return out;
 }
 
+/// Stored count of `key` in `vnode`; nullopt when the key was never
+/// counted.
+Result<std::optional<uint64_t>> LoadKeyedCount(state::StateBackend* backend,
+                                               uint32_t vnode, uint64_t key) {
+  std::string stored;
+  Status st = backend->Get(vnode, EncodeU64Key(key), &stored);
+  if (st.IsNotFound()) return std::optional<uint64_t>();
+  RHINO_RETURN_NOT_OK(st);
+  BinaryReader reader(stored);
+  uint64_t count = 0;
+  RHINO_RETURN_NOT_OK(reader.GetU64(&count));
+  return std::optional<uint64_t>(count);
+}
+
 // ------------------------------------------------------ keyed counter --
 
 class KeyedCounterCore final : public StatefulOperatorCore {
@@ -41,11 +57,29 @@ class KeyedCounterCore final : public StatefulOperatorCore {
 
   Status Apply(state::StateBackend* backend, int /*side*/, const Batch& batch,
                const VnodeFn& vnode_of, SimTime /*now*/,
-               Batch* out) override {
+               std::vector<state::StateWrite>* writes, Batch* out) override {
+    // Each distinct key is read once; its running count then lives here,
+    // so every record still emits its post-increment count and the batch
+    // stages one write per key, carrying the key's final count.
+    struct Counted {
+      uint64_t key;
+      uint32_t vnode;
+      uint64_t count;
+      bool existed;
+    };
+    std::vector<Counted> counted;
+    std::unordered_map<uint64_t, size_t> slot_of;  // key -> index in counted
+    slot_of.reserve(batch.records.size());
     for (const Record& r : batch.records) {
-      uint32_t vnode = vnode_of(r.key);
-      RHINO_ASSIGN_OR_RETURN(uint64_t count,
-                             ApplyKeyedCount(backend, vnode, r.key));
+      auto [slot, inserted] = slot_of.try_emplace(r.key, counted.size());
+      if (inserted) {
+        uint32_t vnode = vnode_of(r.key);
+        RHINO_ASSIGN_OR_RETURN(std::optional<uint64_t> stored,
+                               LoadKeyedCount(backend, vnode, r.key));
+        counted.push_back(
+            {r.key, vnode, stored.value_or(0), stored.has_value()});
+      }
+      uint64_t count = ++counted[slot->second].count;
       Record result;
       result.key = r.key;
       result.event_time = r.event_time;
@@ -54,6 +88,17 @@ class KeyedCounterCore final : public StatefulOperatorCore {
       out->records.push_back(std::move(result));
       ++out->count;
       out->bytes += 16;
+    }
+    writes->reserve(writes->size() + counted.size());
+    for (const Counted& c : counted) {
+      std::string value;
+      BinaryWriter writer(&value);
+      writer.PutU64(c.count);
+      // RMW: 16 nominal bytes per key (key + counter), charged when the
+      // key first enters the state — the paper's "read-modify-write state
+      // update pattern".
+      writes->push_back({c.vnode, /*is_delete=*/false, EncodeU64Key(c.key),
+                         std::move(value), c.existed ? 0u : 16u});
     }
     return Status::OK();
   }
@@ -84,11 +129,12 @@ class SymmetricHashJoinCore final : public StatefulOperatorCore {
 
   Status Apply(state::StateBackend* backend, int side, const Batch& batch,
                const VnodeFn& vnode_of, SimTime /*now*/,
-               Batch* out) override {
+               std::vector<state::StateWrite>* writes, Batch* out) override {
     if (side != 0 && side != 1) {
       return Status::InvalidArgument("join side must be 0 or 1, got " +
                                      std::to_string(side));
     }
+    writes->reserve(writes->size() + batch.records.size());
     for (const Record& r : batch.records) {
       uint32_t vnode = vnode_of(r.key);
       // Layout: [8B key][1B side][8B uniq] — contiguous per (key, side),
@@ -96,7 +142,10 @@ class SymmetricHashJoinCore final : public StatefulOperatorCore {
       std::string store_key = EncodeU64Key(r.key);
       store_key.push_back(static_cast<char>(side));
       store_key += EncodeU64Key(next_uniq_++);
-      RHINO_RETURN_NOT_OK(backend->Put(vnode, store_key, r.payload, r.size));
+      // A staged row is invisible to the probes of its own batch, which is
+      // exact: a batch feeds one side, and its probes read only the other.
+      writes->push_back({vnode, /*is_delete=*/false, std::move(store_key),
+                         r.payload, r.size});
 
       std::string probe_prefix = EncodeU64Key(r.key);
       probe_prefix.push_back(static_cast<char>(1 - side));
@@ -146,7 +195,9 @@ class ModeledStateCore final : public StatefulOperatorCore {
   OperatorKind kind() const override { return OperatorKind::kModeledState; }
 
   Status Apply(state::StateBackend* backend, int /*side*/, const Batch& batch,
-               const VnodeFn& vnode_of, SimTime now, Batch* out) override {
+               const VnodeFn& vnode_of, SimTime now,
+               std::vector<state::StateWrite>* /*writes*/,
+               Batch* out) override {
     // The backend of a modeled operator is always a ModeledStateBackend —
     // both hosts construct it that way (stateful.cc, node_server.cc).
     auto* modeled = static_cast<state::ModeledStateBackend*>(backend);
@@ -237,39 +288,11 @@ Result<std::unique_ptr<StatefulOperatorCore>> MakeOperatorCore(
       std::to_string(static_cast<int>(spec.kind)));
 }
 
-Result<uint64_t> ApplyKeyedCount(state::StateBackend* backend, uint32_t vnode,
-                                 uint64_t key) {
-  std::string store_key = EncodeU64Key(key);
-  std::string stored;
-  uint64_t count = 0;
-  Status st = backend->Get(vnode, store_key, &stored);
-  if (st.ok()) {
-    BinaryReader reader(stored);
-    RHINO_RETURN_NOT_OK(reader.GetU64(&count));
-  } else if (!st.IsNotFound()) {
-    return st;
-  }
-  ++count;
-  std::string value;
-  BinaryWriter writer(&value);
-  writer.PutU64(count);
-  // RMW: 16 nominal bytes per key (key + counter), written once — the
-  // paper's "read-modify-write state update pattern".
-  uint64_t nominal = st.IsNotFound() ? 16 : 0;
-  RHINO_RETURN_NOT_OK(backend->Put(vnode, store_key, value, nominal));
-  return count;
-}
-
 Result<uint64_t> ReadKeyedCount(state::StateBackend* backend, uint32_t vnode,
                                 uint64_t key) {
-  std::string stored;
-  Status st = backend->Get(vnode, EncodeU64Key(key), &stored);
-  if (st.IsNotFound()) return uint64_t{0};
-  RHINO_RETURN_NOT_OK(st);
-  BinaryReader reader(stored);
-  uint64_t count = 0;
-  RHINO_RETURN_NOT_OK(reader.GetU64(&count));
-  return count;
+  RHINO_ASSIGN_OR_RETURN(std::optional<uint64_t> stored,
+                         LoadKeyedCount(backend, vnode, key));
+  return stored.value_or(0);
 }
 
 }  // namespace rhino::dataflow

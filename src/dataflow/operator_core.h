@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "dataflow/record.h"
@@ -90,19 +91,29 @@ struct OperatorQueryResult {
 
 /// One operator's semantics over an abstract `StateBackend`. Not
 /// thread-safe; the embedding `OperatorHost` serializes calls.
+///
+/// The core stages, the host commits: `Apply` reads the backend but
+/// writes nothing to it. It appends the batch's state writes to a sink,
+/// and the host commits the sink with one `StateBackend::ApplyBatch`
+/// before it advances the replay watermarks, so a batch's state and its
+/// watermarks move together or not at all.
 class StatefulOperatorCore {
  public:
   virtual ~StatefulOperatorCore() = default;
 
   virtual OperatorKind kind() const = 0;
 
-  /// Folds an (already deduplicated) batch from logical input `side` into
-  /// `backend` and appends any produced records to `out` (never null;
-  /// the host decides whether outputs are emitted, shipped, or dropped).
-  /// `now` is the host's clock (event-time eviction in the modeled core).
+  /// Folds an (already deduplicated) batch from logical input `side`:
+  /// reads `backend`, stages the writes the batch makes in `writes`
+  /// (never null; what a later record of the same batch must see is the
+  /// core's to track), and appends any produced records to `out` (never
+  /// null; the host decides whether outputs are emitted, shipped, or
+  /// dropped). `now` is the host's clock (event-time eviction in the
+  /// modeled core, which accounts bytes and stages nothing).
   virtual Status Apply(state::StateBackend* backend, int side,
                        const Batch& batch, const VnodeFn& vnode_of,
-                       SimTime now, Batch* out) = 0;
+                       SimTime now, std::vector<state::StateWrite>* writes,
+                       Batch* out) = 0;
 
   /// Point query against `vnode` (where `key` routes).
   virtual Result<OperatorQueryResult> Query(state::StateBackend* backend,
@@ -118,15 +129,8 @@ class StatefulOperatorCore {
 Result<std::unique_ptr<StatefulOperatorCore>> MakeOperatorCore(
     const OperatorSpec& spec, uint64_t owner_tag);
 
-// Engine-independent keyed-counter kernels, kept as free functions so
-// read paths (query verbs, tests) share the exact store-key layout.
-
-/// Increments `key`'s running count inside `vnode` and returns the new
-/// count (read-modify-write, 16 nominal bytes per distinct key).
-Result<uint64_t> ApplyKeyedCount(state::StateBackend* backend, uint32_t vnode,
-                                 uint64_t key);
-
 /// Current count of `key` in `vnode`; 0 when the key was never counted.
+/// The keyed counter's read kernel, shared by its query path.
 Result<uint64_t> ReadKeyedCount(state::StateBackend* backend, uint32_t vnode,
                                 uint64_t key);
 

@@ -113,11 +113,17 @@ Result<ApplyResult> OperatorHost::Apply(int side, Batch& batch, SimTime now,
     }
   }
 
+  // The batch's single commit point: the core stages, one ApplyBatch
+  // commits (all or nothing on the LSM backend), and only a committed
+  // batch moves the watermarks. A failed commit leaves both untouched,
+  // so the driver's resend of the same offset applies the batch once.
+  std::vector<state::StateWrite> writes;
   RHINO_RETURN_NOT_OK(core_->Apply(backend_.get(), side, batch, vnode_of_,
-                                   now, out));
+                                   now, &writes, out));
+  if (!writes.empty()) RHINO_RETURN_NOT_OK(backend_->ApplyBatch(writes));
 
   // Post-batch watermark advance: only after the whole surviving batch is
-  // folded in do the applied vnodes expect the next offset. (For slice
+  // committed do the applied vnodes expect the next offset. (For slice
   // feeds this is equivalent to advancing during the filter — a vnode
   // appears in at most one slice per batch.)
   for (const VnodeSlice& slice : batch.slices) {

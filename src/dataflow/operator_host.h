@@ -93,9 +93,13 @@ class OperatorHost {
   // ------------------------------------------------------- apply path ----
 
   /// Deduplicates `batch` against the replay watermarks (in place — seen
-  /// slices/records are removed and counts adjusted), folds the remainder
-  /// into the state via the operator core, appends outputs to `out`
-  /// (never null), and advances the watermarks of the applied vnodes.
+  /// slices/records are removed and counts adjusted), has the operator
+  /// core stage the remainder's writes and append its outputs to `out`
+  /// (never null), commits the staged writes with ONE
+  /// `StateBackend::ApplyBatch`, and only then advances the watermarks of
+  /// the applied vnodes. A failed commit changes neither state nor
+  /// watermarks (on the LSM backend), so a resend of the batch applies
+  /// it exactly once; `out` is then meaningless and must be dropped.
   /// With `strict_ownership`, a record or slice routed to a vnode this
   /// host does not own fails the whole batch with FailedPrecondition
   /// *before* any state mutation (the networked runtime's stale-routing

@@ -18,8 +18,8 @@
 /// handful of block frees instead of one `delete` per node.
 ///
 /// Overwritten values are not reclaimed (the old bytes stay in their block
-/// until the flush); `MemoryUsage()` reports the true resident footprint
-/// including that garbage, which is what flush sizing should see.
+/// until the flush); `AllocatedBytes()` counts that garbage, which is what
+/// flush sizing must see besides the live bytes.
 
 namespace rhino::lsm {
 
@@ -32,6 +32,7 @@ class Arena {
   /// Returns `bytes` of uninitialized memory with no alignment guarantee
   /// (byte payloads).
   char* Allocate(size_t bytes) {
+    allocated_ += bytes;
     if (bytes <= remaining_) {
       char* out = ptr_;
       ptr_ += bytes;
@@ -46,12 +47,14 @@ class Arena {
     constexpr size_t kAlign = alignof(std::max_align_t);
     size_t pad = (kAlign - reinterpret_cast<uintptr_t>(ptr_) % kAlign) % kAlign;
     if (bytes + pad <= remaining_) {
+      allocated_ += bytes + pad;
       char* out = ptr_ + pad;
       ptr_ += bytes + pad;
       remaining_ -= bytes + pad;
       return out;
     }
     // Fresh blocks come from operator new and are maximally aligned.
+    allocated_ += bytes;
     return AllocateFallback(bytes);
   }
 
@@ -63,9 +66,10 @@ class Arena {
     return {mem, data.size()};
   }
 
-  /// Bytes reserved from the heap (allocated blocks, including the unused
-  /// tail of the current block and any overwritten garbage).
-  uint64_t MemoryUsage() const { return usage_; }
+  /// Bytes handed out (alignment padding included, the unused tail of the
+  /// current block not): the footprint of everything ever stored,
+  /// overwritten garbage included.
+  uint64_t AllocatedBytes() const { return allocated_; }
 
  private:
   static constexpr size_t kBlockBytes = 64 * 1024;
@@ -84,14 +88,13 @@ class Arena {
 
   char* NewBlock(size_t bytes) {
     blocks_.push_back(std::make_unique<char[]>(bytes));
-    usage_ += bytes;
     return blocks_.back().get();
   }
 
   std::vector<std::unique_ptr<char[]>> blocks_;
   char* ptr_ = nullptr;
   size_t remaining_ = 0;
-  uint64_t usage_ = 0;
+  uint64_t allocated_ = 0;
 };
 
 }  // namespace rhino::lsm

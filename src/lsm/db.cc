@@ -298,14 +298,22 @@ Status DB::CommitEntries(std::string_view payload, uint64_t num_entries) {
   user_write_bytes_metric_->Increment(payload_bytes);
   // Flush policy runs outside the commit critical section. `mem` may be a
   // just-frozen table by now; the freeze re-checks under its own locks.
-  if (mem->ApproximateBytes() < options_.memtable_bytes) return Status::OK();
+  if (!MemTableFull(*mem)) return Status::OK();
+  // The commit has landed in the WAL and the memtable; the maintenance it
+  // triggers is not part of it. A failure there becomes the sticky
+  // background error that the next write returns, so a failed commit
+  // always means that none of it was applied.
+  Status st;
   if (options_.background_maintenance) {
-    RHINO_ASSIGN_OR_RETURN(bool frozen, FreezeActiveMemTable(true));
-    if (frozen) ScheduleMaintenance();
-    return Status::OK();
+    Result<bool> frozen = FreezeActiveMemTable(true);
+    st = frozen.status();
+    if (st.ok() && *frozen) ScheduleMaintenance();
+  } else {
+    std::lock_guard<std::mutex> maint(maintenance_mu_);
+    st = MaintainInline(true);
   }
-  std::lock_guard<std::mutex> maint(maintenance_mu_);
-  return MaintainInline(true);
+  if (!st.ok()) RecordBackgroundError(st);
+  return Status::OK();
 }
 
 Status DB::EnsureWalFileLocked() {
@@ -400,8 +408,7 @@ Result<bool> DB::FreezeActiveMemTable(bool only_if_over) {
   // Exclusive rotation lock: no commit is mid-flight across the swap.
   std::unique_lock<std::shared_mutex> rotate(rotate_mu_);
   std::unique_lock<std::mutex> lock(mem_mu_);
-  if (only_if_over &&
-      mem_->ApproximateBytes() < options_.memtable_bytes) {
+  if (only_if_over && !MemTableFull(*mem_)) {
     return false;  // a racing writer already rotated
   }
   if (mem_->Empty()) return false;
@@ -559,18 +566,15 @@ Status DB::Get(std::string_view key, std::string* value) {
   // collected under versions_mu_ (opens are usually LRU hits), then the
   // bloom probes and block reads below run without any DB lock. Search
   // order — L0 newest first, then deeper levels — is preserved in the
-  // flat candidate list.
+  // flat candidate list. The range check reads the file metadata in
+  // place: a miss, which the counter pays for every key new to the
+  // state, copies no key or file list.
   std::vector<std::shared_ptr<SSTableReader>> tables;
   {
     std::lock_guard<std::mutex> lock(versions_mu_);
-    for (const auto& f : versions_.level(0)) {
-      if (key < f.smallest || key > f.largest) continue;
-      RHINO_ASSIGN_OR_RETURN(auto table, OpenTableLocked(f.number));
-      tables.push_back(std::move(table));
-    }
-    for (int l = 1; l < versions_.num_levels(); ++l) {
-      for (const auto& f :
-           versions_.Overlapping(l, std::string(key), std::string(key))) {
+    for (int l = 0; l < versions_.num_levels(); ++l) {
+      for (const auto& f : versions_.level(l)) {
+        if (key < f.smallest || key > f.largest) continue;
         RHINO_ASSIGN_OR_RETURN(auto table, OpenTableLocked(f.number));
         tables.push_back(std::move(table));
       }
@@ -1018,6 +1022,11 @@ uint64_t DB::ApproximateSize() const {
   }
   std::lock_guard<std::mutex> lock(versions_mu_);
   return mem_bytes + versions_.TotalBytes();
+}
+
+uint64_t DB::MemTableArenaBytes() const {
+  std::lock_guard<std::mutex> lock(mem_mu_);
+  return mem_->ArenaBytes() + (imm_ != nullptr ? imm_->ArenaBytes() : 0);
 }
 
 Status DB::LoadManifest(std::string_view data) {

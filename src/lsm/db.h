@@ -169,7 +169,9 @@ class DB {
   /// Group-commits a batch atomically: one framed WAL append (and one
   /// buffer flush) covers every entry, then the whole batch is applied to
   /// the memtable over a contiguous sequence range. After a crash either
-  /// the entire batch is recovered or none of it is.
+  /// the entire batch is recovered or none of it is; a non-OK return
+  /// means no entry reached the memtable (a flush the commit triggers
+  /// and that fails is returned by the next write instead).
   Status Write(const WriteBatch& batch);
 
   /// Point lookup; NotFound when absent or deleted. Reads at most one
@@ -198,6 +200,9 @@ class DB {
 
   /// Bytes across memtables + all table files.
   uint64_t ApproximateSize() const;
+  /// Arena bytes of the active and frozen memtables, overwritten garbage
+  /// included: what the write buffer pins in memory.
+  uint64_t MemTableArenaBytes() const;
   uint64_t NumTableFiles() const {
     std::lock_guard<std::mutex> lock(versions_mu_);
     return static_cast<uint64_t>(versions_.NumFiles());
@@ -357,8 +362,17 @@ class DB {
   /// flushes the handle (no-op when the WAL is disabled). Takes wal_mu_.
   Status CommitWal(std::string_view payload, uint64_t num_entries);
   /// Shared Put/Delete/Write tail: WAL commit + memtable apply under the
-  /// shared rotation lock, then the flush-threshold check.
+  /// shared rotation lock, then the flush-threshold check. Non-OK only
+  /// when nothing was applied: a failure of the maintenance a landed
+  /// commit triggers is recorded as the sticky background error.
   Status CommitEntries(std::string_view payload, uint64_t num_entries);
+  /// The flush trigger: `mem`'s live bytes reached `memtable_bytes`, or
+  /// its arena, which keeps every overwritten value until the flush,
+  /// reached twice that (a hot-key workload grows only the arena).
+  bool MemTableFull(const ShardedMemTable& mem) const {
+    return mem.ApproximateBytes() >= options_.memtable_bytes ||
+           mem.ArenaBytes() >= 2 * options_.memtable_bytes;
+  }
   /// Replays surviving logs (WAL.imm first, then WAL) into the memtable at
   /// open. A torn final record (crash mid-append) is detected via the
   /// length+checksum framing and truncated away. When a frozen log

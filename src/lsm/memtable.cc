@@ -89,6 +89,9 @@ ShardedMemTable::ShardedMemTable(size_t num_shards) {
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    // The skiplist head already sits in the arena.
+    shards_.back()->arena.store(shards_.back()->table.ArenaBytes(),
+                                std::memory_order_relaxed);
   }
 }
 
@@ -100,6 +103,7 @@ void ShardedMemTable::Add(std::string_view key, uint64_t seq, ValueType type,
   // Mirror the (single-writer-per-shard-at-a-time) counters into atomics so
   // the flush-threshold check and ApproximateSize stay lock-free.
   shard.bytes.store(shard.table.ApproximateBytes(), std::memory_order_relaxed);
+  shard.arena.store(shard.table.ArenaBytes(), std::memory_order_relaxed);
   shard.entries.store(shard.table.NumEntries(), std::memory_order_relaxed);
 }
 
@@ -120,8 +124,7 @@ uint64_t ShardedMemTable::ApproximateBytes() const {
 uint64_t ShardedMemTable::ArenaBytes() const {
   uint64_t total = 0;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->table.ArenaBytes();
+    total += s->arena.load(std::memory_order_relaxed);
   }
   return total;
 }

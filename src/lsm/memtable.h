@@ -25,7 +25,9 @@
 /// pointer bump instead of per-node `new` + two string allocations, and
 /// dropping a flushed memtable frees a handful of 64 KiB blocks instead of
 /// walking every node. Overwritten values leave their old bytes in the
-/// arena until the flush (see `ArenaBytes`).
+/// arena until the flush, so the flush trigger reads `ArenaBytes` as well
+/// as the live `ApproximateBytes`: a hot-key workload that only overwrites
+/// still fills, freezes and flushes its memtable.
 
 namespace rhino::lsm {
 
@@ -48,8 +50,9 @@ class MemTable {
   /// Approximate logical footprint of stored entries (live keys + values),
   /// used to decide when to flush.
   uint64_t ApproximateBytes() const { return bytes_; }
-  /// True resident arena footprint, including overwritten garbage.
-  uint64_t ArenaBytes() const { return arena_.MemoryUsage(); }
+  /// Arena bytes handed out: nodes, keys and every value ever added,
+  /// overwritten garbage included. The other flush trigger.
+  uint64_t ArenaBytes() const { return arena_.AllocatedBytes(); }
   uint64_t NumEntries() const { return entries_; }
   bool Empty() const { return entries_ == 0; }
 
@@ -107,10 +110,11 @@ class MemTable {
 
 /// Hash-sharded write buffer: N independent skiplists, each behind its own
 /// mutex, with keys routed by `std::hash` of the user key. Concurrent
-/// writers only contend when they hit the same shard; size accounting is
-/// kept in per-shard atomics so the flush-threshold check never takes a
-/// lock. All versions of one key land in one shard, so merging the shards'
-/// sorted runs yields exactly what a single skiplist would hold.
+/// writers only contend when they hit the same shard; size accounting
+/// (live bytes and arena bytes) is kept in per-shard atomics so the
+/// flush-threshold check never takes a lock. All versions of one key land
+/// in one shard, so merging the shards' sorted runs yields exactly what a
+/// single skiplist would hold.
 ///
 /// Once frozen (no further Add calls, publication ordered through the DB's
 /// rotation lock) a ShardedMemTable may be read without the shard locks —
@@ -125,6 +129,8 @@ class ShardedMemTable {
 
   /// Approximate logical footprint; a lock-free sum of per-shard atomics.
   uint64_t ApproximateBytes() const;
+  /// Arena bytes of all shards, overwritten garbage included; lock-free
+  /// like ApproximateBytes.
   uint64_t ArenaBytes() const;
   uint64_t NumEntries() const;
   bool Empty() const { return NumEntries() == 0; }
@@ -167,6 +173,7 @@ class ShardedMemTable {
     mutable std::mutex mu;
     MemTable table;
     std::atomic<uint64_t> bytes{0};
+    std::atomic<uint64_t> arena{0};
     std::atomic<uint64_t> entries{0};
   };
 

@@ -38,7 +38,8 @@
 ///    hosted operator through the exact same `StatefulOperatorCore` the
 ///    thread-mode `StatefulInstance` runs (keyed counter, symmetric hash
 ///    join, modeled state); records below a vnode's replay watermark are
-///    deduplicated (exactly-once under replay);
+///    deduplicated (exactly-once under replay), and a batch's state and
+///    watermarks commit together as one WAL record;
 ///  * **replication** — every write marks its vnode dirty and a
 ///    background replicator streams per-vnode deltas to the ring successor
 ///    as pipelined `kReplicateState` requests under a small credit window

@@ -43,8 +43,9 @@ class LsmStateBackend : public StateBackend {
   Status Get(uint32_t vnode, std::string_view key, std::string* value) override;
   Status Delete(uint32_t vnode, std::string_view key,
                 uint64_t nominal_bytes) override;
-  /// Group-commits the run as one lsm::WriteBatch — a single WAL append
-  /// covers every entry.
+  /// Commits the run as one lsm::WriteBatch — a single WAL append covers
+  /// every entry — and only then updates byte accounting and capture:
+  /// all or nothing.
   Status ApplyBatch(const std::vector<StateWrite>& writes) override;
   Result<std::vector<std::pair<std::string, std::string>>> ScanVnode(
       uint32_t vnode) override;

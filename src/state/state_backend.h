@@ -32,7 +32,7 @@ namespace rhino::state {
 enum class ChangeReader : uint8_t { kStream = 0, kCheckpoint = 1 };
 inline constexpr size_t kChangeReaders = 2;
 
-/// One buffered mutation for StateBackend::ApplyBatch.
+/// One staged mutation for StateBackend::ApplyBatch.
 struct StateWrite {
   uint32_t vnode = 0;
   bool is_delete = false;
@@ -58,10 +58,13 @@ class StateBackend {
   virtual Status Delete(uint32_t vnode, std::string_view key,
                         uint64_t nominal_bytes) = 0;
 
-  /// Applies a buffered run of mutations. The default loops Put/Delete;
-  /// LSM-backed stores override it to group-commit the run as one WAL
-  /// append instead of one per entry. No atomicity beyond what the
-  /// backend's override provides is implied — this is a throughput hint.
+  /// Commits a run of mutations: the data path's commit, one call per
+  /// applied batch (`dataflow::OperatorHost::Apply`). `LsmStateBackend`'s
+  /// is all-or-nothing — one framed WAL record, and on failure no entry,
+  /// byte count or captured change is applied — which is what lets the
+  /// host advance replay watermarks only with the state. The default
+  /// loops Put/Delete, so it is atomic only for a backend whose writes
+  /// cannot fail (the modeled one, whose cores stage nothing).
   virtual Status ApplyBatch(const std::vector<StateWrite>& writes) {
     for (const auto& w : writes) {
       if (w.is_delete) {

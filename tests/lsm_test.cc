@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -984,7 +986,7 @@ TEST(ArenaTest, CopiedStringsStayStableAcrossGrowth) {
     views.push_back(arena.CopyString(s));
     expect.push_back(std::move(s));
   }
-  ASSERT_GT(arena.MemoryUsage(), 0u);
+  ASSERT_GT(arena.AllocatedBytes(), 0u);
   for (size_t i = 0; i < views.size(); ++i) {
     EXPECT_EQ(views[i], expect[i]) << i;
   }
@@ -1004,6 +1006,40 @@ TEST(MemTableTest, ArenaFootprintTracksEntries) {
   Entry e;
   ASSERT_TRUE(table.Get(Key(123), &e));
   EXPECT_EQ(e.value, std::string(64, 'x'));
+}
+
+// Overwrites keep the live size flat but copy every value into the arena.
+// The arena is the second flush trigger, so a hot-key workload still
+// freezes, flushes and rotates its WAL: the WAL and the arena plateau
+// instead of growing with the number of overwrites.
+TEST(DBTest, HotKeyOverwritesFlushAndBoundWalAndArena) {
+  MemEnv env;
+  Options opts;
+  opts.memtable_bytes = 64 * 1024;
+  auto db = DB::Open(&env, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  uint64_t max_wal = 0, max_arena = 0;
+  for (uint64_t i = 0; i < 200000; ++i) {
+    std::string value(8, '\0');
+    std::memcpy(value.data(), &i, sizeof(i));  // a counter-sized value
+    ASSERT_TRUE((*db)->Put(Key(static_cast<int>(i % 100)), value).ok());
+    if (i % 1000 == 999) {
+      auto wal = env.GetFileSize("/db/WAL");
+      if (wal.ok()) max_wal = std::max(max_wal, *wal);
+      max_arena = std::max(max_arena, (*db)->MemTableArenaBytes());
+    }
+  }
+  EXPECT_GE((*db)->flush_count(), 5u);
+  // A memtable freezes once its arena reaches 2 x 64 KiB: ~16k overwrites
+  // of 8 B values, ~0.6 MB of WAL records. Without the arena trigger the
+  // WAL would hold all 200k records (~7 MB) and the arena ~1.7 MB.
+  EXPECT_LE(max_arena, 2 * opts.memtable_bytes + 1024);
+  EXPECT_LE(max_wal, 1024u * 1024);
+  std::string v;
+  ASSERT_TRUE((*db)->Get(Key(42), &v).ok());
+  uint64_t last = 0;
+  std::memcpy(&last, v.data(), sizeof(last));
+  EXPECT_EQ(last, 199942u);
 }
 
 // ------------------------------------------------------------ Crash sweep --
@@ -1141,6 +1177,35 @@ TEST(DBCrashTest, AckedWritesSurviveInjectedCrashSweep) {
           << "budget=" << n << " i=" << i;
     }
   }
+}
+
+// A commit that reached the WAL and the memtable is acknowledged even
+// when the flush it triggers fails; the failure is returned by the next
+// write, which applies nothing. So a failed write never leaves entries
+// behind — the all-or-nothing contract the state backend's batch commit
+// and the host's replay watermarks build on.
+TEST(DBCrashTest, FlushFailingAfterACommitFailsTheNextWrite) {
+  MemEnv base;
+  FailingEnv env(&base);
+  auto db = DB::Open(&env, "/db", SmallOptions());
+  ASSERT_TRUE(db.ok());
+  const std::string value(100, 'v');
+  Status st;
+  int acked = 0;
+  for (int i = 0; i < 1000 && st.ok(); ++i) {
+    env.SetBudget(2);  // the commit's WAL append and flush, nothing more
+    st = (*db)->Put(Key(i), value);
+    if (st.ok()) acked = i + 1;
+  }
+  ASSERT_FALSE(st.ok()) << "the failed flush never reached a writer";
+  EXPECT_EQ((*db)->flush_count(), 0u);
+  env.SetBudget(-1);
+  std::string v;
+  for (int i = 0; i < acked; ++i) {
+    ASSERT_TRUE((*db)->Get(Key(i), &v).ok()) << "acknowledged " << i;
+  }
+  EXPECT_TRUE((*db)->Get(Key(acked), &v).IsNotFound())
+      << "the failed write applied nothing";
 }
 
 // An iterator is a snapshot: writes, flushes, and full compactions issued

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/serde.h"
+#include "dataflow/operator_host.h"
 #include "lsm/env.h"
+#include "lsm/fault_env.h"
 #include "state/lsm_state_backend.h"
 #include "state/modeled_state_backend.h"
 
@@ -153,6 +156,214 @@ TEST_F(LsmBackendTest, ApplyBatchGroupCommitsMixedRun) {
   EXPECT_EQ(v, "vc");
   EXPECT_EQ(backend_->VnodeBytes(1), 10u);
   EXPECT_EQ(backend_->VnodeBytes(2), 5u);
+}
+
+// ------------------------------------------- a host's batch commits
+
+/// Big-endian u64: the prefix of the counter's and the join's store keys.
+std::string U64Key(uint64_t key) {
+  std::string out(8, '\0');
+  for (int i = 7; i >= 0; --i) {
+    out[static_cast<size_t>(i)] = static_cast<char>(key & 0xff);
+    key >>= 8;
+  }
+  return out;
+}
+
+uint64_t DecodeCount(std::string_view value) {
+  BinaryReader reader(value);
+  uint64_t count = 0;
+  EXPECT_TRUE(reader.GetU64(&count).ok());
+  return count;
+}
+
+/// A record batch of input `source` at `offset`, one record per key.
+dataflow::Batch KeyedBatch(int source, uint64_t offset,
+                           const std::vector<uint64_t>& keys,
+                           const std::string& payload_prefix) {
+  dataflow::Batch batch;
+  batch.source_id = source;
+  batch.source_offset = offset;
+  for (uint64_t key : keys) {
+    dataflow::Record r;
+    r.key = key;
+    r.payload = payload_prefix + std::to_string(key);
+    r.size = static_cast<uint32_t>(r.payload.size());
+    batch.count += 1;
+    batch.bytes += r.size;
+    batch.records.push_back(std::move(r));
+  }
+  return batch;
+}
+
+/// A host of `kind` over `backend`; key k routes to vnode k % 4.
+std::unique_ptr<dataflow::OperatorHost> MakeHost(
+    dataflow::OperatorKind kind, std::unique_ptr<StateBackend> backend) {
+  dataflow::OperatorSpec spec;
+  spec.kind = kind;
+  spec.name = "op";
+  spec.num_vnodes = 4;
+  spec.input_arity =
+      kind == dataflow::OperatorKind::kSymmetricHashJoin ? 2 : 1;
+  auto host = dataflow::OperatorHost::Create(
+      spec, std::move(backend),
+      [](uint64_t key) { return static_cast<uint32_t>(key % 4); }, 0);
+  EXPECT_TRUE(host.ok()) << host.status().ToString();
+  return std::move(host).MoveValue();
+}
+
+/// The (key, value) entries of a TakeChanges run, in run order.
+std::vector<std::pair<std::string, std::string>> RunEntries(
+    std::string_view run) {
+  std::vector<std::pair<std::string, std::string>> entries;
+  BinaryReader reader(run);
+  uint8_t tombstone = 0;
+  while (reader.GetU8(&tombstone).ok()) {
+    std::string_view key, value;
+    EXPECT_TRUE(reader.GetString(&key).ok());
+    if (tombstone == 0) {
+      EXPECT_TRUE(reader.GetString(&value).ok());
+    }
+    entries.emplace_back(key, value);
+  }
+  return entries;
+}
+
+// A counter batch is one commit: each record emits its key's running
+// count, the state gets one write per distinct key with its final count
+// (16 nominal bytes per key new to the state), both capture readers see
+// that final value once, and the WAL takes one append per applied batch
+// and none for a fully deduplicated resend.
+TEST_F(LsmBackendTest, CounterBatchCommitsOnceWithFinalCountPerKey) {
+  LsmStateBackend* lsm = backend_.get();
+  lsm->SetChangeCapture(ChangeReader::kStream, true);
+  lsm->SetChangeCapture(ChangeReader::kCheckpoint, true);
+  auto host =
+      MakeHost(dataflow::OperatorKind::kKeyedCounter, std::move(backend_));
+
+  // Keys 8 and 12 route to vnode 0, key 9 to vnode 1.
+  dataflow::Batch first = KeyedBatch(0, 0, {8, 9, 8, 12, 8, 9}, "");
+  const uint64_t appends = lsm->db()->wal_appends();
+  dataflow::Batch out;
+  auto applied = host->Apply(0, first, 0, &out, false);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->applied, 6u);
+  std::vector<std::string> counts;
+  for (const dataflow::Record& r : out.records) counts.push_back(r.payload);
+  EXPECT_EQ(counts,
+            (std::vector<std::string>{"1", "1", "2", "1", "3", "2"}));
+  EXPECT_EQ(lsm->db()->wal_appends(), appends + 1);
+  EXPECT_EQ(lsm->SizeBytes(), 3u * 16) << "16 nominal bytes per key";
+  EXPECT_EQ(host->Query(8)->count, 3u);
+  EXPECT_EQ(host->Query(9)->count, 2u);
+  EXPECT_EQ(host->Query(12)->count, 1u);
+  for (ChangeReader reader :
+       {ChangeReader::kStream, ChangeReader::kCheckpoint}) {
+    std::string run;
+    ASSERT_EQ(lsm->TakeChanges(reader, 0, &run), 2u);
+    auto entries = RunEntries(run);
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_EQ(entries[0].first, U64Key(8));
+    EXPECT_EQ(DecodeCount(entries[0].second), 3u);
+    EXPECT_EQ(entries[1].first, U64Key(12));
+    EXPECT_EQ(DecodeCount(entries[1].second), 1u);
+  }
+
+  // The next batch extends the running counts; only key 13 is new.
+  dataflow::Batch second = KeyedBatch(0, 1, {8, 13, 13}, "");
+  out = dataflow::Batch();
+  ASSERT_TRUE(host->Apply(0, second, 0, &out, false).ok());
+  ASSERT_EQ(out.records.size(), 3u);
+  EXPECT_EQ(out.records[0].payload, "4");
+  EXPECT_EQ(out.records[2].payload, "2");
+  EXPECT_EQ(lsm->db()->wal_appends(), appends + 2);
+  EXPECT_EQ(lsm->SizeBytes(), 4u * 16);
+
+  // A resend of a batch the state already holds commits nothing.
+  dataflow::Batch resent = KeyedBatch(0, 1, {8, 13, 13}, "");
+  out = dataflow::Batch();
+  auto deduped = host->Apply(0, resent, 0, &out, false);
+  ASSERT_TRUE(deduped.ok());
+  EXPECT_TRUE(deduped->fully_deduped);
+  EXPECT_EQ(lsm->db()->wal_appends(), appends + 2);
+  EXPECT_EQ(host->Query(8)->count, 4u);
+  EXPECT_EQ(host->Query(13)->count, 2u);
+  EXPECT_EQ(lsm->SizeBytes(), 4u * 16);
+}
+
+// The fault sweep: every write budget from 0 to 2N+2 over an N-record
+// batch, on the counter and on the join's probe side. The batch commits
+// or it does not; a failed apply changes neither the state nor the
+// replay watermarks, so the driver's resend of the same (source, offset)
+// counts every record, and stores every join row, exactly once.
+TEST(HostCommitFaultTest, ResendAfterAFailedCommitAppliesTheBatchOnce) {
+  constexpr int kRecords = 20;
+  constexpr uint64_t kKeys = 7;
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < kRecords; ++i) keys.push_back(i % kKeys);
+  std::map<uint64_t, uint64_t> occurrences;
+  for (uint64_t key : keys) ++occurrences[key];
+
+  for (auto kind : {dataflow::OperatorKind::kKeyedCounter,
+                    dataflow::OperatorKind::kSymmetricHashJoin}) {
+    const bool join = kind == dataflow::OperatorKind::kSymmetricHashJoin;
+    for (int budget = 0; budget <= 2 * kRecords + 2; ++budget) {
+      SCOPED_TRACE(std::string(join ? "join" : "counter") +
+                   " budget=" + std::to_string(budget));
+      lsm::MemEnv base;
+      lsm::FaultEnv env(&base);
+      env.SetTornAppends(false);
+      auto backend = LsmStateBackend::Open(&env, "/state/op", "op", 0);
+      ASSERT_TRUE(backend.ok());
+      LsmStateBackend* lsm = backend->get();
+      auto host = MakeHost(kind, std::move(backend).MoveValue());
+      if (join) {
+        // One build row per key on side 1, committed on a healthy disk.
+        std::vector<uint64_t> build;
+        for (uint64_t key = 0; key < kKeys; ++key) build.push_back(key);
+        dataflow::Batch rows = KeyedBatch(1, 0, build, "r");
+        dataflow::Batch ignored;
+        ASSERT_TRUE(host->Apply(1, rows, 0, &ignored, false).ok());
+      }
+      const uint64_t bytes_before = lsm->SizeBytes();
+
+      // Input 0 feeds the counter, and the join's probe side.
+      env.SetWriteBudget(budget);
+      dataflow::Batch first = KeyedBatch(0, 0, keys, "l");
+      dataflow::Batch first_out;
+      auto applied = host->Apply(0, first, 0, &first_out, false);
+      env.Heal();
+      if (!applied.ok()) {
+        // Neither the state nor the replay watermarks moved.
+        EXPECT_EQ(lsm->SizeBytes(), bytes_before);
+        for (const auto& [vnode, sources] :
+             host->GetWatermarks({0, 1, 2, 3})) {
+          EXPECT_EQ(sources.count(0), 0u) << "vnode " << vnode;
+        }
+      }
+
+      // The driver resends the same (source, offset).
+      dataflow::Batch resent = KeyedBatch(0, 0, keys, "l");
+      dataflow::Batch resent_out;
+      auto again = host->Apply(0, resent, 0, &resent_out, false);
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      EXPECT_EQ(again->fully_deduped, applied.ok());
+      const dataflow::Batch& outputs = applied.ok() ? first_out : resent_out;
+      EXPECT_EQ(outputs.records.size(), static_cast<size_t>(kRecords))
+          << "one output per record: its count, or its one match";
+
+      for (const auto& [key, n] : occurrences) {
+        auto stored = host->Query(key);
+        ASSERT_TRUE(stored.ok());
+        if (join) {
+          EXPECT_EQ(stored->left, n) << "key " << key;
+          EXPECT_EQ(stored->right, 1u) << "key " << key;
+        } else {
+          EXPECT_EQ(stored->count, n) << "key " << key;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(LsmBackendTest, ExtractVnodeBlobsMatchesPerVnodeExtraction) {
