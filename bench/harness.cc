@@ -304,9 +304,11 @@ void Testbed::SeedState(uint64_t total_bytes) {
   uint64_t per_instance = total_bytes / owners.size();
   for (StatefulInstance* inst : owners) {
     uint64_t per_vnode = per_instance / inst->owned_vnodes().size();
+    std::vector<state::StateWrite> seed;
     for (uint32_t v : inst->owned_vnodes()) {
-      RHINO_CHECK_OK(inst->backend()->Put(v, "", "", per_vnode));
+      seed.push_back({v, false, "", "", per_vnode});
     }
+    RHINO_CHECK_OK(inst->backend()->ApplyBatch(seed));
     // Register the seed as checkpoint 0, already persisted per the SUT.
     auto desc = inst->backend()->Checkpoint(0);
     RHINO_CHECK(desc.ok());

@@ -297,9 +297,13 @@ void BenchExtractVnodes(bench::BenchArtifact* artifact) {
   lsm::MemEnv env;
   auto backend = state::LsmStateBackend::Open(&env, "/bench", "op", 0);
   RHINO_CHECK_OK(backend.status());
+  // One commit per entry, so the tables flush at the same points as a
+  // store written record by record.
+  std::vector<state::StateWrite> write(1);
   for (uint32_t v = 0; v < kVnodes; ++v) {
     for (uint64_t i = 0; i < kEntriesPerVnode; ++i) {
-      RHINO_CHECK_OK((*backend)->Put(v, Key(i), value, value.size()));
+      write[0] = {v, false, Key(i), value, value.size()};
+      RHINO_CHECK_OK((*backend)->ApplyBatch(write));
     }
   }
   RHINO_CHECK_OK((*backend)->db()->Flush());
@@ -429,9 +433,11 @@ void BenchIngestVnodes(bench::BenchArtifact* artifact) {
   lsm::MemEnv env;
   auto origin = state::LsmStateBackend::Open(&env, "/bench-origin", "op", 0);
   RHINO_CHECK_OK(origin.status());
+  std::vector<state::StateWrite> write(1);
   for (uint32_t v = 0; v < kVnodes; ++v) {
     for (uint64_t i = 0; i < kEntriesPerVnode; ++i) {
-      RHINO_CHECK_OK((*origin)->Put(v, Key(i), value, value.size()));
+      write[0] = {v, false, Key(i), value, value.size()};
+      RHINO_CHECK_OK((*origin)->ApplyBatch(write));
     }
   }
   std::vector<uint32_t> vnodes(kVnodes);

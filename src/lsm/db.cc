@@ -62,9 +62,7 @@ class MemSource : public MergeSource {
 class TableSource : public MergeSource {
  public:
   TableSource(std::shared_ptr<SSTableReader> table, std::string_view seek)
-      : table_(std::move(table)), it_(table_->NewIterator()) {
-    if (!seek.empty()) it_.Seek(seek);
-  }
+      : table_(std::move(table)), it_(table_->NewIterator(seek)) {}
   bool Valid() const override { return it_.Valid(); }
   const Entry& Current() const override { return it_.entry(); }
   void Advance() override { it_.Next(); }
@@ -227,15 +225,11 @@ Result<std::unique_ptr<DB>> DB::OpenFromCheckpoint(
 DB::~DB() {
   shutting_down_.store(true, std::memory_order_release);
   {
-    std::unique_lock<std::mutex> lock(bg_->mu);
-    bg_->exit = true;
-    bg_->db_alive = false;
-    bg_->cv.notify_all();
-    // Wait for maintenance passes that already started; a pass that is
-    // merely queued on an external executor will see db_alive == false
-    // when (if) it runs and bail without touching this object.
-    bg_->cv.wait(lock, [this] { return bg_->inflight == 0; });
+    std::lock_guard<std::mutex> lock(bg_.mu);
+    bg_.exit = true;
   }
+  bg_.cv.notify_all();
+  // A pass in flight sees shutting_down_ and returns; join waits for it.
   if (bg_thread_.joinable()) bg_thread_.join();
 }
 
@@ -880,49 +874,27 @@ Status DB::DoCompaction(const std::vector<std::pair<int, FileMetaData>>& inputs,
 // ----------------------------------------------------- Background worker --
 
 void DB::ScheduleMaintenance() {
-  auto bg = bg_;
-  std::unique_lock<std::mutex> lock(bg->mu);
-  if (bg->exit || bg->pending) return;
-  bg->pending = true;
-  if (options_.background_post) {
-    lock.unlock();
-    // The closure owns only the shared BgState: if the DB dies first (or
-    // the executor drops the task), nothing dangles.
-    options_.background_post([bg] {
-      std::unique_lock<std::mutex> task_lock(bg->mu);
-      bg->pending = false;
-      if (!bg->db_alive || bg->exit) {
-        bg->cv.notify_all();
-        return;
-      }
-      DB* db = bg->db;
-      ++bg->inflight;
-      task_lock.unlock();
-      db->RunMaintenance();
-      task_lock.lock();
-      --bg->inflight;
-      bg->cv.notify_all();
-    });
-  } else {
-    if (!bg_thread_.joinable()) {
-      bg_thread_ = std::thread([this] { BackgroundThreadLoop(); });
-    }
-    bg->cv.notify_all();
+  std::lock_guard<std::mutex> lock(bg_.mu);
+  if (bg_.exit || bg_.pending) return;
+  bg_.pending = true;
+  if (!bg_thread_.joinable()) {
+    bg_thread_ = std::thread([this] { BackgroundThreadLoop(); });
   }
+  bg_.cv.notify_all();
 }
 
 void DB::BackgroundThreadLoop() {
-  std::unique_lock<std::mutex> lock(bg_->mu);
+  std::unique_lock<std::mutex> lock(bg_.mu);
   while (true) {
-    bg_->cv.wait(lock, [this] { return bg_->pending || bg_->exit; });
-    if (bg_->exit) return;
-    bg_->pending = false;
-    ++bg_->inflight;
+    bg_.cv.wait(lock, [this] { return bg_.pending || bg_.exit; });
+    if (bg_.exit) return;
+    bg_.pending = false;
+    ++bg_.inflight;
     lock.unlock();
     RunMaintenance();
     lock.lock();
-    --bg_->inflight;
-    bg_->cv.notify_all();
+    --bg_.inflight;
+    bg_.cv.notify_all();
   }
 }
 
@@ -972,9 +944,9 @@ Status DB::BackgroundError() const {
 
 Status DB::WaitForBackgroundWork() {
   if (options_.background_maintenance) {
-    std::unique_lock<std::mutex> lock(bg_->mu);
-    bg_->cv.wait(lock, [this] {
-      return (!bg_->pending && bg_->inflight == 0) || bg_->exit;
+    std::unique_lock<std::mutex> lock(bg_.mu);
+    bg_.cv.wait(lock, [this] {
+      return (!bg_.pending && bg_.inflight == 0) || bg_.exit;
     });
   }
   return BackgroundError();

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -95,19 +94,13 @@ struct Options {
   /// count does not change flushed SST bytes (merge order is by key).
   size_t memtable_shards = 8;
   /// When true, full memtables are frozen and flushed — and compactions
-  /// run — on a background worker instead of the committing caller's
-  /// thread; a writer only stalls when a second memtable fills before the
-  /// previous flush finishes. Failures surface as the Status of the next
-  /// write (and of Flush/CompactRange/WaitForBackgroundWork). Off by
-  /// default: inline maintenance keeps the simulator deterministic.
+  /// run — on one worker thread the DB starts lazily, instead of on the
+  /// committing caller's thread; a writer only stalls when a second
+  /// memtable fills before the previous flush finishes. Failures surface
+  /// as the Status of the next write (and of
+  /// Flush/CompactRange/WaitForBackgroundWork). Off by default: inline
+  /// maintenance keeps the simulator deterministic.
   bool background_maintenance = false;
-  /// Where background work runs. When set, each maintenance pass is handed
-  /// to this callback (e.g. posting onto a runtime::Executor task queue —
-  /// see runtime/background.h); the callback must execute it on a thread
-  /// that is not blocked inside this DB, and queued work must either run
-  /// or be dropped before the Env is destroyed. When null, the DB lazily
-  /// starts one internal worker thread.
-  std::function<void(std::function<void()>)> background_post;
 };
 
 /// One file captured by a checkpoint.
@@ -327,9 +320,7 @@ class DB {
         block_cache_(options_.block_cache ? options_.block_cache
                                           : BlockCache::Default()),
         mem_(std::make_shared<ShardedMemTable>(options_.memtable_shards)),
-        versions_(options_.num_levels),
-        bg_(std::make_shared<BgState>()) {
-    bg_->db = this;
+        versions_(options_.num_levels) {
     BindMetrics(obs::Observability::Default());
   }
 
@@ -488,21 +479,16 @@ class DB {
   mutable std::mutex bg_error_mu_;
   Status bg_error_;
 
-  /// Background scheduling state. Held in a shared_ptr so a closure posted
-  /// to an external executor and then dropped (or run after this DB died)
-  /// can notice `db_alive == false` and bail without touching freed
-  /// memory; the destructor only waits for work that actually started.
+  /// Background scheduling state, under `mu`.
   struct BgState {
     std::mutex mu;
     std::condition_variable cv;
     bool pending = false;  // a pass is requested but not yet started
     int inflight = 0;      // passes currently executing
-    bool exit = false;     // internal worker: time to return
-    bool db_alive = true;
-    DB* db = nullptr;
+    bool exit = false;     // the worker's signal to return
   };
-  std::shared_ptr<BgState> bg_;
-  std::thread bg_thread_;  // lazily started when no background_post is set
+  BgState bg_;
+  std::thread bg_thread_;  // started by the first ScheduleMaintenance
 
   // ---- Statistics (relaxed atomics; exact totals, unordered) ----
   std::atomic<uint64_t> manifest_rotations_{0};

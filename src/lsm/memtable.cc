@@ -144,8 +144,8 @@ std::vector<Entry> ShardedMemTable::SortedSnapshot(std::string_view begin,
   size_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    for (auto it = shards_[i]->table.NewIterator(); it.Valid(); it.Next()) {
-      if (it.key() < begin) continue;
+    for (auto it = shards_[i]->table.NewIterator(begin); it.Valid();
+         it.Next()) {
       if (!end.empty() && it.key() >= end) break;
       runs[i].push_back(Entry{std::string(it.key()), it.seq(), it.type(),
                               std::string(it.value())});

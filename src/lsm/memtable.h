@@ -72,11 +72,14 @@ class MemTable {
   };
 
  public:
-  /// Forward iterator over entries in key order. The views remain valid
-  /// for the memtable's lifetime (arena bytes are never reclaimed early).
+  /// Forward iterator over entries in key order, from the first key >=
+  /// `begin` (every entry when `begin` is empty): the start is one skiplist
+  /// descent, not a walk from the head. The views remain valid for the
+  /// memtable's lifetime (arena bytes are never reclaimed early).
   class Iterator {
    public:
-    explicit Iterator(const MemTable* table) : node_(table->head_->next[0]) {}
+    Iterator(const MemTable* table, std::string_view begin)
+        : node_(table->FindGreaterOrEqual(begin, nullptr)) {}
     bool Valid() const { return node_ != nullptr; }
     void Next() { node_ = node_->next[0]; }
     std::string_view key() const { return node_->key; }
@@ -88,7 +91,9 @@ class MemTable {
     const Node* node_;
   };
 
-  Iterator NewIterator() const { return Iterator(this); }
+  Iterator NewIterator(std::string_view begin = "") const {
+    return Iterator(this, begin);
+  }
 
  private:
   Node* NewNode(std::string_view key, int height);
@@ -137,9 +142,10 @@ class ShardedMemTable {
   size_t num_shards() const { return shards_.size(); }
 
   /// Copies entries in `[begin, end)` (empty `end` = unbounded) out of all
-  /// shards, globally sorted by key. Takes each shard lock briefly, so it
-  /// is safe against concurrent writers; the result is a point-in-time
-  /// snapshot per shard.
+  /// shards, globally sorted by key. Each shard is entered at `begin`, so
+  /// the cost is the range, not the memtable. Takes each shard lock
+  /// briefly, so it is safe against concurrent writers; the result is a
+  /// point-in-time snapshot per shard.
   std::vector<Entry> SortedSnapshot(std::string_view begin = "",
                                     std::string_view end = "") const;
 

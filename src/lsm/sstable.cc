@@ -268,31 +268,19 @@ Status SSTableReader::Get(std::string_view key, Entry* entry) const {
   return Status::NotFound("key not in block");
 }
 
-SSTableReader::Iterator::Iterator(const SSTableReader* table) : table_(table) {
-  if (!table_->index_.empty()) {
-    block_idx_ = 0;
-    pos_ = 0;
-    ParseCurrent();
-  }
-}
-
-void SSTableReader::Iterator::Seek(std::string_view key) {
+SSTableReader::Iterator::Iterator(const SSTableReader* table,
+                                  std::string_view begin)
+    : table_(table) {
   const auto& index = table_->index_;
   auto it = std::lower_bound(
-      index.begin(), index.end(), key,
+      index.begin(), index.end(), begin,
       [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
-  if (it == index.end()) {
-    valid_ = false;
-    block_ = nullptr;
-    return;
-  }
+  if (it == index.end()) return;  // every key is below `begin`
   block_idx_ = static_cast<size_t>(it - index.begin());
-  block_ = nullptr;
-  pos_ = 0;
   ParseCurrent();
-  // The target lives in this block (its last key is >= key), so a linear
+  // The target lives in this block (its last key is >= begin), so a linear
   // scan within it suffices.
-  while (valid_ && entry_.key < key) ParseCurrent();
+  while (valid_ && entry_.key < begin) ParseCurrent();
 }
 
 void SSTableReader::Iterator::ParseCurrent() {

@@ -161,9 +161,9 @@ class SSTableReader {
   /// time; resident memory is O(block), not O(file).
   class Iterator {
    public:
-    explicit Iterator(const SSTableReader* table);
-    /// Repositions to the first entry with key >= `key`.
-    void Seek(std::string_view key);
+    /// Positioned at the first entry with key >= `begin` (the first entry
+    /// when `begin` is empty): the first block read is the one holding it.
+    Iterator(const SSTableReader* table, std::string_view begin);
     bool Valid() const { return valid_; }
     void Next();
     const std::string& key() const { return entry_.key; }
@@ -182,7 +182,9 @@ class SSTableReader {
     bool valid_ = false;
   };
 
-  Iterator NewIterator() const { return Iterator(this); }
+  Iterator NewIterator(std::string_view begin = "") const {
+    return Iterator(this, begin);
+  }
 
  private:
   SSTableReader() = default;

@@ -391,7 +391,7 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
     chain->second.watermarks = std::move(record.watermarks);
   }
   if (!whole.empty()) {
-    // One extraction pass for every whole record; it supersedes what the
+    // One ranged extraction per whole record; the blobs supersede what the
     // checkpoint reader captured of those vnodes.
     auto blobs = backend->ExtractVnodeBlobs(whole);
     if (!blobs.ok()) return blobs.status();

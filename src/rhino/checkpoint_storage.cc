@@ -12,9 +12,8 @@ namespace rhino::rhino {
 
 std::map<uint32_t, std::string> CaptureVnodeBlobs(
     dataflow::StatefulInstance* instance) {
-  // One extraction pass produces every owned vnode's blob; the old
-  // per-vnode ExtractVnodes loop re-scanned the whole backend once per
-  // owned vnode (O(vnodes * state) per checkpoint).
+  // One ranged extraction per owned vnode: each reads only its vnode's
+  // keys, so all of them together cost about one scan of the backend.
   std::vector<uint32_t> owned(instance->owned_vnodes().begin(),
                               instance->owned_vnodes().end());
   auto blobs = instance->backend()->ExtractVnodeBlobs(owned);

@@ -29,27 +29,9 @@ std::string LsmStateBackend::EncodeKey(uint32_t vnode, std::string_view key) {
   return out;
 }
 
-Status LsmStateBackend::Put(uint32_t vnode, std::string_view key,
-                            std::string_view value, uint64_t nominal_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  RHINO_RETURN_NOT_OK(db_->Put(EncodeKey(vnode, key), value));
-  vnode_bytes_[vnode] += nominal_bytes;
-  Capture(vnode, key, /*is_delete=*/false, value);
-  return Status::OK();
-}
-
 Status LsmStateBackend::Get(uint32_t vnode, std::string_view key,
                             std::string* value) {
   return db_->Get(EncodeKey(vnode, key), value);
-}
-
-Status LsmStateBackend::Delete(uint32_t vnode, std::string_view key,
-                               uint64_t nominal_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  RHINO_RETURN_NOT_OK(db_->Delete(EncodeKey(vnode, key)));
-  DiscountBytes(vnode, nominal_bytes);
-  Capture(vnode, key, /*is_delete=*/true, {});
-  return Status::OK();
 }
 
 void LsmStateBackend::DiscountBytes(uint32_t vnode, uint64_t nominal_bytes) {
@@ -60,7 +42,7 @@ void LsmStateBackend::DiscountBytes(uint32_t vnode, uint64_t nominal_bytes) {
 }
 
 Status LsmStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   lsm::WriteBatch batch;
   for (const auto& w : writes) {
     if (w.is_delete) {
@@ -78,30 +60,6 @@ Status LsmStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
       vnode_bytes_[w.vnode] += w.nominal_bytes;
     }
     Capture(w.vnode, w.key, w.is_delete, w.value);
-  }
-  return Status::OK();
-}
-
-Result<std::vector<std::pair<std::string, std::string>>>
-LsmStateBackend::ScanVnode(uint32_t vnode) {
-  std::vector<std::pair<std::string, std::string>> out;
-  RHINO_RETURN_NOT_OK(
-      VisitVnode(vnode, [&](std::string_view key, std::string_view value) {
-        out.emplace_back(key, value);
-        return Status::OK();
-      }));
-  return out;
-}
-
-Status LsmStateBackend::VisitVnode(uint32_t vnode, const EntryVisitor& fn) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // The DB iterator streams block by block; only the entries the visitor
-  // chooses to keep are ever materialized.
-  RHINO_ASSIGN_OR_RETURN(
-      auto it, db_->NewIterator(EncodeKey(vnode, ""), EncodeKey(vnode + 1, "")));
-  for (; it.Valid(); it.Next()) {
-    RHINO_RETURN_NOT_OK(
-        fn(std::string_view(it.key()).substr(4), it.value()));
   }
   return Status::OK();
 }
@@ -127,21 +85,25 @@ LsmStateBackend::ScanPrefix(uint32_t vnode, std::string_view prefix) {
 }
 
 uint64_t LsmStateBackend::SizeBytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
   for (const auto& [_, bytes] : vnode_bytes_) total += bytes;
   return total;
 }
 
 uint64_t LsmStateBackend::VnodeBytes(uint32_t vnode) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  return VnodeBytesLocked(vnode);
+}
+
+uint64_t LsmStateBackend::VnodeBytesLocked(uint32_t vnode) const {
   auto it = vnode_bytes_.find(vnode);
   return it == vnode_bytes_.end() ? 0 : it->second;
 }
 
 Result<CheckpointDescriptor> LsmStateBackend::Checkpoint(
     uint64_t checkpoint_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::string ckpt_dir = dir_ + "-chk-" + std::to_string(checkpoint_id);
   RHINO_ASSIGN_OR_RETURN(auto info, db_->CreateCheckpoint(ckpt_dir));
 
@@ -160,7 +122,7 @@ Result<CheckpointDescriptor> LsmStateBackend::Checkpoint(
 
 Result<std::string> LsmStateBackend::ExtractVnodes(
     const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // Entries stream straight from the DB iterator into the blob; the only
   // intermediate state per vnode is the fixed-width entry count, written
   // as a placeholder and patched once the vnode is done.
@@ -169,65 +131,24 @@ Result<std::string> LsmStateBackend::ExtractVnodes(
   w.PutU32(static_cast<uint32_t>(vnodes.size()));
   for (uint32_t v : vnodes) {
     w.PutU32(v);
-    w.PutU64(VnodeBytes(v));
+    w.PutU64(VnodeBytesLocked(v));
     size_t count_offset = blob.size();
     w.PutU64(0);
     uint64_t count = 0;
-    RHINO_RETURN_NOT_OK(
-        VisitVnode(v, [&](std::string_view key, std::string_view value) {
-          w.PutString(key);
-          w.PutString(value);
-          ++count;
-          return Status::OK();
-        }));
+    RHINO_ASSIGN_OR_RETURN(
+        auto it, db_->NewIterator(EncodeKey(v, ""), EncodeKey(v + 1, "")));
+    for (; it.Valid(); it.Next()) {
+      w.PutString(std::string_view(it.key()).substr(4));
+      w.PutString(it.value());
+      ++count;
+    }
     std::memcpy(blob.data() + count_offset, &count, sizeof(count));
   }
   return blob;
 }
 
-Result<std::map<uint32_t, std::string>> LsmStateBackend::ExtractVnodeBlobs(
-    const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // One streaming pass over the whole store; the big-endian vnode prefix
-  // routes each entry to its blob. Every blob is wire-identical to
-  // ExtractVnodes({v}), whose per-vnode header is fixed-width — so the
-  // entry-count placeholder always sits at the same offset.
-  constexpr size_t kCountOffset = 4 + 4 + 8;  // nvnodes | vnode | nominal
-  std::map<uint32_t, std::string> blobs;
-  std::map<uint32_t, uint64_t> counts;
-  for (uint32_t v : vnodes) {
-    std::string& blob = blobs[v];
-    BinaryWriter w(&blob);
-    w.PutU32(1);
-    w.PutU32(v);
-    w.PutU64(VnodeBytes(v));
-    w.PutU64(0);  // patched below
-    counts[v] = 0;
-  }
-  RHINO_ASSIGN_OR_RETURN(auto it, db_->NewIterator());
-  for (; it.Valid(); it.Next()) {
-    std::string_view key = it.key();
-    if (key.size() < 4) continue;
-    uint32_t v = (static_cast<uint32_t>(static_cast<uint8_t>(key[0])) << 24) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(key[1])) << 16) |
-                 (static_cast<uint32_t>(static_cast<uint8_t>(key[2])) << 8) |
-                 static_cast<uint32_t>(static_cast<uint8_t>(key[3]));
-    auto bit = blobs.find(v);
-    if (bit == blobs.end()) continue;  // not a requested vnode
-    BinaryWriter w(&bit->second);
-    w.PutString(key.substr(4));
-    w.PutString(it.value());
-    ++counts[v];
-  }
-  for (auto& [v, blob] : blobs) {
-    uint64_t count = counts[v];
-    std::memcpy(blob.data() + kCountOffset, &count, sizeof(count));
-  }
-  return blobs;
-}
-
 Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   // Entries are replayed through group-committed batches: one WAL append
   // per ~kIngestCommitBytes of entries rather than one per entry, which
   // is where vnode-restore ingest throughput comes from.
@@ -258,7 +179,7 @@ Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {
 }
 
 Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   constexpr uint64_t kDropCommitBytes = 1 << 20;
   for (uint32_t v : vnodes) {
     // Deleting while iterating is safe: the iterator is a snapshot, so
@@ -299,7 +220,7 @@ void LsmStateBackend::ReaderCapture::Discard(uint32_t vnode) {
 }
 
 void LsmStateBackend::SetChangeCapture(ChangeReader reader, bool on) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   ReaderCapture& capture = captures_[static_cast<size_t>(reader)];
   capture.on = on;
   if (!on) {
@@ -311,7 +232,7 @@ void LsmStateBackend::SetChangeCapture(ChangeReader reader, bool on) {
 std::optional<uint64_t> LsmStateBackend::TakeChanges(ChangeReader reader,
                                                      uint32_t vnode,
                                                      std::string* run) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   run->clear();
   ReaderCapture& capture = captures_[static_cast<size_t>(reader)];
   // With capture off, writes since the last take went unrecorded: only a
@@ -338,12 +259,12 @@ std::optional<uint64_t> LsmStateBackend::TakeChanges(ChangeReader reader,
 
 void LsmStateBackend::DiscardChanges(ChangeReader reader,
                                      const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t v : vnodes) captures_[static_cast<size_t>(reader)].Discard(v);
 }
 
 uint64_t LsmStateBackend::CapturedKeys(ChangeReader reader) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return captures_[static_cast<size_t>(reader)].keys;
 }
 

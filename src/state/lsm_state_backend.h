@@ -16,20 +16,22 @@
 /// Real state backend over the embedded LSM store (the RocksDB role).
 ///
 /// Keys are prefixed with a fixed-width big-endian virtual-node id so each
-/// virtual node occupies a contiguous key range — vnode extraction is a
-/// range scan and vnode drop is a range delete, exactly how Flink scopes
-/// RocksDB state by key group.
+/// virtual node occupies a contiguous key range, exactly how Flink scopes
+/// RocksDB state by key group: vnode extraction is a range scan that seeks
+/// to the vnode (memtable and tables alike), and vnode drop is the same
+/// range scan writing one tombstone per live key.
 
 namespace rhino::state {
 
 /// LSM-backed implementation of StateBackend.
 ///
-/// Thread safety: a backend-level recursive mutex guards the nominal byte
-/// accounting and checkpoint bookkeeping (the DB underneath has its own
-/// store-wide lock). The protocols already serialize writes to one
-/// instance's state on its node strand; the lock covers the cross-strand
-/// readers — checkpoint persistence and handover extraction reading sizes
-/// while the owner keeps processing.
+/// Thread safety: a backend-level mutex guards the nominal byte accounting,
+/// change capture and checkpoint bookkeeping (the DB underneath is safe for
+/// concurrent use on its own). The protocols already serialize writes to
+/// one instance's state on its node strand; the lock covers the
+/// cross-strand readers — checkpoint persistence and handover extraction
+/// reading sizes while the owner keeps processing. No public method calls
+/// another, so the mutex is a plain one.
 class LsmStateBackend : public StateBackend {
  public:
   /// Opens (or creates) the backing DB under `dir`. Checkpoints are placed
@@ -38,29 +40,18 @@ class LsmStateBackend : public StateBackend {
       lsm::Env* env, std::string dir, std::string operator_name,
       uint32_t instance_id, lsm::Options options = lsm::Options());
 
-  Status Put(uint32_t vnode, std::string_view key, std::string_view value,
-             uint64_t nominal_bytes) override;
   Status Get(uint32_t vnode, std::string_view key, std::string* value) override;
-  Status Delete(uint32_t vnode, std::string_view key,
-                uint64_t nominal_bytes) override;
   /// Commits the run as one lsm::WriteBatch — a single WAL append covers
   /// every entry — and only then updates byte accounting and capture:
   /// all or nothing.
   Status ApplyBatch(const std::vector<StateWrite>& writes) override;
-  Result<std::vector<std::pair<std::string, std::string>>> ScanVnode(
-      uint32_t vnode) override;
   Result<std::vector<std::pair<std::string, std::string>>> ScanPrefix(
       uint32_t vnode, std::string_view prefix) override;
-  Status VisitVnode(uint32_t vnode, const EntryVisitor& fn) override;
   uint64_t SizeBytes() const override;
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
+  /// Streams each vnode's range from the DB iterator into the blob.
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
-  /// All requested blobs out of ONE streaming scan over the store (the
-  /// vnode prefix routes each entry), instead of one full extraction pass
-  /// per vnode.
-  Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
-      const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
 
@@ -95,6 +86,8 @@ class LsmStateBackend : public StateBackend {
 
   static std::string EncodeKey(uint32_t vnode, std::string_view key);
 
+  /// Nominal bytes of `vnode`. Requires mu_.
+  uint64_t VnodeBytesLocked(uint32_t vnode) const;
   /// Subtracts nominal bytes from a vnode's accounting, clamping at zero.
   void DiscountBytes(uint32_t vnode, uint64_t nominal_bytes);
 
@@ -131,9 +124,7 @@ class LsmStateBackend : public StateBackend {
   std::string operator_name_;
   uint32_t instance_id_;
   std::unique_ptr<lsm::DB> db_;
-  /// Recursive: public methods re-enter each other (ScanVnode ->
-  /// VisitVnode, ExtractVnodes -> VnodeBytes).
-  mutable std::recursive_mutex mu_;
+  mutable std::mutex mu_;
   /// Nominal byte accounting per vnode (adds minus deletes). Values are
   /// the caller-declared payload sizes, which is what the migration
   /// protocols budget with.

@@ -5,13 +5,21 @@
 namespace rhino::state {
 
 void ModeledStateBackend::AddBytes(uint32_t vnode, uint64_t bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  AddBytesLocked(vnode, bytes);
+}
+
+void ModeledStateBackend::AddBytesLocked(uint32_t vnode, uint64_t bytes) {
   vnode_bytes_[vnode] += bytes;
   uncheckpointed_bytes_ += bytes;
 }
 
 void ModeledStateBackend::RemoveBytes(uint32_t vnode, uint64_t bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  RemoveBytesLocked(vnode, bytes);
+}
+
+void ModeledStateBackend::RemoveBytesLocked(uint32_t vnode, uint64_t bytes) {
   auto it = vnode_bytes_.find(vnode);
   if (it == vnode_bytes_.end()) return;
   it->second = bytes > it->second ? 0 : it->second - bytes;
@@ -19,7 +27,7 @@ void ModeledStateBackend::RemoveBytes(uint32_t vnode, uint64_t bytes) {
 
 void ModeledStateBackend::AdoptCheckpointVnodes(
     const CheckpointDescriptor& desc, const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t adopted = 0;
   for (uint32_t v : vnodes) {
     auto it = desc.vnode_bytes.find(v);
@@ -38,27 +46,20 @@ void ModeledStateBackend::AdoptCheckpointVnodes(
   }
 }
 
-Status ModeledStateBackend::Put(uint32_t vnode, std::string_view,
-                                std::string_view, uint64_t nominal_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  AddBytes(vnode, nominal_bytes);
-  return Status::OK();
-}
-
 Status ModeledStateBackend::Get(uint32_t, std::string_view, std::string*) {
   return Status::NotSupported("modeled backend stores no values");
 }
 
-Status ModeledStateBackend::Delete(uint32_t vnode, std::string_view,
-                                   uint64_t nominal_bytes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  RemoveBytes(vnode, nominal_bytes);
+Status ModeledStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& w : writes) {
+    if (w.is_delete) {
+      RemoveBytesLocked(w.vnode, w.nominal_bytes);
+    } else {
+      AddBytesLocked(w.vnode, w.nominal_bytes);
+    }
+  }
   return Status::OK();
-}
-
-Result<std::vector<std::pair<std::string, std::string>>>
-ModeledStateBackend::ScanVnode(uint32_t) {
-  return std::vector<std::pair<std::string, std::string>>{};
 }
 
 Result<std::vector<std::pair<std::string, std::string>>>
@@ -67,21 +68,25 @@ ModeledStateBackend::ScanPrefix(uint32_t, std::string_view) {
 }
 
 uint64_t ModeledStateBackend::SizeBytes() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
   for (const auto& [_, bytes] : vnode_bytes_) total += bytes;
   return total;
 }
 
 uint64_t ModeledStateBackend::VnodeBytes(uint32_t vnode) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
+  return VnodeBytesLocked(vnode);
+}
+
+uint64_t ModeledStateBackend::VnodeBytesLocked(uint32_t vnode) const {
   auto it = vnode_bytes_.find(vnode);
   return it == vnode_bytes_.end() ? 0 : it->second;
 }
 
 Result<CheckpointDescriptor> ModeledStateBackend::Checkpoint(
     uint64_t checkpoint_id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (uncheckpointed_bytes_ > 0) {
     StateFile delta;
     delta.name = operator_name_ + "-" + std::to_string(instance_id_) +
@@ -103,37 +108,20 @@ Result<CheckpointDescriptor> ModeledStateBackend::Checkpoint(
 
 Result<std::string> ModeledStateBackend::ExtractVnodes(
     const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::string blob;
   BinaryWriter w(&blob);
   w.PutU32(static_cast<uint32_t>(vnodes.size()));
   for (uint32_t v : vnodes) {
     w.PutU32(v);
-    w.PutU64(VnodeBytes(v));
+    w.PutU64(VnodeBytesLocked(v));
   }
   return blob;
 }
 
-Result<std::map<uint32_t, std::string>> ModeledStateBackend::ExtractVnodeBlobs(
-    const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  // Size-only blobs are a counter lookup each; emit them directly rather
-  // than through the one-ExtractVnodes-per-vnode default.
-  std::map<uint32_t, std::string> blobs;
-  for (uint32_t v : vnodes) {
-    std::string blob;
-    BinaryWriter w(&blob);
-    w.PutU32(1);
-    w.PutU32(v);
-    w.PutU64(VnodeBytes(v));
-    blobs.emplace(v, std::move(blob));
-  }
-  return blobs;
-}
-
 Status ModeledStateBackend::IngestVnodes(std::string_view blob,
                                          bool already_durable) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   BinaryReader r(blob);
   uint32_t num_vnodes = 0;
   uint64_t durable_ingested = 0;
@@ -163,7 +151,7 @@ Status ModeledStateBackend::IngestVnodes(std::string_view blob,
 }
 
 Status ModeledStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t v : vnodes) vnode_bytes_.erase(v);
   return Status::OK();
 }

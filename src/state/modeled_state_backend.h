@@ -22,30 +22,25 @@ namespace rhino::state {
 
 /// Size-only implementation of StateBackend.
 ///
-/// Thread safety: every method locks one internal recursive mutex (the
-/// counters are cheap; contention is not a concern for a size-only
-/// backend). Recursive because ExtractVnodes/ExtractVnodeBlobs re-enter
-/// VnodeBytes.
+/// Thread safety: every method locks one internal mutex (the counters are
+/// cheap; contention is not a concern for a size-only backend). No public
+/// method calls another — ApplyBatch and ExtractVnodes go through the
+/// unlocked helpers — so the mutex is a plain one.
 class ModeledStateBackend : public StateBackend {
  public:
   ModeledStateBackend(std::string operator_name, uint32_t instance_id)
       : operator_name_(std::move(operator_name)), instance_id_(instance_id) {}
 
-  Status Put(uint32_t vnode, std::string_view key, std::string_view value,
-             uint64_t nominal_bytes) override;
   Status Get(uint32_t vnode, std::string_view key, std::string* value) override;
-  Status Delete(uint32_t vnode, std::string_view key,
-                uint64_t nominal_bytes) override;
-  Result<std::vector<std::pair<std::string, std::string>>> ScanVnode(
-      uint32_t vnode) override;
+  /// Adds each put's nominal bytes and removes each delete's; keys and
+  /// values are ignored.
+  Status ApplyBatch(const std::vector<StateWrite>& writes) override;
   Result<std::vector<std::pair<std::string, std::string>>> ScanPrefix(
       uint32_t vnode, std::string_view prefix) override;
   uint64_t SizeBytes() const override;
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
-  Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
-      const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
 
@@ -63,7 +58,13 @@ class ModeledStateBackend : public StateBackend {
                              const std::vector<uint32_t>& vnodes);
 
  private:
-  mutable std::recursive_mutex mu_;
+  /// The unlocked bodies of AddBytes, RemoveBytes and VnodeBytes. Require
+  /// mu_.
+  void AddBytesLocked(uint32_t vnode, uint64_t bytes);
+  void RemoveBytesLocked(uint32_t vnode, uint64_t bytes);
+  uint64_t VnodeBytesLocked(uint32_t vnode) const;
+
+  mutable std::mutex mu_;
   std::string operator_name_;
   uint32_t instance_id_;
   std::map<uint32_t, uint64_t> vnode_bytes_;

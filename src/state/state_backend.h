@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -46,60 +45,25 @@ class StateBackend {
  public:
   virtual ~StateBackend() = default;
 
-  /// Inserts/overwrites a key in `vnode`. `nominal_bytes` is the modeled
-  /// payload size (real backends may additionally store the value bytes).
-  virtual Status Put(uint32_t vnode, std::string_view key,
-                     std::string_view value, uint64_t nominal_bytes) = 0;
-
   /// Point lookup; NotFound when absent.
   virtual Status Get(uint32_t vnode, std::string_view key,
                      std::string* value) = 0;
 
-  virtual Status Delete(uint32_t vnode, std::string_view key,
-                        uint64_t nominal_bytes) = 0;
+  /// Commits a run of mutations, the only write: the data path's commit,
+  /// one call per applied batch (`dataflow::OperatorHost::Apply`). A put's
+  /// `nominal_bytes` is the modeled payload size it adds to its vnode (real
+  /// backends also store the value bytes); a delete's is the size it
+  /// removes. `LsmStateBackend`'s is all-or-nothing — one framed WAL
+  /// record, and on failure no entry, byte count or captured change is
+  /// applied — which is what lets the host advance replay watermarks only
+  /// with the state. The modeled backend's cannot fail.
+  virtual Status ApplyBatch(const std::vector<StateWrite>& writes) = 0;
 
-  /// Commits a run of mutations: the data path's commit, one call per
-  /// applied batch (`dataflow::OperatorHost::Apply`). `LsmStateBackend`'s
-  /// is all-or-nothing — one framed WAL record, and on failure no entry,
-  /// byte count or captured change is applied — which is what lets the
-  /// host advance replay watermarks only with the state. The default
-  /// loops Put/Delete, so it is atomic only for a backend whose writes
-  /// cannot fail (the modeled one, whose cores stage nothing).
-  virtual Status ApplyBatch(const std::vector<StateWrite>& writes) {
-    for (const auto& w : writes) {
-      if (w.is_delete) {
-        RHINO_RETURN_NOT_OK(Delete(w.vnode, w.key, w.nominal_bytes));
-      } else {
-        RHINO_RETURN_NOT_OK(Put(w.vnode, w.key, w.value, w.nominal_bytes));
-      }
-    }
-    return Status::OK();
-  }
-
-  /// All live key-value pairs of a vnode, in key order. Only meaningful
-  /// for real backends (modeled backends return empty).
-  virtual Result<std::vector<std::pair<std::string, std::string>>> ScanVnode(
-      uint32_t vnode) = 0;
-
-  /// Live pairs of `vnode` whose key starts with `prefix`, in key order.
+  /// Live pairs of `vnode` whose key starts with `prefix`, in key order;
+  /// an empty prefix reads the whole vnode. Only meaningful for real
+  /// backends (modeled backends return empty).
   virtual Result<std::vector<std::pair<std::string, std::string>>> ScanPrefix(
       uint32_t vnode, std::string_view prefix) = 0;
-
-  /// Per-entry callback for VisitVnode; a non-OK return aborts the visit
-  /// and propagates. The views are only valid during the call.
-  using EntryVisitor =
-      std::function<Status(std::string_view key, std::string_view value)>;
-
-  /// Streams the live entries of `vnode` into `fn` in key order without
-  /// materializing the range. The default adapts ScanVnode; real backends
-  /// override it to keep resident memory at O(one block).
-  virtual Status VisitVnode(uint32_t vnode, const EntryVisitor& fn) {
-    RHINO_ASSIGN_OR_RETURN(auto entries, ScanVnode(vnode));
-    for (const auto& [key, value] : entries) {
-      RHINO_RETURN_NOT_OK(fn(key, value));
-    }
-    return Status::OK();
-  }
 
   /// Current state footprint in (nominal) bytes.
   virtual uint64_t SizeBytes() const = 0;
@@ -113,16 +77,14 @@ class StateBackend {
   /// Serializes the live contents of `vnodes` for a handover transfer.
   /// Real backends emit the actual entries; modeled backends emit a
   /// size-only placeholder. Returns the blob (wire format is backend-
-  /// internal; pass to IngestVnodes of a backend of the same kind).
+  /// internal; pass to IngestVnodes of a backend of the same kind). Each
+  /// vnode costs its own key range, not the whole store.
   virtual Result<std::string> ExtractVnodes(
       const std::vector<uint32_t>& vnodes) = 0;
 
-  /// Serializes each of `vnodes` into its own blob (each the same wire
-  /// format as ExtractVnodes({v})) keyed by vnode id. The default loops
-  /// ExtractVnodes one vnode at a time — one full extraction pass per
-  /// vnode; backends with sorted storage override it to produce every
-  /// blob in a single scan.
-  virtual Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
+  /// Serializes each of `vnodes` into its own blob, keyed by vnode id:
+  /// ExtractVnodes({v}) per vnode, so one vnode costs one range.
+  Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
       const std::vector<uint32_t>& vnodes) {
     std::map<uint32_t, std::string> blobs;
     for (uint32_t v : vnodes) {
@@ -147,13 +109,13 @@ class StateBackend {
   // Incremental replication and incremental checkpoints ship, per vnode,
   // only the keys written since the vnode's last delta. Each consumer is a
   // reader of its own: while a reader's capture is on, every key written
-  // through Put, Delete or ApplyBatch is recorded for it per vnode — its
-  // latest value or a tombstone — until that reader takes it, so a
-  // reader's memory is bounded by the distinct keys written since its last
-  // take, not by the number of writes. Readers never see each other's
-  // takes. IngestVnodes records nothing for any reader (absorbed vnodes
-  // ship whole) and DropVnodes discards the dropped vnodes' keys for all
-  // readers. The defaults cannot capture, which means "ship whole vnodes".
+  // through ApplyBatch is recorded for it per vnode — its latest value or
+  // a tombstone — until that reader takes it, so a reader's memory is
+  // bounded by the distinct keys written since its last take, not by the
+  // number of writes. Readers never see each other's takes. IngestVnodes
+  // records nothing for any reader (absorbed vnodes ship whole) and
+  // DropVnodes discards the dropped vnodes' keys for all readers. The
+  // defaults cannot capture, which means "ship whole vnodes".
 
   /// Turns `reader`'s capture on or off; off discards what it captured.
   virtual void SetChangeCapture(ChangeReader /*reader*/, bool /*on*/) {}

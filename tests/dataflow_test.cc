@@ -147,7 +147,7 @@ TEST_F(DataflowTest, KeyedExchangePartitionsByVnodeOwner) {
   for (StatefulInstance* inst : graph->stateful("counter")) {
     for (uint64_t key = 0; key < 40; ++key) {
       uint32_t vnode = table->map().VnodeForKey(key);
-      auto entries = inst->backend()->ScanVnode(vnode);
+      auto entries = inst->backend()->ScanPrefix(vnode, "");
       ASSERT_TRUE(entries.ok());
       bool owns = table->InstanceForVnode(vnode) ==
                   static_cast<uint32_t>(inst->subtask());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -1374,6 +1375,85 @@ TEST_P(DBFuzzTest, MatchesReferenceModel) {
     EXPECT_EQ(it->value(), mit->second);
   }
   EXPECT_EQ(mit, model.end());
+}
+
+// Ranged reads against a std::map model. Random puts, overwrites and
+// deletes spread over the memtable shards and are flushed between rounds,
+// so a range spans the active memtable and the tables; random [begin, end)
+// ranges — an unbounded end, a begin between keys, a begin past the last
+// key, an end before the begin — must yield exactly the model's slice.
+TEST_P(DBFuzzTest, RangedReadsMatchReferenceModel) {
+  MemEnv env;
+  Options opts = SmallOptions();
+  opts.memtable_bytes = 1 << 20;  // flush only between rounds
+  auto db = DB::Open(&env, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  ASSERT_GT(opts.memtable_shards, 1u);
+  std::map<std::string, std::string> model;
+  Random rng(GetParam());
+  // One to four letters of "abcde": a random bound is a key or falls
+  // between keys, and "f" is past every key.
+  auto random_key = [&rng] {
+    std::string key(1 + rng.Uniform(4), 'a');
+    for (char& c : key) c = static_cast<char>('a' + rng.Uniform(5));
+    return key;
+  };
+  for (int round = 0; round < 8; ++round) {
+    if (round > 0) {
+      ASSERT_TRUE((*db)->Flush().ok());
+    }
+    for (int op = 0; op < 150; ++op) {
+      const uint64_t kind = rng.Uniform(4);
+      std::string key = random_key();
+      if (kind == 1 && !model.empty()) {  // overwrite a live key
+        auto live = model.lower_bound(key);
+        key = live == model.end() ? model.begin()->first : live->first;
+      }
+      if (kind == 3) {
+        ASSERT_TRUE((*db)->Delete(key).ok());
+        model.erase(key);
+      } else {
+        std::string value =
+            "v" + std::to_string(round) + "." + std::to_string(op);
+        ASSERT_TRUE((*db)->Put(key, value).ok());
+        model[key] = value;
+      }
+    }
+    for (int read = 0; read < 40; ++read) {
+      std::string begin;
+      switch (rng.Uniform(4)) {
+        case 0:
+          begin = random_key();
+          break;
+        case 1:
+          begin = "f";
+          break;
+        case 2:
+          break;  // from the first key
+        case 3:
+          if (!model.empty()) {
+            begin = std::next(model.begin(),
+                              static_cast<long>(rng.Uniform(model.size())))
+                        ->first;
+          }
+          break;
+      }
+      const std::string end = rng.Uniform(3) == 0 ? "" : random_key();
+      SCOPED_TRACE("round " + std::to_string(round) + " [" + begin + ", " +
+                   end + ")");
+      auto it = (*db)->NewIterator(begin, end);
+      ASSERT_TRUE(it.ok());
+      auto expected = model.lower_bound(begin);
+      auto expected_end = end.empty() ? model.end() : model.lower_bound(end);
+      if (!end.empty() && end <= begin) expected_end = expected;
+      for (; it->Valid(); it->Next(), ++expected) {
+        ASSERT_NE(expected, expected_end) << "extra key " << it->key();
+        EXPECT_EQ(it->key(), expected->first);
+        EXPECT_EQ(it->value(), expected->second);
+      }
+      EXPECT_EQ(expected, expected_end) << "missing keys";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DBFuzzTest,

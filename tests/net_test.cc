@@ -756,7 +756,8 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
   lsm::MemEnv env;
   auto backend = state::LsmStateBackend::Open(&env, "/state/op", "op", 0);
   ASSERT_TRUE(backend.ok());
-  ASSERT_TRUE((*backend)->Put(1, "k", "some-state", 7).ok());
+  ASSERT_TRUE(
+      (*backend)->ApplyBatch({{1, false, "k", "some-state", 7}}).ok());
   auto blobs = (*backend)->ExtractVnodeBlobs({1});
   ASSERT_TRUE(blobs.ok());
   std::string chain;
@@ -817,9 +818,10 @@ struct ChainFixture {
       for (int i = 0; i < writes; ++i) {
         const std::string key = "k" + std::to_string(next() % 120);
         if (next() % 4 == 0) {
-          RHINO_CHECK_OK(backend->Delete(2, key, 1));
+          RHINO_CHECK_OK(backend->ApplyBatch({{2, true, key, "", 1}}));
         } else {
-          RHINO_CHECK_OK(backend->Put(2, key, std::to_string(next()), 3));
+          RHINO_CHECK_OK(backend->ApplyBatch(
+              {{2, false, key, std::to_string(next()), 3}}));
         }
       }
     };

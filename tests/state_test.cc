@@ -38,6 +38,19 @@ TEST(CheckpointDescriptorTest, ByteTotals) {
 
 // -------------------------------------------------------- LsmStateBackend
 
+/// One-write commits through the backend's only write, ApplyBatch.
+Status Put(StateBackend* backend, uint32_t vnode, std::string key,
+           std::string value, uint64_t nominal_bytes) {
+  return backend->ApplyBatch(
+      {{vnode, false, std::move(key), std::move(value), nominal_bytes}});
+}
+
+Status Delete(StateBackend* backend, uint32_t vnode, std::string key,
+              uint64_t nominal_bytes) {
+  return backend->ApplyBatch(
+      {{vnode, true, std::move(key), "", nominal_bytes}});
+}
+
 class LsmBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -50,8 +63,8 @@ class LsmBackendTest : public ::testing::Test {
 };
 
 TEST_F(LsmBackendTest, PutGetScopedByVnode) {
-  ASSERT_TRUE(backend_->Put(1, "k", "v1", 10).ok());
-  ASSERT_TRUE(backend_->Put(2, "k", "v2", 10).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "k", "v1", 10).ok());
+  ASSERT_TRUE(Put(backend_.get(), 2, "k", "v2", 10).ok());
   std::string v;
   ASSERT_TRUE(backend_->Get(1, "k", &v).ok());
   EXPECT_EQ(v, "v1");
@@ -61,21 +74,21 @@ TEST_F(LsmBackendTest, PutGetScopedByVnode) {
 }
 
 TEST_F(LsmBackendTest, VnodeByteAccounting) {
-  ASSERT_TRUE(backend_->Put(5, "a", "x", 100).ok());
-  ASSERT_TRUE(backend_->Put(5, "b", "y", 50).ok());
-  ASSERT_TRUE(backend_->Put(6, "a", "z", 25).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "a", "x", 100).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "b", "y", 50).ok());
+  ASSERT_TRUE(Put(backend_.get(), 6, "a", "z", 25).ok());
   EXPECT_EQ(backend_->VnodeBytes(5), 150u);
   EXPECT_EQ(backend_->VnodeBytes(6), 25u);
   EXPECT_EQ(backend_->SizeBytes(), 175u);
-  ASSERT_TRUE(backend_->Delete(5, "a", 100).ok());
+  ASSERT_TRUE(Delete(backend_.get(), 5, "a", 100).ok());
   EXPECT_EQ(backend_->VnodeBytes(5), 50u);
 }
 
 TEST_F(LsmBackendTest, ScanVnodeReturnsOnlyItsKeys) {
-  ASSERT_TRUE(backend_->Put(1, "a", "1", 1).ok());
-  ASSERT_TRUE(backend_->Put(1, "b", "2", 1).ok());
-  ASSERT_TRUE(backend_->Put(2, "c", "3", 1).ok());
-  auto entries = backend_->ScanVnode(1);
+  ASSERT_TRUE(Put(backend_.get(), 1, "a", "1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "b", "2", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 2, "c", "3", 1).ok());
+  auto entries = backend_->ScanPrefix(1, "");
   ASSERT_TRUE(entries.ok());
   ASSERT_EQ(entries->size(), 2u);
   EXPECT_EQ((*entries)[0].first, "a");
@@ -83,9 +96,9 @@ TEST_F(LsmBackendTest, ScanVnodeReturnsOnlyItsKeys) {
 }
 
 TEST_F(LsmBackendTest, ScanPrefixFiltersWithinVnode) {
-  ASSERT_TRUE(backend_->Put(1, "aa1", "1", 1).ok());
-  ASSERT_TRUE(backend_->Put(1, "aa2", "2", 1).ok());
-  ASSERT_TRUE(backend_->Put(1, "ab1", "3", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "aa1", "1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "aa2", "2", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "ab1", "3", 1).ok());
   auto entries = backend_->ScanPrefix(1, "aa");
   ASSERT_TRUE(entries.ok());
   EXPECT_EQ(entries->size(), 2u);
@@ -94,7 +107,7 @@ TEST_F(LsmBackendTest, ScanPrefixFiltersWithinVnode) {
 TEST_F(LsmBackendTest, CheckpointDescribesFilesAndDeltas) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(
-        backend_->Put(1, "key" + std::to_string(i), "value", 32).ok());
+        Put(backend_.get(), 1, "key" + std::to_string(i), "value", 32).ok());
   }
   auto c1 = backend_->Checkpoint(1);
   ASSERT_TRUE(c1.ok());
@@ -105,7 +118,7 @@ TEST_F(LsmBackendTest, CheckpointDescribesFilesAndDeltas) {
 
   for (int i = 100; i < 120; ++i) {
     ASSERT_TRUE(
-        backend_->Put(1, "key" + std::to_string(i), "value", 32).ok());
+        Put(backend_.get(), 1, "key" + std::to_string(i), "value", 32).ok());
   }
   auto c2 = backend_->Checkpoint(2);
   ASSERT_TRUE(c2.ok());
@@ -114,9 +127,9 @@ TEST_F(LsmBackendTest, CheckpointDescribesFilesAndDeltas) {
 }
 
 TEST_F(LsmBackendTest, ExtractIngestMovesVnodes) {
-  ASSERT_TRUE(backend_->Put(3, "a", "va", 10).ok());
-  ASSERT_TRUE(backend_->Put(3, "b", "vb", 10).ok());
-  ASSERT_TRUE(backend_->Put(4, "c", "vc", 10).ok());
+  ASSERT_TRUE(Put(backend_.get(), 3, "a", "va", 10).ok());
+  ASSERT_TRUE(Put(backend_.get(), 3, "b", "vb", 10).ok());
+  ASSERT_TRUE(Put(backend_.get(), 4, "c", "vc", 10).ok());
 
   auto blob = backend_->ExtractVnodes({3});
   ASSERT_TRUE(blob.ok());
@@ -369,16 +382,15 @@ TEST(HostCommitFaultTest, ResendAfterAFailedCommitAppliesTheBatchOnce) {
 TEST_F(LsmBackendTest, ExtractVnodeBlobsMatchesPerVnodeExtraction) {
   for (int v = 0; v < 6; v += 2) {
     for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(backend_
-                      ->Put(static_cast<uint32_t>(v), "k" + std::to_string(i),
-                            "v" + std::to_string(v) + "-" + std::to_string(i),
-                            8)
+      ASSERT_TRUE(Put(backend_.get(), static_cast<uint32_t>(v),
+                      "k" + std::to_string(i),
+                      "v" + std::to_string(v) + "-" + std::to_string(i), 8)
                       .ok());
     }
   }
-  // The single-scan blobs must be byte-identical to what the per-vnode
-  // path produces — including for an owned-but-empty vnode (5) — so every
-  // downstream consumer (replication, handover ingest) is unaffected.
+  // Each blob must be byte-identical to the one-vnode extraction —
+  // including for an owned-but-empty vnode (5) — because every downstream
+  // consumer (replication, handover ingest, chain records) takes either.
   std::vector<uint32_t> owned = {0, 2, 4, 5};
   auto blobs = backend_->ExtractVnodeBlobs(owned);
   ASSERT_TRUE(blobs.ok());
@@ -397,6 +409,45 @@ TEST_F(LsmBackendTest, ExtractVnodeBlobsMatchesPerVnodeExtraction) {
   EXPECT_EQ(v, "v2-7");
 }
 
+// Extracting one vnode reads that vnode's blocks, not the store's. The
+// block cache is too small to hold the store, so every block a scan needs
+// is a read: one vnode's extraction must cost about its share of the
+// extraction of all sixteen.
+TEST_F(LsmBackendTest, OneVnodeExtractionReadsOnlyItsBlocks) {
+  constexpr uint32_t kVnodes = 16;
+  lsm::Options options;
+  options.block_cache = std::make_shared<lsm::BlockCache>(4 * 4096);
+  auto opened =
+      LsmStateBackend::Open(&env_, "/state/blocks", "op", 0, options);
+  ASSERT_TRUE(opened.ok());
+  LsmStateBackend* backend = opened->get();
+  std::vector<uint32_t> all;
+  for (uint32_t v = 0; v < kVnodes; ++v) {
+    std::vector<StateWrite> writes;
+    for (int i = 0; i < 200; ++i) {
+      writes.push_back(
+          {v, false, "k" + std::to_string(i), std::string(100, 'x'), 1});
+    }
+    ASSERT_TRUE(backend->ApplyBatch(writes).ok());
+    all.push_back(v);
+  }
+  ASSERT_TRUE(backend->db()->Flush().ok());
+  std::string value;
+  ASSERT_TRUE(backend->Get(0, "k0", &value).ok()) << "opens the table";
+
+  auto blocks_read_by = [&](const std::vector<uint32_t>& vnodes) {
+    const uint64_t before = backend->db()->sst_blocks_read();
+    EXPECT_TRUE(backend->ExtractVnodeBlobs(vnodes).ok());
+    return backend->db()->sst_blocks_read() - before;
+  };
+  const uint64_t all_blocks = blocks_read_by(all);
+  const uint64_t one_block_count = blocks_read_by({7});
+  EXPECT_GT(all_blocks, 4u * kVnodes) << "the store spans many blocks";
+  EXPECT_LE(one_block_count * kVnodes, 2 * all_blocks)
+      << "one vnode read " << one_block_count << " of " << all_blocks
+      << " blocks";
+}
+
 // ------------------------------------------------------ change capture
 
 /// The one-vnode blob of `v` (the replica's unit of state).
@@ -407,7 +458,7 @@ std::string VnodeBlob(LsmStateBackend* backend, uint32_t v) {
 }
 
 TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
-  ASSERT_TRUE(backend_->Put(1, "k", "v", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "k", "v", 1).ok());
   std::string run;
   EXPECT_FALSE(
       backend_->TakeChanges(ChangeReader::kStream, 1, &run).has_value())
@@ -417,14 +468,14 @@ TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
 
 TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
   for (const char* key : {"a", "c", "e"}) {
-    ASSERT_TRUE(backend_->Put(1, key, std::string(key) + "0", 1).ok());
+    ASSERT_TRUE(Put(backend_.get(), 1, key, std::string(key) + "0", 1).ok());
   }
   const std::string base = VnodeBlob(backend_.get(), 1);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
-  ASSERT_TRUE(backend_->Put(1, "b", "b1", 1).ok());
-  ASSERT_TRUE(backend_->Put(1, "a", "a1", 1).ok());
-  ASSERT_TRUE(backend_->Put(1, "b", "b2", 1).ok());
-  ASSERT_TRUE(backend_->Delete(1, "c", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "b", "b1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "a", "a1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 1, "b", "b2", 1).ok());
+  ASSERT_TRUE(Delete(backend_.get(), 1, "c", 1).ok());
   std::vector<StateWrite> writes;
   writes.push_back({1, false, "d", "d1", 1});
   writes.push_back({1, true, "a", "", 1});
@@ -451,9 +502,8 @@ TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
   const std::string base = VnodeBlob(backend_.get(), 3);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(backend_
-                    ->Put(3, "k" + std::to_string(i % 10), std::to_string(i),
-                          1)
+    ASSERT_TRUE(Put(backend_.get(), 3, "k" + std::to_string(i % 10),
+                    std::to_string(i), 1)
                     .ok());
   }
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 10u);
@@ -467,7 +517,7 @@ TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
 }
 
 TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
-  ASSERT_TRUE(backend_->Put(6, "x", "1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 6, "x", "1", 1).ok());
   auto blob = backend_->ExtractVnodes({6});
   ASSERT_TRUE(blob.ok());
   auto other = LsmStateBackend::Open(&env_, "/state/op-1", "op", 1);
@@ -477,8 +527,8 @@ TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
   EXPECT_EQ((*other)->CapturedKeys(ChangeReader::kStream), 0u)
       << "absorbed vnodes ship whole";
 
-  ASSERT_TRUE((*other)->Put(6, "y", "2", 1).ok());
-  ASSERT_TRUE((*other)->Put(7, "y", "2", 1).ok());
+  ASSERT_TRUE(Put(other->get(), 6, "y", "2", 1).ok());
+  ASSERT_TRUE(Put(other->get(), 7, "y", "2", 1).ok());
   ASSERT_TRUE((*other)->DropVnodes({6}).ok());
   EXPECT_EQ((*other)->CapturedKeys(ChangeReader::kStream), 1u)
       << "dropped vnodes ship as tombstones";
@@ -489,16 +539,18 @@ TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
 
 TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
   for (const char* key : {"b", "d", "f"}) {
-    ASSERT_TRUE(backend_->Put(4, key, std::string("old-") + key, 4).ok());
+    ASSERT_TRUE(
+        Put(backend_.get(), 4, key, std::string("old-") + key, 4).ok());
   }
   const std::string before = VnodeBlob(backend_.get(), 4);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
-  ASSERT_TRUE(backend_->Put(4, "a", "new-a", 4).ok());  // before every entry
-  ASSERT_TRUE(backend_->Put(4, "d", "new-d", 0).ok());  // overwrite
-  ASSERT_TRUE(backend_->Delete(4, "b", 4).ok());        // erase
-  ASSERT_TRUE(backend_->Put(4, "e", "new-e", 4).ok());  // in between
-  ASSERT_TRUE(backend_->Put(4, "g", "new-g", 4).ok());  // after every entry
-  ASSERT_TRUE(backend_->Delete(4, "zz", 0).ok());       // absent key
+  StateBackend* b = backend_.get();
+  ASSERT_TRUE(Put(b, 4, "a", "new-a", 4).ok());  // before every entry
+  ASSERT_TRUE(Put(b, 4, "d", "new-d", 0).ok());  // overwrite
+  ASSERT_TRUE(Delete(b, 4, "b", 4).ok());        // erase
+  ASSERT_TRUE(Put(b, 4, "e", "new-e", 4).ok());  // in between
+  ASSERT_TRUE(Put(b, 4, "g", "new-g", 4).ok());  // after every entry
+  ASSERT_TRUE(Delete(b, 4, "zz", 0).ok());       // absent key
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 4, &run), 6u);
   auto merged = LsmStateBackend::MergeChangesIntoBlob(before, run,
@@ -540,9 +592,10 @@ TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
     for (int i = 0; i < writes; ++i) {
       const std::string key = "k" + std::to_string(next() % 200);
       if (next() % 4 == 0) {
-        ASSERT_TRUE(backend_->Delete(9, key, 1).ok());
+        ASSERT_TRUE(Delete(backend_.get(), 9, key, 1).ok());
       } else {
-        ASSERT_TRUE(backend_->Put(9, key, std::to_string(next()), 1).ok());
+        ASSERT_TRUE(
+            Put(backend_.get(), 9, key, std::to_string(next()), 1).ok());
       }
     }
     std::string run;
@@ -560,15 +613,15 @@ TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
   const std::string base = VnodeBlob(backend_.get(), 5);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   backend_->SetChangeCapture(ChangeReader::kCheckpoint, true);
-  ASSERT_TRUE(backend_->Put(5, "a", "a1", 1).ok());
-  ASSERT_TRUE(backend_->Put(5, "b", "b1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "a", "a1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "b", "b1", 1).ok());
 
   // A stream take leaves the checkpoint reader's changes in place...
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 5, &run), 2u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 0u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 2u);
-  ASSERT_TRUE(backend_->Put(5, "c", "c1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "c", "c1", 1).ok());
   // ...and the reverse: each reader's run spans its own last take.
   std::string ckpt_run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kCheckpoint, 5, &ckpt_run),
@@ -580,14 +633,14 @@ TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
   EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 5));
 
   // Discarding one reader's changes leaves the other's.
-  ASSERT_TRUE(backend_->Put(5, "d", "d1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "d", "d1", 1).ok());
   backend_->DiscardChanges(ChangeReader::kCheckpoint, {5});
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 0u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 2u);
 
   // DropVnodes discards both readers' changes of the dropped vnode.
-  ASSERT_TRUE(backend_->Put(5, "e", "e1", 1).ok());
-  ASSERT_TRUE(backend_->Put(6, "e", "e1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 5, "e", "e1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 6, "e", "e1", 1).ok());
   ASSERT_TRUE(backend_->DropVnodes({5}).ok());
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 1u);
@@ -596,7 +649,7 @@ TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
   backend_->SetChangeCapture(ChangeReader::kStream, false);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 0u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 1u);
-  ASSERT_TRUE(backend_->Put(6, "f", "f1", 1).ok());
+  ASSERT_TRUE(Put(backend_.get(), 6, "f", "f1", 1).ok());
   EXPECT_FALSE(
       backend_->TakeChanges(ChangeReader::kStream, 6, &run).has_value());
   EXPECT_EQ(backend_->TakeChanges(ChangeReader::kCheckpoint, 6, &run), 2u);
@@ -709,7 +762,7 @@ TEST(ModeledBackendTest, ValueOperationsAreNotSupported) {
   ModeledStateBackend backend("op", 0);
   std::string v;
   EXPECT_EQ(backend.Get(1, "k", &v).code(), StatusCode::kNotSupported);
-  EXPECT_TRUE(backend.ScanVnode(1)->empty());
+  EXPECT_TRUE(backend.ScanPrefix(1, "")->empty());
 }
 
 }  // namespace
