@@ -52,13 +52,16 @@ GUARDED = [
     ("micro_lsm", "mt_put_speedup_4t_ok"),
     # Pipelined data plane: ingest throughput under emulated service
     # latency, WAL appends per applied record (a node commits each
-    # sub-batch as one WAL record; lower is better, exact), the credit
-    # window must really fill (window 16 keeps nodes x 16 batches in
-    # flight), an incremental checkpoint's bytes must not grow with the
-    # state (the same keys written at every size), and the
+    # sub-batch as one WAL record; lower is better, exact), the data
+    # path's bytes per record (the driver's kProcessBatch requests and
+    # replies over the records they carry; lower is better, exact), the
+    # credit window must really fill (window 16 keeps nodes x 16 batches
+    # in flight), an incremental checkpoint's bytes must not grow with
+    # the state (the same keys written at every size), and the
     # kill/recover/replay audit must stay exactly-once.
     ("dist_pipeline", "throughput_records_per_s.pipelined"),
     ("dist_pipeline", "wal_appends_per_record.pipelined_raw"),
+    ("dist_pipeline", "bytes_per_record.data_path"),
     ("dist_pipeline", "window_fills_ok"),
     ("dist_pipeline", "checkpoint_bytes_flat_ok"),
     ("dist_pipeline", "exactly_once_ok"),
@@ -103,13 +106,19 @@ REPORT_ONLY = [
     ("micro_lsm", "mt_write_stall_ms.*"),
     ("micro_lsm", "mt_put_speedup_4t"),
     ("micro_lsm", "hardware_threads"),
+    # Vnode extract/ingest in entries/s, beside the MB/s keys (the guarded
+    # ingest MB/s reads lower when a blob spends fewer bytes per entry).
+    ("micro_lsm", "throughput_*_vnodes_entries_per_s"),
     # Pipelined data plane: absolute throughputs other than the guarded
     # pipelined headline (the window sweep is exploratory), the window 16
     # over window 1 speedup (1.0-1.3x at smoke scale, too thin for a wall
     # gate), millisecond-scale checkpoint walls, which are too
     # scheduler-noisy on small hosts to gate as percentages, and the
-    # checkpoint byte curve (its flatness is the guarded boolean).
+    # checkpoint byte curve (its flatness is the guarded boolean). The
+    # replication stream's bytes per record depend on how many writes of
+    # a key one delta coalesces, which is timing.
     ("dist_pipeline", "throughput_records_per_s.*"),
+    ("dist_pipeline", "bytes_per_record.replication"),
     ("dist_pipeline", "window_speedup"),
     ("dist_pipeline", "checkpoint_wall_s.*"),
     ("dist_pipeline", "checkpoint_growth.*"),

@@ -33,7 +33,6 @@
 // replica holder took the replica path with no state blobs on the wire,
 // and the move to the cold target took the full path.
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -47,6 +46,7 @@
 #include "broker/broker.h"
 #include "common/logging.h"
 #include "common/units.h"
+#include "counting_transport.h"
 #include "lsm/env.h"
 #include "metrics/table.h"
 #include "net/driver.h"
@@ -65,50 +65,6 @@ using Clock = std::chrono::steady_clock;
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
-
-/// Counts the request and reply bytes of every call but the bench's own
-/// kStats polls, and keeps the last kExtractVnodes reply.
-class CountingTransport : public Transport {
- public:
-  explicit CountingTransport(Transport* inner) : inner_(inner) {}
-
-  Status Call(const std::string& endpoint, MessageType type,
-              std::string_view body, std::string* reply_body) override {
-    std::string reply;
-    Status st = inner_->Call(endpoint, type, body, &reply);
-    Count(type, body.size() + reply.size());
-    if (type == MessageType::kExtractVnodes) last_extract_reply = reply;
-    if (reply_body != nullptr) *reply_body = std::move(reply);
-    return st;
-  }
-
-  Status CallAsync(const std::string& endpoint, MessageType type,
-                   std::string body, AsyncCallback cb) override {
-    const size_t request = body.size();
-    return inner_->CallAsync(
-        endpoint, type, std::move(body),
-        [this, type, request, cb](Status st, std::string reply) {
-          Count(type, request + reply.size());
-          cb(st, std::move(reply));
-        });
-  }
-
-  void Forget(const std::string& endpoint) override {
-    inner_->Forget(endpoint);
-  }
-
-  uint64_t bytes() const { return bytes_.load(); }
-  /// Driver thread only.
-  std::string last_extract_reply;
-
- private:
-  void Count(MessageType type, size_t bytes) {
-    if (type != MessageType::kStats) bytes_.fetch_add(bytes);
-  }
-
-  Transport* inner_;
-  std::atomic<uint64_t> bytes_{0};
-};
 
 uint64_t NodeCounter(const std::string& name, uint32_t node,
                      const std::string& key = "",
@@ -187,7 +143,7 @@ void Run(bench::BenchArtifact* artifact) {
   }
   RHINO_CHECK_OK(env.CreateDir(root + "/ckpt"));
 
-  CountingTransport counted(&transport);
+  bench::CountingTransport counted(&transport);
   ClusterDriver driver(&counted, endpoints);
   RHINO_CHECK_OK(driver.ConnectAll());
   RHINO_CHECK_OK(driver.AddOperator(kOp, kNumVnodes));

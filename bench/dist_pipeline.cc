@@ -35,11 +35,14 @@
 // no replication stream competes with the pump.
 //
 // Guarded keys: pipelined ingest throughput, WAL appends per record of the
-// raw ingest (one commit per node sub-batch, not per record), the
-// window-fill boolean (at window 16 the pump really keeps nodes x 16
-// batches in flight), the flat-checkpoint boolean (incremental checkpoint
-// bytes do not grow with the state) and the exactly-once boolean. Wall
-// seconds, checkpoint bytes and the window speedup stay report-only.
+// raw ingest (one commit per node sub-batch, not per record), the data
+// path's bytes per record (the driver's kProcessBatch requests and
+// replies, exact), the window-fill boolean (at window 16 the pump really
+// keeps nodes x 16 batches in flight), the flat-checkpoint boolean
+// (incremental checkpoint bytes do not grow with the state) and the
+// exactly-once boolean. Wall seconds, checkpoint bytes, the replication
+// stream's bytes per record (coalescing deltas depends on timing) and the
+// window speedup stay report-only.
 
 #include <chrono>
 #include <cstdio>
@@ -54,6 +57,7 @@
 #include "broker/broker.h"
 #include "common/logging.h"
 #include "common/units.h"
+#include "counting_transport.h"
 #include "lsm/env.h"
 #include "metrics/table.h"
 #include "net/driver.h"
@@ -94,7 +98,8 @@ PipelinedChannelOptions FastChannelOptions() {
 struct PipelineCluster {
   lsm::PosixEnv* env;
   std::string root;
-  TcpTransport transport;  ///< the driver's
+  TcpTransport transport;  ///< the driver's, behind `counted`
+  bench::CountingTransport counted{&transport};
   /// One per node: a node's replication stream must not share a
   /// serially-served connection with the driver's checkpoint barrier.
   std::vector<std::unique_ptr<TcpTransport>> node_transports;
@@ -135,7 +140,7 @@ struct PipelineCluster {
     }
     DriverOptions driver_options;
     driver_options.credit_window = credit_window;
-    driver = std::make_unique<ClusterDriver>(&transport, endpoints,
+    driver = std::make_unique<ClusterDriver>(&counted, endpoints,
                                              /*obs=*/nullptr, driver_options);
     RHINO_CHECK_OK(driver->ConnectAll());
     RHINO_CHECK_OK(driver->AddOperator(kOp, kNumVnodes));
@@ -207,16 +212,39 @@ uint64_t WalAppends() {
       ->value();
 }
 
+/// Stream bytes every node shipped so far, over all clusters of the run
+/// (node ids repeat across clusters, so callers take differences).
+uint64_t ShippedBytes() {
+  uint64_t total = 0;
+  for (uint32_t node = 0; node < kNumNodes; ++node) {
+    total += obs::Observability::Default()
+                 ->metrics()
+                 .GetCounter("rhino_repl_shipped_bytes_total",
+                             {{"node", std::to_string(node)}})
+                 ->value();
+  }
+  return total;
+}
+
+/// Bytes one ingest put on the wire per applied record.
+struct IngestBytes {
+  double data_path = 0;    ///< the driver's kProcessBatch requests + replies
+  double replication = 0;  ///< the nodes' replication stream deltas
+};
+
 /// Ingest throughput of one fresh cluster. The headline runs without
 /// replication so it isolates the data plane (the stream's cost shows up
 /// in `throughput_records_per_s.pipelined_repl` and the checkpoint phase
-/// instead).
+/// instead). `bytes_out` gets the bytes per record over every pass, the
+/// stream's counted once it drained.
 double MeasureIngest(lsm::PosixEnv* env, const std::string& parent,
                      const std::string& tag, bool replicate,
                      uint32_t credit_window, int apply_delay_us, int waves,
-                     uint64_t keys, PumpStats* stats_out = nullptr) {
+                     uint64_t keys, PumpStats* stats_out = nullptr,
+                     IngestBytes* bytes_out = nullptr) {
   PipelineCluster cluster(env, parent, tag, replicate, credit_window,
                           apply_delay_us);
+  const uint64_t shipped_before = ShippedBytes();
   // Best of three passes over the same cluster (fresh offsets each time):
   // single-core scheduler noise swings individual pumps by ~15%, too much
   // for the gated headline.
@@ -228,6 +256,17 @@ double MeasureIngest(lsm::PosixEnv* env, const std::string& parent,
       best = tput;
       if (stats_out != nullptr) *stats_out = stats;
     }
+  }
+  if (bytes_out != nullptr) {
+    if (replicate) cluster.WaitReplIdle();
+    const double records =
+        static_cast<double>(kIngestPasses) * waves * static_cast<double>(keys);
+    bytes_out->data_path =
+        static_cast<double>(
+            cluster.counted.bytes(MessageType::kProcessBatch)) /
+        records;
+    bytes_out->replication =
+        static_cast<double>(ShippedBytes() - shipped_before) / records;
   }
   return best;
 }
@@ -313,10 +352,11 @@ void Run(bench::BenchArtifact* artifact) {
   // `_raw` run repeats it at zero emulated latency, where the host is
   // purely CPU-bound; `_repl` keeps the replication stream running.
   PumpStats pipelined_stats;
+  IngestBytes pipelined_bytes, repl_bytes;
   double pipelined_tput =
       MeasureIngest(&env, root, "pipelined", /*replicate=*/false,
                     /*credit_window=*/16, kServiceDelayUs, waves, keys,
-                    &pipelined_stats);
+                    &pipelined_stats, &pipelined_bytes);
   // The raw run also counts WAL commits per applied record: each node
   // commits a sub-batch as one WAL record, so this is about one over the
   // records per node sub-batch (exact; a per-record commit reads 1.0).
@@ -330,7 +370,8 @@ void Run(bench::BenchArtifact* artifact) {
       static_cast<double>(WalAppends() - wal_appends_before) / raw_records;
   double repl_tput =
       MeasureIngest(&env, root, "pipelined_repl", /*replicate=*/true,
-                    /*credit_window=*/16, kServiceDelayUs, waves, keys);
+                    /*credit_window=*/16, kServiceDelayUs, waves, keys,
+                    /*stats_out=*/nullptr, &repl_bytes);
   table.AddRow({"ingest", std::to_string(pipelined_tput) + " rec/s",
                 std::to_string(waves) + " waves x " + std::to_string(keys) +
                     " keys, " + std::to_string(kServiceDelayUs) +
@@ -344,11 +385,18 @@ void Run(bench::BenchArtifact* artifact) {
                     " WAL appends per record"});
   table.AddRow({"ingest + replication", std::to_string(repl_tput) + " rec/s",
                 "continuous replication streaming during ingest"});
+  table.AddRow({"bytes per record",
+                std::to_string(pipelined_bytes.data_path) + " / " +
+                    std::to_string(repl_bytes.replication) + " B",
+                "data path (batch requests + replies) / replication "
+                "stream"});
   artifact->Set("throughput_records_per_s.pipelined", pipelined_tput);
   artifact->Set("throughput_records_per_s.pipelined_raw", pipelined_raw);
   artifact->Set("wal_appends_per_record.pipelined_raw",
                 wal_appends_per_record);
   artifact->Set("throughput_records_per_s.pipelined_repl", repl_tput);
+  artifact->Set("bytes_per_record.data_path", pipelined_bytes.data_path);
+  artifact->Set("bytes_per_record.replication", repl_bytes.replication);
   artifact->Set("service_delay_us", kServiceDelayUs);
   artifact->Set("max_inflight.pipelined",
                 static_cast<double>(pipelined_stats.max_inflight));
@@ -525,7 +573,8 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->SetInfo("transport", "tcp (loopback)");
   artifact->SetInfo("regression_gate",
                     "throughput_records_per_s.pipelined, "
-                    "wal_appends_per_record.pipelined_raw, window_fills_ok, "
+                    "wal_appends_per_record.pipelined_raw, "
+                    "bytes_per_record.data_path, window_fills_ok, "
                     "checkpoint_bytes_flat_ok, exactly_once_ok");
 
   std::error_code ec;

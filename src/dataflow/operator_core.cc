@@ -36,7 +36,7 @@ std::string EncodeU64Key(uint64_t key) {
 }
 
 /// Stored count of `key` in `vnode`; nullopt when the key was never
-/// counted.
+/// counted. The stored value is the count's varint and nothing else.
 Result<std::optional<uint64_t>> LoadKeyedCount(state::StateBackend* backend,
                                                uint32_t vnode, uint64_t key) {
   std::string stored;
@@ -45,7 +45,10 @@ Result<std::optional<uint64_t>> LoadKeyedCount(state::StateBackend* backend,
   RHINO_RETURN_NOT_OK(st);
   BinaryReader reader(stored);
   uint64_t count = 0;
-  RHINO_RETURN_NOT_OK(reader.GetU64(&count));
+  RHINO_RETURN_NOT_OK(reader.GetVarint(&count));
+  if (!reader.AtEnd()) {
+    return Status::Corruption("trailing bytes after a stored count");
+  }
   return std::optional<uint64_t>(count);
 }
 
@@ -93,7 +96,7 @@ class KeyedCounterCore final : public StatefulOperatorCore {
     for (const Counted& c : counted) {
       std::string value;
       BinaryWriter writer(&value);
-      writer.PutU64(c.count);
+      writer.PutVarint(c.count);
       // RMW: 16 nominal bytes per key (key + counter), charged when the
       // key first enters the state — the paper's "read-modify-write state
       // update pattern".

@@ -30,7 +30,9 @@ namespace rhino::dataflow {
 /// Operator kinds that can be hosted anywhere (the operator-spec wire
 /// codec carries this byte; values are part of the wire format).
 enum class OperatorKind : uint8_t {
-  kKeyedCounter = 1,       ///< RMW running count per key (NBQ5-like)
+  /// RMW running count per key (NBQ5-like). State: the key's 8-byte
+  /// big-endian form -> the count as a varint, nothing after it.
+  kKeyedCounter = 1,
   kSymmetricHashJoin = 2,  ///< two-input append + probe (NBQ8-like)
   kModeledState = 3,       ///< statistical state model (TB-scale sim)
 };
@@ -130,7 +132,8 @@ Result<std::unique_ptr<StatefulOperatorCore>> MakeOperatorCore(
     const OperatorSpec& spec, uint64_t owner_tag);
 
 /// Current count of `key` in `vnode`; 0 when the key was never counted.
-/// The keyed counter's read kernel, shared by its query path.
+/// The keyed counter's read kernel, shared by its query path. A stored
+/// value that is not exactly one varint is Corruption.
 Result<uint64_t> ReadKeyedCount(state::StateBackend* backend, uint32_t vnode,
                                 uint64_t key);
 

@@ -30,19 +30,27 @@ Status CheckVersion(BinaryReader* r, const char* what) {
   return Status::OK();
 }
 
+// Minimum encoded sizes of repeated elements, which bound every decoded
+// element count (`BinaryReader::GetCount`) before anything is reserved.
+constexpr size_t kMinVnodeBytes = 1;        // varint vnode
+constexpr size_t kMinVnodeSeqBytes = 2;     // varint vnode | varint seq
+constexpr size_t kMinRecordBytes = 4;       // key | time | size | payload
+constexpr size_t kMinMoveBytes = 4 + 4 + 1; // origin | target | vnode count
+constexpr size_t kMinReplicatedVnodeBytes = 4;  // vnode | base | keys | run
+
 void PutVnodes(BinaryWriter* w, const std::vector<uint32_t>& vnodes) {
   w->PutVarint(vnodes.size());
-  for (uint32_t v : vnodes) w->PutU32(v);
+  for (uint32_t v : vnodes) w->PutVarint(v);
 }
 
 Status GetVnodes(BinaryReader* r, std::vector<uint32_t>* vnodes) {
   uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r->GetVarint(&n));
+  RHINO_RETURN_NOT_OK(r->GetCount(kMinVnodeBytes, &n));
   vnodes->clear();
   vnodes->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     uint32_t v = 0;
-    RHINO_RETURN_NOT_OK(r->GetU32(&v));
+    RHINO_RETURN_NOT_OK(r->GetVarint32(&v));
     vnodes->push_back(v);
   }
   return Status::OK();
@@ -51,20 +59,20 @@ Status GetVnodes(BinaryReader* r, std::vector<uint32_t>* vnodes) {
 void PutVnodeSeqs(BinaryWriter* w, const VnodeSeqs& seqs) {
   w->PutVarint(seqs.size());
   for (const auto& [vnode, seq] : seqs) {
-    w->PutU32(vnode);
-    w->PutU64(seq);
+    w->PutVarint(vnode);
+    w->PutVarint(seq);
   }
 }
 
 Status GetVnodeSeqs(BinaryReader* r, VnodeSeqs* seqs) {
   uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r->GetVarint(&n));
+  RHINO_RETURN_NOT_OK(r->GetCount(kMinVnodeSeqBytes, &n));
   seqs->clear();
   for (uint64_t i = 0; i < n; ++i) {
     uint32_t vnode = 0;
     uint64_t seq = 0;
-    RHINO_RETURN_NOT_OK(r->GetU32(&vnode));
-    RHINO_RETURN_NOT_OK(r->GetU64(&seq));
+    RHINO_RETURN_NOT_OK(r->GetVarint32(&vnode));
+    RHINO_RETURN_NOT_OK(r->GetVarint(&seq));
     (*seqs)[vnode] = seq;
   }
   return Status::OK();
@@ -166,17 +174,23 @@ Result<ReplyEnvelope> ReplyEnvelope::Decode(std::string_view data) {
 
 void EncodeBatch(const dataflow::Batch& batch, std::string* out) {
   BinaryWriter w(out);
-  w.PutI64(batch.create_time);
-  w.PutU64(batch.count);
-  w.PutU64(batch.bytes);
-  w.PutI64(batch.source_id);
-  w.PutU64(batch.source_offset);
+  w.PutZigzag(batch.create_time);
+  w.PutVarint(batch.count);
+  w.PutVarint(batch.bytes);
+  w.PutZigzag(batch.source_id);
+  w.PutVarint(batch.source_offset);
   w.PutVarint(batch.records.size());
+  // A record's event time travels as its difference from the previous
+  // record's (the first one's from `create_time`), in wrapping unsigned
+  // arithmetic so no difference overflows.
+  uint64_t previous = static_cast<uint64_t>(batch.create_time);
   for (const auto& rec : batch.records) {
-    w.PutU64(rec.key);
-    w.PutI64(rec.event_time);
-    w.PutU32(rec.size);
+    const uint64_t time = static_cast<uint64_t>(rec.event_time);
+    w.PutVarint(rec.key);
+    w.PutZigzag(static_cast<int64_t>(time - previous));
+    w.PutVarint(rec.size);
     w.PutString(rec.payload);
+    previous = time;
   }
   // Modeled-mode slices do not cross the wire: the networked runtime
   // always runs in real (record-carrying) mode.
@@ -185,27 +199,25 @@ void EncodeBatch(const dataflow::Batch& batch, std::string* out) {
 Result<dataflow::Batch> DecodeBatch(std::string_view data) {
   BinaryReader r(data);
   dataflow::Batch batch;
-  RHINO_RETURN_NOT_OK(r.GetI64(&batch.create_time));
-  RHINO_RETURN_NOT_OK(r.GetU64(&batch.count));
-  RHINO_RETURN_NOT_OK(r.GetU64(&batch.bytes));
+  RHINO_RETURN_NOT_OK(r.GetZigzag(&batch.create_time));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&batch.count));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&batch.bytes));
   int64_t source_id = 0;
-  RHINO_RETURN_NOT_OK(r.GetI64(&source_id));
+  RHINO_RETURN_NOT_OK(r.GetZigzag(&source_id));
   batch.source_id = static_cast<int>(source_id);
-  RHINO_RETURN_NOT_OK(r.GetU64(&batch.source_offset));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&batch.source_offset));
   uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r.GetVarint(&n));
-  // Record count bounded by the remaining bytes (each record is >= 21
-  // bytes encoded) so a corrupt varint cannot force a huge allocation.
-  if (n > r.remaining()) {
-    return Status::Corruption("batch record count " + std::to_string(n) +
-                              " exceeds payload size");
-  }
+  RHINO_RETURN_NOT_OK(r.GetCount(kMinRecordBytes, &n));
   batch.records.reserve(n);
+  uint64_t previous = static_cast<uint64_t>(batch.create_time);
   for (uint64_t i = 0; i < n; ++i) {
     dataflow::Record rec;
-    RHINO_RETURN_NOT_OK(r.GetU64(&rec.key));
-    RHINO_RETURN_NOT_OK(r.GetI64(&rec.event_time));
-    RHINO_RETURN_NOT_OK(r.GetU32(&rec.size));
+    int64_t delta = 0;
+    RHINO_RETURN_NOT_OK(r.GetVarint(&rec.key));
+    RHINO_RETURN_NOT_OK(r.GetZigzag(&delta));
+    previous += static_cast<uint64_t>(delta);
+    rec.event_time = static_cast<int64_t>(previous);
+    RHINO_RETURN_NOT_OK(r.GetVarint32(&rec.size));
     RHINO_RETURN_NOT_OK(r.GetString(&rec.payload));
     batch.records.push_back(std::move(rec));
   }
@@ -235,10 +247,7 @@ Result<dataflow::HandoverSpec> DecodeHandoverSpec(std::string_view data) {
   RHINO_RETURN_NOT_OK(r.GetU8(&origin_failed));
   spec.origin_failed = origin_failed != 0;
   uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r.GetVarint(&n));
-  if (n > r.remaining()) {
-    return Status::Corruption("handover move count exceeds payload size");
-  }
+  RHINO_RETURN_NOT_OK(r.GetCount(kMinMoveBytes, &n));
   spec.moves.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     dataflow::HandoverMove move;
@@ -392,8 +401,8 @@ Result<ProcessBatchRequest> ProcessBatchRequest::Decode(std::string_view data) {
 
 void ProcessBatchReply::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
-  w.PutU64(applied);
-  w.PutU64(deduped);
+  w.PutVarint(applied);
+  w.PutVarint(deduped);
   PutVnodes(&w, applied_vnodes);
   w.PutString(outputs);
 }
@@ -401,8 +410,8 @@ void ProcessBatchReply::EncodeTo(std::string* out) const {
 Result<ProcessBatchReply> ProcessBatchReply::Decode(std::string_view data) {
   BinaryReader r(data);
   ProcessBatchReply rep;
-  RHINO_RETURN_NOT_OK(r.GetU64(&rep.applied));
-  RHINO_RETURN_NOT_OK(r.GetU64(&rep.deduped));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&rep.applied));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&rep.deduped));
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &rep.applied_vnodes));
   RHINO_RETURN_NOT_OK(r.GetString(&rep.outputs));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "process-batch reply"));
@@ -497,8 +506,8 @@ void ReplicateStateRequest::EncodeTo(std::string* out) const {
   PutVnodes(&w, dropped_vnodes);
   w.PutVarint(vnodes.size());
   for (const ReplicatedVnode& v : vnodes) {
-    w.PutU32(v.vnode);
-    w.PutU64(v.base_seq);
+    w.PutVarint(v.vnode);
+    w.PutVarint(v.base_seq);
     w.PutU8(v.keys);
     w.PutString(v.changes);
   }
@@ -513,17 +522,12 @@ Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
   RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
   RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.dropped_vnodes));
-  // The count is bounded by the remaining bytes (an encoded vnode takes at
-  // least 14) so a corrupt varint cannot force a huge allocation.
   uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r.GetVarint(&n));
-  if (n > r.remaining() / 14) {
-    return Status::Corruption("replicated vnode count exceeds payload size");
-  }
+  RHINO_RETURN_NOT_OK(r.GetCount(kMinReplicatedVnodeBytes, &n));
   req.vnodes.resize(n);
   for (ReplicatedVnode& v : req.vnodes) {
-    RHINO_RETURN_NOT_OK(r.GetU32(&v.vnode));
-    RHINO_RETURN_NOT_OK(r.GetU64(&v.base_seq));
+    RHINO_RETURN_NOT_OK(r.GetVarint32(&v.vnode));
+    RHINO_RETURN_NOT_OK(r.GetVarint(&v.base_seq));
     RHINO_RETURN_NOT_OK(r.GetU8(&v.keys));
     RHINO_RETURN_NOT_OK(r.GetString(&v.changes));
   }

@@ -22,7 +22,8 @@
 /// shared with the LSM on-disk structures; every `Decode` returns
 /// `Corruption` on truncated or trailing bytes instead of crashing — the
 /// payload may have arrived from a byte stream in an arbitrary failure
-/// state.
+/// state. Every decoded element count is bounded by the bytes left over
+/// the element's minimum encoded size before anything is reserved.
 
 namespace rhino::net {
 
@@ -63,7 +64,16 @@ const char* MessageTypeName(MessageType type);
 /// since `base_seq`; `kExtractVnodes` and `kIngestVnodes` carry a
 /// replica-local flag and per-vnode stream seqs, and the extract reply
 /// became `ExtractVnodesReply`.
-constexpr uint8_t kWireVersion = 4;
+/// Version 5 made the encodings compact. A batch's header fields and each
+/// record's key, size and payload length are varints, and a record's event
+/// time is the zigzag varint of its difference from the previous record's
+/// (the first record's from `create_time`). Vnode ids in every vnode list
+/// and vnode->seq map, `ReplicatedVnode::vnode` and `base_seq`, and
+/// `ProcessBatchReply`'s counts are varints, as is every integer of an
+/// encoded `ReplicaState` (ids, file and vnode sizes, watermarks). State
+/// entries, in blobs and change runs alike, are prefix-coded against the
+/// previous key of their vnode (`state::EntryWriter`).
+constexpr uint8_t kWireVersion = 5;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on

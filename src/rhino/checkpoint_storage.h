@@ -120,12 +120,15 @@ std::map<uint32_t, std::string> CaptureVnodeBlobs(
 // chain file on an `lsm::Env` — the shared checkpoint directory standing
 // in for a DFS. A chain starts with a whole record, the vnode's blob, and
 // each later checkpoint appends a key record: the keys written since the
-// previous record, as one change run of `StateBackend::TakeChanges`. Every
-// record carries the vnode's nominal size and replay watermarks, so the
-// chain folds to one consistent snapshot. Records are framed (checksum +
-// length, the WAL idiom): a torn append from a SIGKILL mid-checkpoint
-// loses only the torn record, and the chain still folds to the state of
-// its last complete one.
+// previous record, as one change run of `StateBackend::TakeChanges`. Both
+// bodies hold the same prefix-coded entries (`state::EntryWriter`); the
+// run's may be tombstones. Every record carries the vnode's nominal size
+// and replay watermarks, so the chain folds to one consistent snapshot.
+// A record's payload is `u8 kind | varint checkpoint id | varint nominal
+// bytes | varint watermark count | (varint source | varint offset)... |
+// body`. Records are framed (checksum + length, the WAL idiom): a torn
+// append from a SIGKILL mid-checkpoint loses only the torn record, and
+// the chain still folds to the state of its last complete one.
 
 /// One record of a vnode's checkpoint chain.
 struct ChainRecord {

@@ -7,6 +7,62 @@
 
 namespace rhino::state {
 
+void EntryWriter::PutKey(std::string_view key) {
+  const size_t limit = std::min(last_.size(), key.size());
+  size_t shared = 0;
+  while (shared < limit && last_[shared] == key[shared]) ++shared;
+  BinaryWriter w(out_);
+  w.PutVarint(shared);
+  w.PutVarint(key.size() - shared);
+  out_->append(key.substr(shared));
+  last_.assign(key);
+}
+
+void EntryWriter::Put(std::string_view key, std::string_view value) {
+  PutKey(key);
+  BinaryWriter w(out_);
+  w.PutVarint(value.size() + 1);
+  out_->append(value);
+}
+
+void EntryWriter::Delete(std::string_view key) {
+  PutKey(key);
+  BinaryWriter(out_).PutVarint(0);
+}
+
+Status EntryReader::Peek() {
+  // Raw pointers rather than a BinaryReader: this runs once per entry of
+  // every merge, ingest and decode.
+  const char* p = data_.data() + pos_;
+  const char* const end = data_.data() + data_.size();
+  uint64_t shared = 0, unshared = 0, value_field = 0;
+  p = DecodeVarint(p, end, &shared);
+  if (p != nullptr) p = DecodeVarint(p, end, &unshared);
+  if (p == nullptr || unshared > static_cast<uint64_t>(end - p)) {
+    return Status::Corruption("truncated state entry");
+  }
+  if (shared > key_.size()) {
+    return Status::Corruption("state entry shares more than its previous key");
+  }
+  shared_ = shared;
+  suffix_ = std::string_view(p, unshared);
+  p = DecodeVarint(p + unshared, end, &value_field);
+  if (p == nullptr ||
+      (value_field != 0 && value_field - 1 > static_cast<uint64_t>(end - p))) {
+    return Status::Corruption("truncated state entry");
+  }
+  tombstone_ = value_field == 0;
+  value_ = tombstone_ ? std::string_view() : std::string_view(p, value_field - 1);
+  next_ = static_cast<size_t>(p + value_.size() - data_.data());
+  return Status::OK();
+}
+
+void EntryReader::Take() {
+  key_.resize(shared_ + suffix_.size());
+  std::memcpy(key_.data() + shared_, suffix_.data(), suffix_.size());
+  pos_ = next_;
+}
+
 Result<std::unique_ptr<LsmStateBackend>> LsmStateBackend::Open(
     lsm::Env* env, std::string dir, std::string operator_name,
     uint32_t instance_id, lsm::Options options) {
@@ -137,9 +193,9 @@ Result<std::string> LsmStateBackend::ExtractVnodes(
     uint64_t count = 0;
     RHINO_ASSIGN_OR_RETURN(
         auto it, db_->NewIterator(EncodeKey(v, ""), EncodeKey(v + 1, "")));
+    EntryWriter entries(&blob);
     for (; it.Valid(); it.Next()) {
-      w.PutString(std::string_view(it.key()).substr(4));
-      w.PutString(it.value());
+      entries.Put(std::string_view(it.key()).substr(4), it.value());
       ++count;
     }
     std::memcpy(blob.data() + count_offset, &count, sizeof(count));
@@ -163,16 +219,20 @@ Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {
     RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
     RHINO_RETURN_NOT_OK(r.GetU64(&nominal));
     RHINO_RETURN_NOT_OK(r.GetU64(&count));
+    EntryReader entries(blob.substr(r.position()));
     for (uint64_t e = 0; e < count; ++e) {
-      std::string_view key, value;
-      RHINO_RETURN_NOT_OK(r.GetString(&key));
-      RHINO_RETURN_NOT_OK(r.GetString(&value));
-      batch.Put(EncodeKey(vnode, key), value);
+      RHINO_RETURN_NOT_OK(entries.Next());
+      if (entries.is_tombstone()) {
+        return Status::Corruption("tombstone inside a vnode blob");
+      }
+      batch.Put(EncodeKey(vnode, entries.key()), entries.value());
       if (batch.ApproximateBytes() >= kIngestCommitBytes) {
         RHINO_RETURN_NOT_OK(db_->Write(batch));
         batch.Clear();
       }
     }
+    std::string_view vnode_entries;  // steps past them to the next vnode
+    RHINO_RETURN_NOT_OK(r.GetBytes(entries.position(), &vnode_entries));
     vnode_bytes_[vnode] += nominal;
   }
   return db_->Write(batch);
@@ -246,11 +306,13 @@ std::optional<uint64_t> LsmStateBackend::TakeChanges(ChangeReader reader,
   for (const auto& [key, write] : it->second) order.emplace_back(&key, &write);
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  BinaryWriter w(run);
+  EntryWriter entries(run);
   for (const auto& [key, write] : order) {
-    w.PutU8(write->is_delete ? 1 : 0);
-    w.PutString(*key);
-    if (!write->is_delete) w.PutString(write->value);
+    if (write->is_delete) {
+      entries.Delete(*key);
+    } else {
+      entries.Put(*key, write->value);
+    }
   }
   const uint64_t keys = it->second.size();
   capture.Discard(vnode);
@@ -281,30 +343,24 @@ Result<std::string> LsmStateBackend::MergeChangesIntoBlob(
   RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
   RHINO_RETURN_NOT_OK(r.GetU64(&old_nominal));
   RHINO_RETURN_NOT_OK(r.GetU64(&count));
+  const std::string_view body = blob.substr(r.position());
+  EntryReader entries(body);
 
-  // The run, one change at a time; `change_key` is empty-and-done when
-  // `has_change` is false.
-  BinaryReader changes(run);
+  // The run, one change at a time; `has_change` is false once it is done.
+  EntryReader changes(run);
   bool has_change = false;
-  bool change_is_delete = false;
-  std::string_view change_key, change_value;
   auto next_change = [&]() -> Status {
     if (changes.AtEnd()) {
       has_change = false;
       return Status::OK();
     }
-    std::string_view previous = change_key;
     const bool first = !has_change;
-    uint8_t tag = 0;
-    RHINO_RETURN_NOT_OK(changes.GetU8(&tag));
-    if (tag > 1) return Status::Corruption("unknown change tag");
-    change_is_delete = tag == 1;
-    RHINO_RETURN_NOT_OK(changes.GetString(&change_key));
-    change_value = {};
-    if (!change_is_delete) RHINO_RETURN_NOT_OK(changes.GetString(&change_value));
-    if (!first && !(previous < change_key)) {
+    RHINO_RETURN_NOT_OK(changes.Peek());
+    // The keys share their first `shared` bytes, so the suffixes order them.
+    if (!first && !(changes.key().substr(changes.shared()) < changes.suffix())) {
       return Status::Corruption("change run is not sorted by key");
     }
+    changes.Take();
     has_change = true;
     return Status::OK();
   };
@@ -316,48 +372,86 @@ Result<std::string> LsmStateBackend::MergeChangesIntoBlob(
   w.PutU32(vnode);
   w.PutU64(nominal_bytes);
   w.PutU64(0);  // patched below
+  EntryWriter writer(&out);
   uint64_t merged = 0;
-  // Untouched entries are copied as raw byte ranges of the blob: `kept`
-  // is where the range not yet copied starts.
-  size_t kept = r.position();
-  auto copy_kept = [&](size_t upto) {
-    out.append(blob.substr(kept, upto - kept));
+  // Untouched entries are copied as raw byte ranges of the blob: `kept` is
+  // where the range not yet copied starts. While `synced`, the entry at
+  // `kept` is coded against the last key of the output; a change breaks
+  // that, and the next kept entry is re-coded.
+  size_t kept = 0;
+  bool synced = true;
+  auto copy_kept = [&](size_t upto, std::string_view last_key) {
+    if (upto == kept) return;
+    out.append(body.substr(kept, upto - kept));
+    writer.SetPreviousKey(last_key);
     kept = upto;
   };
   // Emits the pending change (a put; tombstones emit nothing) and reads
   // the next one.
   auto apply_change = [&]() -> Status {
-    if (!change_is_delete) {
-      w.PutString(change_key);
-      w.PutString(change_value);
+    if (!changes.is_tombstone()) {
+      writer.Put(changes.key(), changes.value());
       ++merged;
     }
+    synced = false;
     return next_change();
+  };
+  // The blob's last taken key sorts below the pending change (the empty
+  // key before the first entry aside) and shares `common` bytes with it.
+  // A peeked entry that shares more than `common` bytes with that key
+  // sorts below the change too; one that shares fewer or as many is
+  // ordered by its suffix against the change's rest.
+  size_t common = 0;
+  auto lcp = [](std::string_view a, std::string_view b) {
+    size_t n = 0;
+    while (n < a.size() && n < b.size() && a[n] == b[n]) ++n;
+    return n;
   };
   RHINO_RETURN_NOT_OK(next_change());
   for (uint64_t e = 0; e < count; ++e) {
-    const size_t start = r.position();
-    std::string_view key, value;
-    RHINO_RETURN_NOT_OK(r.GetString(&key));
-    RHINO_RETURN_NOT_OK(r.GetString(&value));
-    if (!has_change || key < change_key) {
-      ++merged;  // untouched: stays in the kept range
-      continue;
+    const size_t start = entries.position();
+    RHINO_RETURN_NOT_OK(entries.Peek());
+    if (entries.is_tombstone()) {
+      return Status::Corruption("tombstone inside a vnode blob");
     }
-    copy_kept(start);
-    while (has_change && change_key < key) {
-      RHINO_RETURN_NOT_OK(apply_change());
+    // Touched: the entry sorts at or after the pending change.
+    bool touched = false;
+    if (has_change && entries.shared() <= common) {
+      const std::string_view suffix = entries.suffix();
+      const std::string_view rest = changes.key().substr(entries.shared());
+      const size_t more = lcp(suffix, rest);
+      touched = more == rest.size() ||
+                (more < suffix.size() && static_cast<uint8_t>(suffix[more]) >
+                                             static_cast<uint8_t>(rest[more]));
+      if (!touched) common = entries.shared() + more;
     }
-    if (has_change && change_key == key) {
-      // The change replaces this entry; a tombstone erases it.
-      RHINO_RETURN_NOT_OK(apply_change());
-      kept = r.position();
-    } else {
-      ++merged;
+    if (touched) copy_kept(start, entries.key());
+    entries.Take();
+    if (touched) {
+      while (has_change && changes.key() < entries.key()) {
+        RHINO_RETURN_NOT_OK(apply_change());
+      }
+      // A change of this very key replaces the entry; a tombstone erases
+      // it.
+      const bool replaced = has_change && changes.key() == entries.key();
+      if (replaced) RHINO_RETURN_NOT_OK(apply_change());
+      if (has_change) common = lcp(entries.key(), changes.key());
+      if (replaced) {
+        kept = entries.position();
+        continue;
+      }
     }
+    if (!synced) {
+      writer.Put(entries.key(), entries.value());
+      kept = entries.position();
+      synced = true;
+    }
+    ++merged;
   }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes after vnode blob");
-  copy_kept(r.position());
+  if (!entries.AtEnd()) {
+    return Status::Corruption("trailing bytes after vnode blob");
+  }
+  copy_kept(entries.position(), entries.key());
   while (has_change) RHINO_RETURN_NOT_OK(apply_change());
   std::memcpy(out.data() + kCountOffset, &merged, sizeof(merged));
   return out;

@@ -23,6 +23,84 @@
 
 namespace rhino::state {
 
+// ------------------------------------------------------- state entries --
+//
+// One entry format carries real state on every byte path: the entries of
+// an `ExtractVnodes` blob and the change runs of `TakeChanges`, and
+// through them whole and key stream deltas, extract/ingest, promotion and
+// checkpoint chain records. Each entry is
+//
+//   varint shared | varint unshared | key suffix |
+//   varint (value length + 1, 0 = tombstone) | value
+//
+// and its key is the first `shared` bytes of the previous key of the same
+// vnode followed by the suffix (a vnode's first entry follows the empty
+// key), as in an SST data block. `shared` is always the longest common
+// prefix, so a sequence of entries has exactly one encoding: a merged
+// blob is byte-identical to a fresh extraction of the same state.
+
+/// Appends the entries of one vnode, in strictly increasing key order.
+class EntryWriter {
+ public:
+  explicit EntryWriter(std::string* out) : out_(out) {}
+
+  void Put(std::string_view key, std::string_view value);
+  void Delete(std::string_view key);
+  /// Sets the key the next entry is coded against: the last key of
+  /// entries the caller appended to `out` as raw bytes.
+  void SetPreviousKey(std::string_view key) { last_.assign(key); }
+
+ private:
+  void PutKey(std::string_view key);
+
+  std::string* out_;
+  std::string last_;
+};
+
+/// Decodes the entries of one vnode written by EntryWriter. An entry can
+/// be peeked before it is taken, so a scan can decide on the suffix alone
+/// while `key()` still holds the key before it.
+class EntryReader {
+ public:
+  explicit EntryReader(std::string_view data) : data_(data) {}
+
+  bool AtEnd() const { return pos_ == data_.size(); }
+  /// Offset of the first entry not taken.
+  size_t position() const { return pos_; }
+
+  /// Decodes the next entry without taking it: `shared()`, `suffix()`,
+  /// `is_tombstone()` and `value()` describe it. Corruption on a
+  /// truncated entry or a `shared` longer than the current key.
+  Status Peek();
+  /// Takes the peeked entry: `key()` becomes its key.
+  void Take();
+  /// Peek() and Take().
+  Status Next() {
+    RHINO_RETURN_NOT_OK(Peek());
+    Take();
+    return Status::OK();
+  }
+
+  /// The key of the last entry taken (empty before the first).
+  std::string_view key() const { return key_; }
+  /// The peeked entry's key is `key().substr(0, shared())` + `suffix()`.
+  size_t shared() const { return shared_; }
+  std::string_view suffix() const { return suffix_; }
+  bool is_tombstone() const { return tombstone_; }
+  std::string_view value() const { return value_; }
+
+ private:
+  std::string_view data_;
+  size_t pos_ = 0;
+  /// End of the peeked entry.
+  size_t next_ = 0;
+  std::string key_;
+  size_t shared_ = 0;
+  std::string_view suffix_;
+  bool tombstone_ = false;
+  std::string_view value_;
+};
+
 /// LSM-backed implementation of StateBackend.
 ///
 /// Thread safety: a backend-level mutex guards the nominal byte accounting,
@@ -50,14 +128,18 @@ class LsmStateBackend : public StateBackend {
   uint64_t SizeBytes() const override;
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
-  /// Streams each vnode's range from the DB iterator into the blob.
+  /// Streams each vnode's range from the DB iterator into the blob:
+  /// `u32 vnode count`, then per vnode `u32 vnode | u64 nominal bytes |
+  /// u64 entry count` and its entries (live keys only, no tombstones).
+  /// The header stays fixed-width so the entry count can be patched in
+  /// place once the vnode is done.
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
 
   void SetChangeCapture(ChangeReader reader, bool on) override;
-  /// The run is a sequence of `u8 tombstone | key | value (puts only)`
-  /// entries, strictly increasing in key.
+  /// The run is a sequence of entries, puts and tombstones, strictly
+  /// increasing in key.
   std::optional<uint64_t> TakeChanges(ChangeReader reader, uint32_t vnode,
                                       std::string* run) override;
   void DiscardChanges(ChangeReader reader,
@@ -66,9 +148,12 @@ class LsmStateBackend : public StateBackend {
 
   /// Applies a change run of TakeChanges to a one-vnode blob of
   /// ExtractVnodeBlobs in one linear merge: a change replaces the blob's
-  /// entry for its key, a tombstone erases it. The result is the blob of
-  /// the same vnode with `nominal_bytes` as its size. Corruption on a
-  /// malformed blob or run, or a run out of key order.
+  /// entry for its key, a tombstone erases it. Untouched ranges are copied
+  /// raw; only the first entry kept after a change is re-coded against
+  /// its new predecessor. The result is the blob of the same vnode with
+  /// `nominal_bytes` as its size, byte-identical to its fresh extraction.
+  /// Corruption on a malformed blob or run, a tombstone inside the blob,
+  /// or a run out of key order.
   static Result<std::string> MergeChangesIntoBlob(std::string_view blob,
                                                   std::string_view run,
                                                   uint64_t nominal_bytes);

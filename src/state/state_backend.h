@@ -75,10 +75,11 @@ class StateBackend {
   virtual Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) = 0;
 
   /// Serializes the live contents of `vnodes` for a handover transfer.
-  /// Real backends emit the actual entries; modeled backends emit a
-  /// size-only placeholder. Returns the blob (wire format is backend-
-  /// internal; pass to IngestVnodes of a backend of the same kind). Each
-  /// vnode costs its own key range, not the whole store.
+  /// Real backends emit the actual entries, prefix-coded per vnode
+  /// (`EntryWriter`, lsm_state_backend.h, behind a fixed-width per-vnode
+  /// header); modeled backends emit a size-only placeholder. Returns the
+  /// blob (pass to IngestVnodes of a backend of the same kind). Each vnode
+  /// costs its own key range, not the whole store.
   virtual Result<std::string> ExtractVnodes(
       const std::vector<uint32_t>& vnodes) = 0;
 
@@ -121,8 +122,9 @@ class StateBackend {
   virtual void SetChangeCapture(ChangeReader /*reader*/, bool /*on*/) {}
 
   /// Moves out the changes of `vnode` captured for `reader` since its last
-  /// take into `*run`, one run in a backend-internal format sorted by key
-  /// (apply it to a blob of the same vnode with the backend's merge).
+  /// take into `*run`, one run sorted by key in the blob's entry format,
+  /// tombstones included (apply it to a blob of the same vnode with the
+  /// backend's merge).
   /// Returns the number of keys in the run, or nullopt when the reader
   /// cannot capture: the caller must ship the vnode whole.
   virtual std::optional<uint64_t> TakeChanges(ChangeReader /*reader*/,

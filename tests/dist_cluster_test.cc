@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "broker/broker.h"
+#include "common/serde.h"
 #include "lsm/env.h"
 #include "net/driver.h"
 #include "net/node_server.h"
@@ -20,6 +21,7 @@
 #include "obs/observability.h"
 #include "rhino/checkpoint_storage.h"
 #include "rhino/replication_runtime.h"
+#include "state/lsm_state_backend.h"
 
 /// \file dist_cluster_test.cc
 /// The distributed protocol on an in-process cluster: three `NodeServer`s
@@ -891,15 +893,33 @@ TEST(DistClusterTest, CheckpointWritesOnlyChangedKeys) {
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_EQ(ImageTotal("vnodes", "keys"), keys + vnodes.size());
   EXPECT_EQ(ImageTotal("vnodes", "whole"), whole + kNumVnodes);
-  constexpr uint64_t kEntryBytes = 1 + 1 + 8 + 1 + 8;  // tag|key|count
+  // The touched keys' runs as the codec writes them: per vnode, its keys
+  // in store-key order, each with its count (2) as the value.
+  std::map<uint32_t, std::map<std::string, uint64_t>> runs;
+  for (uint64_t key : touched) {
+    std::string store_key(8, '\0');
+    for (int i = 0; i < 8; ++i) {
+      store_key[static_cast<size_t>(i)] = static_cast<char>(key >> (56 - 8 * i));
+    }
+    runs[VnodeForKey(key, kNumVnodes)][store_key] = 2;
+  }
+  uint64_t run_bytes = 0;
+  for (const auto& [vnode, counts] : runs) {
+    std::string run;
+    state::EntryWriter writer(&run);
+    for (const auto& [key, count] : counts) {
+      std::string value;
+      BinaryWriter(&value).PutVarint(count);
+      writer.Put(key, value);
+    }
+    run_bytes += run.size();
+  }
   constexpr uint64_t kFrameBytes = 8;
   // kind, checkpoint id, size and one watermark: a few varint bytes.
   constexpr uint64_t kMaxHeaderBytes = 10;
-  EXPECT_GE(delta->bytes,
-            touched.size() * kEntryBytes + vnodes.size() * kFrameBytes);
+  EXPECT_GE(delta->bytes, run_bytes + vnodes.size() * kFrameBytes);
   EXPECT_LE(delta->bytes,
-            touched.size() * kEntryBytes +
-                vnodes.size() * (kFrameBytes + kMaxHeaderBytes));
+            run_bytes + vnodes.size() * (kFrameBytes + kMaxHeaderBytes));
   uint64_t grown = 0;
   for (uint32_t vnode = 0; vnode < kNumVnodes; ++vnode) {
     const uint64_t growth = cluster.ChainBytes(vnode) - sizes[vnode];

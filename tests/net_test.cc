@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/serde.h"
 #include "lsm/env.h"
 #include "lsm/log_format.h"
 #include "net/frame.h"
@@ -405,6 +408,157 @@ TEST(WireTest, BatchRoundTripAndTruncationFuzz) {
             StatusCode::kCorruption);
 }
 
+TEST(WireTest, BatchFieldsRoundTripAtEveryWidth) {
+  // Event times travel as differences from the previous record's; extreme
+  // and out-of-order times, negative ones included, come back exactly.
+  dataflow::Batch batch;
+  batch.create_time = -5;
+  batch.count = 6;
+  batch.bytes = UINT64_MAX;
+  batch.source_id = -1;
+  batch.source_offset = UINT64_MAX;
+  const SimTime times[] = {INT64_MAX, INT64_MIN, 0, -1, 1, INT64_MIN};
+  for (size_t i = 0; i < std::size(times); ++i) {
+    dataflow::Record rec;
+    rec.key = i % 2 == 0 ? UINT64_MAX : i;
+    rec.event_time = times[i];
+    rec.size = i % 2 == 0 ? UINT32_MAX : 0;
+    rec.payload = std::string(i * 70, 'p');
+    batch.records.push_back(rec);
+  }
+  std::string encoded;
+  EncodeBatch(batch, &encoded);
+  auto decoded = DecodeBatch(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->create_time, batch.create_time);
+  EXPECT_EQ(decoded->count, batch.count);
+  EXPECT_EQ(decoded->bytes, batch.bytes);
+  EXPECT_EQ(decoded->source_id, batch.source_id);
+  EXPECT_EQ(decoded->source_offset, batch.source_offset);
+  ASSERT_EQ(decoded->records.size(), batch.records.size());
+  for (size_t i = 0; i < batch.records.size(); ++i) {
+    EXPECT_EQ(decoded->records[i].key, batch.records[i].key) << i;
+    EXPECT_EQ(decoded->records[i].event_time, batch.records[i].event_time)
+        << i;
+    EXPECT_EQ(decoded->records[i].size, batch.records[i].size) << i;
+    EXPECT_EQ(decoded->records[i].payload, batch.records[i].payload) << i;
+  }
+  FuzzPrefixes(encoded, DecodeBatch);
+
+  // A counter record (key below 2^21, the batch's event time, 32 B
+  // nominal, no payload) costs key 3 + time 1 + size 1 + length 1 bytes.
+  dataflow::Batch small;
+  small.create_time = 1000;
+  for (uint64_t key = 1 << 14; key < (1 << 14) + 100; ++key) {
+    dataflow::Record rec;
+    rec.key = key;
+    rec.event_time = 1000;
+    rec.size = 32;
+    small.records.push_back(rec);
+  }
+  dataflow::Batch bare = small;
+  bare.records.clear();
+  std::string compact, header;
+  EncodeBatch(small, &compact);
+  EncodeBatch(bare, &header);
+  EXPECT_EQ(compact.size() - header.size(), 6 * small.records.size());
+}
+
+TEST(WireTest, HugeElementCountIsCorruption) {
+  // Every body that carries a vnode list, with a count of 2^61 where the
+  // list starts: the decoder must refuse the count before it sizes
+  // anything.
+  constexpr uint64_t kHuge = uint64_t{1} << 61;
+  auto expect_corruption = [](const Status& st, const char* what) {
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << what << ": "
+                                                  << st.ToString();
+  };
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutString("counter");
+    w.PutVarint(kHuge);
+    expect_corruption(VnodeSetRequest::Decode(body).status(), "vnode set");
+  }
+  {
+    std::string spec, body;
+    dataflow::OperatorSpec op;
+    op.name = "counter";
+    EncodeOperatorSpec(op, &spec);
+    BinaryWriter w(&body);
+    w.PutString(spec);
+    w.PutVarint(kHuge);
+    expect_corruption(AddOperatorRequest::Decode(body).status(),
+                      "add operator");
+  }
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutVarint(5);  // applied
+    w.PutVarint(0);  // deduped
+    w.PutVarint(kHuge);
+    expect_corruption(ProcessBatchReply::Decode(body).status(),
+                      "process-batch reply");
+  }
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutU32(1);
+    w.PutString("counter");
+    w.PutVarint(kHuge);
+    expect_corruption(ReplicaFetchRequest::Decode(body).status(),
+                      "replica fetch");
+  }
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutU32(1);
+    w.PutString("counter");
+    w.PutString("");  // replica
+    w.PutU64(3);      // stream seq
+    w.PutVarint(kHuge);
+    expect_corruption(ReplicateStateRequest::Decode(body).status(),
+                      "replicate state dropped vnodes");
+  }
+  for (bool huge_moves : {true, false}) {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutU64(9);
+    w.PutString("counter");
+    w.PutU8(0);
+    if (huge_moves) {
+      w.PutVarint(kHuge);
+    } else {
+      w.PutVarint(1);
+      w.PutU32(0);
+      w.PutU32(1);
+      w.PutVarint(kHuge);  // the move's vnodes
+    }
+    expect_corruption(DecodeHandoverSpec(body).status(), "handover spec");
+  }
+
+  // Elements of the minimum size fill the body exactly and decode: one
+  // byte per vnode below 128, four per replicated vnode (vnode, base seq,
+  // keys flag, empty run).
+  VnodeSetRequest set;
+  set.op = "counter";
+  for (uint32_t v = 0; v < 100; ++v) set.vnodes.push_back(v);
+  std::string encoded;
+  set.EncodeTo(&encoded);
+  EXPECT_EQ(encoded.size(), 1 + set.op.size() + 1 + set.vnodes.size());
+  auto decoded_set = VnodeSetRequest::Decode(encoded);
+  ASSERT_TRUE(decoded_set.ok()) << decoded_set.status().ToString();
+  EXPECT_EQ(decoded_set->vnodes, set.vnodes);
+  ReplicateStateRequest delta;
+  delta.op = "counter";
+  delta.vnodes.resize(50);
+  encoded.clear();
+  delta.EncodeTo(&encoded);
+  auto decoded_delta = ReplicateStateRequest::Decode(encoded);
+  ASSERT_TRUE(decoded_delta.ok()) << decoded_delta.status().ToString();
+  EXPECT_EQ(decoded_delta->vnodes, delta.vnodes);
+}
+
 TEST(WireTest, ControlEventRoundTripAndTruncationFuzz) {
   dataflow::ControlEvent ev = MakeHandoverMarker();
   std::string encoded;
@@ -521,9 +675,18 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
-TEST(WireTest, VersionIsFour) {
-  // Version 4: incremental stream deltas and replica-local handover.
-  EXPECT_EQ(kWireVersion, 4);
+TEST(WireTest, VersionIsFive) {
+  // Version 5: varint batch records and descriptors, prefix-coded state
+  // entries. A version 4 envelope is refused.
+  EXPECT_EQ(kWireVersion, 5);
+  RequestEnvelope req;
+  req.type = MessageType::kProcessBatch;
+  req.body = "b";
+  std::string encoded;
+  req.EncodeTo(&encoded);
+  encoded[1] = 4;
+  EXPECT_EQ(RequestEnvelope::Decode(encoded).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
@@ -645,6 +808,23 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->vnodes, msg.vnodes);
     FuzzPrefixes(encoded, ReplicaFetchRequest::Decode);
+  }
+  {
+    // The batch reply's counts and vnodes are varints of every width.
+    ProcessBatchReply msg;
+    msg.applied = 300;
+    msg.deduped = UINT64_MAX;
+    msg.applied_vnodes = {0, 127, 128, UINT32_MAX};
+    msg.outputs = "outputs";
+    std::string encoded;
+    msg.EncodeTo(&encoded);
+    auto decoded = ProcessBatchReply::Decode(encoded);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->applied, msg.applied);
+    EXPECT_EQ(decoded->deduped, msg.deduped);
+    EXPECT_EQ(decoded->applied_vnodes, msg.applied_vnodes);
+    EXPECT_EQ(decoded->outputs, msg.outputs);
+    FuzzPrefixes(encoded, ProcessBatchReply::Decode);
   }
 }
 

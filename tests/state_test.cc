@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -183,10 +186,12 @@ std::string U64Key(uint64_t key) {
   return out;
 }
 
+/// The counter's stored value: exactly one varint.
 uint64_t DecodeCount(std::string_view value) {
   BinaryReader reader(value);
   uint64_t count = 0;
-  EXPECT_TRUE(reader.GetU64(&count).ok());
+  EXPECT_TRUE(reader.GetVarint(&count).ok());
+  EXPECT_TRUE(reader.AtEnd());
   return count;
 }
 
@@ -229,15 +234,10 @@ std::unique_ptr<dataflow::OperatorHost> MakeHost(
 std::vector<std::pair<std::string, std::string>> RunEntries(
     std::string_view run) {
   std::vector<std::pair<std::string, std::string>> entries;
-  BinaryReader reader(run);
-  uint8_t tombstone = 0;
-  while (reader.GetU8(&tombstone).ok()) {
-    std::string_view key, value;
-    EXPECT_TRUE(reader.GetString(&key).ok());
-    if (tombstone == 0) {
-      EXPECT_TRUE(reader.GetString(&value).ok());
-    }
-    entries.emplace_back(key, value);
+  EntryReader reader(run);
+  while (!reader.AtEnd()) {
+    EXPECT_TRUE(reader.Next().ok());
+    entries.emplace_back(reader.key(), reader.value());
   }
   return entries;
 }
@@ -564,12 +564,8 @@ TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
     (void)LsmStateBackend::MergeChangesIntoBlob(before, run.substr(0, len), 0);
   }
   std::string unsorted;
-  BinaryWriter w(&unsorted);
-  for (const char* key : {"b", "a"}) {
-    w.PutU8(0);
-    w.PutString(key);
-    w.PutString("v");
-  }
+  EntryWriter w(&unsorted);
+  for (const char* key : {"b", "a"}) w.Put(key, "v");
   EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(before, unsorted, 0)
                 .status()
                 .code(),
@@ -607,6 +603,171 @@ TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
     held = std::move(merged).MoveValue();
     ASSERT_EQ(held, VnodeBlob(backend_.get(), 9)) << "round " << round;
   }
+}
+
+/// The (key, value) entries of one vnode's blob, checking its header.
+std::map<std::string, std::string> BlobEntries(std::string_view blob,
+                                               uint32_t vnode) {
+  BinaryReader header(blob);
+  uint32_t vnodes = 0, got_vnode = 0;
+  uint64_t nominal = 0, count = 0;
+  EXPECT_TRUE(header.GetU32(&vnodes).ok());
+  EXPECT_EQ(vnodes, 1u);
+  EXPECT_TRUE(header.GetU32(&got_vnode).ok());
+  EXPECT_EQ(got_vnode, vnode);
+  EXPECT_TRUE(header.GetU64(&nominal).ok());
+  EXPECT_TRUE(header.GetU64(&count).ok());
+  std::map<std::string, std::string> entries;
+  EntryReader reader(blob.substr(header.position()));
+  for (uint64_t e = 0; e < count; ++e) {
+    EXPECT_TRUE(reader.Next().ok());
+    EXPECT_FALSE(reader.is_tombstone());
+    entries.emplace(reader.key(), reader.value());
+  }
+  EXPECT_TRUE(reader.AtEnd());
+  return entries;
+}
+
+// The entry codec against a std::map model. Keys are built from pieces
+// that share prefixes, prefix one another and hold 0x00 and 0xff bytes;
+// the empty key and empty values occur. Each round's changes, puts and
+// tombstones (of absent keys too), are coded as one run, merged into the
+// held blob, and the result must be byte for byte the extraction of a
+// backend holding the model's state, and decode to the model.
+TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
+  constexpr uint32_t kVnode = 3;
+  const std::string pieces[] = {"",  "a", "ab", "abc", std::string(1, '\0'),
+                                std::string(2, '\0'), "\xff", "\xff\xff", "k"};
+  uint64_t rng = 7;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  auto random_key = [&] {
+    std::string key;
+    for (uint64_t i = 0, parts = next() % 4; i < parts; ++i) {
+      key += pieces[next() % std::size(pieces)];
+    }
+    return key;
+  };
+  std::map<std::string, std::string> model;
+  std::string held = VnodeBlob(backend_.get(), kVnode);
+  for (int round = 0; round < 60; ++round) {
+    std::map<std::string, std::optional<std::string>> changes;
+    for (uint64_t i = 0, n = next() % 12; i < n; ++i) {
+      std::string key = random_key();
+      if (next() % 3 == 0) {
+        changes[key] = std::nullopt;
+      } else {
+        changes[key] = std::string(next() % 4 == 0 ? 0 : next() % 9,
+                                   static_cast<char>('a' + next() % 26));
+      }
+    }
+    std::string run;
+    EntryWriter writer(&run);
+    std::vector<StateWrite> writes;
+    for (const auto& [key, value] : changes) {
+      if (value.has_value()) {
+        writer.Put(key, *value);
+        model[key] = *value;
+      } else {
+        writer.Delete(key);
+        model.erase(key);
+      }
+      writes.push_back({kVnode, !value.has_value(), key, value.value_or(""),
+                        1});
+    }
+    ASSERT_TRUE(backend_->ApplyBatch(writes).ok());
+    EXPECT_EQ(RunEntries(run).size(), changes.size());
+    auto merged = LsmStateBackend::MergeChangesIntoBlob(
+        held, run, backend_->VnodeBytes(kVnode));
+    ASSERT_TRUE(merged.ok()) << "round " << round << ": "
+                             << merged.status().ToString();
+    held = std::move(merged).MoveValue();
+    ASSERT_EQ(held, VnodeBlob(backend_.get(), kVnode)) << "round " << round;
+    ASSERT_EQ(BlobEntries(held, kVnode), model) << "round " << round;
+  }
+  ASSERT_GT(model.size(), 5u);
+
+  // Every truncation of a blob is Corruption, to the merge and the ingest.
+  auto target = LsmStateBackend::Open(&env_, "/state/op-9", "op", 9);
+  ASSERT_TRUE(target.ok());
+  for (size_t len = 0; len < held.size(); ++len) {
+    const std::string_view cut = std::string_view(held).substr(0, len);
+    EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(cut, "", 0).status().code(),
+              StatusCode::kCorruption)
+        << "blob prefix " << len;
+    EXPECT_EQ((*target)->IngestVnodes(cut, false).code(),
+              StatusCode::kCorruption)
+        << "blob prefix " << len;
+  }
+  // A run cut at an entry boundary is a shorter run; cut anywhere else it
+  // is Corruption.
+  std::string run;
+  EntryWriter writer(&run);
+  std::set<size_t> boundaries = {0};
+  for (const auto& [key, value] : model) {
+    writer.Put(key, value + "!");
+    boundaries.insert(run.size());
+  }
+  for (size_t len = 0; len <= run.size(); ++len) {
+    auto merged = LsmStateBackend::MergeChangesIntoBlob(
+        held, std::string_view(run).substr(0, len), 0);
+    if (boundaries.count(len) != 0) {
+      EXPECT_TRUE(merged.ok()) << "run prefix " << len;
+    } else {
+      EXPECT_EQ(merged.status().code(), StatusCode::kCorruption)
+          << "run prefix " << len;
+    }
+  }
+
+  // A run out of key order.
+  std::string unsorted;
+  EntryWriter backwards(&unsorted);
+  backwards.Put("b", "1");
+  backwards.Put("a", "1");
+  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(held, unsorted, 0)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+
+  // A zero value field (a tombstone) inside a blob.
+  std::string tombstoned;
+  BinaryWriter header(&tombstoned);
+  header.PutU32(1);
+  header.PutU32(kVnode);
+  header.PutU64(0);
+  header.PutU64(2);
+  EntryWriter blob_writer(&tombstoned);
+  blob_writer.Put("a", "1");
+  blob_writer.Delete("b");
+  EXPECT_EQ(
+      LsmStateBackend::MergeChangesIntoBlob(tombstoned, "", 0).status().code(),
+      StatusCode::kCorruption);
+  EXPECT_EQ((*target)->IngestVnodes(tombstoned, false).code(),
+            StatusCode::kCorruption);
+
+  // A `shared` longer than the previous key: the first entry of a run and
+  // of a blob follows the empty key.
+  std::string overshared;
+  BinaryWriter(&overshared).PutVarint(1);  // shared
+  BinaryWriter(&overshared).PutVarint(1);  // unshared
+  overshared += "a";
+  BinaryWriter(&overshared).PutVarint(2);  // value "1"
+  overshared += "1";
+  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(held, overshared, 0)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  std::string overshared_blob = tombstoned.substr(0, 4 + 4 + 8);
+  BinaryWriter(&overshared_blob).PutU64(1);
+  overshared_blob += overshared;
+  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(overshared_blob, "", 0)
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ((*target)->IngestVnodes(overshared_blob, false).code(),
+            StatusCode::kCorruption);
 }
 
 TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
