@@ -67,8 +67,13 @@ GUARDED = [
     ("dist_pipeline", "exactly_once_ok"),
     # Replica-local handover: the move to the origin's ring successor
     # loads the state from the replica it holds (no state blobs on the
-    # wire) and the move to a cold target takes the full path.
+    # wire) and the move to a cold target takes the full path. Against
+    # state size (three sizes, 16x apart): the replica-local handover's
+    # and the promotion's driver bytes stay flat (at most 1.5x), and the
+    # cold-target handover's grow with the state (at least 4x).
     ("dist_handover", "handover_replica_local_ok"),
+    ("dist_handover", "reconfig_bytes_flat_ok"),
+    ("dist_handover", "cold_bytes_grow_ok"),
 ]
 
 # (artifact name, key glob) pairs that are REPORT-ONLY: wall-clock numbers

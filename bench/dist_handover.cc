@@ -22,6 +22,15 @@
 // the re-routed cluster and every key's count is audited exactly-once —
 // `records.lost` and `records.duplicated` are required to be 0.
 //
+// A second part measures reconfiguration against state size (the paper's
+// Figure 1 claim, on real processes): a fresh cluster at each of three
+// sizes (4k, 16k and 64k keys at smoke scale, up to 1M at full scale)
+// loads its keys, checkpoints, and then times a replica-local handover,
+// a cold-target handover and a promotion (`wall_s.<op>.<keys>`), and
+// counts each call's driver wire bytes (`bytes.<op>.<keys>`). Those bytes
+// leave the re-protection streams out: they are what the operation itself
+// moves.
+//
 // Bytes come from the nodes' stream counters (`rhino_repl_*`) and a
 // byte-counting decorator on the driver's transport: replication bytes
 // per user byte over the ingest, and each handover's bytes until the
@@ -29,14 +38,20 @@
 //
 // Wall seconds and bytes are report-only in check_regression.py; what CI
 // checks is that the distributed story converges over real sockets with
-// zero loss, and that `handover_replica_local_ok` holds: the move to the
+// zero loss, that `handover_replica_local_ok` holds — the move to the
 // replica holder took the replica path with no state blobs on the wire,
-// and the move to the cold target took the full path.
+// and the move to the cold target took the full path — and the size
+// curve's shape: `reconfig_bytes_flat_ok` (the replica-local handover's
+// and the promotion's bytes at the largest size are at most 1.5x those at
+// the smallest) and `cold_bytes_grow_ok` (the cold-target handover's are
+// at least 4x).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -104,53 +119,167 @@ constexpr uint32_t kNumVnodes = 16;
 constexpr uint32_t kFailedNode = 2;
 const char* const kOp = "counter";
 
+/// Three `NodeServer`s, each behind its own `RpcServer` on a
+/// kernel-assigned loopback port, state under a mkdtemp root on a real
+/// filesystem, and a driver whose calls a `CountingTransport` counts; one
+/// counter operator fed by `partition`.
+struct TcpCluster {
+  std::string root;
+  lsm::PosixEnv env;
+  TcpTransport transport;
+  std::vector<std::unique_ptr<TcpTransport>> node_transports;
+  std::vector<std::unique_ptr<NodeServer>> nodes;
+  std::vector<std::unique_ptr<RpcServer>> servers;
+  std::unique_ptr<bench::CountingTransport> counted;
+  std::unique_ptr<ClusterDriver> driver;
+  broker::Partition partition{0};
+
+  static PipelinedChannelOptions ChannelOptions() {
+    PipelinedChannelOptions options;
+    options.retry.initial_backoff_us = 2 * kMillisecond;
+    options.retry.max_backoff_us = 100 * kMillisecond;
+    options.retry.max_attempts = 5;
+    return options;
+  }
+
+  TcpCluster() : transport(ChannelOptions()) {
+    char root_template[] = "/tmp/rhino_dist_handover_XXXXXX";
+    RHINO_CHECK(mkdtemp(root_template) != nullptr);
+    root = root_template;
+    // Nodes first, each with a transport of its own for its replication
+    // stream (a stream must not share a serially-served connection with
+    // the driver's checkpoint barrier), then their RPC servers on port 0
+    // — endpoints are known only after bind, which is why the driver
+    // comes last.
+    std::vector<std::string> endpoints;
+    for (uint32_t i = 0; i < kNumNodes; ++i) {
+      std::string data_dir = root + "/n" + std::to_string(i);
+      RHINO_CHECK_OK(env.CreateDir(data_dir));
+      node_transports.push_back(
+          std::make_unique<TcpTransport>(ChannelOptions()));
+      nodes.push_back(std::make_unique<NodeServer>(
+          &env, node_transports.back().get(),
+          NodeServerOptions{data_dir, root + "/ckpt"}));
+      servers.push_back(std::make_unique<RpcServer>(nodes.back()->AsHandler()));
+      RHINO_CHECK_OK(servers.back()->Start("127.0.0.1", 0));
+      endpoints.push_back(FormatEndpoint("127.0.0.1", servers.back()->port()));
+    }
+    RHINO_CHECK_OK(env.CreateDir(root + "/ckpt"));
+    counted = std::make_unique<bench::CountingTransport>(&transport);
+    driver = std::make_unique<ClusterDriver>(counted.get(), endpoints);
+    RHINO_CHECK_OK(driver->ConnectAll());
+    RHINO_CHECK_OK(driver->AddOperator(kOp, kNumVnodes));
+    driver->AddPartition(&partition);
+    RHINO_CHECK_OK(driver->ConnectPartition(kOp, 0));
+    WaitReplicationIdle(driver.get());
+  }
+
+  ~TcpCluster() {
+    driver->Shutdown();
+    for (auto& server : servers) server->Stop();
+    std::error_code ec;
+    std::filesystem::remove_all(root, ec);
+  }
+
+  /// Appends one record to each key in [0, keys), in batches of at most
+  /// 65536 records.
+  void AppendKeys(uint64_t keys) {
+    for (uint64_t first = 0; first < keys; first += 65536) {
+      dataflow::Batch batch;
+      for (uint64_t key = first; key < std::min(keys, first + 65536); ++key) {
+        dataflow::Record rec;
+        rec.key = key;
+        rec.event_time = 1000;
+        rec.size = 32;
+        batch.records.push_back(rec);
+        batch.count += 1;
+        batch.bytes += rec.size;
+      }
+      partition.Append(std::move(batch));
+    }
+  }
+};
+
+/// Wall seconds and driver wire bytes of one reconfiguration call.
+struct Reconfig {
+  double wall_s = 0;
+  uint64_t bytes = 0;
+};
+
+/// Runs `op` and measures it: its wall time and the bytes the driver's
+/// calls put on the wire (the nodes' streams are not counted).
+template <typename Op>
+Reconfig Measure(TcpCluster* cluster, Op op) {
+  const uint64_t wire0 = cluster->counted->bytes();
+  auto start = Clock::now();
+  op();
+  Reconfig r;
+  r.wall_s = Seconds(start, Clock::now());
+  r.bytes = cluster->counted->bytes() - wire0;
+  return r;
+}
+
+/// Reconfiguration against state size: at each size a fresh cluster loads
+/// that many keys and checkpoints, then node 0's vnodes move to node 1
+/// (its ring successor: replica-local) and back (a cold target: the full
+/// image), and node 2 fails and its successor promotes its replica.
+void RunStateSizes(bench::BenchArtifact* artifact,
+                   metrics::TablePrinter* table) {
+  const std::vector<uint64_t> sizes = bench::SmokeMode()
+                                          ? std::vector<uint64_t>{4096, 16384, 65536}
+                                          : std::vector<uint64_t>{65536, 262144, 1048576};
+  std::map<uint64_t, std::map<std::string, Reconfig>> results;
+  for (uint64_t keys : sizes) {
+    TcpCluster cluster;
+    ClusterDriver* driver = cluster.driver.get();
+    cluster.AppendKeys(keys);
+    RHINO_CHECK_OK(driver->Pump().status());
+    RHINO_CHECK_OK(driver->Checkpoint().status());
+    std::vector<uint32_t> moved = driver->VnodesOwnedBy(kOp, 0);
+    std::map<std::string, Reconfig>& at = results[keys];
+    WaitReplicationIdle(driver);
+    at["handover.replica"] = Measure(&cluster, [&] {
+      RHINO_CHECK_OK(driver->TriggerHandover(kOp, 0, 1, moved));
+    });
+    WaitReplicationIdle(driver);
+    at["handover.cold"] = Measure(&cluster, [&] {
+      RHINO_CHECK_OK(driver->TriggerHandover(kOp, 1, 0, moved));
+    });
+    WaitReplicationIdle(driver);
+    cluster.servers[kFailedNode]->Stop();
+    at["promote"] = Measure(&cluster, [&] {
+      RHINO_CHECK_OK(driver->RecoverNode(kFailedNode));
+    });
+    for (const auto& [op, r] : at) {
+      const std::string suffix = op + "." + std::to_string(keys);
+      artifact->Set("wall_s." + suffix, r.wall_s);
+      artifact->Set("bytes." + suffix, static_cast<double>(r.bytes));
+      table->AddRow({op + " @" + std::to_string(keys) + " keys",
+                     std::to_string(r.wall_s) + " s",
+                     std::to_string(r.bytes) + " driver bytes"});
+    }
+  }
+  const auto& small = results[sizes.front()];
+  const auto& large = results[sizes.back()];
+  auto growth = [&](const std::string& op) {
+    return static_cast<double>(large.at(op).bytes) /
+           static_cast<double>(std::max<uint64_t>(1, small.at(op).bytes));
+  };
+  const bool flat =
+      growth("handover.replica") <= 1.5 && growth("promote") <= 1.5;
+  artifact->Set("reconfig_bytes_flat_ok", flat ? 1 : 0);
+  artifact->Set("cold_bytes_grow_ok", growth("handover.cold") >= 4 ? 1 : 0);
+}
+
 void Run(bench::BenchArtifact* artifact) {
   const uint64_t keys = bench::SmokeScaled<uint64_t>(256, 48);
   const int waves_before_ckpt = bench::SmokeScaled(8, 2);
   const int waves_after_ckpt = bench::SmokeScaled(4, 2);
 
-  // Real directories so ingest/checkpoint pay real filesystem costs.
-  char root_template[] = "/tmp/rhino_dist_handover_XXXXXX";
-  RHINO_CHECK(mkdtemp(root_template) != nullptr);
-  const std::string root = root_template;
-  lsm::PosixEnv env;
-
-  // Nodes first, each with a transport of its own for its replication
-  // stream (a stream must not share a serially-served connection with the
-  // driver's checkpoint barrier), then their RPC servers on port 0 —
-  // endpoints are known only after bind, which is why the driver comes
-  // last.
-  PipelinedChannelOptions channel_opts;
-  channel_opts.retry.initial_backoff_us = 2 * kMillisecond;
-  channel_opts.retry.max_backoff_us = 100 * kMillisecond;
-  channel_opts.retry.max_attempts = 5;
-  TcpTransport transport(channel_opts);
-
-  std::vector<std::unique_ptr<TcpTransport>> node_transports;
-  std::vector<std::unique_ptr<NodeServer>> nodes;
-  std::vector<std::unique_ptr<RpcServer>> servers;
-  std::vector<std::string> endpoints;
-  for (uint32_t i = 0; i < kNumNodes; ++i) {
-    std::string data_dir = root + "/n" + std::to_string(i);
-    RHINO_CHECK_OK(env.CreateDir(data_dir));
-    node_transports.push_back(std::make_unique<TcpTransport>(channel_opts));
-    nodes.push_back(std::make_unique<NodeServer>(
-        &env, node_transports.back().get(),
-        NodeServerOptions{data_dir, root + "/ckpt"}));
-    servers.push_back(std::make_unique<RpcServer>(nodes.back()->AsHandler()));
-    RHINO_CHECK_OK(servers.back()->Start("127.0.0.1", 0));
-    endpoints.push_back(FormatEndpoint("127.0.0.1", servers.back()->port()));
-  }
-  RHINO_CHECK_OK(env.CreateDir(root + "/ckpt"));
-
-  bench::CountingTransport counted(&transport);
-  ClusterDriver driver(&counted, endpoints);
-  RHINO_CHECK_OK(driver.ConnectAll());
-  RHINO_CHECK_OK(driver.AddOperator(kOp, kNumVnodes));
-  broker::Partition partition{0};
-  driver.AddPartition(&partition);
-  RHINO_CHECK_OK(driver.ConnectPartition(kOp, 0));
-  WaitReplicationIdle(&driver);
+  TcpCluster cluster;
+  ClusterDriver& driver = *cluster.driver;
+  bench::CountingTransport& counted = *cluster.counted;
+  broker::Partition& partition = cluster.partition;
 
   auto produce_wave = [&] {
     dataflow::Batch batch;
@@ -274,7 +403,7 @@ void Run(bench::BenchArtifact* artifact) {
   // the crash (connections refused); the replica its ring predecessor
   // holds is promoted, cursors rewind, and the replay pump re-delivers
   // the post-checkpoint window (survivors dedup it).
-  servers[kFailedNode]->Stop();
+  cluster.servers[kFailedNode]->Stop();
   t0 = Clock::now();
   std::vector<uint32_t> dead = driver.ProbeFailures();
   RHINO_CHECK(dead == std::vector<uint32_t>{kFailedNode});
@@ -316,12 +445,8 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->SetInfo("transport", "tcp (loopback)");
   artifact->SetInfo("failed_node", std::to_string(kFailedNode));
   artifact->SetInfo("regression_gate",
-                    "handover_replica_local_ok (walls and bytes report-only)");
-
-  driver.Shutdown();
-  for (auto& server : servers) server->Stop();
-  std::error_code ec;
-  std::filesystem::remove_all(root, ec);
+                    "handover_replica_local_ok, reconfig_bytes_flat_ok, "
+                    "cold_bytes_grow_ok (walls and bytes report-only)");
 }
 
 }  // namespace
@@ -331,6 +456,10 @@ int main() {
   std::printf("=== Networked runtime: checkpoint, handover, recovery ===\n\n");
   rhino::bench::BenchArtifact artifact("dist_handover");
   rhino::net::Run(&artifact);
+  std::printf("\n=== Reconfiguration against state size ===\n\n");
+  rhino::metrics::TablePrinter table({"operation", "wall time", "detail"});
+  rhino::net::RunStateSizes(&artifact, &table);
+  table.Print();
   RHINO_CHECK_OK(artifact.Write());
   return 0;
 }

@@ -303,6 +303,14 @@ Status NodeServer::Absorb(const std::string& op, rhino::ReplicaState&& rs,
   return Status::OK();
 }
 
+Status NodeServer::DropHeld(const std::string& op,
+                            const std::vector<uint32_t>& vnodes) {
+  for (uint32_t vnode : vnodes) held_.erase({op, vnode});
+  auto it = shards_.find(op);
+  if (it == shards_.end() || vnodes.empty()) return Status::OK();
+  return it->second.host->backend()->DropVnodes(vnodes);
+}
+
 void NodeServer::AdoptChains(const std::string& op,
                              const std::vector<uint32_t>& vnodes) {
   auto it = shards_.find(op);
@@ -605,35 +613,34 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   const auto& move = spec.moves[req.move_index];
   RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
                          rhino::DecodeReplicaState(req.replica));
+  RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(spec.operator_name));
   if (req.replica_local != 0) {
-    // The shard exists and every moved vnode is held at exactly the
-    // origin's last shipped seq — checked before any state is touched, so
-    // a mismatch leaves the driver free to redo the move through the full
-    // path.
-    RHINO_RETURN_NOT_OK(FindShard(spec.operator_name).status());
-    auto held = replicas_.find({move.origin_instance, spec.operator_name});
+    // Every moved vnode is held for the origin at exactly its last shipped
+    // seq — checked before any state is touched, so a mismatch leaves the
+    // driver free to redo the move through the full path.
     for (uint32_t vnode : move.vnodes) {
       auto seq = req.vnode_seqs.find(vnode);
-      const HeldVnode* copy = nullptr;
-      if (held != replicas_.end()) {
-        auto it = held->second.find(vnode);
-        if (it != held->second.end()) copy = &it->second;
-      }
-      if (seq == req.vnode_seqs.end() || copy == nullptr ||
-          copy->seq != seq->second) {
+      auto copy = held_.find({spec.operator_name, vnode});
+      if (seq == req.vnode_seqs.end() || copy == held_.end() ||
+          copy->second.origin != move.origin_instance ||
+          copy->second.seq != seq->second) {
         return Status::FailedPrecondition(
             "replica of node " + std::to_string(move.origin_instance) +
             " does not hold vnode " + std::to_string(vnode) +
             " at the origin's last shipped seq");
       }
     }
-    // The origin's descriptor brings the watermarks; the state blobs move
-    // out of the catalog.
+    // The held rows become the vnodes' state where they are; the origin's
+    // descriptor brings the watermarks.
     for (uint32_t vnode : move.vnodes) {
-      auto it = held->second.find(vnode);
-      rs.vnode_blobs[vnode] = std::move(it->second.blob);
-      held->second.erase(it);
+      auto copy = held_.find({spec.operator_name, vnode});
+      shard->host->backend()->SetVnodeBytes(vnode, copy->second.bytes);
+      held_.erase(copy);
     }
+  } else {
+    // The image replaces any rows held here: their origin's tombstone may
+    // still be in flight.
+    RHINO_RETURN_NOT_OK(DropHeld(spec.operator_name, move.vnodes));
   }
   RHINO_RETURN_NOT_OK(Absorb(spec.operator_name, std::move(rs), move.vnodes,
                              req.durable != 0));
@@ -679,40 +686,43 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
                          ReplicateStateRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
                          rhino::DecodeReplicaState(req.replica));
-  HeldReplica& held = replicas_[{req.origin_node, req.op}];
-  auto is_duplicate = [&](uint32_t vnode) {
-    auto it = held.find(vnode);
-    return it != held.end() && req.stream_seq <= it->second.seq;
+  auto shard = shards_.find(req.op);
+  // The origin handed a vnode this node owns away: its deltas and
+  // tombstones of it are stale.
+  auto owned = [&](uint32_t vnode) {
+    return shard != shards_.end() && shard->second.host->Owns(vnode);
   };
-  const auto& desc = rs.latest_descriptor;
-  auto bytes_of = [&desc](uint32_t vnode) -> uint64_t {
-    auto it = desc.vnode_bytes.find(vnode);
-    return it == desc.vnode_bytes.end() ? 0 : it->second;
+  // The delta origin's copy of `vnode`, or null.
+  auto origin_copy = [&](uint32_t vnode) -> HeldVnode* {
+    auto it = held_.find({req.op, vnode});
+    return it != held_.end() && it->second.origin == req.origin_node
+               ? &it->second
+               : nullptr;
   };
   // Check the chain of every key delta before applying anything: a key
-  // delta extends only the copy at its base_seq.
-  std::map<uint32_t, std::string> merged;
+  // delta extends only its origin's copy at its base_seq. A delta at or
+  // below that copy's seq is a replay of an applied one.
+  std::vector<const ReplicatedVnode*> apply;
   std::vector<uint32_t> broken;
   for (const ReplicatedVnode& entry : req.vnodes) {
-    if (entry.keys == 0 || is_duplicate(entry.vnode)) continue;
-    auto it = held.find(entry.vnode);
-    if (it == held.end() || it->second.seq != entry.base_seq) {
+    if (owned(entry.vnode)) continue;
+    const HeldVnode* copy = origin_copy(entry.vnode);
+    if (copy != nullptr && req.stream_seq <= copy->seq) continue;
+    if (entry.keys != 0 && (copy == nullptr || copy->seq != entry.base_seq)) {
       broken.push_back(entry.vnode);
-      continue;
+    } else {
+      apply.push_back(&entry);
     }
-    auto blob = state::LsmStateBackend::MergeChangesIntoBlob(
-        it->second.blob, entry.changes, bytes_of(entry.vnode));
-    if (!blob.ok()) {
-      broken.push_back(entry.vnode);
-      continue;
-    }
-    merged[entry.vnode] = std::move(blob).MoveValue();
   }
   if (!broken.empty()) {
-    // Out of chain: the copy is no consistent snapshot any more. Erase it
-    // and make the origin ship the vnode whole.
-    for (uint32_t vnode : broken) held.erase(vnode);
+    // Out of chain: the origin's copy is no consistent snapshot any more.
+    // Drop it and make the origin ship the vnode whole.
+    std::vector<uint32_t> stale;
+    for (uint32_t vnode : broken) {
+      if (origin_copy(vnode) != nullptr) stale.push_back(vnode);
+    }
     Bump(metrics_.rejected);
+    RHINO_RETURN_NOT_OK(DropHeld(req.op, stale));
     return Status::FailedPrecondition(
         "replica of node " + std::to_string(req.origin_node) + " op " +
         req.op + " is not at the base seq of vnode " +
@@ -721,24 +731,40 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
   }
   // Tombstones first: the origin dropped those vnodes before it cut this
   // delta (a vnode dropped and re-acquired ships whole below).
-  for (uint32_t vnode : req.dropped_vnodes) held.erase(vnode);
-  for (const ReplicatedVnode& entry : req.vnodes) {
-    // A delta at or below the held seq is a replay of an applied one.
-    if (is_duplicate(entry.vnode)) continue;
-    HeldVnode& copy = held[entry.vnode];
-    if (entry.keys != 0) {
-      copy.blob = std::move(merged[entry.vnode]);
-    } else {
-      auto blob = rs.vnode_blobs.find(entry.vnode);
-      copy.blob = blob != rs.vnode_blobs.end() ? std::move(blob->second)
-                                               : std::string();
+  std::vector<uint32_t> dropped;
+  for (uint32_t vnode : req.dropped_vnodes) {
+    if (!owned(vnode) && origin_copy(vnode) != nullptr) dropped.push_back(vnode);
+  }
+  RHINO_RETURN_NOT_OK(DropHeld(req.op, dropped));
+  const auto& desc = rs.latest_descriptor;
+  for (const ReplicatedVnode* entry : apply) {
+    const uint32_t vnode = entry->vnode;
+    std::string_view run = entry->changes;
+    if (entry->keys == 0) {
+      auto blob = rs.vnode_blobs.find(vnode);
+      run = std::string_view();
+      if (blob != rs.vnode_blobs.end()) {
+        RHINO_ASSIGN_OR_RETURN(run, state::VnodeBlobEntries(blob->second));
+      }
+      // A whole vnode replaces whatever is held for it, whoever sent it.
+      RHINO_RETURN_NOT_OK(DropHeld(req.op, {vnode}));
     }
-    copy.bytes = bytes_of(entry.vnode);
-    auto marks = desc.vnode_watermarks.find(entry.vnode);
+    if (!run.empty()) {
+      // Rows need the operator's backend; a vnode that ships before the
+      // driver added the operator here is its empty baseline.
+      if (shard == shards_.end()) return FindShard(req.op).status();
+      RHINO_RETURN_NOT_OK(
+          shard->second.host->backend()->WriteVnodeEntries(vnode, run));
+    }
+    HeldVnode& copy = held_[{req.op, vnode}];
+    copy.origin = req.origin_node;
+    copy.seq = req.stream_seq;
+    auto bytes = desc.vnode_bytes.find(vnode);
+    copy.bytes = bytes != desc.vnode_bytes.end() ? bytes->second : 0;
+    auto marks = desc.vnode_watermarks.find(vnode);
     copy.watermarks = marks != desc.vnode_watermarks.end()
                           ? marks->second
                           : std::map<int, uint64_t>();
-    copy.seq = req.stream_seq;
   }
   return std::string();
 }
@@ -747,67 +773,78 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
                                                    std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(ReplicaFetchRequest req,
                          ReplicaFetchRequest::Decode(body));
+  RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
+  state::StateBackend* backend = shard->host->backend();
   rhino::ReplicaState rs;
+  rs.latest_descriptor.operator_name = req.op;
+  rs.latest_descriptor.instance_id = req.origin_node;
+  auto describe = [&rs](uint32_t vnode, uint64_t id, uint64_t bytes,
+                        std::map<int, uint64_t>&& marks) {
+    rs.latest_checkpoint_id = std::max(rs.latest_checkpoint_id, id);
+    rs.latest_descriptor.vnode_bytes[vnode] = bytes;
+    if (!marks.empty()) {
+      rs.latest_descriptor.vnode_watermarks[vnode] = std::move(marks);
+    }
+  };
+  // A requested vnode the origin's replica or chain does not cover loses
+  // any rows it has here and is absorbed empty, without watermarks.
+  std::vector<uint32_t> untorn;  // restored from a chain without a torn tail
   if (type == MessageType::kPromoteReplica) {
-    auto it = replicas_.find({req.origin_node, req.op});
-    if (it == replicas_.end()) {
+    auto from_origin = [&req](const auto& held) {
+      return held.first.first == req.op &&
+             held.second.origin == req.origin_node;
+    };
+    if (std::none_of(held_.begin(), held_.end(), from_origin)) {
       return Status::NotFound("no replica of node " +
                               std::to_string(req.origin_node) + " op " +
                               req.op + " on node " +
                               std::to_string(node_id_.load()));
     }
-    // Move out only the requested vnodes (the origin is dead, nothing
-    // else of its replica will be asked for twice); a vnode not held is
-    // absorbed empty without watermarks.
-    rs.latest_descriptor.operator_name = req.op;
-    rs.latest_descriptor.instance_id = req.origin_node;
+    // The held rows become the vnodes' state where they are, copying no
+    // key. The origin is dead: nothing of its replica is asked for twice.
+    std::vector<uint32_t> absent;
     for (uint32_t vnode : req.vnodes) {
-      auto held = it->second.find(vnode);
-      if (held == it->second.end()) continue;
-      HeldVnode& copy = held->second;
-      rs.latest_checkpoint_id = std::max(rs.latest_checkpoint_id, copy.seq);
-      rs.latest_descriptor.vnode_bytes[vnode] = copy.bytes;
-      if (!copy.watermarks.empty()) {
-        rs.latest_descriptor.vnode_watermarks[vnode] =
-            std::move(copy.watermarks);
+      auto it = held_.find({req.op, vnode});
+      if (it == held_.end() || !from_origin(*it)) {
+        absent.push_back(vnode);
+        continue;
       }
-      rs.vnode_blobs[vnode] = std::move(copy.blob);
-      it->second.erase(held);
+      HeldVnode& copy = it->second;
+      describe(vnode, copy.seq, copy.bytes, std::move(copy.watermarks));
+      backend->SetVnodeBytes(vnode, copy.bytes);
+      held_.erase(it);
     }
-    rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
-    if (it->second.empty()) replicas_.erase(it);
+    RHINO_RETURN_NOT_OK(DropHeld(req.op, absent));
   } else {
-    // Fold the requested vnodes' checkpoint chains, whoever wrote them. A
-    // vnode without a chain (never checkpointed) is absorbed empty, like
-    // a vnode a replica does not hold.
-    rs.latest_descriptor.operator_name = req.op;
-    rs.latest_descriptor.instance_id = req.origin_node;
+    // Each requested vnode's chain, whoever wrote it, goes into the
+    // backend: its whole record, then its key records.
+    RHINO_RETURN_NOT_OK(DropHeld(req.op, req.vnodes));
     for (uint32_t vnode : req.vnodes) {
-      auto folded = rhino::ReadChain(env_, ChainPath(req.op, vnode));
-      if (folded.status().code() == StatusCode::kNotFound) continue;
-      RHINO_RETURN_NOT_OK(folded.status());
-      rs.latest_checkpoint_id =
-          std::max(rs.latest_checkpoint_id, folded->checkpoint_id);
-      rs.latest_descriptor.vnode_bytes[vnode] = folded->nominal_bytes;
-      if (!folded->watermarks.empty()) {
-        rs.latest_descriptor.vnode_watermarks[vnode] =
-            std::move(folded->watermarks);
-      }
-      rs.vnode_blobs[vnode] = std::move(folded->blob);
+      const std::string path = ChainPath(req.op, vnode);
+      auto chain = rhino::ReadChain(env_, path);
+      if (chain.status().code() == StatusCode::kNotFound) continue;
+      RHINO_RETURN_NOT_OK(chain.status());
+      RHINO_RETURN_NOT_OK(rhino::RestoreChain(*chain, vnode, backend));
+      describe(vnode, chain->checkpoint_id, chain->nominal_bytes,
+               std::move(chain->watermarks));
+      // Without a torn tail the vnode is exactly the chain's last record,
+      // and its next record extends the chain.
+      auto size = env_->GetFileSize(path);
+      if (size.ok() && *size == chain->valid_bytes) untorn.push_back(vnode);
     }
-    rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
   }
+  rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
   RHINO_RETURN_NOT_OK(
       Absorb(req.op, std::move(rs), req.vnodes, /*already_durable=*/true));
+  AdoptChains(req.op, untorn);
   obs_->trace().Emit(
       "net",
       type == MessageType::kPromoteReplica ? "promote_replica"
                                            : "restore_from_checkpoint",
       "node" + std::to_string(node_id_.load()), rs.latest_checkpoint_id,
       {{"origin", static_cast<int64_t>(req.origin_node)}});
-  // The reply is the image minus the blobs: the driver only needs the
-  // descriptor (replay watermarks) to rewind its partition cursors.
-  rs.vnode_blobs.clear();
+  // The reply is the descriptor: the driver needs the replay watermarks
+  // to rewind its partition cursors.
   std::string out;
   EncodeReplicaState(rs, &out);
   return out;
@@ -841,7 +878,10 @@ Result<std::string> NodeServer::HandleStats() {
     reply.owned_vnodes += shard.host->owned().size();
     reply.state_bytes += shard.host->backend()->SizeBytes();
   }
-  reply.replicas_held = replicas_.size();
+  // Replicas held: distinct (origin, operator) pairs.
+  std::set<std::pair<uint32_t, std::string>> replicas;
+  for (const auto& [key, copy] : held_) replicas.emplace(copy.origin, key.first);
+  reply.replicas_held = replicas.size();
   {
     std::lock_guard<std::mutex> lock(repl_->mu);
     for (const auto& [op, set] : repl_->dirty) reply.repl_dirty += set.size();

@@ -49,7 +49,9 @@
 ///    holds ships as a **key delta**, the keys its backend captured since
 ///    the vnode's last delta, chained to that delta by `base_seq`; a vnode
 ///    it may lack ships **whole**. Both carry the vnode's size and replay
-///    watermarks, captured atomically with its state;
+///    watermarks, captured atomically with its state. The successor keeps
+///    a replicated vnode as **held rows** of its own backend: a whole
+///    vnode replaces them, a key delta is one write of its change run;
 ///  * **checkpoint** — `kCheckpoint` brings each owned vnode's chain in
 ///    the shared checkpoint directory (the DFS stand-in) up to date: a key
 ///    record of the keys written since the vnode's last record, nothing
@@ -63,16 +65,18 @@
 ///    state *and* dedup watermarks. When the target is the origin's ring
 ///    successor the move is **replica-local**: the origin drains its
 ///    stream and sends only sizes, watermarks and the seq of each moved
-///    vnode's last delta, and the target moves its replica of those
-///    vnodes into live state. Any other target gets the full image. Either
-///    way the origin's extract first writes the moved vnodes' pending keys
-///    to their chains (the final incremental checkpoint), and the target
-///    extends those chains from then on;
-///  * **recovery** — `kPromoteReplica` moves the requested vnodes of a
-///    held replica of a dead peer into live state; `kRestoreFromCheckpoint`
-///    does the same by folding the requested vnodes' chains when no
-///    replica survived (the RhinoDFS fallback). A promoted or restored
-///    vnode's next chain record is whole.
+///    vnode's last delta, and the target takes its held rows of those
+///    vnodes over, copying no key. Any other target gets the full image.
+///    Either way the origin's extract first writes the moved vnodes'
+///    pending keys to their chains (the final incremental checkpoint), and
+///    the target extends those chains from then on;
+///  * **recovery** — `kPromoteReplica` takes over the held rows of the
+///    requested vnodes of a dead peer, copying no key;
+///    `kRestoreFromCheckpoint` writes each requested vnode's chain, its
+///    whole record and then every key record, into the backend when no
+///    replica survived (the RhinoDFS fallback). A promoted vnode's next
+///    chain record is whole; a restored one extends its chain unless the
+///    chain has a torn tail.
 ///
 /// **Chain invariant.** A node extends a vnode's chain only while its
 /// state of the vnode equals the chain's last record plus the keys its
@@ -81,16 +85,24 @@
 /// is whole. A chain on disk never exceeds twice its base, and a torn
 /// tail loses only the torn record.
 ///
-/// **Replica invariant.** A vnode held in the replica catalog is always
-/// one consistent snapshot of its origin — state and replay watermarks of
-/// the same instant, as of the stream delta whose seq it records — or it
-/// is absent. A key delta therefore applies only to a held copy at
-/// exactly its `base_seq`; a delta at or below the held seq is a
-/// duplicate (a channel replay) and is acked without being applied; any
-/// other mismatch erases the held copy and answers `FailedPrecondition`,
-/// upon which the origin ships the vnode whole. Promoting an absent vnode
-/// absorbs it empty with no watermarks, so the driver replays its inputs
-/// from offset 0 (the broker keeps every offset).
+/// **Replica invariant.** Per node and operator, a vnode's rows are
+/// owned, held for exactly one origin, or absent. Held rows sit in the
+/// operator's backend under the owner's keys, out of `SizeBytes()` and
+/// both capture readers; the catalog (`held_`) keeps only their origin,
+/// the seq of the stream delta they are as of, their size and their
+/// watermarks, and a held copy is one consistent snapshot of its origin.
+/// A delta never writes, and a tombstone never drops, rows of a vnode this
+/// node owns (its origin handed the vnode away: acked unapplied). A whole
+/// vnode replaces whatever is held for it. A key delta applies only to
+/// its origin's copy at exactly its `base_seq`; one at or below that seq
+/// is a replay, acked unapplied; any other mismatch drops the origin's
+/// copy and answers `FailedPrecondition`, upon which the origin ships the
+/// vnode whole. A tombstone drops only its origin's copy. A vnode that
+/// becomes owned other than by taking its held copy over — a full-path
+/// ingest, a restore, the promotion of a vnode not held — first loses any
+/// rows of it, as its old owner's tombstone may still be in flight. A
+/// vnode not held is promoted empty with no watermarks, so the driver
+/// replays its inputs from offset 0 (the broker keeps every offset).
 ///
 /// Thread safety: one mutex (`mu_`) serializes all verbs, so every
 /// checkpoint or extraction observes a consistent shard. The replicator
@@ -245,15 +257,19 @@ class NodeServer {
                     ReplicateStateRequest* req);
 
   /// Folds `rs`'s blobs/watermarks for `vnodes` (empty = all) into the
-  /// live shard of `op`. Consumes the image's blobs. The absorbed vnodes'
-  /// next chain records are whole.
+  /// live shard of `op`; a vnode without a blob keeps its rows. Consumes
+  /// the image's blobs. The absorbed vnodes' next chain records are whole.
   Status Absorb(const std::string& op, rhino::ReplicaState&& rs,
                 const std::vector<uint32_t>& vnodes, bool already_durable);
 
-  /// Handover target: takes over the chains of the moved `vnodes` of `op`,
-  /// whose last records the origin's extract made equal to the state it
-  /// handed over. A chain it cannot read gets a whole record next. Caller
-  /// holds `mu_`.
+  /// Drops the rows and catalog entries of `vnodes` of `op`, none of them
+  /// owned here. Caller holds `mu_`.
+  Status DropHeld(const std::string& op, const std::vector<uint32_t>& vnodes);
+
+  /// Takes over the chains of `vnodes` of `op`, whose last records equal
+  /// this node's state of them: a handover target's moved vnodes (the
+  /// origin's extract wrote those records) or untorn restored ones. A
+  /// chain it cannot read gets a whole record next. Caller holds `mu_`.
   void AdoptChains(const std::string& op, const std::vector<uint32_t>& vnodes);
 
   /// Path of the checkpoint chain of `vnode` of `op`.
@@ -311,15 +327,14 @@ class NodeServer {
   std::atomic<uint32_t> node_id_{0};
   std::atomic<bool> shutdown_{false};
 
-  /// One vnode of a held replica: a consistent snapshot of the origin's
-  /// vnode as of the stream delta `seq`.
+  /// What gives a vnode's held rows their meaning: a consistent snapshot
+  /// of `origin`'s vnode as of its stream delta `seq`.
   struct HeldVnode {
-    std::string blob;
+    uint32_t origin = 0;
+    uint64_t seq = 0;
     uint64_t bytes = 0;  ///< nominal state bytes
     std::map<int, uint64_t> watermarks;
-    uint64_t seq = 0;
   };
-  using HeldReplica = std::map<uint32_t, HeldVnode>;
 
   /// Stream, handover and checkpoint-chain instruments in the node's
   /// registry, labelled with the node id (registered by kHello; null
@@ -342,9 +357,10 @@ class NodeServer {
   std::mutex mu_;
   std::string successor_;  ///< replication successor endpoint ("" = off)
   std::map<std::string, Shard> shards_;
-  /// Replica catalog: (origin node, op) -> held vnodes, applied from the
-  /// origin's stream deltas (the replica invariant above).
-  std::map<std::pair<uint32_t, std::string>, HeldReplica> replicas_;
+  /// Replica catalog: (op, vnode) -> the held copy (the invariant above).
+  /// Apart from the shards: a vnode's first, empty delta may arrive before
+  /// the driver added the operator here.
+  std::map<std::pair<std::string, uint32_t>, HeldVnode> held_;
   Metrics metrics_;
 
   /// True when the replicator thread was started (the node has a

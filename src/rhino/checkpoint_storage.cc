@@ -194,8 +194,8 @@ void AppendChainRecord(const ChainRecord& record, std::string* out) {
   lsm::AppendLogRecord(out, payload);
 }
 
-Result<FoldedVnode> FoldChain(std::string_view chain) {
-  FoldedVnode folded;
+Result<VnodeChain> ParseChain(std::string_view chain) {
+  VnodeChain parsed;
   size_t pos = 0;
   std::string_view payload;
   // kEnd and kTorn both end the complete prefix: a torn tail loses only
@@ -220,30 +220,38 @@ Result<FoldedVnode> FoldChain(std::string_view chain) {
     }
     std::string_view body = payload.substr(r.position());
     if (kind == static_cast<uint8_t>(ChainRecord::Kind::kWhole)) {
-      folded.blob.assign(body);
-    } else if (folded.records == 0) {
+      // A whole record restarts the vnode.
+      RHINO_ASSIGN_OR_RETURN(body, state::VnodeBlobEntries(body));
+      parsed.runs.clear();
+    } else if (parsed.records == 0) {
       return Status::Corruption("checkpoint chain starts with a key record");
-    } else {
-      RHINO_ASSIGN_OR_RETURN(folded.blob,
-                             state::LsmStateBackend::MergeChangesIntoBlob(
-                                 folded.blob, body, nominal));
     }
-    folded.nominal_bytes = nominal;
-    folded.watermarks = std::move(watermarks);
-    folded.checkpoint_id = id;
-    ++folded.records;
-    folded.valid_bytes = pos;
+    parsed.runs.emplace_back(body);
+    parsed.nominal_bytes = nominal;
+    parsed.watermarks = std::move(watermarks);
+    parsed.checkpoint_id = id;
+    ++parsed.records;
+    parsed.valid_bytes = pos;
   }
-  if (folded.records == 0) {
+  if (parsed.records == 0) {
     return Status::Corruption("checkpoint chain holds no complete record");
   }
-  return folded;
+  return parsed;
 }
 
-Result<FoldedVnode> ReadChain(lsm::Env* env, const std::string& path) {
+Result<VnodeChain> ReadChain(lsm::Env* env, const std::string& path) {
   std::string chain;
   RHINO_RETURN_NOT_OK(env->ReadFile(path, &chain));
-  return FoldChain(chain);
+  return ParseChain(chain);
+}
+
+Status RestoreChain(const VnodeChain& chain, uint32_t vnode,
+                    state::StateBackend* backend) {
+  for (const std::string& run : chain.runs) {
+    RHINO_RETURN_NOT_OK(backend->WriteVnodeEntries(vnode, run));
+  }
+  backend->SetVnodeBytes(vnode, chain.nominal_bytes);
+  return Status::OK();
 }
 
 Result<uint64_t> ChainBaseBytes(lsm::Env* env, const std::string& path) {

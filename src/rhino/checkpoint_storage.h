@@ -123,12 +123,14 @@ std::map<uint32_t, std::string> CaptureVnodeBlobs(
 // previous record, as one change run of `StateBackend::TakeChanges`. Both
 // bodies hold the same prefix-coded entries (`state::EntryWriter`); the
 // run's may be tombstones. Every record carries the vnode's nominal size
-// and replay watermarks, so the chain folds to one consistent snapshot.
+// and replay watermarks, so the chain restores to one consistent snapshot.
 // A record's payload is `u8 kind | varint checkpoint id | varint nominal
 // bytes | varint watermark count | (varint source | varint offset)... |
 // body`. Records are framed (checksum + length, the WAL idiom): a torn
 // append from a SIGKILL mid-checkpoint loses only the torn record, and
-// the chain still folds to the state of its last complete one.
+// the chain still restores to the state of its last complete one. The
+// reader merges nothing: a restore writes the records' entries into a
+// backend in order, and the store's own merge folds them.
 
 /// One record of a vnode's checkpoint chain.
 struct ChainRecord {
@@ -145,26 +147,33 @@ struct ChainRecord {
 /// Appends the framed encoding of `record` to `*out`.
 void AppendChainRecord(const ChainRecord& record, std::string* out);
 
-/// The state a chain folds to: the vnode as of its last complete record.
-struct FoldedVnode {
-  std::string blob;
+/// A chain read up to its last complete record.
+struct VnodeChain {
+  /// Each complete record's entries, oldest first: the whole record's,
+  /// then each key record's change run.
+  std::vector<std::string> runs;
+  /// The last complete record's size, replay watermarks and checkpoint.
   uint64_t nominal_bytes = 0;
   std::map<int, uint64_t> watermarks;
   uint64_t checkpoint_id = 0;
-  /// Complete records folded, and the bytes they span.
+  /// Complete records read, and the bytes they span.
   uint64_t records = 0;
   uint64_t valid_bytes = 0;
 };
 
-/// Folds a chain: a whole record replaces the state and a key record is
-/// merged into it (`LsmStateBackend::MergeChangesIntoBlob`). The fold
-/// stops at the first torn record. Corruption when the chain holds no
-/// complete record, starts with a key record, or a complete record does
-/// not decode or merge.
-Result<FoldedVnode> FoldChain(std::string_view chain);
+/// Reads a chain up to its first torn record. Corruption when the chain
+/// holds no complete record, starts with a key record, or a complete
+/// record does not decode.
+Result<VnodeChain> ParseChain(std::string_view chain);
 
-/// Reads and folds the chain at `path`; NotFound when there is none.
-Result<FoldedVnode> ReadChain(lsm::Env* env, const std::string& path);
+/// Reads the chain at `path`; NotFound when there is none.
+Result<VnodeChain> ReadChain(lsm::Env* env, const std::string& path);
+
+/// Writes `chain`'s runs into `backend` as rows of `vnode`, oldest first
+/// (one `StateBackend::WriteVnodeEntries` each), and sets the vnode's size
+/// to the last record's. The caller drops any earlier rows first.
+Status RestoreChain(const VnodeChain& chain, uint32_t vnode,
+                    state::StateBackend* backend);
 
 /// Framed bytes of the first record of the chain at `path` (its base),
 /// read from the record's frame header alone.

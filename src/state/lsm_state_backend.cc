@@ -30,9 +30,9 @@ void EntryWriter::Delete(std::string_view key) {
   BinaryWriter(out_).PutVarint(0);
 }
 
-Status EntryReader::Peek() {
+Status EntryReader::Next() {
   // Raw pointers rather than a BinaryReader: this runs once per entry of
-  // every merge, ingest and decode.
+  // every ingest, held-row write and decode.
   const char* p = data_.data() + pos_;
   const char* const end = data_.data() + data_.size();
   uint64_t shared = 0, unshared = 0, value_field = 0;
@@ -44,23 +44,31 @@ Status EntryReader::Peek() {
   if (shared > key_.size()) {
     return Status::Corruption("state entry shares more than its previous key");
   }
-  shared_ = shared;
-  suffix_ = std::string_view(p, unshared);
+  const char* suffix = p;
   p = DecodeVarint(p + unshared, end, &value_field);
   if (p == nullptr ||
       (value_field != 0 && value_field - 1 > static_cast<uint64_t>(end - p))) {
     return Status::Corruption("truncated state entry");
   }
+  key_.resize(shared + unshared);
+  std::memcpy(key_.data() + shared, suffix, unshared);
   tombstone_ = value_field == 0;
   value_ = tombstone_ ? std::string_view() : std::string_view(p, value_field - 1);
-  next_ = static_cast<size_t>(p + value_.size() - data_.data());
+  pos_ = static_cast<size_t>(p + value_.size() - data_.data());
   return Status::OK();
 }
 
-void EntryReader::Take() {
-  key_.resize(shared_ + suffix_.size());
-  std::memcpy(key_.data() + shared_, suffix_.data(), suffix_.size());
-  pos_ = next_;
+Result<std::string_view> VnodeBlobEntries(std::string_view blob) {
+  BinaryReader r(blob);
+  uint32_t num_vnodes = 0, vnode = 0;
+  uint64_t nominal = 0, count = 0;
+  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
+  if (num_vnodes != 1) return Status::Corruption("not a one-vnode blob");
+  RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
+  RHINO_RETURN_NOT_OK(r.GetU64(&nominal));
+  if (r.AtEnd()) return std::string_view();  // a modeled blob: its size only
+  RHINO_RETURN_NOT_OK(r.GetU64(&count));
+  return blob.substr(r.position());
 }
 
 Result<std::unique_ptr<LsmStateBackend>> LsmStateBackend::Open(
@@ -262,6 +270,31 @@ Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
   return Status::OK();
 }
 
+Status LsmStateBackend::WriteVnodeEntries(uint32_t vnode,
+                                          std::string_view run) {
+  // No lock: held rows touch neither the accounting nor the capture, and
+  // the DB serializes its own writes.
+  lsm::WriteBatch batch;
+  std::string key = EncodeKey(vnode, "");
+  EntryReader entries(run);
+  while (!entries.AtEnd()) {
+    RHINO_RETURN_NOT_OK(entries.Next());
+    key.resize(4);
+    key.append(entries.key());
+    if (entries.is_tombstone()) {
+      batch.Delete(key);
+    } else {
+      batch.Put(key, entries.value());
+    }
+  }
+  return db_->Write(batch);
+}
+
+void LsmStateBackend::SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  vnode_bytes_[vnode] = nominal_bytes;
+}
+
 void LsmStateBackend::ReaderCapture::Record(uint32_t vnode,
                                             std::string_view key,
                                             bool is_delete,
@@ -328,133 +361,6 @@ void LsmStateBackend::DiscardChanges(ChangeReader reader,
 uint64_t LsmStateBackend::CapturedKeys(ChangeReader reader) const {
   std::lock_guard<std::mutex> lock(mu_);
   return captures_[static_cast<size_t>(reader)].keys;
-}
-
-Result<std::string> LsmStateBackend::MergeChangesIntoBlob(
-    std::string_view blob, std::string_view run, uint64_t nominal_bytes) {
-  constexpr size_t kCountOffset = 4 + 4 + 8;  // nvnodes | vnode | nominal
-  BinaryReader r(blob);
-  uint32_t num_vnodes = 0, vnode = 0;
-  uint64_t old_nominal = 0, count = 0;
-  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
-  if (num_vnodes != 1) {
-    return Status::Corruption("merge target is not a one-vnode blob");
-  }
-  RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
-  RHINO_RETURN_NOT_OK(r.GetU64(&old_nominal));
-  RHINO_RETURN_NOT_OK(r.GetU64(&count));
-  const std::string_view body = blob.substr(r.position());
-  EntryReader entries(body);
-
-  // The run, one change at a time; `has_change` is false once it is done.
-  EntryReader changes(run);
-  bool has_change = false;
-  auto next_change = [&]() -> Status {
-    if (changes.AtEnd()) {
-      has_change = false;
-      return Status::OK();
-    }
-    const bool first = !has_change;
-    RHINO_RETURN_NOT_OK(changes.Peek());
-    // The keys share their first `shared` bytes, so the suffixes order them.
-    if (!first && !(changes.key().substr(changes.shared()) < changes.suffix())) {
-      return Status::Corruption("change run is not sorted by key");
-    }
-    changes.Take();
-    has_change = true;
-    return Status::OK();
-  };
-
-  std::string out;
-  out.reserve(blob.size() + run.size());
-  BinaryWriter w(&out);
-  w.PutU32(1);
-  w.PutU32(vnode);
-  w.PutU64(nominal_bytes);
-  w.PutU64(0);  // patched below
-  EntryWriter writer(&out);
-  uint64_t merged = 0;
-  // Untouched entries are copied as raw byte ranges of the blob: `kept` is
-  // where the range not yet copied starts. While `synced`, the entry at
-  // `kept` is coded against the last key of the output; a change breaks
-  // that, and the next kept entry is re-coded.
-  size_t kept = 0;
-  bool synced = true;
-  auto copy_kept = [&](size_t upto, std::string_view last_key) {
-    if (upto == kept) return;
-    out.append(body.substr(kept, upto - kept));
-    writer.SetPreviousKey(last_key);
-    kept = upto;
-  };
-  // Emits the pending change (a put; tombstones emit nothing) and reads
-  // the next one.
-  auto apply_change = [&]() -> Status {
-    if (!changes.is_tombstone()) {
-      writer.Put(changes.key(), changes.value());
-      ++merged;
-    }
-    synced = false;
-    return next_change();
-  };
-  // The blob's last taken key sorts below the pending change (the empty
-  // key before the first entry aside) and shares `common` bytes with it.
-  // A peeked entry that shares more than `common` bytes with that key
-  // sorts below the change too; one that shares fewer or as many is
-  // ordered by its suffix against the change's rest.
-  size_t common = 0;
-  auto lcp = [](std::string_view a, std::string_view b) {
-    size_t n = 0;
-    while (n < a.size() && n < b.size() && a[n] == b[n]) ++n;
-    return n;
-  };
-  RHINO_RETURN_NOT_OK(next_change());
-  for (uint64_t e = 0; e < count; ++e) {
-    const size_t start = entries.position();
-    RHINO_RETURN_NOT_OK(entries.Peek());
-    if (entries.is_tombstone()) {
-      return Status::Corruption("tombstone inside a vnode blob");
-    }
-    // Touched: the entry sorts at or after the pending change.
-    bool touched = false;
-    if (has_change && entries.shared() <= common) {
-      const std::string_view suffix = entries.suffix();
-      const std::string_view rest = changes.key().substr(entries.shared());
-      const size_t more = lcp(suffix, rest);
-      touched = more == rest.size() ||
-                (more < suffix.size() && static_cast<uint8_t>(suffix[more]) >
-                                             static_cast<uint8_t>(rest[more]));
-      if (!touched) common = entries.shared() + more;
-    }
-    if (touched) copy_kept(start, entries.key());
-    entries.Take();
-    if (touched) {
-      while (has_change && changes.key() < entries.key()) {
-        RHINO_RETURN_NOT_OK(apply_change());
-      }
-      // A change of this very key replaces the entry; a tombstone erases
-      // it.
-      const bool replaced = has_change && changes.key() == entries.key();
-      if (replaced) RHINO_RETURN_NOT_OK(apply_change());
-      if (has_change) common = lcp(entries.key(), changes.key());
-      if (replaced) {
-        kept = entries.position();
-        continue;
-      }
-    }
-    if (!synced) {
-      writer.Put(entries.key(), entries.value());
-      kept = entries.position();
-      synced = true;
-    }
-    ++merged;
-  }
-  if (!entries.AtEnd()) {
-    return Status::Corruption("trailing bytes after vnode blob");
-  }
-  copy_kept(entries.position(), entries.key());
-  while (has_change) RHINO_RETURN_NOT_OK(apply_change());
-  std::memcpy(out.data() + kCountOffset, &merged, sizeof(merged));
-  return out;
 }
 
 }  // namespace rhino::state

@@ -20,6 +20,9 @@
 /// RocksDB state by key group: vnode extraction is a range scan that seeks
 /// to the vnode (memtable and tables alike), and vnode drop is the same
 /// range scan writing one tombstone per live key.
+/// The same store holds the replicas a node keeps of its peers' vnodes
+/// ("held rows", state_backend.h): the LSM's own merge applies a key delta
+/// to them, and taking a held vnode over sets its size, touching no key.
 
 namespace rhino::state {
 
@@ -27,7 +30,7 @@ namespace rhino::state {
 //
 // One entry format carries real state on every byte path: the entries of
 // an `ExtractVnodes` blob and the change runs of `TakeChanges`, and
-// through them whole and key stream deltas, extract/ingest, promotion and
+// through them whole and key stream deltas, extract/ingest, held rows and
 // checkpoint chain records. Each entry is
 //
 //   varint shared | varint unshared | key suffix |
@@ -36,8 +39,7 @@ namespace rhino::state {
 // and its key is the first `shared` bytes of the previous key of the same
 // vnode followed by the suffix (a vnode's first entry follows the empty
 // key), as in an SST data block. `shared` is always the longest common
-// prefix, so a sequence of entries has exactly one encoding: a merged
-// blob is byte-identical to a fresh extraction of the same state.
+// prefix, so a sequence of entries has exactly one encoding.
 
 /// Appends the entries of one vnode, in strictly increasing key order.
 class EntryWriter {
@@ -46,9 +48,6 @@ class EntryWriter {
 
   void Put(std::string_view key, std::string_view value);
   void Delete(std::string_view key);
-  /// Sets the key the next entry is coded against: the last key of
-  /// entries the caller appended to `out` as raw bytes.
-  void SetPreviousKey(std::string_view key) { last_.assign(key); }
 
  private:
   void PutKey(std::string_view key);
@@ -57,49 +56,38 @@ class EntryWriter {
   std::string last_;
 };
 
-/// Decodes the entries of one vnode written by EntryWriter. An entry can
-/// be peeked before it is taken, so a scan can decide on the suffix alone
-/// while `key()` still holds the key before it.
+/// Decodes the entries of one vnode written by EntryWriter.
 class EntryReader {
  public:
   explicit EntryReader(std::string_view data) : data_(data) {}
 
   bool AtEnd() const { return pos_ == data_.size(); }
-  /// Offset of the first entry not taken.
+  /// Offset of the first entry not decoded.
   size_t position() const { return pos_; }
 
-  /// Decodes the next entry without taking it: `shared()`, `suffix()`,
-  /// `is_tombstone()` and `value()` describe it. Corruption on a
-  /// truncated entry or a `shared` longer than the current key.
-  Status Peek();
-  /// Takes the peeked entry: `key()` becomes its key.
-  void Take();
-  /// Peek() and Take().
-  Status Next() {
-    RHINO_RETURN_NOT_OK(Peek());
-    Take();
-    return Status::OK();
-  }
+  /// Decodes the next entry: `key()`, `is_tombstone()` and `value()`
+  /// describe it. Corruption on a truncated entry or a `shared` longer
+  /// than the previous key.
+  Status Next();
 
-  /// The key of the last entry taken (empty before the first).
+  /// The key of the last entry decoded (empty before the first).
   std::string_view key() const { return key_; }
-  /// The peeked entry's key is `key().substr(0, shared())` + `suffix()`.
-  size_t shared() const { return shared_; }
-  std::string_view suffix() const { return suffix_; }
   bool is_tombstone() const { return tombstone_; }
   std::string_view value() const { return value_; }
 
  private:
   std::string_view data_;
   size_t pos_ = 0;
-  /// End of the peeked entry.
-  size_t next_ = 0;
   std::string key_;
-  size_t shared_ = 0;
-  std::string_view suffix_;
   bool tombstone_ = false;
   std::string_view value_;
 };
+
+/// The entries of a one-vnode blob of ExtractVnodes — `u32 1 | u32 vnode |
+/// u64 nominal bytes | u64 entry count | entries` — as a run for
+/// WriteVnodeEntries. A ModeledStateBackend blob ends after its size and
+/// carries no entries. Corruption when `blob` holds no single vnode.
+Result<std::string_view> VnodeBlobEntries(std::string_view blob);
 
 /// LSM-backed implementation of StateBackend.
 ///
@@ -136,6 +124,10 @@ class LsmStateBackend : public StateBackend {
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
+  /// One lsm::WriteBatch of the run's entries, decoded before anything is
+  /// written; the WAL covers held rows like any other write.
+  Status WriteVnodeEntries(uint32_t vnode, std::string_view run) override;
+  void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) override;
 
   void SetChangeCapture(ChangeReader reader, bool on) override;
   /// The run is a sequence of entries, puts and tombstones, strictly
@@ -145,18 +137,6 @@ class LsmStateBackend : public StateBackend {
   void DiscardChanges(ChangeReader reader,
                       const std::vector<uint32_t>& vnodes) override;
   uint64_t CapturedKeys(ChangeReader reader) const override;
-
-  /// Applies a change run of TakeChanges to a one-vnode blob of
-  /// ExtractVnodeBlobs in one linear merge: a change replaces the blob's
-  /// entry for its key, a tombstone erases it. Untouched ranges are copied
-  /// raw; only the first entry kept after a change is re-coded against
-  /// its new predecessor. The result is the blob of the same vnode with
-  /// `nominal_bytes` as its size, byte-identical to its fresh extraction.
-  /// Corruption on a malformed blob or run, a tombstone inside the blob,
-  /// or a run out of key order.
-  static Result<std::string> MergeChangesIntoBlob(std::string_view blob,
-                                                  std::string_view run,
-                                                  uint64_t nominal_bytes);
 
   /// The backing DB (exposed for tests).
   lsm::DB* db() { return db_.get(); }

@@ -156,4 +156,10 @@ Status ModeledStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
   return Status::OK();
 }
 
+void ModeledStateBackend::SetVnodeBytes(uint32_t vnode,
+                                        uint64_t nominal_bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  vnode_bytes_[vnode] = nominal_bytes;
+}
+
 }  // namespace rhino::state

@@ -43,6 +43,12 @@ class ModeledStateBackend : public StateBackend {
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
+  /// Stores no values: a held vnode is its size alone.
+  Status WriteVnodeEntries(uint32_t, std::string_view) override {
+    return Status::OK();
+  }
+  /// The size joins no delta: it is durable elsewhere already.
+  void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) override;
 
   /// Adds `bytes` of modeled state to `vnode` without a key (bulk path used
   /// by modeled operators processing batch descriptors).

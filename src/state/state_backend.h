@@ -103,8 +103,23 @@ class StateBackend {
   virtual Status IngestVnodes(std::string_view blob,
                               bool already_durable = false) = 0;
 
-  /// Drops all state of `vnodes` (origin side after a successful handover).
+  /// Drops all state of `vnodes` (origin side after a successful handover),
+  /// held rows included.
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
+
+  // ---------------------------------------------------------- held rows --
+  // A node keeps each vnode it replicates for a peer as rows of its own
+  // backend, under the owner's keys ("held rows"), which are not yet this
+  // backend's state: they stay out of SizeBytes() and both capture readers
+  // until SetVnodeBytes takes the vnode over, copying no key.
+
+  /// Writes `run` — `vnode`'s entries in EntryWriter's format
+  /// (lsm_state_backend.h), puts and tombstones — as one atomic write that
+  /// skips byte accounting and both capture readers. Corruption, with
+  /// nothing written, on a malformed run.
+  virtual Status WriteVnodeEntries(uint32_t vnode, std::string_view run) = 0;
+  /// Sets `vnode`'s nominal size.
+  virtual void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) = 0;
 
   // ----------------------------------------------------- change capture --
   // Incremental replication and incremental checkpoints ship, per vnode,
@@ -114,17 +129,17 @@ class StateBackend {
   // a tombstone — until that reader takes it, so a reader's memory is
   // bounded by the distinct keys written since its last take, not by the
   // number of writes. Readers never see each other's takes. IngestVnodes
-  // records nothing for any reader (absorbed vnodes ship whole) and
-  // DropVnodes discards the dropped vnodes' keys for all readers. The
-  // defaults cannot capture, which means "ship whole vnodes".
+  // and WriteVnodeEntries record nothing for any reader (absorbed vnodes
+  // ship whole; held rows are not this backend's state) and DropVnodes
+  // discards the dropped vnodes' keys for all readers. The defaults cannot
+  // capture, which means "ship whole vnodes".
 
   /// Turns `reader`'s capture on or off; off discards what it captured.
   virtual void SetChangeCapture(ChangeReader /*reader*/, bool /*on*/) {}
 
   /// Moves out the changes of `vnode` captured for `reader` since its last
   /// take into `*run`, one run sorted by key in the blob's entry format,
-  /// tombstones included (apply it to a blob of the same vnode with the
-  /// backend's merge).
+  /// tombstones included (a replica applies it with WriteVnodeEntries).
   /// Returns the number of keys in the run, or nullopt when the reader
   /// cannot capture: the caller must ship the vnode whole.
   virtual std::optional<uint64_t> TakeChanges(ChangeReader /*reader*/,

@@ -1019,7 +1019,7 @@ TEST(DistClusterTest, TornChainTailRestoresThePreviousRecord) {
   const uint32_t vnode = VnodeForKey(cluster.KeyOwnedBy(1), kNumVnodes);
   std::string raw;
   ASSERT_TRUE(cluster.env.ReadFile(ChainAt(vnode), &raw).ok());
-  auto whole_chain = rhino::FoldChain(raw);
+  auto whole_chain = rhino::ParseChain(raw);
   ASSERT_TRUE(whole_chain.ok());
   ASSERT_EQ(whole_chain->records, 2u);
   ASSERT_TRUE(
@@ -1033,7 +1033,6 @@ TEST(DistClusterTest, TornChainTailRestoresThePreviousRecord) {
 
   // Node 1 and its replica holder fail together: its vnodes restore from
   // their chains, the torn one as of its base, and replay does the rest.
-  std::vector<uint32_t> restored = cluster.driver->VnodesOwnedBy(kOp, 1);
   std::vector<uint32_t> promoted = cluster.driver->VnodesOwnedBy(kOp, 2);
   cluster.transport.Kill("node1");
   cluster.transport.Kill("node2");
@@ -1045,11 +1044,11 @@ TEST(DistClusterTest, TornChainTailRestoresThePreviousRecord) {
   EXPECT_LE(replayed->applied, 80u);
   cluster.ExpectCounts(expected);
 
-  // The next owner rewrites every vnode it absorbed as a new base.
+  // The next owner rewrites the promoted vnodes and the torn one as new
+  // bases; the other restored vnodes extend their untorn chains.
   const uint64_t whole = ImageCounter("vnodes", 0, "whole");
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
-  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"),
-            whole + restored.size() + promoted.size());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + promoted.size() + 1);
   auto rewritten = rhino::ReadChain(&cluster.env, ChainAt(vnode));
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   EXPECT_EQ(rewritten->records, 1u);
@@ -1151,6 +1150,617 @@ TEST(DistClusterTest, ChainStaysWithinTwiceItsBase) {
   EXPECT_GT(ImageTotal("vnodes", "whole"), whole + kNumVnodes)
       << "chains were rewritten after their first base";
   cluster.ExpectAllCounts(10);
+}
+
+/// LSM user bytes (keys and values of committed writes) of every store in
+/// the process.
+uint64_t LsmUserWriteBytes() {
+  return obs::Observability::Default()
+      ->metrics()
+      .GetCounter("rhino_lsm_user_write_bytes_total")
+      ->value();
+}
+
+TEST(DistClusterTest, PromotionAndReplicaLocalIngestCopyNoKey) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // Serves `node` through a wrapper that measures the LSM bytes written
+  // while the node handles one `type` call. Every stream that could write
+  // meanwhile is drained and stopped first.
+  auto measure = [&cluster](uint32_t node, MessageType type, uint64_t* bytes) {
+    NodeServer* server = cluster.nodes[node].get();
+    cluster.transport.Register(
+        "node" + std::to_string(node),
+        [server, type, bytes](MessageType t, std::string_view body) {
+          const uint64_t before = LsmUserWriteBytes();
+          auto reply = server->Handle(t, body);
+          if (t == type) *bytes = LsmUserWriteBytes() - before;
+          return reply;
+        });
+  };
+
+  // A replica-local handover 0 -> 1. Node 0's stream stays up, drained:
+  // its extract waits on it, and it carries nothing until the drop.
+  cluster.nodes[1]->StopReplication();
+  cluster.nodes[2]->StopReplication();
+  uint64_t ingest_bytes = UINT64_MAX;
+  measure(1, MessageType::kIngestVnodes, &ingest_bytes);
+  const uint64_t replica =
+      NodeCounter("rhino_handover_total", 1, "path", "replica");
+  std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 1, "path", "replica"),
+            replica + 1);
+  EXPECT_EQ(ingest_bytes, 0u) << "the target's held rows became its state";
+
+  // Node 2 dies; node 0 promotes the replica it holds of node 2.
+  ASSERT_TRUE(cluster.WaitReplIdle(0));
+  cluster.nodes[0]->StopReplication();
+  uint64_t promote_bytes = UINT64_MAX;
+  measure(0, MessageType::kPromoteReplica, &promote_bytes);
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
+  EXPECT_EQ(promote_bytes, 0u) << "the promoted rows stayed where they were";
+
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u);
+  cluster.ExpectCounts(expected);
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
+/// The counter's store key of `key`: big-endian u64.
+std::string CounterKey(uint64_t key) {
+  std::string out(8, '\0');
+  for (int i = 0; i < 8; ++i) {
+    out[static_cast<size_t>(i)] = static_cast<char>(key >> (56 - 8 * i));
+  }
+  return out;
+}
+
+/// The counter's stored value: the count as one varint.
+std::string CountValue(uint64_t count) {
+  std::string value;
+  BinaryWriter(&value).PutVarint(count);
+  return value;
+}
+
+uint64_t DecodeCount(std::string_view value) {
+  uint64_t count = 0;
+  EXPECT_TRUE(BinaryReader(value).GetVarint(&count).ok());
+  return count;
+}
+
+TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+
+  // Node 1 and its replica holder fail together: node 0 restores node 1's
+  // vnodes from their untorn chains and promotes node 2's.
+  std::vector<uint32_t> restored = cluster.driver->VnodesOwnedBy(kOp, 1);
+  std::vector<uint32_t> promoted = cluster.driver->VnodesOwnedBy(kOp, 2);
+  cluster.transport.Kill("node1");
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNodes({1, 2}).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u) << "each restored vnode is its last record";
+
+  // Writes to every other key of the restored vnodes.
+  std::set<uint32_t> changed;
+  std::vector<uint64_t> keys;
+  for (uint64_t key = 0; key < 400; key += 2) {
+    const uint32_t vnode = VnodeForKey(key, kNumVnodes);
+    if (std::count(restored.begin(), restored.end(), vnode) == 0) continue;
+    keys.push_back(key);
+    expected[key] += 1;
+    changed.insert(vnode);
+  }
+  ASSERT_FALSE(changed.empty());
+  cluster.AppendKeys(keys);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  std::map<uint32_t, uint64_t> records;
+  for (uint32_t vnode : restored) {
+    auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    records[vnode] = chain->records;
+  }
+
+  // The next checkpoint appends one key record per changed restored
+  // vnode and rewrites only the promoted ones.
+  const uint64_t whole = ImageCounter("vnodes", 0, "whole");
+  const uint64_t key_records = ImageCounter("vnodes", 0, "keys");
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + promoted.size());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "keys"), key_records + changed.size());
+  for (uint32_t vnode : restored) {
+    auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+    ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    EXPECT_EQ(chain->records, records[vnode] + changed.count(vnode))
+        << "vnode " << vnode;
+    EXPECT_EQ(chain->valid_bytes, cluster.ChainBytes(vnode));
+
+    // The chain alone still restores to the live state.
+    lsm::MemEnv env;
+    auto backend = state::LsmStateBackend::Open(&env, "/restored", kOp, 0);
+    ASSERT_TRUE(backend.ok());
+    ASSERT_TRUE(rhino::RestoreChain(*chain, vnode, backend->get()).ok());
+    auto rows = (*backend)->ScanPrefix(vnode, "");
+    ASSERT_TRUE(rows.ok());
+    std::map<std::string, uint64_t> want, got;
+    for (const auto& [key, count] : expected) {
+      if (VnodeForKey(key, kNumVnodes) == vnode) want[CounterKey(key)] = count;
+    }
+    for (const auto& [key, value] : *rows) got[key] = DecodeCount(value);
+    EXPECT_EQ(got, want) << "vnode " << vnode;
+  }
+  cluster.ExpectCounts(expected);
+}
+
+/// One vnode's state as the model sees it.
+struct VnodeModel {
+  std::map<std::string, std::string> rows;
+  uint64_t bytes = 0;
+  std::map<int, uint64_t> marks;
+
+  bool operator==(const VnodeModel&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const VnodeModel& state) {
+  os << state.rows.size() << " rows, " << state.bytes << " bytes, marks {";
+  for (const auto& [source, offset] : state.marks) {
+    os << " " << source << ":" << offset;
+  }
+  return os << " }";
+}
+
+/// The one-vnode blob of `state`, as ExtractVnodes writes it.
+std::string ModelBlob(uint32_t vnode, const VnodeModel& state) {
+  std::string blob;
+  BinaryWriter header(&blob);
+  header.PutU32(1);
+  header.PutU32(vnode);
+  header.PutU64(state.bytes);
+  header.PutU64(state.rows.size());
+  state::EntryWriter entries(&blob);
+  for (const auto& [key, value] : state.rows) entries.Put(key, value);
+  return blob;
+}
+
+/// The state of `vnode` an image carries: its blob's rows, its size and
+/// its replay watermarks.
+VnodeModel ImageState(const rhino::ReplicaState& image, uint32_t vnode) {
+  VnodeModel state;
+  auto blob = image.vnode_blobs.find(vnode);
+  if (blob != image.vnode_blobs.end()) {
+    auto run = state::VnodeBlobEntries(blob->second);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    state::EntryReader entries(run.ok() ? *run : std::string_view());
+    while (!entries.AtEnd()) {
+      if (!entries.Next().ok()) {
+        ADD_FAILURE() << "vnode " << vnode << ": undecodable blob";
+        break;
+      }
+      state.rows[std::string(entries.key())] = entries.value();
+    }
+  }
+  const auto& desc = image.latest_descriptor;
+  auto bytes = desc.vnode_bytes.find(vnode);
+  if (bytes != desc.vnode_bytes.end()) state.bytes = bytes->second;
+  auto marks = desc.vnode_watermarks.find(vnode);
+  if (marks != desc.vnode_watermarks.end()) state.marks = marks->second;
+  return state;
+}
+
+/// A handover request of `vnodes` from `origin` to node 1.
+HandoverStateRequest HandoverOf(uint64_t id, uint32_t origin,
+                                const std::vector<uint32_t>& vnodes) {
+  auto spec = std::make_shared<dataflow::HandoverSpec>();
+  spec->id = id;
+  spec->operator_name = kOp;
+  spec->moves.push_back(dataflow::HandoverMove{origin, 1, vnodes});
+  HandoverStateRequest req;
+  req.control.type = dataflow::ControlEvent::Type::kHandoverMarker;
+  req.control.id = id;
+  req.control.handover = spec;
+  return req;
+}
+
+// The held-rows invariant against a std::map model: one node (node 1),
+// driven through seeded random rounds by two origins (nodes 0 and 2) —
+// whole vnodes, key deltas in and out of chain and from the wrong origin,
+// tombstones, stale deltas for vnodes the node owns, promotions,
+// replica-local and full-path ingests, batches and drops. The model
+// keeps what the node owns and, per vnode, the one copy it holds and
+// whose it is. After every round each owned vnode extracts to the model
+// (a promoted or replica-ingested vnode to the copy the model held), the
+// node's size and stats count owned vnodes only, and once a checkpoint
+// and the stream have taken what they captured, neither capture reader
+// is left holding a key: held rows reach neither.
+TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
+  constexpr uint32_t kVnodes = 8;
+  constexpr uint32_t kNode = 1;
+  const uint32_t origins[] = {0, 2};
+  lsm::MemEnv env;
+  LoopbackTransport transport;
+  // The node's own stream goes to a sink that acks every delta.
+  transport.Register("sink", [](MessageType, std::string_view) {
+    return Result<std::string>(std::string());
+  });
+  NodeServer node(&env, &transport, NodeServerOptions{"/data/n1", "/ckpt"});
+  auto call = [&node](MessageType type, const auto& msg) {
+    std::string body;
+    msg.EncodeTo(&body);
+    return node.Handle(type, body);
+  };
+  HelloRequest hello;
+  hello.node_id = kNode;
+  hello.successor = "sink";
+  ASSERT_TRUE(call(MessageType::kHello, hello).ok());
+  AddOperatorRequest add;
+  add.spec.kind = dataflow::OperatorKind::kKeyedCounter;
+  add.spec.name = kOp;
+  add.spec.num_vnodes = kVnodes;
+  add.spec.input_arity = 1;
+  add.owned_vnodes = {0, 1, 2};
+  ASSERT_TRUE(call(MessageType::kAddOperator, add).ok());
+
+  struct HeldModel {
+    uint32_t origin = 0;
+    uint64_t seq = 0;
+    VnodeModel state;
+  };
+  std::map<uint32_t, VnodeModel> owned = {{0, {}}, {1, {}}, {2, {}}};
+  std::map<uint32_t, HeldModel> held;
+  std::map<uint32_t, uint64_t> stream_seq;  // per origin
+  uint64_t offset = 0, handover_id = 0, checkpoint_id = 0;
+  uint64_t rng = 19;
+  auto next = [&rng](uint64_t n) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng >> 33) % n;
+  };
+  std::map<uint32_t, std::vector<uint64_t>> keys_of;
+  for (uint64_t key = 0; key < 96; ++key) {
+    keys_of[VnodeForKey(key, kVnodes)].push_back(key);
+  }
+  auto random_state = [&](uint32_t vnode) {
+    VnodeModel state;
+    for (uint64_t key : keys_of[vnode]) {
+      if (next(2) == 0) state.rows[CounterKey(key)] = CountValue(1 + next(9));
+    }
+    state.bytes = 16 * state.rows.size() + next(100);
+    state.marks = {{7, next(1000)}};
+    return state;
+  };
+  auto unowned = [&] {
+    std::vector<uint32_t> out;
+    for (uint32_t v = 0; v < kVnodes; ++v) {
+      if (owned.count(v) == 0) out.push_back(v);
+    }
+    return out;
+  };
+  auto some_of = [&](const std::vector<uint32_t>& vnodes) {
+    std::vector<uint32_t> out;
+    for (uint32_t v : vnodes) {
+      if (next(2) == 0) out.push_back(v);
+    }
+    if (out.empty() && !vnodes.empty()) out.push_back(vnodes[next(vnodes.size())]);
+    return out;
+  };
+  // A stream delta from `origin`: `entry` (when set) with the size,
+  // watermarks and, for a whole vnode, the blob of `state`; and
+  // `dropped` as tombstones. Returns the node's answer.
+  auto deliver = [&](uint32_t origin, const ReplicatedVnode* entry,
+                     const VnodeModel& state,
+                     const std::vector<uint32_t>& dropped) {
+    ReplicateStateRequest req;
+    req.origin_node = origin;
+    req.op = kOp;
+    req.stream_seq = ++stream_seq[origin];
+    req.dropped_vnodes = dropped;
+    rhino::ReplicaState rs;
+    if (entry != nullptr) {
+      rs.latest_descriptor.vnode_bytes[entry->vnode] = state.bytes;
+      rs.latest_descriptor.vnode_watermarks[entry->vnode] = state.marks;
+      if (entry->keys == 0) {
+        rs.vnode_blobs[entry->vnode] = ModelBlob(entry->vnode, state);
+      }
+      req.vnodes.push_back(*entry);
+    }
+    rhino::EncodeReplicaState(rs, &req.replica);
+    return call(MessageType::kReplicateState, req).status().code();
+  };
+  // A key delta of `vnode` on top of `base`: random puts and tombstones
+  // of the vnode's keys, a new size and new watermarks.
+  auto key_delta = [&](uint32_t vnode, uint64_t base_seq, VnodeModel* state) {
+    ReplicatedVnode entry;
+    entry.vnode = vnode;
+    entry.base_seq = base_seq;
+    entry.keys = 1;
+    state::EntryWriter run(&entry.changes);
+    for (uint64_t key : keys_of[vnode]) {
+      if (next(3) != 0) continue;
+      if (next(3) == 0) {
+        run.Delete(CounterKey(key));
+        state->rows.erase(CounterKey(key));
+      } else {
+        const std::string value = CountValue(1 + next(9));
+        run.Put(CounterKey(key), value);
+        state->rows[CounterKey(key)] = value;
+      }
+    }
+    state->bytes = 16 * state->rows.size() + next(100);
+    state->marks = {{7, next(1000)}};
+    return entry;
+  };
+
+  // Half the time a vnode the model holds a copy of, else `fallback`.
+  auto held_vnode = [&](uint32_t fallback) {
+    if (held.empty() || next(2) == 0) return fallback;
+    auto it = held.begin();
+    std::advance(it, next(held.size()));
+    return it->first;
+  };
+  enum Op {
+    kWhole, kKeys, kOutOfChain, kTombstone, kStale, kPromote,
+    kReplicaIngest, kFullIngest, kDrop, kBatch
+  };
+  // Whole vnodes and key deltas come most often, so copies stay held for
+  // the ops that check and consume them.
+  const Op ops[] = {kWhole,     kWhole,     kWhole,   kWhole,    kKeys,
+                    kKeys,      kKeys,      kOutOfChain, kOutOfChain,
+                    kTombstone, kTombstone, kStale,   kPromote,  kReplicaIngest,
+                    kFullIngest, kDrop,     kBatch,   kBatch};
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const uint32_t origin = origins[next(2)];
+    switch (ops[next(std::size(ops))]) {
+      case kWhole: {  // a whole vnode, which replaces whatever is held
+        const std::vector<uint32_t> candidates = unowned();
+        if (candidates.empty()) break;
+        const uint32_t vnode = candidates[next(candidates.size())];
+        VnodeModel state = random_state(vnode);
+        ReplicatedVnode entry;
+        entry.vnode = vnode;
+        ASSERT_EQ(deliver(origin, &entry, state, {}), StatusCode::kOk);
+        held[vnode] = HeldModel{origin, stream_seq[origin], state};
+        break;
+      }
+      case kKeys: {  // a key delta in chain
+        if (held.empty()) break;
+        auto it = held.begin();
+        std::advance(it, next(held.size()));
+        HeldModel& copy = it->second;
+        VnodeModel state = copy.state;
+        ReplicatedVnode entry = key_delta(it->first, copy.seq, &state);
+        ASSERT_EQ(deliver(copy.origin, &entry, state, {}), StatusCode::kOk);
+        copy.seq = stream_seq[copy.origin];
+        copy.state = state;
+        break;
+      }
+      case kOutOfChain: {  // a key delta out of chain, or from the other origin
+        const std::vector<uint32_t> candidates = unowned();
+        if (candidates.empty()) break;
+        const uint32_t vnode =
+            held_vnode(candidates[next(candidates.size())]);
+        auto copy = held.find(vnode);
+        uint64_t base = next(5);
+        if (copy != held.end()) {
+          // The other origin's delta at the copy's very seq, or this
+          // origin's past it.
+          base = copy->second.origin != origin ? copy->second.seq
+                                               : copy->second.seq + 1 + next(3);
+        }
+        VnodeModel state;
+        ReplicatedVnode entry = key_delta(vnode, base, &state);
+        ASSERT_EQ(deliver(origin, &entry, state, {}),
+                  StatusCode::kFailedPrecondition);
+        if (copy != held.end() && copy->second.origin == origin) {
+          held.erase(copy);
+        }
+        break;
+      }
+      case kTombstone: {  // a tombstone, which drops only its origin's copy
+        const uint32_t vnode =
+            held_vnode(static_cast<uint32_t>(next(kVnodes)));
+        ASSERT_EQ(deliver(origin, nullptr, {}, {vnode}), StatusCode::kOk);
+        auto copy = held.find(vnode);
+        if (copy != held.end() && copy->second.origin == origin) {
+          held.erase(copy);
+        }
+        break;
+      }
+      case kStale: {  // a stale delta or tombstone of a vnode the node owns
+        if (owned.empty()) break;
+        auto it = owned.begin();
+        std::advance(it, next(owned.size()));
+        VnodeModel state = random_state(it->first);
+        ReplicatedVnode entry;
+        entry.vnode = it->first;
+        if (next(2) == 0) entry = key_delta(it->first, next(5), &state);
+        ASSERT_EQ(deliver(origin, &entry, state, {it->first}), StatusCode::kOk);
+        break;
+      }
+      case kPromote: {  // a promotion of the origin's replica
+        const std::vector<uint32_t> candidates = unowned();
+        if (candidates.empty()) break;
+        ReplicaFetchRequest fetch;
+        fetch.origin_node = origin;
+        fetch.op = kOp;
+        fetch.vnodes = some_of(candidates);
+        bool holds_origin = false;
+        for (const auto& [v, copy] : held) holds_origin |= copy.origin == origin;
+        auto reply = call(MessageType::kPromoteReplica, fetch);
+        if (!holds_origin) {
+          ASSERT_EQ(reply.status().code(), StatusCode::kNotFound);
+          break;
+        }
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        for (uint32_t vnode : fetch.vnodes) {
+          auto copy = held.find(vnode);
+          owned[vnode] = copy != held.end() && copy->second.origin == origin
+                             ? copy->second.state
+                             : VnodeModel();
+          if (copy != held.end()) held.erase(copy);
+        }
+        break;
+      }
+      case kReplicaIngest: {  // the origin's held vnodes, replica-local
+        std::vector<uint32_t> candidates;
+        for (const auto& [v, copy] : held) {
+          if (copy.origin == origin) candidates.push_back(v);
+        }
+        if (candidates.empty()) break;
+        HandoverStateRequest ingest =
+            HandoverOf(++handover_id, origin, some_of(candidates));
+        const std::vector<uint32_t>& moved =
+            ingest.control.handover->moves[0].vnodes;
+        ingest.replica_local = 1;
+        rhino::ReplicaState rs;
+        for (uint32_t vnode : moved) {
+          ingest.vnode_seqs[vnode] = held[vnode].seq;
+          rs.latest_descriptor.vnode_bytes[vnode] = held[vnode].state.bytes;
+          rs.latest_descriptor.vnode_watermarks[vnode] = held[vnode].state.marks;
+        }
+        const bool stale = next(4) == 0;
+        if (stale) ingest.vnode_seqs[moved.front()] += 1;
+        rhino::EncodeReplicaState(rs, &ingest.replica);
+        auto reply = call(MessageType::kIngestVnodes, ingest);
+        if (stale) {
+          ASSERT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
+          break;
+        }
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        for (uint32_t vnode : moved) {
+          owned[vnode] = held[vnode].state;
+          held.erase(vnode);
+        }
+        break;
+      }
+      case kFullIngest: {  // a full-path ingest, which replaces held rows
+        const std::vector<uint32_t> candidates = unowned();
+        if (candidates.empty()) break;
+        HandoverStateRequest ingest =
+            HandoverOf(++handover_id, origin, some_of(candidates));
+        rhino::ReplicaState rs;
+        std::map<uint32_t, VnodeModel> states;
+        for (uint32_t vnode : ingest.control.handover->moves[0].vnodes) {
+          states[vnode] = random_state(vnode);
+          rs.latest_descriptor.vnode_bytes[vnode] = states[vnode].bytes;
+          rs.latest_descriptor.vnode_watermarks[vnode] = states[vnode].marks;
+          rs.vnode_blobs[vnode] = ModelBlob(vnode, states[vnode]);
+        }
+        rhino::EncodeReplicaState(rs, &ingest.replica);
+        auto reply = call(MessageType::kIngestVnodes, ingest);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        for (auto& [vnode, state] : states) {
+          owned[vnode] = std::move(state);
+          held.erase(vnode);
+        }
+        break;
+      }
+      case kDrop: {  // a drop of owned vnodes
+        std::vector<uint32_t> candidates;
+        for (const auto& [v, state] : owned) candidates.push_back(v);
+        if (candidates.empty()) break;
+        VnodeSetRequest drop;
+        drop.op = kOp;
+        drop.vnodes = some_of(candidates);
+        ASSERT_TRUE(call(MessageType::kDropVnodes, drop).ok());
+        for (uint32_t vnode : drop.vnodes) owned.erase(vnode);
+        break;
+      }
+      case kBatch: {  // a batch into owned vnodes
+        if (owned.empty()) break;
+        ProcessBatchRequest req;
+        req.op = kOp;
+        req.batch.source_id = 0;
+        req.batch.source_offset = offset++;
+        for (uint64_t i = 0, n = 1 + next(20); i < n; ++i) {
+          auto it = owned.begin();
+          std::advance(it, next(owned.size()));
+          const std::vector<uint64_t>& keys = keys_of[it->first];
+          dataflow::Record rec;
+          rec.key = keys[next(keys.size())];
+          rec.size = 8;
+          req.batch.records.push_back(rec);
+          req.batch.count += 1;
+          req.batch.bytes += rec.size;
+          VnodeModel& state = it->second;
+          auto row = state.rows.find(CounterKey(rec.key));
+          if (row == state.rows.end()) {
+            state.bytes += 16;
+            state.rows[CounterKey(rec.key)] = CountValue(1);
+          } else {
+            row->second = CountValue(DecodeCount(row->second) + 1);
+          }
+          state.marks[0] = req.batch.source_offset + 1;
+        }
+        ASSERT_TRUE(call(MessageType::kProcessBatch, req).ok());
+        break;
+      }
+    }
+
+    // Every owned vnode is the model's state of it.
+    if (!owned.empty()) {
+      std::vector<uint32_t> vnodes;
+      for (const auto& [v, state] : owned) vnodes.push_back(v);
+      auto reply =
+          call(MessageType::kExtractVnodes, HandoverOf(++handover_id, kNode, vnodes));
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      auto extracted = ExtractVnodesReply::Decode(*reply);
+      ASSERT_TRUE(extracted.ok());
+      auto image = rhino::DecodeReplicaState(extracted->replica);
+      ASSERT_TRUE(image.ok());
+      for (const auto& [vnode, state] : owned) {
+        ASSERT_EQ(ImageState(*image, vnode), state) << "vnode " << vnode;
+      }
+    }
+    // The node's size and stats count owned vnodes only.
+    auto stats_body = node.Handle(MessageType::kStats, "");
+    ASSERT_TRUE(stats_body.ok());
+    auto stats = StatsReply::Decode(*stats_body);
+    ASSERT_TRUE(stats.ok());
+    uint64_t bytes = 0;
+    for (const auto& [v, state] : owned) bytes += state.bytes;
+    std::set<uint32_t> holders;
+    for (const auto& [v, copy] : held) holders.insert(copy.origin);
+    EXPECT_EQ(stats->state_bytes, bytes);
+    EXPECT_EQ(stats->owned_vnodes, owned.size());
+    EXPECT_EQ(stats->replicas_held, holders.size());
+    // A checkpoint takes the checkpoint reader's keys of every owned vnode
+    // and drains the stream, which takes the stream reader's: neither may
+    // hold a held row's key.
+    dataflow::ControlEvent barrier;
+    barrier.type = dataflow::ControlEvent::Type::kCheckpointBarrier;
+    barrier.id = ++checkpoint_id;
+    std::string body;
+    EncodeControlEvent(barrier, &body);
+    ASSERT_TRUE(node.Handle(MessageType::kCheckpoint, body).ok());
+    for (const char* gauge :
+         {"rhino_repl_captured_keys", "rhino_checkpoint_captured_keys"}) {
+      EXPECT_EQ(obs::Observability::Default()
+                    ->metrics()
+                    .GetGauge(gauge, {{"node", std::to_string(kNode)}})
+                    ->value(),
+                0.0)
+          << gauge;
+    }
+  }
 }
 
 /// Appends one wave of tagged records to `part` (payload "<tag><key>").

@@ -457,6 +457,31 @@ std::string VnodeBlob(LsmStateBackend* backend, uint32_t v) {
   return blobs.ok() ? blobs->at(v) : std::string();
 }
 
+/// The entries of a one-vnode blob, as a run.
+std::string_view Entries(std::string_view blob) {
+  auto entries = VnodeBlobEntries(blob);
+  EXPECT_TRUE(entries.ok()) << entries.status().ToString();
+  return entries.ok() ? *entries : std::string_view();
+}
+
+/// The blob of `vnode` in a fresh replica backend that held rows were
+/// written into: `runs` in order, then the size `nominal`. A replica fed
+/// a vnode's blob and then every run taken since equals the vnode.
+std::string HeldBlob(lsm::Env* env, uint32_t vnode,
+                     const std::vector<std::string_view>& runs,
+                     uint64_t nominal) {
+  static int replicas = 0;
+  auto replica = LsmStateBackend::Open(
+      env, "/state/replica-" + std::to_string(replicas++), "op", 9);
+  EXPECT_TRUE(replica.ok());
+  if (!replica.ok()) return std::string();
+  for (std::string_view run : runs) {
+    EXPECT_TRUE((*replica)->WriteVnodeEntries(vnode, run).ok());
+  }
+  (*replica)->SetVnodeBytes(vnode, nominal);
+  return VnodeBlob(replica->get(), vnode);
+}
+
 TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
   ASSERT_TRUE(Put(backend_.get(), 1, "k", "v", 1).ok());
   std::string run;
@@ -490,10 +515,8 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
   // The run carries each key's latest write: applied to the vnode as it
   // was when capture began, it yields the vnode as it is now (a and c
   // erased, b = b2, d added, e untouched).
-  auto merged = LsmStateBackend::MergeChangesIntoBlob(base, run,
-                                                      backend_->VnodeBytes(1));
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 1));
+  EXPECT_EQ(HeldBlob(&env_, 1, {Entries(base), run}, backend_->VnodeBytes(1)),
+            VnodeBlob(backend_.get(), 1));
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 1, &run), 0u);
   EXPECT_TRUE(run.empty()) << "a take moves the changes out";
 }
@@ -510,10 +533,8 @@ TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 3, &run), 10u);
   EXPECT_LT(run.size(), 10u * 16) << "one entry per key, not per write";
-  auto merged = LsmStateBackend::MergeChangesIntoBlob(base, run,
-                                                      backend_->VnodeBytes(3));
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 3));
+  EXPECT_EQ(HeldBlob(&env_, 3, {Entries(base), run}, backend_->VnodeBytes(3)),
+            VnodeBlob(backend_.get(), 3));
 }
 
 TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
@@ -537,7 +558,48 @@ TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
       << "turning capture off discards";
 }
 
-TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
+// Held rows are a peer's replica, not this backend's state: written with
+// both readers capturing, they count toward no size and no captured
+// delta; they read and extract like any rows, SetVnodeBytes takes them
+// over without a write, and DropVnodes drops them.
+TEST_F(LsmBackendTest, HeldRowsSkipAccountingAndCapture) {
+  backend_->SetChangeCapture(ChangeReader::kStream, true);
+  backend_->SetChangeCapture(ChangeReader::kCheckpoint, true);
+  ASSERT_TRUE(Put(backend_.get(), 1, "own", "o", 5).ok());
+  std::string run;
+  EntryWriter writer(&run);
+  writer.Put("a", "1");
+  writer.Delete("b");
+  writer.Put("c", "3");
+  const uint64_t appends = backend_->db()->wal_appends();
+  ASSERT_TRUE(backend_->WriteVnodeEntries(2, run).ok());
+  EXPECT_EQ(backend_->db()->wal_appends(), appends + 1) << "one write";
+  EXPECT_EQ(backend_->SizeBytes(), 5u);
+  EXPECT_EQ(backend_->VnodeBytes(2), 0u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
+  EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kCheckpoint), 1u);
+  std::string value;
+  ASSERT_TRUE(backend_->Get(2, "c", &value).ok());
+  EXPECT_EQ(value, "3");
+  EXPECT_TRUE(backend_->Get(2, "b", &value).IsNotFound());
+
+  // Taking the vnode over writes nothing and copies no key.
+  const uint64_t written = backend_->db()->user_bytes_written();
+  backend_->SetVnodeBytes(2, 40);
+  EXPECT_EQ(backend_->db()->user_bytes_written(), written);
+  EXPECT_EQ(backend_->SizeBytes(), 45u);
+  auto rows = backend_->ScanPrefix(2, "");
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(*rows, (std::vector<std::pair<std::string, std::string>>{
+                       {"a", "1"}, {"c", "3"}}));
+
+  ASSERT_TRUE(backend_->WriteVnodeEntries(3, run).ok());
+  ASSERT_TRUE(backend_->DropVnodes({3}).ok());
+  EXPECT_TRUE(backend_->ScanPrefix(3, "")->empty());
+  EXPECT_EQ(backend_->SizeBytes(), 45u);
+}
+
+TEST_F(LsmBackendTest, WritingTakenChangesReproducesTheVnode) {
   for (const char* key : {"b", "d", "f"}) {
     ASSERT_TRUE(
         Put(backend_.get(), 4, key, std::string("old-") + key, 4).ok());
@@ -553,31 +615,35 @@ TEST_F(LsmBackendTest, MergingTakenChangesReproducesTheVnodeBlob) {
   ASSERT_TRUE(Delete(b, 4, "zz", 0).ok());       // absent key
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 4, &run), 6u);
-  auto merged = LsmStateBackend::MergeChangesIntoBlob(before, run,
-                                                      backend_->VnodeBytes(4));
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 4));
+  EXPECT_EQ(
+      HeldBlob(&env_, 4, {Entries(before), run}, backend_->VnodeBytes(4)),
+      VnodeBlob(backend_.get(), 4));
 
-  // Malformed input is Corruption, never a crash: every truncation of the
-  // run, a run out of key order, and a target that is no vnode blob.
+  // A malformed run is Corruption and writes nothing, never a crash:
+  // every truncation of the run that cuts an entry.
+  auto replica = LsmStateBackend::Open(&env_, "/state/truncated", "op", 9);
+  ASSERT_TRUE(replica.ok());
   for (size_t len = 1; len < run.size(); ++len) {
-    (void)LsmStateBackend::MergeChangesIntoBlob(before, run.substr(0, len), 0);
+    const Status st = (*replica)->WriteVnodeEntries(4, run.substr(0, len));
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption) << "run prefix " << len;
+    }
   }
-  std::string unsorted;
-  EntryWriter w(&unsorted);
-  for (const char* key : {"b", "a"}) w.Put(key, "v");
-  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(before, unsorted, 0)
-                .status()
-                .code(),
-            StatusCode::kCorruption);
-  EXPECT_FALSE(LsmStateBackend::MergeChangesIntoBlob("", run, 0).ok());
+  ASSERT_TRUE((*replica)->DropVnodes({4}).ok());
+  EXPECT_EQ(VnodeBlobEntries("").status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(VnodeBlobEntries(run).status().code(), StatusCode::kCorruption)
+      << "a run is no blob";
 }
 
-TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
-  // A replica that starts from one blob and merges every round's run must
+TEST_F(LsmBackendTest, HeldRowsTrackRandomWritesRoundAfterRound) {
+  // A replica that starts from one blob and writes every round's run must
   // equal the live vnode after each round.
   backend_->SetChangeCapture(ChangeReader::kStream, true);
-  std::string held = VnodeBlob(backend_.get(), 9);
+  auto replica = LsmStateBackend::Open(&env_, "/state/rounds", "op", 9);
+  ASSERT_TRUE(replica.ok());
+  ASSERT_TRUE(
+      (*replica)->WriteVnodeEntries(9, Entries(VnodeBlob(backend_.get(), 9)))
+          .ok());
   uint64_t rng = 42;
   auto next = [&rng] {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -597,11 +663,10 @@ TEST_F(LsmBackendTest, MergedRunsTrackRandomWritesRoundAfterRound) {
     std::string run;
     ASSERT_TRUE(
         backend_->TakeChanges(ChangeReader::kStream, 9, &run).has_value());
-    auto merged = LsmStateBackend::MergeChangesIntoBlob(
-        held, run, backend_->VnodeBytes(9));
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    held = std::move(merged).MoveValue();
-    ASSERT_EQ(held, VnodeBlob(backend_.get(), 9)) << "round " << round;
+    ASSERT_TRUE((*replica)->WriteVnodeEntries(9, run).ok());
+    (*replica)->SetVnodeBytes(9, backend_->VnodeBytes(9));
+    ASSERT_EQ(VnodeBlob(replica->get(), 9), VnodeBlob(backend_.get(), 9))
+        << "round " << round;
   }
 }
 
@@ -628,12 +693,13 @@ std::map<std::string, std::string> BlobEntries(std::string_view blob,
   return entries;
 }
 
-// The entry codec against a std::map model. Keys are built from pieces
-// that share prefixes, prefix one another and hold 0x00 and 0xff bytes;
-// the empty key and empty values occur. Each round's changes, puts and
-// tombstones (of absent keys too), are coded as one run, merged into the
-// held blob, and the result must be byte for byte the extraction of a
-// backend holding the model's state, and decode to the model.
+// The entry codec and the held-row write against a std::map model. Keys
+// are built from pieces that share prefixes, prefix one another and hold
+// 0x00 and 0xff bytes; the empty key and empty values occur. Each round's
+// changes, puts and tombstones (of absent keys too), are coded as one
+// run and written into a replica's held rows, and the replica's
+// extraction must be byte for byte the extraction of a backend holding
+// the model's state, and decode to the model.
 TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   constexpr uint32_t kVnode = 3;
   const std::string pieces[] = {"",  "a", "ab", "abc", std::string(1, '\0'),
@@ -651,7 +717,9 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
     return key;
   };
   std::map<std::string, std::string> model;
-  std::string held = VnodeBlob(backend_.get(), kVnode);
+  auto replica = LsmStateBackend::Open(&env_, "/state/held", "op", 9);
+  ASSERT_TRUE(replica.ok());
+  std::string held;
   for (int round = 0; round < 60; ++round) {
     std::map<std::string, std::optional<std::string>> changes;
     for (uint64_t i = 0, n = next() % 12; i < n; ++i) {
@@ -679,30 +747,26 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
     }
     ASSERT_TRUE(backend_->ApplyBatch(writes).ok());
     EXPECT_EQ(RunEntries(run).size(), changes.size());
-    auto merged = LsmStateBackend::MergeChangesIntoBlob(
-        held, run, backend_->VnodeBytes(kVnode));
-    ASSERT_TRUE(merged.ok()) << "round " << round << ": "
-                             << merged.status().ToString();
-    held = std::move(merged).MoveValue();
+    ASSERT_TRUE((*replica)->WriteVnodeEntries(kVnode, run).ok())
+        << "round " << round;
+    (*replica)->SetVnodeBytes(kVnode, backend_->VnodeBytes(kVnode));
+    held = VnodeBlob(replica->get(), kVnode);
     ASSERT_EQ(held, VnodeBlob(backend_.get(), kVnode)) << "round " << round;
     ASSERT_EQ(BlobEntries(held, kVnode), model) << "round " << round;
   }
   ASSERT_GT(model.size(), 5u);
 
-  // Every truncation of a blob is Corruption, to the merge and the ingest.
+  // Every truncation of a blob is Corruption to the ingest.
   auto target = LsmStateBackend::Open(&env_, "/state/op-9", "op", 9);
   ASSERT_TRUE(target.ok());
   for (size_t len = 0; len < held.size(); ++len) {
     const std::string_view cut = std::string_view(held).substr(0, len);
-    EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(cut, "", 0).status().code(),
-              StatusCode::kCorruption)
-        << "blob prefix " << len;
     EXPECT_EQ((*target)->IngestVnodes(cut, false).code(),
               StatusCode::kCorruption)
         << "blob prefix " << len;
   }
   // A run cut at an entry boundary is a shorter run; cut anywhere else it
-  // is Corruption.
+  // is Corruption, and the write leaves the held rows as they were.
   std::string run;
   EntryWriter writer(&run);
   std::set<size_t> boundaries = {0};
@@ -711,25 +775,14 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
     boundaries.insert(run.size());
   }
   for (size_t len = 0; len <= run.size(); ++len) {
-    auto merged = LsmStateBackend::MergeChangesIntoBlob(
-        held, std::string_view(run).substr(0, len), 0);
-    if (boundaries.count(len) != 0) {
-      EXPECT_TRUE(merged.ok()) << "run prefix " << len;
-    } else {
-      EXPECT_EQ(merged.status().code(), StatusCode::kCorruption)
-          << "run prefix " << len;
-    }
+    if (boundaries.count(len) != 0) continue;
+    EXPECT_EQ((*replica)
+                  ->WriteVnodeEntries(kVnode, std::string_view(run).substr(0, len))
+                  .code(),
+              StatusCode::kCorruption)
+        << "run prefix " << len;
+    ASSERT_EQ(VnodeBlob(replica->get(), kVnode), held) << "run prefix " << len;
   }
-
-  // A run out of key order.
-  std::string unsorted;
-  EntryWriter backwards(&unsorted);
-  backwards.Put("b", "1");
-  backwards.Put("a", "1");
-  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(held, unsorted, 0)
-                .status()
-                .code(),
-            StatusCode::kCorruption);
 
   // A zero value field (a tombstone) inside a blob.
   std::string tombstoned;
@@ -741,9 +794,6 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   EntryWriter blob_writer(&tombstoned);
   blob_writer.Put("a", "1");
   blob_writer.Delete("b");
-  EXPECT_EQ(
-      LsmStateBackend::MergeChangesIntoBlob(tombstoned, "", 0).status().code(),
-      StatusCode::kCorruption);
   EXPECT_EQ((*target)->IngestVnodes(tombstoned, false).code(),
             StatusCode::kCorruption);
 
@@ -755,19 +805,14 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   overshared += "a";
   BinaryWriter(&overshared).PutVarint(2);  // value "1"
   overshared += "1";
-  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(held, overshared, 0)
-                .status()
-                .code(),
+  EXPECT_EQ((*replica)->WriteVnodeEntries(kVnode, overshared).code(),
             StatusCode::kCorruption);
   std::string overshared_blob = tombstoned.substr(0, 4 + 4 + 8);
   BinaryWriter(&overshared_blob).PutU64(1);
   overshared_blob += overshared;
-  EXPECT_EQ(LsmStateBackend::MergeChangesIntoBlob(overshared_blob, "", 0)
-                .status()
-                .code(),
-            StatusCode::kCorruption);
   EXPECT_EQ((*target)->IngestVnodes(overshared_blob, false).code(),
             StatusCode::kCorruption);
+  ASSERT_EQ(VnodeBlob(replica->get(), kVnode), held);
 }
 
 TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
@@ -788,10 +833,9 @@ TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kCheckpoint, 5, &ckpt_run),
             3u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
-  auto merged = LsmStateBackend::MergeChangesIntoBlob(base, ckpt_run,
-                                                      backend_->VnodeBytes(5));
-  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-  EXPECT_EQ(*merged, VnodeBlob(backend_.get(), 5));
+  EXPECT_EQ(
+      HeldBlob(&env_, 5, {Entries(base), ckpt_run}, backend_->VnodeBytes(5)),
+      VnodeBlob(backend_.get(), 5));
 
   // Discarding one reader's changes leaves the other's.
   ASSERT_TRUE(Put(backend_.get(), 5, "d", "d1", 1).ok());
@@ -917,6 +961,20 @@ TEST(ModeledBackendTest, CannotCaptureChanges) {
   std::string run;
   EXPECT_FALSE(backend.TakeChanges(ChangeReader::kStream, 1, &run).has_value())
       << "its vnodes ship whole";
+}
+
+TEST(ModeledBackendTest, HeldVnodeIsItsSizeAlone) {
+  ModeledStateBackend backend("op", 0);
+  auto blob = backend.ExtractVnodes({4});
+  ASSERT_TRUE(blob.ok());
+  auto entries = VnodeBlobEntries(*blob);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  EXPECT_TRUE(entries->empty()) << "a modeled blob carries no entries";
+  ASSERT_TRUE(backend.WriteVnodeEntries(4, "anything").ok());
+  EXPECT_EQ(backend.SizeBytes(), 0u);
+  backend.SetVnodeBytes(4, 700);
+  EXPECT_EQ(backend.VnodeBytes(4), 700u);
+  EXPECT_EQ(backend.SizeBytes(), 700u);
 }
 
 TEST(ModeledBackendTest, ValueOperationsAreNotSupported) {
