@@ -70,7 +70,6 @@
 #include "net/socket.h"
 #include "net/transport.h"
 #include "obs/observability.h"
-#include "rhino/replication_runtime.h"
 
 namespace rhino::net {
 namespace {
@@ -367,12 +366,16 @@ void Run(bench::BenchArtifact* artifact) {
     return m;
   };
   Move to_replica = handover(/*origin=*/0, /*target=*/1);
-  auto extracted = ExtractVnodesReply::Decode(counted.last_extract_reply);
+  // Replica-local: each moved vnode's image is an empty run on top of the
+  // copy the target holds.
+  auto extracted = DecodeVnodeImages(counted.last_extract_reply);
   RHINO_CHECK_OK(extracted.status());
-  auto extract_image = rhino::DecodeReplicaState(extracted->replica);
-  RHINO_CHECK_OK(extract_image.status());
   const bool no_blobs =
-      extracted->replica_local == 1 && extract_image->vnode_blobs.empty();
+      !extracted->empty() &&
+      std::all_of(extracted->begin(), extracted->end(),
+                  [](const VnodeImage& image) {
+                    return image.base_seq != 0 && image.entries.empty();
+                  });
   Move to_cold = handover(/*origin=*/1, /*target=*/0);
   const bool replica_local_ok = to_replica.replica_path == 1 &&
                                 to_replica.full_path == 0 && no_blobs &&

@@ -25,7 +25,7 @@
 //                         driver-resident edge log.
 //
 // The ingest phases run with an emulated per-batch service latency
-// (`NodeServerOptions::apply_delay_us`): single-core loopback has no
+// (`DelayedHandler` below): single-core loopback has no
 // round-trip time to hide, which is exactly what the credit window is
 // for, so the bench reintroduces a controlled 500us stand-in for the
 // network hop / remote storage cost of a real deployment. A zero-latency
@@ -50,6 +50,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -93,6 +94,20 @@ PipelinedChannelOptions FastChannelOptions() {
   return options;
 }
 
+/// `node`'s handler for its `RpcServer`. With `service_delay_us` > 0 each
+/// kProcessBatch first sleeps that long on the server's connection thread,
+/// before the node takes its lock: the emulated latency models a slow
+/// link, not a held lock.
+RpcServer::Handler DelayedHandler(NodeServer* node, int service_delay_us) {
+  if (service_delay_us <= 0) return node->AsHandler();
+  return [node, service_delay_us](MessageType type, std::string_view body) {
+    if (type == MessageType::kProcessBatch) {
+      std::this_thread::sleep_for(std::chrono::microseconds(service_delay_us));
+    }
+    return node->Handle(type, body);
+  };
+}
+
 /// One fresh cluster: nodes + RPC servers + TCP driver, with the credit
 /// window pinned explicitly.
 struct PipelineCluster {
@@ -112,7 +127,7 @@ struct PipelineCluster {
   /// replication stream runs.
   PipelineCluster(lsm::PosixEnv* e, const std::string& parent,
                   const std::string& tag, bool replicate,
-                  uint32_t credit_window, int apply_delay_us = 0)
+                  uint32_t credit_window, int service_delay_us = 0)
       : env(e), root(parent + "/" + tag), transport(FastChannelOptions()) {
     RHINO_CHECK_OK(env->CreateDir(root));
     RHINO_CHECK_OK(env->CreateDir(root + "/ckpt"));
@@ -123,7 +138,6 @@ struct PipelineCluster {
       NodeServerOptions node_options;
       node_options.data_dir = data_dir;
       node_options.ckpt_dir = root + "/ckpt";
-      node_options.apply_delay_us = apply_delay_us;
       Transport* node_transport = nullptr;
       if (replicate) {
         node_transports.push_back(
@@ -132,8 +146,8 @@ struct PipelineCluster {
       }
       nodes.push_back(std::make_unique<NodeServer>(env, node_transport,
                                                    std::move(node_options)));
-      servers.push_back(
-          std::make_unique<RpcServer>(nodes.back()->AsHandler()));
+      servers.push_back(std::make_unique<RpcServer>(
+          DelayedHandler(nodes.back().get(), service_delay_us)));
       RHINO_CHECK_OK(servers.back()->Start("127.0.0.1", 0));
       endpoints.push_back(
           FormatEndpoint("127.0.0.1", servers.back()->port()));
@@ -239,11 +253,11 @@ struct IngestBytes {
 /// stream's counted once it drained.
 double MeasureIngest(lsm::PosixEnv* env, const std::string& parent,
                      const std::string& tag, bool replicate,
-                     uint32_t credit_window, int apply_delay_us, int waves,
+                     uint32_t credit_window, int service_delay_us, int waves,
                      uint64_t keys, PumpStats* stats_out = nullptr,
                      IngestBytes* bytes_out = nullptr) {
   PipelineCluster cluster(env, parent, tag, replicate, credit_window,
-                          apply_delay_us);
+                          service_delay_us);
   const uint64_t shipped_before = ShippedBytes();
   // Best of three passes over the same cluster (fresh offsets each time):
   // single-core scheduler noise swings individual pumps by ~15%, too much
@@ -363,7 +377,7 @@ void Run(bench::BenchArtifact* artifact) {
   const uint64_t wal_appends_before = WalAppends();
   double pipelined_raw =
       MeasureIngest(&env, root, "pipelined_raw", /*replicate=*/false,
-                    /*credit_window=*/16, /*apply_delay_us=*/0, waves, keys);
+                    /*credit_window=*/16, /*service_delay_us=*/0, waves, keys);
   const double raw_records =
       static_cast<double>(kIngestPasses) * waves * static_cast<double>(keys);
   const double wal_appends_per_record =

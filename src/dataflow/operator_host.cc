@@ -158,6 +158,15 @@ Status OperatorHost::Drop(const std::vector<uint32_t>& vnodes) {
   return Status::OK();
 }
 
+void OperatorHost::Own(uint32_t vnode, std::map<int, uint64_t> watermarks) {
+  owned_.insert(vnode);
+  if (watermarks.empty()) {
+    watermarks_.erase(vnode);
+  } else {
+    watermarks_[vnode] = std::move(watermarks);
+  }
+}
+
 OperatorHost::WatermarkMap OperatorHost::GetWatermarks(
     const std::vector<uint32_t>& vnodes) const {
   WatermarkMap out;
@@ -183,57 +192,6 @@ Result<state::CheckpointDescriptor> OperatorHost::CaptureCheckpoint(
   std::vector<uint32_t> owned(owned_.begin(), owned_.end());
   desc.vnode_watermarks = GetWatermarks(owned);
   return desc;
-}
-
-state::CheckpointDescriptor OperatorHost::DescribeVnodes(
-    const std::vector<uint32_t>& vnodes, uint64_t checkpoint_id) const {
-  state::CheckpointDescriptor desc;
-  desc.checkpoint_id = checkpoint_id;
-  desc.operator_name = spec_.name;
-  desc.instance_id = instance_id_;
-  for (uint32_t v : vnodes) desc.vnode_bytes[v] = backend_->VnodeBytes(v);
-  desc.vnode_watermarks = GetWatermarks(vnodes);
-  return desc;
-}
-
-Result<OperatorImage> OperatorHost::ExtractImage(
-    const std::vector<uint32_t>& vnodes, uint64_t checkpoint_id) {
-  OperatorImage image;
-  image.descriptor = DescribeVnodes(vnodes, checkpoint_id);
-  RHINO_ASSIGN_OR_RETURN(image.blobs, backend_->ExtractVnodeBlobs(vnodes));
-  return image;
-}
-
-Result<std::vector<uint32_t>> OperatorHost::Absorb(
-    const OperatorImage& image, const std::vector<uint32_t>& vnodes,
-    bool already_durable) {
-  std::vector<uint32_t> wanted = vnodes;
-  if (wanted.empty()) {
-    for (const auto& [v, _] : image.blobs) wanted.push_back(v);
-    for (const auto& [v, _] : image.descriptor.vnode_bytes) {
-      if (!image.blobs.count(v)) wanted.push_back(v);
-    }
-  }
-  std::vector<uint32_t> absorbed;
-  for (uint32_t v : wanted) {
-    auto blob = image.blobs.find(v);
-    if (blob != image.blobs.end() && !blob->second.empty()) {
-      RHINO_RETURN_NOT_OK(
-          backend_->IngestVnodes(blob->second, already_durable));
-    }
-    owned_.insert(v);
-    // Assign, not merge: the image is authoritative for its vnodes. A
-    // stale local entry (this host owned the vnode before a migration
-    // away and back) must not dedup records the image never applied.
-    auto marks = image.descriptor.vnode_watermarks.find(v);
-    if (marks != image.descriptor.vnode_watermarks.end()) {
-      watermarks_[v] = marks->second;
-    } else {
-      watermarks_.erase(v);
-    }
-    absorbed.push_back(v);
-  }
-  return absorbed;
 }
 
 }  // namespace rhino::dataflow

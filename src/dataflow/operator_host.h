@@ -20,28 +20,18 @@
 /// `OperatorHost` owns everything a stateful operator needs that is *not*
 /// engine- or transport-specific: the state backend, vnode ownership, the
 /// per-(vnode, source) replay watermarks, batch application with replay
-/// deduplication, checkpoint capture, and vnode image extract/absorb/drop
-/// for handover, replication, and recovery. The in-process
+/// deduplication, and checkpoint capture. The in-process
 /// `StatefulInstance` and the networked `NodeServer` both embed a host, so
-/// every protocol above this seam — checkpoints, live handover, ring
-/// replication, promote-replica recovery — is one implementation for every
-/// operator kind in sim, realtime-thread, and multi-process modes.
+/// the data path — dedup, the operator core, the batch's one commit — is
+/// one implementation for every operator kind in sim, realtime-thread, and
+/// multi-process modes. How state moves between hosts is the embedder's:
+/// the engine moves backend blobs, the node server `net::VnodeImage`s.
 ///
 /// Not thread-safe: the embedding runtime serializes calls (the engine via
 /// the instance mutex / executor strand, the node server under its own
 /// lock).
 
 namespace rhino::dataflow {
-
-/// A consistent, migratable image of a set of vnodes: the descriptor
-/// (sizes + replay watermarks, the currency of Rhino's protocols) plus the
-/// per-vnode state blobs. For the join this is the unit of consistency —
-/// both side columns of a vnode travel inside one blob, so a migrated
-/// vnode can never land with one side's entries missing.
-struct OperatorImage {
-  state::CheckpointDescriptor descriptor;
-  std::map<uint32_t, std::string> blobs;
-};
 
 /// Outcome of folding one batch into the host's state.
 struct ApplyResult {
@@ -118,6 +108,11 @@ class OperatorHost {
   void Own(const std::vector<uint32_t>& vnodes) {
     owned_.insert(vnodes.begin(), vnodes.end());
   }
+  /// Owns `vnode` with exactly `watermarks`: assigned, not merged, since
+  /// the state taken over is authoritative for its vnode. A stale local
+  /// entry (this host owned the vnode before it moved away and back) must
+  /// not dedup records that state never applied.
+  void Own(uint32_t vnode, std::map<int, uint64_t> watermarks);
   bool Owns(uint32_t vnode) const { return owned_.count(vnode) != 0; }
   const std::set<uint32_t>& owned() const { return owned_; }
 
@@ -138,34 +133,12 @@ class OperatorHost {
   /// post-checkpoint positions and drop the replay).
   void ResetWatermarks(WatermarkMap marks) { watermarks_ = std::move(marks); }
 
-  // ------------------------------------- checkpoints and vnode images ----
+  // ------------------------------------------------------- checkpoints ----
 
   /// Takes an incremental checkpoint of the backend and stamps the
   /// descriptor with the replay watermarks of the owned vnodes, so a
   /// restored copy deduplicates correctly.
   Result<state::CheckpointDescriptor> CaptureCheckpoint(uint64_t checkpoint_id);
-
-  /// The descriptor part of an image of `vnodes`: sizes and replay
-  /// watermarks, no state blobs.
-  state::CheckpointDescriptor DescribeVnodes(const std::vector<uint32_t>& vnodes,
-                                             uint64_t checkpoint_id) const;
-
-  /// Serializes `vnodes` into a consistent image: per-vnode state blobs
-  /// plus a descriptor carrying sizes and replay watermarks. Used by
-  /// handover extract, replication snapshots, and checkpoint images.
-  Result<OperatorImage> ExtractImage(const std::vector<uint32_t>& vnodes,
-                                     uint64_t checkpoint_id);
-
-  /// Ingests an image produced by ExtractImage on a peer host: state
-  /// blobs into the backend, ownership, and replay watermarks (assigned,
-  /// not merged — the image is authoritative for its vnodes). `vnodes`
-  /// restricts absorption to a subset (empty = everything in the image);
-  /// `already_durable` marks bytes restored from a persisted checkpoint
-  /// (they must not surface in the next incremental delta). Returns the
-  /// vnodes actually absorbed.
-  Result<std::vector<uint32_t>> Absorb(const OperatorImage& image,
-                                       const std::vector<uint32_t>& vnodes,
-                                       bool already_durable);
 
  private:
   OperatorHost(OperatorSpec spec, std::unique_ptr<state::StateBackend> backend,

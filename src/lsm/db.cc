@@ -231,6 +231,10 @@ DB::~DB() {
   bg_.cv.notify_all();
   // A pass in flight sees shutting_down_ and returns; join waits for it.
   if (bg_thread_.joinable()) bg_thread_.join();
+  // The handle flushes its buffer as it closes: a failed commit's record
+  // must be cut off first.
+  std::lock_guard<std::mutex> lock(wal_mu_);
+  if (wal_cut_) (void)CutWalLocked();
 }
 
 // -------------------------------------------------------------- Mutation --
@@ -311,9 +315,24 @@ Status DB::CommitEntries(std::string_view payload, uint64_t num_entries) {
 }
 
 Status DB::EnsureWalFileLocked() {
+  if (wal_cut_) RHINO_RETURN_NOT_OK(CutWalLocked());
   if (wal_file_ != nullptr) return Status::OK();
   RHINO_ASSIGN_OR_RETURN(wal_file_,
                          env_->NewWritableFile(WalPath(), /*append=*/true));
+  wal_acked_ = wal_file_->Size();
+  return Status::OK();
+}
+
+Status DB::CutWalLocked() {
+  std::string acked;
+  Status st = env_->ReadFileRange(WalPath(), 0, wal_acked_, &acked);
+  if (st.ok()) st = env_->WriteFile(WalPath(), acked);
+  if (!st.ok()) {
+    RecordBackgroundError(st);
+    return st;
+  }
+  wal_file_.reset();
+  wal_cut_ = false;
   return Status::OK();
 }
 
@@ -325,10 +344,16 @@ Status DB::CommitWal(std::string_view payload, uint64_t num_entries) {
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
     RHINO_RETURN_NOT_OK(EnsureWalFileLocked());
-    RHINO_RETURN_NOT_OK(wal_file_->Append(record));
     // One flush per commit — regardless of how many entries it covers —
     // is the group-commit win over flushing per mutation.
-    RHINO_RETURN_NOT_OK(wal_file_->Flush());
+    Status st = wal_file_->Append(record);
+    if (st.ok()) st = wal_file_->Flush();
+    if (!st.ok()) {
+      // Unacknowledged: the record must not ride a later flush.
+      wal_cut_ = true;
+      return st;
+    }
+    wal_acked_ = wal_file_->Size();
   }
   wal_appends_.fetch_add(1, std::memory_order_relaxed);
   wal_records_.fetch_add(num_entries, std::memory_order_relaxed);
@@ -428,6 +453,7 @@ Result<bool> DB::FreezeActiveMemTable(bool only_if_over) {
   }
   {
     std::lock_guard<std::mutex> wal_lock(wal_mu_);
+    if (wal_cut_) RHINO_RETURN_NOT_OK(CutWalLocked());
     wal_file_.reset();
     if (options_.enable_wal && env_->FileExists(WalPath())) {
       RHINO_RETURN_NOT_OK(env_->RenameFile(WalPath(), ImmWalPath()));

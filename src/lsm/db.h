@@ -346,12 +346,24 @@ class DB {
   /// The frozen memtable's log: "WAL" is renamed here when the active
   /// memtable is frozen, and the file is deleted once the flush lands.
   std::string ImmWalPath() const { return FilePath("WAL.imm"); }
-  /// Opens the WAL append handle lazily (first commit after a rotation).
+  /// Opens the WAL append handle lazily (first commit after a rotation),
+  /// cutting the log first when a failed commit left bytes in it.
   /// Requires wal_mu_.
   Status EnsureWalFileLocked();
   /// Appends one framed commit record covering `num_entries` mutations and
-  /// flushes the handle (no-op when the WAL is disabled). Takes wal_mu_.
+  /// flushes the handle (no-op when the WAL is disabled). A failed append
+  /// or flush acknowledges nothing and marks the log for a cut. Takes
+  /// wal_mu_.
   Status CommitWal(std::string_view payload, uint64_t num_entries);
+  /// Cuts the WAL back to `wal_acked_`, its last acknowledged byte, and
+  /// closes the failed handle: a record whose commit failed, in the file
+  /// (a torn append) or still in the handle's buffer, is then never
+  /// replayed. The cut rewrites the file as fresh content, so the buffer
+  /// the closing handle flushes lands in the content it replaced. A failed
+  /// cut is the sticky background error: the log cannot be trusted past
+  /// it. Runs before anything else reaches the log — the next commit, a
+  /// rotation — and when the DB closes. Requires wal_mu_.
+  Status CutWalLocked();
   /// Shared Put/Delete/Write tail: WAL commit + memtable apply under the
   /// shared rotation lock, then the flush-threshold check. Non-OK only
   /// when nothing was applied: a failure of the maintenance a landed
@@ -441,9 +453,15 @@ class DB {
   std::shared_ptr<ShardedMemTable> mem_;  // active
   std::shared_ptr<ShardedMemTable> imm_;  // frozen, being flushed (or null)
 
-  /// Guards the WAL append handle (created lazily, dropped at rotation).
+  /// Guards the WAL append handle (created lazily, dropped at rotation)
+  /// and the two fields below.
   std::mutex wal_mu_;
   std::unique_ptr<WritableFile> wal_file_;
+  /// Size of the WAL as of its last acknowledged record.
+  uint64_t wal_acked_ = 0;
+  /// A commit failed after its append began: the log may hold bytes past
+  /// `wal_acked_`, and the handle may buffer more; CutWalLocked is due.
+  bool wal_cut_ = false;
 
   /// Guards versions_, the open-table LRU, and the MANIFEST log.
   mutable std::mutex versions_mu_;

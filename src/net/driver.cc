@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "rhino/replication_runtime.h"
 
 namespace rhino::net {
 
@@ -578,8 +577,9 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
   bool replica_local = successor.ok() && *successor == target;
   std::string body;
   while (true) {
-    // Step 1: origin serializes the moved vnodes (state + watermarks), or
-    // only describes them once its stream to the successor drained.
+    // Step 1: the origin's images of the moved vnodes (state +
+    // watermarks), or, once its stream to the successor drained, empty
+    // runs on top of the copies the successor holds.
     HandoverStateRequest extract;
     extract.control = marker;
     extract.move_index = 0;
@@ -589,30 +589,26 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
     std::string reply_body;
     RHINO_RETURN_NOT_OK(
         Call(origin, MessageType::kExtractVnodes, body, &reply_body));
-    RHINO_ASSIGN_OR_RETURN(ExtractVnodesReply extracted,
-                           ExtractVnodesReply::Decode(reply_body));
 
-    // Step 2: target ingests them (a live migration tail, not yet
-    // durable), from the image or from its own replica.
+    // Step 2: the target applies each image on top of its copy, or of
+    // nothing.
     HandoverStateRequest ingest;
     ingest.control = marker;
     ingest.move_index = 0;
-    ingest.replica = std::move(extracted.replica);
-    ingest.durable = 0;
-    ingest.replica_local = extracted.replica_local;
-    ingest.vnode_seqs = std::move(extracted.vnode_seqs);
+    RHINO_ASSIGN_OR_RETURN(ingest.images, DecodeVnodeImages(reply_body));
+    replica_local = std::any_of(
+        ingest.images.begin(), ingest.images.end(),
+        [](const VnodeImage& image) { return image.base_seq != 0; });
     body.clear();
     ingest.EncodeTo(&body);
     Status st = Call(target, MessageType::kIngestVnodes, body, nullptr);
-    if (st.code() == StatusCode::kFailedPrecondition &&
-        ingest.replica_local != 0) {
+    if (st.code() == StatusCode::kFailedPrecondition && replica_local) {
       // The target's replica is not at the origin's last shipped seqs;
       // it touched nothing. Redo the move through the full path.
       replica_local = false;
       continue;
     }
     RHINO_RETURN_NOT_OK(st);
-    replica_local = ingest.replica_local != 0;
     break;
   }
 
@@ -687,8 +683,8 @@ Status ClusterDriver::RecoverOne(uint32_t dead_node) {
                 &reply_body);
     }
     RHINO_RETURN_NOT_OK(st);
-    RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
-                           rhino::DecodeReplicaState(reply_body));
+    RHINO_ASSIGN_OR_RETURN(std::vector<VnodeImage> images,
+                           DecodeVnodeImages(reply_body));
 
     for (uint32_t vnode : lost) routing.owner[vnode] = target;
 
@@ -700,19 +696,17 @@ Status ClusterDriver::RecoverOne(uint32_t dead_node) {
     // edge log — the upstream backup of the edge.
     for (OpInput& input : routing.inputs) {
       uint64_t low = input.cursor;
-      for (uint32_t vnode : lost) {
-        uint64_t mark = 0;
-        auto vit = rs.latest_descriptor.vnode_watermarks.find(vnode);
-        if (vit != rs.latest_descriptor.vnode_watermarks.end()) {
-          auto sit = vit->second.find(input.source_id);
-          if (sit != vit->second.end()) mark = sit->second;
-        }
-        low = std::min(low, mark);
+      for (const VnodeImage& image : images) {
+        auto mark = image.watermarks.find(input.source_id);
+        low = std::min(low, mark != image.watermarks.end() ? mark->second : 0);
       }
       input.cursor = low;
     }
-    obs_->trace().Emit("net", "cluster_recovery", "driver",
-                       rs.latest_checkpoint_id,
+    uint64_t as_of = 0;
+    for (const VnodeImage& image : images) {
+      as_of = std::max(as_of, image.base_seq);
+    }
+    obs_->trace().Emit("net", "cluster_recovery", "driver", as_of,
                        {{"dead", dead_node},
                         {"target", target},
                         {"vnodes", static_cast<int64_t>(lost.size())},

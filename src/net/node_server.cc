@@ -26,6 +26,17 @@ constexpr int kBarrierTimeoutMs = 10'000;
 void Bump(obs::Counter* counter, uint64_t delta = 1) {
   if (counter != nullptr) counter->Increment(delta);
 }
+
+/// The image of `vnode` of `host` without its run: its size and replay
+/// watermarks.
+VnodeImage Describe(const dataflow::OperatorHost& host, uint32_t vnode) {
+  VnodeImage image;
+  image.vnode = vnode;
+  image.bytes = host.backend()->VnodeBytes(vnode);
+  auto marks = host.GetWatermarks({vnode});
+  if (!marks.empty()) image.watermarks = std::move(marks.begin()->second);
+  return image;
+}
 }  // namespace
 
 NodeServer::NodeServer(lsm::Env* env, Transport* transport,
@@ -62,12 +73,6 @@ Result<std::string> NodeServer::Handle(MessageType type,
   if (type == MessageType::kExtractVnodes) {
     // Same: a replica-local extract waits for the stream to drain.
     return HandleExtractVnodes(body);
-  }
-  if (type == MessageType::kProcessBatch && options_.apply_delay_us > 0) {
-    // Emulated service latency (bench seam) — outside mu_ so it models a
-    // slow link, not a held lock.
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.apply_delay_us));
   }
   std::lock_guard<std::mutex> lock(mu_);
   switch (type) {
@@ -264,43 +269,24 @@ Result<std::string> NodeServer::HandleProcessBatch(std::string_view body) {
   return encoded;
 }
 
-Result<rhino::ReplicaState> NodeServer::Snapshot(
-    Shard* shard, const std::vector<uint32_t>& vnodes, uint64_t id) {
-  RHINO_ASSIGN_OR_RETURN(dataflow::OperatorImage image,
-                         shard->host->ExtractImage(vnodes, id));
-  // For the join, this image is the unit of consistency: both side
-  // columns of a vnode travel inside one blob.
-  image.descriptor.instance_id = node_id_.load();
-  rhino::ReplicaState rs;
-  rs.latest_checkpoint_id = id;
-  rs.latest_descriptor = std::move(image.descriptor);
-  rs.vnode_blobs = std::move(image.blobs);
-  return rs;
-}
-
-Status NodeServer::Absorb(const std::string& op, rhino::ReplicaState&& rs,
-                          const std::vector<uint32_t>& vnodes,
-                          bool already_durable) {
-  RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(op));
-  dataflow::OperatorImage image;
-  // Blobs are stolen (they dominate the image); the descriptor is copied
-  // because kPromoteReplica still returns it to the driver afterwards.
-  image.descriptor = rs.latest_descriptor;
-  image.blobs = std::move(rs.vnode_blobs);
-  // Dedup positions come WITH the state: replay resumes exactly where the
-  // snapshot stopped (the host assigns, never max-merges).
-  RHINO_ASSIGN_OR_RETURN(std::vector<uint32_t> absorbed,
-                         shard->host->Absorb(image, vnodes, already_durable));
-  // Newly absorbed vnodes are state this node's OWN successor has not
-  // seen yet: they ship whole.
-  if (replicating_) ForgetShipped(op, absorbed);
-  MarkReplDirty(op, absorbed);
+void NodeServer::TakeOver(Shard* shard, const std::string& op,
+                          const std::vector<VnodeImage>& images) {
+  std::vector<uint32_t> vnodes;
+  for (const VnodeImage& image : images) {
+    shard->host->backend()->SetVnodeBytes(image.vnode, image.bytes);
+    // Dedup positions come WITH the state: replay resumes exactly where
+    // the image stopped.
+    shard->host->Own(image.vnode, image.watermarks);
+    vnodes.push_back(image.vnode);
+  }
+  // State this node's OWN successor has not seen from it: it ships whole.
+  if (replicating_) ForgetShipped(op, vnodes);
+  MarkReplDirty(op, vnodes);
   // Whatever this node knew of their chains is stale now: their next
-  // records are whole, unless a handover target adopts the chains.
+  // records are whole, unless the caller adopts the chains.
   shard->host->backend()->DiscardChanges(state::ChangeReader::kCheckpoint,
-                                         absorbed);
-  for (uint32_t vnode : absorbed) shard->chains.erase(vnode);
-  return Status::OK();
+                                         vnodes);
+  for (uint32_t vnode : vnodes) shard->chains.erase(vnode);
 }
 
 Status NodeServer::DropHeld(const std::string& op,
@@ -321,12 +307,12 @@ void NodeServer::AdoptChains(const std::string& op,
     auto size = env_->GetFileSize(path);
     auto base = rhino::ChainBaseBytes(env_, path);
     if (!size.ok() || !base.ok()) continue;  // the next record is whole
+    VnodeImage image = Describe(*shard.host, vnode);
     Chain& chain = shard.chains[vnode];
     chain.base = *base;
     chain.bytes = *size;
-    chain.nominal = shard.host->backend()->VnodeBytes(vnode);
-    auto marks = shard.host->GetWatermarks({vnode});
-    if (!marks.empty()) chain.watermarks = std::move(marks.begin()->second);
+    chain.nominal = image.bytes;
+    chain.watermarks = std::move(image.watermarks);
   }
 }
 
@@ -356,12 +342,12 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
     return true;
   };
   auto record_of = [&](uint32_t vnode, Kind kind, std::string_view body) {
+    VnodeImage image = Describe(*shard->host, vnode);
     rhino::ChainRecord record;
     record.kind = kind;
     record.checkpoint_id = id;
-    record.nominal_bytes = backend->VnodeBytes(vnode);
-    auto marks = shard->host->GetWatermarks({vnode});
-    if (!marks.empty()) record.watermarks = std::move(marks.begin()->second);
+    record.nominal_bytes = image.bytes;
+    record.watermarks = std::move(image.watermarks);
     record.body = body;
     return record;
   };
@@ -399,22 +385,20 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
     chain->second.watermarks = std::move(record.watermarks);
   }
   if (!whole.empty()) {
-    // One ranged extraction per whole record; the blobs supersede what the
+    // One ranged read per whole record; the runs supersede what the
     // checkpoint reader captured of those vnodes.
-    auto blobs = backend->ExtractVnodeBlobs(whole);
-    if (!blobs.ok()) return blobs.status();
     backend->DiscardChanges(state::ChangeReader::kCheckpoint, whole);
     for (uint32_t vnode : whole) {
-      rhino::ChainRecord record =
-          record_of(vnode, Kind::kWhole, (*blobs)[vnode]);
+      Status st = backend->ReadVnodeEntries(vnode, &run);
+      rhino::ChainRecord record = record_of(vnode, Kind::kWhole, run);
       framed.clear();
-      rhino::AppendChainRecord(record, &framed);
-      // WriteFile replaces the chain atomically: a reader sees the old
-      // chain or the new base, never a mix.
-      if (!wrote(vnode, env_->WriteFile(ChainPath(op, vnode), framed),
-                 Kind::kWhole, framed.size())) {
-        continue;
+      if (st.ok()) {
+        rhino::AppendChainRecord(record, &framed);
+        // WriteFile replaces the chain atomically: a reader sees the old
+        // chain or the new base, never a mix.
+        st = env_->WriteFile(ChainPath(op, vnode), framed);
       }
+      if (!wrote(vnode, st, Kind::kWhole, framed.size())) continue;
       Chain& chain = shard->chains[vnode];
       chain.base = chain.bytes = framed.size();
       chain.nominal = record.nominal_bytes;
@@ -429,43 +413,30 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
   return first_failure;
 }
 
-Status NodeServer::BuildDelta(Shard* shard, const std::string& op,
-                              uint64_t seq, ReplicateStateRequest* req) {
-  rhino::ReplicaState rs;
-  rs.latest_checkpoint_id = seq;
-  rs.latest_descriptor.checkpoint_id = seq;
-  rs.latest_descriptor.operator_name = op;
+Status NodeServer::BuildDelta(Shard* shard, ReplicateStateRequest* req) {
+  state::StateBackend* backend = shard->host->backend();
   uint64_t entries = 0;
-  if (shard != nullptr) {
-    std::vector<uint32_t> all, whole;
-    for (ReplicatedVnode& entry : req->vnodes) {
-      all.push_back(entry.vnode);
-      if (entry.keys != 0) {
-        std::optional<uint64_t> keys =
-            shard->host->backend()->TakeChanges(state::ChangeReader::kStream,
-                                                entry.vnode, &entry.changes);
-        if (keys.has_value()) {
-          entries += *keys;
-        } else {
-          entry.keys = 0;
-        }
+  std::vector<uint32_t> whole;
+  for (VnodeImage& image : req->vnodes) {
+    VnodeImage described = Describe(*shard->host, image.vnode);
+    image.bytes = described.bytes;
+    image.watermarks = std::move(described.watermarks);
+    if (image.base_seq != 0) {
+      std::optional<uint64_t> keys = backend->TakeChanges(
+          state::ChangeReader::kStream, image.vnode, &image.entries);
+      if (keys.has_value()) {
+        entries += *keys;
+        continue;
       }
-      if (entry.keys == 0) whole.push_back(entry.vnode);
+      image.base_seq = 0;  // the backend cannot capture: ship it whole
     }
-    rs.latest_descriptor = shard->host->DescribeVnodes(all, seq);
-    if (!whole.empty()) {
-      // A whole snapshot supersedes whatever was captured for the vnode.
-      RHINO_ASSIGN_OR_RETURN(rs.vnode_blobs,
-                             shard->host->backend()->ExtractVnodeBlobs(whole));
-      shard->host->backend()->DiscardChanges(state::ChangeReader::kStream,
-                                             whole);
-    }
+    RHINO_RETURN_NOT_OK(backend->ReadVnodeEntries(image.vnode, &image.entries));
+    whole.push_back(image.vnode);
   }
-  rs.latest_descriptor.instance_id = node_id_.load();
-  rhino::EncodeReplicaState(rs, &req->replica);
-  for (const ReplicatedVnode& entry : req->vnodes) {
-    Bump(entry.keys != 0 ? metrics_.key_vnodes : metrics_.whole_vnodes);
-  }
+  // A whole snapshot supersedes whatever was captured for the vnode.
+  backend->DiscardChanges(state::ChangeReader::kStream, whole);
+  Bump(metrics_.whole_vnodes, whole.size());
+  Bump(metrics_.key_vnodes, req->vnodes.size() - whole.size());
   Bump(metrics_.entries, entries);
   return Status::OK();
 }
@@ -558,31 +529,35 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   RHINO_ASSIGN_OR_RETURN(Shard * shard, owned_shard());
-  ExtractVnodesReply reply;
+  std::vector<VnodeImage> images;
+  for (uint32_t vnode : move.vnodes) {
+    images.push_back(Describe(*shard->host, vnode));
+  }
   if (replica_local) {
-    // Nothing may have been written since the drain: each moved vnode's
-    // replica must be exactly its last shipped delta.
+    // Nothing may have been written since the drain: the target's copy of
+    // each moved vnode must be exactly its last shipped delta, on top of
+    // which the image's run is empty.
     std::lock_guard<std::mutex> rlock(repl_->mu);
     auto dirty = repl_->dirty.find(spec.operator_name);
     auto shipped = repl_->last_seq.find(spec.operator_name);
-    for (uint32_t vnode : move.vnodes) {
-      if ((dirty != repl_->dirty.end() && dirty->second.count(vnode) != 0) ||
+    for (VnodeImage& image : images) {
+      if ((dirty != repl_->dirty.end() &&
+           dirty->second.count(image.vnode) != 0) ||
           shipped == repl_->last_seq.end() ||
-          shipped->second.count(vnode) == 0) {
+          shipped->second.count(image.vnode) == 0) {
         replica_local = false;
-        reply.vnode_seqs.clear();
         break;
       }
-      reply.vnode_seqs[vnode] = shipped->second.at(vnode);
+      image.base_seq = shipped->second.at(image.vnode);
     }
   }
-  rhino::ReplicaState rs;
-  if (replica_local) {
-    rs.latest_checkpoint_id = spec.id;
-    rs.latest_descriptor = shard->host->DescribeVnodes(move.vnodes, spec.id);
-    rs.latest_descriptor.instance_id = node_id_.load();
-  } else {
-    RHINO_ASSIGN_OR_RETURN(rs, Snapshot(shard, move.vnodes, spec.id));
+  if (!replica_local) {
+    state::StateBackend* backend = shard->host->backend();
+    for (VnodeImage& image : images) {
+      image.base_seq = 0;
+      RHINO_RETURN_NOT_OK(
+          backend->ReadVnodeEntries(image.vnode, &image.entries));
+    }
   }
   // The final incremental checkpoint O->T: every moved vnode's chain now
   // ends in the state handed over, so the target extends it. A vnode
@@ -591,14 +566,12 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   uint64_t written = 0;
   RHINO_RETURN_NOT_OK(WriteChains(shard, spec.operator_name, move.vnodes,
                                   spec.id, ChainPhase::kHandover, &written));
-  reply.replica_local = replica_local ? 1 : 0;
-  rhino::EncodeReplicaState(rs, &reply.replica);
   obs_->trace().Emit("net", "handover_extract",
                      "node" + std::to_string(node_id_.load()), spec.id,
                      {{"vnodes", static_cast<int64_t>(move.vnodes.size())},
                       {"replica_local", replica_local ? 1 : 0}});
   std::string out;
-  reply.EncodeTo(&out);
+  EncodeVnodeImages(images, &out);
   return out;
 }
 
@@ -611,46 +584,52 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   }
   const auto& spec = *req.control.handover;
   const auto& move = spec.moves[req.move_index];
-  RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
-                         rhino::DecodeReplicaState(req.replica));
-  RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(spec.operator_name));
-  if (req.replica_local != 0) {
-    // Every moved vnode is held for the origin at exactly its last shipped
-    // seq — checked before any state is touched, so a mismatch leaves the
-    // driver free to redo the move through the full path.
-    for (uint32_t vnode : move.vnodes) {
-      auto seq = req.vnode_seqs.find(vnode);
-      auto copy = held_.find({spec.operator_name, vnode});
-      if (seq == req.vnode_seqs.end() || copy == held_.end() ||
-          copy->second.origin != move.origin_instance ||
-          copy->second.seq != seq->second) {
-        return Status::FailedPrecondition(
-            "replica of node " + std::to_string(move.origin_instance) +
-            " does not hold vnode " + std::to_string(vnode) +
-            " at the origin's last shipped seq");
-      }
-    }
-    // The held rows become the vnodes' state where they are; the origin's
-    // descriptor brings the watermarks.
-    for (uint32_t vnode : move.vnodes) {
-      auto copy = held_.find({spec.operator_name, vnode});
-      shard->host->backend()->SetVnodeBytes(vnode, copy->second.bytes);
-      held_.erase(copy);
-    }
-  } else {
-    // The image replaces any rows held here: their origin's tombstone may
-    // still be in flight.
-    RHINO_RETURN_NOT_OK(DropHeld(spec.operator_name, move.vnodes));
+  const std::string& op = spec.operator_name;
+  RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(op));
+  std::set<uint32_t> listed;
+  for (const VnodeImage& image : req.images) listed.insert(image.vnode);
+  if (listed.size() != req.images.size() ||
+      listed != std::set<uint32_t>(move.vnodes.begin(), move.vnodes.end())) {
+    return Status::InvalidArgument("ingest images are not the moved vnodes");
   }
-  RHINO_RETURN_NOT_OK(Absorb(spec.operator_name, std::move(rs), move.vnodes,
-                             req.durable != 0));
-  AdoptChains(spec.operator_name, move.vnodes);
-  Bump(req.replica_local != 0 ? metrics_.handover_replica
-                              : metrics_.handover_full);
+  // An image on top of a copy needs the origin's copy held here at exactly
+  // its base seq — checked before any state is touched, so a mismatch
+  // leaves the driver free to redo the move through the full path.
+  bool replica_local = false;
+  std::vector<uint32_t> whole;
+  for (const VnodeImage& image : req.images) {
+    if (image.base_seq == 0) {
+      whole.push_back(image.vnode);
+      continue;
+    }
+    replica_local = true;
+    auto copy = held_.find({op, image.vnode});
+    if (copy == held_.end() || copy->second.origin != move.origin_instance ||
+        copy->second.seq != image.base_seq) {
+      return Status::FailedPrecondition(
+          "replica of node " + std::to_string(move.origin_instance) +
+          " does not hold vnode " + std::to_string(image.vnode) +
+          " at the origin's last shipped seq");
+    }
+  }
+  // A whole image replaces any rows held here: their origin's tombstone
+  // may still be in flight. The other held rows become the vnodes' state
+  // where they are, and each image's run is written on top.
+  RHINO_RETURN_NOT_OK(DropHeld(op, whole));
+  for (const VnodeImage& image : req.images) {
+    held_.erase({op, image.vnode});
+    if (!image.entries.empty()) {
+      RHINO_RETURN_NOT_OK(shard->host->backend()->WriteVnodeEntries(
+          image.vnode, image.entries));
+    }
+  }
+  TakeOver(shard, op, req.images);
+  AdoptChains(op, move.vnodes);
+  Bump(replica_local ? metrics_.handover_replica : metrics_.handover_full);
   obs_->trace().Emit("net", "handover_ingest",
                      "node" + std::to_string(node_id_.load()), spec.id,
                      {{"vnodes", static_cast<int64_t>(move.vnodes.size())},
-                      {"replica_local", req.replica_local}});
+                      {"replica_local", replica_local ? 1 : 0}});
   return std::string();
 }
 
@@ -684,8 +663,6 @@ Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
 Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(ReplicateStateRequest req,
                          ReplicateStateRequest::Decode(body));
-  RHINO_ASSIGN_OR_RETURN(rhino::ReplicaState rs,
-                         rhino::DecodeReplicaState(req.replica));
   auto shard = shards_.find(req.op);
   // The origin handed a vnode this node owns away: its deltas and
   // tombstones of it are stale.
@@ -702,16 +679,17 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
   // Check the chain of every key delta before applying anything: a key
   // delta extends only its origin's copy at its base_seq. A delta at or
   // below that copy's seq is a replay of an applied one.
-  std::vector<const ReplicatedVnode*> apply;
+  std::vector<VnodeImage*> apply;
   std::vector<uint32_t> broken;
-  for (const ReplicatedVnode& entry : req.vnodes) {
-    if (owned(entry.vnode)) continue;
-    const HeldVnode* copy = origin_copy(entry.vnode);
+  for (VnodeImage& image : req.vnodes) {
+    if (owned(image.vnode)) continue;
+    const HeldVnode* copy = origin_copy(image.vnode);
     if (copy != nullptr && req.stream_seq <= copy->seq) continue;
-    if (entry.keys != 0 && (copy == nullptr || copy->seq != entry.base_seq)) {
-      broken.push_back(entry.vnode);
+    if (image.base_seq != 0 &&
+        (copy == nullptr || copy->seq != image.base_seq)) {
+      broken.push_back(image.vnode);
     } else {
-      apply.push_back(&entry);
+      apply.push_back(&image);
     }
   }
   if (!broken.empty()) {
@@ -736,35 +714,23 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
     if (!owned(vnode) && origin_copy(vnode) != nullptr) dropped.push_back(vnode);
   }
   RHINO_RETURN_NOT_OK(DropHeld(req.op, dropped));
-  const auto& desc = rs.latest_descriptor;
-  for (const ReplicatedVnode* entry : apply) {
-    const uint32_t vnode = entry->vnode;
-    std::string_view run = entry->changes;
-    if (entry->keys == 0) {
-      auto blob = rs.vnode_blobs.find(vnode);
-      run = std::string_view();
-      if (blob != rs.vnode_blobs.end()) {
-        RHINO_ASSIGN_OR_RETURN(run, state::VnodeBlobEntries(blob->second));
-      }
+  for (VnodeImage* image : apply) {
+    if (image->base_seq == 0) {
       // A whole vnode replaces whatever is held for it, whoever sent it.
-      RHINO_RETURN_NOT_OK(DropHeld(req.op, {vnode}));
+      RHINO_RETURN_NOT_OK(DropHeld(req.op, {image->vnode}));
     }
-    if (!run.empty()) {
+    if (!image->entries.empty()) {
       // Rows need the operator's backend; a vnode that ships before the
       // driver added the operator here is its empty baseline.
       if (shard == shards_.end()) return FindShard(req.op).status();
-      RHINO_RETURN_NOT_OK(
-          shard->second.host->backend()->WriteVnodeEntries(vnode, run));
+      RHINO_RETURN_NOT_OK(shard->second.host->backend()->WriteVnodeEntries(
+          image->vnode, image->entries));
     }
-    HeldVnode& copy = held_[{req.op, vnode}];
+    HeldVnode& copy = held_[{req.op, image->vnode}];
     copy.origin = req.origin_node;
     copy.seq = req.stream_seq;
-    auto bytes = desc.vnode_bytes.find(vnode);
-    copy.bytes = bytes != desc.vnode_bytes.end() ? bytes->second : 0;
-    auto marks = desc.vnode_watermarks.find(vnode);
-    copy.watermarks = marks != desc.vnode_watermarks.end()
-                          ? marks->second
-                          : std::map<int, uint64_t>();
+    copy.bytes = image->bytes;
+    copy.watermarks = std::move(image->watermarks);
   }
   return std::string();
 }
@@ -774,20 +740,10 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
   RHINO_ASSIGN_OR_RETURN(ReplicaFetchRequest req,
                          ReplicaFetchRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
-  state::StateBackend* backend = shard->host->backend();
-  rhino::ReplicaState rs;
-  rs.latest_descriptor.operator_name = req.op;
-  rs.latest_descriptor.instance_id = req.origin_node;
-  auto describe = [&rs](uint32_t vnode, uint64_t id, uint64_t bytes,
-                        std::map<int, uint64_t>&& marks) {
-    rs.latest_checkpoint_id = std::max(rs.latest_checkpoint_id, id);
-    rs.latest_descriptor.vnode_bytes[vnode] = bytes;
-    if (!marks.empty()) {
-      rs.latest_descriptor.vnode_watermarks[vnode] = std::move(marks);
-    }
-  };
   // A requested vnode the origin's replica or chain does not cover loses
-  // any rows it has here and is absorbed empty, without watermarks.
+  // any rows it has here and is taken over empty, without watermarks.
+  std::vector<VnodeImage> images(req.vnodes.size());
+  for (size_t i = 0; i < images.size(); ++i) images[i].vnode = req.vnodes[i];
   std::vector<uint32_t> untorn;  // restored from a chain without a torn tail
   if (type == MessageType::kPromoteReplica) {
     auto from_origin = [&req](const auto& held) {
@@ -803,15 +759,15 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
     // The held rows become the vnodes' state where they are, copying no
     // key. The origin is dead: nothing of its replica is asked for twice.
     std::vector<uint32_t> absent;
-    for (uint32_t vnode : req.vnodes) {
-      auto it = held_.find({req.op, vnode});
+    for (VnodeImage& image : images) {
+      auto it = held_.find({req.op, image.vnode});
       if (it == held_.end() || !from_origin(*it)) {
-        absent.push_back(vnode);
+        absent.push_back(image.vnode);
         continue;
       }
-      HeldVnode& copy = it->second;
-      describe(vnode, copy.seq, copy.bytes, std::move(copy.watermarks));
-      backend->SetVnodeBytes(vnode, copy.bytes);
+      image.base_seq = it->second.seq;
+      image.bytes = it->second.bytes;
+      image.watermarks = std::move(it->second.watermarks);
       held_.erase(it);
     }
     RHINO_RETURN_NOT_OK(DropHeld(req.op, absent));
@@ -819,34 +775,40 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
     // Each requested vnode's chain, whoever wrote it, goes into the
     // backend: its whole record, then its key records.
     RHINO_RETURN_NOT_OK(DropHeld(req.op, req.vnodes));
-    for (uint32_t vnode : req.vnodes) {
-      const std::string path = ChainPath(req.op, vnode);
+    for (VnodeImage& image : images) {
+      const std::string path = ChainPath(req.op, image.vnode);
       auto chain = rhino::ReadChain(env_, path);
       if (chain.status().code() == StatusCode::kNotFound) continue;
       RHINO_RETURN_NOT_OK(chain.status());
-      RHINO_RETURN_NOT_OK(rhino::RestoreChain(*chain, vnode, backend));
-      describe(vnode, chain->checkpoint_id, chain->nominal_bytes,
-               std::move(chain->watermarks));
+      RHINO_RETURN_NOT_OK(
+          rhino::RestoreChain(*chain, image.vnode, shard->host->backend()));
+      image.base_seq = chain->checkpoint_id;
+      image.bytes = chain->nominal_bytes;
+      image.watermarks = std::move(chain->watermarks);
       // Without a torn tail the vnode is exactly the chain's last record,
       // and its next record extends the chain.
       auto size = env_->GetFileSize(path);
-      if (size.ok() && *size == chain->valid_bytes) untorn.push_back(vnode);
+      if (size.ok() && *size == chain->valid_bytes) {
+        untorn.push_back(image.vnode);
+      }
     }
   }
-  rs.latest_descriptor.checkpoint_id = rs.latest_checkpoint_id;
-  RHINO_RETURN_NOT_OK(
-      Absorb(req.op, std::move(rs), req.vnodes, /*already_durable=*/true));
+  TakeOver(shard, req.op, images);
   AdoptChains(req.op, untorn);
+  uint64_t as_of = 0;
+  for (const VnodeImage& image : images) {
+    as_of = std::max(as_of, image.base_seq);
+  }
   obs_->trace().Emit(
       "net",
       type == MessageType::kPromoteReplica ? "promote_replica"
                                            : "restore_from_checkpoint",
-      "node" + std::to_string(node_id_.load()), rs.latest_checkpoint_id,
+      "node" + std::to_string(node_id_.load()), as_of,
       {{"origin", static_cast<int64_t>(req.origin_node)}});
-  // The reply is the descriptor: the driver needs the replay watermarks
-  // to rewind its partition cursors.
+  // The driver needs the replay watermarks to rewind its partition
+  // cursors; the state stays here.
   std::string out;
-  EncodeReplicaState(rs, &out);
+  EncodeVnodeImages(images, &out);
   return out;
 }
 
@@ -941,7 +903,7 @@ void NodeServer::ReplicatorLoop() {
       }
     }
     // Build a consistent delta under mu_: each vnode's state (its whole
-    // blob, or the keys written since its last delta) and its replay
+    // run, or the keys written since its last delta) and its replay
     // watermarks are captured together, so a promoted replica resumes
     // dedup exactly where its state stopped.
     ReplicateStateRequest req;
@@ -973,18 +935,15 @@ void NodeServer::ReplicatorLoop() {
             // the keys written since; any other ships whole.
             auto& last = repl->last_seq[op];
             for (uint32_t vnode : live) {
-              ReplicatedVnode entry;
-              entry.vnode = vnode;
+              VnodeImage image;
+              image.vnode = vnode;
               auto shipped = last.find(vnode);
-              if (shipped != last.end()) {
-                entry.base_seq = shipped->second;
-                entry.keys = 1;
-              }
+              if (shipped != last.end()) image.base_seq = shipped->second;
               last[vnode] = seq;
-              req.vnodes.push_back(std::move(entry));
+              req.vnodes.push_back(std::move(image));
             }
           }
-          failure = BuildDelta(shard, op, seq, &req);
+          if (!live.empty()) failure = BuildDelta(shard, &req);
           if (failure.ok()) {
             req.origin_node = node_id_.load();
             req.op = op;

@@ -19,7 +19,6 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/observability.h"
-#include "rhino/replication_runtime.h"
 #include "state/lsm_state_backend.h"
 
 /// \file node_server.h
@@ -31,6 +30,16 @@
 /// It is transport-agnostic: `Handle` consumes decoded request bodies and
 /// is plugged into an `RpcServer` (the `rhino_node` binary) or a
 /// `LoopbackTransport` (in-process tests) unchanged.
+///
+/// **One record, one step.** State crosses the wire only as
+/// `VnodeImage`s (wire.h): a vnode's size, replay watermarks and entry
+/// run, whole (`base_seq` 0) or the keys written since the copy the
+/// receiver holds at `base_seq`. Stream deltas, both halves of a handover,
+/// and the replies of a promotion and a restore all carry them. Every
+/// path by which a vnode becomes owned here ends in one `TakeOver`: a
+/// full-path ingest after writing its whole run, a replica-local ingest
+/// and a promotion after taking their held rows over, a restore after
+/// writing its chain.
 ///
 /// Protocol roles, mirroring the in-process engine:
 ///
@@ -64,9 +73,9 @@
 ///    implement the origin and target halves of a live migration, moving
 ///    state *and* dedup watermarks. When the target is the origin's ring
 ///    successor the move is **replica-local**: the origin drains its
-///    stream and sends only sizes, watermarks and the seq of each moved
-///    vnode's last delta, and the target takes its held rows of those
-///    vnodes over, copying no key. Any other target gets the full image.
+///    stream and sends each moved vnode as an empty run on top of the seq
+///    of its last delta, and the target takes its held rows of those
+///    vnodes over, copying no key. Any other target gets whole images.
 ///    Either way the origin's extract first writes the moved vnodes'
 ///    pending keys to their chains (the final incremental checkpoint), and
 ///    the target extends those chains from then on;
@@ -80,10 +89,11 @@
 ///
 /// **Chain invariant.** A node extends a vnode's chain only while its
 /// state of the vnode equals the chain's last record plus the keys its
-/// checkpoint reader captured since (`Chain`); absorbing the vnode,
+/// checkpoint reader captured since (`Chain`); taking the vnode over,
 /// dropping it or a failed write forgets the chain, and the next record
-/// is whole. A chain on disk never exceeds twice its base, and a torn
-/// tail loses only the torn record.
+/// is whole, unless the take-over adopts the chain (a handover target's
+/// moved vnodes, an untorn restored one). A chain on disk never exceeds
+/// twice its base, and a torn tail loses only the torn record.
 ///
 /// **Replica invariant.** Per node and operator, a vnode's rows are
 /// owned, held for exactly one origin, or absent. Held rows sit in the
@@ -123,13 +133,6 @@ struct NodeServerOptions {
   /// Shared checkpoint directory (all nodes + driver see the same files;
   /// stands in for a DFS).
   std::string ckpt_dir;
-  /// Bench seam: emulated service latency (sleep, microseconds) per
-  /// kProcessBatch, taken BEFORE the server lock. Loopback on a small
-  /// host hides the round-trip structure real deployments have (network
-  /// hops, remote storage); `bench/dist_pipeline` reintroduces it in a
-  /// controlled way to measure how much of it the credit window hides.
-  /// Always 0 outside benches.
-  int apply_delay_us = 0;
 };
 
 class NodeServer {
@@ -243,24 +246,24 @@ class NodeServer {
 
   Result<Shard*> FindShard(const std::string& op);
 
-  /// Builds the full replica image of `shard` (blobs + watermarks) for the
-  /// given vnodes at checkpoint/handover id `id`.
-  Result<rhino::ReplicaState> Snapshot(Shard* shard,
-                                       const std::vector<uint32_t>& vnodes,
-                                       uint64_t id);
+  /// Completes the images of `req->vnodes`, whose vnode and `base_seq`
+  /// the caller set: size, watermarks and run (the keys the stream reader
+  /// captured since `base_seq`, or the whole vnode when `base_seq` is 0 or
+  /// the backend cannot capture), and counts them in the stream metrics.
+  /// Caller holds `mu_`.
+  Status BuildDelta(Shard* shard, ReplicateStateRequest* req);
 
-  /// Fills `req->replica` and the change runs of `req->vnodes` for the
-  /// delta `seq` of `shard` (null when only tombstones ship), and counts
-  /// the delta in the stream metrics. A key entry whose backend cannot
-  /// capture turns whole. Caller holds `mu_`.
-  Status BuildDelta(Shard* shard, const std::string& op, uint64_t seq,
-                    ReplicateStateRequest* req);
-
-  /// Folds `rs`'s blobs/watermarks for `vnodes` (empty = all) into the
-  /// live shard of `op`; a vnode without a blob keeps its rows. Consumes
-  /// the image's blobs. The absorbed vnodes' next chain records are whole.
-  Status Absorb(const std::string& op, rhino::ReplicaState&& rs,
-                const std::vector<uint32_t>& vnodes, bool already_durable);
+  /// The one take-over step, which ends every path by which a vnode
+  /// becomes owned here — a full-path ingest (its whole run written), a
+  /// replica-local ingest or a promotion (held rows taken over), a restore
+  /// (its chain written): the images' vnodes, whose state is already in
+  /// the backend, become owned with the images' sizes and watermarks
+  /// (assigned). They ship whole to this node's successor, what the
+  /// checkpoint reader captured of them is discarded, and their chains
+  /// are forgotten, so their next records are whole unless the caller
+  /// adopts the chains. Caller holds `mu_`.
+  void TakeOver(Shard* shard, const std::string& op,
+                const std::vector<VnodeImage>& images);
 
   /// Drops the rows and catalog entries of `vnodes` of `op`, none of them
   /// owned here. Caller holds `mu_`.

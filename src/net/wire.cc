@@ -33,10 +33,11 @@ Status CheckVersion(BinaryReader* r, const char* what) {
 // Minimum encoded sizes of repeated elements, which bound every decoded
 // element count (`BinaryReader::GetCount`) before anything is reserved.
 constexpr size_t kMinVnodeBytes = 1;        // varint vnode
-constexpr size_t kMinVnodeSeqBytes = 2;     // varint vnode | varint seq
 constexpr size_t kMinRecordBytes = 4;       // key | time | size | payload
 constexpr size_t kMinMoveBytes = 4 + 4 + 1; // origin | target | vnode count
-constexpr size_t kMinReplicatedVnodeBytes = 4;  // vnode | base | keys | run
+// vnode | base seq | bytes | watermark count | run length
+constexpr size_t kMinImageBytes = 5;
+constexpr size_t kMinWatermarkBytes = 2;    // source | offset
 
 void PutVnodes(BinaryWriter* w, const std::vector<uint32_t>& vnodes) {
   w->PutVarint(vnodes.size());
@@ -56,24 +57,40 @@ Status GetVnodes(BinaryReader* r, std::vector<uint32_t>* vnodes) {
   return Status::OK();
 }
 
-void PutVnodeSeqs(BinaryWriter* w, const VnodeSeqs& seqs) {
-  w->PutVarint(seqs.size());
-  for (const auto& [vnode, seq] : seqs) {
-    w->PutVarint(vnode);
-    w->PutVarint(seq);
+void PutImages(BinaryWriter* w, const std::vector<VnodeImage>& images) {
+  w->PutVarint(images.size());
+  for (const VnodeImage& image : images) {
+    w->PutVarint(image.vnode);
+    w->PutVarint(image.base_seq);
+    w->PutVarint(image.bytes);
+    w->PutVarint(image.watermarks.size());
+    for (const auto& [source, offset] : image.watermarks) {
+      w->PutZigzag(source);
+      w->PutVarint(offset);
+    }
+    w->PutString(image.entries);
   }
 }
 
-Status GetVnodeSeqs(BinaryReader* r, VnodeSeqs* seqs) {
+Status GetImages(BinaryReader* r, std::vector<VnodeImage>* images) {
   uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r->GetCount(kMinVnodeSeqBytes, &n));
-  seqs->clear();
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t vnode = 0;
-    uint64_t seq = 0;
-    RHINO_RETURN_NOT_OK(r->GetVarint32(&vnode));
-    RHINO_RETURN_NOT_OK(r->GetVarint(&seq));
-    (*seqs)[vnode] = seq;
+  RHINO_RETURN_NOT_OK(r->GetCount(kMinImageBytes, &n));
+  images->clear();
+  images->resize(n);
+  for (VnodeImage& image : *images) {
+    uint64_t marks = 0;
+    RHINO_RETURN_NOT_OK(r->GetVarint32(&image.vnode));
+    RHINO_RETURN_NOT_OK(r->GetVarint(&image.base_seq));
+    RHINO_RETURN_NOT_OK(r->GetVarint(&image.bytes));
+    RHINO_RETURN_NOT_OK(r->GetCount(kMinWatermarkBytes, &marks));
+    for (uint64_t i = 0; i < marks; ++i) {
+      int64_t source = 0;
+      uint64_t offset = 0;
+      RHINO_RETURN_NOT_OK(r->GetZigzag(&source));
+      RHINO_RETURN_NOT_OK(r->GetVarint(&offset));
+      image.watermarks[static_cast<int>(source)] = offset;
+    }
+    RHINO_RETURN_NOT_OK(r->GetString(&image.entries));
   }
   return Status::OK();
 }
@@ -437,16 +454,28 @@ Result<CheckpointReply> CheckpointReply::Decode(std::string_view data) {
   return rep;
 }
 
+void EncodeVnodeImages(const std::vector<VnodeImage>& images,
+                       std::string* out) {
+  BinaryWriter w(out);
+  PutImages(&w, images);
+}
+
+Result<std::vector<VnodeImage>> DecodeVnodeImages(std::string_view data) {
+  BinaryReader r(data);
+  std::vector<VnodeImage> images;
+  RHINO_RETURN_NOT_OK(GetImages(&r, &images));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "vnode images"));
+  return images;
+}
+
 void HandoverStateRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   std::string encoded;
   EncodeControlEvent(control, &encoded);
   w.PutString(encoded);
   w.PutU32(move_index);
-  w.PutString(replica);
-  w.PutU8(durable);
   w.PutU8(replica_local);
-  PutVnodeSeqs(&w, vnode_seqs);
+  PutImages(&w, images);
 }
 
 Result<HandoverStateRequest> HandoverStateRequest::Decode(
@@ -457,29 +486,10 @@ Result<HandoverStateRequest> HandoverStateRequest::Decode(
   RHINO_RETURN_NOT_OK(r.GetString(&encoded));
   RHINO_ASSIGN_OR_RETURN(req.control, DecodeControlEvent(encoded));
   RHINO_RETURN_NOT_OK(r.GetU32(&req.move_index));
-  RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
-  RHINO_RETURN_NOT_OK(r.GetU8(&req.durable));
   RHINO_RETURN_NOT_OK(r.GetU8(&req.replica_local));
-  RHINO_RETURN_NOT_OK(GetVnodeSeqs(&r, &req.vnode_seqs));
+  RHINO_RETURN_NOT_OK(GetImages(&r, &req.images));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "handover state request"));
   return req;
-}
-
-void ExtractVnodesReply::EncodeTo(std::string* out) const {
-  BinaryWriter w(out);
-  w.PutU8(replica_local);
-  w.PutString(replica);
-  PutVnodeSeqs(&w, vnode_seqs);
-}
-
-Result<ExtractVnodesReply> ExtractVnodesReply::Decode(std::string_view data) {
-  BinaryReader r(data);
-  ExtractVnodesReply rep;
-  RHINO_RETURN_NOT_OK(r.GetU8(&rep.replica_local));
-  RHINO_RETURN_NOT_OK(r.GetString(&rep.replica));
-  RHINO_RETURN_NOT_OK(GetVnodeSeqs(&r, &rep.vnode_seqs));
-  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "extract-vnodes reply"));
-  return rep;
 }
 
 void VnodeSetRequest::EncodeTo(std::string* out) const {
@@ -501,16 +511,9 @@ void ReplicateStateRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   w.PutU32(origin_node);
   w.PutString(op);
-  w.PutString(replica);
   w.PutU64(stream_seq);
   PutVnodes(&w, dropped_vnodes);
-  w.PutVarint(vnodes.size());
-  for (const ReplicatedVnode& v : vnodes) {
-    w.PutVarint(v.vnode);
-    w.PutVarint(v.base_seq);
-    w.PutU8(v.keys);
-    w.PutString(v.changes);
-  }
+  PutImages(&w, vnodes);
 }
 
 Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
@@ -519,18 +522,9 @@ Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
   ReplicateStateRequest req;
   RHINO_RETURN_NOT_OK(r.GetU32(&req.origin_node));
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
-  RHINO_RETURN_NOT_OK(r.GetString(&req.replica));
   RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.dropped_vnodes));
-  uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r.GetCount(kMinReplicatedVnodeBytes, &n));
-  req.vnodes.resize(n);
-  for (ReplicatedVnode& v : req.vnodes) {
-    RHINO_RETURN_NOT_OK(r.GetVarint32(&v.vnode));
-    RHINO_RETURN_NOT_OK(r.GetVarint(&v.base_seq));
-    RHINO_RETURN_NOT_OK(r.GetU8(&v.keys));
-    RHINO_RETURN_NOT_OK(r.GetString(&v.changes));
-  }
+  RHINO_RETURN_NOT_OK(GetImages(&r, &req.vnodes));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "replicate-state request"));
   return req;
 }

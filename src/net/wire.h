@@ -15,8 +15,8 @@
 /// Wire format of the multi-process runtime: RPC envelopes plus binary
 /// serialization of the things that cross process boundaries — data
 /// batches, in-band control events (checkpoint barriers and handover
-/// markers, `dataflow::ControlEvent`), and state blobs (replica images are
-/// encoded by `rhino::EncodeReplicaState`).
+/// markers, `dataflow::ControlEvent`), and vnode state, which always
+/// travels as `VnodeImage`s.
 ///
 /// Everything uses the little-endian `BinaryWriter`/`BinaryReader` format
 /// shared with the LSM on-disk structures; every `Decode` returns
@@ -70,10 +70,18 @@ const char* MessageTypeName(MessageType type);
 /// (the first record's from `create_time`). Vnode ids in every vnode list
 /// and vnode->seq map, `ReplicatedVnode::vnode` and `base_seq`, and
 /// `ProcessBatchReply`'s counts are varints, as is every integer of an
-/// encoded `ReplicaState` (ids, file and vnode sizes, watermarks). State
+/// encoded replica image (ids, file and vnode sizes, watermarks). State
 /// entries, in blobs and change runs alike, are prefix-coded against the
 /// previous key of their vnode (`state::EntryWriter`).
-constexpr uint8_t kWireVersion = 5;
+/// Version 6 made `VnodeImage` the one state payload. It replaced the
+/// simulator's replica image envelope (whose file lists and source offsets
+/// always travelled empty) in `kReplicateState`, `kExtractVnodes`,
+/// `kIngestVnodes`, `kPromoteReplica` and `kRestoreFromCheckpoint`, the
+/// per-vnode seq maps, `ReplicatedVnode`, the ingest's durable flag and
+/// the extract reply's replica-local flag: an image's `base_seq` says
+/// whether its run is the whole vnode (0) or the keys written since a copy
+/// the receiver holds.
+constexpr uint8_t kWireVersion = 6;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on
@@ -216,43 +224,49 @@ struct CheckpointReply {
   static Result<CheckpointReply> Decode(std::string_view data);
 };
 
-/// Per-vnode stream seqs: vnode -> `stream_seq` of the last replication
-/// delta that carried it.
-using VnodeSeqs = std::map<uint32_t, uint64_t>;
+/// One vnode's state on the wire, the only state payload of the protocol
+/// (paper §4.1: a handover is the origin's last incremental checkpoint
+/// applied on top of the replica the target holds; a move without a
+/// replica applies it on top of nothing). `entries` is one
+/// `state::EntryWriter` run. With `base_seq == 0` the run is the whole
+/// vnode. Otherwise it holds the keys written since the copy the receiver
+/// holds at exactly stream seq `base_seq`, puts and tombstones, and
+/// applies only on top of that copy; a replica-local handover's run is
+/// empty. `bytes` and `watermarks` are the vnode's nominal size and replay
+/// watermarks, captured atomically with its state.
+struct VnodeImage {
+  uint32_t vnode = 0;
+  uint64_t base_seq = 0;
+  uint64_t bytes = 0;
+  std::map<int, uint64_t> watermarks;
+  std::string entries;
+
+  bool operator==(const VnodeImage&) const = default;
+};
+
+/// A list of images as a whole body: the reply of `kExtractVnodes`,
+/// `kPromoteReplica` and `kRestoreFromCheckpoint`.
+void EncodeVnodeImages(const std::vector<VnodeImage>& images, std::string* out);
+Result<std::vector<VnodeImage>> DecodeVnodeImages(std::string_view data);
 
 /// kExtractVnodes / kIngestVnodes: the handover marker (control event with
 /// the full spec) plus which move of the spec this node participates in.
-/// For ingest, `replica` holds the origin's encoded `ReplicaState` and
-/// `durable` says whether those bytes came from a persisted checkpoint
-/// (recovery) or a live migration tail.
 ///
 /// `replica_local` on an extract asks the origin for the replica path (the
-/// target is its ring successor). On an ingest it says `replica` carries
-/// no blobs: the target loads the moved vnodes from its own replica of
-/// the origin, which must hold each at exactly its seq in `vnode_seqs`.
+/// target is its ring successor). The extract's reply lists an image per
+/// moved vnode: whole (the full path), or, once the origin's stream to the
+/// target drained, an empty run on top of the seq of the last delta that
+/// carried the vnode. An ingest carries that list as `images`; the target
+/// writes a whole image's run, and takes the copy it holds of the origin
+/// over for the others, which must each be at exactly their `base_seq`.
 struct HandoverStateRequest {
   dataflow::ControlEvent control;
   uint32_t move_index = 0;
-  std::string replica;
-  uint8_t durable = 0;
   uint8_t replica_local = 0;
-  VnodeSeqs vnode_seqs;
+  std::vector<VnodeImage> images;
 
   void EncodeTo(std::string* out) const;
   static Result<HandoverStateRequest> Decode(std::string_view data);
-};
-
-/// kExtractVnodes reply: the origin's encoded `ReplicaState` of the moved
-/// vnodes. With `replica_local` set, its stream to the target drained
-/// and the image carries no blobs, only sizes and watermarks, plus the
-/// seq of the last delta that carried each moved vnode.
-struct ExtractVnodesReply {
-  uint8_t replica_local = 0;
-  std::string replica;
-  VnodeSeqs vnode_seqs;
-
-  void EncodeTo(std::string* out) const;
-  static Result<ExtractVnodesReply> Decode(std::string_view data);
 };
 
 /// kDropVnodes.
@@ -264,48 +278,33 @@ struct VnodeSetRequest {
   static Result<VnodeSetRequest> Decode(std::string_view data);
 };
 
-/// One vnode of a kReplicateState delta.
-struct ReplicatedVnode {
-  uint32_t vnode = 0;
-  /// `stream_seq` of the previous delta that carried this vnode to the
-  /// same successor (0 = none). A key delta applies only to a held copy
-  /// at exactly this seq.
-  uint64_t base_seq = 0;
-  /// 1: a key delta, `changes` is the origin backend's change run of the
-  /// keys written since `base_seq` (`StateBackend::TakeChanges`). 0: the
-  /// whole vnode, whose blob rides in the request's `replica`.
-  uint8_t keys = 0;
-  std::string changes;
-
-  bool operator==(const ReplicatedVnode&) const = default;
-};
-
 /// kReplicateState: one element of `origin_node`'s continuous
-/// replication stream. `vnodes` lists the vnodes written since their last
-/// delta, each whole or as a key delta; `replica` (an encoded
-/// ReplicaState) carries the size and replay watermarks of every listed
-/// vnode, captured atomically with its state, and the blobs of the whole
-/// ones. `dropped_vnodes` lists vnodes the origin no longer owns
-/// (handover tombstones), and `stream_seq` orders the stream. The
-/// receiver applies vnode by vnode to its replica catalog; it does NOT
-/// touch live state until promoted.
+/// replication stream. `vnodes` holds an image of each vnode written since
+/// its last delta: whole, or a key delta on top of the previous delta
+/// that carried it to the same successor (`base_seq`).
+/// `dropped_vnodes` lists vnodes the origin no longer owns (handover
+/// tombstones), and `stream_seq` orders the stream. The receiver applies
+/// vnode by vnode to its replica catalog; it does NOT touch live state
+/// until promoted.
 struct ReplicateStateRequest {
   uint32_t origin_node = 0;
   std::string op;
-  std::string replica;
   uint64_t stream_seq = 0;
   std::vector<uint32_t> dropped_vnodes;
-  std::vector<ReplicatedVnode> vnodes;
+  std::vector<VnodeImage> vnodes;
 
   void EncodeTo(std::string* out) const;
   static Result<ReplicateStateRequest> Decode(std::string_view data);
 };
 
-/// kPromoteReplica / kRestoreFromCheckpoint: fold `vnodes` of
-/// `origin_node`'s latest image (held replica, or durable checkpoint
-/// image) into this node's live state. The reply body is the image's
-/// encoded ReplicaState with blobs stripped — the driver reads the replay
-/// watermarks out of its descriptor.
+/// kPromoteReplica / kRestoreFromCheckpoint: make `vnodes` of
+/// `origin_node` owned here, from the replica this node holds or from
+/// their checkpoint chains. The reply lists an image per requested vnode
+/// with an empty run — the state stays on the node — whose `base_seq` is
+/// what the vnode now is as of: the stream seq of the promoted copy or
+/// the checkpoint of the chain's last record (0: nothing covered the
+/// vnode, which starts empty). The driver rewinds its input cursors to
+/// the images' watermarks.
 struct ReplicaFetchRequest {
   uint32_t origin_node = 0;
   std::string op;

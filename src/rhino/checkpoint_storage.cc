@@ -6,7 +6,6 @@
 #include "common/serde.h"
 #include "dataflow/source.h"
 #include "lsm/log_format.h"
-#include "state/lsm_state_backend.h"
 
 namespace rhino::rhino {
 
@@ -218,15 +217,12 @@ Result<VnodeChain> ParseChain(std::string_view chain) {
       RHINO_RETURN_NOT_OK(r.GetVarint(&offset));
       watermarks[static_cast<int>(static_cast<int64_t>(source))] = offset;
     }
-    std::string_view body = payload.substr(r.position());
     if (kind == static_cast<uint8_t>(ChainRecord::Kind::kWhole)) {
-      // A whole record restarts the vnode.
-      RHINO_ASSIGN_OR_RETURN(body, state::VnodeBlobEntries(body));
-      parsed.runs.clear();
+      parsed.runs.clear();  // a whole record restarts the vnode
     } else if (parsed.records == 0) {
       return Status::Corruption("checkpoint chain starts with a key record");
     }
-    parsed.runs.emplace_back(body);
+    parsed.runs.emplace_back(payload.substr(r.position()));
     parsed.nominal_bytes = nominal;
     parsed.watermarks = std::move(watermarks);
     parsed.checkpoint_id = id;

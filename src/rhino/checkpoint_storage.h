@@ -118,12 +118,14 @@ std::map<uint32_t, std::string> CaptureVnodeBlobs(
 //
 // The networked runtime persists each (operator, vnode) as one append-only
 // chain file on an `lsm::Env` — the shared checkpoint directory standing
-// in for a DFS. A chain starts with a whole record, the vnode's blob, and
-// each later checkpoint appends a key record: the keys written since the
-// previous record, as one change run of `StateBackend::TakeChanges`. Both
-// bodies hold the same prefix-coded entries (`state::EntryWriter`); the
-// run's may be tombstones. Every record carries the vnode's nominal size
-// and replay watermarks, so the chain restores to one consistent snapshot.
+// in for a DFS. A chain starts with a whole record, the vnode's entries
+// as `StateBackend::ReadVnodeEntries` reads them, and each later
+// checkpoint appends a key record: the keys written since the previous
+// record, as one change run of `StateBackend::TakeChanges`. Both bodies
+// are entry runs (`state::EntryWriter`), the run a `net::VnodeImage`
+// carries; a key record's may hold tombstones. Every record carries the
+// vnode's nominal size and replay watermarks, so the chain restores to
+// one consistent snapshot.
 // A record's payload is `u8 kind | varint checkpoint id | varint nominal
 // bytes | varint watermark count | (varint source | varint offset)... |
 // body`. Records are framed (checksum + length, the WAL idiom): a torn
@@ -140,7 +142,7 @@ struct ChainRecord {
   uint64_t checkpoint_id = 0;
   uint64_t nominal_bytes = 0;
   std::map<int, uint64_t> watermarks;
-  /// kWhole: the one-vnode blob; kKeys: the change run.
+  /// kWhole: the vnode's entries; kKeys: the change run.
   std::string_view body;
 };
 
@@ -149,8 +151,8 @@ void AppendChainRecord(const ChainRecord& record, std::string* out);
 
 /// A chain read up to its last complete record.
 struct VnodeChain {
-  /// Each complete record's entries, oldest first: the whole record's,
-  /// then each key record's change run.
+  /// Each complete record's run, oldest first: the whole record's, then
+  /// each key record's.
   std::vector<std::string> runs;
   /// The last complete record's size, replay watermarks and checkpoint.
   uint64_t nominal_bytes = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/serde.h"
 
 namespace rhino::rhino {
 
@@ -580,117 +579,6 @@ void ReplicationRuntime::SeedReplica(const std::string& op, uint32_t subtask,
       rep.vnode_blobs[vnode] = blob;
     }
   }
-}
-
-// ------------------------------------------------------------ wire form --
-
-void EncodeReplicaState(const ReplicaState& rs, std::string* out) {
-  BinaryWriter w(out);
-  w.PutVarint(rs.latest_checkpoint_id);
-  const state::CheckpointDescriptor& d = rs.latest_descriptor;
-  w.PutVarint(d.checkpoint_id);
-  w.PutString(d.operator_name);
-  w.PutVarint(d.instance_id);
-  auto put_files = [&w](const std::vector<state::StateFile>& files) {
-    w.PutVarint(files.size());
-    for (const auto& f : files) {
-      w.PutString(f.name);
-      w.PutVarint(f.bytes);
-    }
-  };
-  auto put_marks = [&w](const std::map<int, uint64_t>& marks) {
-    w.PutVarint(marks.size());
-    for (const auto& [source, offset] : marks) {
-      w.PutZigzag(source);
-      w.PutVarint(offset);
-    }
-  };
-  put_files(d.files);
-  put_files(d.delta_files);
-  w.PutVarint(d.vnode_bytes.size());
-  for (const auto& [vnode, bytes] : d.vnode_bytes) {
-    w.PutVarint(vnode);
-    w.PutVarint(bytes);
-  }
-  put_marks(d.source_offsets);
-  w.PutVarint(d.vnode_watermarks.size());
-  for (const auto& [vnode, marks] : d.vnode_watermarks) {
-    w.PutVarint(vnode);
-    put_marks(marks);
-  }
-  w.PutVarint(rs.vnode_blobs.size());
-  for (const auto& [vnode, blob] : rs.vnode_blobs) {
-    w.PutVarint(vnode);
-    w.PutString(blob);
-  }
-}
-
-Result<ReplicaState> DecodeReplicaState(std::string_view data) {
-  // Every repeated element takes at least two bytes (two varints, or a
-  // varint and a length).
-  constexpr size_t kMinElementBytes = 2;
-  BinaryReader r(data);
-  ReplicaState rs;
-  RHINO_RETURN_NOT_OK(r.GetVarint(&rs.latest_checkpoint_id));
-  state::CheckpointDescriptor& d = rs.latest_descriptor;
-  RHINO_RETURN_NOT_OK(r.GetVarint(&d.checkpoint_id));
-  RHINO_RETURN_NOT_OK(r.GetString(&d.operator_name));
-  RHINO_RETURN_NOT_OK(r.GetVarint32(&d.instance_id));
-  auto get_files = [&r](std::vector<state::StateFile>* files) -> Status {
-    uint64_t n = 0;
-    RHINO_RETURN_NOT_OK(r.GetCount(kMinElementBytes, &n));
-    for (uint64_t i = 0; i < n; ++i) {
-      state::StateFile f;
-      RHINO_RETURN_NOT_OK(r.GetString(&f.name));
-      RHINO_RETURN_NOT_OK(r.GetVarint(&f.bytes));
-      files->push_back(std::move(f));
-    }
-    return Status::OK();
-  };
-  auto get_marks = [&r](std::map<int, uint64_t>* marks) -> Status {
-    uint64_t n = 0;
-    RHINO_RETURN_NOT_OK(r.GetCount(kMinElementBytes, &n));
-    for (uint64_t i = 0; i < n; ++i) {
-      int64_t source = 0;
-      uint64_t offset = 0;
-      RHINO_RETURN_NOT_OK(r.GetZigzag(&source));
-      RHINO_RETURN_NOT_OK(r.GetVarint(&offset));
-      (*marks)[static_cast<int>(source)] = offset;
-    }
-    return Status::OK();
-  };
-  RHINO_RETURN_NOT_OK(get_files(&d.files));
-  RHINO_RETURN_NOT_OK(get_files(&d.delta_files));
-  uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r.GetCount(kMinElementBytes, &n));
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t vnode = 0;
-    uint64_t bytes = 0;
-    RHINO_RETURN_NOT_OK(r.GetVarint32(&vnode));
-    RHINO_RETURN_NOT_OK(r.GetVarint(&bytes));
-    d.vnode_bytes[vnode] = bytes;
-  }
-  RHINO_RETURN_NOT_OK(get_marks(&d.source_offsets));
-  RHINO_RETURN_NOT_OK(r.GetCount(kMinElementBytes, &n));
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t vnode = 0;
-    std::map<int, uint64_t> marks;
-    RHINO_RETURN_NOT_OK(r.GetVarint32(&vnode));
-    RHINO_RETURN_NOT_OK(get_marks(&marks));
-    if (!marks.empty()) d.vnode_watermarks[vnode] = std::move(marks);
-  }
-  RHINO_RETURN_NOT_OK(r.GetCount(kMinElementBytes, &n));
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t vnode = 0;
-    std::string blob;
-    RHINO_RETURN_NOT_OK(r.GetVarint32(&vnode));
-    RHINO_RETURN_NOT_OK(r.GetString(&blob));
-    rs.vnode_blobs[vnode] = std::move(blob);
-  }
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes after replica state");
-  }
-  return rs;
 }
 
 }  // namespace rhino::rhino

@@ -79,16 +79,6 @@ struct ReplicaState {
   std::map<uint32_t, std::string> vnode_blobs;
 };
 
-/// Binary encoding of a full replica image (descriptor — including the
-/// per-vnode replay watermarks — plus the content blobs). This is the
-/// payload the networked runtime's replication stream and handover verbs
-/// carry between node *processes*. `BinaryWriter` format with every
-/// integer a varint (ids, vnodes, sizes, offsets; sources zigzag) and the
-/// blobs length-prefixed; `DecodeReplicaState` fails with `Corruption` on
-/// any truncation instead of reading out of bounds.
-void EncodeReplicaState(const ReplicaState& rs, std::string* out);
-Result<ReplicaState> DecodeReplicaState(std::string_view data);
-
 /// Chain-replication engine + replica catalog.
 class ReplicationRuntime {
  public:

@@ -58,19 +58,6 @@ Status EntryReader::Next() {
   return Status::OK();
 }
 
-Result<std::string_view> VnodeBlobEntries(std::string_view blob) {
-  BinaryReader r(blob);
-  uint32_t num_vnodes = 0, vnode = 0;
-  uint64_t nominal = 0, count = 0;
-  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
-  if (num_vnodes != 1) return Status::Corruption("not a one-vnode blob");
-  RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
-  RHINO_RETURN_NOT_OK(r.GetU64(&nominal));
-  if (r.AtEnd()) return std::string_view();  // a modeled blob: its size only
-  RHINO_RETURN_NOT_OK(r.GetU64(&count));
-  return blob.substr(r.position());
-}
-
 Result<std::unique_ptr<LsmStateBackend>> LsmStateBackend::Open(
     lsm::Env* env, std::string dir, std::string operator_name,
     uint32_t instance_id, lsm::Options options) {
@@ -198,17 +185,30 @@ Result<std::string> LsmStateBackend::ExtractVnodes(
     w.PutU64(VnodeBytesLocked(v));
     size_t count_offset = blob.size();
     w.PutU64(0);
-    uint64_t count = 0;
-    RHINO_ASSIGN_OR_RETURN(
-        auto it, db_->NewIterator(EncodeKey(v, ""), EncodeKey(v + 1, "")));
-    EntryWriter entries(&blob);
-    for (; it.Valid(); it.Next()) {
-      entries.Put(std::string_view(it.key()).substr(4), it.value());
-      ++count;
-    }
+    RHINO_ASSIGN_OR_RETURN(uint64_t count, AppendVnodeEntries(v, &blob));
     std::memcpy(blob.data() + count_offset, &count, sizeof(count));
   }
   return blob;
+}
+
+Result<uint64_t> LsmStateBackend::AppendVnodeEntries(uint32_t vnode,
+                                                     std::string* out) {
+  RHINO_ASSIGN_OR_RETURN(auto it, db_->NewIterator(EncodeKey(vnode, ""),
+                                                   EncodeKey(vnode + 1, "")));
+  EntryWriter entries(out);
+  uint64_t count = 0;
+  for (; it.Valid(); it.Next()) {
+    entries.Put(std::string_view(it.key()).substr(4), it.value());
+    ++count;
+  }
+  return count;
+}
+
+Status LsmStateBackend::ReadVnodeEntries(uint32_t vnode, std::string* run) {
+  // No lock: like WriteVnodeEntries it touches no accounting, and the
+  // iterator is a snapshot of the DB.
+  run->clear();
+  return AppendVnodeEntries(vnode, run).status();
 }
 
 Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {

@@ -17,9 +17,10 @@
 ///
 /// Keys are prefixed with a fixed-width big-endian virtual-node id so each
 /// virtual node occupies a contiguous key range, exactly how Flink scopes
-/// RocksDB state by key group: vnode extraction is a range scan that seeks
-/// to the vnode (memtable and tables alike), and vnode drop is the same
-/// range scan writing one tombstone per live key.
+/// RocksDB state by key group: reading a vnode's entry run (and the
+/// blob extraction built on it) is a range scan that seeks to the vnode
+/// (memtable and tables alike), and vnode drop is the same range scan
+/// writing one tombstone per live key.
 /// The same store holds the replicas a node keeps of its peers' vnodes
 /// ("held rows", state_backend.h): the LSM's own merge applies a key delta
 /// to them, and taking a held vnode over sets its size, touching no key.
@@ -28,10 +29,12 @@ namespace rhino::state {
 
 // ------------------------------------------------------- state entries --
 //
-// One entry format carries real state on every byte path: the entries of
-// an `ExtractVnodes` blob and the change runs of `TakeChanges`, and
-// through them whole and key stream deltas, extract/ingest, held rows and
-// checkpoint chain records. Each entry is
+// One entry format carries real state on every byte path: a whole
+// vnode's run (`ReadVnodeEntries`, also the body of an `ExtractVnodes`
+// blob) and the change runs of `TakeChanges`, and through them every
+// `net::VnodeImage` — whole and key stream deltas, extract/ingest,
+// promotion — held rows and checkpoint chain records, whole or not. Each
+// entry is
 //
 //   varint shared | varint unshared | key suffix |
 //   varint (value length + 1, 0 = tombstone) | value
@@ -83,12 +86,6 @@ class EntryReader {
   std::string_view value_;
 };
 
-/// The entries of a one-vnode blob of ExtractVnodes — `u32 1 | u32 vnode |
-/// u64 nominal bytes | u64 entry count | entries` — as a run for
-/// WriteVnodeEntries. A ModeledStateBackend blob ends after its size and
-/// carries no entries. Corruption when `blob` holds no single vnode.
-Result<std::string_view> VnodeBlobEntries(std::string_view blob);
-
 /// LSM-backed implementation of StateBackend.
 ///
 /// Thread safety: a backend-level mutex guards the nominal byte accounting,
@@ -118,12 +115,14 @@ class LsmStateBackend : public StateBackend {
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
   /// Streams each vnode's range from the DB iterator into the blob:
   /// `u32 vnode count`, then per vnode `u32 vnode | u64 nominal bytes |
-  /// u64 entry count` and its entries (live keys only, no tombstones).
+  /// u64 entry count` and its entry run (live keys only, no tombstones).
   /// The header stays fixed-width so the entry count can be patched in
   /// place once the vnode is done.
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
+  /// The same range scan ExtractVnodes runs per vnode, without its header.
+  Status ReadVnodeEntries(uint32_t vnode, std::string* run) override;
   /// One lsm::WriteBatch of the run's entries, decoded before anything is
   /// written; the WAL covers held rows like any other write.
   Status WriteVnodeEntries(uint32_t vnode, std::string_view run) override;
@@ -150,6 +149,10 @@ class LsmStateBackend : public StateBackend {
         instance_id_(instance_id) {}
 
   static std::string EncodeKey(uint32_t vnode, std::string_view key);
+
+  /// Appends `vnode`'s live entries to `*out` as one run, straight from a
+  /// DB iterator over its key range; returns how many it wrote.
+  Result<uint64_t> AppendVnodeEntries(uint32_t vnode, std::string* out);
 
   /// Nominal bytes of `vnode`. Requires mu_.
   uint64_t VnodeBytesLocked(uint32_t vnode) const;

@@ -43,7 +43,12 @@ class ModeledStateBackend : public StateBackend {
   Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
   Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
-  /// Stores no values: a held vnode is its size alone.
+  /// Stores no values: a vnode's run is empty, and a held vnode is its
+  /// size alone.
+  Status ReadVnodeEntries(uint32_t, std::string* run) override {
+    run->clear();
+    return Status::OK();
+  }
   Status WriteVnodeEntries(uint32_t, std::string_view) override {
     return Status::OK();
   }

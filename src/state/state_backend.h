@@ -22,6 +22,14 @@
 ///    used by the TB-scale simulation benches where materializing state
 ///    is impossible. Produces the same `CheckpointDescriptor`s, so every
 ///    protocol above this interface is identical code in both modes.
+///
+/// State leaves a backend in two shapes. The simulated runtime moves
+/// blobs (`ExtractVnodes` / `IngestVnodes`, whole vnodes behind a size
+/// header). The networked runtime moves entry runs: `ReadVnodeEntries`
+/// reads a whole vnode's, `TakeChanges` the keys written since a reader's
+/// last take, and `WriteVnodeEntries` applies either on the receiving
+/// side. A `net::VnodeImage` and a checkpoint chain record, whole or not,
+/// carry exactly such a run.
 
 namespace rhino::state {
 
@@ -74,12 +82,12 @@ class StateBackend {
   /// taken through this backend.
   virtual Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) = 0;
 
-  /// Serializes the live contents of `vnodes` for a handover transfer.
-  /// Real backends emit the actual entries, prefix-coded per vnode
-  /// (`EntryWriter`, lsm_state_backend.h, behind a fixed-width per-vnode
-  /// header); modeled backends emit a size-only placeholder. Returns the
-  /// blob (pass to IngestVnodes of a backend of the same kind). Each vnode
-  /// costs its own key range, not the whole store.
+  /// Serializes the live contents of `vnodes` for the simulated runtime's
+  /// handovers and checkpoints. Real backends emit each vnode's entry run
+  /// (ReadVnodeEntries) behind a fixed-width per-vnode header; modeled
+  /// backends emit a size-only placeholder. Returns the blob (pass to
+  /// IngestVnodes of a backend of the same kind). Each vnode costs its own
+  /// key range, not the whole store.
   virtual Result<std::string> ExtractVnodes(
       const std::vector<uint32_t>& vnodes) = 0;
 
@@ -107,16 +115,23 @@ class StateBackend {
   /// held rows included.
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
 
-  // ---------------------------------------------------------- held rows --
-  // A node keeps each vnode it replicates for a peer as rows of its own
-  // backend, under the owner's keys ("held rows"), which are not yet this
-  // backend's state: they stay out of SizeBytes() and both capture readers
-  // until SetVnodeBytes takes the vnode over, copying no key.
+  // --------------------------------------------------------- entry runs --
+  // The networked runtime moves state only as entry runs, EntryWriter's
+  // format (lsm_state_backend.h): a whole vnode read by ReadVnodeEntries,
+  // or the keys written since a point taken by TakeChanges, and written
+  // by WriteVnodeEntries on the receiving side. A node keeps each vnode it
+  // replicates for a peer as rows of its own backend, under the owner's
+  // keys ("held rows"), which are not yet this backend's state: they stay
+  // out of SizeBytes() and both capture readers until SetVnodeBytes takes
+  // the vnode over, copying no key.
 
-  /// Writes `run` — `vnode`'s entries in EntryWriter's format
-  /// (lsm_state_backend.h), puts and tombstones — as one atomic write that
-  /// skips byte accounting and both capture readers. Corruption, with
-  /// nothing written, on a malformed run.
+  /// Replaces `*run` with `vnode`'s live entries, in key order, as one
+  /// run: the mirror of WriteVnodeEntries. Each vnode costs its own key
+  /// range. A backend that stores no values (modeled) reads an empty run.
+  virtual Status ReadVnodeEntries(uint32_t vnode, std::string* run) = 0;
+  /// Writes `run` — `vnode`'s entries, puts and tombstones — as one
+  /// atomic write that skips byte accounting and both capture readers.
+  /// Corruption, with nothing written, on a malformed run.
   virtual Status WriteVnodeEntries(uint32_t vnode, std::string_view run) = 0;
   /// Sets `vnode`'s nominal size.
   virtual void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) = 0;
@@ -138,8 +153,8 @@ class StateBackend {
   virtual void SetChangeCapture(ChangeReader /*reader*/, bool /*on*/) {}
 
   /// Moves out the changes of `vnode` captured for `reader` since its last
-  /// take into `*run`, one run sorted by key in the blob's entry format,
-  /// tombstones included (a replica applies it with WriteVnodeEntries).
+  /// take into `*run`, one entry run sorted by key, tombstones included (a
+  /// replica applies it with WriteVnodeEntries).
   /// Returns the number of keys in the run, or nullopt when the reader
   /// cannot capture: the caller must ship the vnode whole.
   virtual std::optional<uint64_t> TakeChanges(ChangeReader /*reader*/,

@@ -20,7 +20,6 @@
 #include "net/wire.h"
 #include "obs/observability.h"
 #include "rhino/checkpoint_storage.h"
-#include "rhino/replication_runtime.h"
 #include "state/lsm_state_backend.h"
 
 /// \file dist_cluster_test.cc
@@ -110,7 +109,7 @@ struct DeltaLog {
     std::vector<Entry> out;
     for (const Entry& e : entries) {
       if (e.req.origin_node != origin) continue;
-      for (const ReplicatedVnode& v : e.req.vnodes) {
+      for (const VnodeImage& v : e.req.vnodes) {
         if (v.vnode == vnode) out.push_back(e);
       }
     }
@@ -119,9 +118,8 @@ struct DeltaLog {
 };
 
 /// The entry of `vnode` in a delta.
-const ReplicatedVnode* EntryOf(const ReplicateStateRequest& req,
-                               uint32_t vnode) {
-  for (const ReplicatedVnode& v : req.vnodes) {
+const VnodeImage* EntryOf(const ReplicateStateRequest& req, uint32_t vnode) {
+  for (const VnodeImage& v : req.vnodes) {
     if (v.vnode == vnode) return &v;
   }
   return nullptr;
@@ -420,13 +418,13 @@ TEST(DistClusterTest, LiveHandoverMovesStateAndWatermarks) {
   EXPECT_EQ(NodeCounter("rhino_handover_total", 1, "path", "full"),
             full_before);
   ASSERT_EQ(extract_replies.size(), 1u);
-  auto extracted = ExtractVnodesReply::Decode(extract_replies[0]);
+  auto extracted = DecodeVnodeImages(extract_replies[0]);
   ASSERT_TRUE(extracted.ok());
-  EXPECT_EQ(extracted->replica_local, 1);
-  EXPECT_EQ(extracted->vnode_seqs.size(), moved.size());
-  auto image = rhino::DecodeReplicaState(extracted->replica);
-  ASSERT_TRUE(image.ok());
-  EXPECT_TRUE(image->vnode_blobs.empty());
+  EXPECT_EQ(extracted->size(), moved.size());
+  for (const VnodeImage& image : *extracted) {
+    EXPECT_NE(image.base_seq, 0u) << "vnode " << image.vnode;
+    EXPECT_TRUE(image.entries.empty()) << "vnode " << image.vnode;
+  }
 
   // Counts survived the move (state traveled)...
   cluster.ExpectAllCounts(2);
@@ -625,14 +623,10 @@ TEST(DistClusterTest, KeyDeltaOutOfChainIsRejected) {
     req.origin_node = 0;
     req.op = kOp;
     req.stream_seq = held_seq + 1'000'000;
-    ReplicatedVnode entry;
-    entry.vnode = vnode;
-    entry.base_seq = base_seq;
-    entry.keys = 1;
-    req.vnodes.push_back(entry);
-    rhino::ReplicaState rs;
-    rs.latest_descriptor.vnode_bytes[vnode] = 0;
-    rhino::EncodeReplicaState(rs, &req.replica);
+    VnodeImage image;
+    image.vnode = vnode;
+    image.base_seq = base_seq;
+    req.vnodes.push_back(image);
     std::string body;
     req.EncodeTo(&body);
     return cluster.transport.Call("node1", MessageType::kReplicateState, body,
@@ -663,9 +657,9 @@ TEST(DistClusterTest, KeyDeltaOutOfChainIsRejected) {
   const auto& bounced = carried[carried.size() - 2];
   const auto& last = carried.back();
   EXPECT_EQ(bounced.code, StatusCode::kFailedPrecondition);
-  EXPECT_EQ(EntryOf(bounced.req, vnode)->keys, 1);
+  EXPECT_NE(EntryOf(bounced.req, vnode)->base_seq, 0u);
   EXPECT_EQ(last.code, StatusCode::kOk);
-  EXPECT_EQ(EntryOf(last.req, vnode)->keys, 0);
+  EXPECT_EQ(EntryOf(last.req, vnode)->base_seq, 0u);
 
   // Promotion of the rebuilt replica is exact and needs no replay.
   cluster.transport.Kill("node0");
@@ -784,10 +778,12 @@ TEST(DistClusterTest, ReplicaIngestWithStaleSeqIsRejectedUntouched) {
   ingest.control.type = dataflow::ControlEvent::Type::kHandoverMarker;
   ingest.control.id = spec->id;
   ingest.control.handover = spec;
-  rhino::ReplicaState descriptor;
-  rhino::EncodeReplicaState(descriptor, &ingest.replica);
-  ingest.replica_local = 1;
-  for (uint32_t vnode : moved) ingest.vnode_seqs[vnode] = 1'000'000;
+  for (uint32_t vnode : moved) {
+    VnodeImage image;
+    image.vnode = vnode;
+    image.base_seq = 1'000'000;
+    ingest.images.push_back(image);
+  }
   std::string body;
   ingest.EncodeTo(&body);
   Status st =
@@ -810,12 +806,10 @@ TEST(DistClusterTest, ReplicaIngestWithStaleSeqIsRejectedUntouched) {
   bogus.origin_node = 0;
   bogus.op = kOp;
   bogus.stream_seq = carried.back().req.stream_seq + 1'000'000;
-  ReplicatedVnode entry;
-  entry.vnode = lost;
-  entry.base_seq = bogus.stream_seq;
-  entry.keys = 1;
-  bogus.vnodes.push_back(entry);
-  rhino::EncodeReplicaState(rhino::ReplicaState(), &bogus.replica);
+  VnodeImage image;
+  image.vnode = lost;
+  image.base_seq = bogus.stream_seq;
+  bogus.vnodes.push_back(image);
   body.clear();
   bogus.EncodeTo(&body);
   ASSERT_EQ(cluster.transport
@@ -1328,41 +1322,35 @@ std::ostream& operator<<(std::ostream& os, const VnodeModel& state) {
   return os << " }";
 }
 
-/// The one-vnode blob of `state`, as ExtractVnodes writes it.
-std::string ModelBlob(uint32_t vnode, const VnodeModel& state) {
-  std::string blob;
-  BinaryWriter header(&blob);
-  header.PutU32(1);
-  header.PutU32(vnode);
-  header.PutU64(state.bytes);
-  header.PutU64(state.rows.size());
-  state::EntryWriter entries(&blob);
+/// The whole image of `vnode` in `state`.
+VnodeImage ModelImage(uint32_t vnode, const VnodeModel& state) {
+  VnodeImage image;
+  image.vnode = vnode;
+  image.bytes = state.bytes;
+  image.watermarks = state.marks;
+  state::EntryWriter entries(&image.entries);
   for (const auto& [key, value] : state.rows) entries.Put(key, value);
-  return blob;
+  return image;
 }
 
-/// The state of `vnode` an image carries: its blob's rows, its size and
-/// its replay watermarks.
-VnodeModel ImageState(const rhino::ReplicaState& image, uint32_t vnode) {
+/// The state of `vnode` a list of whole images carries: its image's rows,
+/// size and replay watermarks.
+VnodeModel ImageState(const std::vector<VnodeImage>& images, uint32_t vnode) {
   VnodeModel state;
-  auto blob = image.vnode_blobs.find(vnode);
-  if (blob != image.vnode_blobs.end()) {
-    auto run = state::VnodeBlobEntries(blob->second);
-    EXPECT_TRUE(run.ok()) << run.status().ToString();
-    state::EntryReader entries(run.ok() ? *run : std::string_view());
+  for (const VnodeImage& image : images) {
+    if (image.vnode != vnode) continue;
+    EXPECT_EQ(image.base_seq, 0u) << "vnode " << vnode << ": not whole";
+    state::EntryReader entries(image.entries);
     while (!entries.AtEnd()) {
       if (!entries.Next().ok()) {
-        ADD_FAILURE() << "vnode " << vnode << ": undecodable blob";
+        ADD_FAILURE() << "vnode " << vnode << ": undecodable run";
         break;
       }
       state.rows[std::string(entries.key())] = entries.value();
     }
+    state.bytes = image.bytes;
+    state.marks = image.watermarks;
   }
-  const auto& desc = image.latest_descriptor;
-  auto bytes = desc.vnode_bytes.find(vnode);
-  if (bytes != desc.vnode_bytes.end()) state.bytes = bytes->second;
-  auto marks = desc.vnode_watermarks.find(vnode);
-  if (marks != desc.vnode_watermarks.end()) state.marks = marks->second;
   return state;
 }
 
@@ -1461,37 +1449,26 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
     if (out.empty() && !vnodes.empty()) out.push_back(vnodes[next(vnodes.size())]);
     return out;
   };
-  // A stream delta from `origin`: `entry` (when set) with the size,
-  // watermarks and, for a whole vnode, the blob of `state`; and
-  // `dropped` as tombstones. Returns the node's answer.
-  auto deliver = [&](uint32_t origin, const ReplicatedVnode* entry,
-                     const VnodeModel& state,
+  // A stream delta from `origin`: `image` (when set) and `dropped` as
+  // tombstones. Returns the node's answer.
+  auto deliver = [&](uint32_t origin, const VnodeImage* image,
                      const std::vector<uint32_t>& dropped) {
     ReplicateStateRequest req;
     req.origin_node = origin;
     req.op = kOp;
     req.stream_seq = ++stream_seq[origin];
     req.dropped_vnodes = dropped;
-    rhino::ReplicaState rs;
-    if (entry != nullptr) {
-      rs.latest_descriptor.vnode_bytes[entry->vnode] = state.bytes;
-      rs.latest_descriptor.vnode_watermarks[entry->vnode] = state.marks;
-      if (entry->keys == 0) {
-        rs.vnode_blobs[entry->vnode] = ModelBlob(entry->vnode, state);
-      }
-      req.vnodes.push_back(*entry);
-    }
-    rhino::EncodeReplicaState(rs, &req.replica);
+    if (image != nullptr) req.vnodes.push_back(*image);
     return call(MessageType::kReplicateState, req).status().code();
   };
-  // A key delta of `vnode` on top of `base`: random puts and tombstones
-  // of the vnode's keys, a new size and new watermarks.
+  // A key delta of `vnode` on top of `base_seq` (never 0, which would make
+  // it whole): random puts and tombstones of the vnode's keys, a new size
+  // and new watermarks, applied to `state` too.
   auto key_delta = [&](uint32_t vnode, uint64_t base_seq, VnodeModel* state) {
-    ReplicatedVnode entry;
-    entry.vnode = vnode;
-    entry.base_seq = base_seq;
-    entry.keys = 1;
-    state::EntryWriter run(&entry.changes);
+    VnodeImage image;
+    image.vnode = vnode;
+    image.base_seq = base_seq;
+    state::EntryWriter run(&image.entries);
     for (uint64_t key : keys_of[vnode]) {
       if (next(3) != 0) continue;
       if (next(3) == 0) {
@@ -1505,7 +1482,9 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
     }
     state->bytes = 16 * state->rows.size() + next(100);
     state->marks = {{7, next(1000)}};
-    return entry;
+    image.bytes = state->bytes;
+    image.watermarks = state->marks;
+    return image;
   };
 
   // Half the time a vnode the model holds a copy of, else `fallback`.
@@ -1534,9 +1513,8 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         if (candidates.empty()) break;
         const uint32_t vnode = candidates[next(candidates.size())];
         VnodeModel state = random_state(vnode);
-        ReplicatedVnode entry;
-        entry.vnode = vnode;
-        ASSERT_EQ(deliver(origin, &entry, state, {}), StatusCode::kOk);
+        const VnodeImage image = ModelImage(vnode, state);
+        ASSERT_EQ(deliver(origin, &image, {}), StatusCode::kOk);
         held[vnode] = HeldModel{origin, stream_seq[origin], state};
         break;
       }
@@ -1546,8 +1524,8 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         std::advance(it, next(held.size()));
         HeldModel& copy = it->second;
         VnodeModel state = copy.state;
-        ReplicatedVnode entry = key_delta(it->first, copy.seq, &state);
-        ASSERT_EQ(deliver(copy.origin, &entry, state, {}), StatusCode::kOk);
+        const VnodeImage image = key_delta(it->first, copy.seq, &state);
+        ASSERT_EQ(deliver(copy.origin, &image, {}), StatusCode::kOk);
         copy.seq = stream_seq[copy.origin];
         copy.state = state;
         break;
@@ -1558,7 +1536,7 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         const uint32_t vnode =
             held_vnode(candidates[next(candidates.size())]);
         auto copy = held.find(vnode);
-        uint64_t base = next(5);
+        uint64_t base = 1 + next(5);
         if (copy != held.end()) {
           // The other origin's delta at the copy's very seq, or this
           // origin's past it.
@@ -1566,8 +1544,8 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
                                                : copy->second.seq + 1 + next(3);
         }
         VnodeModel state;
-        ReplicatedVnode entry = key_delta(vnode, base, &state);
-        ASSERT_EQ(deliver(origin, &entry, state, {}),
+        const VnodeImage image = key_delta(vnode, base, &state);
+        ASSERT_EQ(deliver(origin, &image, {}),
                   StatusCode::kFailedPrecondition);
         if (copy != held.end() && copy->second.origin == origin) {
           held.erase(copy);
@@ -1577,7 +1555,7 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
       case kTombstone: {  // a tombstone, which drops only its origin's copy
         const uint32_t vnode =
             held_vnode(static_cast<uint32_t>(next(kVnodes)));
-        ASSERT_EQ(deliver(origin, nullptr, {}, {vnode}), StatusCode::kOk);
+        ASSERT_EQ(deliver(origin, nullptr, {vnode}), StatusCode::kOk);
         auto copy = held.find(vnode);
         if (copy != held.end() && copy->second.origin == origin) {
           held.erase(copy);
@@ -1589,10 +1567,9 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         auto it = owned.begin();
         std::advance(it, next(owned.size()));
         VnodeModel state = random_state(it->first);
-        ReplicatedVnode entry;
-        entry.vnode = it->first;
-        if (next(2) == 0) entry = key_delta(it->first, next(5), &state);
-        ASSERT_EQ(deliver(origin, &entry, state, {it->first}), StatusCode::kOk);
+        VnodeImage image = ModelImage(it->first, state);
+        if (next(2) == 0) image = key_delta(it->first, 1 + next(5), &state);
+        ASSERT_EQ(deliver(origin, &image, {it->first}), StatusCode::kOk);
         break;
       }
       case kPromote: {  // a promotion of the origin's replica
@@ -1629,16 +1606,16 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
             HandoverOf(++handover_id, origin, some_of(candidates));
         const std::vector<uint32_t>& moved =
             ingest.control.handover->moves[0].vnodes;
-        ingest.replica_local = 1;
-        rhino::ReplicaState rs;
         for (uint32_t vnode : moved) {
-          ingest.vnode_seqs[vnode] = held[vnode].seq;
-          rs.latest_descriptor.vnode_bytes[vnode] = held[vnode].state.bytes;
-          rs.latest_descriptor.vnode_watermarks[vnode] = held[vnode].state.marks;
+          VnodeImage image;
+          image.vnode = vnode;
+          image.base_seq = held[vnode].seq;
+          image.bytes = held[vnode].state.bytes;
+          image.watermarks = held[vnode].state.marks;
+          ingest.images.push_back(image);
         }
         const bool stale = next(4) == 0;
-        if (stale) ingest.vnode_seqs[moved.front()] += 1;
-        rhino::EncodeReplicaState(rs, &ingest.replica);
+        if (stale) ingest.images.front().base_seq += 1;
         auto reply = call(MessageType::kIngestVnodes, ingest);
         if (stale) {
           ASSERT_EQ(reply.status().code(), StatusCode::kFailedPrecondition);
@@ -1656,15 +1633,11 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         if (candidates.empty()) break;
         HandoverStateRequest ingest =
             HandoverOf(++handover_id, origin, some_of(candidates));
-        rhino::ReplicaState rs;
         std::map<uint32_t, VnodeModel> states;
         for (uint32_t vnode : ingest.control.handover->moves[0].vnodes) {
           states[vnode] = random_state(vnode);
-          rs.latest_descriptor.vnode_bytes[vnode] = states[vnode].bytes;
-          rs.latest_descriptor.vnode_watermarks[vnode] = states[vnode].marks;
-          rs.vnode_blobs[vnode] = ModelBlob(vnode, states[vnode]);
+          ingest.images.push_back(ModelImage(vnode, states[vnode]));
         }
-        rhino::EncodeReplicaState(rs, &ingest.replica);
         auto reply = call(MessageType::kIngestVnodes, ingest);
         ASSERT_TRUE(reply.ok()) << reply.status().ToString();
         for (auto& [vnode, state] : states) {
@@ -1722,12 +1695,10 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
       auto reply =
           call(MessageType::kExtractVnodes, HandoverOf(++handover_id, kNode, vnodes));
       ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-      auto extracted = ExtractVnodesReply::Decode(*reply);
-      ASSERT_TRUE(extracted.ok());
-      auto image = rhino::DecodeReplicaState(extracted->replica);
-      ASSERT_TRUE(image.ok());
+      auto images = DecodeVnodeImages(*reply);
+      ASSERT_TRUE(images.ok()) << images.status().ToString();
       for (const auto& [vnode, state] : owned) {
-        ASSERT_EQ(ImageState(*image, vnode), state) << "vnode " << vnode;
+        ASSERT_EQ(ImageState(*images, vnode), state) << "vnode " << vnode;
       }
     }
     // The node's size and stats count owned vnodes only.

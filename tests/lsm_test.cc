@@ -14,6 +14,7 @@
 #include "lsm/bloom.h"
 #include "lsm/db.h"
 #include "lsm/env.h"
+#include "lsm/fault_env.h"
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "lsm/write_batch.h"
@@ -1207,6 +1208,33 @@ TEST(DBCrashTest, FlushFailingAfterACommitFailsTheNextWrite) {
   }
   EXPECT_TRUE((*db)->Get(Key(acked), &v).IsNotFound())
       << "the failed write applied nothing";
+}
+
+// A commit whose WAL append landed in the handle's buffer but whose flush
+// failed is not acknowledged, so no reopen may replay it — not even after
+// the next commit flushes the handle.
+TEST(DBCrashTest, FailedWalCommitIsNeverReplayed) {
+  MemEnv base;
+  FaultEnv env(&base);
+  env.SetTornAppends(false);
+  {
+    auto db = DB::Open(&env, "/db", SmallOptions());
+    ASSERT_TRUE(db.ok());
+    WriteBatch a;
+    a.Put("a", "never acknowledged");
+    env.SetWriteBudget(1);  // the append succeeds, the flush fails
+    ASSERT_FALSE((*db)->Write(a).ok());
+    env.Heal();
+    WriteBatch b;
+    b.Put("b", "acknowledged");
+    ASSERT_TRUE((*db)->Write(b).ok());
+  }
+  auto db = DB::Open(&env, "/db", SmallOptions());
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::string v;
+  ASSERT_TRUE((*db)->Get("b", &v).ok());
+  EXPECT_EQ(v, "acknowledged");
+  EXPECT_TRUE((*db)->Get("a", &v).IsNotFound()) << "replayed: " << v;
 }
 
 // An iterator is a snapshot: writes, flushes, and full compactions issued

@@ -18,7 +18,6 @@
 #include "net/wire.h"
 #include "obs/observability.h"
 #include "rhino/checkpoint_storage.h"
-#include "rhino/replication_runtime.h"
 #include "state/lsm_state_backend.h"
 
 /// \file net_test.cc
@@ -378,6 +377,36 @@ dataflow::ControlEvent MakeHandoverMarker() {
   return ev;
 }
 
+/// One image of each shape: a whole vnode, a key delta with a tombstone,
+/// a replica-local handover's empty run, and an empty whole vnode. Every
+/// integer field reaches a multi-byte varint somewhere, a watermark
+/// source is negative, and the fields differ from each other.
+std::vector<VnodeImage> MakeImages() {
+  VnodeImage whole;
+  whole.vnode = 3;
+  whole.bytes = 4096;
+  whole.watermarks = {{0, 10}, {-1, 4}, {1 << 20, UINT64_MAX}};
+  state::EntryWriter whole_run(&whole.entries);
+  whole_run.Put("apple", "1");
+  whole_run.Put("apricot", std::string(300, 'v'));
+  VnodeImage keys;
+  keys.vnode = 200;
+  keys.base_seq = 97;
+  keys.bytes = 1ull << 40;
+  keys.watermarks = {{2, 300}};
+  state::EntryWriter key_run(&keys.entries);
+  key_run.Put("b", "2");
+  key_run.Delete("c");
+  VnodeImage replica_local;
+  replica_local.vnode = UINT32_MAX;
+  replica_local.base_seq = UINT64_MAX;
+  replica_local.bytes = 7;
+  replica_local.watermarks = {{5, 6}};
+  VnodeImage empty;
+  empty.vnode = 128;
+  return {whole, keys, replica_local, empty};
+}
+
 /// Every strict prefix of a valid encoding must decode to an error (or,
 /// for a handful of self-delimiting prefixes, a success) — never crash,
 /// never read out of bounds. ASan turns any violation into a test failure.
@@ -509,16 +538,44 @@ TEST(WireTest, HugeElementCountIsCorruption) {
     expect_corruption(ReplicaFetchRequest::Decode(body).status(),
                       "replica fetch");
   }
-  {
+  for (bool huge_images : {false, true}) {
     std::string body;
     BinaryWriter w(&body);
     w.PutU32(1);
     w.PutString("counter");
-    w.PutString("");  // replica
-    w.PutU64(3);      // stream seq
+    w.PutU64(3);  // stream seq
+    if (huge_images) w.PutVarint(0);  // dropped vnodes
     w.PutVarint(kHuge);
     expect_corruption(ReplicateStateRequest::Decode(body).status(),
-                      "replicate state dropped vnodes");
+                      huge_images ? "replicate state images"
+                                  : "replicate state dropped vnodes");
+  }
+  {
+    std::string marker, body;
+    EncodeControlEvent(MakeHandoverMarker(), &marker);
+    BinaryWriter w(&body);
+    w.PutString(marker);
+    w.PutU32(0);  // move index
+    w.PutU8(0);   // replica-local
+    w.PutVarint(kHuge);
+    expect_corruption(HandoverStateRequest::Decode(body).status(),
+                      "handover images");
+  }
+  {
+    std::string body;
+    BinaryWriter(&body).PutVarint(kHuge);
+    expect_corruption(DecodeVnodeImages(body).status(), "image list");
+  }
+  {
+    // An image's watermarks are a list too.
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutVarint(1);  // one image
+    w.PutVarint(4);  // vnode
+    w.PutVarint(0);  // base seq
+    w.PutVarint(9);  // bytes
+    w.PutVarint(kHuge);
+    expect_corruption(DecodeVnodeImages(body).status(), "image watermarks");
   }
   for (bool huge_moves : {true, false}) {
     std::string body;
@@ -538,8 +595,8 @@ TEST(WireTest, HugeElementCountIsCorruption) {
   }
 
   // Elements of the minimum size fill the body exactly and decode: one
-  // byte per vnode below 128, four per replicated vnode (vnode, base seq,
-  // keys flag, empty run).
+  // byte per vnode below 128, five per image (vnode, base seq, bytes,
+  // watermark count, empty run).
   VnodeSetRequest set;
   set.op = "counter";
   for (uint32_t v = 0; v < 100; ++v) set.vnodes.push_back(v);
@@ -549,14 +606,13 @@ TEST(WireTest, HugeElementCountIsCorruption) {
   auto decoded_set = VnodeSetRequest::Decode(encoded);
   ASSERT_TRUE(decoded_set.ok()) << decoded_set.status().ToString();
   EXPECT_EQ(decoded_set->vnodes, set.vnodes);
-  ReplicateStateRequest delta;
-  delta.op = "counter";
-  delta.vnodes.resize(50);
+  std::vector<VnodeImage> images(50);
   encoded.clear();
-  delta.EncodeTo(&encoded);
-  auto decoded_delta = ReplicateStateRequest::Decode(encoded);
-  ASSERT_TRUE(decoded_delta.ok()) << decoded_delta.status().ToString();
-  EXPECT_EQ(decoded_delta->vnodes, delta.vnodes);
+  EncodeVnodeImages(images, &encoded);
+  EXPECT_EQ(encoded.size(), 1 + 5 * images.size());
+  auto decoded_images = DecodeVnodeImages(encoded);
+  ASSERT_TRUE(decoded_images.ok()) << decoded_images.status().ToString();
+  EXPECT_EQ(*decoded_images, images);
 }
 
 TEST(WireTest, ControlEventRoundTripAndTruncationFuzz) {
@@ -675,16 +731,16 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
-TEST(WireTest, VersionIsFive) {
-  // Version 5: varint batch records and descriptors, prefix-coded state
-  // entries. A version 4 envelope is refused.
-  EXPECT_EQ(kWireVersion, 5);
+TEST(WireTest, VersionIsSix) {
+  // Version 6: every state payload is a list of VnodeImages. A version 5
+  // envelope is refused.
+  EXPECT_EQ(kWireVersion, 6);
   RequestEnvelope req;
   req.type = MessageType::kProcessBatch;
   req.body = "b";
   std::string encoded;
   req.EncodeTo(&encoded);
-  encoded[1] = 4;
+  encoded[1] = 5;
   EXPECT_EQ(RequestEnvelope::Decode(encoded).status().code(),
             StatusCode::kCorruption);
 }
@@ -693,17 +749,17 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   ReplicateStateRequest msg;
   msg.origin_node = 2;
   msg.op = "counter";
-  msg.replica = "replica-bytes";
   msg.stream_seq = 99;
   msg.dropped_vnodes = {3, 7, 11};
-  ReplicatedVnode whole;
+  VnodeImage whole;
   whole.vnode = 4;
-  whole.base_seq = 0;
-  ReplicatedVnode keys;
+  whole.bytes = 64;
+  whole.entries = "whole-run-bytes";
+  VnodeImage keys;
   keys.vnode = 5;
   keys.base_seq = 97;
-  keys.keys = 1;
-  keys.changes = "change-run-bytes";
+  keys.watermarks = {{0, 12}};
+  keys.entries = "change-run-bytes";
   msg.vnodes = {whole, keys};
   std::string encoded;
   msg.EncodeTo(&encoded);
@@ -718,20 +774,25 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
 }
 
 TEST(WireTest, ExtractVnodesReplyRoundTripAndFuzz) {
-  ExtractVnodesReply msg;
-  msg.replica_local = 1;
-  msg.replica = "descriptor-bytes";
-  msg.vnode_seqs = {{1, 40}, {3, 41}, {5, 7}};
+  // A replica-local extract's reply: each moved vnode an empty run on top
+  // of the seq of its last delta, with its size and watermarks.
+  std::vector<VnodeImage> msg(3);
+  const uint32_t vnodes[] = {1, 3, 5};
+  const uint64_t seqs[] = {40, 41, 7};
+  for (size_t i = 0; i < msg.size(); ++i) {
+    msg[i].vnode = vnodes[i];
+    msg[i].base_seq = seqs[i];
+    msg[i].bytes = 100 * i;
+    msg[i].watermarks = {{0, 9 + i}};
+  }
   std::string encoded;
-  msg.EncodeTo(&encoded);
-  auto decoded = ExtractVnodesReply::Decode(encoded);
+  EncodeVnodeImages(msg, &encoded);
+  auto decoded = DecodeVnodeImages(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->replica_local, 1);
-  EXPECT_EQ(decoded->replica, msg.replica);
-  EXPECT_EQ(decoded->vnode_seqs, msg.vnode_seqs);
-  FuzzPrefixes(encoded, ExtractVnodesReply::Decode);
+  EXPECT_EQ(*decoded, msg);
+  FuzzPrefixes(encoded, DecodeVnodeImages);
   std::string trailing = encoded + "x";
-  EXPECT_FALSE(ExtractVnodesReply::Decode(trailing).ok());
+  EXPECT_FALSE(DecodeVnodeImages(trailing).ok());
 }
 
 TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
@@ -782,20 +843,44 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     HandoverStateRequest msg;
     msg.control = MakeHandoverMarker();
     msg.move_index = 1;
-    msg.replica = "replica-bytes";
-    msg.durable = 1;
     msg.replica_local = 1;
-    msg.vnode_seqs = {{7, 12}};
+    msg.images = MakeImages();
     std::string encoded;
     msg.EncodeTo(&encoded);
     auto decoded = HandoverStateRequest::Decode(encoded);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->move_index, 1u);
-    EXPECT_EQ(decoded->replica, "replica-bytes");
-    EXPECT_EQ(decoded->durable, 1);
     EXPECT_EQ(decoded->replica_local, 1);
-    EXPECT_EQ(decoded->vnode_seqs, msg.vnode_seqs);
+    EXPECT_EQ(decoded->images, msg.images);
     FuzzPrefixes(encoded, HandoverStateRequest::Decode);
+  }
+  {
+    ReplicateStateRequest msg;
+    msg.origin_node = 7;
+    msg.op = "counter";
+    msg.stream_seq = 1ull << 33;
+    msg.dropped_vnodes = {9, 300};
+    msg.vnodes = MakeImages();
+    std::string encoded;
+    msg.EncodeTo(&encoded);
+    auto decoded = ReplicateStateRequest::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->origin_node, msg.origin_node);
+    EXPECT_EQ(decoded->op, msg.op);
+    EXPECT_EQ(decoded->stream_seq, msg.stream_seq);
+    EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
+    EXPECT_EQ(decoded->vnodes, msg.vnodes);
+    FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
+  }
+  {
+    // The extract, promotion and restore replies are an image list.
+    const std::vector<VnodeImage> msg = MakeImages();
+    std::string encoded;
+    EncodeVnodeImages(msg, &encoded);
+    auto decoded = DecodeVnodeImages(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, msg);
+    FuzzPrefixes(encoded, DecodeVnodeImages);
   }
   {
     ReplicaFetchRequest msg;
@@ -962,32 +1047,23 @@ TEST(WireTest, UnknownOperatorKindIsDecodableError) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(WireTest, ReplicaStateRoundTripAndTruncationFuzz) {
-  rhino::ReplicaState rs;
-  rs.latest_checkpoint_id = 12;
-  rs.latest_descriptor.checkpoint_id = 12;
-  rs.latest_descriptor.operator_name = "counter";
-  rs.latest_descriptor.instance_id = 1;
-  rs.latest_descriptor.files = {{"000001.sst", 4096}, {"000002.sst", 512}};
-  rs.latest_descriptor.delta_files = {{"000002.sst", 512}};
-  rs.latest_descriptor.vnode_bytes = {{0, 128}, {5, 64}};
-  rs.latest_descriptor.source_offsets = {{0, 10}, {1, 4}};
-  rs.latest_descriptor.vnode_watermarks = {{0, {{0, 10}, {1, 4}}},
-                                           {5, {{0, 9}}}};
-  rs.vnode_blobs = {{0, "blob-zero"}, {5, std::string(1000, 'z')}};
-
+TEST(WireTest, VnodeImagesRoundTripAndTruncationFuzz) {
+  std::vector<VnodeImage> images = MakeImages();
+  images[0].entries += std::string(1000, 'z');  // a multi-byte run length
   std::string encoded;
-  rhino::EncodeReplicaState(rs, &encoded);
-  auto decoded = rhino::DecodeReplicaState(encoded);
+  EncodeVnodeImages(images, &encoded);
+  auto decoded = DecodeVnodeImages(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->latest_checkpoint_id, 12u);
-  EXPECT_EQ(decoded->latest_descriptor.files, rs.latest_descriptor.files);
-  EXPECT_EQ(decoded->latest_descriptor.vnode_watermarks,
-            rs.latest_descriptor.vnode_watermarks);
-  EXPECT_EQ(decoded->vnode_blobs, rs.vnode_blobs);
-  FuzzPrefixes(encoded, rhino::DecodeReplicaState);
-  EXPECT_EQ(rhino::DecodeReplicaState(encoded + "x").status().code(),
+  EXPECT_EQ(*decoded, images);
+  FuzzPrefixes(encoded, DecodeVnodeImages);
+  EXPECT_EQ(DecodeVnodeImages(encoded + "x").status().code(),
             StatusCode::kCorruption);
+  // An empty list is one byte.
+  encoded.clear();
+  EncodeVnodeImages({}, &encoded);
+  EXPECT_EQ(encoded, std::string(1, '\0'));
+  ASSERT_TRUE(DecodeVnodeImages(encoded).ok());
+  EXPECT_TRUE(DecodeVnodeImages(encoded)->empty());
 }
 
 /// A chain record of vnode state `body` at checkpoint `id`.
@@ -1022,9 +1098,10 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
       (*backend)->ApplyBatch({{1, false, "k", "some-state", 7}}).ok());
   auto blobs = (*backend)->ExtractVnodeBlobs({1});
   ASSERT_TRUE(blobs.ok());
-  std::string chain;
+  std::string run, chain;
+  ASSERT_TRUE((*backend)->ReadVnodeEntries(1, &run).ok());
   rhino::AppendChainRecord(
-      MakeRecord(rhino::ChainRecord::Kind::kWhole, 3, 7, blobs->at(1)), &chain);
+      MakeRecord(rhino::ChainRecord::Kind::kWhole, 3, 7, run), &chain);
   ASSERT_TRUE(env.WriteFile("/ckpt/op-1.chain", chain).ok());
   auto loaded = rhino::ReadChain(&env, "/ckpt/op-1.chain");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -1088,7 +1165,9 @@ struct ChainFixture {
       }
     };
     write_some();
-    Record(rhino::ChainRecord::Kind::kWhole, Blob());
+    std::string run;
+    RHINO_CHECK_OK(backend->ReadVnodeEntries(2, &run));
+    Record(rhino::ChainRecord::Kind::kWhole, run);
     backend->SetChangeCapture(state::ChangeReader::kCheckpoint, true);
     for (int round = 0; round < rounds; ++round) {
       write_some();

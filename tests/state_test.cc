@@ -457,16 +457,16 @@ std::string VnodeBlob(LsmStateBackend* backend, uint32_t v) {
   return blobs.ok() ? blobs->at(v) : std::string();
 }
 
-/// The entries of a one-vnode blob, as a run.
-std::string_view Entries(std::string_view blob) {
-  auto entries = VnodeBlobEntries(blob);
-  EXPECT_TRUE(entries.ok()) << entries.status().ToString();
-  return entries.ok() ? *entries : std::string_view();
+/// The entry run of `v` (what whole images and whole chain records carry).
+std::string EntryRun(StateBackend* backend, uint32_t v) {
+  std::string run;
+  EXPECT_TRUE(backend->ReadVnodeEntries(v, &run).ok());
+  return run;
 }
 
 /// The blob of `vnode` in a fresh replica backend that held rows were
 /// written into: `runs` in order, then the size `nominal`. A replica fed
-/// a vnode's blob and then every run taken since equals the vnode.
+/// a vnode's run and then every run taken since equals the vnode.
 std::string HeldBlob(lsm::Env* env, uint32_t vnode,
                      const std::vector<std::string_view>& runs,
                      uint64_t nominal) {
@@ -482,6 +482,30 @@ std::string HeldBlob(lsm::Env* env, uint32_t vnode,
   return VnodeBlob(replica->get(), vnode);
 }
 
+// ReadVnodeEntries reads the run ExtractVnodes writes behind a vnode's
+// header, live keys only, and it writes back as the vnode.
+TEST_F(LsmBackendTest, ReadVnodeEntriesIsTheBlobsRun) {
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(Put(backend_.get(), 2, "k" + std::to_string(i),
+                    std::string(i, 'v'), 8)
+                    .ok());
+  }
+  ASSERT_TRUE(Delete(backend_.get(), 2, "k7", 8).ok());
+  ASSERT_TRUE(Put(backend_.get(), 3, "other", "x", 1).ok());
+  constexpr size_t kHeader = 4 + 4 + 8 + 8;  // count | vnode | bytes | entries
+  for (uint32_t v : {2u, 5u}) {  // vnode 5 holds nothing
+    auto blob = backend_->ExtractVnodes({v});
+    ASSERT_TRUE(blob.ok());
+    std::string run = "stale";  // replaced, not appended to
+    ASSERT_TRUE(backend_->ReadVnodeEntries(v, &run).ok());
+    EXPECT_EQ(run, blob->substr(kHeader)) << "vnode " << v;
+  }
+  EXPECT_EQ(RunEntries(EntryRun(backend_.get(), 2)).size(), 19u);
+  EXPECT_EQ(HeldBlob(&env_, 2, {EntryRun(backend_.get(), 2)},
+                     backend_->VnodeBytes(2)),
+            VnodeBlob(backend_.get(), 2));
+}
+
 TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
   ASSERT_TRUE(Put(backend_.get(), 1, "k", "v", 1).ok());
   std::string run;
@@ -495,7 +519,7 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
   for (const char* key : {"a", "c", "e"}) {
     ASSERT_TRUE(Put(backend_.get(), 1, key, std::string(key) + "0", 1).ok());
   }
-  const std::string base = VnodeBlob(backend_.get(), 1);
+  const std::string base = EntryRun(backend_.get(), 1);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   ASSERT_TRUE(Put(backend_.get(), 1, "b", "b1", 1).ok());
   ASSERT_TRUE(Put(backend_.get(), 1, "a", "a1", 1).ok());
@@ -515,14 +539,14 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
   // The run carries each key's latest write: applied to the vnode as it
   // was when capture began, it yields the vnode as it is now (a and c
   // erased, b = b2, d added, e untouched).
-  EXPECT_EQ(HeldBlob(&env_, 1, {Entries(base), run}, backend_->VnodeBytes(1)),
+  EXPECT_EQ(HeldBlob(&env_, 1, {base, run}, backend_->VnodeBytes(1)),
             VnodeBlob(backend_.get(), 1));
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 1, &run), 0u);
   EXPECT_TRUE(run.empty()) << "a take moves the changes out";
 }
 
 TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
-  const std::string base = VnodeBlob(backend_.get(), 3);
+  const std::string base = EntryRun(backend_.get(), 3);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(Put(backend_.get(), 3, "k" + std::to_string(i % 10),
@@ -533,7 +557,7 @@ TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 3, &run), 10u);
   EXPECT_LT(run.size(), 10u * 16) << "one entry per key, not per write";
-  EXPECT_EQ(HeldBlob(&env_, 3, {Entries(base), run}, backend_->VnodeBytes(3)),
+  EXPECT_EQ(HeldBlob(&env_, 3, {base, run}, backend_->VnodeBytes(3)),
             VnodeBlob(backend_.get(), 3));
 }
 
@@ -604,7 +628,7 @@ TEST_F(LsmBackendTest, WritingTakenChangesReproducesTheVnode) {
     ASSERT_TRUE(
         Put(backend_.get(), 4, key, std::string("old-") + key, 4).ok());
   }
-  const std::string before = VnodeBlob(backend_.get(), 4);
+  const std::string before = EntryRun(backend_.get(), 4);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   StateBackend* b = backend_.get();
   ASSERT_TRUE(Put(b, 4, "a", "new-a", 4).ok());  // before every entry
@@ -616,7 +640,7 @@ TEST_F(LsmBackendTest, WritingTakenChangesReproducesTheVnode) {
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 4, &run), 6u);
   EXPECT_EQ(
-      HeldBlob(&env_, 4, {Entries(before), run}, backend_->VnodeBytes(4)),
+      HeldBlob(&env_, 4, {before, run}, backend_->VnodeBytes(4)),
       VnodeBlob(backend_.get(), 4));
 
   // A malformed run is Corruption and writes nothing, never a crash:
@@ -630,20 +654,16 @@ TEST_F(LsmBackendTest, WritingTakenChangesReproducesTheVnode) {
     }
   }
   ASSERT_TRUE((*replica)->DropVnodes({4}).ok());
-  EXPECT_EQ(VnodeBlobEntries("").status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(VnodeBlobEntries(run).status().code(), StatusCode::kCorruption)
-      << "a run is no blob";
 }
 
 TEST_F(LsmBackendTest, HeldRowsTrackRandomWritesRoundAfterRound) {
-  // A replica that starts from one blob and writes every round's run must
-  // equal the live vnode after each round.
+  // A replica that starts from one whole run and writes every round's
+  // run must equal the live vnode after each round.
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   auto replica = LsmStateBackend::Open(&env_, "/state/rounds", "op", 9);
   ASSERT_TRUE(replica.ok());
   ASSERT_TRUE(
-      (*replica)->WriteVnodeEntries(9, Entries(VnodeBlob(backend_.get(), 9)))
-          .ok());
+      (*replica)->WriteVnodeEntries(9, EntryRun(backend_.get(), 9)).ok());
   uint64_t rng = 42;
   auto next = [&rng] {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -816,7 +836,7 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
 }
 
 TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
-  const std::string base = VnodeBlob(backend_.get(), 5);
+  const std::string base = EntryRun(backend_.get(), 5);
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   backend_->SetChangeCapture(ChangeReader::kCheckpoint, true);
   ASSERT_TRUE(Put(backend_.get(), 5, "a", "a1", 1).ok());
@@ -834,7 +854,7 @@ TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
             3u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
   EXPECT_EQ(
-      HeldBlob(&env_, 5, {Entries(base), ckpt_run}, backend_->VnodeBytes(5)),
+      HeldBlob(&env_, 5, {base, ckpt_run}, backend_->VnodeBytes(5)),
       VnodeBlob(backend_.get(), 5));
 
   // Discarding one reader's changes leaves the other's.
@@ -965,11 +985,14 @@ TEST(ModeledBackendTest, CannotCaptureChanges) {
 
 TEST(ModeledBackendTest, HeldVnodeIsItsSizeAlone) {
   ModeledStateBackend backend("op", 0);
+  backend.AddBytes(4, 300);
   auto blob = backend.ExtractVnodes({4});
   ASSERT_TRUE(blob.ok());
-  auto entries = VnodeBlobEntries(*blob);
-  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
-  EXPECT_TRUE(entries->empty()) << "a modeled blob carries no entries";
+  EXPECT_EQ(blob->size(), 4u + 4 + 8) << "a modeled blob ends after its size";
+  std::string run = "stale";
+  ASSERT_TRUE(backend.ReadVnodeEntries(4, &run).ok());
+  EXPECT_TRUE(run.empty()) << "a modeled vnode reads no entries";
+  ASSERT_TRUE(backend.DropVnodes({4}).ok());
   ASSERT_TRUE(backend.WriteVnodeEntries(4, "anything").ok());
   EXPECT_EQ(backend.SizeBytes(), 0u);
   backend.SetVnodeBytes(4, 700);
