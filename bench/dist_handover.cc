@@ -39,7 +39,7 @@
 // Wall seconds and bytes are report-only in check_regression.py; what CI
 // checks is that the distributed story converges over real sockets with
 // zero loss, that `handover_replica_local_ok` holds — the move to the
-// replica holder took the replica path with no state blobs on the wire,
+// replica holder took the replica path with no state entries on the wire,
 // and the move to the cold target took the full path — and the size
 // curve's shape: `reconfig_bytes_flat_ok` (the replica-local handover's
 // and the promotion's bytes at the largest size are at most 1.5x those at
@@ -370,7 +370,7 @@ void Run(bench::BenchArtifact* artifact) {
   // copy the target holds.
   auto extracted = DecodeVnodeImages(counted.last_extract_reply);
   RHINO_CHECK_OK(extracted.status());
-  const bool no_blobs =
+  const bool no_entries =
       !extracted->empty() &&
       std::all_of(extracted->begin(), extracted->end(),
                   [](const VnodeImage& image) {
@@ -378,7 +378,7 @@ void Run(bench::BenchArtifact* artifact) {
                   });
   Move to_cold = handover(/*origin=*/1, /*target=*/0);
   const bool replica_local_ok = to_replica.replica_path == 1 &&
-                                to_replica.full_path == 0 && no_blobs &&
+                                to_replica.full_path == 0 && no_entries &&
                                 to_cold.full_path == 1 &&
                                 to_cold.replica_path == 0;
   table.AddRow({"handover", std::to_string(to_replica.wall_s) + " s",

@@ -46,11 +46,10 @@ class MegaphoneDelegate : public dataflow::HandoverDelegate {
                      std::function<void()> done) override {
     RHINO_CHECK(origin != nullptr)
         << "Megaphone has no fault tolerance (paper §5.2.2)";
+    auto images = origin->ReadImages(move.vnodes);
+    RHINO_CHECK(images.ok());
     uint64_t bytes = 0;
-    for (uint32_t v : move.vnodes) bytes += origin->backend()->VnodeBytes(v);
-    auto blob = origin->backend()->ExtractVnodes(move.vnodes);
-    RHINO_CHECK(blob.ok());
-    auto marks = origin->GetWatermarks(move.vnodes);
+    for (const state::VnodeImage& image : *images) bytes += image.bytes;
     dataflow::HandoverSpec spec_copy = spec;
     HandoverMove move_copy = move;
 
@@ -60,15 +59,14 @@ class MegaphoneDelegate : public dataflow::HandoverDelegate {
     int target_node = target->node_id();
     ser->Submit(bytes, [this, origin_node, target_node, bytes, deser,
                         spec_copy, move_copy, origin, target, done,
-                        blob = std::move(blob).MoveValue(), marks] {
+                        images = std::move(images).MoveValue()] {
       engine_->cluster()->Transfer(
           origin_node, target_node, bytes,
           [this, deser, bytes, spec_copy, move_copy, origin, target, done,
-           blob, marks] {
+           images] {
             deser->Submit(bytes, [spec_copy, move_copy, origin, target, done,
-                                  blob, marks] {
-              RHINO_CHECK_OK(target->backend()->IngestVnodes(blob, false));
-              target->MergeWatermarks(marks);
+                                  images] {
+              RHINO_CHECK_OK(target->IngestImages(images, false));
               origin->CompleteHandoverAsOrigin(spec_copy, move_copy);
               target->CompleteHandoverAsTarget(spec_copy, move_copy);
               done();
@@ -312,17 +310,17 @@ void Testbed::SeedState(uint64_t total_bytes) {
     // Register the seed as checkpoint 0, already persisted per the SUT.
     auto desc = inst->backend()->Checkpoint(0);
     RHINO_CHECK(desc.ok());
-    auto blobs = rhino::CaptureVnodeBlobs(inst);
+    auto images = rhino::CaptureImages(inst);
     auto subtask = static_cast<uint32_t>(inst->subtask());
     switch (options.sut) {
       case Sut::kRhino:
         replication.SeedReplica(inst->op_name(), subtask, *desc,
-                                std::move(blobs));
+                                std::move(images));
         break;
       case Sut::kFlink:
       case Sut::kRhinoDfs:
         dfs_storage.SeedCheckpoint(inst->op_name(), subtask, inst->node_id(),
-                                   *desc, std::move(blobs));
+                                   *desc, std::move(images));
         break;
       case Sut::kMegaphone:
         break;  // all state lives on the heap; nothing is persisted
@@ -485,7 +483,7 @@ void Testbed::TriggerRescale(double) {
       spec->id = 1000 + next_adhoc_id_++;
       spec->operator_name = op;
       spec->moves = std::move(moves);
-      engine.StartHandover(spec);
+      RHINO_CHECK_OK(engine.StartHandover(spec));
     }
   }
   if (options.sut == Sut::kFlink) {
@@ -542,7 +540,7 @@ void Testbed::TriggerLoadBalance(int origins, double fraction) {
       spec->id = 1000 + next_adhoc_id_++;
       spec->operator_name = op;
       spec->moves = std::move(moves);
-      engine.StartHandover(spec);
+      RHINO_CHECK_OK(engine.StartHandover(spec));
     }
   }
 }

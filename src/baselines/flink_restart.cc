@@ -132,15 +132,12 @@ void FlinkRestartController::RestoreStateAndResume(
     dataflow::StatefulInstance::WatermarkMap marks;
     if (latest != nullptr) {
       for (uint32_t v : inst->owned_vnodes()) {
-        auto bit = latest->vnode_blobs.find(v);
-        if (bit != latest->vnode_blobs.end()) {
-          RHINO_CHECK_OK(
-              inst->backend()->IngestVnodes(bit->second, /*durable=*/true));
-        }
-        auto wit = latest->latest_descriptor.vnode_watermarks.find(v);
-        if (wit != latest->latest_descriptor.vnode_watermarks.end()) {
-          marks[v] = wit->second;
-        }
+        auto it = latest->images.find(v);
+        if (it == latest->images.end()) continue;
+        // One durable ingest per vnode, each one restored file.
+        RHINO_CHECK_OK(inst->backend()->IngestImages({it->second},
+                                                     /*already_durable=*/true));
+        marks[v] = it->second.watermarks;
       }
     }
     // The whole job rolled back to the checkpoint: dedup positions roll

@@ -210,8 +210,31 @@ ControlEvent Engine::HandoverMarkerFor(
   return marker;
 }
 
-void Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
-                           bool inject_markers) {
+Status Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
+                             bool inject_markers) {
+  if (inject_markers) {
+    std::lock_guard<std::recursive_mutex> lock(mu_);
+    std::set<uint32_t> moving;
+    for (const HandoverRecord& record : handovers_) {
+      if (record.completed ||
+          record.spec->operator_name != spec->operator_name) {
+        continue;
+      }
+      for (const HandoverMove& move : record.spec->moves) {
+        moving.insert(move.vnodes.begin(), move.vnodes.end());
+      }
+    }
+    for (const HandoverMove& move : spec->moves) {
+      for (uint32_t v : move.vnodes) {
+        if (moving.count(v) != 0) {
+          return Status::FailedPrecondition(
+              "handover " + std::to_string(spec->id) + " moves vnode " +
+              std::to_string(v) + " of " + spec->operator_name +
+              ", which an uncompleted handover is moving");
+        }
+      }
+    }
+  }
   if (probe_) probe_("handover_start");
   obs_->metrics().GetCounter("rhino_handover_triggered_total")->Increment();
   obs_->trace().Emit(
@@ -230,11 +253,12 @@ void Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
     handovers_.push_back(std::move(record));
   }
 
-  if (!inject_markers) return;  // caller injects atomically with a rewind
+  if (!inject_markers) return Status::OK();  // the caller injects
   ControlEvent marker = HandoverMarkerFor(spec);
   for (SourceInstance* s : sources_) {
     if (!s->halted()) s->InjectControl(marker);
   }
+  return Status::OK();
 }
 
 void Engine::OnHandoverInstanceDone(uint64_t handover_id,

@@ -209,8 +209,12 @@ class Engine {
   /// the caller must deliver the marker (`HandoverMarkerFor`) to every
   /// live source itself — recovery does this atomically with the source
   /// rewind so no pre-rewind record can slip through a rewired gate.
-  void StartHandover(std::shared_ptr<const HandoverSpec> spec,
-                     bool inject_markers = true);
+  /// A marker-injecting handover that names a vnode an uncompleted
+  /// handover of the same operator moves is refused (FailedPrecondition,
+  /// nothing registered): both would move it from the same origin, and
+  /// the vnode would end with two owners.
+  Status StartHandover(std::shared_ptr<const HandoverSpec> spec,
+                       bool inject_markers = true);
 
   /// The control event `StartHandover` would inject for `spec`.
   static ControlEvent HandoverMarkerFor(

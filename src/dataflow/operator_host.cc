@@ -177,6 +177,15 @@ OperatorHost::WatermarkMap OperatorHost::GetWatermarks(
   return out;
 }
 
+state::VnodeImage OperatorHost::Describe(uint32_t vnode) const {
+  state::VnodeImage image;
+  image.vnode = vnode;
+  image.bytes = backend_->VnodeBytes(vnode);
+  auto it = watermarks_.find(vnode);
+  if (it != watermarks_.end()) image.watermarks = it->second;
+  return image;
+}
+
 void OperatorHost::MergeWatermarks(const WatermarkMap& marks) {
   for (const auto& [vnode, sources] : marks) {
     for (const auto& [source, next] : sources) {

@@ -24,8 +24,9 @@
 /// `StatefulInstance` and the networked `NodeServer` both embed a host, so
 /// the data path — dedup, the operator core, the batch's one commit — is
 /// one implementation for every operator kind in sim, realtime-thread, and
-/// multi-process modes. How state moves between hosts is the embedder's:
-/// the engine moves backend blobs, the node server `net::VnodeImage`s.
+/// multi-process modes. State moves between hosts as `state::VnodeImage`s
+/// in both: `Describe` stamps an image, and when and how it travels is
+/// the embedder's.
 ///
 /// Not thread-safe: the embedding runtime serializes calls (the engine via
 /// the instance mutex / executor strand, the node server under its own
@@ -126,6 +127,10 @@ class OperatorHost {
 
   /// Watermarks of the given vnodes (for transfer alongside state).
   WatermarkMap GetWatermarks(const std::vector<uint32_t>& vnodes) const;
+  /// The image of `vnode` without its run: its nominal size and replay
+  /// watermarks, as a whole image (`base_seq` 0). A whole image's run is
+  /// the backend's `ReadVnodeEntries`, a key delta's its `TakeChanges`.
+  state::VnodeImage Describe(uint32_t vnode) const;
   /// Merges transferred watermarks (taking the max per entry).
   void MergeWatermarks(const WatermarkMap& marks);
   /// Replaces all watermarks (restart-based recovery rolls state *and*

@@ -94,6 +94,31 @@ void StatefulInstance::MergeWatermarks(const WatermarkMap& marks) {
   host_->MergeWatermarks(marks);
 }
 
+Result<std::vector<state::VnodeImage>> StatefulInstance::ReadImages(
+    const std::vector<uint32_t>& vnodes) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  std::vector<state::VnodeImage> images;
+  images.reserve(vnodes.size());
+  for (uint32_t v : vnodes) {
+    images.push_back(host_->Describe(v));
+    RHINO_RETURN_NOT_OK(
+        host_->backend()->ReadVnodeEntries(v, &images.back().entries));
+  }
+  return images;
+}
+
+Status StatefulInstance::IngestImages(
+    const std::vector<state::VnodeImage>& images, bool already_durable) {
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  RHINO_RETURN_NOT_OK(host_->backend()->IngestImages(images, already_durable));
+  WatermarkMap marks;
+  for (const state::VnodeImage& image : images) {
+    marks[image.vnode] = image.watermarks;
+  }
+  host_->MergeWatermarks(marks);
+  return Status::OK();
+}
+
 namespace {
 
 /// Index of `move` inside `spec.moves` (moves are passed by value through

@@ -79,6 +79,18 @@ class StatefulInstance : public OperatorInstance {
   /// Merges transferred watermarks (taking the max per entry).
   void MergeWatermarks(const WatermarkMap& marks);
 
+  // ------------------------------------------------------ state images ----
+
+  /// Whole images of `vnodes`, each read in one step under the instance
+  /// lock (`OperatorHost::Describe` plus the backend's
+  /// `ReadVnodeEntries`): what a handover moves and a checkpoint captures.
+  Result<std::vector<state::VnodeImage>> ReadImages(
+      const std::vector<uint32_t>& vnodes);
+  /// Takes `images` over: the backend ingests them
+  /// (`StateBackend::IngestImages`) and their watermarks are merged.
+  Status IngestImages(const std::vector<state::VnodeImage>& images,
+                      bool already_durable);
+
   /// Replaces all watermarks (restart-based recovery rolls state *and*
   /// dedup positions back to the checkpoint; merging would wrongly keep
   /// post-checkpoint positions and drop the replay).

@@ -15,8 +15,8 @@
 /// and is applied atomically by `DB::Write`: one framed WAL append (and
 /// one buffer flush) covers the whole batch, and the memtable receives a
 /// single insert pass over a contiguous sequence-number range. Replicas
-/// applying checkpoint deltas and handover targets ingesting vnode blobs
-/// commit thousands of entries per WAL write instead of one.
+/// applying key deltas and handover targets ingesting vnode images commit
+/// thousands of entries per WAL write instead of one.
 ///
 /// Payload encoding (also the WAL commit-record payload, behind the
 /// framing in log_format.h):

@@ -28,7 +28,7 @@
 
 namespace rhino::net {
 
-/// Upper bound on one frame's payload. State blobs dominate frame sizes;
+/// Upper bound on one frame's payload. Vnode images dominate frame sizes;
 /// 256 MiB comfortably fits any test/bench shard while still rejecting
 /// garbage length prefixes immediately.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;

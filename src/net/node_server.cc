@@ -26,17 +26,6 @@ constexpr int kBarrierTimeoutMs = 10'000;
 void Bump(obs::Counter* counter, uint64_t delta = 1) {
   if (counter != nullptr) counter->Increment(delta);
 }
-
-/// The image of `vnode` of `host` without its run: its size and replay
-/// watermarks.
-VnodeImage Describe(const dataflow::OperatorHost& host, uint32_t vnode) {
-  VnodeImage image;
-  image.vnode = vnode;
-  image.bytes = host.backend()->VnodeBytes(vnode);
-  auto marks = host.GetWatermarks({vnode});
-  if (!marks.empty()) image.watermarks = std::move(marks.begin()->second);
-  return image;
-}
 }  // namespace
 
 NodeServer::NodeServer(lsm::Env* env, Transport* transport,
@@ -269,11 +258,14 @@ Result<std::string> NodeServer::HandleProcessBatch(std::string_view body) {
   return encoded;
 }
 
-void NodeServer::TakeOver(Shard* shard, const std::string& op,
-                          const std::vector<VnodeImage>& images) {
+Status NodeServer::TakeOver(Shard* shard, const std::string& op,
+                            const std::vector<VnodeImage>& images) {
+  // Every image taken over here is durable already, in a chain or in the
+  // replica this node held.
+  RHINO_RETURN_NOT_OK(shard->host->backend()->IngestImages(
+      images, /*already_durable=*/true));
   std::vector<uint32_t> vnodes;
   for (const VnodeImage& image : images) {
-    shard->host->backend()->SetVnodeBytes(image.vnode, image.bytes);
     // Dedup positions come WITH the state: replay resumes exactly where
     // the image stopped.
     shard->host->Own(image.vnode, image.watermarks);
@@ -287,6 +279,7 @@ void NodeServer::TakeOver(Shard* shard, const std::string& op,
   shard->host->backend()->DiscardChanges(state::ChangeReader::kCheckpoint,
                                          vnodes);
   for (uint32_t vnode : vnodes) shard->chains.erase(vnode);
+  return Status::OK();
 }
 
 Status NodeServer::DropHeld(const std::string& op,
@@ -307,7 +300,7 @@ void NodeServer::AdoptChains(const std::string& op,
     auto size = env_->GetFileSize(path);
     auto base = rhino::ChainBaseBytes(env_, path);
     if (!size.ok() || !base.ok()) continue;  // the next record is whole
-    VnodeImage image = Describe(*shard.host, vnode);
+    VnodeImage image = shard.host->Describe(vnode);
     Chain& chain = shard.chains[vnode];
     chain.base = *base;
     chain.bytes = *size;
@@ -342,7 +335,7 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
     return true;
   };
   auto record_of = [&](uint32_t vnode, Kind kind, std::string_view body) {
-    VnodeImage image = Describe(*shard->host, vnode);
+    VnodeImage image = shard->host->Describe(vnode);
     rhino::ChainRecord record;
     record.kind = kind;
     record.checkpoint_id = id;
@@ -418,7 +411,7 @@ Status NodeServer::BuildDelta(Shard* shard, ReplicateStateRequest* req) {
   uint64_t entries = 0;
   std::vector<uint32_t> whole;
   for (VnodeImage& image : req->vnodes) {
-    VnodeImage described = Describe(*shard->host, image.vnode);
+    VnodeImage described = shard->host->Describe(image.vnode);
     image.bytes = described.bytes;
     image.watermarks = std::move(described.watermarks);
     if (image.base_seq != 0) {
@@ -531,7 +524,7 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(Shard * shard, owned_shard());
   std::vector<VnodeImage> images;
   for (uint32_t vnode : move.vnodes) {
-    images.push_back(Describe(*shard->host, vnode));
+    images.push_back(shard->host->Describe(vnode));
   }
   if (replica_local) {
     // Nothing may have been written since the drain: the target's copy of
@@ -614,16 +607,10 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   }
   // A whole image replaces any rows held here: their origin's tombstone
   // may still be in flight. The other held rows become the vnodes' state
-  // where they are, and each image's run is written on top.
+  // where they are, and the take-over writes each image's run on top.
   RHINO_RETURN_NOT_OK(DropHeld(op, whole));
-  for (const VnodeImage& image : req.images) {
-    held_.erase({op, image.vnode});
-    if (!image.entries.empty()) {
-      RHINO_RETURN_NOT_OK(shard->host->backend()->WriteVnodeEntries(
-          image.vnode, image.entries));
-    }
-  }
-  TakeOver(shard, op, req.images);
+  for (const VnodeImage& image : req.images) held_.erase({op, image.vnode});
+  RHINO_RETURN_NOT_OK(TakeOver(shard, op, req.images));
   AdoptChains(op, move.vnodes);
   Bump(replica_local ? metrics_.handover_replica : metrics_.handover_full);
   obs_->trace().Emit("net", "handover_ingest",
@@ -793,7 +780,7 @@ Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
       }
     }
   }
-  TakeOver(shard, req.op, images);
+  RHINO_RETURN_NOT_OK(TakeOver(shard, req.op, images));
   AdoptChains(req.op, untorn);
   uint64_t as_of = 0;
   for (const VnodeImage& image : images) {

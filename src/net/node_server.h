@@ -32,14 +32,14 @@
 /// `LoopbackTransport` (in-process tests) unchanged.
 ///
 /// **One record, one step.** State crosses the wire only as
-/// `VnodeImage`s (wire.h): a vnode's size, replay watermarks and entry
-/// run, whole (`base_seq` 0) or the keys written since the copy the
+/// `VnodeImage`s (state_backend.h): a vnode's size, replay watermarks and
+/// entry run, whole (`base_seq` 0) or the keys written since the copy the
 /// receiver holds at `base_seq`. Stream deltas, both halves of a handover,
 /// and the replies of a promotion and a restore all carry them. Every
-/// path by which a vnode becomes owned here ends in one `TakeOver`: a
-/// full-path ingest after writing its whole run, a replica-local ingest
-/// and a promotion after taking their held rows over, a restore after
-/// writing its chain.
+/// path by which a vnode becomes owned here ends in one `TakeOver`, which
+/// writes the images' runs: a full-path ingest's whole runs, nothing for
+/// a replica-local ingest or a promotion (their held rows are taken
+/// over), nothing for a restore (its chain was written).
 ///
 /// Protocol roles, mirroring the in-process engine:
 ///
@@ -254,16 +254,16 @@ class NodeServer {
   Status BuildDelta(Shard* shard, ReplicateStateRequest* req);
 
   /// The one take-over step, which ends every path by which a vnode
-  /// becomes owned here — a full-path ingest (its whole run written), a
-  /// replica-local ingest or a promotion (held rows taken over), a restore
-  /// (its chain written): the images' vnodes, whose state is already in
-  /// the backend, become owned with the images' sizes and watermarks
-  /// (assigned). They ship whole to this node's successor, what the
-  /// checkpoint reader captured of them is discarded, and their chains
-  /// are forgotten, so their next records are whole unless the caller
-  /// adopts the chains. Caller holds `mu_`.
-  void TakeOver(Shard* shard, const std::string& op,
-                const std::vector<VnodeImage>& images);
+  /// becomes owned here — a full-path ingest, a replica-local ingest or a
+  /// promotion (held rows taken over), a restore (its chain written): the
+  /// backend ingests the images (`StateBackend::IngestImages`: each run
+  /// written, each size set), and their vnodes become owned with the
+  /// images' watermarks (assigned). They ship whole to this node's
+  /// successor, what the checkpoint reader captured of them is discarded,
+  /// and their chains are forgotten, so their next records are whole
+  /// unless the caller adopts the chains. Caller holds `mu_`.
+  Status TakeOver(Shard* shard, const std::string& op,
+                  const std::vector<VnodeImage>& images);
 
   /// Drops the rows and catalog entries of `vnodes` of `op`, none of them
   /// owned here. Caller holds `mu_`.

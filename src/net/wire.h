@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "dataflow/operator_core.h"
 #include "dataflow/record.h"
+#include "state/state_backend.h"
 
 /// \file wire.h
 /// Wire format of the multi-process runtime: RPC envelopes plus binary
@@ -224,25 +225,9 @@ struct CheckpointReply {
   static Result<CheckpointReply> Decode(std::string_view data);
 };
 
-/// One vnode's state on the wire, the only state payload of the protocol
-/// (paper §4.1: a handover is the origin's last incremental checkpoint
-/// applied on top of the replica the target holds; a move without a
-/// replica applies it on top of nothing). `entries` is one
-/// `state::EntryWriter` run. With `base_seq == 0` the run is the whole
-/// vnode. Otherwise it holds the keys written since the copy the receiver
-/// holds at exactly stream seq `base_seq`, puts and tombstones, and
-/// applies only on top of that copy; a replica-local handover's run is
-/// empty. `bytes` and `watermarks` are the vnode's nominal size and replay
-/// watermarks, captured atomically with its state.
-struct VnodeImage {
-  uint32_t vnode = 0;
-  uint64_t base_seq = 0;
-  uint64_t bytes = 0;
-  std::map<int, uint64_t> watermarks;
-  std::string entries;
-
-  bool operator==(const VnodeImage&) const = default;
-};
+/// One vnode's state, the only state payload of the protocol: the record
+/// both runtimes move (state_backend.h).
+using state::VnodeImage;
 
 /// A list of images as a whole body: the reply of `kExtractVnodes`,
 /// `kPromoteReplica` and `kRestoreFromCheckpoint`.

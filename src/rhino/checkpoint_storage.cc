@@ -9,15 +9,17 @@
 
 namespace rhino::rhino {
 
-std::map<uint32_t, std::string> CaptureVnodeBlobs(
+std::map<uint32_t, state::VnodeImage> CaptureImages(
     dataflow::StatefulInstance* instance) {
-  // One ranged extraction per owned vnode: each reads only its vnode's
-  // keys, so all of them together cost about one scan of the backend.
   std::vector<uint32_t> owned(instance->owned_vnodes().begin(),
                               instance->owned_vnodes().end());
-  auto blobs = instance->backend()->ExtractVnodeBlobs(owned);
-  RHINO_CHECK(blobs.ok()) << blobs.status().ToString();
-  return std::move(blobs).MoveValue();
+  auto images = instance->ReadImages(owned);
+  RHINO_CHECK(images.ok()) << images.status().ToString();
+  std::map<uint32_t, state::VnodeImage> by_vnode;
+  for (state::VnodeImage& image : *images) {
+    by_vnode.emplace(image.vnode, std::move(image));
+  }
+  return by_vnode;
 }
 
 void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
@@ -29,7 +31,7 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
     done(Status::OK());
     return;
   }
-  auto blobs = CaptureVnodeBlobs(stateful);
+  auto images = CaptureImages(stateful);
   int node_id = instance->node_id();
   std::string op = instance->op_name();
   auto subtask = static_cast<uint32_t>(instance->subtask());
@@ -54,7 +56,7 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
   }
   node.disk(disk).Write(
       desc.DeltaBytes(),
-      [this, op, subtask, node_id, desc, blobs = std::move(blobs),
+      [this, op, subtask, node_id, desc, images = std::move(images),
        done = std::move(done)]() mutable {
         // ...then replicated asynchronously down the chain (§4.2.2), with
         // transient replication failures retried before surfacing.
@@ -63,8 +65,8 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
             "checkpoint_persist");
         ReplicateWithRetry(
             std::move(op), subtask, node_id, desc, std::move(retrier),
-            std::make_shared<const std::map<uint32_t, std::string>>(
-                std::move(blobs)),
+            std::make_shared<const std::map<uint32_t, state::VnodeImage>>(
+                std::move(images)),
             std::move(done));
       });
 }
@@ -73,13 +75,13 @@ void RhinoCheckpointStorage::ReplicateWithRetry(
     std::string op, uint32_t subtask, int node_id,
     state::CheckpointDescriptor desc,
     std::shared_ptr<runtime::Retrier> retrier,
-    std::shared_ptr<const std::map<uint32_t, std::string>> blobs,
+    std::shared_ptr<const std::map<uint32_t, state::VnodeImage>> images,
     std::function<void(Status)> done) {
-  // Each attempt consumes its own copy of the blobs (ReplicateCheckpoint
+  // Each attempt consumes its own copy of the images (ReplicateCheckpoint
   // takes them by value); the shared snapshot feeds every retry.
   runtime_->ReplicateCheckpoint(
-      op, subtask, node_id, desc, *blobs,
-      [this, op, subtask, node_id, desc, retrier, blobs,
+      op, subtask, node_id, desc, *images,
+      [this, op, subtask, node_id, desc, retrier, images,
        done = std::move(done)](Status st) mutable {
         if (st.ok() || !runtime::IsTransientStatus(st)) {
           // Success, or a permanent fault (Aborted = fail-stop): surface
@@ -99,10 +101,10 @@ void RhinoCheckpointStorage::ReplicateWithRetry(
                         << backoff << "us";
         cluster_->executor()->Schedule(
             backoff, [this, op = std::move(op), subtask, node_id, desc,
-                      retrier = std::move(retrier), blobs = std::move(blobs),
+                      retrier = std::move(retrier), images = std::move(images),
                       done = std::move(done)]() mutable {
               ReplicateWithRetry(std::move(op), subtask, node_id, desc,
-                                 std::move(retrier), std::move(blobs),
+                                 std::move(retrier), std::move(images),
                                  std::move(done));
             });
       });
@@ -120,16 +122,14 @@ void DfsCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
                         static_cast<uint32_t>(instance->subtask()));
   std::string path =
       "/checkpoints/" + key + "/delta-" + std::to_string(desc.checkpoint_id);
-  auto blobs = CaptureVnodeBlobs(stateful);
+  auto images = CaptureImages(stateful);
   {
     std::lock_guard<std::mutex> lock(mu_);
     paths_[key].push_back(path);
     ReplicaState& rep = latest_[key];
     rep.latest_checkpoint_id = desc.checkpoint_id;
     rep.latest_descriptor = desc;
-    for (auto& [vnode, blob] : blobs) {
-      rep.vnode_blobs[vnode] = std::move(blob);
-    }
+    for (auto& [vnode, image] : images) rep.images[vnode] = std::move(image);
   }
   obs::Observability* o = instance->engine()->obs();
   o->metrics()
@@ -163,7 +163,7 @@ const ReplicaState* DfsCheckpointStorage::LatestFor(const std::string& op,
 void DfsCheckpointStorage::SeedCheckpoint(
     const std::string& op, uint32_t subtask, int home_node,
     const state::CheckpointDescriptor& desc,
-    std::map<uint32_t, std::string> blobs) {
+    std::map<uint32_t, state::VnodeImage> images) {
   std::string key = Key(op, subtask);
   std::string path =
       "/checkpoints/" + key + "/delta-" + std::to_string(desc.checkpoint_id);
@@ -173,7 +173,7 @@ void DfsCheckpointStorage::SeedCheckpoint(
   ReplicaState& rep = latest_[key];
   rep.latest_checkpoint_id = desc.checkpoint_id;
   rep.latest_descriptor = desc;
-  rep.vnode_blobs = std::move(blobs);
+  rep.images = std::move(images);
 }
 
 void AppendChainRecord(const ChainRecord& record, std::string* out) {
@@ -246,7 +246,6 @@ Status RestoreChain(const VnodeChain& chain, uint32_t vnode,
   for (const std::string& run : chain.runs) {
     RHINO_RETURN_NOT_OK(backend->WriteVnodeEntries(vnode, run));
   }
-  backend->SetVnodeBytes(vnode, chain.nominal_bytes);
   return Status::OK();
 }
 

@@ -20,9 +20,9 @@
 ///  * `DfsCheckpointStorage`    — delta upload into the block-centric DFS
 ///    (Flink and RhinoDFS).
 ///
-/// Both capture per-vnode content blobs so recovery can restore actual
-/// state (values in real mode, byte counters in modeled mode). The
-/// networked runtime's per-vnode checkpoint chains (below) share this
+/// Both capture a whole `state::VnodeImage` per owned vnode so recovery
+/// can restore actual state (entries in real mode, sizes in modeled mode).
+/// The networked runtime's per-vnode checkpoint chains (below) share this
 /// file's role: durable checkpoint state.
 
 namespace rhino::rhino {
@@ -57,8 +57,9 @@ class RhinoCheckpointStorage : public dataflow::CheckpointStorage {
   void ReplicateWithRetry(std::string op, uint32_t subtask, int node_id,
                           state::CheckpointDescriptor desc,
                           std::shared_ptr<runtime::Retrier> retrier,
-                          std::shared_ptr<const std::map<uint32_t, std::string>>
-                              blobs,
+                          std::shared_ptr<const std::map<uint32_t,
+                                                         state::VnodeImage>>
+                              images,
                           std::function<void(Status)> done);
 
   sim::Cluster* cluster_;
@@ -90,7 +91,7 @@ class DfsCheckpointStorage : public dataflow::CheckpointStorage {
   /// (experiment seeding).
   void SeedCheckpoint(const std::string& op, uint32_t subtask, int home_node,
                       const state::CheckpointDescriptor& desc,
-                      std::map<uint32_t, std::string> blobs);
+                      std::map<uint32_t, state::VnodeImage> images);
 
   dfs::DistributedFileSystem* dfs() { return dfs_; }
 
@@ -109,9 +110,11 @@ class DfsCheckpointStorage : public dataflow::CheckpointStorage {
   std::map<std::string, ReplicaState> latest_;
 };
 
-/// Captures the per-vnode content blobs of a stateful instance (shared by
-/// both storages and by experiment seeding).
-std::map<uint32_t, std::string> CaptureVnodeBlobs(
+/// Whole images of every vnode `instance` owns, keyed by vnode: what a
+/// checkpoint captures (shared by both storages and by experiment
+/// seeding). One ranged read per vnode, so all of them together cost about
+/// one scan of the backend.
+std::map<uint32_t, state::VnodeImage> CaptureImages(
     dataflow::StatefulInstance* instance);
 
 // ------------------------------------------------- checkpoint chains --
@@ -122,7 +125,7 @@ std::map<uint32_t, std::string> CaptureVnodeBlobs(
 // as `StateBackend::ReadVnodeEntries` reads them, and each later
 // checkpoint appends a key record: the keys written since the previous
 // record, as one change run of `StateBackend::TakeChanges`. Both bodies
-// are entry runs (`state::EntryWriter`), the run a `net::VnodeImage`
+// are entry runs (`state::EntryWriter`), the run a `state::VnodeImage`
 // carries; a key record's may hold tombstones. Every record carries the
 // vnode's nominal size and replay watermarks, so the chain restores to
 // one consistent snapshot.
@@ -172,8 +175,9 @@ Result<VnodeChain> ParseChain(std::string_view chain);
 Result<VnodeChain> ReadChain(lsm::Env* env, const std::string& path);
 
 /// Writes `chain`'s runs into `backend` as rows of `vnode`, oldest first
-/// (one `StateBackend::WriteVnodeEntries` each), and sets the vnode's size
-/// to the last record's. The caller drops any earlier rows first.
+/// (one `StateBackend::WriteVnodeEntries` each). The caller drops any
+/// earlier rows first, and takes the vnode over with the chain's size and
+/// watermarks.
 Status RestoreChain(const VnodeChain& chain, uint32_t vnode,
                     state::StateBackend* backend);
 

@@ -119,7 +119,12 @@ uint64_t HandoverManager::TriggerReconfiguration(
     stats.triggered_at = engine_->executor()->Now();
     stats.moves = static_cast<int>(spec->moves.size());
   });
-  engine_->StartHandover(spec);
+  Status started = engine_->StartHandover(spec);
+  if (!started.ok()) {
+    RHINO_LOG(Warn) << "handover " << spec->id
+                    << " refused: " << started.ToString();
+    return 0;
+  }
   return spec->id;
 }
 
@@ -265,7 +270,7 @@ std::vector<uint64_t> HandoverManager::RecoverFailedNode(int node) {
       stats.triggered_at = engine_->executor()->Now();
       stats.moves = static_cast<int>(spec->moves.size());
     });
-    engine_->StartHandover(spec, /*inject_markers=*/false);
+    RHINO_CHECK_OK(engine_->StartHandover(spec, /*inject_markers=*/false));
     markers.push_back(dataflow::Engine::HandoverMarkerFor(spec));
     handovers.push_back(spec->id);
   }
@@ -354,10 +359,10 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       engine_->executor()->Schedule(0, abandon);
       return;
     }
+    auto images = origin->ReadImages(move.vnodes);
+    RHINO_CHECK(images.ok()) << images.status().ToString();
     uint64_t moved_bytes = 0;
-    for (uint32_t v : move.vnodes) {
-      moved_bytes += origin->backend()->VnodeBytes(v);
-    }
+    for (const state::VnodeImage& image : *images) moved_bytes += image.bytes;
     uint64_t total_bytes = std::max<uint64_t>(1, origin->backend()->SizeBytes());
 
     auto mini = origin->backend()->Checkpoint(next_mini_checkpoint_++);
@@ -378,10 +383,6 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
         (static_cast<double>(moved_bytes) / static_cast<double>(total_bytes)));
     uint64_t wire_bytes = target_has_replica ? tail_bytes : moved_bytes;
 
-    auto blob = origin->backend()->ExtractVnodes(move.vnodes);
-    RHINO_CHECK(blob.ok()) << blob.status().ToString();
-    auto marks = origin->GetWatermarks(move.vnodes);
-
     UpdateStats(spec.id, [&](HandoverStats& stats) {
       stats.bytes_transferred +=
           origin->node_id() == target->node_id() ? 0 : wire_bytes;
@@ -396,7 +397,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
 
     auto ingest = [this, spec_copy, move_copy, origin, target, done, abandon,
                    start, target_has_replica,
-                   blob = std::move(blob).MoveValue(), marks]() {
+                   images = std::move(images).MoveValue()]() {
       SimTime fetch = engine_->executor()->Now() - start;
       UpdateStats(spec_copy.id, [&](HandoverStats& s) {
         s.state_fetch_us = std::max(s.state_fetch_us, fetch);
@@ -408,7 +409,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       SimTime load = options_.load_per_file_us * 8;
       engine_->executor()->Schedule(load, [this, spec_copy, move_copy, origin,
                                       target, done, abandon,
-                                      target_has_replica, blob, marks, load] {
+                                      target_has_replica, images, load] {
         if (target->halted()) {
           // Target died while the tail was in flight.
           abandon();
@@ -429,8 +430,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
             ->metrics()
             .GetHistogram("rhino_handover_state_load_us")
             ->Observe(load);
-        RHINO_CHECK_OK(target->backend()->IngestVnodes(blob, target_has_replica));
-        target->MergeWatermarks(marks);
+        RHINO_CHECK_OK(target->IngestImages(images, target_has_replica));
         origin->CompleteHandoverAsOrigin(spec_copy, move_copy);
         target->CompleteHandoverAsTarget(spec_copy, move_copy);
         done();
@@ -473,8 +473,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
   // pointer would reference can be purged by a concurrent node failure
   // before the (simulated) fetch completes.
   struct RestorePlan {
-    std::map<uint32_t, std::string> blobs;       // vnode -> content
-    StatefulInstance::WatermarkMap marks;        // replay dedup positions
+    std::vector<state::VnodeImage> images;       // sizes, marks, entries
     size_t files = 0;                            // load-time model input
     uint64_t remote_bytes = 0;                   // bytes crossing the wire
     int remote_source = -1;                      // node shipping them
@@ -483,19 +482,12 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
   auto plan = std::make_shared<RestorePlan>();
 
   auto add_from = [&](const ReplicaState* rep, int holder, uint32_t v) {
-    auto bit = rep->vnode_blobs.find(v);
-    if (bit == rep->vnode_blobs.end()) return false;
-    plan->blobs[v] = bit->second;
-    auto wit = rep->latest_descriptor.vnode_watermarks.find(v);
-    if (wit != rep->latest_descriptor.vnode_watermarks.end()) {
-      plan->marks[v] = wit->second;
-    }
+    auto it = rep->images.find(v);
+    if (it == rep->images.end()) return false;
+    plan->images.push_back(it->second);
     plan->files = std::max(plan->files, rep->latest_descriptor.files.size());
     if (holder != target->node_id()) {
-      auto sit = rep->latest_descriptor.vnode_bytes.find(v);
-      plan->remote_bytes +=
-          sit != rep->latest_descriptor.vnode_bytes.end() ? sit->second
-                                                          : bit->second.size();
+      plan->remote_bytes += it->second.bytes;
       plan->remote_source = holder;
     }
     return true;
@@ -590,11 +582,11 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
         done();
         return;
       }
-      for (const auto& [v, content] : plan->blobs) {
-        (void)v;
-        RHINO_CHECK_OK(target->backend()->IngestVnodes(content, /*durable=*/true));
+      // One durable ingest per vnode: each came out of its own checkpoint
+      // copy, and is one restored file of the target's.
+      for (const state::VnodeImage& image : plan->images) {
+        RHINO_CHECK_OK(target->IngestImages({image}, /*already_durable=*/true));
       }
-      target->MergeWatermarks(plan->marks);
       uint64_t restored = 0;
       for (uint32_t v : move_copy.vnodes) {
         restored += target->backend()->VnodeBytes(v);
@@ -648,8 +640,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
                             << ": remote replica fetch failed permanently ("
                             << st.ToString()
                             << "); restoring from upstream replay only";
-            plan->blobs.clear();
-            plan->marks.clear();
+            plan->images.clear();
             engine_->executor()->Schedule(options_.local_fetch_us, restore);
           });
     }

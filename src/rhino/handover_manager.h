@@ -97,7 +97,8 @@ class HandoverManager : public dataflow::HandoverDelegate {
 
   /// Starts a handover moving `moves` within `op` (paper §3.5.1/§3.5.2:
   /// load balancing and rescaling are the same mechanism). Returns the
-  /// handover id.
+  /// handover id, or 0 when the engine refused it because an uncompleted
+  /// handover still moves one of its vnodes.
   uint64_t TriggerReconfiguration(const std::string& op,
                                   std::vector<dataflow::HandoverMove> moves);
 

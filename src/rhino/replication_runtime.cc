@@ -21,7 +21,7 @@ struct ReplicationRuntime::Transfer {
   uint64_t chunk_bytes = 0;
   uint64_t last_chunk_bytes = 0;
   state::CheckpointDescriptor desc;
-  std::map<uint32_t, std::string> blobs;
+  std::map<uint32_t, state::VnodeImage> images;
   std::function<void(Status)> done;
 
   std::vector<uint64_t> next_to_send;  // per hop
@@ -78,7 +78,8 @@ struct ReplicationRuntime::CatchUp {
 void ReplicationRuntime::ReplicateCheckpoint(
     const std::string& op, uint32_t subtask, int primary_node,
     const state::CheckpointDescriptor& desc,
-    std::map<uint32_t, std::string> blobs, std::function<void(Status)> done) {
+    std::map<uint32_t, state::VnodeImage> images,
+    std::function<void(Status)> done) {
   std::vector<int> group = manager_->Group(op, subtask);
   uint64_t delta = desc.DeltaBytes();
   if (probe_) probe_("replication_transfer");
@@ -95,7 +96,7 @@ void ReplicationRuntime::ReplicateCheckpoint(
   transfer->last_chunk_bytes =
       delta == 0 ? 0 : delta - (transfer->total_chunks - 1) * options_.chunk_bytes;
   transfer->desc = desc;
-  transfer->blobs = std::move(blobs);
+  transfer->images = std::move(images);
   transfer->done = std::move(done);
 
   size_t hops = transfer->path.size() - 1;
@@ -142,10 +143,10 @@ void ReplicationRuntime::ReplicateCheckpoint(
       ReplicaState& rep = replicas_[key][node];
       rep.latest_checkpoint_id = transfer->desc.checkpoint_id;
       rep.latest_descriptor = transfer->desc;
-      // Replace wholesale: the blobs cover every vnode the instance owned
-      // at snapshot time, so merging would only keep stale blobs of vnodes
+      // Replace wholesale: the images cover every vnode the instance owned
+      // at snapshot time, so merging would only keep stale images of vnodes
       // that moved away since the previous checkpoint.
-      rep.vnode_blobs = transfer->blobs;
+      rep.images = transfer->images;
     }
     checkpoints_replicated_.fetch_add(1, std::memory_order_relaxed);
     obs_->metrics()
@@ -385,7 +386,7 @@ const ReplicaState* ReplicationRuntime::FindVnodeReplica(
        ++it) {
     for (const auto& [node, rep] : it->second) {
       if (!cluster_->node(node).alive()) continue;
-      if (!rep.vnode_blobs.count(vnode)) continue;
+      if (!rep.images.count(vnode)) continue;
       bool fresher =
           best == nullptr ||
           rep.latest_checkpoint_id > best->latest_checkpoint_id ||
@@ -567,7 +568,7 @@ void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
 
 void ReplicationRuntime::SeedReplica(const std::string& op, uint32_t subtask,
                                      const state::CheckpointDescriptor& desc,
-                                     std::map<uint32_t, std::string> blobs) {
+                                     std::map<uint32_t, state::VnodeImage> images) {
   std::vector<int> group = manager_->Group(op, subtask);
   std::string key = Key(op, subtask);
   std::lock_guard<std::mutex> lock(catalog_mu_);
@@ -575,9 +576,7 @@ void ReplicationRuntime::SeedReplica(const std::string& op, uint32_t subtask,
     ReplicaState& rep = replicas_[key][node];
     rep.latest_checkpoint_id = desc.checkpoint_id;
     rep.latest_descriptor = desc;
-    for (const auto& [vnode, blob] : blobs) {
-      rep.vnode_blobs[vnode] = blob;
-    }
+    for (const auto& [vnode, image] : images) rep.images[vnode] = image;
   }
 }
 

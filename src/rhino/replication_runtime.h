@@ -16,6 +16,7 @@
 #include "runtime/retry.h"
 #include "sim/cluster.h"
 #include "state/checkpoint.h"
+#include "state/state_backend.h"
 
 /// \file replication_runtime.h
 /// Rhino's distributed replication runtime (paper §4.2.2 phase 2).
@@ -29,9 +30,9 @@
 /// head receives the ack the checkpoint is marked complete.
 ///
 /// The runtime doubles as the replica catalog: which node holds which
-/// instance's checkpoints (descriptors, per-vnode content blobs, and
-/// replay watermarks) — what the Handover Manager consults to pick targets
-/// whose state fetch is purely local.
+/// instance's checkpoints (descriptors and per-vnode images: sizes, replay
+/// watermarks and entries) — what the Handover Manager consults to pick
+/// targets whose state fetch is purely local.
 ///
 /// Failure handling (paper §4.2.3): a fail-stop of any chain member aborts
 /// the transfer with an error `Status` (the chain is only as durable as
@@ -74,9 +75,9 @@ struct ReplicationOptions {
 struct ReplicaState {
   uint64_t latest_checkpoint_id = 0;
   state::CheckpointDescriptor latest_descriptor;
-  /// Per-vnode content blob (real mode carries values; modeled mode
-  /// carries byte counts). Keyed by vnode.
-  std::map<uint32_t, std::string> vnode_blobs;
+  /// Whole image of each vnode the instance owned at the checkpoint (real
+  /// mode carries entries; modeled mode sizes alone). Keyed by vnode.
+  std::map<uint32_t, state::VnodeImage> images;
 };
 
 /// Chain-replication engine + replica catalog.
@@ -89,15 +90,15 @@ class ReplicationRuntime {
   }
 
   /// Asynchronously replicates the *delta* of `desc` from `primary_node`
-  /// through the instance's replica chain. `blobs` carries the per-vnode
-  /// content snapshot stored at the replicas for recovery. `done` fires
+  /// through the instance's replica chain. `images` is the per-vnode
+  /// snapshot stored at the replicas for recovery. `done` fires
   /// exactly once: with OK when the head receives the tail's
   /// acknowledgment, or with an error `Status` when a chain member (or the
   /// primary) fail-stops mid-transfer.
   void ReplicateCheckpoint(const std::string& op, uint32_t subtask,
                            int primary_node,
                            const state::CheckpointDescriptor& desc,
-                           std::map<uint32_t, std::string> blobs,
+                           std::map<uint32_t, state::VnodeImage> images,
                            std::function<void(Status)> done);
 
   /// Latest state fully replicated on `node` for the instance, or nullptr
@@ -140,7 +141,7 @@ class ReplicationRuntime {
   /// (pre-experiment state, "previous checkpoints already replicated").
   void SeedReplica(const std::string& op, uint32_t subtask,
                    const state::CheckpointDescriptor& desc,
-                   std::map<uint32_t, std::string> blobs);
+                   std::map<uint32_t, state::VnodeImage> images);
 
   /// Fault-injection probe: called with a named protocol event
   /// ("replication_transfer", "replication_chunk") at each occurrence —

@@ -144,10 +144,6 @@ uint64_t LsmStateBackend::SizeBytes() const {
 
 uint64_t LsmStateBackend::VnodeBytes(uint32_t vnode) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return VnodeBytesLocked(vnode);
-}
-
-uint64_t LsmStateBackend::VnodeBytesLocked(uint32_t vnode) const {
   auto it = vnode_bytes_.find(vnode);
   return it == vnode_bytes_.end() ? 0 : it->second;
 }
@@ -171,79 +167,17 @@ Result<CheckpointDescriptor> LsmStateBackend::Checkpoint(
   return desc;
 }
 
-Result<std::string> LsmStateBackend::ExtractVnodes(
-    const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Entries stream straight from the DB iterator into the blob; the only
-  // intermediate state per vnode is the fixed-width entry count, written
-  // as a placeholder and patched once the vnode is done.
-  std::string blob;
-  BinaryWriter w(&blob);
-  w.PutU32(static_cast<uint32_t>(vnodes.size()));
-  for (uint32_t v : vnodes) {
-    w.PutU32(v);
-    w.PutU64(VnodeBytesLocked(v));
-    size_t count_offset = blob.size();
-    w.PutU64(0);
-    RHINO_ASSIGN_OR_RETURN(uint64_t count, AppendVnodeEntries(v, &blob));
-    std::memcpy(blob.data() + count_offset, &count, sizeof(count));
-  }
-  return blob;
-}
-
-Result<uint64_t> LsmStateBackend::AppendVnodeEntries(uint32_t vnode,
-                                                     std::string* out) {
-  RHINO_ASSIGN_OR_RETURN(auto it, db_->NewIterator(EncodeKey(vnode, ""),
-                                                   EncodeKey(vnode + 1, "")));
-  EntryWriter entries(out);
-  uint64_t count = 0;
-  for (; it.Valid(); it.Next()) {
-    entries.Put(std::string_view(it.key()).substr(4), it.value());
-    ++count;
-  }
-  return count;
-}
-
 Status LsmStateBackend::ReadVnodeEntries(uint32_t vnode, std::string* run) {
   // No lock: like WriteVnodeEntries it touches no accounting, and the
   // iterator is a snapshot of the DB.
   run->clear();
-  return AppendVnodeEntries(vnode, run).status();
-}
-
-Status LsmStateBackend::IngestVnodes(std::string_view blob, bool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Entries are replayed through group-committed batches: one WAL append
-  // per ~kIngestCommitBytes of entries rather than one per entry, which
-  // is where vnode-restore ingest throughput comes from.
-  constexpr uint64_t kIngestCommitBytes = 1 << 20;
-  BinaryReader r(blob);
-  uint32_t num_vnodes = 0;
-  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
-  lsm::WriteBatch batch;
-  for (uint32_t i = 0; i < num_vnodes; ++i) {
-    uint32_t vnode = 0;
-    uint64_t nominal = 0, count = 0;
-    RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
-    RHINO_RETURN_NOT_OK(r.GetU64(&nominal));
-    RHINO_RETURN_NOT_OK(r.GetU64(&count));
-    EntryReader entries(blob.substr(r.position()));
-    for (uint64_t e = 0; e < count; ++e) {
-      RHINO_RETURN_NOT_OK(entries.Next());
-      if (entries.is_tombstone()) {
-        return Status::Corruption("tombstone inside a vnode blob");
-      }
-      batch.Put(EncodeKey(vnode, entries.key()), entries.value());
-      if (batch.ApproximateBytes() >= kIngestCommitBytes) {
-        RHINO_RETURN_NOT_OK(db_->Write(batch));
-        batch.Clear();
-      }
-    }
-    std::string_view vnode_entries;  // steps past them to the next vnode
-    RHINO_RETURN_NOT_OK(r.GetBytes(entries.position(), &vnode_entries));
-    vnode_bytes_[vnode] += nominal;
+  RHINO_ASSIGN_OR_RETURN(auto it, db_->NewIterator(EncodeKey(vnode, ""),
+                                                   EncodeKey(vnode + 1, "")));
+  EntryWriter entries(run);
+  for (; it.Valid(); it.Next()) {
+    entries.Put(std::string_view(it.key()).substr(4), it.value());
   }
-  return db_->Write(batch);
+  return Status::OK();
 }
 
 Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
@@ -290,9 +224,18 @@ Status LsmStateBackend::WriteVnodeEntries(uint32_t vnode,
   return db_->Write(batch);
 }
 
-void LsmStateBackend::SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  vnode_bytes_[vnode] = nominal_bytes;
+Status LsmStateBackend::IngestImages(const std::vector<VnodeImage>& images,
+                                     bool) {
+  for (const VnodeImage& image : images) {
+    // An empty run (a held copy taken over, a restored chain) writes
+    // nothing, not even a WAL record.
+    if (!image.entries.empty()) {
+      RHINO_RETURN_NOT_OK(WriteVnodeEntries(image.vnode, image.entries));
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    vnode_bytes_[image.vnode] = image.bytes;
+  }
+  return Status::OK();
 }
 
 void LsmStateBackend::ReaderCapture::Record(uint32_t vnode,

@@ -17,10 +17,9 @@
 ///
 /// Keys are prefixed with a fixed-width big-endian virtual-node id so each
 /// virtual node occupies a contiguous key range, exactly how Flink scopes
-/// RocksDB state by key group: reading a vnode's entry run (and the
-/// blob extraction built on it) is a range scan that seeks to the vnode
-/// (memtable and tables alike), and vnode drop is the same range scan
-/// writing one tombstone per live key.
+/// RocksDB state by key group: reading a vnode's entry run is a range scan
+/// that seeks to the vnode (memtable and tables alike), and vnode drop is
+/// the same range scan writing one tombstone per live key.
 /// The same store holds the replicas a node keeps of its peers' vnodes
 /// ("held rows", state_backend.h): the LSM's own merge applies a key delta
 /// to them, and taking a held vnode over sets its size, touching no key.
@@ -30,11 +29,10 @@ namespace rhino::state {
 // ------------------------------------------------------- state entries --
 //
 // One entry format carries real state on every byte path: a whole
-// vnode's run (`ReadVnodeEntries`, also the body of an `ExtractVnodes`
-// blob) and the change runs of `TakeChanges`, and through them every
-// `net::VnodeImage` — whole and key stream deltas, extract/ingest,
-// promotion — held rows and checkpoint chain records, whole or not. Each
-// entry is
+// vnode's run (`ReadVnodeEntries`) and the change runs of `TakeChanges`,
+// and through them every `VnodeImage` — whole and key stream deltas,
+// handovers, promotion, the simulator's checkpoints and restores — held
+// rows and checkpoint chain records, whole or not. Each entry is
 //
 //   varint shared | varint unshared | key suffix |
 //   varint (value length + 1, 0 = tombstone) | value
@@ -93,8 +91,8 @@ class EntryReader {
 /// concurrent use on its own). The protocols already serialize writes to
 /// one instance's state on its node strand; the lock covers the
 /// cross-strand readers — checkpoint persistence and handover extraction
-/// reading sizes while the owner keeps processing. No public method calls
-/// another, so the mutex is a plain one.
+/// reading sizes while the owner keeps processing. No method calls
+/// another while it holds the mutex, so the mutex is a plain one.
 class LsmStateBackend : public StateBackend {
  public:
   /// Opens (or creates) the backing DB under `dir`. Checkpoints are placed
@@ -113,20 +111,17 @@ class LsmStateBackend : public StateBackend {
   uint64_t SizeBytes() const override;
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
-  /// Streams each vnode's range from the DB iterator into the blob:
-  /// `u32 vnode count`, then per vnode `u32 vnode | u64 nominal bytes |
-  /// u64 entry count` and its entry run (live keys only, no tombstones).
-  /// The header stays fixed-width so the entry count can be patched in
-  /// place once the vnode is done.
-  Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
-  Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
-  /// The same range scan ExtractVnodes runs per vnode, without its header.
+  /// Streams the vnode's range from a DB iterator into the run: live keys
+  /// only, no tombstones.
   Status ReadVnodeEntries(uint32_t vnode, std::string* run) override;
   /// One lsm::WriteBatch of the run's entries, decoded before anything is
   /// written; the WAL covers held rows like any other write.
   Status WriteVnodeEntries(uint32_t vnode, std::string_view run) override;
-  void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) override;
+  /// The durable flag is the modeled backend's: real bytes reach the next
+  /// checkpoint through the store's own files.
+  Status IngestImages(const std::vector<VnodeImage>& images,
+                      bool already_durable) override;
 
   void SetChangeCapture(ChangeReader reader, bool on) override;
   /// The run is a sequence of entries, puts and tombstones, strictly
@@ -150,12 +145,6 @@ class LsmStateBackend : public StateBackend {
 
   static std::string EncodeKey(uint32_t vnode, std::string_view key);
 
-  /// Appends `vnode`'s live entries to `*out` as one run, straight from a
-  /// DB iterator over its key range; returns how many it wrote.
-  Result<uint64_t> AppendVnodeEntries(uint32_t vnode, std::string* out);
-
-  /// Nominal bytes of `vnode`. Requires mu_.
-  uint64_t VnodeBytesLocked(uint32_t vnode) const;
   /// Subtracts nominal bytes from a vnode's accounting, clamping at zero.
   void DiscountBytes(uint32_t vnode, uint64_t nominal_bytes);
 

@@ -1,7 +1,5 @@
 #include "state/modeled_state_backend.h"
 
-#include "common/serde.h"
-
 namespace rhino::state {
 
 void ModeledStateBackend::AddBytes(uint32_t vnode, uint64_t bytes) {
@@ -23,27 +21,6 @@ void ModeledStateBackend::RemoveBytesLocked(uint32_t vnode, uint64_t bytes) {
   auto it = vnode_bytes_.find(vnode);
   if (it == vnode_bytes_.end()) return;
   it->second = bytes > it->second ? 0 : it->second - bytes;
-}
-
-void ModeledStateBackend::AdoptCheckpointVnodes(
-    const CheckpointDescriptor& desc, const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t adopted = 0;
-  for (uint32_t v : vnodes) {
-    auto it = desc.vnode_bytes.find(v);
-    if (it == desc.vnode_bytes.end()) continue;
-    vnode_bytes_[v] += it->second;
-    adopted += it->second;
-  }
-  if (adopted > 0) {
-    StateFile file{operator_name_ + "-" + std::to_string(instance_id_) +
-                       "-adopted-" + std::to_string(next_file_id_++),
-                   adopted};
-    files_.push_back(file);
-    // Already durable on this worker (it came out of a replicated
-    // checkpoint), so it must not surface as a delta to replicate again.
-    last_checkpoint_files_.push_back(file);
-  }
 }
 
 Status ModeledStateBackend::Get(uint32_t, std::string_view, std::string*) {
@@ -76,10 +53,6 @@ uint64_t ModeledStateBackend::SizeBytes() const {
 
 uint64_t ModeledStateBackend::VnodeBytes(uint32_t vnode) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return VnodeBytesLocked(vnode);
-}
-
-uint64_t ModeledStateBackend::VnodeBytesLocked(uint32_t vnode) const {
   auto it = vnode_bytes_.find(vnode);
   return it == vnode_bytes_.end() ? 0 : it->second;
 }
@@ -106,44 +79,22 @@ Result<CheckpointDescriptor> ModeledStateBackend::Checkpoint(
   return desc;
 }
 
-Result<std::string> ModeledStateBackend::ExtractVnodes(
-    const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string blob;
-  BinaryWriter w(&blob);
-  w.PutU32(static_cast<uint32_t>(vnodes.size()));
-  for (uint32_t v : vnodes) {
-    w.PutU32(v);
-    w.PutU64(VnodeBytesLocked(v));
-  }
-  return blob;
-}
-
-Status ModeledStateBackend::IngestVnodes(std::string_view blob,
+Status ModeledStateBackend::IngestImages(const std::vector<VnodeImage>& images,
                                          bool already_durable) {
   std::lock_guard<std::mutex> lock(mu_);
-  BinaryReader r(blob);
-  uint32_t num_vnodes = 0;
-  uint64_t durable_ingested = 0;
-  RHINO_RETURN_NOT_OK(r.GetU32(&num_vnodes));
-  for (uint32_t i = 0; i < num_vnodes; ++i) {
-    uint32_t vnode = 0;
-    uint64_t bytes = 0;
-    RHINO_RETURN_NOT_OK(r.GetU32(&vnode));
-    RHINO_RETURN_NOT_OK(r.GetU64(&bytes));
-    vnode_bytes_[vnode] += bytes;
-    if (already_durable) {
-      durable_ingested += bytes;
-    } else {
-      // A live-migration tail has not been checkpointed by *this* backend
-      // yet; it becomes part of the next delta.
-      uncheckpointed_bytes_ += bytes;
-    }
+  uint64_t ingested = 0;
+  for (const VnodeImage& image : images) {
+    vnode_bytes_[image.vnode] = image.bytes;
+    ingested += image.bytes;
   }
-  if (durable_ingested > 0) {
+  if (!already_durable) {
+    // A live migration has not been checkpointed by *this* backend yet; it
+    // becomes part of the next delta.
+    uncheckpointed_bytes_ += ingested;
+  } else if (ingested > 0) {
     StateFile file{operator_name_ + "-" + std::to_string(instance_id_) +
                        "-restored-" + std::to_string(next_file_id_++),
-                   durable_ingested};
+                   ingested};
     files_.push_back(file);
     last_checkpoint_files_.push_back(file);
   }
@@ -154,12 +105,6 @@ Status ModeledStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
   std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t v : vnodes) vnode_bytes_.erase(v);
   return Status::OK();
-}
-
-void ModeledStateBackend::SetVnodeBytes(uint32_t vnode,
-                                        uint64_t nominal_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  vnode_bytes_[vnode] = nominal_bytes;
 }
 
 }  // namespace rhino::state

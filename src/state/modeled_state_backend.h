@@ -24,8 +24,8 @@ namespace rhino::state {
 ///
 /// Thread safety: every method locks one internal mutex (the counters are
 /// cheap; contention is not a concern for a size-only backend). No public
-/// method calls another — ApplyBatch and ExtractVnodes go through the
-/// unlocked helpers — so the mutex is a plain one.
+/// method calls another — ApplyBatch goes through the unlocked helpers —
+/// so the mutex is a plain one.
 class ModeledStateBackend : public StateBackend {
  public:
   ModeledStateBackend(std::string operator_name, uint32_t instance_id)
@@ -40,8 +40,6 @@ class ModeledStateBackend : public StateBackend {
   uint64_t SizeBytes() const override;
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
-  Result<std::string> ExtractVnodes(const std::vector<uint32_t>& vnodes) override;
-  Status IngestVnodes(std::string_view blob, bool already_durable) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
   /// Stores no values: a vnode's run is empty, and a held vnode is its
   /// size alone.
@@ -52,8 +50,11 @@ class ModeledStateBackend : public StateBackend {
   Status WriteVnodeEntries(uint32_t, std::string_view) override {
     return Status::OK();
   }
-  /// The size joins no delta: it is durable elsewhere already.
-  void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) override;
+  /// An image is its size alone. A live ingest's bytes join the next
+  /// delta; a durable one's become one restored file per call, already in
+  /// the last checkpoint's file set, so it is never replicated again.
+  Status IngestImages(const std::vector<VnodeImage>& images,
+                      bool already_durable) override;
 
   /// Adds `bytes` of modeled state to `vnode` without a key (bulk path used
   /// by modeled operators processing batch descriptors).
@@ -61,19 +62,10 @@ class ModeledStateBackend : public StateBackend {
   /// Removes `bytes` of modeled state (session-window eviction etc.).
   void RemoveBytes(uint32_t vnode, uint64_t bytes);
 
-  /// Adopts already-checkpointed state for `vnodes` out of a replicated
-  /// checkpoint (the local-fetch path of a handover): the bytes join this
-  /// backend's file set directly instead of the next delta, because the
-  /// target's worker already holds the files on disk.
-  void AdoptCheckpointVnodes(const CheckpointDescriptor& desc,
-                             const std::vector<uint32_t>& vnodes);
-
  private:
-  /// The unlocked bodies of AddBytes, RemoveBytes and VnodeBytes. Require
-  /// mu_.
+  /// The unlocked bodies of AddBytes and RemoveBytes. Require mu_.
   void AddBytesLocked(uint32_t vnode, uint64_t bytes);
   void RemoveBytesLocked(uint32_t vnode, uint64_t bytes);
-  uint64_t VnodeBytesLocked(uint32_t vnode) const;
 
   mutable std::mutex mu_;
   std::string operator_name_;

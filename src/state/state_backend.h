@@ -23,13 +23,12 @@
 ///    is impossible. Produces the same `CheckpointDescriptor`s, so every
 ///    protocol above this interface is identical code in both modes.
 ///
-/// State leaves a backend in two shapes. The simulated runtime moves
-/// blobs (`ExtractVnodes` / `IngestVnodes`, whole vnodes behind a size
-/// header). The networked runtime moves entry runs: `ReadVnodeEntries`
+/// State leaves a backend in one shape, the entry run: `ReadVnodeEntries`
 /// reads a whole vnode's, `TakeChanges` the keys written since a reader's
 /// last take, and `WriteVnodeEntries` applies either on the receiving
-/// side. A `net::VnodeImage` and a checkpoint chain record, whole or not,
-/// carry exactly such a run.
+/// side. A `VnodeImage` carries one run with the vnode's size and replay
+/// watermarks; both runtimes move state only as images, and a checkpoint
+/// chain record, whole or not, carries the same run.
 
 namespace rhino::state {
 
@@ -38,6 +37,26 @@ namespace rhino::state {
 /// checkpoint chains.
 enum class ChangeReader : uint8_t { kStream = 0, kCheckpoint = 1 };
 inline constexpr size_t kChangeReaders = 2;
+
+/// One vnode's state as both runtimes move it (paper §4.1: a handover is
+/// the origin's last incremental checkpoint applied on top of the replica
+/// the target holds; a move without a replica applies it on top of
+/// nothing). `entries` is one `EntryWriter` run (lsm_state_backend.h).
+/// With `base_seq == 0` the run is the whole vnode. Otherwise it holds the
+/// keys written since the copy the receiver holds at exactly stream seq
+/// `base_seq`, puts and tombstones, and applies only on top of that copy;
+/// a replica-local handover's run is empty. `bytes` and `watermarks` are
+/// the vnode's nominal size and replay watermarks, captured atomically
+/// with its state.
+struct VnodeImage {
+  uint32_t vnode = 0;
+  uint64_t base_seq = 0;
+  uint64_t bytes = 0;
+  std::map<int, uint64_t> watermarks;
+  std::string entries;
+
+  bool operator==(const VnodeImage&) const = default;
+};
 
 /// One staged mutation for StateBackend::ApplyBatch.
 struct StateWrite {
@@ -82,47 +101,18 @@ class StateBackend {
   /// taken through this backend.
   virtual Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) = 0;
 
-  /// Serializes the live contents of `vnodes` for the simulated runtime's
-  /// handovers and checkpoints. Real backends emit each vnode's entry run
-  /// (ReadVnodeEntries) behind a fixed-width per-vnode header; modeled
-  /// backends emit a size-only placeholder. Returns the blob (pass to
-  /// IngestVnodes of a backend of the same kind). Each vnode costs its own
-  /// key range, not the whole store.
-  virtual Result<std::string> ExtractVnodes(
-      const std::vector<uint32_t>& vnodes) = 0;
-
-  /// Serializes each of `vnodes` into its own blob, keyed by vnode id:
-  /// ExtractVnodes({v}) per vnode, so one vnode costs one range.
-  Result<std::map<uint32_t, std::string>> ExtractVnodeBlobs(
-      const std::vector<uint32_t>& vnodes) {
-    std::map<uint32_t, std::string> blobs;
-    for (uint32_t v : vnodes) {
-      RHINO_ASSIGN_OR_RETURN(auto blob, ExtractVnodes({v}));
-      blobs.emplace(v, std::move(blob));
-    }
-    return blobs;
-  }
-
-  /// Ingests a blob produced by ExtractVnodes on the origin instance.
-  /// `already_durable` marks bytes that came out of a replicated/persisted
-  /// checkpoint: they must not surface in this backend's next incremental
-  /// delta (they are on disk already); a live migration tail is not
-  /// durable and becomes part of the next delta.
-  virtual Status IngestVnodes(std::string_view blob,
-                              bool already_durable = false) = 0;
-
   /// Drops all state of `vnodes` (origin side after a successful handover),
   /// held rows included.
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
 
   // --------------------------------------------------------- entry runs --
-  // The networked runtime moves state only as entry runs, EntryWriter's
-  // format (lsm_state_backend.h): a whole vnode read by ReadVnodeEntries,
-  // or the keys written since a point taken by TakeChanges, and written
-  // by WriteVnodeEntries on the receiving side. A node keeps each vnode it
+  // State moves only as entry runs, EntryWriter's format
+  // (lsm_state_backend.h): a whole vnode read by ReadVnodeEntries, or the
+  // keys written since a point taken by TakeChanges, and written by
+  // WriteVnodeEntries on the receiving side. A node keeps each vnode it
   // replicates for a peer as rows of its own backend, under the owner's
   // keys ("held rows"), which are not yet this backend's state: they stay
-  // out of SizeBytes() and both capture readers until SetVnodeBytes takes
+  // out of SizeBytes() and both capture readers until IngestImages takes
   // the vnode over, copying no key.
 
   /// Replaces `*run` with `vnode`'s live entries, in key order, as one
@@ -133,8 +123,15 @@ class StateBackend {
   /// atomic write that skips byte accounting and both capture readers.
   /// Corruption, with nothing written, on a malformed run.
   virtual Status WriteVnodeEntries(uint32_t vnode, std::string_view run) = 0;
-  /// Sets `vnode`'s nominal size.
-  virtual void SetVnodeBytes(uint32_t vnode, uint64_t nominal_bytes) = 0;
+  /// Takes `images` over, the one way state enters a backend whole: writes
+  /// each image's run with WriteVnodeEntries (atomic per vnode; an empty
+  /// run writes nothing) and sets each vnode's nominal size to the
+  /// image's. Watermarks are the host's. `already_durable` marks images
+  /// that came out of a replicated or persisted checkpoint: they must not
+  /// surface in this backend's next incremental delta (they are on disk
+  /// already); a live migration is not durable and joins the next delta.
+  virtual Status IngestImages(const std::vector<VnodeImage>& images,
+                              bool already_durable) = 0;
 
   // ----------------------------------------------------- change capture --
   // Incremental replication and incremental checkpoints ship, per vnode,
@@ -143,7 +140,7 @@ class StateBackend {
   // through ApplyBatch is recorded for it per vnode — its latest value or
   // a tombstone — until that reader takes it, so a reader's memory is
   // bounded by the distinct keys written since its last take, not by the
-  // number of writes. Readers never see each other's takes. IngestVnodes
+  // number of writes. Readers never see each other's takes. IngestImages
   // and WriteVnodeEntries record nothing for any reader (absorbed vnodes
   // ship whole; held rows are not this backend's state) and DropVnodes
   // discards the dropped vnodes' keys for all readers. The defaults cannot

@@ -280,14 +280,12 @@ class InlineDelegate : public HandoverDelegate {
                      StatefulInstance* origin, StatefulInstance* target,
                      std::function<void()> done) override {
     ASSERT_NE(origin, nullptr);
-    auto blob = origin->backend()->ExtractVnodes(move.vnodes);
-    ASSERT_TRUE(blob.ok());
-    auto marks = origin->GetWatermarks(move.vnodes);
+    auto images = origin->ReadImages(move.vnodes);
+    ASSERT_TRUE(images.ok());
     HandoverSpec spec_copy = spec;
     HandoverMove move_copy = move;
-    sim_->Schedule(delay_, [=, blob = std::move(blob).MoveValue()] {
-      RHINO_CHECK_OK(target->backend()->IngestVnodes(blob, false));
-      target->MergeWatermarks(marks);
+    sim_->Schedule(delay_, [=, images = std::move(images).MoveValue()] {
+      RHINO_CHECK_OK(target->IngestImages(images, false));
       origin->CompleteHandoverAsOrigin(spec_copy, move_copy);
       target->CompleteHandoverAsTarget(spec_copy, move_copy);
       done();
@@ -329,7 +327,7 @@ TEST_F(DataflowTest, HandoverMovesVnodesAndState) {
       graph->stateful("counter")[0]->backend()->SizeBytes();
   EXPECT_GT(origin_bytes_before, 0u);
 
-  engine_.StartHandover(spec);
+  ASSERT_TRUE(engine_.StartHandover(spec).ok());
   sim_.Run();
 
   ASSERT_EQ(engine_.handovers().size(), 1u);
@@ -416,7 +414,7 @@ TEST_F(DataflowTest, HandoverPreservesExactlyOnceCounts) {
       spec->operator_name = "counter";
       spec->moves = {
           HandoverMove{0, 1, engine_.routing("counter")->VnodesOfInstance(0)}};
-      engine_.StartHandover(spec);
+      ASSERT_TRUE(engine_.StartHandover(spec).ok());
     }
     sim_.RunUntil(sim_.Now() + kSecond);
   }
@@ -451,7 +449,7 @@ TEST_F(DataflowTest, HandoverToFreshInstanceBuffersUntilStateArrives) {
   spec->operator_name = "counter";
   spec->moves = {
       HandoverMove{0, 1, engine_.routing("counter")->VnodesOfInstance(0)}};
-  engine_.StartHandover(spec);
+  ASSERT_TRUE(engine_.StartHandover(spec).ok());
 
   // Records arriving during the transfer are buffered, not lost.
   for (uint64_t key = 0; key < 10; ++key) Produce("events", 0, key, "x");

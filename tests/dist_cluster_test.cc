@@ -396,7 +396,7 @@ TEST(DistClusterTest, LiveHandoverMovesStateAndWatermarks) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
 
   // Node 1 is node 0's ring successor and holds its replica: the move is
-  // replica-local, so the origin's extract reply carries no state blobs.
+  // replica-local, so the origin's extract reply carries no state entries.
   cluster.Tap(0, [&](MessageType type, std::string_view,
                      const Result<std::string>& reply) {
     if (type != MessageType::kExtractVnodes || !reply.ok()) return;

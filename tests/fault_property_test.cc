@@ -44,6 +44,14 @@ using dataflow::ProcessingProfile;
 using dataflow::QueryDef;
 using dataflow::Record;
 
+/// A whole image of `vnode` whose run is `entries`.
+state::VnodeImage Image(uint32_t vnode, std::string entries) {
+  state::VnodeImage image;
+  image.vnode = vnode;
+  image.entries = std::move(entries);
+  return image;
+}
+
 // ------------------------------------------ replication chain crash sweep --
 
 sim::NodeSpec FastSpec() {
@@ -84,7 +92,8 @@ ChainOutcome RunChainTransfer(SimTime crash_time, int victim) {
   ChainOutcome outcome;
   runtime.ReplicateCheckpoint("op", 0, /*primary_node=*/0,
                               ChainDesc(1, 64 * kMiB),
-                              {{0, "blob0"}, {1, "blob1"}}, [&](Status st) {
+                              {{0, Image(0, "run0")}, {1, Image(1, "run1")}},
+                              [&](Status st) {
                                 ++outcome.done_count;
                                 outcome.status = st;
                                 outcome.completed_at = sim.Now();

@@ -1078,16 +1078,16 @@ rhino::ChainRecord MakeRecord(rhino::ChainRecord::Kind kind, uint64_t id,
   return record;
 }
 
-/// The one-vnode blob of `vnode` in a fresh backend `chain` was restored
-/// into: the state the chain stands for.
-std::string RestoredBlob(const rhino::VnodeChain& chain, uint32_t vnode) {
+/// The entry run of `vnode` in a fresh backend `chain` was restored into:
+/// the state the chain stands for.
+std::string RestoredRun(const rhino::VnodeChain& chain, uint32_t vnode) {
   lsm::MemEnv env;
   auto backend = state::LsmStateBackend::Open(&env, "/state/restored", "op", 0);
   RHINO_CHECK_OK(backend.status());
   RHINO_CHECK_OK(rhino::RestoreChain(chain, vnode, backend->get()));
-  auto blob = (*backend)->ExtractVnodes({vnode});
-  RHINO_CHECK_OK(blob.status());
-  return *blob;
+  std::string run;
+  RHINO_CHECK_OK((*backend)->ReadVnodeEntries(vnode, &run));
+  return run;
 }
 
 TEST(WireTest, TornCheckpointImageIsCorruption) {
@@ -1096,8 +1096,6 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
   ASSERT_TRUE(backend.ok());
   ASSERT_TRUE(
       (*backend)->ApplyBatch({{1, false, "k", "some-state", 7}}).ok());
-  auto blobs = (*backend)->ExtractVnodeBlobs({1});
-  ASSERT_TRUE(blobs.ok());
   std::string run, chain;
   ASSERT_TRUE((*backend)->ReadVnodeEntries(1, &run).ok());
   rhino::AppendChainRecord(
@@ -1105,7 +1103,7 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
   ASSERT_TRUE(env.WriteFile("/ckpt/op-1.chain", chain).ok());
   auto loaded = rhino::ReadChain(&env, "/ckpt/op-1.chain");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(RestoredBlob(*loaded, 1), blobs->at(1));
+  EXPECT_EQ(RestoredRun(*loaded, 1), run);
   EXPECT_EQ(loaded->nominal_bytes, 7u);
   EXPECT_EQ(loaded->checkpoint_id, 3u);
   EXPECT_EQ(loaded->watermarks,
@@ -1133,7 +1131,7 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
 
 /// Vnode 2 of a fresh backend through `rounds` rounds of seeded random
 /// writes, as a chain: a whole record, then one key record per round of
-/// the checkpoint reader's changes. `states[i]` is the vnode blob after
+/// the checkpoint reader's changes. `states[i]` is the vnode's run after
 /// record i and `ends[i]` the chain size that completes it.
 struct ChainFixture {
   lsm::MemEnv env;
@@ -1179,17 +1177,17 @@ struct ChainFixture {
     }
   }
 
-  std::string Blob() {
-    auto blobs = backend->ExtractVnodeBlobs({2});
-    RHINO_CHECK_OK(blobs.status());
-    return blobs->at(2);
+  std::string Run() {
+    std::string run;
+    RHINO_CHECK_OK(backend->ReadVnodeEntries(2, &run));
+    return run;
   }
 
   void Record(rhino::ChainRecord::Kind kind, std::string_view body) {
     const uint64_t id = states.size() + 1;
     rhino::AppendChainRecord(
         MakeRecord(kind, id, backend->VnodeBytes(2), body), &chain);
-    states.push_back(Blob());
+    states.push_back(Run());
     nominal.push_back(backend->VnodeBytes(2));
     ends.push_back(chain.size());
   }
@@ -1213,7 +1211,7 @@ TEST(WireTest, EveryChainPrefixFoldsToItsLastCompleteRecord) {
                              << folded.status().ToString();
     EXPECT_EQ(folded->records, last + 1) << "prefix " << len;
     EXPECT_EQ(folded->valid_bytes, fixture.ends[last]) << "prefix " << len;
-    EXPECT_EQ(RestoredBlob(*folded, 2), fixture.states[last])
+    EXPECT_EQ(RestoredRun(*folded, 2), fixture.states[last])
         << "prefix " << len;
     EXPECT_EQ(folded->nominal_bytes, fixture.nominal[last]);
     EXPECT_EQ(folded->checkpoint_id, last + 1);
@@ -1225,21 +1223,21 @@ TEST(WireTest, EveryChainPrefixFoldsToItsLastCompleteRecord) {
   auto folded = rhino::ParseChain(flipped);
   ASSERT_TRUE(folded.ok());
   EXPECT_EQ(folded->records, 3u);
-  EXPECT_EQ(RestoredBlob(*folded, 2), fixture.states[2]);
+  EXPECT_EQ(RestoredRun(*folded, 2), fixture.states[2]);
 }
 
 TEST(WireTest, ChainFoldMatchesExtractionOverRandomRounds) {
   // 30 rounds of writes and checkpoints: restoring the chain after every
-  // round yields exactly the live vnode's blob and size.
+  // round yields exactly the live vnode's run and size.
   ChainFixture fixture(30);
   for (size_t i = 0; i < fixture.ends.size(); ++i) {
     auto folded = rhino::ParseChain(
         std::string_view(fixture.chain).substr(0, fixture.ends[i]));
     ASSERT_TRUE(folded.ok()) << folded.status().ToString();
-    ASSERT_EQ(RestoredBlob(*folded, 2), fixture.states[i]) << "record " << i;
+    ASSERT_EQ(RestoredRun(*folded, 2), fixture.states[i]) << "record " << i;
     ASSERT_EQ(folded->nominal_bytes, fixture.nominal[i]) << "record " << i;
   }
-  EXPECT_EQ(fixture.states.back(), fixture.Blob());
+  EXPECT_EQ(fixture.states.back(), fixture.Run());
 }
 
 TEST(WireTest, VnodeForKeySpreadsAndIsStable) {

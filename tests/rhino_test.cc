@@ -30,6 +30,14 @@ using dataflow::ProcessingProfile;
 using dataflow::QueryDef;
 using dataflow::Record;
 
+/// A whole image of `vnode` whose run is `entries`.
+state::VnodeImage Image(uint32_t vnode, std::string entries) {
+  state::VnodeImage image;
+  image.vnode = vnode;
+  image.entries = std::move(entries);
+  return image;
+}
+
 // ---------------------------------------------------- ReplicationManager --
 
 TEST(ReplicationManagerTest, GroupsExcludeHomeAndHaveSizeR) {
@@ -148,7 +156,7 @@ TEST_F(ReplicationRuntimeTest, ChainDeliversToAllReplicas) {
   ReplicationRuntime runtime(&cluster_, &rm_);
   bool done = false;
   runtime.ReplicateCheckpoint("op", 0, 0, Desc(1, 64 * kMiB),
-                              {{0, "blob0"}, {1, "blob1"}},
+                              {{0, Image(0, "run0")}, {1, Image(1, "run1")}},
                               [&](Status st) {
                                 EXPECT_TRUE(st.ok());
                                 done = true;
@@ -159,7 +167,7 @@ TEST_F(ReplicationRuntimeTest, ChainDeliversToAllReplicas) {
     const ReplicaState* rep = runtime.ReplicaOn("op", 0, node);
     ASSERT_NE(rep, nullptr) << "node " << node;
     EXPECT_EQ(rep->latest_checkpoint_id, 1u);
-    EXPECT_EQ(rep->vnode_blobs.at(0), "blob0");
+    EXPECT_EQ(rep->images.at(0).entries, "run0");
   }
   EXPECT_EQ(runtime.ReplicaOn("op", 0, 0), nullptr) << "home holds primary";
   // Two hops of 64 MiB each.
@@ -218,8 +226,8 @@ TEST_F(ReplicationRuntimeTest, ChainMemberCrashAbortsWithError) {
   });
   bool done = false;
   Status status;
-  runtime.ReplicateCheckpoint("op", 0, 0, Desc(1, 64 * kMiB), {{0, "blob"}},
-                              [&](Status st) {
+  runtime.ReplicateCheckpoint("op", 0, 0, Desc(1, 64 * kMiB),
+                              {{0, Image(0, "run")}}, [&](Status st) {
                                 done = true;
                                 status = st;
                               });
@@ -233,7 +241,7 @@ TEST_F(ReplicationRuntimeTest, ChainMemberCrashAbortsWithError) {
 
 TEST_F(ReplicationRuntimeTest, PurgeNodeDropsCatalogEntries) {
   ReplicationRuntime runtime(&cluster_, &rm_);
-  runtime.SeedReplica("op", 0, Desc(5, 1 * kGiB), {{3, "blob"}});
+  runtime.SeedReplica("op", 0, Desc(5, 1 * kGiB), {{3, Image(3, "run")}});
   int member = rm_.Group("op", 0)[0];
   ASSERT_NE(runtime.ReplicaOn("op", 0, member), nullptr);
   runtime.PurgeNode(member);
@@ -244,7 +252,7 @@ TEST_F(ReplicationRuntimeTest, PurgeNodeDropsCatalogEntries) {
 
 TEST_F(ReplicationRuntimeTest, SeedReplicaRegistersWithoutIo) {
   ReplicationRuntime runtime(&cluster_, &rm_);
-  runtime.SeedReplica("op", 0, Desc(5, 1 * kGiB), {{3, "blob"}});
+  runtime.SeedReplica("op", 0, Desc(5, 1 * kGiB), {{3, Image(3, "run")}});
   EXPECT_EQ(sim_.PendingEvents(), 0u);
   const ReplicaState* rep = runtime.ReplicaOn("op", 0, rm_.Group("op", 0)[0]);
   ASSERT_NE(rep, nullptr);
@@ -349,7 +357,7 @@ TEST_F(RhinoEndToEndTest, CheckpointReplicatesToReplicaGroups) {
       ASSERT_NE(rep, nullptr);
       EXPECT_EQ(rep->latest_checkpoint_id,
                 engine_.LastCompletedCheckpoint()->id);
-      EXPECT_FALSE(rep->vnode_blobs.empty());
+      EXPECT_FALSE(rep->images.empty());
     }
   }
 }

@@ -54,6 +54,27 @@ Status Delete(StateBackend* backend, uint32_t vnode, std::string key,
       {{vnode, true, std::move(key), "", nominal_bytes}});
 }
 
+/// A whole image of `vnode` at size `bytes` whose run is `entries`.
+VnodeImage Image(uint32_t vnode, uint64_t bytes, std::string entries = "") {
+  VnodeImage image;
+  image.vnode = vnode;
+  image.bytes = bytes;
+  image.entries = std::move(entries);
+  return image;
+}
+
+/// The entry run of `v` (what whole images and whole chain records carry).
+std::string EntryRun(StateBackend* backend, uint32_t v) {
+  std::string run;
+  EXPECT_TRUE(backend->ReadVnodeEntries(v, &run).ok());
+  return run;
+}
+
+/// The whole image of `v`, its size and run (the replica's unit of state).
+VnodeImage WholeImage(StateBackend* backend, uint32_t v) {
+  return Image(v, backend->VnodeBytes(v), EntryRun(backend, v));
+}
+
 class LsmBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -134,12 +155,12 @@ TEST_F(LsmBackendTest, ExtractIngestMovesVnodes) {
   ASSERT_TRUE(Put(backend_.get(), 3, "b", "vb", 10).ok());
   ASSERT_TRUE(Put(backend_.get(), 4, "c", "vc", 10).ok());
 
-  auto blob = backend_->ExtractVnodes({3});
-  ASSERT_TRUE(blob.ok());
-
+  const VnodeImage image = WholeImage(backend_.get(), 3);
   auto other = LsmStateBackend::Open(&env_, "/state/op-1", "op", 1);
   ASSERT_TRUE(other.ok());
-  ASSERT_TRUE((*other)->IngestVnodes(*blob, false).ok());
+  const uint64_t appends = (*other)->db()->wal_appends();
+  ASSERT_TRUE((*other)->IngestImages({image}, false).ok());
+  EXPECT_EQ((*other)->db()->wal_appends(), appends + 1) << "one write";
   std::string v;
   ASSERT_TRUE((*other)->Get(3, "a", &v).ok());
   EXPECT_EQ(v, "va");
@@ -379,34 +400,33 @@ TEST(HostCommitFaultTest, ResendAfterAFailedCommitAppliesTheBatchOnce) {
   }
 }
 
-TEST_F(LsmBackendTest, ExtractVnodeBlobsMatchesPerVnodeExtraction) {
-  for (int v = 0; v < 6; v += 2) {
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(Put(backend_.get(), static_cast<uint32_t>(v),
-                      "k" + std::to_string(i),
-                      "v" + std::to_string(v) + "-" + std::to_string(i), 8)
-                      .ok());
-    }
-  }
-  // Each blob must be byte-identical to the one-vnode extraction —
-  // including for an owned-but-empty vnode (5) — because every downstream
-  // consumer (replication, handover ingest, chain records) takes either.
-  std::vector<uint32_t> owned = {0, 2, 4, 5};
-  auto blobs = backend_->ExtractVnodeBlobs(owned);
-  ASSERT_TRUE(blobs.ok());
-  ASSERT_EQ(blobs->size(), owned.size());
-  for (uint32_t v : owned) {
-    auto single = backend_->ExtractVnodes({v});
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(blobs->at(v), *single) << "vnode " << v;
-  }
-  // And they ingest cleanly.
-  auto other = LsmStateBackend::Open(&env_, "/state/op-2", "op", 2);
-  ASSERT_TRUE(other.ok());
-  ASSERT_TRUE((*other)->IngestVnodes(blobs->at(2), false).ok());
-  std::string v;
-  ASSERT_TRUE((*other)->Get(2, "k7", &v).ok());
-  EXPECT_EQ(v, "v2-7");
+// An ingest writes each image's run as one batch, tombstones included,
+// and sets each vnode's size rather than adding to it; an empty run (a
+// held copy taken over) writes nothing. A malformed run fails the ingest
+// with the vnodes before it written and nothing of its own.
+TEST_F(LsmBackendTest, IngestImagesWritesEachRunAndSetsEachSize) {
+  ASSERT_TRUE(Put(backend_.get(), 1, "gone", "x", 3).ok());
+  std::string run;
+  EntryWriter writer(&run);
+  writer.Put("a", "1");
+  writer.Delete("gone");
+  const uint64_t appends = backend_->db()->wal_appends();
+  ASSERT_TRUE(
+      backend_->IngestImages({Image(1, 40, run), Image(2, 7)}, false).ok());
+  EXPECT_EQ(backend_->db()->wal_appends(), appends + 1)
+      << "one write per non-empty run";
+  EXPECT_EQ(backend_->VnodeBytes(1), 40u) << "set, not added";
+  EXPECT_EQ(backend_->VnodeBytes(2), 7u);
+  EXPECT_EQ(RunEntries(EntryRun(backend_.get(), 1)),
+            (std::vector<std::pair<std::string, std::string>>{{"a", "1"}}));
+
+  std::string cut = run.substr(0, run.size() - 1);
+  const Status st =
+      backend_->IngestImages({Image(3, 5, run), Image(4, 6, cut)}, false);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_EQ(backend_->VnodeBytes(3), 5u) << "the image before is in";
+  EXPECT_EQ(backend_->VnodeBytes(4), 0u);
+  EXPECT_TRUE(EntryRun(backend_.get(), 4).empty());
 }
 
 // Extracting one vnode reads that vnode's blocks, not the store's. The
@@ -437,7 +457,10 @@ TEST_F(LsmBackendTest, OneVnodeExtractionReadsOnlyItsBlocks) {
 
   auto blocks_read_by = [&](const std::vector<uint32_t>& vnodes) {
     const uint64_t before = backend->db()->sst_blocks_read();
-    EXPECT_TRUE(backend->ExtractVnodeBlobs(vnodes).ok());
+    std::string run;
+    for (uint32_t v : vnodes) {
+      EXPECT_TRUE(backend->ReadVnodeEntries(v, &run).ok());
+    }
     return backend->db()->sst_blocks_read() - before;
   };
   const uint64_t all_blocks = blocks_read_by(all);
@@ -450,41 +473,28 @@ TEST_F(LsmBackendTest, OneVnodeExtractionReadsOnlyItsBlocks) {
 
 // ------------------------------------------------------ change capture
 
-/// The one-vnode blob of `v` (the replica's unit of state).
-std::string VnodeBlob(LsmStateBackend* backend, uint32_t v) {
-  auto blobs = backend->ExtractVnodeBlobs({v});
-  EXPECT_TRUE(blobs.ok());
-  return blobs.ok() ? blobs->at(v) : std::string();
-}
-
-/// The entry run of `v` (what whole images and whole chain records carry).
-std::string EntryRun(StateBackend* backend, uint32_t v) {
-  std::string run;
-  EXPECT_TRUE(backend->ReadVnodeEntries(v, &run).ok());
-  return run;
-}
-
-/// The blob of `vnode` in a fresh replica backend that held rows were
-/// written into: `runs` in order, then the size `nominal`. A replica fed
-/// a vnode's run and then every run taken since equals the vnode.
-std::string HeldBlob(lsm::Env* env, uint32_t vnode,
+/// The image of `vnode` in a fresh replica backend that held rows were
+/// written into: `runs` in order, then taken over at the size `nominal`.
+/// A replica fed a vnode's run and then every run taken since equals the
+/// vnode.
+VnodeImage HeldImage(lsm::Env* env, uint32_t vnode,
                      const std::vector<std::string_view>& runs,
                      uint64_t nominal) {
   static int replicas = 0;
   auto replica = LsmStateBackend::Open(
       env, "/state/replica-" + std::to_string(replicas++), "op", 9);
   EXPECT_TRUE(replica.ok());
-  if (!replica.ok()) return std::string();
+  if (!replica.ok()) return VnodeImage();
   for (std::string_view run : runs) {
     EXPECT_TRUE((*replica)->WriteVnodeEntries(vnode, run).ok());
   }
-  (*replica)->SetVnodeBytes(vnode, nominal);
-  return VnodeBlob(replica->get(), vnode);
+  EXPECT_TRUE((*replica)->IngestImages({Image(vnode, nominal)}, false).ok());
+  return WholeImage(replica->get(), vnode);
 }
 
-// ReadVnodeEntries reads the run ExtractVnodes writes behind a vnode's
-// header, live keys only, and it writes back as the vnode.
-TEST_F(LsmBackendTest, ReadVnodeEntriesIsTheBlobsRun) {
+// ReadVnodeEntries replaces the run with the vnode's live keys only, and
+// the run writes back as the vnode.
+TEST_F(LsmBackendTest, ReadVnodeEntriesReadsLiveKeysAndWritesBack) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(Put(backend_.get(), 2, "k" + std::to_string(i),
                     std::string(i, 'v'), 8)
@@ -492,18 +502,13 @@ TEST_F(LsmBackendTest, ReadVnodeEntriesIsTheBlobsRun) {
   }
   ASSERT_TRUE(Delete(backend_.get(), 2, "k7", 8).ok());
   ASSERT_TRUE(Put(backend_.get(), 3, "other", "x", 1).ok());
-  constexpr size_t kHeader = 4 + 4 + 8 + 8;  // count | vnode | bytes | entries
-  for (uint32_t v : {2u, 5u}) {  // vnode 5 holds nothing
-    auto blob = backend_->ExtractVnodes({v});
-    ASSERT_TRUE(blob.ok());
-    std::string run = "stale";  // replaced, not appended to
-    ASSERT_TRUE(backend_->ReadVnodeEntries(v, &run).ok());
-    EXPECT_EQ(run, blob->substr(kHeader)) << "vnode " << v;
-  }
+  std::string run = "stale";  // replaced, not appended to
+  ASSERT_TRUE(backend_->ReadVnodeEntries(5, &run).ok());
+  EXPECT_TRUE(run.empty()) << "vnode 5 holds nothing";
   EXPECT_EQ(RunEntries(EntryRun(backend_.get(), 2)).size(), 19u);
-  EXPECT_EQ(HeldBlob(&env_, 2, {EntryRun(backend_.get(), 2)},
-                     backend_->VnodeBytes(2)),
-            VnodeBlob(backend_.get(), 2));
+  EXPECT_EQ(HeldImage(&env_, 2, {EntryRun(backend_.get(), 2)},
+                      backend_->VnodeBytes(2)),
+            WholeImage(backend_.get(), 2));
 }
 
 TEST_F(LsmBackendTest, ChangeCaptureIsOffByDefault) {
@@ -539,8 +544,8 @@ TEST_F(LsmBackendTest, ChangeCaptureKeepsLatestValueAndTombstones) {
   // The run carries each key's latest write: applied to the vnode as it
   // was when capture began, it yields the vnode as it is now (a and c
   // erased, b = b2, d added, e untouched).
-  EXPECT_EQ(HeldBlob(&env_, 1, {base, run}, backend_->VnodeBytes(1)),
-            VnodeBlob(backend_.get(), 1));
+  EXPECT_EQ(HeldImage(&env_, 1, {base, run}, backend_->VnodeBytes(1)),
+            WholeImage(backend_.get(), 1));
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 1, &run), 0u);
   EXPECT_TRUE(run.empty()) << "a take moves the changes out";
 }
@@ -557,18 +562,17 @@ TEST_F(LsmBackendTest, ChangeCaptureIsBoundedByDistinctKeys) {
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 3, &run), 10u);
   EXPECT_LT(run.size(), 10u * 16) << "one entry per key, not per write";
-  EXPECT_EQ(HeldBlob(&env_, 3, {base, run}, backend_->VnodeBytes(3)),
-            VnodeBlob(backend_.get(), 3));
+  EXPECT_EQ(HeldImage(&env_, 3, {base, run}, backend_->VnodeBytes(3)),
+            WholeImage(backend_.get(), 3));
 }
 
 TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
   ASSERT_TRUE(Put(backend_.get(), 6, "x", "1", 1).ok());
-  auto blob = backend_->ExtractVnodes({6});
-  ASSERT_TRUE(blob.ok());
   auto other = LsmStateBackend::Open(&env_, "/state/op-1", "op", 1);
   ASSERT_TRUE(other.ok());
   (*other)->SetChangeCapture(ChangeReader::kStream, true);
-  ASSERT_TRUE((*other)->IngestVnodes(*blob, false).ok());
+  ASSERT_TRUE(
+      (*other)->IngestImages({WholeImage(backend_.get(), 6)}, false).ok());
   EXPECT_EQ((*other)->CapturedKeys(ChangeReader::kStream), 0u)
       << "absorbed vnodes ship whole";
 
@@ -584,8 +588,8 @@ TEST_F(LsmBackendTest, IngestRecordsNothingAndDropDiscards) {
 
 // Held rows are a peer's replica, not this backend's state: written with
 // both readers capturing, they count toward no size and no captured
-// delta; they read and extract like any rows, SetVnodeBytes takes them
-// over without a write, and DropVnodes drops them.
+// delta; they read like any rows, an ingest of an image with an empty run
+// takes them over without a write, and DropVnodes drops them.
 TEST_F(LsmBackendTest, HeldRowsSkipAccountingAndCapture) {
   backend_->SetChangeCapture(ChangeReader::kStream, true);
   backend_->SetChangeCapture(ChangeReader::kCheckpoint, true);
@@ -609,7 +613,7 @@ TEST_F(LsmBackendTest, HeldRowsSkipAccountingAndCapture) {
 
   // Taking the vnode over writes nothing and copies no key.
   const uint64_t written = backend_->db()->user_bytes_written();
-  backend_->SetVnodeBytes(2, 40);
+  ASSERT_TRUE(backend_->IngestImages({Image(2, 40)}, true).ok());
   EXPECT_EQ(backend_->db()->user_bytes_written(), written);
   EXPECT_EQ(backend_->SizeBytes(), 45u);
   auto rows = backend_->ScanPrefix(2, "");
@@ -640,8 +644,8 @@ TEST_F(LsmBackendTest, WritingTakenChangesReproducesTheVnode) {
   std::string run;
   ASSERT_EQ(backend_->TakeChanges(ChangeReader::kStream, 4, &run), 6u);
   EXPECT_EQ(
-      HeldBlob(&env_, 4, {before, run}, backend_->VnodeBytes(4)),
-      VnodeBlob(backend_.get(), 4));
+      HeldImage(&env_, 4, {before, run}, backend_->VnodeBytes(4)),
+      WholeImage(backend_.get(), 4));
 
   // A malformed run is Corruption and writes nothing, never a crash:
   // every truncation of the run that cuts an entry.
@@ -683,43 +687,22 @@ TEST_F(LsmBackendTest, HeldRowsTrackRandomWritesRoundAfterRound) {
     std::string run;
     ASSERT_TRUE(
         backend_->TakeChanges(ChangeReader::kStream, 9, &run).has_value());
-    ASSERT_TRUE((*replica)->WriteVnodeEntries(9, run).ok());
-    (*replica)->SetVnodeBytes(9, backend_->VnodeBytes(9));
-    ASSERT_EQ(VnodeBlob(replica->get(), 9), VnodeBlob(backend_.get(), 9))
+    ASSERT_TRUE(
+        (*replica)
+            ->IngestImages({Image(9, backend_->VnodeBytes(9), run)}, false)
+            .ok());
+    ASSERT_EQ(WholeImage(replica->get(), 9), WholeImage(backend_.get(), 9))
         << "round " << round;
   }
-}
-
-/// The (key, value) entries of one vnode's blob, checking its header.
-std::map<std::string, std::string> BlobEntries(std::string_view blob,
-                                               uint32_t vnode) {
-  BinaryReader header(blob);
-  uint32_t vnodes = 0, got_vnode = 0;
-  uint64_t nominal = 0, count = 0;
-  EXPECT_TRUE(header.GetU32(&vnodes).ok());
-  EXPECT_EQ(vnodes, 1u);
-  EXPECT_TRUE(header.GetU32(&got_vnode).ok());
-  EXPECT_EQ(got_vnode, vnode);
-  EXPECT_TRUE(header.GetU64(&nominal).ok());
-  EXPECT_TRUE(header.GetU64(&count).ok());
-  std::map<std::string, std::string> entries;
-  EntryReader reader(blob.substr(header.position()));
-  for (uint64_t e = 0; e < count; ++e) {
-    EXPECT_TRUE(reader.Next().ok());
-    EXPECT_FALSE(reader.is_tombstone());
-    entries.emplace(reader.key(), reader.value());
-  }
-  EXPECT_TRUE(reader.AtEnd());
-  return entries;
 }
 
 // The entry codec and the held-row write against a std::map model. Keys
 // are built from pieces that share prefixes, prefix one another and hold
 // 0x00 and 0xff bytes; the empty key and empty values occur. Each round's
 // changes, puts and tombstones (of absent keys too), are coded as one
-// run and written into a replica's held rows, and the replica's
-// extraction must be byte for byte the extraction of a backend holding
-// the model's state, and decode to the model.
+// run and written into a replica's held rows, and the replica's whole
+// image must be byte for byte the image of a backend holding the model's
+// state, and decode to the model.
 TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   constexpr uint32_t kVnode = 3;
   const std::string pieces[] = {"",  "a", "ab", "abc", std::string(1, '\0'),
@@ -739,7 +722,7 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   std::map<std::string, std::string> model;
   auto replica = LsmStateBackend::Open(&env_, "/state/held", "op", 9);
   ASSERT_TRUE(replica.ok());
-  std::string held;
+  VnodeImage held;
   for (int round = 0; round < 60; ++round) {
     std::map<std::string, std::optional<std::string>> changes;
     for (uint64_t i = 0, n = next() % 12; i < n; ++i) {
@@ -767,26 +750,24 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
     }
     ASSERT_TRUE(backend_->ApplyBatch(writes).ok());
     EXPECT_EQ(RunEntries(run).size(), changes.size());
-    ASSERT_TRUE((*replica)->WriteVnodeEntries(kVnode, run).ok())
+    ASSERT_TRUE((*replica)
+                    ->IngestImages(
+                        {Image(kVnode, backend_->VnodeBytes(kVnode), run)},
+                        false)
+                    .ok())
         << "round " << round;
-    (*replica)->SetVnodeBytes(kVnode, backend_->VnodeBytes(kVnode));
-    held = VnodeBlob(replica->get(), kVnode);
-    ASSERT_EQ(held, VnodeBlob(backend_.get(), kVnode)) << "round " << round;
-    ASSERT_EQ(BlobEntries(held, kVnode), model) << "round " << round;
+    held = WholeImage(replica->get(), kVnode);
+    ASSERT_EQ(held, WholeImage(backend_.get(), kVnode)) << "round " << round;
+    const auto entries = RunEntries(held.entries);
+    const std::map<std::string, std::string> decoded(entries.begin(),
+                                                     entries.end());
+    ASSERT_EQ(decoded, model) << "round " << round;
   }
   ASSERT_GT(model.size(), 5u);
 
-  // Every truncation of a blob is Corruption to the ingest.
-  auto target = LsmStateBackend::Open(&env_, "/state/op-9", "op", 9);
-  ASSERT_TRUE(target.ok());
-  for (size_t len = 0; len < held.size(); ++len) {
-    const std::string_view cut = std::string_view(held).substr(0, len);
-    EXPECT_EQ((*target)->IngestVnodes(cut, false).code(),
-              StatusCode::kCorruption)
-        << "blob prefix " << len;
-  }
   // A run cut at an entry boundary is a shorter run; cut anywhere else it
-  // is Corruption, and the write leaves the held rows as they were.
+  // is Corruption, to the held-row write and to an ingest alike, and
+  // neither leaves a trace in the held rows or the size.
   std::string run;
   EntryWriter writer(&run);
   std::set<size_t> boundaries = {0};
@@ -796,29 +777,20 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   }
   for (size_t len = 0; len <= run.size(); ++len) {
     if (boundaries.count(len) != 0) continue;
+    const std::string cut = run.substr(0, len);
+    EXPECT_EQ((*replica)->WriteVnodeEntries(kVnode, cut).code(),
+              StatusCode::kCorruption)
+        << "run prefix " << len;
     EXPECT_EQ((*replica)
-                  ->WriteVnodeEntries(kVnode, std::string_view(run).substr(0, len))
+                  ->IngestImages({Image(kVnode, held.bytes + 1, cut)}, false)
                   .code(),
               StatusCode::kCorruption)
         << "run prefix " << len;
-    ASSERT_EQ(VnodeBlob(replica->get(), kVnode), held) << "run prefix " << len;
+    ASSERT_EQ(WholeImage(replica->get(), kVnode), held) << "run prefix " << len;
   }
 
-  // A zero value field (a tombstone) inside a blob.
-  std::string tombstoned;
-  BinaryWriter header(&tombstoned);
-  header.PutU32(1);
-  header.PutU32(kVnode);
-  header.PutU64(0);
-  header.PutU64(2);
-  EntryWriter blob_writer(&tombstoned);
-  blob_writer.Put("a", "1");
-  blob_writer.Delete("b");
-  EXPECT_EQ((*target)->IngestVnodes(tombstoned, false).code(),
-            StatusCode::kCorruption);
-
-  // A `shared` longer than the previous key: the first entry of a run and
-  // of a blob follows the empty key.
+  // A `shared` longer than the previous key: the first entry of a run
+  // follows the empty key.
   std::string overshared;
   BinaryWriter(&overshared).PutVarint(1);  // shared
   BinaryWriter(&overshared).PutVarint(1);  // unshared
@@ -827,12 +799,12 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   overshared += "1";
   EXPECT_EQ((*replica)->WriteVnodeEntries(kVnode, overshared).code(),
             StatusCode::kCorruption);
-  std::string overshared_blob = tombstoned.substr(0, 4 + 4 + 8);
-  BinaryWriter(&overshared_blob).PutU64(1);
-  overshared_blob += overshared;
-  EXPECT_EQ((*target)->IngestVnodes(overshared_blob, false).code(),
+  EXPECT_EQ(
+      (*replica)
+          ->IngestImages({Image(kVnode, held.bytes + 1, overshared)}, false)
+          .code(),
             StatusCode::kCorruption);
-  ASSERT_EQ(VnodeBlob(replica->get(), kVnode), held);
+  ASSERT_EQ(WholeImage(replica->get(), kVnode), held);
 }
 
 TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
@@ -854,8 +826,8 @@ TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
             3u);
   EXPECT_EQ(backend_->CapturedKeys(ChangeReader::kStream), 1u);
   EXPECT_EQ(
-      HeldBlob(&env_, 5, {base, ckpt_run}, backend_->VnodeBytes(5)),
-      VnodeBlob(backend_.get(), 5));
+      HeldImage(&env_, 5, {base, ckpt_run}, backend_->VnodeBytes(5)),
+      WholeImage(backend_.get(), 5));
 
   // Discarding one reader's changes leaves the other's.
   ASSERT_TRUE(Put(backend_.get(), 5, "d", "d1", 1).ok());
@@ -922,56 +894,56 @@ TEST(ModeledBackendTest, ExtractIngestMovesBytes) {
   ModeledStateBackend origin("op", 0);
   origin.AddBytes(1, 4000);
   origin.AddBytes(2, 6000);
-  auto blob = origin.ExtractVnodes({2});
-  ASSERT_TRUE(blob.ok());
 
   ModeledStateBackend target("op", 1);
-  ASSERT_TRUE(target.IngestVnodes(*blob, false).ok());
+  ASSERT_TRUE(target.IngestImages({WholeImage(&origin, 2)}, false).ok());
   EXPECT_EQ(target.VnodeBytes(2), 6000u);
   ASSERT_TRUE(origin.DropVnodes({2}).ok());
   EXPECT_EQ(origin.SizeBytes(), 4000u);
 }
 
-TEST(ModeledBackendTest, ExtractVnodeBlobsMatchesPerVnodeExtraction) {
+TEST(ModeledBackendTest, IngestSetsEachVnodesSize) {
   ModeledStateBackend backend("op", 0);
   backend.AddBytes(1, 4000);
-  backend.AddBytes(2, 6000);
-  auto blobs = backend.ExtractVnodeBlobs({1, 2, 9});
-  ASSERT_TRUE(blobs.ok());
-  ASSERT_EQ(blobs->size(), 3u);
-  for (uint32_t v : {1u, 2u, 9u}) {
-    auto single = backend.ExtractVnodes({v});
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(blobs->at(v), *single) << "vnode " << v;
-  }
+  ASSERT_TRUE(
+      backend.IngestImages({Image(1, 300), Image(9, 0)}, false)
+          .ok());
+  EXPECT_EQ(backend.VnodeBytes(1), 300u) << "set, not added";
+  EXPECT_EQ(backend.VnodeBytes(9), 0u);
+  EXPECT_EQ(backend.SizeBytes(), 300u);
 }
 
 TEST(ModeledBackendTest, IngestedBytesAppearInNextDelta) {
   ModeledStateBackend target("op", 1);
   ModeledStateBackend origin("op", 0);
   origin.AddBytes(1, 5000);
-  auto blob = origin.ExtractVnodes({1});
-  ASSERT_TRUE(blob.ok());
-  ASSERT_TRUE(target.IngestVnodes(*blob, false).ok());
+  ASSERT_TRUE(target.IngestImages({WholeImage(&origin, 1)}, false).ok());
   auto ckpt = target.Checkpoint(1);
   ASSERT_TRUE(ckpt.ok());
   EXPECT_EQ(ckpt->DeltaBytes(), 5000u);
 }
 
+// A durable ingest (images out of a replicated checkpoint) adds one
+// restored file per call, already durable, so the next delta is empty.
 TEST(ModeledBackendTest, AdoptedCheckpointBytesAreNotReplicatedAgain) {
   ModeledStateBackend origin("op", 0);
   origin.AddBytes(7, 123456);
-  auto ckpt = origin.Checkpoint(1);
-  ASSERT_TRUE(ckpt.ok());
+  origin.AddBytes(8, 1000);
+  ASSERT_TRUE(origin.Checkpoint(1).ok());
 
   ModeledStateBackend target("op", 1);
-  target.AdoptCheckpointVnodes(*ckpt, {7});
+  ASSERT_TRUE(
+      target
+          .IngestImages({WholeImage(&origin, 7), WholeImage(&origin, 8)}, true)
+          .ok());
   EXPECT_EQ(target.VnodeBytes(7), 123456u);
+  EXPECT_EQ(target.VnodeBytes(8), 1000u);
   auto next = target.Checkpoint(1);
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(next->DeltaBytes(), 0u)
       << "adopted files are already durable; no new delta";
-  EXPECT_EQ(next->TotalBytes(), 123456u);
+  EXPECT_EQ(next->files.size(), 1u) << "one restored file for the call";
+  EXPECT_EQ(next->TotalBytes(), 124456u);
 }
 
 TEST(ModeledBackendTest, CannotCaptureChanges) {
@@ -986,16 +958,13 @@ TEST(ModeledBackendTest, CannotCaptureChanges) {
 TEST(ModeledBackendTest, HeldVnodeIsItsSizeAlone) {
   ModeledStateBackend backend("op", 0);
   backend.AddBytes(4, 300);
-  auto blob = backend.ExtractVnodes({4});
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(blob->size(), 4u + 4 + 8) << "a modeled blob ends after its size";
   std::string run = "stale";
   ASSERT_TRUE(backend.ReadVnodeEntries(4, &run).ok());
   EXPECT_TRUE(run.empty()) << "a modeled vnode reads no entries";
   ASSERT_TRUE(backend.DropVnodes({4}).ok());
   ASSERT_TRUE(backend.WriteVnodeEntries(4, "anything").ok());
   EXPECT_EQ(backend.SizeBytes(), 0u);
-  backend.SetVnodeBytes(4, 700);
+  ASSERT_TRUE(backend.IngestImages({Image(4, 700, "anything")}, true).ok());
   EXPECT_EQ(backend.VnodeBytes(4), 700u);
   EXPECT_EQ(backend.SizeBytes(), 700u);
 }
