@@ -51,17 +51,23 @@ GUARDED = [
     ("micro_lsm", "throughput_mt_scan_entries_per_s.*"),
     ("micro_lsm", "mt_put_speedup_4t_ok"),
     # Pipelined data plane: ingest throughput under emulated service
-    # latency, WAL appends per applied record (a node commits each
-    # sub-batch as one WAL record; lower is better, exact), the data
-    # path's bytes per record (the driver's kProcessBatch requests and
+    # latency, LSM commits and WAL appends per applied record (a node
+    # commits each sub-batch as one commit and one WAL record; the store
+    # counts commits with or without its WAL; lower is better, exact), the
+    # data path's bytes per record (the driver's kProcessBatch requests and
     # replies over the records they carry; lower is better, exact), the
-    # credit window must really fill (window 16 keeps nodes x 16 batches
-    # in flight), an incremental checkpoint's bytes must not grow with
-    # the state (the same keys written at every size), and the
-    # kill/recover/replay audit must stay exactly-once.
+    # checkpoint chain bytes of a whole and of an incremental checkpoint at
+    # three state sizes (exact), the credit window must really fill
+    # (window 16 keeps nodes x 16 batches in flight), an incremental
+    # checkpoint's bytes must not grow with the state (the same keys
+    # written at every size), and the kill/recover/replay audit must stay
+    # exactly-once.
     ("dist_pipeline", "throughput_records_per_s.pipelined"),
+    ("dist_pipeline", "commits_per_record.pipelined_raw"),
     ("dist_pipeline", "wal_appends_per_record.pipelined_raw"),
     ("dist_pipeline", "bytes_per_record.data_path"),
+    ("dist_pipeline", "checkpoint_bytes.base.*"),
+    ("dist_pipeline", "checkpoint_bytes.incremental.*"),
     ("dist_pipeline", "window_fills_ok"),
     ("dist_pipeline", "checkpoint_bytes_flat_ok"),
     ("dist_pipeline", "exactly_once_ok"),
@@ -70,10 +76,13 @@ GUARDED = [
     # wire) and the move to a cold target takes the full path. Against
     # state size (three sizes, 16x apart): the replica-local handover's
     # and the promotion's driver bytes stay flat (at most 1.5x), and the
-    # cold-target handover's grow with the state (at least 4x).
+    # cold-target handover's grow with the state (at least 4x). The
+    # cold-target handover's bytes at each size are the state's entry
+    # runs on the wire (exact).
     ("dist_handover", "handover_replica_local_ok"),
     ("dist_handover", "reconfig_bytes_flat_ok"),
     ("dist_handover", "cold_bytes_grow_ok"),
+    ("dist_handover", "bytes.handover.cold.*"),
 ]
 
 # (artifact name, key glob) pairs that are REPORT-ONLY: wall-clock numbers
@@ -119,7 +128,7 @@ REPORT_ONLY = [
     # over window 1 speedup (1.0-1.3x at smoke scale, too thin for a wall
     # gate), millisecond-scale checkpoint walls, which are too
     # scheduler-noisy on small hosts to gate as percentages, and the
-    # checkpoint byte curve (its flatness is the guarded boolean). The
+    # checkpoint growth ratio (the byte curve itself is guarded). The
     # replication stream's bytes per record depend on how many writes of
     # a key one delta coalesces, which is timing.
     ("dist_pipeline", "throughput_records_per_s.*"),
@@ -127,7 +136,6 @@ REPORT_ONLY = [
     ("dist_pipeline", "window_speedup"),
     ("dist_pipeline", "checkpoint_wall_s.*"),
     ("dist_pipeline", "checkpoint_growth.*"),
-    ("dist_pipeline", "checkpoint_bytes.*"),
     ("dist_pipeline", "credit_stalls.*"),
     ("dist_pipeline", "max_inflight.*"),
     ("dist_pipeline", "records.*"),

@@ -449,7 +449,8 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->SetInfo("failed_node", std::to_string(kFailedNode));
   artifact->SetInfo("regression_gate",
                     "handover_replica_local_ok, reconfig_bytes_flat_ok, "
-                    "cold_bytes_grow_ok (walls and bytes report-only)");
+                    "cold_bytes_grow_ok, bytes.handover.cold.* (walls and "
+                    "other bytes report-only)");
 }
 
 }  // namespace

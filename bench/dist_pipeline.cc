@@ -217,13 +217,10 @@ struct PipelineCluster {
 /// Passes `MeasureIngest` makes over its cluster.
 constexpr int kIngestPasses = 3;
 
-/// WAL commits of every LSM store in this process so far (the nodes are
-/// in-process, so the process-wide counter spans all of them).
-uint64_t WalAppends() {
-  return obs::Observability::Default()
-      ->metrics()
-      .GetCounter("rhino_lsm_wal_appends_total")
-      ->value();
+/// A process-wide LSM counter: the nodes are in-process, so it spans every
+/// store of every cluster so far.
+uint64_t LsmCounter(const char* name) {
+  return obs::Observability::Default()->metrics().GetCounter(name)->value();
 }
 
 /// Stream bytes every node shipped so far, over all clusters of the run
@@ -371,17 +368,27 @@ void Run(bench::BenchArtifact* artifact) {
       MeasureIngest(&env, root, "pipelined", /*replicate=*/false,
                     /*credit_window=*/16, kServiceDelayUs, waves, keys,
                     &pipelined_stats, &pipelined_bytes);
-  // The raw run also counts WAL commits per applied record: each node
-  // commits a sub-batch as one WAL record, so this is about one over the
-  // records per node sub-batch (exact; a per-record commit reads 1.0).
-  const uint64_t wal_appends_before = WalAppends();
+  // The raw run also counts commits and WAL appends per applied record:
+  // each node commits a sub-batch as one LSM commit and one WAL record, so
+  // both are about one over the records per node sub-batch (exact; a
+  // per-record commit reads 1.0). The store counts commits with or
+  // without its WAL.
+  const uint64_t commits_before = LsmCounter("rhino_lsm_commits_total");
+  const uint64_t wal_appends_before =
+      LsmCounter("rhino_lsm_wal_appends_total");
   double pipelined_raw =
       MeasureIngest(&env, root, "pipelined_raw", /*replicate=*/false,
                     /*credit_window=*/16, /*service_delay_us=*/0, waves, keys);
   const double raw_records =
       static_cast<double>(kIngestPasses) * waves * static_cast<double>(keys);
+  const double commits_per_record =
+      static_cast<double>(LsmCounter("rhino_lsm_commits_total") -
+                          commits_before) /
+      raw_records;
   const double wal_appends_per_record =
-      static_cast<double>(WalAppends() - wal_appends_before) / raw_records;
+      static_cast<double>(LsmCounter("rhino_lsm_wal_appends_total") -
+                          wal_appends_before) /
+      raw_records;
   double repl_tput =
       MeasureIngest(&env, root, "pipelined_repl", /*replicate=*/true,
                     /*credit_window=*/16, kServiceDelayUs, waves, keys,
@@ -395,6 +402,8 @@ void Run(bench::BenchArtifact* artifact) {
                     " credit stalls"});
   table.AddRow({"ingest raw (0us)", std::to_string(pipelined_raw) + " rec/s",
                 "CPU-bound loopback, " +
+                    std::to_string(commits_per_record) +
+                    " commits and " +
                     std::to_string(wal_appends_per_record) +
                     " WAL appends per record"});
   table.AddRow({"ingest + replication", std::to_string(repl_tput) + " rec/s",
@@ -406,6 +415,7 @@ void Run(bench::BenchArtifact* artifact) {
                 "stream"});
   artifact->Set("throughput_records_per_s.pipelined", pipelined_tput);
   artifact->Set("throughput_records_per_s.pipelined_raw", pipelined_raw);
+  artifact->Set("commits_per_record.pipelined_raw", commits_per_record);
   artifact->Set("wal_appends_per_record.pipelined_raw",
                 wal_appends_per_record);
   artifact->Set("throughput_records_per_s.pipelined_repl", repl_tput);
@@ -587,8 +597,11 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->SetInfo("transport", "tcp (loopback)");
   artifact->SetInfo("regression_gate",
                     "throughput_records_per_s.pipelined, "
+                    "commits_per_record.pipelined_raw, "
                     "wal_appends_per_record.pipelined_raw, "
                     "bytes_per_record.data_path, window_fills_ok, "
+                    "checkpoint_bytes.base.*, "
+                    "checkpoint_bytes.incremental.*, "
                     "checkpoint_bytes_flat_ok, exactly_once_ok");
 
   std::error_code ec;

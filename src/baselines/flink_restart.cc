@@ -1,5 +1,6 @@
 #include "baselines/flink_restart.h"
 
+#include <map>
 #include <memory>
 #include <set>
 
@@ -124,21 +125,26 @@ void FlinkRestartController::RestoreStateAndResume(
   const auto* ckpt = engine_->LastCompletedCheckpoint();
 
   // Rebuild every stateful instance's backend from the checkpoint content.
+  // A rebalance reassigns vnodes before the restart, so a vnode's image
+  // sits in the entry of the instance that owned it at the checkpoint:
+  // look each owned vnode up across the operator's entries.
+  std::map<std::string, std::map<uint32_t, state::VnodeImage>> images;
+  for (StatefulInstance* inst : engine_->stateful()) {
+    auto [it, fresh] = images.try_emplace(inst->op_name());
+    if (fresh) it->second = storage_->LatestImages(inst->op_name());
+  }
   for (StatefulInstance* inst : engine_->stateful()) {
     auto subtask = static_cast<uint32_t>(inst->subtask());
     inst->ReplaceBackend(backend_factory_(inst->op_name(), subtask));
-    const rhino::ReplicaState* latest =
-        storage_->LatestFor(inst->op_name(), subtask);
+    const auto& op_images = images[inst->op_name()];
     dataflow::StatefulInstance::WatermarkMap marks;
-    if (latest != nullptr) {
-      for (uint32_t v : inst->owned_vnodes()) {
-        auto it = latest->images.find(v);
-        if (it == latest->images.end()) continue;
-        // One durable ingest per vnode, each one restored file.
-        RHINO_CHECK_OK(inst->backend()->IngestImages({it->second},
-                                                     /*already_durable=*/true));
-        marks[v] = it->second.watermarks;
-      }
+    for (uint32_t v : inst->owned_vnodes()) {
+      auto it = op_images.find(v);
+      if (it == op_images.end()) continue;
+      // One durable ingest per vnode, each one restored file.
+      RHINO_CHECK_OK(inst->backend()->IngestImages({it->second},
+                                                   /*already_durable=*/true));
+      marks[v] = it->second.watermarks;
     }
     // The whole job rolled back to the checkpoint: dedup positions roll
     // back with it so the replay is re-processed.

@@ -144,6 +144,7 @@ void DB::BindMetrics(obs::Observability* o) {
   puts_metric_ = m.GetCounter("rhino_lsm_puts_total");
   deletes_metric_ = m.GetCounter("rhino_lsm_deletes_total");
   batch_commits_metric_ = m.GetCounter("rhino_lsm_batch_commits_total");
+  commits_metric_ = m.GetCounter("rhino_lsm_commits_total");
   wal_appends_metric_ = m.GetCounter("rhino_lsm_wal_appends_total");
   wal_bytes_metric_ = m.GetCounter("rhino_lsm_wal_bytes_total");
   gets_metric_ = m.GetCounter("rhino_lsm_gets_total");
@@ -292,6 +293,8 @@ Status DB::CommitEntries(std::string_view payload, uint64_t num_entries) {
           return Status::OK();
         }));
   }
+  commits_.fetch_add(1, std::memory_order_relaxed);
+  commits_metric_->Increment();
   user_bytes_written_.fetch_add(payload_bytes, std::memory_order_relaxed);
   user_write_bytes_metric_->Increment(payload_bytes);
   // Flush policy runs outside the commit critical section. `mem` may be a

@@ -246,9 +246,13 @@ class DB {
   uint64_t compaction_count() const { return Load(compaction_count_); }
   /// Entries recovered from the WAL at the last Open (diagnostics).
   uint64_t wal_entries_recovered() const { return Load(wal_recovered_); }
-  /// WAL write-path diagnostics for this DB: framed appends (== commits),
-  /// entries covered by them, and physical bytes written. One batched
-  /// commit of N entries costs 1 append; N singleton commits cost N.
+  /// Commits applied: one per `Put`, `Delete` or non-empty `Write` that
+  /// returned OK, counted whether or not the WAL is on.
+  uint64_t commits() const { return Load(commits_); }
+  /// WAL write-path diagnostics for this DB: framed appends (== commits
+  /// while the WAL is on), entries covered by them, and physical bytes
+  /// written. One batched commit of N entries costs 1 append; N singleton
+  /// commits cost N.
   uint64_t wal_appends() const { return Load(wal_appends_); }
   uint64_t wal_records() const { return Load(wal_records_); }
   uint64_t wal_bytes_written() const { return Load(wal_bytes_); }
@@ -513,6 +517,7 @@ class DB {
   std::atomic<uint64_t> flush_count_{0};
   std::atomic<uint64_t> compaction_count_{0};
   std::atomic<uint64_t> wal_recovered_{0};
+  std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> wal_appends_{0};
   std::atomic<uint64_t> wal_records_{0};
   std::atomic<uint64_t> wal_bytes_{0};
@@ -531,6 +536,7 @@ class DB {
   obs::Counter* puts_metric_ = nullptr;
   obs::Counter* deletes_metric_ = nullptr;
   obs::Counter* batch_commits_metric_ = nullptr;
+  obs::Counter* commits_metric_ = nullptr;
   obs::Counter* wal_appends_metric_ = nullptr;
   obs::Counter* wal_bytes_metric_ = nullptr;
   obs::Counter* gets_metric_ = nullptr;

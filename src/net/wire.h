@@ -82,7 +82,11 @@ const char* MessageTypeName(MessageType type);
 /// the extract reply's replica-local flag: an image's `base_seq` says
 /// whether its run is the whole vnode (0) or the keys written since a copy
 /// the receiver holds.
-constexpr uint8_t kWireVersion = 6;
+/// Version 7 tag-packed the state entries of every run: one varint tag
+/// carries the suffix length, a same-length flag that makes `shared`
+/// implicit, and a tombstone mark or a value length of up to 5 bytes, so
+/// a counter entry costs one header byte instead of three.
+constexpr uint8_t kWireVersion = 7;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on

@@ -126,10 +126,12 @@ void DfsCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
   {
     std::lock_guard<std::mutex> lock(mu_);
     paths_[key].push_back(path);
+    // The entry holds exactly this checkpoint's images: a vnode the
+    // instance gave away since its last checkpoint is its new owner's.
     ReplicaState& rep = latest_[key];
     rep.latest_checkpoint_id = desc.checkpoint_id;
     rep.latest_descriptor = desc;
-    for (auto& [vnode, image] : images) rep.images[vnode] = std::move(image);
+    rep.images = std::move(images);
   }
   obs::Observability* o = instance->engine()->obs();
   o->metrics()
@@ -158,6 +160,25 @@ const ReplicaState* DfsCheckpointStorage::LatestFor(const std::string& op,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = latest_.find(Key(op, subtask));
   return it == latest_.end() ? nullptr : &it->second;
+}
+
+std::map<uint32_t, state::VnodeImage> DfsCheckpointStorage::LatestImages(
+    const std::string& op) const {
+  std::map<uint32_t, state::VnodeImage> images;
+  std::map<uint32_t, uint64_t> checkpoint_of;
+  const std::string prefix = op + "#";
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = latest_.lower_bound(prefix);
+       it != latest_.end() && it->first.starts_with(prefix); ++it) {
+    const ReplicaState& rep = it->second;
+    for (const auto& [vnode, image] : rep.images) {
+      auto [at, fresh] = checkpoint_of.try_emplace(vnode, 0);
+      if (!fresh && at->second >= rep.latest_checkpoint_id) continue;
+      at->second = rep.latest_checkpoint_id;
+      images[vnode] = image;
+    }
+  }
+  return images;
 }
 
 void DfsCheckpointStorage::SeedCheckpoint(

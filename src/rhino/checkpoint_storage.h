@@ -84,8 +84,16 @@ class DfsCheckpointStorage : public dataflow::CheckpointStorage {
   std::vector<std::string> PathsFor(const std::string& op,
                                     uint32_t subtask) const;
 
-  /// Latest checkpoint content of the instance (for state restoration).
+  /// Latest checkpoint content of the instance: the images of exactly the
+  /// vnodes it owned at its last checkpoint.
   const ReplicaState* LatestFor(const std::string& op, uint32_t subtask) const;
+
+  /// The latest image of every checkpointed vnode of `op`, from whichever
+  /// instance's entry holds it: after a rebalance that is the instance
+  /// that owned the vnode at the checkpoint, not its owner now. Where two
+  /// entries hold a vnode, the newer checkpoint's image wins.
+  std::map<uint32_t, state::VnodeImage> LatestImages(
+      const std::string& op) const;
 
   /// Registers a pre-existing checkpoint without modeling the upload
   /// (experiment seeding).
@@ -126,7 +134,10 @@ std::map<uint32_t, state::VnodeImage> CaptureImages(
 // checkpoint appends a key record: the keys written since the previous
 // record, as one change run of `StateBackend::TakeChanges`. Both bodies
 // are entry runs (`state::EntryWriter`), the run a `state::VnodeImage`
-// carries; a key record's may hold tombstones. Every record carries the
+// carries; a key record's may hold tombstones. Records carry the
+// tag-packed entries of wire version 7, and no reader of older runs is
+// kept: chain files live in one cluster's checkpoint directory and do
+// not outlive it. Every record carries the
 // vnode's nominal size and replay watermarks, so the chain restores to
 // one consistent snapshot.
 // A record's payload is `u8 kind | varint checkpoint id | varint nominal

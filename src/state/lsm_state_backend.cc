@@ -7,53 +7,75 @@
 
 namespace rhino::state {
 
-void EntryWriter::PutKey(std::string_view key) {
+namespace {
+
+// The tag's value field: 0 is a tombstone, 1 + length an inline value
+// length, kLongValue a varint length after the suffix.
+constexpr uint64_t kTombstone = 0;
+constexpr uint64_t kLongValue = 7;
+
+}  // namespace
+
+void EntryWriter::Append(std::string_view key, uint64_t vfield,
+                         std::string_view value) {
   const size_t limit = std::min(last_.size(), key.size());
   size_t shared = 0;
   while (shared < limit && last_[shared] == key[shared]) ++shared;
+  const uint64_t unshared = key.size() - shared;
+  const bool same_length = key.size() == last_.size();
   BinaryWriter w(out_);
-  w.PutVarint(shared);
-  w.PutVarint(key.size() - shared);
+  w.PutVarint(unshared << 4 | vfield << 1 | (same_length ? 1 : 0));
+  if (!same_length) w.PutVarint(shared);
   out_->append(key.substr(shared));
+  if (vfield == kLongValue) w.PutVarint(value.size());
+  out_->append(value);
   last_.assign(key);
 }
 
 void EntryWriter::Put(std::string_view key, std::string_view value) {
-  PutKey(key);
-  BinaryWriter w(out_);
-  w.PutVarint(value.size() + 1);
-  out_->append(value);
+  Append(key, value.size() < kLongValue - 1 ? value.size() + 1 : kLongValue,
+         value);
 }
 
-void EntryWriter::Delete(std::string_view key) {
-  PutKey(key);
-  BinaryWriter(out_).PutVarint(0);
-}
+void EntryWriter::Delete(std::string_view key) { Append(key, kTombstone, ""); }
 
 Status EntryReader::Next() {
   // Raw pointers rather than a BinaryReader: this runs once per entry of
   // every ingest, held-row write and decode.
   const char* p = data_.data() + pos_;
   const char* const end = data_.data() + data_.size();
-  uint64_t shared = 0, unshared = 0, value_field = 0;
-  p = DecodeVarint(p, end, &shared);
-  if (p != nullptr) p = DecodeVarint(p, end, &unshared);
-  if (p == nullptr || unshared > static_cast<uint64_t>(end - p)) {
-    return Status::Corruption("truncated state entry");
+  uint64_t tag = 0;
+  p = DecodeVarint(p, end, &tag);
+  if (p == nullptr) return Status::Corruption("truncated state entry");
+  const uint64_t unshared = tag >> 4;
+  const uint64_t vfield = (tag >> 1) & 7;
+  // An implied `shared` wraps past the previous key's length when the
+  // suffix is longer than that key, and fails the check below.
+  uint64_t shared = key_.size() - unshared;
+  if ((tag & 1) == 0) {
+    p = DecodeVarint(p, end, &shared);
+    if (p == nullptr) return Status::Corruption("truncated state entry");
   }
   if (shared > key_.size()) {
     return Status::Corruption("state entry shares more than its previous key");
   }
-  const char* suffix = p;
-  p = DecodeVarint(p + unshared, end, &value_field);
-  if (p == nullptr ||
-      (value_field != 0 && value_field - 1 > static_cast<uint64_t>(end - p))) {
+  if (unshared > static_cast<uint64_t>(end - p)) {
     return Status::Corruption("truncated state entry");
+  }
+  const char* suffix = p;
+  p += unshared;
+  uint64_t value_size = vfield - 1;
+  if (vfield == kLongValue) {
+    p = DecodeVarint(p, end, &value_size);
+    if (p == nullptr) return Status::Corruption("truncated state entry");
+  }
+  if (vfield != kTombstone && value_size > static_cast<uint64_t>(end - p)) {
+    return Status::Corruption("state entry value runs past the run");
   }
   key_.resize(shared + unshared);
   std::memcpy(key_.data() + shared, suffix, unshared);
-  tombstone_ = value_field == 0;
-  value_ = tombstone_ ? std::string_view() : std::string_view(p, value_field - 1);
+  tombstone_ = vfield == kTombstone;
+  value_ = tombstone_ ? std::string_view() : std::string_view(p, value_size);
   pos_ = static_cast<size_t>(p + value_.size() - data_.data());
   return Status::OK();
 }

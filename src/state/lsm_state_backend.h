@@ -34,13 +34,19 @@ namespace rhino::state {
 // handovers, promotion, the simulator's checkpoints and restores — held
 // rows and checkpoint chain records, whole or not. Each entry is
 //
-//   varint shared | varint unshared | key suffix |
-//   varint (value length + 1, 0 = tombstone) | value
+//   varint tag | [varint shared] | key suffix | [varint value length] |
+//   value,    tag = unshared << 4 | vfield << 1 | same_length
 //
 // and its key is the first `shared` bytes of the previous key of the same
-// vnode followed by the suffix (a vnode's first entry follows the empty
-// key), as in an SST data block. `shared` is always the longest common
-// prefix, so a sequence of entries has exactly one encoding.
+// vnode followed by the `unshared`-byte suffix (a vnode's first entry
+// follows the empty key), as in an SST data block. `same_length` set
+// means the key is as long as the previous one: `shared` is then that
+// length minus `unshared`, and no shared field follows. `vfield` 0 is a
+// tombstone, 1-6 a value of `vfield` - 1 bytes with no length field, and
+// 7 a value whose varint length follows the suffix. A counter entry thus
+// costs one tag byte, its suffix and its value. `shared` is always the
+// longest common prefix, so a sequence of entries has exactly one
+// encoding.
 
 /// Appends the entries of one vnode, in strictly increasing key order.
 class EntryWriter {
@@ -51,7 +57,7 @@ class EntryWriter {
   void Delete(std::string_view key);
 
  private:
-  void PutKey(std::string_view key);
+  void Append(std::string_view key, uint64_t vfield, std::string_view value);
 
   std::string* out_;
   std::string last_;
@@ -67,8 +73,9 @@ class EntryReader {
   size_t position() const { return pos_; }
 
   /// Decodes the next entry: `key()`, `is_tombstone()` and `value()`
-  /// describe it. Corruption on a truncated entry or a `shared` longer
-  /// than the previous key.
+  /// describe it. Corruption, changing nothing, on a truncated entry, a
+  /// `shared` (implied or explicit) longer than the previous key, or a
+  /// value that runs past the run.
   Status Next();
 
   /// The key of the last entry decoded (empty before the first).

@@ -208,5 +208,64 @@ TEST_F(FlinkRestartTest, RestartWithoutFailureAlsoWorks) {
   }
 }
 
+// A rebalance (`Testbed::TriggerLoadBalance` for Flink) reassigns vnodes
+// and restarts: each moved vnode comes back at its new owner from the
+// entry of the instance that checkpointed it, and no state is lost.
+TEST_F(FlinkRestartTest, RestartAfterARebalanceRestoresMovedVnodes) {
+  BuildQuery();
+  ProduceWave(64);
+  sim_.RunUntil(sim_.Now() + 2 * kSecond);
+  engine_.TriggerCheckpoint();
+  sim_.RunUntil(sim_.Now() + 5 * kSecond);
+  ASSERT_NE(engine_.LastCompletedCheckpoint(), nullptr);
+
+  uint64_t checkpointed = 0;
+  std::map<uint32_t, uint64_t> vnode_bytes;
+  for (dataflow::StatefulInstance* inst : graph_->stateful("counter")) {
+    checkpointed += inst->backend()->SizeBytes();
+    for (uint32_t v : inst->owned_vnodes()) {
+      vnode_bytes[v] = inst->backend()->VnodeBytes(v);
+    }
+  }
+  ASSERT_GT(checkpointed, 0u);
+
+  // Instances 0 and 1 each give half their vnodes to instances 2 and 3.
+  auto* table = engine_.routing("counter");
+  std::map<uint32_t, uint32_t> moved;  // vnode -> new owner
+  for (uint32_t origin : {0u, 1u}) {
+    auto vnodes = table->VnodesOfInstance(origin);
+    vnodes.resize(vnodes.size() / 2);
+    for (uint32_t v : vnodes) {
+      table->Assign(v, origin + 2);
+      moved[v] = origin + 2;
+    }
+  }
+  ASSERT_FALSE(moved.empty());
+  engine_.ReinitKeyedGates("counter");
+  for (dataflow::StatefulInstance* inst : graph_->stateful("counter")) {
+    inst->InitOwnedVnodes(
+        table->VnodesOfInstance(static_cast<uint32_t>(inst->subtask())));
+  }
+
+  bool finished = false;
+  controller_->RestartFromLastCheckpoint(
+      -1, [&](RestartBreakdown) { finished = true; });
+  sim_.Run();
+  ASSERT_TRUE(finished);
+
+  uint64_t restored = 0;
+  for (dataflow::StatefulInstance* inst : graph_->stateful("counter")) {
+    restored += inst->backend()->SizeBytes();
+  }
+  EXPECT_EQ(restored, checkpointed);
+  const auto& instances = graph_->stateful("counter");
+  for (const auto& [v, owner] : moved) {
+    ASSERT_EQ(instances[owner]->subtask(), static_cast<int>(owner));
+    EXPECT_GT(vnode_bytes[v], 0u) << "vnode " << v;
+    EXPECT_EQ(instances[owner]->backend()->VnodeBytes(v), vnode_bytes[v])
+        << "vnode " << v << " at instance " << owner;
+  }
+}
+
 }  // namespace
 }  // namespace rhino::baselines

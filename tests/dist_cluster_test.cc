@@ -1254,12 +1254,16 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_EQ(replayed->applied, 0u) << "each restored vnode is its last record";
 
-  // Writes to every other key of the restored vnodes.
+  // Writes to every fourth key of each restored vnode: few enough that
+  // each chain stays within twice its base (asserted below), so its next
+  // record is a key record.
   std::set<uint32_t> changed;
   std::vector<uint64_t> keys;
-  for (uint64_t key = 0; key < 400; key += 2) {
+  std::map<uint32_t, uint64_t> seen;
+  for (uint64_t key = 0; key < 400; ++key) {
     const uint32_t vnode = VnodeForKey(key, kNumVnodes);
     if (std::count(restored.begin(), restored.end(), vnode) == 0) continue;
+    if (seen[vnode]++ % 4 != 0) continue;
     keys.push_back(key);
     expected[key] += 1;
     changed.insert(vnode);
@@ -1267,11 +1271,15 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
   ASSERT_FALSE(changed.empty());
   cluster.AppendKeys(keys);
   ASSERT_TRUE(cluster.driver->Pump().ok());
-  std::map<uint32_t, uint64_t> records;
+  std::map<uint32_t, uint64_t> records, chain_bytes, base_bytes;
   for (uint32_t vnode : restored) {
     auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    auto base = rhino::ChainBaseBytes(&cluster.env, ChainAt(vnode));
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
     records[vnode] = chain->records;
+    chain_bytes[vnode] = chain->valid_bytes;
+    base_bytes[vnode] = *base;
   }
 
   // The next checkpoint appends one key record per changed restored
@@ -1279,11 +1287,31 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
   const uint64_t whole = ImageCounter("vnodes", 0, "whole");
   const uint64_t key_records = ImageCounter("vnodes", 0, "keys");
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
-  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + promoted.size());
-  EXPECT_EQ(ImageCounter("vnodes", 0, "keys"), key_records + changed.size());
   for (uint32_t vnode : restored) {
     auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+    if (changed.count(vnode) != 0) {
+      // The fixture's precondition: the key record of this checkpoint's
+      // writes keeps the chain within twice its base. Past that the
+      // record would rightly be whole, and the counts here would not hold.
+      std::string run, framed;
+      state::EntryWriter entries(&run);
+      for (uint64_t key : keys) {
+        if (VnodeForKey(key, kNumVnodes) != vnode) continue;
+        entries.Put(CounterKey(key), CountValue(expected[key]));
+      }
+      rhino::ChainRecord record;
+      record.kind = rhino::ChainRecord::Kind::kKeys;
+      record.checkpoint_id = chain->checkpoint_id;
+      record.nominal_bytes = chain->nominal_bytes;
+      record.watermarks = chain->watermarks;
+      record.body = run;
+      rhino::AppendChainRecord(record, &framed);
+      ASSERT_LE(chain_bytes[vnode] + framed.size(), 2 * base_bytes[vnode])
+          << "vnode " << vnode << ": a " << framed.size()
+          << "-byte key record on a " << chain_bytes[vnode]
+          << "-byte chain with a " << base_bytes[vnode] << "-byte base";
+    }
     EXPECT_EQ(chain->records, records[vnode] + changed.count(vnode))
         << "vnode " << vnode;
     EXPECT_EQ(chain->valid_bytes, cluster.ChainBytes(vnode));
@@ -1302,6 +1330,8 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
     for (const auto& [key, value] : *rows) got[key] = DecodeCount(value);
     EXPECT_EQ(got, want) << "vnode " << vnode;
   }
+  EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + promoted.size());
+  EXPECT_EQ(ImageCounter("vnodes", 0, "keys"), key_records + changed.size());
   cluster.ExpectCounts(expected);
 }
 

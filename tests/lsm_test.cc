@@ -698,6 +698,27 @@ TEST(DBWalTest, GroupCommitCostsOneAppendPerBatch) {
   EXPECT_EQ((*db)->wal_records(), 120u);
 }
 
+// A commit is one acknowledged Put, Delete or non-empty Write, counted
+// with the WAL on or off: the commit granularity stays measurable when a
+// store runs without a log.
+TEST(DBWalTest, CommitsCountWithOrWithoutTheWal) {
+  for (bool wal : {true, false}) {
+    MemEnv env;
+    Options opts = SmallOptions();
+    opts.enable_wal = wal;
+    auto db = DB::Open(&env, "/db", opts);
+    ASSERT_TRUE(db.ok());
+    WriteBatch batch;
+    for (int i = 0; i < 10; ++i) batch.Put(Key(i), "v");
+    ASSERT_TRUE((*db)->Write(batch).ok());
+    ASSERT_TRUE((*db)->Write(WriteBatch()).ok());
+    ASSERT_TRUE((*db)->Put(Key(10), "v").ok());
+    ASSERT_TRUE((*db)->Delete(Key(0)).ok());
+    EXPECT_EQ((*db)->commits(), 3u) << "wal " << wal;
+    EXPECT_EQ((*db)->wal_appends(), wal ? 3u : 0u);
+  }
+}
+
 TEST(DBWalTest, BatchRecoversAtomicallyAcrossReopen) {
   MemEnv env;
   {

@@ -731,16 +731,16 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
-TEST(WireTest, VersionIsSix) {
-  // Version 6: every state payload is a list of VnodeImages. A version 5
-  // envelope is refused.
-  EXPECT_EQ(kWireVersion, 6);
+TEST(WireTest, VersionIsSeven) {
+  // Version 7: state entries are tag-packed. A version 6 envelope, whose
+  // runs this decoder cannot read, is refused.
+  EXPECT_EQ(kWireVersion, 7);
   RequestEnvelope req;
   req.type = MessageType::kProcessBatch;
   req.body = "b";
   std::string encoded;
   req.EncodeTo(&encoded);
-  encoded[1] = 5;
+  encoded[1] = 6;
   EXPECT_EQ(RequestEnvelope::Decode(encoded).status().code(),
             StatusCode::kCorruption);
 }

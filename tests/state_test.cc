@@ -698,15 +698,19 @@ TEST_F(LsmBackendTest, HeldRowsTrackRandomWritesRoundAfterRound) {
 
 // The entry codec and the held-row write against a std::map model. Keys
 // are built from pieces that share prefixes, prefix one another and hold
-// 0x00 and 0xff bytes; the empty key and empty values occur. Each round's
-// changes, puts and tombstones (of absent keys too), are coded as one
-// run and written into a replica's held rows, and the replica's whole
-// image must be byte for byte the image of a backend holding the model's
-// state, and decode to the model.
+// 0x00 and 0xff bytes; the empty key and a piece long enough for a
+// two-byte tag occur. Values run 0-7 bytes, both sides of the inline
+// length limit, and now and then 200 bytes. Each round's changes, puts
+// and tombstones (of absent keys too), are coded as one run and written
+// into a replica's held rows, and the replica's whole image must be byte
+// for byte the image of a backend holding the model's state, and decode
+// to the model. The runs must hold keys as long as their predecessor and
+// keys of another length, so both forms of `shared` occur.
 TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   constexpr uint32_t kVnode = 3;
   const std::string pieces[] = {"",  "a", "ab", "abc", std::string(1, '\0'),
-                                std::string(2, '\0'), "\xff", "\xff\xff", "k"};
+                                std::string(2, '\0'), "\xff", "\xff\xff", "k",
+                                "0123456789"};
   uint64_t rng = 7;
   auto next = [&rng] {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -723,6 +727,8 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
   auto replica = LsmStateBackend::Open(&env_, "/state/held", "op", 9);
   ASSERT_TRUE(replica.ok());
   VnodeImage held;
+  std::set<size_t> value_lengths;
+  uint64_t same_length = 0, other_length = 0, tombstones = 0;
   for (int round = 0; round < 60; ++round) {
     std::map<std::string, std::optional<std::string>> changes;
     for (uint64_t i = 0, n = next() % 12; i < n; ++i) {
@@ -730,21 +736,26 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
       if (next() % 3 == 0) {
         changes[key] = std::nullopt;
       } else {
-        changes[key] = std::string(next() % 4 == 0 ? 0 : next() % 9,
+        changes[key] = std::string(next() % 10 == 0 ? 200 : next() % 8,
                                    static_cast<char>('a' + next() % 26));
       }
     }
     std::string run;
     EntryWriter writer(&run);
     std::vector<StateWrite> writes;
+    size_t previous_length = 0;  // a run's first key follows the empty key
     for (const auto& [key, value] : changes) {
       if (value.has_value()) {
         writer.Put(key, *value);
         model[key] = *value;
+        value_lengths.insert(value->size());
       } else {
         writer.Delete(key);
         model.erase(key);
+        ++tombstones;
       }
+      ++(key.size() == previous_length ? same_length : other_length);
+      previous_length = key.size();
       writes.push_back({kVnode, !value.has_value(), key, value.value_or(""),
                         1});
     }
@@ -764,6 +775,10 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
     ASSERT_EQ(decoded, model) << "round " << round;
   }
   ASSERT_GT(model.size(), 5u);
+  EXPECT_EQ(value_lengths, (std::set<size_t>{0, 1, 2, 3, 4, 5, 6, 7, 200}));
+  EXPECT_GT(same_length, 20u);
+  EXPECT_GT(other_length, 20u);
+  EXPECT_GT(tombstones, 20u);
 
   // A run cut at an entry boundary is a shorter run; cut anywhere else it
   // is Corruption, to the held-row write and to an ingest alike, and
@@ -789,22 +804,100 @@ TEST_F(LsmBackendTest, EntryCodecMatchesAMapModelOverRandomRuns) {
     ASSERT_EQ(WholeImage(replica->get(), kVnode), held) << "run prefix " << len;
   }
 
-  // A `shared` longer than the previous key: the first entry of a run
-  // follows the empty key.
-  std::string overshared;
-  BinaryWriter(&overshared).PutVarint(1);  // shared
-  BinaryWriter(&overshared).PutVarint(1);  // unshared
-  overshared += "a";
-  BinaryWriter(&overshared).PutVarint(2);  // value "1"
-  overshared += "1";
-  EXPECT_EQ((*replica)->WriteVnodeEntries(kVnode, overshared).code(),
-            StatusCode::kCorruption);
-  EXPECT_EQ(
-      (*replica)
-          ->IngestImages({Image(kVnode, held.bytes + 1, overshared)}, false)
-          .code(),
-            StatusCode::kCorruption);
-  ASSERT_EQ(WholeImage(replica->get(), kVnode), held);
+  // Hand-built runs, one per malformed form. Each starts with the entry
+  // "ab" -> "1" (an explicit shared 0 after the empty key).
+  auto entry = [](std::string* out, uint64_t unshared, uint64_t vfield,
+                  std::optional<uint64_t> shared, std::string_view suffix,
+                  std::optional<uint64_t> value_length,
+                  std::string_view value) {
+    BinaryWriter w(out);
+    w.PutVarint(unshared << 4 | vfield << 1 | (shared.has_value() ? 0 : 1));
+    if (shared.has_value()) w.PutVarint(*shared);
+    out->append(suffix);
+    if (value_length.has_value()) w.PutVarint(*value_length);
+    out->append(value);
+  };
+  std::string ab;
+  entry(&ab, 2, 2, 0, "ab", std::nullopt, "1");
+  ASSERT_EQ(RunEntries(ab),
+            (std::vector<std::pair<std::string, std::string>>{{"ab", "1"}}));
+  std::string implied = ab;  // same length as "ab", but 3 bytes unshared
+  entry(&implied, 3, 2, std::nullopt, "xyz", std::nullopt, "1");
+  std::string explicit_shared = ab;  // shares 3 bytes of a 2-byte key
+  entry(&explicit_shared, 1, 2, 3, "c", std::nullopt, "1");
+  std::string long_value = ab;  // a 10-byte value with 2 bytes left
+  entry(&long_value, 1, 7, 2, "c", 10, "12");
+  for (const std::string& bad : {implied, explicit_shared, long_value}) {
+    EntryReader reader(bad);
+    ASSERT_TRUE(reader.Next().ok());
+    EXPECT_EQ(reader.Next().code(), StatusCode::kCorruption);
+    EXPECT_EQ(reader.key(), "ab") << "a failed decode changes nothing";
+    EXPECT_EQ(reader.position(), ab.size());
+    EXPECT_EQ((*replica)->WriteVnodeEntries(kVnode, bad).code(),
+              StatusCode::kCorruption);
+    EXPECT_EQ((*replica)
+                  ->IngestImages({Image(kVnode, held.bytes + 1, bad)}, false)
+                  .code(),
+              StatusCode::kCorruption);
+    ASSERT_EQ(WholeImage(replica->get(), kVnode), held);
+  }
+}
+
+// Bytes from the network and from chain files reach the decoder as they
+// come: random strings, and valid runs with one byte changed, written as
+// held rows and ingested as images. Each call is OK or Corruption, and a
+// Corruption leaves the held rows and the size as they were. The
+// sanitizer builds run this too, so a read past a run fails there.
+TEST_F(LsmBackendTest, EntryDecoderSurvivesRandomAndMutatedRuns) {
+  constexpr uint32_t kVnode = 6;
+  uint64_t rng = 11;
+  auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  std::string valid;
+  EntryWriter writer(&valid);
+  for (uint64_t key = 0; key < 40; ++key) {
+    if (key % 7 == 3) {
+      writer.Delete(U64Key(key * 37));
+    } else {
+      writer.Put(U64Key(key * 37), std::string(key % 9, 'v'));
+    }
+  }
+  std::vector<std::string> inputs;
+  for (int i = 0; i < 300; ++i) {
+    std::string random(next() % 40, '\0');
+    for (char& c : random) c = static_cast<char>(next());
+    inputs.push_back(std::move(random));
+    std::string mutated = valid;
+    mutated[next() % mutated.size()] ^= static_cast<char>(1 + next() % 255);
+    inputs.push_back(std::move(mutated));
+  }
+  uint64_t corrupt = 0;
+  VnodeImage held = WholeImage(backend_.get(), kVnode);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string& run = inputs[i];
+    for (bool ingest : {false, true}) {
+      Status st;
+      if (ingest) {
+        st = backend_->IngestImages({Image(kVnode, held.bytes + 1, run)},
+                                    false);
+      } else {
+        st = backend_->WriteVnodeEntries(kVnode, run);
+      }
+      ASSERT_TRUE(st.ok() || st.code() == StatusCode::kCorruption)
+          << "input " << i << ": " << st.ToString();
+      if (st.ok()) {
+        held = WholeImage(backend_.get(), kVnode);
+      } else {
+        ++corrupt;
+        ASSERT_EQ(WholeImage(backend_.get(), kVnode), held) << "input " << i;
+      }
+    }
+  }
+  // Both outcomes occur: the inputs reach past the first check.
+  EXPECT_GT(corrupt, 100u);
+  EXPECT_LT(corrupt, 2 * inputs.size());
 }
 
 TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
