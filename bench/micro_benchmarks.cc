@@ -446,8 +446,10 @@ void BenchFlushPeakMemory(bench::BenchArtifact* artifact) {
 
 /// Vnode-restore ingest throughput: one `IngestImages` of 16 whole images
 /// into a fresh backend, one batch per vnode (the handover / restore
-/// path), in run MB/s and in entries/s.
+/// path), in run MB/s and in entries/s. Best of `kRepeats` ingests, each
+/// into a fresh backend of its own, as `MinTimeUs` picks its minimum.
 void BenchIngestVnodes(bench::BenchArtifact* artifact) {
+  const int kRepeats = 7;
   const uint32_t kVnodes = 16;
   const uint64_t kEntriesPerVnode = bench::SmokeScaled<uint64_t>(20000, 2000);
   const std::string value(128, 'v');
@@ -464,11 +466,19 @@ void BenchIngestVnodes(bench::BenchArtifact* artifact) {
   const std::vector<state::VnodeImage> images =
       ReadImages(origin->get(), kVnodes);
 
-  auto target = state::LsmStateBackend::Open(&env, "/bench-target", "op", 1);
-  RHINO_CHECK_OK(target.status());
-  double us = TimeUs([&] {
-    RHINO_CHECK_OK((*target)->IngestImages(images, false));
-  });
+  double us = 0;
+  for (int r = 0; r < kRepeats; ++r) {
+    // A fresh env per target, so each ingest meets an empty store and the
+    // previous target's memory is gone.
+    lsm::MemEnv target_env;
+    auto target =
+        state::LsmStateBackend::Open(&target_env, "/bench-target", "op", 1);
+    RHINO_CHECK_OK(target.status());
+    const double t = TimeUs([&] {
+      RHINO_CHECK_OK((*target)->IngestImages(images, false));
+    });
+    us = r == 0 ? t : std::min(us, t);
+  }
   artifact->Set("throughput_ingest_vnodes_mb_per_s",
                 (RunBytes(images) / 1e6) / (us / 1e6));
   artifact->Set("throughput_ingest_vnodes_entries_per_s",

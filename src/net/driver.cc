@@ -486,11 +486,8 @@ std::vector<dataflow::Record> ClusterDriver::OutputRecords(
 Result<CheckpointStats> ClusterDriver::Checkpoint() {
   CheckpointStats stats;
   stats.checkpoint_id = ++last_checkpoint_id_;
-  dataflow::ControlEvent barrier;
-  barrier.type = dataflow::ControlEvent::Type::kCheckpointBarrier;
-  barrier.id = stats.checkpoint_id;
   std::string body;
-  EncodeControlEvent(barrier, &body);
+  CheckpointRequest{stats.checkpoint_id}.EncodeTo(&body);
 
   // Concurrent barrier broadcast: every node persists (and drains its
   // replication stream) in parallel, so the cluster-wide checkpoint costs
@@ -561,14 +558,11 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
           std::to_string(origin));
     }
   }
-  auto spec = std::make_shared<dataflow::HandoverSpec>();
-  spec->id = ++last_handover_id_;
-  spec->operator_name = op;
-  spec->moves.push_back(dataflow::HandoverMove{origin, target, vnodes});
-  dataflow::ControlEvent marker;
-  marker.type = dataflow::ControlEvent::Type::kHandoverMarker;
-  marker.id = spec->id;
-  marker.handover = spec;
+  HandoverStateRequest request;
+  request.id = ++last_handover_id_;
+  request.op = op;
+  request.origin = origin;
+  request.vnodes = vnodes;
 
   // The origin's ring successor already holds the moved vnodes: ask for
   // the replica path, where only sizes, watermarks and stream seqs cross
@@ -580,9 +574,7 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
     // Step 1: the origin's images of the moved vnodes (state +
     // watermarks), or, once its stream to the successor drained, empty
     // runs on top of the copies the successor holds.
-    HandoverStateRequest extract;
-    extract.control = marker;
-    extract.move_index = 0;
+    HandoverStateRequest extract = request;
     extract.replica_local = replica_local ? 1 : 0;
     body.clear();
     extract.EncodeTo(&body);
@@ -592,9 +584,7 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
 
     // Step 2: the target applies each image on top of its copy, or of
     // nothing.
-    HandoverStateRequest ingest;
-    ingest.control = marker;
-    ingest.move_index = 0;
+    HandoverStateRequest ingest = request;
     RHINO_ASSIGN_OR_RETURN(ingest.images, DecodeVnodeImages(reply_body));
     replica_local = std::any_of(
         ingest.images.begin(), ingest.images.end(),
@@ -622,7 +612,7 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
   RHINO_RETURN_NOT_OK(Call(origin, MessageType::kDropVnodes, body, nullptr));
 
   for (uint32_t vnode : vnodes) rit->second.owner[vnode] = target;
-  obs_->trace().Emit("net", "cluster_handover", "driver", spec->id,
+  obs_->trace().Emit("net", "cluster_handover", "driver", request.id,
                      {{"origin", origin},
                       {"target", target},
                       {"vnodes", static_cast<int64_t>(vnodes.size())},
@@ -672,17 +662,11 @@ Status ClusterDriver::RecoverOne(uint32_t dead_node) {
     std::string body;
     fetch.EncodeTo(&body);
     std::string reply_body;
-    // Rhino path: the ring successor already holds the replica in memory.
-    Status st =
-        Call(target, MessageType::kPromoteReplica, body, &reply_body);
-    bool promoted = st.ok();
-    if (st.code() == StatusCode::kNotFound) {
-      // Fallback: no replica survived (replication off, or the holder died
-      // too) — restore the durable checkpoint image from shared storage.
-      st = Call(target, MessageType::kRestoreFromCheckpoint, body,
-                &reply_body);
-    }
-    RHINO_RETURN_NOT_OK(st);
+    // The ring successor takes each vnode from the replica it holds (the
+    // Rhino path), else from its checkpoint chain in shared storage (no
+    // replica survived: replication off, or the holder died too).
+    RHINO_RETURN_NOT_OK(
+        Call(target, MessageType::kPromoteReplica, body, &reply_body));
     RHINO_ASSIGN_OR_RETURN(std::vector<VnodeImage> images,
                            DecodeVnodeImages(reply_body));
 
@@ -702,15 +686,10 @@ Status ClusterDriver::RecoverOne(uint32_t dead_node) {
       }
       input.cursor = low;
     }
-    uint64_t as_of = 0;
-    for (const VnodeImage& image : images) {
-      as_of = std::max(as_of, image.base_seq);
-    }
-    obs_->trace().Emit("net", "cluster_recovery", "driver", as_of,
+    obs_->trace().Emit("net", "cluster_recovery", "driver", 0,
                        {{"dead", dead_node},
                         {"target", target},
-                        {"vnodes", static_cast<int64_t>(lost.size())},
-                        {"promoted", promoted ? 1 : 0}});
+                        {"vnodes", static_cast<int64_t>(lost.size())}});
   }
   return Status::OK();
 }

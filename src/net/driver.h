@@ -23,10 +23,11 @@
 /// ids). It sequences cluster-wide operations over the RPC layer — the
 /// checkpoint barrier broadcast, the three-step live handover
 /// (extract -> ingest -> drop; replica-local when the target is the
-/// origin's ring successor), and failure recovery (promote the ring
-/// successor's replica, or fall back to the durable checkpoint image, then
-/// rewind the dead operator's input cursors to the restored replay
-/// watermarks and re-pump).
+/// origin's ring successor), and failure recovery (one `kPromoteReplica`
+/// to the ring successor, which takes each lost vnode from the replica it
+/// holds, else from the vnode's checkpoint chain, then a rewind of the
+/// dead operator's input cursors to the restored replay watermarks and a
+/// re-pump).
 ///
 /// Multi-operator graphs: operators are wired explicitly —
 /// `ConnectPartition` feeds a broker partition into an operator input,
@@ -163,10 +164,10 @@ class ClusterDriver {
                          uint32_t target, const std::vector<uint32_t>& vnodes);
 
   /// Declares `dead_node` failed and re-homes everything it owned onto
-  /// surviving nodes: promote the successor's replica (Rhino) or restore
-  /// the durable checkpoint image (fallback), rewind the input cursors of
-  /// each affected operator to the restored replay watermarks. Call
-  /// `Pump()` afterwards to replay.
+  /// its ring successor, which takes each vnode from the replica it holds
+  /// (Rhino), else from the vnode's checkpoint chain (RhinoDFS), else
+  /// empty; rewinds the input cursors of each affected operator to the
+  /// restored replay watermarks. Call `Pump()` afterwards to replay.
   Status RecoverNode(uint32_t dead_node) { return RecoverNodes({dead_node}); }
 
   /// Recovery from CORRELATED failures (e.g. a whole VM taking several

@@ -1,13 +1,12 @@
 #include "net/node_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "rhino/checkpoint_storage.h"
+#include "net/checkpoint_chain.h"
 #include "state/modeled_state_backend.h"
 
 namespace rhino::net {
@@ -81,8 +80,7 @@ Result<std::string> NodeServer::Handle(MessageType type,
     case MessageType::kReplicateState:
       return HandleReplicateState(body);
     case MessageType::kPromoteReplica:
-    case MessageType::kRestoreFromCheckpoint:
-      return HandleReplicaFetch(type, body);
+      return HandlePromoteReplica(body);
     case MessageType::kQueryCount:
       return HandleQueryCount(body);
     case MessageType::kStats:
@@ -298,7 +296,7 @@ void NodeServer::AdoptChains(const std::string& op,
   for (uint32_t vnode : vnodes) {
     const std::string path = ChainPath(op, vnode);
     auto size = env_->GetFileSize(path);
-    auto base = rhino::ChainBaseBytes(env_, path);
+    auto base = ChainBaseBytes(env_, path);
     if (!size.ok() || !base.ok()) continue;  // the next record is whole
     VnodeImage image = shard.host->Describe(vnode);
     Chain& chain = shard.chains[vnode];
@@ -311,14 +309,14 @@ void NodeServer::AdoptChains(const std::string& op,
 
 std::string NodeServer::ChainPath(const std::string& op,
                                   uint32_t vnode) const {
-  return options_.ckpt_dir + "/" + rhino::ChainFileName(op, vnode);
+  return options_.ckpt_dir + "/" + ChainFileName(op, vnode);
 }
 
 Status NodeServer::WriteChains(Shard* shard, const std::string& op,
                                const std::vector<uint32_t>& vnodes,
                                uint64_t id, ChainPhase phase,
                                uint64_t* bytes) {
-  using Kind = rhino::ChainRecord::Kind;
+  using Kind = ChainRecord::Kind;
   state::StateBackend* backend = shard->host->backend();
   Status first_failure;
   auto wrote = [&](uint32_t vnode, const Status& st, Kind kind,
@@ -336,7 +334,7 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
   };
   auto record_of = [&](uint32_t vnode, Kind kind, std::string_view body) {
     VnodeImage image = shard->host->Describe(vnode);
-    rhino::ChainRecord record;
+    ChainRecord record;
     record.kind = kind;
     record.checkpoint_id = id;
     record.nominal_bytes = image.bytes;
@@ -354,13 +352,13 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
     }
     std::optional<uint64_t> keys =
         backend->TakeChanges(state::ChangeReader::kCheckpoint, vnode, &run);
-    rhino::ChainRecord record = record_of(vnode, Kind::kKeys, run);
+    ChainRecord record = record_of(vnode, Kind::kKeys, run);
     if (keys == 0u && record.nominal_bytes == chain->second.nominal &&
         record.watermarks == chain->second.watermarks) {
       continue;  // the chain's last record is the vnode as it is
     }
     framed.clear();
-    if (keys.has_value()) rhino::AppendChainRecord(record, &framed);
+    if (keys.has_value()) AppendChainRecord(record, &framed);
     if (!keys.has_value() ||
         chain->second.bytes + framed.size() > 2 * chain->second.base) {
       // The backend cannot capture, or extending would grow the chain past
@@ -383,10 +381,10 @@ Status NodeServer::WriteChains(Shard* shard, const std::string& op,
     backend->DiscardChanges(state::ChangeReader::kCheckpoint, whole);
     for (uint32_t vnode : whole) {
       Status st = backend->ReadVnodeEntries(vnode, &run);
-      rhino::ChainRecord record = record_of(vnode, Kind::kWhole, run);
+      ChainRecord record = record_of(vnode, Kind::kWhole, run);
       framed.clear();
       if (st.ok()) {
-        rhino::AppendChainRecord(record, &framed);
+        AppendChainRecord(record, &framed);
         // WriteFile replaces the chain atomically: a reader sees the old
         // chain or the new base, never a mix.
         st = env_->WriteFile(ChainPath(op, vnode), framed);
@@ -455,21 +453,18 @@ void NodeServer::UpdateCapturedKeys() {
 }
 
 Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
-  RHINO_ASSIGN_OR_RETURN(dataflow::ControlEvent ev, DecodeControlEvent(body));
-  if (ev.type != dataflow::ControlEvent::Type::kCheckpointBarrier) {
-    return Status::InvalidArgument("kCheckpoint body is not a barrier");
-  }
+  RHINO_ASSIGN_OR_RETURN(CheckpointRequest req,
+                         CheckpointRequest::Decode(body));
   CheckpointReply reply;
-  reply.checkpoint_id = ev.id;
+  reply.checkpoint_id = req.checkpoint_id;
   bool want_barrier = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [op, shard] : shards_) {
       const auto& owned_set = shard.host->owned();
       std::vector<uint32_t> owned(owned_set.begin(), owned_set.end());
-      RHINO_RETURN_NOT_OK(WriteChains(&shard, op, owned, ev.id,
+      RHINO_RETURN_NOT_OK(WriteChains(&shard, op, owned, req.checkpoint_id,
                                       ChainPhase::kCheckpoint, &reply.bytes));
-      ++reply.operators;
     }
     UpdateCapturedKeys();
     want_barrier = replicating_ && !successor_.empty();
@@ -482,7 +477,8 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
     reply.replicated = 1;
   }
   obs_->trace().Emit("net", "node_checkpoint",
-                     "node" + std::to_string(node_id_.load()), ev.id,
+                     "node" + std::to_string(node_id_.load()),
+                     req.checkpoint_id,
                      {{"bytes", static_cast<int64_t>(reply.bytes)}});
   std::string out;
   reply.EncodeTo(&out);
@@ -492,15 +488,9 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
 Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(HandoverStateRequest req,
                          HandoverStateRequest::Decode(body));
-  if (req.control.handover == nullptr ||
-      req.move_index >= req.control.handover->moves.size()) {
-    return Status::InvalidArgument("extract request without a valid move");
-  }
-  const auto& spec = *req.control.handover;
-  const auto& move = spec.moves[req.move_index];
   auto owned_shard = [&]() -> Result<Shard*> {
-    RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(spec.operator_name));
-    for (uint32_t vnode : move.vnodes) {
+    RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
+    for (uint32_t vnode : req.vnodes) {
       if (!shard->host->Owns(vnode)) {
         return Status::FailedPrecondition("extract of unowned vnode " +
                                           std::to_string(vnode));
@@ -523,7 +513,7 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   std::lock_guard<std::mutex> lock(mu_);
   RHINO_ASSIGN_OR_RETURN(Shard * shard, owned_shard());
   std::vector<VnodeImage> images;
-  for (uint32_t vnode : move.vnodes) {
+  for (uint32_t vnode : req.vnodes) {
     images.push_back(shard->host->Describe(vnode));
   }
   if (replica_local) {
@@ -531,8 +521,8 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
     // each moved vnode must be exactly its last shipped delta, on top of
     // which the image's run is empty.
     std::lock_guard<std::mutex> rlock(repl_->mu);
-    auto dirty = repl_->dirty.find(spec.operator_name);
-    auto shipped = repl_->last_seq.find(spec.operator_name);
+    auto dirty = repl_->dirty.find(req.op);
+    auto shipped = repl_->last_seq.find(req.op);
     for (VnodeImage& image : images) {
       if ((dirty != repl_->dirty.end() &&
            dirty->second.count(image.vnode) != 0) ||
@@ -557,11 +547,11 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
   // without a chain this node may extend is written whole; a failed
   // write fails the extract, and the vnodes stay here.
   uint64_t written = 0;
-  RHINO_RETURN_NOT_OK(WriteChains(shard, spec.operator_name, move.vnodes,
-                                  spec.id, ChainPhase::kHandover, &written));
+  RHINO_RETURN_NOT_OK(WriteChains(shard, req.op, req.vnodes, req.id,
+                                  ChainPhase::kHandover, &written));
   obs_->trace().Emit("net", "handover_extract",
-                     "node" + std::to_string(node_id_.load()), spec.id,
-                     {{"vnodes", static_cast<int64_t>(move.vnodes.size())},
+                     "node" + std::to_string(node_id_.load()), req.id,
+                     {{"vnodes", static_cast<int64_t>(req.vnodes.size())},
                       {"replica_local", replica_local ? 1 : 0}});
   std::string out;
   EncodeVnodeImages(images, &out);
@@ -571,18 +561,12 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
 Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(HandoverStateRequest req,
                          HandoverStateRequest::Decode(body));
-  if (req.control.handover == nullptr ||
-      req.move_index >= req.control.handover->moves.size()) {
-    return Status::InvalidArgument("ingest request without a valid move");
-  }
-  const auto& spec = *req.control.handover;
-  const auto& move = spec.moves[req.move_index];
-  const std::string& op = spec.operator_name;
+  const std::string& op = req.op;
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(op));
   std::set<uint32_t> listed;
   for (const VnodeImage& image : req.images) listed.insert(image.vnode);
   if (listed.size() != req.images.size() ||
-      listed != std::set<uint32_t>(move.vnodes.begin(), move.vnodes.end())) {
+      listed != std::set<uint32_t>(req.vnodes.begin(), req.vnodes.end())) {
     return Status::InvalidArgument("ingest images are not the moved vnodes");
   }
   // An image on top of a copy needs the origin's copy held here at exactly
@@ -597,10 +581,10 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
     }
     replica_local = true;
     auto copy = held_.find({op, image.vnode});
-    if (copy == held_.end() || copy->second.origin != move.origin_instance ||
+    if (copy == held_.end() || copy->second.origin != req.origin ||
         copy->second.seq != image.base_seq) {
       return Status::FailedPrecondition(
-          "replica of node " + std::to_string(move.origin_instance) +
+          "replica of node " + std::to_string(req.origin) +
           " does not hold vnode " + std::to_string(image.vnode) +
           " at the origin's last shipped seq");
     }
@@ -611,11 +595,11 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
   RHINO_RETURN_NOT_OK(DropHeld(op, whole));
   for (const VnodeImage& image : req.images) held_.erase({op, image.vnode});
   RHINO_RETURN_NOT_OK(TakeOver(shard, op, req.images));
-  AdoptChains(op, move.vnodes);
+  AdoptChains(op, req.vnodes);
   Bump(replica_local ? metrics_.handover_replica : metrics_.handover_full);
   obs_->trace().Emit("net", "handover_ingest",
-                     "node" + std::to_string(node_id_.load()), spec.id,
-                     {{"vnodes", static_cast<int64_t>(move.vnodes.size())},
+                     "node" + std::to_string(node_id_.load()), req.id,
+                     {{"vnodes", static_cast<int64_t>(req.vnodes.size())},
                       {"replica_local", replica_local ? 1 : 0}});
   return std::string();
 }
@@ -722,76 +706,61 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
   return std::string();
 }
 
-Result<std::string> NodeServer::HandleReplicaFetch(MessageType type,
-                                                   std::string_view body) {
+Result<std::string> NodeServer::HandlePromoteReplica(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(ReplicaFetchRequest req,
                          ReplicaFetchRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
-  // A requested vnode the origin's replica or chain does not cover loses
-  // any rows it has here and is taken over empty, without watermarks.
+  // Each requested vnode comes from the first source that exists: the copy
+  // held here for the origin, its chain, or nothing.
   std::vector<VnodeImage> images(req.vnodes.size());
-  for (size_t i = 0; i < images.size(); ++i) images[i].vnode = req.vnodes[i];
   std::vector<uint32_t> untorn;  // restored from a chain without a torn tail
-  if (type == MessageType::kPromoteReplica) {
-    auto from_origin = [&req](const auto& held) {
-      return held.first.first == req.op &&
-             held.second.origin == req.origin_node;
-    };
-    if (std::none_of(held_.begin(), held_.end(), from_origin)) {
-      return Status::NotFound("no replica of node " +
-                              std::to_string(req.origin_node) + " op " +
-                              req.op + " on node " +
-                              std::to_string(node_id_.load()));
+  int64_t promoted = 0, restored = 0;
+  for (size_t i = 0; i < images.size(); ++i) {
+    VnodeImage& image = images[i];
+    image.vnode = req.vnodes[i];
+    // The held rows become the vnode's state where they are, copying no
+    // key; they win over a newer chain. The origin is dead: nothing of its
+    // replica is asked for twice.
+    auto held = held_.find({req.op, image.vnode});
+    if (held != held_.end() && held->second.origin == req.origin_node) {
+      image.base_seq = held->second.seq;
+      image.bytes = held->second.bytes;
+      image.watermarks = std::move(held->second.watermarks);
+      held_.erase(held);
+      ++promoted;
+      continue;
     }
-    // The held rows become the vnodes' state where they are, copying no
-    // key. The origin is dead: nothing of its replica is asked for twice.
-    std::vector<uint32_t> absent;
-    for (VnodeImage& image : images) {
-      auto it = held_.find({req.op, image.vnode});
-      if (it == held_.end() || !from_origin(*it)) {
-        absent.push_back(image.vnode);
-        continue;
-      }
-      image.base_seq = it->second.seq;
-      image.bytes = it->second.bytes;
-      image.watermarks = std::move(it->second.watermarks);
-      held_.erase(it);
-    }
-    RHINO_RETURN_NOT_OK(DropHeld(req.op, absent));
-  } else {
-    // Each requested vnode's chain, whoever wrote it, goes into the
-    // backend: its whole record, then its key records.
-    RHINO_RETURN_NOT_OK(DropHeld(req.op, req.vnodes));
-    for (VnodeImage& image : images) {
-      const std::string path = ChainPath(req.op, image.vnode);
-      auto chain = rhino::ReadChain(env_, path);
-      if (chain.status().code() == StatusCode::kNotFound) continue;
-      RHINO_RETURN_NOT_OK(chain.status());
-      RHINO_RETURN_NOT_OK(
-          rhino::RestoreChain(*chain, image.vnode, shard->host->backend()));
-      image.base_seq = chain->checkpoint_id;
-      image.bytes = chain->nominal_bytes;
-      image.watermarks = std::move(chain->watermarks);
-      // Without a torn tail the vnode is exactly the chain's last record,
-      // and its next record extends the chain.
-      auto size = env_->GetFileSize(path);
-      if (size.ok() && *size == chain->valid_bytes) {
-        untorn.push_back(image.vnode);
-      }
+    // Rows held for another origin go. The vnode's chain, whoever wrote
+    // it, goes into the backend: its whole record, then its key records.
+    // Without one the vnode starts empty, with no watermarks.
+    RHINO_RETURN_NOT_OK(DropHeld(req.op, {image.vnode}));
+    const std::string path = ChainPath(req.op, image.vnode);
+    auto chain = ReadChain(env_, path);
+    if (chain.status().code() == StatusCode::kNotFound) continue;
+    RHINO_RETURN_NOT_OK(chain.status());
+    RHINO_RETURN_NOT_OK(
+        RestoreChain(*chain, image.vnode, shard->host->backend()));
+    image.base_seq = chain->checkpoint_id;
+    image.bytes = chain->nominal_bytes;
+    image.watermarks = std::move(chain->watermarks);
+    ++restored;
+    // Without a torn tail the vnode is exactly the chain's last record,
+    // and its next record extends the chain.
+    auto size = env_->GetFileSize(path);
+    if (size.ok() && *size == chain->valid_bytes) {
+      untorn.push_back(image.vnode);
     }
   }
   RHINO_RETURN_NOT_OK(TakeOver(shard, req.op, images));
   AdoptChains(req.op, untorn);
-  uint64_t as_of = 0;
-  for (const VnodeImage& image : images) {
-    as_of = std::max(as_of, image.base_seq);
-  }
-  obs_->trace().Emit(
-      "net",
-      type == MessageType::kPromoteReplica ? "promote_replica"
-                                           : "restore_from_checkpoint",
-      "node" + std::to_string(node_id_.load()), as_of,
-      {{"origin", static_cast<int64_t>(req.origin_node)}});
+  const int64_t empty =
+      static_cast<int64_t>(images.size()) - promoted - restored;
+  obs_->trace().Emit("net", "promote_replica",
+                     "node" + std::to_string(node_id_.load()), 0,
+                     {{"origin", static_cast<int64_t>(req.origin_node)},
+                      {"promoted", promoted},
+                      {"restored", restored},
+                      {"empty", empty}});
   // The driver needs the replay watermarks to rewind its partition
   // cursors; the state stays here.
   std::string out;

@@ -35,11 +35,11 @@
 /// `VnodeImage`s (state_backend.h): a vnode's size, replay watermarks and
 /// entry run, whole (`base_seq` 0) or the keys written since the copy the
 /// receiver holds at `base_seq`. Stream deltas, both halves of a handover,
-/// and the replies of a promotion and a restore all carry them. Every
-/// path by which a vnode becomes owned here ends in one `TakeOver`, which
-/// writes the images' runs: a full-path ingest's whole runs, nothing for
-/// a replica-local ingest or a promotion (their held rows are taken
-/// over), nothing for a restore (its chain was written).
+/// and the reply of a promotion all carry them. Every path by which a
+/// vnode becomes owned here ends in one `TakeOver`, which writes the
+/// images' runs: a full-path ingest's whole runs, nothing for a
+/// replica-local ingest or a promoted copy (their held rows are taken
+/// over), nothing for a restored vnode (its chain was written).
 ///
 /// Protocol roles, mirroring the in-process engine:
 ///
@@ -79,13 +79,13 @@
 ///    Either way the origin's extract first writes the moved vnodes'
 ///    pending keys to their chains (the final incremental checkpoint), and
 ///    the target extends those chains from then on;
-///  * **recovery** — `kPromoteReplica` takes over the held rows of the
-///    requested vnodes of a dead peer, copying no key;
-///    `kRestoreFromCheckpoint` writes each requested vnode's chain, its
-///    whole record and then every key record, into the backend when no
-///    replica survived (the RhinoDFS fallback). A promoted vnode's next
-///    chain record is whole; a restored one extends its chain unless the
-///    chain has a torn tail.
+///  * **recovery** — `kPromoteReplica` takes each requested vnode of a
+///    dead peer from the first source that exists: the rows held here for
+///    that peer, taken over copying no key (Rhino); else the vnode's
+///    chain, its whole record and then every key record, written into the
+///    backend (RhinoDFS); else nothing. A held copy wins over a newer
+///    chain. A promoted copy's next chain record is whole; a restored
+///    vnode extends its chain unless the chain has a torn tail.
 ///
 /// **Chain invariant.** A node extends a vnode's chain only while its
 /// state of the vnode equals the chain's last record plus the keys its
@@ -109,10 +109,11 @@
 /// copy and answers `FailedPrecondition`, upon which the origin ships the
 /// vnode whole. A tombstone drops only its origin's copy. A vnode that
 /// becomes owned other than by taking its held copy over — a full-path
-/// ingest, a restore, the promotion of a vnode not held — first loses any
-/// rows of it, as its old owner's tombstone may still be in flight. A
-/// vnode not held is promoted empty with no watermarks, so the driver
-/// replays its inputs from offset 0 (the broker keeps every offset).
+/// ingest, or the promotion of a vnode not held for the dead origin —
+/// first loses any rows of it, as its old owner's tombstone may still be
+/// in flight. A promoted vnode neither held nor chained starts empty with
+/// no watermarks, so the driver replays its inputs from offset 0 (the
+/// broker keeps every offset).
 ///
 /// Thread safety: one mutex (`mu_`) serializes all verbs, so every
 /// checkpoint or extraction observes a consistent shard. The replicator
@@ -239,8 +240,7 @@ class NodeServer {
   Result<std::string> HandleIngestVnodes(std::string_view body);
   Result<std::string> HandleDropVnodes(std::string_view body);
   Result<std::string> HandleReplicateState(std::string_view body);
-  Result<std::string> HandleReplicaFetch(MessageType type,
-                                         std::string_view body);
+  Result<std::string> HandlePromoteReplica(std::string_view body);
   Result<std::string> HandleQueryCount(std::string_view body);
   Result<std::string> HandleStats();
 
@@ -255,7 +255,8 @@ class NodeServer {
 
   /// The one take-over step, which ends every path by which a vnode
   /// becomes owned here — a full-path ingest, a replica-local ingest or a
-  /// promotion (held rows taken over), a restore (its chain written): the
+  /// promoted copy (held rows taken over), a restored vnode (its chain
+  /// written), a promoted vnode with neither (empty): the
   /// backend ingests the images (`StateBackend::IngestImages`: each run
   /// written, each size set), and their vnodes become owned with the
   /// images' watermarks (assigned). They ship whole to this node's
@@ -271,7 +272,8 @@ class NodeServer {
 
   /// Takes over the chains of `vnodes` of `op`, whose last records equal
   /// this node's state of them: a handover target's moved vnodes (the
-  /// origin's extract wrote those records) or untorn restored ones. A
+  /// origin's extract wrote those records) or promoted vnodes restored
+  /// from untorn chains. A
   /// chain it cannot read gets a whole record next. Caller holds `mu_`.
   void AdoptChains(const std::string& op, const std::vector<uint32_t>& vnodes);
 

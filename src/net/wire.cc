@@ -1,7 +1,6 @@
 #include "net/wire.h"
 
 #include <bit>
-#include <memory>
 #include <utility>
 
 #include "common/serde.h"
@@ -34,7 +33,6 @@ Status CheckVersion(BinaryReader* r, const char* what) {
 // element count (`BinaryReader::GetCount`) before anything is reserved.
 constexpr size_t kMinVnodeBytes = 1;        // varint vnode
 constexpr size_t kMinRecordBytes = 4;       // key | time | size | payload
-constexpr size_t kMinMoveBytes = 4 + 4 + 1; // origin | target | vnode count
 // vnode | base seq | bytes | watermark count | run length
 constexpr size_t kMinImageBytes = 5;
 constexpr size_t kMinWatermarkBytes = 2;    // source | offset
@@ -95,6 +93,9 @@ Status GetImages(BinaryReader* r, std::vector<VnodeImage>* images) {
   return Status::OK();
 }
 
+// The request type of the checkpoint restore verb until version 8: unused.
+constexpr uint8_t kRetiredType = 10;
+
 // Doubles cross the wire as their IEEE-754 bit pattern in a u64; the
 // serde layer is integers-and-strings only.
 void PutDouble(BinaryWriter* w, double value) {
@@ -122,7 +123,6 @@ const char* MessageTypeName(MessageType type) {
     case MessageType::kDropVnodes: return "DropVnodes";
     case MessageType::kReplicateState: return "ReplicateState";
     case MessageType::kPromoteReplica: return "PromoteReplica";
-    case MessageType::kRestoreFromCheckpoint: return "RestoreFromCheckpoint";
     case MessageType::kQueryCount: return "QueryCount";
     case MessageType::kStats: return "Stats";
     case MessageType::kShutdown: return "Shutdown";
@@ -145,7 +145,8 @@ Result<RequestEnvelope> RequestEnvelope::Decode(std::string_view data) {
   RequestEnvelope env;
   uint8_t type = 0;
   RHINO_RETURN_NOT_OK(r.GetU8(&type));
-  if (type == 0 || type > static_cast<uint8_t>(MessageType::kShutdown)) {
+  if (type == 0 || type == kRetiredType ||
+      type > static_cast<uint8_t>(MessageType::kShutdown)) {
     return Status::Corruption("unknown request type " + std::to_string(type));
   }
   env.type = static_cast<MessageType>(type);
@@ -187,7 +188,7 @@ Result<ReplyEnvelope> ReplyEnvelope::Decode(std::string_view data) {
   return env;
 }
 
-// -------------------------------------------------- batches and control --
+// ----------------------------------------------- batches and operators --
 
 void EncodeBatch(const dataflow::Batch& batch, std::string* out) {
   BinaryWriter w(out);
@@ -240,74 +241,6 @@ Result<dataflow::Batch> DecodeBatch(std::string_view data) {
   }
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "batch"));
   return batch;
-}
-
-void EncodeHandoverSpec(const dataflow::HandoverSpec& spec, std::string* out) {
-  BinaryWriter w(out);
-  w.PutU64(spec.id);
-  w.PutString(spec.operator_name);
-  w.PutU8(spec.origin_failed ? 1 : 0);
-  w.PutVarint(spec.moves.size());
-  for (const auto& move : spec.moves) {
-    w.PutU32(move.origin_instance);
-    w.PutU32(move.target_instance);
-    PutVnodes(&w, move.vnodes);
-  }
-}
-
-Result<dataflow::HandoverSpec> DecodeHandoverSpec(std::string_view data) {
-  BinaryReader r(data);
-  dataflow::HandoverSpec spec;
-  RHINO_RETURN_NOT_OK(r.GetU64(&spec.id));
-  RHINO_RETURN_NOT_OK(r.GetString(&spec.operator_name));
-  uint8_t origin_failed = 0;
-  RHINO_RETURN_NOT_OK(r.GetU8(&origin_failed));
-  spec.origin_failed = origin_failed != 0;
-  uint64_t n = 0;
-  RHINO_RETURN_NOT_OK(r.GetCount(kMinMoveBytes, &n));
-  spec.moves.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    dataflow::HandoverMove move;
-    RHINO_RETURN_NOT_OK(r.GetU32(&move.origin_instance));
-    RHINO_RETURN_NOT_OK(r.GetU32(&move.target_instance));
-    RHINO_RETURN_NOT_OK(GetVnodes(&r, &move.vnodes));
-    spec.moves.push_back(std::move(move));
-  }
-  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "handover spec"));
-  return spec;
-}
-
-void EncodeControlEvent(const dataflow::ControlEvent& ev, std::string* out) {
-  BinaryWriter w(out);
-  w.PutU8(static_cast<uint8_t>(ev.type));
-  w.PutU64(ev.id);
-  std::string spec;
-  if (ev.handover != nullptr) EncodeHandoverSpec(*ev.handover, &spec);
-  w.PutString(spec);
-}
-
-Result<dataflow::ControlEvent> DecodeControlEvent(std::string_view data) {
-  BinaryReader r(data);
-  dataflow::ControlEvent ev;
-  uint8_t type = 0;
-  RHINO_RETURN_NOT_OK(r.GetU8(&type));
-  if (type >
-      static_cast<uint8_t>(dataflow::ControlEvent::Type::kHandoverMarker)) {
-    return Status::Corruption("unknown control event type " +
-                              std::to_string(type));
-  }
-  ev.type = static_cast<dataflow::ControlEvent::Type>(type);
-  RHINO_RETURN_NOT_OK(r.GetU64(&ev.id));
-  std::string_view spec_bytes;
-  RHINO_RETURN_NOT_OK(r.GetString(&spec_bytes));
-  if (!spec_bytes.empty()) {
-    RHINO_ASSIGN_OR_RETURN(dataflow::HandoverSpec spec,
-                           DecodeHandoverSpec(spec_bytes));
-    ev.handover =
-        std::make_shared<const dataflow::HandoverSpec>(std::move(spec));
-  }
-  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "control event"));
-  return ev;
 }
 
 void EncodeOperatorSpec(const dataflow::OperatorSpec& spec, std::string* out) {
@@ -435,11 +368,22 @@ Result<ProcessBatchReply> ProcessBatchReply::Decode(std::string_view data) {
   return rep;
 }
 
+void CheckpointRequest::EncodeTo(std::string* out) const {
+  BinaryWriter(out).PutVarint(checkpoint_id);
+}
+
+Result<CheckpointRequest> CheckpointRequest::Decode(std::string_view data) {
+  BinaryReader r(data);
+  CheckpointRequest req;
+  RHINO_RETURN_NOT_OK(r.GetVarint(&req.checkpoint_id));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "checkpoint request"));
+  return req;
+}
+
 void CheckpointReply::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   w.PutU64(checkpoint_id);
   w.PutU64(bytes);
-  w.PutU32(operators);
   w.PutU8(replicated);
 }
 
@@ -448,7 +392,6 @@ Result<CheckpointReply> CheckpointReply::Decode(std::string_view data) {
   CheckpointReply rep;
   RHINO_RETURN_NOT_OK(r.GetU64(&rep.checkpoint_id));
   RHINO_RETURN_NOT_OK(r.GetU64(&rep.bytes));
-  RHINO_RETURN_NOT_OK(r.GetU32(&rep.operators));
   RHINO_RETURN_NOT_OK(r.GetU8(&rep.replicated));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "checkpoint reply"));
   return rep;
@@ -470,10 +413,10 @@ Result<std::vector<VnodeImage>> DecodeVnodeImages(std::string_view data) {
 
 void HandoverStateRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
-  std::string encoded;
-  EncodeControlEvent(control, &encoded);
-  w.PutString(encoded);
-  w.PutU32(move_index);
+  w.PutVarint(id);
+  w.PutString(op);
+  w.PutVarint(origin);
+  PutVnodes(&w, vnodes);
   w.PutU8(replica_local);
   PutImages(&w, images);
 }
@@ -482,10 +425,10 @@ Result<HandoverStateRequest> HandoverStateRequest::Decode(
     std::string_view data) {
   BinaryReader r(data);
   HandoverStateRequest req;
-  std::string_view encoded;
-  RHINO_RETURN_NOT_OK(r.GetString(&encoded));
-  RHINO_ASSIGN_OR_RETURN(req.control, DecodeControlEvent(encoded));
-  RHINO_RETURN_NOT_OK(r.GetU32(&req.move_index));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&req.id));
+  RHINO_RETURN_NOT_OK(r.GetString(&req.op));
+  RHINO_RETURN_NOT_OK(r.GetVarint32(&req.origin));
+  RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.vnodes));
   RHINO_RETURN_NOT_OK(r.GetU8(&req.replica_local));
   RHINO_RETURN_NOT_OK(GetImages(&r, &req.images));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "handover state request"));

@@ -15,9 +15,9 @@
 /// \file wire.h
 /// Wire format of the multi-process runtime: RPC envelopes plus binary
 /// serialization of the things that cross process boundaries — data
-/// batches, in-band control events (checkpoint barriers and handover
-/// markers, `dataflow::ControlEvent`), and vnode state, which always
-/// travels as `VnodeImage`s.
+/// batches, the request and reply bodies of the control verbs, each
+/// carrying only the fields its handler reads, and vnode state, which
+/// always travels as `VnodeImage`s.
 ///
 /// Everything uses the little-endian `BinaryWriter`/`BinaryReader` format
 /// shared with the LSM on-disk structures; every `Decode` returns
@@ -30,22 +30,24 @@ namespace rhino::net {
 
 /// RPC verbs understood by a `NodeServer`. The driver plans checkpoints
 /// and handovers by issuing these over TCP (or the in-process loopback
-/// transport — same bytes either way).
+/// transport — same bytes either way). Values are stable: tools index
+/// per-verb counters by them. 10 is unused since version 8 (it was the
+/// checkpoint restore, now part of `kPromoteReplica`), and a request of
+/// that type is refused like any unknown one.
 enum class MessageType : uint8_t {
-  kReply = 0,                 ///< server -> client response envelope
-  kHello = 1,                 ///< configure node id + replication successor
-  kAddOperator = 2,           ///< host an operator instance + LSM shard
-  kProcessBatch = 3,          ///< data plane: one routed batch
-  kCheckpoint = 4,            ///< control: checkpoint barrier
-  kExtractVnodes = 5,         ///< handover origin: serialize moved vnodes
-  kIngestVnodes = 6,          ///< handover target: ingest moved vnodes
-  kDropVnodes = 7,            ///< handover origin: release migrated state
-  kReplicateState = 8,        ///< node -> node: replication stream delta
-  kPromoteReplica = 9,        ///< recovery: fold a held replica into live state
-  kRestoreFromCheckpoint = 10,///< recovery: load a dead node's durable image
-  kQueryCount = 11,           ///< read side: keyed counter lookup
-  kStats = 12,                ///< introspection for tests/benches
-  kShutdown = 13,             ///< graceful stop
+  kReply = 0,           ///< server -> client response envelope
+  kHello = 1,           ///< configure node id + replication successor
+  kAddOperator = 2,     ///< host an operator instance + LSM shard
+  kProcessBatch = 3,    ///< data plane: one routed batch
+  kCheckpoint = 4,      ///< control: checkpoint barrier
+  kExtractVnodes = 5,   ///< handover origin: serialize moved vnodes
+  kIngestVnodes = 6,    ///< handover target: ingest moved vnodes
+  kDropVnodes = 7,      ///< handover origin: release migrated state
+  kReplicateState = 8,  ///< node -> node: replication stream delta
+  kPromoteReplica = 9,  ///< recovery: own a dead node's vnodes
+  kQueryCount = 11,     ///< read side: keyed counter lookup
+  kStats = 12,          ///< introspection for tests/benches
+  kShutdown = 13,       ///< graceful stop
 };
 
 const char* MessageTypeName(MessageType type);
@@ -77,7 +79,7 @@ const char* MessageTypeName(MessageType type);
 /// Version 6 made `VnodeImage` the one state payload. It replaced the
 /// simulator's replica image envelope (whose file lists and source offsets
 /// always travelled empty) in `kReplicateState`, `kExtractVnodes`,
-/// `kIngestVnodes`, `kPromoteReplica` and `kRestoreFromCheckpoint`, the
+/// `kIngestVnodes`, `kPromoteReplica` and the checkpoint restore, the
 /// per-vnode seq maps, `ReplicatedVnode`, the ingest's durable flag and
 /// the extract reply's replica-local flag: an image's `base_seq` says
 /// whether its run is the whole vnode (0) or the keys written since a copy
@@ -86,7 +88,14 @@ const char* MessageTypeName(MessageType type);
 /// carries the suffix length, a same-length flag that makes `shared`
 /// implicit, and a tombstone mark or a value length of up to 5 bytes, so
 /// a counter entry costs one header byte instead of three.
-constexpr uint8_t kWireVersion = 7;
+/// Version 8 made every control body carry only what its handler reads.
+/// `kCheckpoint` is the checkpoint id alone, the handover request is flat
+/// (id, operator, origin, moved vnodes, replica-local flag, images) instead
+/// of a nested control event with a whole handover spec, and
+/// `CheckpointReply` lost its operator count. The checkpoint restore verb
+/// (10) is gone: `kPromoteReplica` takes each vnode from the replica held
+/// here, its checkpoint chain, or nothing.
+constexpr uint8_t kWireVersion = 8;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on
@@ -137,20 +146,10 @@ struct ReplyEnvelope {
   }
 };
 
-// ------------------------------------------------- batches and control --
+// ---------------------------------------------- batches and operators --
 
 void EncodeBatch(const dataflow::Batch& batch, std::string* out);
 Result<dataflow::Batch> DecodeBatch(std::string_view data);
-
-void EncodeHandoverSpec(const dataflow::HandoverSpec& spec, std::string* out);
-Result<dataflow::HandoverSpec> DecodeHandoverSpec(std::string_view data);
-
-/// Control events are what flow through channels in-process (paper R1);
-/// across processes they flow inside these request bodies with identical
-/// content — a checkpoint barrier carries its id, a handover marker its
-/// full `HandoverSpec`.
-void EncodeControlEvent(const dataflow::ControlEvent& ev, std::string* out);
-Result<dataflow::ControlEvent> DecodeControlEvent(std::string_view data);
 
 /// Operator specs travel inside `kAddOperator`: kind byte, name, vnode
 /// count, input arity, and the modeled-state config. An unknown kind byte
@@ -215,12 +214,18 @@ struct ProcessBatchReply {
   static Result<ProcessBatchReply> Decode(std::string_view data);
 };
 
-/// kCheckpoint carries an encoded checkpoint-barrier ControlEvent as its
-/// body; this is the reply.
+/// kCheckpoint: the aligned barrier, which needs nothing out of band but
+/// its id (one varint).
+struct CheckpointRequest {
+  uint64_t checkpoint_id = 0;
+
+  void EncodeTo(std::string* out) const;
+  static Result<CheckpointRequest> Decode(std::string_view data);
+};
+
 struct CheckpointReply {
   uint64_t checkpoint_id = 0;
   uint64_t bytes = 0;
-  uint32_t operators = 0;
   /// 1 when the node's replication stream to its successor had drained
   /// before the ack (0 when the node has no successor).
   uint8_t replicated = 0;
@@ -233,24 +238,28 @@ struct CheckpointReply {
 /// both runtimes move (state_backend.h).
 using state::VnodeImage;
 
-/// A list of images as a whole body: the reply of `kExtractVnodes`,
-/// `kPromoteReplica` and `kRestoreFromCheckpoint`.
+/// A list of images as a whole body: the reply of `kExtractVnodes` and
+/// `kPromoteReplica`.
 void EncodeVnodeImages(const std::vector<VnodeImage>& images, std::string* out);
 Result<std::vector<VnodeImage>> DecodeVnodeImages(std::string_view data);
 
-/// kExtractVnodes / kIngestVnodes: the handover marker (control event with
-/// the full spec) plus which move of the spec this node participates in.
+/// kExtractVnodes / kIngestVnodes: `varint id | op | varint origin |
+/// vnodes | u8 replica_local | images`. `id` is the handover's (the
+/// origin's chain records carry it), `vnodes` the moved ones.
 ///
 /// `replica_local` on an extract asks the origin for the replica path (the
-/// target is its ring successor). The extract's reply lists an image per
-/// moved vnode: whole (the full path), or, once the origin's stream to the
-/// target drained, an empty run on top of the seq of the last delta that
-/// carried the vnode. An ingest carries that list as `images`; the target
-/// writes a whole image's run, and takes the copy it holds of the origin
-/// over for the others, which must each be at exactly their `base_seq`.
+/// target is its ring successor); an extract carries no images. Its reply
+/// lists an image per moved vnode: whole (the full path), or, once the
+/// origin's stream to the target drained, an empty run on top of the seq
+/// of the last delta that carried the vnode. An ingest carries that list
+/// as `images`, one per moved vnode; the target writes a whole image's
+/// run, and takes the copy it holds of `origin` over for the others,
+/// which must each be at exactly their `base_seq`.
 struct HandoverStateRequest {
-  dataflow::ControlEvent control;
-  uint32_t move_index = 0;
+  uint64_t id = 0;
+  std::string op;
+  uint32_t origin = 0;
+  std::vector<uint32_t> vnodes;
   uint8_t replica_local = 0;
   std::vector<VnodeImage> images;
 
@@ -286,14 +295,14 @@ struct ReplicateStateRequest {
   static Result<ReplicateStateRequest> Decode(std::string_view data);
 };
 
-/// kPromoteReplica / kRestoreFromCheckpoint: make `vnodes` of
-/// `origin_node` owned here, from the replica this node holds or from
-/// their checkpoint chains. The reply lists an image per requested vnode
-/// with an empty run — the state stays on the node — whose `base_seq` is
-/// what the vnode now is as of: the stream seq of the promoted copy or
-/// the checkpoint of the chain's last record (0: nothing covered the
-/// vnode, which starts empty). The driver rewinds its input cursors to
-/// the images' watermarks.
+/// kPromoteReplica: make `vnodes` of the dead `origin_node` owned here,
+/// each from the first source that exists: the copy this node holds of
+/// it for `origin_node`, its checkpoint chain, or nothing. The reply
+/// lists an image per requested vnode with an empty run — the state stays
+/// on the node — whose `base_seq` is what the vnode now is as of: the
+/// stream seq of the promoted copy, the checkpoint of the chain's last
+/// record, or 0 (the vnode starts empty). The driver rewinds its input
+/// cursors to the images' watermarks.
 struct ReplicaFetchRequest {
   uint32_t origin_node = 0;
   std::string op;

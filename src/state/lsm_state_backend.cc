@@ -226,11 +226,8 @@ Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
   return Status::OK();
 }
 
-Status LsmStateBackend::WriteVnodeEntries(uint32_t vnode,
-                                          std::string_view run) {
-  // No lock: held rows touch neither the accounting nor the capture, and
-  // the DB serializes its own writes.
-  lsm::WriteBatch batch;
+Status LsmStateBackend::AddRun(uint32_t vnode, std::string_view run,
+                               lsm::WriteBatch* batch) {
   std::string key = EncodeKey(vnode, "");
   EntryReader entries(run);
   while (!entries.AtEnd()) {
@@ -238,23 +235,41 @@ Status LsmStateBackend::WriteVnodeEntries(uint32_t vnode,
     key.resize(4);
     key.append(entries.key());
     if (entries.is_tombstone()) {
-      batch.Delete(key);
+      batch->Delete(key);
     } else {
-      batch.Put(key, entries.value());
+      batch->Put(key, entries.value());
     }
   }
+  return Status::OK();
+}
+
+Status LsmStateBackend::WriteVnodeEntries(uint32_t vnode,
+                                          std::string_view run) {
+  // No lock: held rows touch neither the accounting nor the capture, and
+  // the DB serializes its own writes.
+  lsm::WriteBatch batch;
+  RHINO_RETURN_NOT_OK(AddRun(vnode, run, &batch));
   return db_->Write(batch);
 }
 
 Status LsmStateBackend::IngestImages(const std::vector<VnodeImage>& images,
                                      bool) {
+  // Every run is decoded before the first commit, so a malformed one
+  // writes nothing. The runs then commit one batch per vnode: one batch of
+  // all of them copies buffers of the whole ingest's size, and ingested
+  // micro_lsm's 16 vnodes of 2000 entries about a third slower on a
+  // 4-core host. An empty run (a held copy taken over, a restored chain)
+  // makes an empty batch, which commits nothing, not even a WAL record.
+  std::vector<lsm::WriteBatch> batches(images.size());
+  for (size_t i = 0; i < images.size(); ++i) {
+    RHINO_RETURN_NOT_OK(
+        AddRun(images[i].vnode, images[i].entries, &batches[i]));
+  }
+  for (const lsm::WriteBatch& batch : batches) {
+    RHINO_RETURN_NOT_OK(db_->Write(batch));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
   for (const VnodeImage& image : images) {
-    // An empty run (a held copy taken over, a restored chain) writes
-    // nothing, not even a WAL record.
-    if (!image.entries.empty()) {
-      RHINO_RETURN_NOT_OK(WriteVnodeEntries(image.vnode, image.entries));
-    }
-    std::lock_guard<std::mutex> lock(mu_);
     vnode_bytes_[image.vnode] = image.bytes;
   }
   return Status::OK();

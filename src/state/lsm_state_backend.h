@@ -125,7 +125,11 @@ class LsmStateBackend : public StateBackend {
   /// One lsm::WriteBatch of the run's entries, decoded before anything is
   /// written; the WAL covers held rows like any other write.
   Status WriteVnodeEntries(uint32_t vnode, std::string_view run) override;
-  /// The durable flag is the modeled backend's: real bytes reach the next
+  /// Every image's run is decoded before the first write, then each
+  /// commits as one lsm::WriteBatch, and the sizes are set after the last
+  /// commit. A commit that fails part-way (an IO error, not a malformed
+  /// run) may leave the earlier vnodes' rows, with no size set. The
+  /// durable flag is the modeled backend's: real bytes reach the next
   /// checkpoint through the store's own files.
   Status IngestImages(const std::vector<VnodeImage>& images,
                       bool already_durable) override;
@@ -151,6 +155,11 @@ class LsmStateBackend : public StateBackend {
         instance_id_(instance_id) {}
 
   static std::string EncodeKey(uint32_t vnode, std::string_view key);
+
+  /// Adds `run`'s entries, as rows of `vnode`, to `batch`. Corruption on a
+  /// malformed run, which may leave part of it in `batch`.
+  static Status AddRun(uint32_t vnode, std::string_view run,
+                       lsm::WriteBatch* batch);
 
   /// Subtracts nominal bytes from a vnode's accounting, clamping at zero.
   void DiscountBytes(uint32_t vnode, uint64_t nominal_bytes);

@@ -124,9 +124,10 @@ class StateBackend {
   /// Corruption, with nothing written, on a malformed run.
   virtual Status WriteVnodeEntries(uint32_t vnode, std::string_view run) = 0;
   /// Takes `images` over, the one way state enters a backend whole: writes
-  /// each image's run with WriteVnodeEntries (atomic per vnode; an empty
-  /// run writes nothing) and sets each vnode's nominal size to the
-  /// image's. Watermarks are the host's. `already_durable` marks images
+  /// each image's run as one atomic write (an empty run writes nothing)
+  /// and then sets each vnode's nominal size to the image's. A malformed
+  /// run is Corruption, with no run written and no size set. Watermarks
+  /// are the host's. `already_durable` marks images
   /// that came out of a replicated or persisted checkpoint: they must not
   /// surface in this backend's next incremental delta (they are on disk
   /// already); a live migration is not durable and joins the next delta.

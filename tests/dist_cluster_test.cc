@@ -14,12 +14,12 @@
 #include "broker/broker.h"
 #include "common/serde.h"
 #include "lsm/env.h"
+#include "net/checkpoint_chain.h"
 #include "net/driver.h"
 #include "net/node_server.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/observability.h"
-#include "rhino/checkpoint_storage.h"
 #include "state/lsm_state_backend.h"
 
 /// \file dist_cluster_test.cc
@@ -81,7 +81,7 @@ uint64_t ImageTotal(const std::string& what, const std::string& kind) {
 
 /// Path of the checkpoint chain of `vnode` of kOp in the shared dir.
 std::string ChainAt(uint32_t vnode) {
-  return "/ckpt/" + rhino::ChainFileName(kOp, vnode);
+  return "/ckpt/" + ChainFileName(kOp, vnode);
 }
 
 /// The kReplicateState deltas a node received and what it answered.
@@ -517,6 +517,71 @@ TEST(DistClusterTest, RecoveryFallsBackToDurableImageWhenReplicaDiedToo) {
   EXPECT_GT(stats0->state_bytes, 0u);
 }
 
+TEST(DistClusterTest, RecoveryRestoresFromItsChainAVnodeTheReplicaLost) {
+  std::vector<VnodeImage> recovered;  // the promotion's reply; outlives taps
+  Cluster cluster;
+  cluster.Tap(1, [&recovered](MessageType type, std::string_view,
+                              const Result<std::string>& reply) {
+    if (type != MessageType::kPromoteReplica || !reply.ok()) return;
+    auto images = DecodeVnodeImages(*reply);
+    ASSERT_TRUE(images.ok()) << images.status().ToString();
+    recovered = std::move(images).MoveValue();
+  });
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  auto checkpoint = cluster.driver->Checkpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // Node 1 holds node 0's replica. An out-of-chain key delta makes it drop
+  // its copy of one of node 0's vnodes, and node 0's stream stops before
+  // it could ship the vnode again.
+  const uint32_t lost = VnodeForKey(cluster.KeyOwnedBy(0), kNumVnodes);
+  ReplicateStateRequest bogus;
+  bogus.origin_node = 0;
+  bogus.op = kOp;
+  bogus.stream_seq = 1'000'000'000;
+  VnodeImage image;
+  image.vnode = lost;
+  image.base_seq = bogus.stream_seq;
+  bogus.vnodes.push_back(image);
+  std::string body;
+  bogus.EncodeTo(&body);
+  ASSERT_EQ(cluster.transport
+                .Call("node1", MessageType::kReplicateState, body, nullptr)
+                .code(),
+            StatusCode::kFailedPrecondition);
+  cluster.nodes[0]->StopReplication();
+
+  // Node 1 promotes the copies it holds and restores the lost vnode from
+  // its chain, as of the checkpoint, not from nothing.
+  const std::vector<uint32_t> owned = cluster.driver->VnodesOwnedBy(kOp, 0);
+  cluster.transport.Kill("node0");
+  ASSERT_TRUE(cluster.driver->RecoverNode(0).ok());
+  ASSERT_EQ(recovered.size(), owned.size());
+  for (const VnodeImage& vnode : recovered) {
+    if (vnode.vnode == lost) {
+      EXPECT_EQ(vnode.base_seq, checkpoint->checkpoint_id);
+    } else {
+      EXPECT_NE(vnode.base_seq, 0u) << "vnode " << vnode.vnode;
+    }
+  }
+
+  // Only the records after the checkpoint replay; restored from nothing,
+  // the lost vnode would replay all 440.
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_LT(replayed->records_sent, 440u);
+  cluster.ExpectCounts(expected);
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
 TEST(DistClusterTest, ContinuousReplicationRecoversWithoutAnyCheckpoint) {
   // The stream makes replicas current WITHOUT any checkpoint barrier:
   // pump, wait for the stream to drain, kill a node — its successor's
@@ -770,14 +835,11 @@ TEST(DistClusterTest, ReplicaIngestWithStaleSeqIsRejectedUntouched) {
 
   // A replica-local ingest whose seqs the catalog does not hold.
   std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
-  auto spec = std::make_shared<dataflow::HandoverSpec>();
-  spec->id = 77;
-  spec->operator_name = kOp;
-  spec->moves.push_back(dataflow::HandoverMove{0, 1, moved});
   HandoverStateRequest ingest;
-  ingest.control.type = dataflow::ControlEvent::Type::kHandoverMarker;
-  ingest.control.id = spec->id;
-  ingest.control.handover = spec;
+  ingest.id = 77;
+  ingest.op = kOp;
+  ingest.origin = 0;
+  ingest.vnodes = moved;
   for (uint32_t vnode : moved) {
     VnodeImage image;
     image.vnode = vnode;
@@ -974,7 +1036,7 @@ TEST(DistClusterTest, ChainFoldedAcrossHandoverRestoresExactlyOnce) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
   EXPECT_EQ(ImageCounter("vnodes", 1, "whole"), target_whole);
-  auto folded = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+  auto folded = ReadChain(&cluster.env, ChainAt(vnode));
   ASSERT_TRUE(folded.ok()) << folded.status().ToString();
   EXPECT_EQ(folded->records, 4u)
       << "base -> delta -> extract record -> target's delta";
@@ -1013,13 +1075,13 @@ TEST(DistClusterTest, TornChainTailRestoresThePreviousRecord) {
   const uint32_t vnode = VnodeForKey(cluster.KeyOwnedBy(1), kNumVnodes);
   std::string raw;
   ASSERT_TRUE(cluster.env.ReadFile(ChainAt(vnode), &raw).ok());
-  auto whole_chain = rhino::ParseChain(raw);
+  auto whole_chain = ParseChain(raw);
   ASSERT_TRUE(whole_chain.ok());
   ASSERT_EQ(whole_chain->records, 2u);
   ASSERT_TRUE(
       cluster.env.WriteFile(ChainAt(vnode), raw.substr(0, raw.size() - 3))
           .ok());
-  auto torn = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+  auto torn = ReadChain(&cluster.env, ChainAt(vnode));
   ASSERT_TRUE(torn.ok()) << torn.status().ToString();
   EXPECT_EQ(torn->records, 1u) << "only the torn record is lost";
   cluster.AppendRange(0, 40, &expected);
@@ -1043,7 +1105,7 @@ TEST(DistClusterTest, TornChainTailRestoresThePreviousRecord) {
   const uint64_t whole = ImageCounter("vnodes", 0, "whole");
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
   EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + promoted.size() + 1);
-  auto rewritten = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+  auto rewritten = ReadChain(&cluster.env, ChainAt(vnode));
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
   EXPECT_EQ(rewritten->records, 1u);
   EXPECT_EQ(rewritten->valid_bytes, cluster.ChainBytes(vnode));
@@ -1079,7 +1141,7 @@ TEST(DistClusterTest, PromotedVnodeNextRecordIsWhole) {
   EXPECT_EQ(ImageCounter("vnodes", 0, "whole"), whole + lost.size());
   EXPECT_GT(ImageCounter("vnodes", 0, "keys"), keys);
   for (uint32_t vnode : lost) {
-    auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+    auto chain = ReadChain(&cluster.env, ChainAt(vnode));
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
     EXPECT_EQ(chain->records, 1u) << "vnode " << vnode;
   }
@@ -1134,7 +1196,7 @@ TEST(DistClusterTest, ChainStaysWithinTwiceItsBase) {
     EXPECT_EQ(ImageTotal("bytes", "whole") + ImageTotal("bytes", "keys"),
               bytes + ckpt->bytes);
     for (uint32_t vnode = 0; vnode < kNumVnodes; ++vnode) {
-      auto base = rhino::ChainBaseBytes(&cluster.env, ChainAt(vnode));
+      auto base = ChainBaseBytes(&cluster.env, ChainAt(vnode));
       ASSERT_TRUE(base.ok()) << base.status().ToString();
       EXPECT_LE(cluster.ChainBytes(vnode), 2 * *base)
           << "vnode " << vnode << " wave " << wave;
@@ -1273,9 +1335,9 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
   std::map<uint32_t, uint64_t> records, chain_bytes, base_bytes;
   for (uint32_t vnode : restored) {
-    auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+    auto chain = ReadChain(&cluster.env, ChainAt(vnode));
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
-    auto base = rhino::ChainBaseBytes(&cluster.env, ChainAt(vnode));
+    auto base = ChainBaseBytes(&cluster.env, ChainAt(vnode));
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     records[vnode] = chain->records;
     chain_bytes[vnode] = chain->valid_bytes;
@@ -1288,7 +1350,7 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
   const uint64_t key_records = ImageCounter("vnodes", 0, "keys");
   ASSERT_TRUE(cluster.driver->Checkpoint().ok());
   for (uint32_t vnode : restored) {
-    auto chain = rhino::ReadChain(&cluster.env, ChainAt(vnode));
+    auto chain = ReadChain(&cluster.env, ChainAt(vnode));
     ASSERT_TRUE(chain.ok()) << chain.status().ToString();
     if (changed.count(vnode) != 0) {
       // The fixture's precondition: the key record of this checkpoint's
@@ -1300,13 +1362,13 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
         if (VnodeForKey(key, kNumVnodes) != vnode) continue;
         entries.Put(CounterKey(key), CountValue(expected[key]));
       }
-      rhino::ChainRecord record;
-      record.kind = rhino::ChainRecord::Kind::kKeys;
+      ChainRecord record;
+      record.kind = ChainRecord::Kind::kKeys;
       record.checkpoint_id = chain->checkpoint_id;
       record.nominal_bytes = chain->nominal_bytes;
       record.watermarks = chain->watermarks;
       record.body = run;
-      rhino::AppendChainRecord(record, &framed);
+      AppendChainRecord(record, &framed);
       ASSERT_LE(chain_bytes[vnode] + framed.size(), 2 * base_bytes[vnode])
           << "vnode " << vnode << ": a " << framed.size()
           << "-byte key record on a " << chain_bytes[vnode]
@@ -1320,7 +1382,7 @@ TEST(DistClusterTest, RestoreKeepsExtendingAnUntornChain) {
     lsm::MemEnv env;
     auto backend = state::LsmStateBackend::Open(&env, "/restored", kOp, 0);
     ASSERT_TRUE(backend.ok());
-    ASSERT_TRUE(rhino::RestoreChain(*chain, vnode, backend->get()).ok());
+    ASSERT_TRUE(RestoreChain(*chain, vnode, backend->get()).ok());
     auto rows = (*backend)->ScanPrefix(vnode, "");
     ASSERT_TRUE(rows.ok());
     std::map<std::string, uint64_t> want, got;
@@ -1384,17 +1446,14 @@ VnodeModel ImageState(const std::vector<VnodeImage>& images, uint32_t vnode) {
   return state;
 }
 
-/// A handover request of `vnodes` from `origin` to node 1.
+/// A handover request of `vnodes` of kOp from `origin`.
 HandoverStateRequest HandoverOf(uint64_t id, uint32_t origin,
                                 const std::vector<uint32_t>& vnodes) {
-  auto spec = std::make_shared<dataflow::HandoverSpec>();
-  spec->id = id;
-  spec->operator_name = kOp;
-  spec->moves.push_back(dataflow::HandoverMove{origin, 1, vnodes});
   HandoverStateRequest req;
-  req.control.type = dataflow::ControlEvent::Type::kHandoverMarker;
-  req.control.id = id;
-  req.control.handover = spec;
+  req.id = id;
+  req.op = kOp;
+  req.origin = origin;
+  req.vnodes = vnodes;
   return req;
 }
 
@@ -1403,12 +1462,14 @@ HandoverStateRequest HandoverOf(uint64_t id, uint32_t origin,
 // whole vnodes, key deltas in and out of chain and from the wrong origin,
 // tombstones, stale deltas for vnodes the node owns, promotions,
 // replica-local and full-path ingests, batches and drops. The model
-// keeps what the node owns and, per vnode, the one copy it holds and
-// whose it is. After every round each owned vnode extracts to the model
-// (a promoted or replica-ingested vnode to the copy the model held), the
-// node's size and stats count owned vnodes only, and once a checkpoint
-// and the stream have taken what they captured, neither capture reader
-// is left holding a key: held rows reach neither.
+// keeps what the node owns, per vnode the one copy it holds and whose it
+// is, and per vnode the state its checkpoint chain ends in. After every
+// round each owned vnode extracts to the model (a promoted vnode to the
+// origin's copy the model held, else to its chain's state, else empty; a
+// replica-ingested one to the held copy), the node's size and stats count
+// owned vnodes only, and once a checkpoint and the stream have taken what
+// they captured, neither capture reader is left holding a key: held rows
+// reach neither.
 TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
   constexpr uint32_t kVnodes = 8;
   constexpr uint32_t kNode = 1;
@@ -1444,6 +1505,11 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
   };
   std::map<uint32_t, VnodeModel> owned = {{0, {}}, {1, {}}, {2, {}}};
   std::map<uint32_t, HeldModel> held;
+  // What each vnode's chain ends in: every owned vnode's state at each
+  // checkpoint, or what a handover origin wrote before its ingest.
+  std::map<uint32_t, VnodeModel> chains;
+  // Promoted vnodes by source: the origin's copy, a chain, nothing.
+  uint64_t from_copy = 0, from_chain = 0, from_nothing = 0;
   std::map<uint32_t, uint64_t> stream_seq;  // per origin
   uint64_t offset = 0, handover_id = 0, checkpoint_id = 0;
   uint64_t rng = 19;
@@ -1515,6 +1581,21 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
     image.bytes = state->bytes;
     image.watermarks = state->marks;
     return image;
+  };
+
+  // The chain a handover origin's extract leaves before the ingest: the
+  // moved vnode's state as one whole record.
+  auto write_chain = [&](uint32_t vnode, const VnodeModel& state) {
+    const VnodeImage image = ModelImage(vnode, state);
+    ChainRecord record;
+    record.checkpoint_id = handover_id;
+    record.nominal_bytes = state.bytes;
+    record.watermarks = state.marks;
+    record.body = image.entries;
+    std::string framed;
+    AppendChainRecord(record, &framed);
+    ASSERT_TRUE(env.WriteFile(ChainAt(vnode), framed).ok());
+    chains[vnode] = state;
   };
 
   // Half the time a vnode the model holds a copy of, else `fallback`.
@@ -1602,26 +1683,39 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         ASSERT_EQ(deliver(origin, &image, {it->first}), StatusCode::kOk);
         break;
       }
-      case kPromote: {  // a promotion of the origin's replica
+      case kPromote: {  // a promotion: the origin's copy, its chain, or nothing
         const std::vector<uint32_t> candidates = unowned();
         if (candidates.empty()) break;
         ReplicaFetchRequest fetch;
         fetch.origin_node = origin;
         fetch.op = kOp;
         fetch.vnodes = some_of(candidates);
-        bool holds_origin = false;
-        for (const auto& [v, copy] : held) holds_origin |= copy.origin == origin;
         auto reply = call(MessageType::kPromoteReplica, fetch);
-        if (!holds_origin) {
-          ASSERT_EQ(reply.status().code(), StatusCode::kNotFound);
-          break;
-        }
         ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-        for (uint32_t vnode : fetch.vnodes) {
+        auto images = DecodeVnodeImages(*reply);
+        ASSERT_TRUE(images.ok()) << images.status().ToString();
+        ASSERT_EQ(images->size(), fetch.vnodes.size());
+        for (size_t i = 0; i < fetch.vnodes.size(); ++i) {
+          const uint32_t vnode = fetch.vnodes[i];
+          const VnodeImage& image = (*images)[i];
           auto copy = held.find(vnode);
-          owned[vnode] = copy != held.end() && copy->second.origin == origin
-                             ? copy->second.state
-                             : VnodeModel();
+          auto chain = chains.find(vnode);
+          if (copy != held.end() && copy->second.origin == origin) {
+            EXPECT_EQ(image.base_seq, copy->second.seq) << "vnode " << vnode;
+            owned[vnode] = copy->second.state;
+            ++from_copy;
+          } else if (chain != chains.end()) {
+            EXPECT_NE(image.base_seq, 0u) << "vnode " << vnode;
+            owned[vnode] = chain->second;
+            ++from_chain;
+          } else {
+            EXPECT_EQ(image.base_seq, 0u) << "vnode " << vnode;
+            owned[vnode] = VnodeModel();
+            ++from_nothing;
+          }
+          EXPECT_EQ(image.vnode, vnode);
+          EXPECT_EQ(image.bytes, owned[vnode].bytes) << "vnode " << vnode;
+          EXPECT_EQ(image.watermarks, owned[vnode].marks) << "vnode " << vnode;
           if (copy != held.end()) held.erase(copy);
         }
         break;
@@ -1634,9 +1728,9 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         if (candidates.empty()) break;
         HandoverStateRequest ingest =
             HandoverOf(++handover_id, origin, some_of(candidates));
-        const std::vector<uint32_t>& moved =
-            ingest.control.handover->moves[0].vnodes;
+        const std::vector<uint32_t>& moved = ingest.vnodes;
         for (uint32_t vnode : moved) {
+          write_chain(vnode, held[vnode].state);
           VnodeImage image;
           image.vnode = vnode;
           image.base_seq = held[vnode].seq;
@@ -1664,8 +1758,9 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         HandoverStateRequest ingest =
             HandoverOf(++handover_id, origin, some_of(candidates));
         std::map<uint32_t, VnodeModel> states;
-        for (uint32_t vnode : ingest.control.handover->moves[0].vnodes) {
+        for (uint32_t vnode : ingest.vnodes) {
           states[vnode] = random_state(vnode);
+          write_chain(vnode, states[vnode]);
           ingest.images.push_back(ModelImage(vnode, states[vnode]));
         }
         auto reply = call(MessageType::kIngestVnodes, ingest);
@@ -1745,13 +1840,11 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
     EXPECT_EQ(stats->replicas_held, holders.size());
     // A checkpoint takes the checkpoint reader's keys of every owned vnode
     // and drains the stream, which takes the stream reader's: neither may
-    // hold a held row's key.
-    dataflow::ControlEvent barrier;
-    barrier.type = dataflow::ControlEvent::Type::kCheckpointBarrier;
-    barrier.id = ++checkpoint_id;
-    std::string body;
-    EncodeControlEvent(barrier, &body);
-    ASSERT_TRUE(node.Handle(MessageType::kCheckpoint, body).ok());
+    // hold a held row's key. Every owned vnode's chain now ends in its
+    // state.
+    const CheckpointRequest checkpoint{++checkpoint_id};
+    ASSERT_TRUE(call(MessageType::kCheckpoint, checkpoint).ok());
+    for (const auto& [vnode, state] : owned) chains[vnode] = state;
     for (const char* gauge :
          {"rhino_repl_captured_keys", "rhino_checkpoint_captured_keys"}) {
       EXPECT_EQ(obs::Observability::Default()
@@ -1762,6 +1855,10 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
           << gauge;
     }
   }
+  // The rounds reach every source of a promoted vnode.
+  EXPECT_GT(from_copy, 0u);
+  EXPECT_GT(from_chain, 0u);
+  EXPECT_GT(from_nothing, 0u);
 }
 
 /// Appends one wave of tagged records to `part` (payload "<tag><key>").

@@ -7,9 +7,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/serde.h"
 #include "lsm/env.h"
 #include "lsm/log_format.h"
+#include "net/checkpoint_chain.h"
 #include "net/frame.h"
 #include "net/pipeline.h"
 #include "net/rpc.h"
@@ -17,7 +19,6 @@
 #include "net/transport.h"
 #include "net/wire.h"
 #include "obs/observability.h"
-#include "rhino/checkpoint_storage.h"
 #include "state/lsm_state_backend.h"
 
 /// \file net_test.cc
@@ -363,20 +364,6 @@ dataflow::Batch MakeBatch() {
   return batch;
 }
 
-dataflow::ControlEvent MakeHandoverMarker() {
-  auto spec = std::make_shared<dataflow::HandoverSpec>();
-  spec->id = 9;
-  spec->operator_name = "counter";
-  spec->origin_failed = true;
-  spec->moves.push_back(dataflow::HandoverMove{0, 2, {1, 3, 5}});
-  spec->moves.push_back(dataflow::HandoverMove{1, 2, {7}});
-  dataflow::ControlEvent ev;
-  ev.type = dataflow::ControlEvent::Type::kHandoverMarker;
-  ev.id = 9;
-  ev.handover = spec;
-  return ev;
-}
-
 /// One image of each shape: a whole vnode, a key delta with a tombstone,
 /// a replica-local handover's empty run, and an empty whole vnode. Every
 /// integer field reaches a multi-byte varint somewhere, a watermark
@@ -550,16 +537,19 @@ TEST(WireTest, HugeElementCountIsCorruption) {
                       huge_images ? "replicate state images"
                                   : "replicate state dropped vnodes");
   }
-  {
-    std::string marker, body;
-    EncodeControlEvent(MakeHandoverMarker(), &marker);
+  for (bool huge_images : {false, true}) {
+    std::string body;
     BinaryWriter w(&body);
-    w.PutString(marker);
-    w.PutU32(0);  // move index
-    w.PutU8(0);   // replica-local
+    w.PutVarint(9);  // handover id
+    w.PutString("counter");
+    w.PutVarint(0);  // origin
+    if (huge_images) {
+      w.PutVarint(0);  // moved vnodes
+      w.PutU8(0);      // replica-local
+    }
     w.PutVarint(kHuge);
     expect_corruption(HandoverStateRequest::Decode(body).status(),
-                      "handover images");
+                      huge_images ? "handover images" : "handover vnodes");
   }
   {
     std::string body;
@@ -576,22 +566,6 @@ TEST(WireTest, HugeElementCountIsCorruption) {
     w.PutVarint(9);  // bytes
     w.PutVarint(kHuge);
     expect_corruption(DecodeVnodeImages(body).status(), "image watermarks");
-  }
-  for (bool huge_moves : {true, false}) {
-    std::string body;
-    BinaryWriter w(&body);
-    w.PutU64(9);
-    w.PutString("counter");
-    w.PutU8(0);
-    if (huge_moves) {
-      w.PutVarint(kHuge);
-    } else {
-      w.PutVarint(1);
-      w.PutU32(0);
-      w.PutU32(1);
-      w.PutVarint(kHuge);  // the move's vnodes
-    }
-    expect_corruption(DecodeHandoverSpec(body).status(), "handover spec");
   }
 
   // Elements of the minimum size fill the body exactly and decode: one
@@ -615,33 +589,6 @@ TEST(WireTest, HugeElementCountIsCorruption) {
   EXPECT_EQ(*decoded_images, images);
 }
 
-TEST(WireTest, ControlEventRoundTripAndTruncationFuzz) {
-  dataflow::ControlEvent ev = MakeHandoverMarker();
-  std::string encoded;
-  EncodeControlEvent(ev, &encoded);
-  auto decoded = DecodeControlEvent(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->type, ev.type);
-  EXPECT_EQ(decoded->id, ev.id);
-  ASSERT_NE(decoded->handover, nullptr);
-  EXPECT_EQ(decoded->handover->operator_name, "counter");
-  EXPECT_TRUE(decoded->handover->origin_failed);
-  ASSERT_EQ(decoded->handover->moves.size(), 2u);
-  EXPECT_EQ(decoded->handover->moves[0].vnodes,
-            (std::vector<uint32_t>{1, 3, 5}));
-  FuzzPrefixes(encoded, DecodeControlEvent);
-
-  // A plain barrier has no spec attached.
-  dataflow::ControlEvent barrier;
-  barrier.id = 4;
-  encoded.clear();
-  EncodeControlEvent(barrier, &encoded);
-  auto barrier2 = DecodeControlEvent(encoded);
-  ASSERT_TRUE(barrier2.ok());
-  EXPECT_EQ(barrier2->handover, nullptr);
-  EXPECT_EQ(barrier2->id, 4u);
-}
-
 TEST(WireTest, EnvelopesRoundTripAndRejectJunk) {
   RequestEnvelope req;
   req.type = MessageType::kProcessBatch;
@@ -655,6 +602,18 @@ TEST(WireTest, EnvelopesRoundTripAndRejectJunk) {
   EXPECT_EQ(decoded->seq, 77u);
   EXPECT_EQ(decoded->body, "body-bytes");
   EXPECT_FALSE(RequestEnvelope::Decode("\xff junk").ok());
+  // Type 10, the checkpoint restore verb until version 8, is refused like
+  // any other type no verb has.
+  for (uint8_t type : {0, 10, 14, 255}) {
+    std::string bad = encoded;
+    bad[0] = static_cast<char>(type);
+    auto refused = RequestEnvelope::Decode(bad);
+    EXPECT_EQ(refused.status().code(), StatusCode::kCorruption)
+        << static_cast<int>(type);
+    EXPECT_NE(refused.status().message().find("unknown request type"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
 
   ReplyEnvelope rep;
   rep.seq = 77;
@@ -731,16 +690,17 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
-TEST(WireTest, VersionIsSeven) {
-  // Version 7: state entries are tag-packed. A version 6 envelope, whose
-  // runs this decoder cannot read, is refused.
-  EXPECT_EQ(kWireVersion, 7);
+TEST(WireTest, VersionIsEight) {
+  // Version 8: control bodies carry only what their handlers read. A
+  // version 7 envelope, whose handover and checkpoint bodies this decoder
+  // cannot read, is refused.
+  EXPECT_EQ(kWireVersion, 8);
   RequestEnvelope req;
   req.type = MessageType::kProcessBatch;
   req.body = "b";
   std::string encoded;
   req.EncodeTo(&encoded);
-  encoded[1] = 6;
+  encoded[1] = 7;
   EXPECT_EQ(RequestEnvelope::Decode(encoded).status().code(),
             StatusCode::kCorruption);
 }
@@ -840,19 +800,63 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     FuzzPrefixes(encoded, ProcessBatchRequest::Decode);
   }
   {
+    // An extract: the move and the replica-local flag, no images. For four
+    // vnodes it costs id 1 + op 8 + origin 1 + vnodes 5 + flag 1 + an
+    // empty image list 1 bytes.
     HandoverStateRequest msg;
-    msg.control = MakeHandoverMarker();
-    msg.move_index = 1;
+    msg.id = 9;
+    msg.op = "counter";
+    msg.origin = 2;
+    msg.vnodes = {1, 3, 5, 7};
     msg.replica_local = 1;
+    std::string encoded;
+    msg.EncodeTo(&encoded);
+    EXPECT_EQ(encoded.size(), 17u);
+    auto decoded = HandoverStateRequest::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->id, msg.id);
+    EXPECT_EQ(decoded->op, msg.op);
+    EXPECT_EQ(decoded->origin, msg.origin);
+    EXPECT_EQ(decoded->vnodes, msg.vnodes);
+    EXPECT_EQ(decoded->replica_local, 1);
+    EXPECT_TRUE(decoded->images.empty());
+    FuzzPrefixes(encoded, HandoverStateRequest::Decode);
+    EXPECT_FALSE(HandoverStateRequest::Decode(encoded + "x").ok());
+  }
+  {
+    // An ingest: an image per moved vnode, and fields of every width.
+    HandoverStateRequest msg;
+    msg.id = UINT64_MAX;
+    msg.op = "counter";
+    msg.origin = UINT32_MAX;
     msg.images = MakeImages();
+    for (const VnodeImage& image : msg.images) {
+      msg.vnodes.push_back(image.vnode);
+    }
     std::string encoded;
     msg.EncodeTo(&encoded);
     auto decoded = HandoverStateRequest::Decode(encoded);
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->move_index, 1u);
-    EXPECT_EQ(decoded->replica_local, 1);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->id, msg.id);
+    EXPECT_EQ(decoded->origin, msg.origin);
+    EXPECT_EQ(decoded->vnodes, msg.vnodes);
+    EXPECT_EQ(decoded->replica_local, 0);
     EXPECT_EQ(decoded->images, msg.images);
     FuzzPrefixes(encoded, HandoverStateRequest::Decode);
+    EXPECT_FALSE(HandoverStateRequest::Decode(encoded + "x").ok());
+  }
+  // A checkpoint is its id, one varint; anything after it is Corruption.
+  for (uint64_t id : {uint64_t{1}, uint64_t{300}, UINT64_MAX}) {
+    std::string encoded, varint;
+    CheckpointRequest{id}.EncodeTo(&encoded);
+    BinaryWriter(&varint).PutVarint(id);
+    EXPECT_EQ(encoded, varint);
+    auto decoded = CheckpointRequest::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->checkpoint_id, id);
+    FuzzPrefixes(encoded, CheckpointRequest::Decode);
+    EXPECT_EQ(CheckpointRequest::Decode(encoded + "x").status().code(),
+              StatusCode::kCorruption);
   }
   {
     ReplicateStateRequest msg;
@@ -873,7 +877,7 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
   }
   {
-    // The extract, promotion and restore replies are an image list.
+    // The extract and promotion replies are an image list.
     const std::vector<VnodeImage> msg = MakeImages();
     std::string encoded;
     EncodeVnodeImages(msg, &encoded);
@@ -917,7 +921,6 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     CheckpointReply msg;
     msg.checkpoint_id = 41;
     msg.bytes = 1ull << 40;
-    msg.operators = 3;
     msg.replicated = 1;
     std::string encoded;
     msg.EncodeTo(&encoded);
@@ -925,7 +928,6 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->checkpoint_id, msg.checkpoint_id);
     EXPECT_EQ(decoded->bytes, msg.bytes);
-    EXPECT_EQ(decoded->operators, msg.operators);
     EXPECT_EQ(decoded->replicated, msg.replicated);
     FuzzPrefixes(encoded, CheckpointReply::Decode);
   }
@@ -1067,9 +1069,9 @@ TEST(WireTest, VnodeImagesRoundTripAndTruncationFuzz) {
 }
 
 /// A chain record of vnode state `body` at checkpoint `id`.
-rhino::ChainRecord MakeRecord(rhino::ChainRecord::Kind kind, uint64_t id,
+ChainRecord MakeRecord(ChainRecord::Kind kind, uint64_t id,
                               uint64_t nominal, std::string_view body) {
-  rhino::ChainRecord record;
+  ChainRecord record;
   record.kind = kind;
   record.checkpoint_id = id;
   record.nominal_bytes = nominal;
@@ -1080,11 +1082,11 @@ rhino::ChainRecord MakeRecord(rhino::ChainRecord::Kind kind, uint64_t id,
 
 /// The entry run of `vnode` in a fresh backend `chain` was restored into:
 /// the state the chain stands for.
-std::string RestoredRun(const rhino::VnodeChain& chain, uint32_t vnode) {
+std::string RestoredRun(const VnodeChain& chain, uint32_t vnode) {
   lsm::MemEnv env;
   auto backend = state::LsmStateBackend::Open(&env, "/state/restored", "op", 0);
   RHINO_CHECK_OK(backend.status());
-  RHINO_CHECK_OK(rhino::RestoreChain(chain, vnode, backend->get()));
+  RHINO_CHECK_OK(RestoreChain(chain, vnode, backend->get()));
   std::string run;
   RHINO_CHECK_OK((*backend)->ReadVnodeEntries(vnode, &run));
   return run;
@@ -1098,17 +1100,17 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
       (*backend)->ApplyBatch({{1, false, "k", "some-state", 7}}).ok());
   std::string run, chain;
   ASSERT_TRUE((*backend)->ReadVnodeEntries(1, &run).ok());
-  rhino::AppendChainRecord(
-      MakeRecord(rhino::ChainRecord::Kind::kWhole, 3, 7, run), &chain);
+  AppendChainRecord(
+      MakeRecord(ChainRecord::Kind::kWhole, 3, 7, run), &chain);
   ASSERT_TRUE(env.WriteFile("/ckpt/op-1.chain", chain).ok());
-  auto loaded = rhino::ReadChain(&env, "/ckpt/op-1.chain");
+  auto loaded = ReadChain(&env, "/ckpt/op-1.chain");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(RestoredRun(*loaded, 1), run);
   EXPECT_EQ(loaded->nominal_bytes, 7u);
   EXPECT_EQ(loaded->checkpoint_id, 3u);
   EXPECT_EQ(loaded->watermarks,
             (std::map<int, uint64_t>{{0, 30}, {1 << 20, 3}}));
-  auto base = rhino::ChainBaseBytes(&env, "/ckpt/op-1.chain");
+  auto base = ChainBaseBytes(&env, "/ckpt/op-1.chain");
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(*base, chain.size());
 
@@ -1117,15 +1119,15 @@ TEST(WireTest, TornCheckpointImageIsCorruption) {
   ASSERT_TRUE(env.WriteFile("/ckpt/op-1.chain",
                             chain.substr(0, chain.size() / 2))
                   .ok());
-  auto torn = rhino::ReadChain(&env, "/ckpt/op-1.chain");
+  auto torn = ReadChain(&env, "/ckpt/op-1.chain");
   EXPECT_EQ(torn.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(rhino::ReadChain(&env, "/ckpt/none.chain").status().code(),
+  EXPECT_EQ(ReadChain(&env, "/ckpt/none.chain").status().code(),
             StatusCode::kNotFound);
   // A chain must start whole: a lone key record has nothing to extend.
   std::string keys_only;
-  rhino::AppendChainRecord(
-      MakeRecord(rhino::ChainRecord::Kind::kKeys, 4, 7, ""), &keys_only);
-  EXPECT_EQ(rhino::ParseChain(keys_only).status().code(),
+  AppendChainRecord(
+      MakeRecord(ChainRecord::Kind::kKeys, 4, 7, ""), &keys_only);
+  EXPECT_EQ(ParseChain(keys_only).status().code(),
             StatusCode::kCorruption);
 }
 
@@ -1165,7 +1167,7 @@ struct ChainFixture {
     write_some();
     std::string run;
     RHINO_CHECK_OK(backend->ReadVnodeEntries(2, &run));
-    Record(rhino::ChainRecord::Kind::kWhole, run);
+    Record(ChainRecord::Kind::kWhole, run);
     backend->SetChangeCapture(state::ChangeReader::kCheckpoint, true);
     for (int round = 0; round < rounds; ++round) {
       write_some();
@@ -1173,7 +1175,7 @@ struct ChainFixture {
       RHINO_CHECK(backend->TakeChanges(state::ChangeReader::kCheckpoint, 2,
                                        &run)
                       .has_value());
-      Record(rhino::ChainRecord::Kind::kKeys, run);
+      Record(ChainRecord::Kind::kKeys, run);
     }
   }
 
@@ -1183,9 +1185,9 @@ struct ChainFixture {
     return run;
   }
 
-  void Record(rhino::ChainRecord::Kind kind, std::string_view body) {
+  void Record(ChainRecord::Kind kind, std::string_view body) {
     const uint64_t id = states.size() + 1;
-    rhino::AppendChainRecord(
+    AppendChainRecord(
         MakeRecord(kind, id, backend->VnodeBytes(2), body), &chain);
     states.push_back(Run());
     nominal.push_back(backend->VnodeBytes(2));
@@ -1197,7 +1199,7 @@ TEST(WireTest, EveryChainPrefixFoldsToItsLastCompleteRecord) {
   ChainFixture fixture(6);
   const std::string& chain = fixture.chain;
   for (size_t len = 0; len <= chain.size(); ++len) {
-    auto folded = rhino::ParseChain(std::string_view(chain).substr(0, len));
+    auto folded = ParseChain(std::string_view(chain).substr(0, len));
     if (len < fixture.ends[0]) {
       EXPECT_EQ(folded.status().code(), StatusCode::kCorruption)
           << "prefix " << len;
@@ -1220,7 +1222,7 @@ TEST(WireTest, EveryChainPrefixFoldsToItsLastCompleteRecord) {
   // A flipped byte inside a complete record tears the chain there.
   std::string flipped = chain;
   flipped[fixture.ends[2] + 9] ^= 0x20;
-  auto folded = rhino::ParseChain(flipped);
+  auto folded = ParseChain(flipped);
   ASSERT_TRUE(folded.ok());
   EXPECT_EQ(folded->records, 3u);
   EXPECT_EQ(RestoredRun(*folded, 2), fixture.states[2]);
@@ -1231,7 +1233,7 @@ TEST(WireTest, ChainFoldMatchesExtractionOverRandomRounds) {
   // round yields exactly the live vnode's run and size.
   ChainFixture fixture(30);
   for (size_t i = 0; i < fixture.ends.size(); ++i) {
-    auto folded = rhino::ParseChain(
+    auto folded = ParseChain(
         std::string_view(fixture.chain).substr(0, fixture.ends[i]));
     ASSERT_TRUE(folded.ok()) << folded.status().ToString();
     ASSERT_EQ(RestoredRun(*folded, 2), fixture.states[i]) << "record " << i;

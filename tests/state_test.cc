@@ -419,14 +419,6 @@ TEST_F(LsmBackendTest, IngestImagesWritesEachRunAndSetsEachSize) {
   EXPECT_EQ(backend_->VnodeBytes(2), 7u);
   EXPECT_EQ(RunEntries(EntryRun(backend_.get(), 1)),
             (std::vector<std::pair<std::string, std::string>>{{"a", "1"}}));
-
-  std::string cut = run.substr(0, run.size() - 1);
-  const Status st =
-      backend_->IngestImages({Image(3, 5, run), Image(4, 6, cut)}, false);
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_EQ(backend_->VnodeBytes(3), 5u) << "the image before is in";
-  EXPECT_EQ(backend_->VnodeBytes(4), 0u);
-  EXPECT_TRUE(EntryRun(backend_.get(), 4).empty());
 }
 
 // Extracting one vnode reads that vnode's blocks, not the store's. The
@@ -898,6 +890,27 @@ TEST_F(LsmBackendTest, EntryDecoderSurvivesRandomAndMutatedRuns) {
   // Both outcomes occur: the inputs reach past the first check.
   EXPECT_GT(corrupt, 100u);
   EXPECT_LT(corrupt, 2 * inputs.size());
+}
+
+TEST_F(LsmBackendTest, IngestImagesIsAllOrNothing) {
+  // A valid one-entry image of vnode 1 beside a cut image of vnode 2: the
+  // cut run fails the call, and the valid one writes no row and sets no
+  // size either.
+  std::string valid, cut;
+  EntryWriter valid_run(&valid);
+  valid_run.Put("k", "value");
+  EntryWriter cut_run(&cut);
+  cut_run.Put("k", "value");
+  cut.pop_back();
+  Status st =
+      backend_->IngestImages({Image(1, 10, valid), Image(2, 20, cut)}, false);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  std::string value;
+  EXPECT_TRUE(backend_->Get(1, "k", &value).IsNotFound());
+  EXPECT_TRUE(EntryRun(backend_.get(), 2).empty());
+  EXPECT_EQ(backend_->VnodeBytes(1), 0u);
+  EXPECT_EQ(backend_->VnodeBytes(2), 0u);
+  EXPECT_EQ(backend_->SizeBytes(), 0u);
 }
 
 TEST_F(LsmBackendTest, CaptureReadersAreIndependent) {
