@@ -5,15 +5,17 @@
 // read path (cold whole-file vs cold block-read vs warm point gets, the
 // cache-bounded memory profile of range scans, vnode extraction) and the
 // streaming write path (single vs group-committed put throughput, WAL
-// appends/bytes per entry, flush/compaction peak buffering, vnode-restore
-// ingest), the sharded-concurrency path (multi-threaded put/get/scan at
-// 1/2/4/8 threads with a machine-aware 4-thread scaling gate), and the
-// store's write/read-amplification accounting.
+// appends/bytes per entry, flush/compaction peak buffering, memtable block
+// reuse, vnode-restore ingest), the sharded-concurrency path
+// (multi-threaded put/get/scan at 1/2/4/8 threads with a machine-aware
+// 4-thread scaling gate), and the store's write/read-amplification
+// accounting.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "common/serde.h"
 #include "hashring/key_groups.h"
 #include "lsm/block_cache.h"
+#include "lsm/block_pool.h"
 #include "lsm/bloom.h"
 #include "lsm/db.h"
 #include "lsm/env.h"
@@ -170,6 +173,17 @@ double TimeUs(Fn fn) {
   fn();
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(end - start).count();
+}
+
+/// CPU nanoseconds this process has used so far: every thread's user and
+/// system time. The difference across a phase counts the work a phase did
+/// (a background flush it caused included) and not the time its threads
+/// waited for a core, so it reads the same on a loaded host, where the
+/// wall keys beside it do not.
+double ProcessCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e9 + static_cast<double>(ts.tv_nsec);
 }
 
 /// Best-of-N timing: the minimum over `repeats` runs. Contention from a
@@ -348,7 +362,10 @@ void BenchExtractVnodes(bench::BenchArtifact* artifact) {
 /// the physical WAL accounting (appends and bytes per entry) behind the
 /// difference: a batch pays one framed append + flush for all its entries.
 /// Runs on PosixEnv — the WAL flush per commit is a real write() syscall,
-/// which is exactly the per-commit cost group commit amortizes.
+/// which is exactly the per-commit cost group commit amortizes. The batched
+/// phase also reports its process CPU ns per put
+/// (`put_batched_cpu_ns_per_op`, report-only), a companion of its wall key
+/// that a loaded host does not inflate.
 void BenchWritePath(bench::BenchArtifact* artifact) {
   const uint64_t kEntries = bench::SmokeScaled<uint64_t>(200000, 20000);
   const uint64_t kBatchSize = 256;
@@ -385,6 +402,7 @@ void BenchWritePath(bench::BenchArtifact* artifact) {
     fresh_dir(root + "/batched");
     auto db = lsm::DB::Open(&env, root + "/batched");
     RHINO_CHECK_OK(db.status());
+    const double cpu_start = ProcessCpuNs();
     double us = TimeUs([&] {
       lsm::WriteBatch batch;
       for (uint64_t i = 0; i < kEntries; ++i) {
@@ -397,6 +415,8 @@ void BenchWritePath(bench::BenchArtifact* artifact) {
       RHINO_CHECK_OK((*db)->Write(batch));
     });
     batched_rate = kEntries / (us / 1e6);
+    artifact->Set("put_batched_cpu_ns_per_op",
+                  (ProcessCpuNs() - cpu_start) / kEntries);
     artifact->Set("wal_appends_per_1k_entries.batched",
                   1000.0 * (*db)->wal_appends() / (*db)->wal_records());
     artifact->Set("wal_bytes_per_entry.batched",
@@ -442,6 +462,34 @@ void BenchFlushPeakMemory(bench::BenchArtifact* artifact) {
   };
   peak(bench::SmokeScaled<uint64_t>(20000, 5000), "small_db");
   peak(bench::SmokeScaled<uint64_t>(200000, 20000), "large_db");
+}
+
+/// Memtable block reuse: a DB cycling through 20 memtables takes every
+/// arena block from the process-wide pool, and once its first two tables
+/// (the active and the one being flushed) have set the pool's high-water,
+/// the pool maps no block for it again. `memtable_pool_reuse_ok` (exact,
+/// guarded) is 1 when the pool served the DB's tables and the 3rd through
+/// 20th cycles mapped no new block.
+void BenchMemtablePool(bench::BenchArtifact* artifact) {
+  lsm::BlockPool& pool = lsm::BlockPool::Default();
+  const uint64_t in_use = pool.stats().in_use_bytes;
+  lsm::MemEnv env;
+  lsm::Options opts;
+  opts.memtable_bytes = 256 * 1024;
+  auto db = lsm::DB::Open(&env, "/bench-pool", opts);
+  RHINO_CHECK_OK(db.status());
+  const std::string value(100, 'v');
+  bool served = false;
+  uint64_t mapped = 0;
+  for (uint64_t i = 0; (*db)->flush_count() < 20; ++i) {
+    RHINO_CHECK_OK((*db)->Put(Key(i), value));
+    served = served || pool.stats().in_use_bytes > in_use;
+    if (mapped == 0 && (*db)->flush_count() >= 2) {
+      mapped = pool.stats().blocks_mapped;
+    }
+  }
+  artifact->Set("memtable_pool_reuse_ok",
+                served && pool.stats().blocks_mapped == mapped ? 1.0 : 0.0);
 }
 
 /// Vnode-restore ingest throughput: one `IngestImages` of 16 whole images
@@ -492,6 +540,10 @@ void BenchIngestVnodes(bench::BenchArtifact* artifact) {
 /// configuration concurrent operators on the realtime executor hit. Each
 /// writer owns a disjoint key stripe; scans partition the keyspace.
 ///
+/// `mt_put_cpu_ns_per_op.t<T>` (report-only) is the process CPU time of
+/// the put phase and of the flushes and compactions it left behind, per
+/// put: a companion of the put wall that a loaded host does not inflate.
+///
 /// `mt_put_speedup_4t` is the tentpole scaling claim (4-thread puts vs
 /// single-thread). Because CI runners differ, the guarded key is
 /// `mt_put_speedup_4t_ok`: 1.0 when the machine has >= 4 hardware threads
@@ -515,6 +567,7 @@ void BenchMultiThreadedLsm(bench::BenchArtifact* artifact) {
     const uint64_t total_ops = threads * kOpsPerThread;
 
     // Put phase: T writers on disjoint stripes.
+    const double cpu_start = ProcessCpuNs();
     double put_us = TimeUs([&] {
       std::vector<std::thread> workers;
       for (int t = 0; t < threads; ++t) {
@@ -528,6 +581,8 @@ void BenchMultiThreadedLsm(bench::BenchArtifact* artifact) {
       for (auto& w : workers) w.join();
     });
     RHINO_CHECK_OK((*db)->WaitForBackgroundWork());
+    artifact->Set("mt_put_cpu_ns_per_op.t" + std::to_string(threads),
+                  (ProcessCpuNs() - cpu_start) / total_ops);
     double put_rate = total_ops / (put_us / 1e6);
     if (threads == 1) put_rate_1t = put_rate;
     if (threads == 4) put_rate_4t = put_rate;
@@ -643,6 +698,7 @@ int RunLsmReadPathArtifact() {
   BenchRangeScans(&artifact);
   BenchExtractVnodes(&artifact);
   BenchWritePath(&artifact);
+  BenchMemtablePool(&artifact);
   BenchFlushPeakMemory(&artifact);
   BenchIngestVnodes(&artifact);
   BenchMultiThreadedLsm(&artifact);

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string_view>
 #include <vector>
+
+#include "lsm/block_pool.h"
 
 /// \file arena.h
 /// Bump allocator backing one memtable's nodes and byte payloads.
@@ -14,8 +16,11 @@
 /// memtable's lifecycle: entries accumulate until the flush threshold,
 /// then the whole table (and this arena with it) is dropped at once. That
 /// turns the write path's per-entry `new` + per-string heap traffic into a
-/// pointer bump, and the flush-time teardown of a full memtable into a
-/// handful of block frees instead of one `delete` per node.
+/// pointer bump, and the flush-time teardown of a full memtable into
+/// handing its blocks back to the process-wide `BlockPool` instead of one
+/// `delete` per node. Blocks come from the pool unzeroed and go back to it
+/// for the next memtable of any DB; a payload larger than a block gets
+/// pages of its own, unmapped when the arena dies.
 ///
 /// Overwritten values are not reclaimed (the old bytes stay in their block
 /// until the flush); `AllocatedBytes()` counts that garbage, which is what
@@ -26,6 +31,9 @@ namespace rhino::lsm {
 class Arena {
  public:
   Arena() = default;
+  ~Arena() {
+    for (const Block& b : blocks_) BlockPool::Default().Give(b.mem, b.bytes);
+  }
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
@@ -53,7 +61,8 @@ class Arena {
       remaining_ -= bytes + pad;
       return out;
     }
-    // Fresh blocks come from operator new and are maximally aligned.
+    // The fallback returns the start of a pool block or mapping, which is
+    // page-aligned.
     allocated_ += bytes;
     return AllocateFallback(bytes);
   }
@@ -72,26 +81,30 @@ class Arena {
   uint64_t AllocatedBytes() const { return allocated_; }
 
  private:
-  static constexpr size_t kBlockBytes = 64 * 1024;
+  static constexpr size_t kBlockBytes = BlockPool::kBlockBytes;
+
+  struct Block {
+    char* mem;
+    size_t bytes;
+  };
 
   char* AllocateFallback(size_t bytes) {
-    if (bytes > kBlockBytes / 4) {
-      // Large payloads get their own block so the current block's tail is
-      // not wasted.
-      return NewBlock(bytes);
+    const size_t size = std::max(bytes, kBlockBytes);
+    // The slot first: if Take throws, the slot stays empty (Give ignores
+    // it), and once it returns, the block is owned.
+    Block& slot = blocks_.emplace_back(Block{nullptr, size});
+    slot.mem = BlockPool::Default().Take(size);
+    char* block = slot.mem;
+    // Keep bumping in whichever block has the larger tail left, so a large
+    // payload does not waste the current block's tail.
+    if (bytes + remaining_ < kBlockBytes) {
+      ptr_ = block + bytes;
+      remaining_ = kBlockBytes - bytes;
     }
-    char* block = NewBlock(kBlockBytes);
-    ptr_ = block + bytes;
-    remaining_ = kBlockBytes - bytes;
     return block;
   }
 
-  char* NewBlock(size_t bytes) {
-    blocks_.push_back(std::make_unique<char[]>(bytes));
-    return blocks_.back().get();
-  }
-
-  std::vector<std::unique_ptr<char[]>> blocks_;
+  std::vector<Block> blocks_;
   char* ptr_ = nullptr;
   size_t remaining_ = 0;
   uint64_t allocated_ = 0;

@@ -467,7 +467,7 @@ Result<bool> DB::FreezeActiveMemTable(bool only_if_over) {
   return true;
 }
 
-Status DB::FlushFrozenMemTable(const std::shared_ptr<ShardedMemTable>& imm) {
+Status DB::FlushFrozenMemTable(std::shared_ptr<ShardedMemTable> imm) {
   RHINO_RETURN_NOT_OK(WriteLevel0Table(*imm));
   flush_count_.fetch_add(1, std::memory_order_relaxed);
   // Everything in the frozen log is now durable in an SST; drop it before
@@ -479,6 +479,7 @@ Status DB::FlushFrozenMemTable(const std::shared_ptr<ShardedMemTable>& imm) {
   {
     std::lock_guard<std::mutex> lock(mem_mu_);
     imm_.reset();
+    imm.reset();  // parks the table's blocks unless a reader pins it
   }
   mem_cv_.notify_all();
   return Status::OK();
@@ -492,7 +493,7 @@ Status DB::MaintainInline(bool only_if_over) {
     std::lock_guard<std::mutex> lock(mem_mu_);
     imm = imm_;
   }
-  RHINO_RETURN_NOT_OK(FlushFrozenMemTable(imm));
+  RHINO_RETURN_NOT_OK(FlushFrozenMemTable(std::move(imm)));
   if (!options_.auto_compact) return Status::OK();
   bool did_work = true;
   while (did_work) {
@@ -783,7 +784,7 @@ Status DB::CompactRange() {
     std::lock_guard<std::mutex> lock(mem_mu_);
     imm = imm_;
   }
-  if (imm != nullptr) RHINO_RETURN_NOT_OK(FlushFrozenMemTable(imm));
+  if (imm != nullptr) RHINO_RETURN_NOT_OK(FlushFrozenMemTable(std::move(imm)));
   // Repeatedly push every populated level into the next one.
   for (int l = 0; l < options_.num_levels - 1; ++l) {
     while (true) {
@@ -937,7 +938,7 @@ void DB::RunMaintenance() {
       imm = imm_;
     }
     if (imm != nullptr) {
-      Status st = FlushFrozenMemTable(imm);
+      Status st = FlushFrozenMemTable(std::move(imm));
       if (!st.ok()) {
         RecordBackgroundError(st);
         return;

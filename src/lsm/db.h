@@ -42,8 +42,8 @@
 /// The write path is streaming and batched to match: the WAL is one open
 /// buffered append handle receiving framed (length + checksum) commit
 /// records — a WriteBatch group-commits N mutations as a single append +
-/// flush; the memtable allocates nodes from an arena freed wholesale at
-/// flush; table builds stream finished blocks through a WritableFile so
+/// flush; the memtable allocates nodes from an arena whose blocks go back
+/// to a process-wide pool at flush; table builds stream finished blocks through a WritableFile so
 /// flush/compaction buffer ~one block, not the whole table; and the
 /// MANIFEST is an appended edit log rotated into fresh snapshots instead
 /// of an O(tree) rewrite per flush.
@@ -136,7 +136,9 @@ struct CheckpointInfo {
 ///                name is gone.
 ///   maintenance_mu_  serializes flush/compaction bodies (one at a time),
 ///                whether inline or on the background worker.
-///   (leaf) per-shard memtable mutexes, BlockCache's internal lock.
+///   (leaf) per-shard memtable mutexes, BlockCache's internal lock,
+///                BlockPool's lock (a table dropped under mem_mu_ parks its
+///                blocks there).
 class DB {
  public:
   /// Opens (creating or recovering) a DB at `path`.
@@ -409,8 +411,10 @@ class DB {
   /// or — with `only_if_over` — when a racing writer already rotated).
   Result<bool> FreezeActiveMemTable(bool only_if_over);
   /// Builds an L0 table from `imm`, installs it, deletes WAL.imm, and
-  /// retires the frozen slot. Requires maintenance_mu_.
-  Status FlushFrozenMemTable(const std::shared_ptr<ShardedMemTable>& imm);
+  /// retires the frozen slot. Requires maintenance_mu_. Takes the caller's
+  /// reference, so a table no reader pins gives its blocks back to the
+  /// pool before a stalled writer can freeze the next one.
+  Status FlushFrozenMemTable(std::shared_ptr<ShardedMemTable> imm);
   /// Streams `mem` into a new L0 table + manifest edit.
   Status WriteLevel0Table(const ShardedMemTable& mem);
   /// Runs one round of the leveling policy if a level is over its trigger;

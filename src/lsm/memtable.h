@@ -23,7 +23,8 @@
 ///
 /// Nodes and their key/value bytes live in an `Arena`: insertion is a
 /// pointer bump instead of per-node `new` + two string allocations, and
-/// dropping a flushed memtable frees a handful of 64 KiB blocks instead of
+/// dropping a flushed memtable hands its 64 KiB blocks back to the
+/// process-wide `BlockPool`, for the next memtable of any DB, instead of
 /// walking every node. Overwritten values leave their old bytes in the
 /// arena until the flush, so the flush trigger reads `ArenaBytes` as well
 /// as the live `ApproximateBytes`: a hot-key workload that only overwrites

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "lsm/block_cache.h"
+#include "lsm/block_pool.h"
 #include "lsm/db.h"
 #include "lsm/env.h"
 #include "lsm/fault_env.h"
@@ -339,6 +340,37 @@ TEST(DBBackgroundTest, CleanShutdownWithCompactionInFlight) {
     std::string value;
     ASSERT_TRUE((*reopened)->Get(Key(k), &value).ok()) << Key(k);
   }
+}
+
+// Four writers and background flushes retire memtables on the writer and
+// worker threads alike; every block each table took is back in the pool
+// once the DB closes.
+TEST(DBBackgroundTest, ConcurrentWritersGiveEveryMemtableBlockBack) {
+  BlockPool& pool = BlockPool::Default();
+  const uint64_t in_use = pool.stats().in_use_bytes;
+  {
+    MemEnv env;
+    auto db = DB::Open(&env, "/db", BackgroundStoreOptions());
+    ASSERT_TRUE(db.ok());
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 1500;
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          ASSERT_TRUE(
+              (*db)->Put(Key(t * kPerThread + i), std::string(100, 'v')).ok());
+        }
+      });
+    }
+    for (auto& th : writers) th.join();
+    ASSERT_TRUE((*db)->WaitForBackgroundWork().ok());
+    EXPECT_GE((*db)->flush_count(), 4u);
+    EXPECT_GT(pool.stats().in_use_bytes, in_use);
+    std::string value;
+    ASSERT_TRUE((*db)->Get(Key(kThreads * kPerThread - 1), &value).ok());
+  }
+  EXPECT_EQ(pool.stats().in_use_bytes, in_use);
 }
 
 }  // namespace

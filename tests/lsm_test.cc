@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "common/random.h"
 #include "lsm/arena.h"
 #include "lsm/block_cache.h"
+#include "lsm/block_pool.h"
 #include "lsm/bloom.h"
 #include "lsm/db.h"
 #include "lsm/env.h"
@@ -18,6 +26,8 @@
 #include "lsm/memtable.h"
 #include "lsm/sstable.h"
 #include "lsm/write_batch.h"
+#include "obs/exporters.h"
+#include "obs/observability.h"
 
 namespace rhino::lsm {
 namespace {
@@ -1029,6 +1039,178 @@ TEST(MemTableTest, ArenaFootprintTracksEntries) {
   Entry e;
   ASSERT_TRUE(table.Get(Key(123), &e));
   EXPECT_EQ(e.value, std::string(64, 'x'));
+}
+
+// --------------------------------------------------------- Block pool --
+
+// A memtable's blocks go back to the pool when it dies, and the next one
+// is built from them: after the first table, the pool maps nothing.
+TEST(BlockPoolTest, MemtablesInSequenceMapNoNewBlockAfterTheFirst) {
+  BlockPool& pool = BlockPool::Default();
+  const uint64_t in_use = pool.stats().in_use_bytes;
+  auto build_and_drop = [&] {
+    ShardedMemTable table(8);
+    for (int i = 0; i < 4000; ++i) {
+      table.Add(Key(i), static_cast<uint64_t>(i + 1), ValueType::kValue,
+                std::string(64, 'v'));
+    }
+    // 4000 entries of ~150 arena bytes each hold about ten blocks.
+    EXPECT_GE(pool.stats().in_use_bytes, in_use + 8 * BlockPool::kBlockBytes);
+  };
+  build_and_drop();
+  const uint64_t mapped = pool.stats().blocks_mapped;
+  EXPECT_EQ(pool.stats().in_use_bytes, in_use);
+  for (int table = 1; table < 20; ++table) build_and_drop();
+  EXPECT_EQ(pool.stats().blocks_mapped, mapped);
+  EXPECT_EQ(pool.stats().in_use_bytes, in_use);
+}
+
+// A payload larger than a block gets pages of its own, and they are
+// unmapped (not parked) when its table dies.
+TEST(BlockPoolTest, LargePayloadMapsItsOwnPagesUntilItsTableDies) {
+  BlockPool& pool = BlockPool::Default();
+  const uint64_t in_use = pool.stats().in_use_bytes;
+  const uint64_t mapped = pool.stats().blocks_mapped;
+  std::string big(3 * BlockPool::kBlockBytes + 100, '\0');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>(i * 31);
+  std::vector<unsigned char> pages(big.size() / 4096 + 1);
+  const char* mem = nullptr;
+  {
+    MemTable table;
+    table.Add("big", 1, ValueType::kValue, big);
+    table.Add("small", 2, ValueType::kValue, "v");
+    Entry e;
+    ASSERT_TRUE(table.Get("big", &e));
+    EXPECT_EQ(e.value, big);
+    mem = table.NewIterator("big").value().data();
+    // The head node's block and the payload's own mapping.
+    EXPECT_EQ(pool.stats().in_use_bytes,
+              in_use + BlockPool::kBlockBytes + big.size());
+    EXPECT_EQ(mincore(const_cast<char*>(mem), big.size(), pages.data()), 0);
+  }
+  // mincore fails with ENOMEM on a range that is not mapped.
+  const int rc = mincore(const_cast<char*>(mem), big.size(), pages.data());
+  const int err = errno;
+  EXPECT_EQ(rc, -1);
+  EXPECT_EQ(err, ENOMEM);
+  EXPECT_EQ(pool.stats().in_use_bytes, in_use);
+  EXPECT_LE(pool.stats().blocks_mapped, mapped + 1);
+}
+
+// The pool's byte counts are live gauges of the process-wide registry, so
+// an exporter scraping a node shows its memtable footprint.
+TEST(BlockPoolTest, GaugesMirrorThePoolInTheDefaultRegistry) {
+  BlockPool& pool = BlockPool::Default();
+  const obs::MetricsRegistry& m = obs::Observability::Default()->metrics();
+  const auto gauge = [&](const char* state) {
+    return m.gauges()
+        .at(obs::MetricsRegistry::KeyOf("rhino_lsm_memtable_pool_bytes",
+                                        {{"state", state}}))
+        .metric.value();
+  };
+  {
+    MemTable table;
+    EXPECT_GE(gauge("in_use"), double(BlockPool::kBlockBytes));
+    EXPECT_EQ(gauge("in_use"), double(pool.stats().in_use_bytes));
+  }
+  EXPECT_EQ(gauge("in_use"), double(pool.stats().in_use_bytes));
+  EXPECT_EQ(gauge("free"), double(pool.stats().free_bytes));
+  EXPECT_GE(gauge("free"), double(BlockPool::kBlockBytes));
+  EXPECT_NE(obs::ToPrometheusText(m).find(
+                "rhino_lsm_memtable_pool_bytes{state=\"free\"}"),
+            std::string::npos);
+}
+
+/// MemEnv whose table builds (the `.tmp` sinks of flushes and compactions)
+/// wait until `ready()` holds, for at most 5 s: a test's way to keep a
+/// background flush behind its writer.
+class GatedTableEnv : public MemEnv {
+ public:
+  std::function<bool()> ready = [] { return true; };
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, bool append) override {
+    if (path.ends_with(".tmp")) {
+      for (int i = 0; i < 50000 && !ready(); ++i) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+    }
+    return MemEnv::NewWritableFile(path, append);
+  }
+};
+
+// A background-maintenance DB holds at most two memtables, the active and
+// the frozen one. The k-th flush is held until the writer has stalled k
+// times, so from the second table on every cycle holds two full tables:
+// the pool's high-water is reached before the second flush ends and never
+// passed, so the next 20 flushes map no block.
+TEST(BlockPoolTest, BackgroundFlushesMapNoNewBlockAfterTheSecondFlush) {
+  BlockPool& pool = BlockPool::Default();
+  GatedTableEnv env;
+  Options opts;
+  opts.memtable_bytes = 256 * 1024;
+  opts.memtable_shards = 1;
+  opts.enable_wal = false;
+  opts.auto_compact = false;
+  opts.background_maintenance = true;
+  auto db = DB::Open(&env, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  std::atomic<uint64_t> builds{0};
+  std::atomic<bool> open{false};
+  env.ready = [&] {
+    if (!open && (*db)->write_stalls() <= builds) return false;
+    ++builds;
+    return true;
+  };
+
+  const std::string value(100, 'v');
+  uint64_t mapped = 0;
+  for (int i = 0; (*db)->flush_count() < 22; ++i) {
+    ASSERT_TRUE((*db)->Put(Key(i), value).ok());
+    if (mapped == 0 && (*db)->flush_count() >= 2) {
+      mapped = pool.stats().blocks_mapped;
+    }
+  }
+  EXPECT_EQ(pool.stats().blocks_mapped, mapped);
+  EXPECT_GE((*db)->write_stalls(), 22u);
+  open = true;
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+#define RHINO_LSM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define RHINO_LSM_TEST_ASAN 1
+#endif
+#endif
+
+// A parked block is poisoned, so reading a view into a memtable that has
+// died is an AddressSanitizer report; a taken block is readable again.
+TEST(BlockPoolTest, ParkedBlocksArePoisonedUnderAddressSanitizer) {
+#ifdef RHINO_LSM_TEST_ASAN
+  BlockPool& pool = BlockPool::Default();
+  char* block = pool.Take(BlockPool::kBlockBytes);
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+  pool.Give(block, BlockPool::kBlockBytes);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_TRUE(__asan_address_is_poisoned(block + BlockPool::kBlockBytes - 1));
+  // The pool hands out the last block it parked.
+  char* again = pool.Take(BlockPool::kBlockBytes);
+  EXPECT_EQ(again, block);
+  EXPECT_FALSE(__asan_address_is_poisoned(again));
+  pool.Give(again, BlockPool::kBlockBytes);
+
+  std::string_view view;
+  {
+    MemTable table;
+    table.Add("k", 1, ValueType::kValue, "value");
+    view = table.NewIterator("k").value();
+    EXPECT_FALSE(__asan_address_is_poisoned(view.data()));
+  }
+  EXPECT_TRUE(__asan_address_is_poisoned(view.data()));
+#else
+  GTEST_SKIP() << "built without AddressSanitizer";
+#endif
 }
 
 // Overwrites keep the live size flat but copy every value into the arena.
