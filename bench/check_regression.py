@@ -74,17 +74,19 @@ GUARDED = [
     ("dist_pipeline", "window_fills_ok"),
     ("dist_pipeline", "checkpoint_bytes_flat_ok"),
     ("dist_pipeline", "exactly_once_ok"),
-    # Replica-local handover: the move to the origin's ring successor
-    # loads the state from the replica it holds (no state blobs on the
-    # wire) and the move to a cold target takes the full path. Against
-    # state size (three sizes, 16x apart): the replica-local handover's
-    # and the promotion's driver bytes stay flat (at most 1.5x), and the
-    # cold-target handover's grow with the state (at least 4x). The
-    # cold-target handover's bytes at each size are the state's entry
-    # runs on the wire (exact).
+    # Replica-local handover: the move to the vnodes' holder takes over
+    # the replica it holds (no state blobs on the wire) and the move to a
+    # cold target takes the full path. Against state size (three sizes,
+    # 16x apart): the replica-local handover's and the promotion's driver
+    # bytes stay flat (at most 1.5x), the cold-target handover's grow with
+    # the state (at least 4x), and the replica-local handover's LSM write
+    # bytes stay flat (at most 1.5x with a 1-byte floor: the origin
+    # demotes its rows, writing nothing). The cold-target handover's bytes
+    # at each size are the state's entry runs on the wire (exact).
     ("dist_handover", "handover_replica_local_ok"),
     ("dist_handover", "reconfig_bytes_flat_ok"),
     ("dist_handover", "cold_bytes_grow_ok"),
+    ("dist_handover", "reconfig_load_flat_ok"),
     ("dist_handover", "bytes.handover.cold.*"),
 ]
 
@@ -104,6 +106,8 @@ REPORT_ONLY = [
     ("realtime_recovery", "threads"),
     ("dist_handover", "wall_s.*"),
     ("dist_handover", "bytes.*"),
+    ("dist_handover", "lsm_bytes.*"),
+    ("dist_handover", "handover_back_replica_local"),
     ("dist_handover", "records_per_s.*"),
     ("dist_handover", "records.*"),
     ("dist_handover", "vnodes.moved"),
@@ -123,12 +127,18 @@ REPORT_ONLY = [
     ("micro_lsm", "mt_write_stall_ms.*"),
     ("micro_lsm", "mt_put_speedup_4t"),
     ("micro_lsm", "hardware_threads"),
-    # Process CPU ns per put beside the batched and multi-threaded put
-    # walls: CPU time is not inflated by waiting for a core, so a loaded
-    # host that fails the walls above can still read the put path's cost
-    # here. Report-only: it still moves with the host's caches and clock.
+    # Process CPU ns per operation beside the put, get, scan, point-get
+    # and ingest walls: CPU time is not inflated by waiting for a core, so
+    # a loaded host that fails the walls above can still read each path's
+    # cost here. Report-only: it still moves with the host's caches and
+    # clock.
     ("micro_lsm", "put_batched_cpu_ns_per_op"),
     ("micro_lsm", "mt_put_cpu_ns_per_op.*"),
+    ("micro_lsm", "mt_get_cpu_ns_per_op.*"),
+    ("micro_lsm", "mt_scan_cpu_ns_per_entry.*"),
+    ("micro_lsm", "point_get_cpu_ns.*"),
+    ("micro_lsm", "scan_cpu_ns_per_entry.*"),
+    ("micro_lsm", "ingest_vnodes_cpu_ns_per_entry"),
     # Vnode extract/ingest in entries/s, beside the MB/s keys (the guarded
     # ingest MB/s reads lower when a blob spends fewer bytes per entry).
     ("micro_lsm", "throughput_*_vnodes_entries_per_s"),

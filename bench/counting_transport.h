@@ -73,9 +73,8 @@ class CountingTransport : public net::Transport {
   }
 
   net::Transport* inner_;
-  std::array<std::atomic<uint64_t>,
-             static_cast<size_t>(net::MessageType::kShutdown) + 1>
-      bytes_{};
+  /// One slot per verb value; every verb is below 16 (wire.h).
+  std::array<std::atomic<uint64_t>, 16> bytes_{};
 };
 
 }  // namespace rhino::bench

@@ -6,16 +6,18 @@
 //
 //   ingest     — waves routed per-vnode over RPC into the LSM shards;
 //   checkpoint — barrier broadcast, per-node durable image, and a wait
-//                for each node's replication stream to its ring successor
-//                to drain;
+//                for each node's replication streams to drain;
 //   handover   — live migration of every vnode node 0 owns to node 1,
-//                its ring successor, which loads them from the replica it
-//                already holds (replica-local: only sizes, watermarks and
-//                stream seqs cross the wire), then the same vnodes back
-//                to node 0, a cold target that gets the full image
-//                (extract -> ingest -> drop, watermarks included);
+//                their holder (its ring successor), which takes over the
+//                replica it already holds while node 0 demotes its rows
+//                to the copy it now holds (replica-local: only sizes,
+//                watermarks and stream seqs cross the wire); the same
+//                vnodes back to node 0, replica-local too; then on to
+//                node 2, a cold target that holds none of them and gets
+//                the full image (extract -> ingest -> drop -> relabel,
+//                watermarks included), while node 1 keeps its copy;
 //   recovery   — fail-stop of node 2 (its RPC server stops answering),
-//                failure probe, replica promotion on the ring successor,
+//                failure probe, replica promotion on the vnodes' holders,
 //                cursor rewind, and the replay pump.
 //
 // The run must lose nothing: after recovery a final wave flows through
@@ -26,10 +28,15 @@
 // Figure 1 claim, on real processes): a fresh cluster at each of three
 // sizes (4k, 16k and 64k keys at smoke scale, up to 1M at full scale)
 // loads its keys, checkpoints, and then times a replica-local handover,
-// a cold-target handover and a promotion (`wall_s.<op>.<keys>`), and
-// counts each call's driver wire bytes (`bytes.<op>.<keys>`). Those bytes
-// leave the re-protection streams out: they are what the operation itself
-// moves.
+// the move back (replica-local too), a cold-target handover and a
+// promotion (`wall_s.<op>.<keys>`), and counts each call's driver wire
+// bytes (`bytes.<op>.<keys>`). Those bytes leave the re-protection
+// streams out: they are what the operation itself moves. Each
+// operation's LSM write bytes, all nodes' user bytes until the streams
+// are idle again (`lsm_bytes.<op>.<keys>`), count the load it puts on the
+// stores, re-protection included. A second fresh cluster at each size
+// times a chain restore: a node and the holder of its vnodes die
+// together, and a survivor restores them from their checkpoint chains.
 //
 // Bytes come from the nodes' stream counters (`rhino_repl_*`) and a
 // byte-counting decorator on the driver's transport: replication bytes
@@ -43,8 +50,12 @@
 // and the move to the cold target took the full path — and the size
 // curve's shape: `reconfig_bytes_flat_ok` (the replica-local handover's
 // and the promotion's bytes at the largest size are at most 1.5x those at
-// the smallest) and `cold_bytes_grow_ok` (the cold-target handover's are
-// at least 4x).
+// the smallest), `cold_bytes_grow_ok` (the cold-target handover's are
+// at least 4x) and `reconfig_load_flat_ok` (the replica-local handover's
+// LSM bytes at the largest size are at most 1.5x those at the smallest,
+// with a 1-byte floor: a demote writes nothing). The promotion's and the
+// restore's LSM bytes are report-only: re-protection rebuilds the lost
+// replicas, which grows with the state by design.
 
 #include <algorithm>
 #include <chrono>
@@ -88,6 +99,15 @@ uint64_t NodeCounter(const std::string& name, uint32_t node,
   return obs::Observability::Default()
       ->metrics()
       .GetCounter(name, labels)
+      ->value();
+}
+
+/// LSM user bytes (keys and values of committed writes) of every store in
+/// the process: all nodes'.
+uint64_t LsmUserWriteBytes() {
+  return obs::Observability::Default()
+      ->metrics()
+      .GetCounter("rhino_lsm_user_write_bytes_total")
       ->value();
 }
 
@@ -199,29 +219,49 @@ struct TcpCluster {
   }
 };
 
-/// Wall seconds and driver wire bytes of one reconfiguration call.
+/// Wall seconds, driver wire bytes and LSM write bytes of one
+/// reconfiguration call.
 struct Reconfig {
   double wall_s = 0;
   uint64_t bytes = 0;
+  uint64_t lsm_bytes = 0;
 };
 
-/// Runs `op` and measures it: its wall time and the bytes the driver's
-/// calls put on the wire (the nodes' streams are not counted).
+/// Runs `op` and measures it: its wall time, the bytes the driver's calls
+/// put on the wire (the nodes' streams are not counted), and the LSM
+/// bytes every node writes until the streams are idle again.
 template <typename Op>
 Reconfig Measure(TcpCluster* cluster, Op op) {
   const uint64_t wire0 = cluster->counted->bytes();
+  const uint64_t lsm0 = LsmUserWriteBytes();
   auto start = Clock::now();
   op();
   Reconfig r;
   r.wall_s = Seconds(start, Clock::now());
   r.bytes = cluster->counted->bytes() - wire0;
+  WaitReplicationIdle(cluster->driver.get());
+  r.lsm_bytes = LsmUserWriteBytes() - lsm0;
   return r;
+}
+
+/// A fresh cluster loaded with `keys` keys and checkpointed, its streams
+/// idle.
+std::unique_ptr<TcpCluster> LoadedCluster(uint64_t keys) {
+  auto cluster = std::make_unique<TcpCluster>();
+  cluster->AppendKeys(keys);
+  RHINO_CHECK_OK(cluster->driver->Pump().status());
+  RHINO_CHECK_OK(cluster->driver->Checkpoint().status());
+  WaitReplicationIdle(cluster->driver.get());
+  return cluster;
 }
 
 /// Reconfiguration against state size: at each size a fresh cluster loads
 /// that many keys and checkpoints, then node 0's vnodes move to node 1
-/// (its ring successor: replica-local) and back (a cold target: the full
-/// image), and node 2 fails and its successor promotes its replica.
+/// (their holder: replica-local), back to node 0 (their holder now:
+/// replica-local again) and on to node 2 (a cold target: the full image),
+/// and node 2 fails and the vnodes' holders promote their replicas. A
+/// second fresh cluster loses node 1 and node 2, the holder of node 1's
+/// vnodes, together: node 0 restores node 1's vnodes from their chains.
 void RunStateSizes(bench::BenchArtifact* artifact,
                    metrics::TablePrinter* table) {
   const std::vector<uint64_t> sizes = bench::SmokeMode()
@@ -229,33 +269,42 @@ void RunStateSizes(bench::BenchArtifact* artifact,
                                           : std::vector<uint64_t>{65536, 262144, 1048576};
   std::map<uint64_t, std::map<std::string, Reconfig>> results;
   for (uint64_t keys : sizes) {
-    TcpCluster cluster;
-    ClusterDriver* driver = cluster.driver.get();
-    cluster.AppendKeys(keys);
-    RHINO_CHECK_OK(driver->Pump().status());
-    RHINO_CHECK_OK(driver->Checkpoint().status());
-    std::vector<uint32_t> moved = driver->VnodesOwnedBy(kOp, 0);
     std::map<std::string, Reconfig>& at = results[keys];
-    WaitReplicationIdle(driver);
-    at["handover.replica"] = Measure(&cluster, [&] {
-      RHINO_CHECK_OK(driver->TriggerHandover(kOp, 0, 1, moved));
-    });
-    WaitReplicationIdle(driver);
-    at["handover.cold"] = Measure(&cluster, [&] {
-      RHINO_CHECK_OK(driver->TriggerHandover(kOp, 1, 0, moved));
-    });
-    WaitReplicationIdle(driver);
-    cluster.servers[kFailedNode]->Stop();
-    at["promote"] = Measure(&cluster, [&] {
-      RHINO_CHECK_OK(driver->RecoverNode(kFailedNode));
-    });
+    {
+      std::unique_ptr<TcpCluster> cluster = LoadedCluster(keys);
+      ClusterDriver* driver = cluster->driver.get();
+      std::vector<uint32_t> moved = driver->VnodesOwnedBy(kOp, 0);
+      at["handover.replica"] = Measure(cluster.get(), [&] {
+        RHINO_CHECK_OK(driver->TriggerHandover(kOp, 0, 1, moved));
+      });
+      at["handover.back"] = Measure(cluster.get(), [&] {
+        RHINO_CHECK_OK(driver->TriggerHandover(kOp, 1, 0, moved));
+      });
+      at["handover.cold"] = Measure(cluster.get(), [&] {
+        RHINO_CHECK_OK(driver->TriggerHandover(kOp, 0, 2, moved));
+      });
+      cluster->servers[kFailedNode]->Stop();
+      at["promote"] = Measure(cluster.get(), [&] {
+        RHINO_CHECK_OK(driver->RecoverNode(kFailedNode));
+      });
+    }
+    {
+      std::unique_ptr<TcpCluster> cluster = LoadedCluster(keys);
+      cluster->servers[1]->Stop();
+      cluster->servers[2]->Stop();
+      at["restore"] = Measure(cluster.get(), [&] {
+        RHINO_CHECK_OK(cluster->driver->RecoverNodes({1, 2}));
+      });
+    }
     for (const auto& [op, r] : at) {
       const std::string suffix = op + "." + std::to_string(keys);
       artifact->Set("wall_s." + suffix, r.wall_s);
       artifact->Set("bytes." + suffix, static_cast<double>(r.bytes));
+      artifact->Set("lsm_bytes." + suffix, static_cast<double>(r.lsm_bytes));
       table->AddRow({op + " @" + std::to_string(keys) + " keys",
                      std::to_string(r.wall_s) + " s",
-                     std::to_string(r.bytes) + " driver bytes"});
+                     std::to_string(r.bytes) + " driver bytes, " +
+                         std::to_string(r.lsm_bytes) + " LSM bytes"});
     }
   }
   const auto& small = results[sizes.front()];
@@ -268,6 +317,14 @@ void RunStateSizes(bench::BenchArtifact* artifact,
       growth("handover.replica") <= 1.5 && growth("promote") <= 1.5;
   artifact->Set("reconfig_bytes_flat_ok", flat ? 1 : 0);
   artifact->Set("cold_bytes_grow_ok", growth("handover.cold") >= 4 ? 1 : 0);
+  // The replica-local handover's load on the stores, with a 1-byte floor
+  // on both sides: a demote writes nothing at any size.
+  const double load_growth =
+      static_cast<double>(
+          std::max<uint64_t>(1, large.at("handover.replica").lsm_bytes)) /
+      static_cast<double>(
+          std::max<uint64_t>(1, small.at("handover.replica").lsm_bytes));
+  artifact->Set("reconfig_load_flat_ok", load_growth <= 1.5 ? 1 : 0);
 }
 
 void Run(bench::BenchArtifact* artifact) {
@@ -332,10 +389,11 @@ void Run(bench::BenchArtifact* artifact) {
                                     shipped_before_ingest) /
                     user_bytes);
 
-  // Phase 3: live handovers of everything node 0 owns, to node 1 (its
-  // ring successor, the replica holder) and back to node 0 (a cold
-  // target). Each is measured until the streams re-protected the moved
-  // vnodes: the bytes are the driver's calls plus the stream deltas.
+  // Phase 3: live handovers of everything node 0 owns, to node 1 (their
+  // holder), back to node 0 (their holder after the demote) and on to
+  // node 2 (a cold target). Each is measured until the streams
+  // re-protected the moved vnodes: the bytes are the driver's calls plus
+  // the stream deltas.
   std::vector<uint32_t> moved = driver.VnodesOwnedBy(kOp, 0);
   RHINO_CHECK(!moved.empty());
   struct Move {
@@ -376,7 +434,8 @@ void Run(bench::BenchArtifact* artifact) {
                   [](const VnodeImage& image) {
                     return image.base_seq != 0 && image.entries.empty();
                   });
-  Move to_cold = handover(/*origin=*/1, /*target=*/0);
+  Move back = handover(/*origin=*/1, /*target=*/0);
+  Move to_cold = handover(/*origin=*/0, /*target=*/2);
   const bool replica_local_ok = to_replica.replica_path == 1 &&
                                 to_replica.full_path == 0 && no_entries &&
                                 to_cold.full_path == 1 &&
@@ -385,14 +444,23 @@ void Run(bench::BenchArtifact* artifact) {
                 std::to_string(moved.size()) + " vnodes node0 -> node1 "
                 "(replica target), " + std::to_string(to_replica.bytes) +
                     " bytes"});
-  table.AddRow({"handover", std::to_string(to_cold.wall_s) + " s",
+  table.AddRow({"handover", std::to_string(back.wall_s) + " s",
                 std::to_string(moved.size()) + " vnodes node1 -> node0 "
+                "(replica target again), " + std::to_string(back.bytes) +
+                    " bytes"});
+  table.AddRow({"handover", std::to_string(to_cold.wall_s) + " s",
+                std::to_string(moved.size()) + " vnodes node0 -> node2 "
                 "(cold target), " + std::to_string(to_cold.bytes) +
                     " bytes"});
   artifact->Set("wall_s.handover", to_replica.wall_s);
+  artifact->Set("wall_s.handover.back_to_origin", back.wall_s);
   artifact->Set("wall_s.handover.cold_target", to_cold.wall_s);
   artifact->Set("bytes.handover.replica_target",
                 static_cast<double>(to_replica.bytes));
+  artifact->Set("bytes.handover.back_to_origin",
+                static_cast<double>(back.bytes));
+  artifact->Set("handover_back_replica_local",
+                back.replica_path == 1 && back.full_path == 0 ? 1 : 0);
   artifact->Set("bytes.handover.cold_target",
                 static_cast<double>(to_cold.bytes));
   artifact->Set("handover_replica_local_ok", replica_local_ok ? 1 : 0);
@@ -403,9 +471,10 @@ void Run(bench::BenchArtifact* artifact) {
   RHINO_CHECK_OK(driver.Pump().status());
 
   // Phase 4: fail-stop node 2 and recover. Stopping its RPC server models
-  // the crash (connections refused); the replica its ring predecessor
-  // holds is promoted, cursors rewind, and the replay pump re-delivers
-  // the post-checkpoint window (survivors dedup it).
+  // the crash (connections refused); the holders of its vnodes promote
+  // their replicas (node 1 the moved vnodes, node 0 node 2's own), cursors
+  // rewind, and the replay pump re-delivers the post-checkpoint window
+  // (survivors dedup it).
   cluster.servers[kFailedNode]->Stop();
   t0 = Clock::now();
   std::vector<uint32_t> dead = driver.ProbeFailures();
@@ -449,8 +518,9 @@ void Run(bench::BenchArtifact* artifact) {
   artifact->SetInfo("failed_node", std::to_string(kFailedNode));
   artifact->SetInfo("regression_gate",
                     "handover_replica_local_ok, reconfig_bytes_flat_ok, "
-                    "cold_bytes_grow_ok, bytes.handover.cold.* (walls and "
-                    "other bytes report-only)");
+                    "cold_bytes_grow_ok, reconfig_load_flat_ok, "
+                    "bytes.handover.cold.* (walls and other bytes "
+                    "report-only)");
 }
 
 }  // namespace

@@ -158,6 +158,14 @@ Status OperatorHost::Drop(const std::vector<uint32_t>& vnodes) {
   return Status::OK();
 }
 
+void OperatorHost::Demote(const std::vector<uint32_t>& vnodes) {
+  backend_->ForgetVnodes(vnodes);
+  for (uint32_t v : vnodes) {
+    owned_.erase(v);
+    watermarks_.erase(v);
+  }
+}
+
 void OperatorHost::Own(uint32_t vnode, std::map<int, uint64_t> watermarks) {
   owned_.insert(vnode);
   if (watermarks.empty()) {

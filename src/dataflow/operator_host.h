@@ -122,6 +122,11 @@ class OperatorHost {
   /// if a later handover moves these vnodes back, stale entries would
   /// dedup replayed records the restored copy has never applied.
   Status Drop(const std::vector<uint32_t>& vnodes);
+  /// Gives up ownership and replay watermarks of `vnodes` and forgets
+  /// their sizes and captured keys, but keeps their rows
+  /// (`StateBackend::ForgetVnodes`): a handover origin that keeps them as
+  /// the copy it holds for their new owner.
+  void Demote(const std::vector<uint32_t>& vnodes);
 
   // ------------------------------------------------- replay watermarks ----
 

@@ -50,21 +50,21 @@ Result<uint32_t> ClusterDriver::NextAlive(uint32_t node) const {
   return Status::FailedPrecondition("no surviving node on the ring");
 }
 
+uint32_t ClusterDriver::HolderAfter(uint32_t owner) const {
+  auto next = NextAlive(owner);
+  return next.ok() ? *next : kNoNode;
+}
+
 Status ClusterDriver::ConnectAll() { return ReformRing(); }
 
 Status ClusterDriver::ReformRing() {
-  uint32_t live = 0;
+  HelloRequest hello;
   for (uint32_t node = 0; node < endpoints_.size(); ++node) {
-    if (alive_[node]) ++live;
+    hello.peers.push_back(alive_[node] ? endpoints_[node] : std::string());
   }
   for (uint32_t node = 0; node < endpoints_.size(); ++node) {
     if (!alive_[node]) continue;
-    HelloRequest hello;
     hello.node_id = node;
-    if (live > 1) {
-      RHINO_ASSIGN_OR_RETURN(uint32_t successor, NextAlive(node));
-      hello.successor = endpoints_[successor];
-    }
     std::string body;
     hello.EncodeTo(&body);
     RHINO_RETURN_NOT_OK(Call(node, MessageType::kHello, body, nullptr));
@@ -85,11 +85,13 @@ Status ClusterDriver::AddOperator(const dataflow::OperatorSpec& spec) {
   OpRouting routing;
   routing.spec = spec;
   routing.owner.resize(spec.num_vnodes);
+  routing.holder.resize(spec.num_vnodes);
   std::vector<std::vector<uint32_t>> owned(endpoints_.size());
   uint32_t next = 0;
   for (uint32_t vnode = 0; vnode < spec.num_vnodes; ++vnode) {
     while (!alive_[next]) next = (next + 1) % endpoints_.size();
     routing.owner[vnode] = next;
+    routing.holder[vnode] = HolderAfter(next);
     owned[next].push_back(vnode);
     next = (next + 1) % endpoints_.size();
   }
@@ -550,69 +552,135 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
                                       const std::vector<uint32_t>& vnodes) {
   auto rit = routing_.find(op);
   if (rit == routing_.end()) return Status::NotFound("no operator: " + op);
+  if (target >= endpoints_.size() || !alive_[target]) {
+    return Status::InvalidArgument("handover target " + std::to_string(target) +
+                                   " is not a live node");
+  }
+  if (origin == target) {
+    return Status::InvalidArgument("handover of node " +
+                                   std::to_string(origin) +
+                                   "'s vnodes to itself");
+  }
+  OpRouting& routing = rit->second;
   for (uint32_t vnode : vnodes) {
-    if (vnode >= rit->second.spec.num_vnodes ||
-        rit->second.owner[vnode] != origin) {
+    if (vnode >= routing.spec.num_vnodes || routing.owner[vnode] != origin) {
       return Status::FailedPrecondition(
           "vnode " + std::to_string(vnode) + " not owned by node " +
           std::to_string(origin));
     }
   }
-  HandoverStateRequest request;
-  request.id = ++last_handover_id_;
-  request.op = op;
-  request.origin = origin;
-  request.vnodes = vnodes;
+  // One move per holder: the vnodes the target holds go replica-locally,
+  // every other group keeps its holder.
+  std::map<uint32_t, std::vector<uint32_t>> by_holder;
+  for (uint32_t vnode : vnodes) {
+    by_holder[routing.holder[vnode]].push_back(vnode);
+  }
+  for (const auto& [holder, group] : by_holder) {
+    RHINO_RETURN_NOT_OK(MoveVnodes(routing, op, origin, target, group));
+  }
+  return Status::OK();
+}
 
-  // The origin's ring successor already holds the moved vnodes: ask for
-  // the replica path, where only sizes, watermarks and stream seqs cross
-  // the wire and the target fetches the state locally (paper §4.1).
-  auto successor = NextAlive(origin);
-  bool replica_local = successor.ok() && *successor == target;
-  std::string body;
+Status ClusterDriver::MoveVnodes(OpRouting& routing, const std::string& op,
+                                 uint32_t origin, uint32_t target,
+                                 const std::vector<uint32_t>& vnodes) {
+  const uint32_t holder = routing.holder[vnodes.front()];
+  // The target holds the vnodes: it takes its copies over, and the origin
+  // keeps its rows as the copies it holds for the target (paper §4.1: the
+  // target already holds the state, and nothing moves).
+  const bool demote = holder == target;
+  ExtractRequest extract;
+  extract.id = ++last_handover_id_;
+  extract.op = op;
+  extract.vnodes = vnodes;
+  extract.replica_local = demote ? 1 : 0;
+  IngestRequest ingest;
+  ingest.id = extract.id;
+  ingest.op = op;
+  ingest.origin = origin;
+  ingest.holder = demote ? origin : holder;
+  std::string body, reply_body;
+  bool replica_local = false;
   while (true) {
-    // Step 1: the origin's images of the moved vnodes (state +
-    // watermarks), or, once its stream to the successor drained, empty
-    // runs on top of the copies the successor holds.
-    HandoverStateRequest extract = request;
-    extract.replica_local = replica_local ? 1 : 0;
+    // Step 1: the origin drains its streams and answers the images of the
+    // moved vnodes (state + watermarks), or empty runs on top of the
+    // copies the target holds.
     body.clear();
     extract.EncodeTo(&body);
-    std::string reply_body;
     RHINO_RETURN_NOT_OK(
         Call(origin, MessageType::kExtractVnodes, body, &reply_body));
 
     // Step 2: the target applies each image on top of its copy, or of
-    // nothing.
-    HandoverStateRequest ingest = request;
+    // nothing, and reserves the seq that labels the holder's copy.
     RHINO_ASSIGN_OR_RETURN(ingest.images, DecodeVnodeImages(reply_body));
     replica_local = std::any_of(
         ingest.images.begin(), ingest.images.end(),
         [](const VnodeImage& image) { return image.base_seq != 0; });
     body.clear();
     ingest.EncodeTo(&body);
-    Status st = Call(target, MessageType::kIngestVnodes, body, nullptr);
+    Status st = Call(target, MessageType::kIngestVnodes, body, &reply_body);
     if (st.code() == StatusCode::kFailedPrecondition && replica_local) {
       // The target's replica is not at the origin's last shipped seqs;
-      // it touched nothing. Redo the move through the full path.
-      replica_local = false;
+      // it touched nothing. Redo the move with whole images.
+      extract.replica_local = 0;
       continue;
     }
     RHINO_RETURN_NOT_OK(st);
     break;
   }
+  RHINO_ASSIGN_OR_RETURN(IngestReply ingested, IngestReply::Decode(reply_body));
 
-  // Step 3: origin releases the migrated state ("release unneeded
-  // resources"), and routing flips — later batches go to the target.
-  VnodeSetRequest drop;
-  drop.op = op;
-  drop.vnodes = vnodes;
+  // Step 3: the origin releases the moved vnodes: it demotes them to the
+  // copies it holds for the target (even after whole images, its rows are
+  // what the target ingested), or drops them and answers the seqs its
+  // holder's copies must be at. Then routing flips — later batches go to
+  // the target.
+  ReleaseRequest release;
+  release.op = op;
+  release.vnodes = vnodes;
+  if (demote) {
+    release.seq = ingested.seq;
+    release.target = target;
+  }
   body.clear();
-  drop.EncodeTo(&body);
-  RHINO_RETURN_NOT_OK(Call(origin, MessageType::kDropVnodes, body, nullptr));
+  release.EncodeTo(&body);
+  RHINO_RETURN_NOT_OK(
+      Call(origin, MessageType::kDropVnodes, body, &reply_body));
+  for (uint32_t vnode : vnodes) {
+    routing.owner[vnode] = target;
+    if (demote) routing.holder[vnode] = origin;
+  }
 
-  for (uint32_t vnode : vnodes) rit->second.owner[vnode] = target;
-  obs_->trace().Emit("net", "cluster_handover", "driver", request.id,
+  // Step 4 (cold): the old holder relabels its copies as the target's.
+  // Best effort: a copy it misses or drops makes the target's next delta
+  // of the vnode find no copy, and that delta ships the vnode whole.
+  if (!demote && holder != kNoNode && ingested.seq != 0) {
+    RHINO_ASSIGN_OR_RETURN(ReleaseReply released,
+                           ReleaseReply::Decode(reply_body));
+    if (released.shipped.size() != vnodes.size()) {
+      return Status::Corruption("release reply lists " +
+                                std::to_string(released.shipped.size()) +
+                                " seqs for " + std::to_string(vnodes.size()) +
+                                " vnodes");
+    }
+    RelabelRequest relabel;
+    relabel.op = op;
+    relabel.origin = origin;
+    relabel.target = target;
+    relabel.seq = ingested.seq;
+    for (size_t i = 0; i < vnodes.size(); ++i) {
+      relabel.shipped[vnodes[i]] = released.shipped[i];
+    }
+    body.clear();
+    relabel.EncodeTo(&body);
+    Status relabelled =
+        Call(holder, MessageType::kRelabelVnodes, body, nullptr);
+    if (!relabelled.ok()) {
+      RHINO_LOG(Warn) << "relabel at node " << holder
+                         << " failed: " << relabelled.ToString();
+    }
+  }
+  obs_->trace().Emit("net", "cluster_handover", "driver", extract.id,
                      {{"origin", origin},
                       {"target", target},
                       {"vnodes", static_cast<int64_t>(vnodes.size())},
@@ -621,7 +689,7 @@ Status ClusterDriver::TriggerHandover(const std::string& op, uint32_t origin,
 }
 
 Status ClusterDriver::RecoverNodes(const std::vector<uint32_t>& dead_nodes) {
-  // Declare every death FIRST: the re-formed ring and the recovery RPCs
+  // Declare every death FIRST: the re-formed cluster and the recovery RPCs
   // below must only touch true survivors, even when several nodes (e.g.
   // one VM's worth) failed together.
   std::vector<uint32_t> newly_dead;
@@ -635,9 +703,19 @@ Status ClusterDriver::RecoverNodes(const std::vector<uint32_t>& dead_nodes) {
     newly_dead.push_back(dead);
   }
   if (newly_dead.empty()) return Status::OK();
-  // Survivors re-form the ring around the holes, so the checkpoint a
-  // caller takes right after recovery replicates (and doesn't hang trying
-  // to reach a dead successor).
+  // A survivor's vnode whose holder died gets the next live node after
+  // its owner; the Hello below makes each owner do the same.
+  for (auto& [op, routing] : routing_) {
+    for (uint32_t vnode = 0; vnode < routing.spec.num_vnodes; ++vnode) {
+      const uint32_t holder = routing.holder[vnode];
+      if (alive_[routing.owner[vnode]] &&
+          (holder == kNoNode || !alive_[holder])) {
+        routing.holder[vnode] = HolderAfter(routing.owner[vnode]);
+      }
+    }
+  }
+  // Survivors learn who died, so the checkpoint a caller takes right after
+  // recovery replicates (and doesn't hang trying to reach a dead holder).
   RHINO_RETURN_NOT_OK(ReformRing());
   for (uint32_t dead : newly_dead) {
     RHINO_RETURN_NOT_OK(RecoverOne(dead));
@@ -646,50 +724,58 @@ Status ClusterDriver::RecoverNodes(const std::vector<uint32_t>& dead_nodes) {
 }
 
 Status ClusterDriver::RecoverOne(uint32_t dead_node) {
-  RHINO_ASSIGN_OR_RETURN(uint32_t target, NextAlive(dead_node));
+  RHINO_ASSIGN_OR_RETURN(uint32_t fallback, NextAlive(dead_node));
 
   for (auto& [op, routing] : routing_) {
-    std::vector<uint32_t> lost;
+    // Each lost vnode is promoted at its holder, which holds its replica
+    // (the Rhino path); one whose holder died too goes to the dead node's
+    // ring successor, which restores it from its checkpoint chain
+    // (RhinoDFS: no replica survived).
+    std::map<uint32_t, std::vector<uint32_t>> lost;
     for (uint32_t vnode = 0; vnode < routing.spec.num_vnodes; ++vnode) {
-      if (routing.owner[vnode] == dead_node) lost.push_back(vnode);
+      if (routing.owner[vnode] != dead_node) continue;
+      const uint32_t holder = routing.holder[vnode];
+      lost[holder != kNoNode && alive_[holder] ? holder : fallback].push_back(
+          vnode);
     }
-    if (lost.empty()) continue;
-
-    ReplicaFetchRequest fetch;
-    fetch.origin_node = dead_node;
-    fetch.op = op;
-    fetch.vnodes = lost;
-    std::string body;
-    fetch.EncodeTo(&body);
-    std::string reply_body;
-    // The ring successor takes each vnode from the replica it holds (the
-    // Rhino path), else from its checkpoint chain in shared storage (no
-    // replica survived: replication off, or the holder died too).
-    RHINO_RETURN_NOT_OK(
-        Call(target, MessageType::kPromoteReplica, body, &reply_body));
-    RHINO_ASSIGN_OR_RETURN(std::vector<VnodeImage> images,
-                           DecodeVnodeImages(reply_body));
-
-    for (uint32_t vnode : lost) routing.owner[vnode] = target;
-
-    // Rewind each of THIS operator's input cursors to the earliest offset
-    // any restored vnode still needs; surviving vnodes dedup the replayed
-    // overlap. A restored vnode with no watermark for an input replays
-    // that input from the start (it may have applied records that were
-    // never checkpointed). Edge inputs rewind into the driver-resident
-    // edge log — the upstream backup of the edge.
-    for (OpInput& input : routing.inputs) {
-      uint64_t low = input.cursor;
-      for (const VnodeImage& image : images) {
-        auto mark = image.watermarks.find(input.source_id);
-        low = std::min(low, mark != image.watermarks.end() ? mark->second : 0);
+    for (const auto& [target, vnodes] : lost) {
+      ReplicaFetchRequest fetch;
+      fetch.origin_node = dead_node;
+      fetch.op = op;
+      fetch.vnodes = vnodes;
+      std::string body;
+      fetch.EncodeTo(&body);
+      std::string reply_body;
+      RHINO_RETURN_NOT_OK(
+          Call(target, MessageType::kPromoteReplica, body, &reply_body));
+      RHINO_ASSIGN_OR_RETURN(std::vector<VnodeImage> images,
+                             DecodeVnodeImages(reply_body));
+      // The holder became the owner: the vnodes get the next live node.
+      for (uint32_t vnode : vnodes) {
+        routing.owner[vnode] = target;
+        routing.holder[vnode] = HolderAfter(target);
       }
-      input.cursor = low;
+
+      // Rewind each of THIS operator's input cursors to the earliest
+      // offset any restored vnode still needs; surviving vnodes dedup the
+      // replayed overlap. A restored vnode with no watermark for an input
+      // replays that input from the start (it may have applied records
+      // that were never checkpointed). Edge inputs rewind into the
+      // driver-resident edge log — the upstream backup of the edge.
+      for (OpInput& input : routing.inputs) {
+        uint64_t low = input.cursor;
+        for (const VnodeImage& image : images) {
+          auto mark = image.watermarks.find(input.source_id);
+          low = std::min(low,
+                         mark != image.watermarks.end() ? mark->second : 0);
+        }
+        input.cursor = low;
+      }
+      obs_->trace().Emit("net", "cluster_recovery", "driver", 0,
+                         {{"dead", dead_node},
+                          {"target", target},
+                          {"vnodes", static_cast<int64_t>(vnodes.size())}});
     }
-    obs_->trace().Emit("net", "cluster_recovery", "driver", 0,
-                       {{"dead", dead_node},
-                        {"target", target},
-                        {"vnodes", static_cast<int64_t>(lost.size())}});
   }
   return Status::OK();
 }
@@ -743,6 +829,22 @@ Result<uint32_t> ClusterDriver::RouteKey(const std::string& op,
   auto it = routing_.find(op);
   if (it == routing_.end()) return Status::NotFound("no operator: " + op);
   return it->second.owner[VnodeForKey(key, it->second.spec.num_vnodes)];
+}
+
+Result<uint32_t> ClusterDriver::HolderOf(const std::string& op,
+                                        uint32_t vnode) const {
+  auto it = routing_.find(op);
+  if (it == routing_.end()) return Status::NotFound("no operator: " + op);
+  if (vnode >= it->second.spec.num_vnodes) {
+    return Status::InvalidArgument("no vnode " + std::to_string(vnode) +
+                                   " in " + op);
+  }
+  const uint32_t holder = it->second.holder[vnode];
+  if (holder == kNoNode) {
+    return Status::FailedPrecondition("no node holds a replica of vnode " +
+                                      std::to_string(vnode));
+  }
+  return holder;
 }
 
 std::vector<uint32_t> ClusterDriver::VnodesOwnedBy(const std::string& op,

@@ -16,18 +16,29 @@
 /// The coordinator process of the networked runtime.
 ///
 /// `ClusterDriver` plays the role the engine's coordinator plays
-/// in-process: it owns the routing tables (vnode -> node, per operator),
-/// the dataflow graph wiring (which broker partitions and which upstream
-/// operators feed each operator input), the upstream backup cursors (one
-/// per operator input), and the protocol clocks (checkpoint and handover
-/// ids). It sequences cluster-wide operations over the RPC layer — the
-/// checkpoint barrier broadcast, the three-step live handover
-/// (extract -> ingest -> drop; replica-local when the target is the
-/// origin's ring successor), and failure recovery (one `kPromoteReplica`
-/// to the ring successor, which takes each lost vnode from the replica it
-/// holds, else from the vnode's checkpoint chain, then a rewind of the
-/// dead operator's input cursors to the restored replay watermarks and a
-/// re-pump).
+/// in-process: it owns the routing tables (per operator, each vnode's
+/// owner and its holder, the node that keeps its replica), the dataflow
+/// graph wiring (which broker partitions and which upstream operators feed
+/// each operator input), the upstream backup cursors (one per operator
+/// input), and the protocol clocks (checkpoint and handover ids). It
+/// sequences cluster-wide operations over the RPC layer — the checkpoint
+/// barrier broadcast, the live handover, and failure recovery.
+///
+/// Holders: a vnode's first holder is its owner's ring successor (the next
+/// live node). A handover to the moved vnodes' holder is replica-local
+/// (extract -> ingest -> demote): the target takes the copy it holds
+/// over, the origin keeps its rows as the copy it now holds for the
+/// target, and no state crosses the wire. A handover to any other node is
+/// cold (extract -> ingest -> drop -> relabel): the state travels whole,
+/// the origin drops its rows, and the old holder keeps its copy, which it
+/// relabels as the target's. Recovery promotes each lost vnode at its
+/// holder, which takes it from the replica it holds (Rhino); a vnode whose
+/// holder died too comes back at the dead node's ring successor from its
+/// checkpoint chain (RhinoDFS). Then the dead operator's input cursors
+/// rewind to the restored replay watermarks, and a re-pump replays. A new
+/// holder (the next live node after the owner) goes only to vnodes whose
+/// holder died or became their owner; nodes apply the same rule, so no
+/// holder is sent for them.
 ///
 /// Multi-operator graphs: operators are wired explicitly —
 /// `ConnectPartition` feeds a broker partition into an operator input,
@@ -105,8 +116,10 @@ class ClusterDriver {
 
   // ------------------------------------------------------------ topology --
 
-  /// Sends kHello to every node: node ids and the replication ring
-  /// (node i replicates to node i+1 mod n; no ring with one node).
+  /// Sends kHello to every node: its node id and every peer's endpoint.
+  /// Each vnode's first holder is its owner's ring successor (node i's
+  /// vnodes replicate to node i+1 mod n; nothing replicates with one
+  /// node).
   Status ConnectAll();
 
   /// Hosts the operator described by `spec` on every node (any node can
@@ -155,25 +168,29 @@ class ClusterDriver {
   /// drain before acking, so the cluster pays the slowest node's barrier.
   Result<CheckpointStats> Checkpoint();
 
-  /// Live handover of `vnodes` of `op` from `origin` to `target`:
-  /// extract -> ingest -> drop, then the routing update. When `target` is
-  /// `origin`'s ring successor the move is replica-local: the target
-  /// loads the vnodes from the replica it holds, and a target whose
-  /// replica is not current makes the move fall back to the full image.
+  /// Live handover of `vnodes` of `op` from `origin` to `target`, then the
+  /// routing update. The vnodes `target` holds move replica-locally: it
+  /// takes its copies over, `origin` demotes its rows to the copies it
+  /// then holds for `target`, and a target whose copy is not current makes
+  /// the move fall back to whole images (the demote stays). The others
+  /// move whole and keep their holders, which relabel their copies as
+  /// `target`'s. A target that is the origin, out of range or not alive
+  /// is refused before any call.
   Status TriggerHandover(const std::string& op, uint32_t origin,
                          uint32_t target, const std::vector<uint32_t>& vnodes);
 
-  /// Declares `dead_node` failed and re-homes everything it owned onto
-  /// its ring successor, which takes each vnode from the replica it holds
-  /// (Rhino), else from the vnode's checkpoint chain (RhinoDFS), else
-  /// empty; rewinds the input cursors of each affected operator to the
-  /// restored replay watermarks. Call `Pump()` afterwards to replay.
+  /// Declares `dead_node` failed and re-homes everything it owned: each
+  /// vnode is promoted at its holder, which takes it from the replica it
+  /// holds (Rhino); one whose holder is dead too goes to the dead node's
+  /// ring successor, which takes it from its checkpoint chain (RhinoDFS),
+  /// else empty. Rewinds the input cursors of each affected operator to
+  /// the restored replay watermarks. Call `Pump()` afterwards to replay.
   Status RecoverNode(uint32_t dead_node) { return RecoverNodes({dead_node}); }
 
   /// Recovery from CORRELATED failures (e.g. a whole VM taking several
   /// nodes down): every listed node is declared dead up front — so the
-  /// re-formed ring and the recovery RPCs only touch true survivors —
-  /// then each dead node's state is re-homed in turn.
+  /// re-formed cluster, the new holders and the recovery RPCs only touch
+  /// true survivors — then each dead node's state is re-homed in turn.
   Status RecoverNodes(const std::vector<uint32_t>& dead_nodes);
 
   /// Probes every live node with kStats; returns ids that did not answer.
@@ -194,6 +211,10 @@ class ClusterDriver {
   bool IsAlive(uint32_t node) const { return alive_[node]; }
   /// The node currently owning `key` of `op`.
   Result<uint32_t> RouteKey(const std::string& op, uint64_t key) const;
+  /// The live node holding `vnode` of `op`'s replica: a handover to it is
+  /// replica-local. FailedPrecondition when no node holds one (a single
+  /// live node).
+  Result<uint32_t> HolderOf(const std::string& op, uint32_t vnode) const;
   std::vector<uint32_t> VnodesOwnedBy(const std::string& op,
                                       uint32_t node) const;
   /// Earliest cursor of any operator input fed by broker partition
@@ -227,7 +248,8 @@ class ClusterDriver {
 
   struct OpRouting {
     dataflow::OperatorSpec spec;
-    std::vector<uint32_t> owner;  ///< vnode -> node id
+    std::vector<uint32_t> owner;   ///< vnode -> node id
+    std::vector<uint32_t> holder;  ///< vnode -> node id, or kNoNode
     std::vector<OpInput> inputs;
     /// Outputs are requested from nodes and retained in the edge log
     /// (set by ConnectOperators on the upstream, or CollectOutputs).
@@ -258,16 +280,29 @@ class ClusterDriver {
 
   int AllocateSourceId() { return next_edge_source_id_++; }
 
-  /// Next live node after `node` on the ring (the replica holder).
+  /// No node: the holder of a vnode when only its owner is alive.
+  static constexpr uint32_t kNoNode = UINT32_MAX;
+
+  /// Next live node after `node` on the ring.
   Result<uint32_t> NextAlive(uint32_t node) const;
 
-  /// (Re)announces node ids + replication successors over the LIVE nodes:
-  /// the initial ring, and the re-formed ring after each failure (a dead
-  /// node's predecessor must stop replicating to it, or every later
-  /// checkpoint fails on the chain hop).
+  /// The holder a vnode of `owner` gets when it needs a new one: `owner`'s
+  /// ring successor, or kNoNode. Nodes apply the same rule.
+  uint32_t HolderAfter(uint32_t owner) const;
+
+  /// (Re)announces node ids + the LIVE peers' endpoints: the initial
+  /// cluster, and the re-formed one after each failure (a node must stop
+  /// replicating to a dead holder, or every later checkpoint fails on the
+  /// stream's barrier).
   Status ReformRing();
 
-  /// Re-homes one (already declared dead) node's vnodes onto a survivor.
+  /// One handover of `vnodes`, which share their holder: replica-local
+  /// (demote) when the holder is `target`, else cold (drop, relabel).
+  Status MoveVnodes(OpRouting& routing, const std::string& op,
+                    uint32_t origin, uint32_t target,
+                    const std::vector<uint32_t>& vnodes);
+
+  /// Re-homes one (already declared dead) node's vnodes onto survivors.
   Status RecoverOne(uint32_t dead_node);
 
   Transport* transport_;

@@ -12,12 +12,14 @@
 namespace rhino::net {
 
 namespace {
+using Clock = std::chrono::steady_clock;
+
 /// Pacing between retries after a stream failure: without it a dead
-/// successor turns the replicator into a busy loop (loopback Call and a
+/// holder turns the replicator into a busy loop (loopback Call and a
 /// broken channel Submit both fail instantly).
 constexpr auto kReplErrorPacing = std::chrono::milliseconds(20);
-/// Deltas in flight to the successor before the replicator waits for
-/// acks (the stream's own credit window).
+/// Deltas in flight to one holder before its stream waits for acks (each
+/// stream's own credit window).
 constexpr uint32_t kReplCreditWindow = 2;
 /// Upper bound on the checkpoint barrier's wait for stream drain.
 constexpr int kBarrierTimeoutMs = 10'000;
@@ -59,7 +61,7 @@ Result<std::string> NodeServer::Handle(MessageType type,
     return HandleCheckpoint(body);
   }
   if (type == MessageType::kExtractVnodes) {
-    // Same: a replica-local extract waits for the stream to drain.
+    // Same: an extract waits for the moved vnodes' streams to drain.
     return HandleExtractVnodes(body);
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -81,6 +83,8 @@ Result<std::string> NodeServer::Handle(MessageType type,
       return HandleReplicateState(body);
     case MessageType::kPromoteReplica:
       return HandlePromoteReplica(body);
+    case MessageType::kRelabelVnodes:
+      return HandleRelabelVnodes(body);
     case MessageType::kQueryCount:
       return HandleQueryCount(body);
     case MessageType::kStats:
@@ -106,8 +110,7 @@ Result<NodeServer::Shard*> NodeServer::FindShard(const std::string& op) {
 Result<std::string> NodeServer::HandleHello(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(HelloRequest req, HelloRequest::Decode(body));
   node_id_.store(req.node_id);
-  const bool new_successor = req.successor != successor_;
-  successor_ = req.successor;
+  peers_ = std::move(req.peers);
   RHINO_RETURN_NOT_OK(env_->CreateDir(options_.data_dir));
   RHINO_RETURN_NOT_OK(env_->CreateDir(options_.ckpt_dir));
   auto& registry = obs_->metrics();
@@ -132,6 +135,12 @@ Result<std::string> NodeServer::HandleHello(std::string_view body) {
       registry.GetCounter("rhino_handover_total", with("path", "replica"));
   metrics_.handover_full =
       registry.GetCounter("rhino_handover_total", with("path", "full"));
+  metrics_.demoted = registry.GetCounter("rhino_handover_vnodes_total",
+                                         with("step", "demote"));
+  metrics_.relabelled = registry.GetCounter("rhino_handover_vnodes_total",
+                                            with("step", "relabel"));
+  metrics_.relabel_dropped = registry.GetCounter(
+      "rhino_handover_vnodes_total", with("step", "relabel_drop"));
   // Chain records by [ChainPhase][ChainRecord::Kind].
   const char* const phases[] = {"checkpoint", "handover"};
   const char* const kinds[] = {"whole", "keys"};
@@ -146,21 +155,38 @@ Result<std::string> NodeServer::HandleHello(std::string_view body) {
     }
   }
   if (replicating_) {
-    // The ring (re)formed: forget the old successor's failures and
-    // re-baseline — everything owned ships again. A NEW successor holds
-    // none of it yet, so it all ships whole; the capture restarts with
-    // it (off without a successor: nothing would drain it).
+    // The cluster (re)formed: forget the streams' failures and
+    // re-baseline — everything owned ships again. A vnode whose holder
+    // died goes to this node's ring successor, which holds none of it
+    // yet: it ships whole. Every other vnode keeps its holder and ships
+    // the keys written since. With no live peer the stream capture is off:
+    // nothing would drain it.
+    const uint32_t successor = RingSuccessor();
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
-      repl_->error = Status::OK();
-      if (new_successor) repl_->last_seq.clear();
-    }
-    for (const auto& [op, shard] : shards_) {
-      if (new_successor) {
-        shard.host->backend()->SetChangeCapture(state::ChangeReader::kStream,
-                                                !successor_.empty());
+      for (auto& [id, stream] : repl_->peers) {
+        stream.error = Status::OK();
+        stream.retry_at = Clock::time_point();
+        if (PeerEndpoint(id).empty()) {
+          // Its work is re-marked below at the vnodes' new holders.
+          stream.dirty.clear();
+          stream.last_seq.clear();
+        }
       }
-      MarkReplDirty(op, shard.host->owned());
+    }
+    for (auto& [op, shard] : shards_) {
+      shard.host->backend()->SetChangeCapture(state::ChangeReader::kStream,
+                                              successor != kNoHolder);
+      std::vector<uint32_t> orphaned;
+      for (uint32_t vnode : shard.host->owned()) {
+        auto holder = shard.holders.find(vnode);
+        if (holder == shard.holders.end() ||
+            PeerEndpoint(holder->second).empty()) {
+          orphaned.push_back(vnode);
+        }
+      }
+      Restream(&shard, op, orphaned, successor, 0);
+      MarkReplDirty(shard, op, shard.host->owned());
     }
     UpdateCapturedKeys();
     repl_->work_cv.notify_all();
@@ -212,16 +238,18 @@ Result<std::string> NodeServer::HandleAddOperator(std::string_view body) {
           [num_vnodes](uint64_t key) { return VnodeForKey(key, num_vnodes); },
           node_id_.load()));
   host->InitOwned(req.owned_vnodes);
-  if (replicating_ && !successor_.empty()) {
+  const uint32_t successor = RingSuccessor();
+  if (replicating_ && successor != kNoHolder) {
     host->backend()->SetChangeCapture(state::ChangeReader::kStream, true);
   }
-  Shard shard;
+  Shard& shard = shards_[spec.name];
   shard.host = std::move(host);
-  shards_.emplace(spec.name, std::move(shard));
-  // Baseline the stream: even before any traffic, the successor should
-  // hold an (empty-state) replica of every owned vnode, so promotion
-  // works for a node killed right after setup.
-  MarkReplDirty(spec.name, req.owned_vnodes);
+  // Every vnode's first holder is the ring successor. Baseline the
+  // stream: even before any traffic, it should hold an (empty-state)
+  // replica of every owned vnode, so promotion works for a node killed
+  // right after setup.
+  Restream(&shard, spec.name, req.owned_vnodes, successor, 0);
+  MarkReplDirty(shard, spec.name, req.owned_vnodes);
   return std::string();
 }
 
@@ -247,7 +275,7 @@ Result<std::string> NodeServer::HandleProcessBatch(std::string_view body) {
   if (req.return_outputs != 0 && out.count > 0) {
     EncodeBatch(out, &reply.outputs);
   }
-  MarkReplDirty(req.op, applied.applied_vnodes);
+  MarkReplDirty(*shard, req.op, applied.applied_vnodes);
   UpdateCapturedKeys();
   shard->applied += reply.applied;
   shard->deduped += reply.deduped;
@@ -256,7 +284,7 @@ Result<std::string> NodeServer::HandleProcessBatch(std::string_view body) {
   return encoded;
 }
 
-Status NodeServer::TakeOver(Shard* shard, const std::string& op,
+Status NodeServer::TakeOver(Shard* shard,
                             const std::vector<VnodeImage>& images) {
   // Every image taken over here is durable already, in a chain or in the
   // replica this node held.
@@ -269,9 +297,6 @@ Status NodeServer::TakeOver(Shard* shard, const std::string& op,
     shard->host->Own(image.vnode, image.watermarks);
     vnodes.push_back(image.vnode);
   }
-  // State this node's OWN successor has not seen from it: it ships whole.
-  if (replicating_) ForgetShipped(op, vnodes);
-  MarkReplDirty(op, vnodes);
   // Whatever this node knew of their chains is stale now: their next
   // records are whole, unless the caller adopts the chains.
   shard->host->backend()->DiscardChanges(state::ChangeReader::kCheckpoint,
@@ -432,12 +457,58 @@ Status NodeServer::BuildDelta(Shard* shard, ReplicateStateRequest* req) {
   return Status::OK();
 }
 
-void NodeServer::ForgetShipped(const std::string& op,
-                               const std::vector<uint32_t>& vnodes) {
+std::string NodeServer::PeerEndpoint(uint32_t node) const {
+  if (node >= peers_.size() || node == node_id_.load()) return std::string();
+  return peers_[node];
+}
+
+uint32_t NodeServer::RingSuccessor() const {
+  const uint32_t self = node_id_.load();
+  const uint32_t n = static_cast<uint32_t>(peers_.size());
+  for (uint32_t step = 1; step <= n; ++step) {
+    const uint32_t candidate = (self + step) % n;
+    if (!PeerEndpoint(candidate).empty()) return candidate;
+  }
+  return kNoHolder;
+}
+
+void NodeServer::Restream(Shard* shard, const std::string& op,
+                          const std::vector<uint32_t>& vnodes,
+                          uint32_t holder, uint64_t seq) {
+  for (uint32_t vnode : vnodes) {
+    if (holder == kNoHolder) {
+      shard->holders.erase(vnode);
+    } else {
+      shard->holders[vnode] = holder;
+    }
+  }
   std::lock_guard<std::mutex> lock(repl_->mu);
-  auto it = repl_->last_seq.find(op);
-  if (it == repl_->last_seq.end()) return;
-  for (uint32_t vnode : vnodes) it->second.erase(vnode);
+  for (auto& [id, stream] : repl_->peers) {
+    auto dirty = stream.dirty.find(op);
+    auto last = stream.last_seq.find(op);
+    for (uint32_t vnode : vnodes) {
+      if (dirty != stream.dirty.end()) dirty->second.erase(vnode);
+      if (last != stream.last_seq.end()) last->second.erase(vnode);
+    }
+  }
+  if (holder == kNoHolder || seq == 0) return;
+  auto& last = repl_->peers[holder].last_seq[op];
+  for (uint32_t vnode : vnodes) last[vnode] = seq;
+}
+
+uint64_t NodeServer::PeerStream::CopySeq(const std::string& op,
+                                         uint32_t vnode) const {
+  auto dirty = this->dirty.find(op);
+  if (dirty != this->dirty.end() && dirty->second.count(vnode) != 0) return 0;
+  auto last = last_seq.find(op);
+  if (last == last_seq.end()) return 0;
+  auto seq = last->second.find(vnode);
+  return seq == last->second.end() ? 0 : seq->second;
+}
+
+uint64_t NodeServer::ReserveSeq(uint32_t holder) {
+  std::lock_guard<std::mutex> lock(repl_->mu);
+  return ++repl_->peers[holder].stream_seq;
 }
 
 void NodeServer::UpdateCapturedKeys() {
@@ -457,7 +528,8 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
                          CheckpointRequest::Decode(body));
   CheckpointReply reply;
   reply.checkpoint_id = req.checkpoint_id;
-  bool want_barrier = false;
+  std::set<uint32_t> holders;  // the live peers
+
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto& [op, shard] : shards_) {
@@ -467,13 +539,17 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
                                       ChainPhase::kCheckpoint, &reply.bytes));
     }
     UpdateCapturedKeys();
-    want_barrier = replicating_ && !successor_.empty();
+    if (replicating_) {
+      for (uint32_t node = 0; node < peers_.size(); ++node) {
+        if (!PeerEndpoint(node).empty()) holders.insert(node);
+      }
+    }
   }
-  if (want_barrier) {
+  if (!holders.empty()) {
     // Replication already streamed in the background; the barrier only
-    // waits for the stream to drain (sequence-number barrier),
+    // waits for the streams to drain (sequence-number barrier),
     // independent of how much state the deltas carried.
-    RHINO_RETURN_NOT_OK(WaitReplicationBarrier());
+    RHINO_RETURN_NOT_OK(WaitReplicationBarrier(holders));
     reply.replicated = 1;
   }
   obs_->trace().Emit("net", "node_checkpoint",
@@ -486,8 +562,7 @@ Result<std::string> NodeServer::HandleCheckpoint(std::string_view body) {
 }
 
 Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
-  RHINO_ASSIGN_OR_RETURN(HandoverStateRequest req,
-                         HandoverStateRequest::Decode(body));
+  RHINO_ASSIGN_OR_RETURN(ExtractRequest req, ExtractRequest::Decode(body));
   auto owned_shard = [&]() -> Result<Shard*> {
     RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
     for (uint32_t vnode : req.vnodes) {
@@ -498,40 +573,44 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
     }
     return shard;
   };
-  bool replica_local = false;
-  if (req.replica_local != 0) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      RHINO_RETURN_NOT_OK(owned_shard().status());
-      replica_local = replicating_ && !successor_.empty();
+  std::set<uint32_t> holders;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    RHINO_ASSIGN_OR_RETURN(Shard * shard, owned_shard());
+    for (uint32_t vnode : req.vnodes) {
+      auto holder = shard->holders.find(vnode);
+      if (replicating_ && holder != shard->holders.end()) {
+        holders.insert(holder->second);
+      }
     }
-    // The target is the ring successor: once the stream drained, it holds
-    // every moved vnode as of its last delta. Like the checkpoint barrier,
-    // wait with mu_ released; a failed drain falls back to the full image.
-    if (replica_local) replica_local = WaitReplicationBarrier().ok();
   }
+  // Once the moved vnodes' streams drained, each holder keeps every moved
+  // vnode as of its last delta: the target's copy on the replica path, the
+  // copy a cold move's old holder relabels. Like the checkpoint barrier,
+  // wait with mu_ released; a failed drain leaves whole images.
+  const bool drained = !holders.empty() && WaitReplicationBarrier(holders).ok();
   std::lock_guard<std::mutex> lock(mu_);
   RHINO_ASSIGN_OR_RETURN(Shard * shard, owned_shard());
   std::vector<VnodeImage> images;
   for (uint32_t vnode : req.vnodes) {
     images.push_back(shard->host->Describe(vnode));
   }
+  bool replica_local = req.replica_local != 0 && drained;
   if (replica_local) {
     // Nothing may have been written since the drain: the target's copy of
     // each moved vnode must be exactly its last shipped delta, on top of
     // which the image's run is empty.
     std::lock_guard<std::mutex> rlock(repl_->mu);
-    auto dirty = repl_->dirty.find(req.op);
-    auto shipped = repl_->last_seq.find(req.op);
     for (VnodeImage& image : images) {
-      if ((dirty != repl_->dirty.end() &&
-           dirty->second.count(image.vnode) != 0) ||
-          shipped == repl_->last_seq.end() ||
-          shipped->second.count(image.vnode) == 0) {
+      auto holder = shard->holders.find(image.vnode);
+      image.base_seq =
+          holder == shard->holders.end()
+              ? 0
+              : repl_->peers[holder->second].CopySeq(req.op, image.vnode);
+      if (image.base_seq == 0) {
         replica_local = false;
         break;
       }
-      image.base_seq = shipped->second.at(image.vnode);
     }
   }
   if (!replica_local) {
@@ -559,15 +638,19 @@ Result<std::string> NodeServer::HandleExtractVnodes(std::string_view body) {
 }
 
 Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
-  RHINO_ASSIGN_OR_RETURN(HandoverStateRequest req,
-                         HandoverStateRequest::Decode(body));
+  RHINO_ASSIGN_OR_RETURN(IngestRequest req, IngestRequest::Decode(body));
   const std::string& op = req.op;
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(op));
-  std::set<uint32_t> listed;
-  for (const VnodeImage& image : req.images) listed.insert(image.vnode);
-  if (listed.size() != req.images.size() ||
-      listed != std::set<uint32_t>(req.vnodes.begin(), req.vnodes.end())) {
-    return Status::InvalidArgument("ingest images are not the moved vnodes");
+  std::vector<uint32_t> vnodes;
+  for (const VnodeImage& image : req.images) vnodes.push_back(image.vnode);
+  if (std::set<uint32_t>(vnodes.begin(), vnodes.end()).size() !=
+      vnodes.size()) {
+    return Status::InvalidArgument("ingest lists a vnode twice");
+  }
+  if (replicating_ && PeerEndpoint(req.holder).empty()) {
+    return Status::InvalidArgument("ingest names holder " +
+                                   std::to_string(req.holder) +
+                                   ", which is not a live peer");
   }
   // An image on top of a copy needs the origin's copy held here at exactly
   // its base seq — checked before any state is touched, so a mismatch
@@ -589,45 +672,112 @@ Result<std::string> NodeServer::HandleIngestVnodes(std::string_view body) {
           " at the origin's last shipped seq");
     }
   }
-  // A whole image replaces any rows held here: their origin's tombstone
-  // may still be in flight. The other held rows become the vnodes' state
-  // where they are, and the take-over writes each image's run on top.
+  // A whole image replaces any rows held here. The other held rows become
+  // the vnodes' state where they are, and the take-over writes each
+  // image's run on top.
   RHINO_RETURN_NOT_OK(DropHeld(op, whole));
   for (const VnodeImage& image : req.images) held_.erase({op, image.vnode});
-  RHINO_RETURN_NOT_OK(TakeOver(shard, op, req.images));
-  AdoptChains(op, req.vnodes);
+  RHINO_RETURN_NOT_OK(TakeOver(shard, req.images));
+  AdoptChains(op, vnodes);
+  // The holder keeps a copy of every moved vnode as it is now: the origin
+  // demotes its rows to it, or the old holder relabels its copy. Both
+  // label it with a seq reserved here, and the vnodes' next key deltas
+  // chain to it; nothing ships until they are written.
+  IngestReply reply;
+  if (replicating_) {
+    reply.seq = ReserveSeq(req.holder);
+    Restream(shard, op, vnodes, req.holder, reply.seq);
+  }
   Bump(replica_local ? metrics_.handover_replica : metrics_.handover_full);
   obs_->trace().Emit("net", "handover_ingest",
                      "node" + std::to_string(node_id_.load()), req.id,
-                     {{"vnodes", static_cast<int64_t>(req.vnodes.size())},
+                     {{"vnodes", static_cast<int64_t>(vnodes.size())},
                       {"replica_local", replica_local ? 1 : 0}});
-  return std::string();
+  std::string out;
+  reply.EncodeTo(&out);
+  return out;
 }
 
 Result<std::string> NodeServer::HandleDropVnodes(std::string_view body) {
-  RHINO_ASSIGN_OR_RETURN(VnodeSetRequest req, VnodeSetRequest::Decode(body));
+  RHINO_ASSIGN_OR_RETURN(ReleaseRequest req, ReleaseRequest::Decode(body));
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
-  RHINO_RETURN_NOT_OK(shard->host->Drop(req.vnodes));
-  // The target extends the chains now (or rewrites them).
-  for (uint32_t vnode : req.vnodes) shard->chains.erase(vnode);
-  if (replicating_ && !req.vnodes.empty()) {
-    // Dropped vnodes become stream tombstones: the successor must purge
-    // them from its replica, or a later promotion would resurrect state
-    // that was handed to another node (double counting).
-    ForgetShipped(req.op, req.vnodes);
+  for (uint32_t vnode : req.vnodes) {
+    if (!shard->host->Owns(vnode)) {
+      return Status::FailedPrecondition("release of unowned vnode " +
+                                        std::to_string(vnode));
+    }
+  }
+  const bool demote = req.seq != 0;
+  if (demote && req.target == node_id_.load()) {
+    return Status::InvalidArgument("demote of vnodes to a copy of this node's");
+  }
+  ReleaseReply reply;
+  if (demote) {
+    // The rows stay where they are and become the copy this node holds for
+    // the target, as of the seq the target reserved at the ingest: what
+    // the target took over is exactly this state. No key is written.
+    for (uint32_t vnode : req.vnodes) {
+      VnodeImage image = shard->host->Describe(vnode);
+      HeldVnode& copy = held_[{req.op, vnode}];
+      copy.origin = req.target;
+      copy.seq = req.seq;
+      copy.bytes = image.bytes;
+      copy.watermarks = std::move(image.watermarks);
+    }
+    shard->host->Demote(req.vnodes);
+    Bump(metrics_.demoted, req.vnodes.size());
+  } else {
+    // The old holder relabels its copy of each vnode as the target's if it
+    // is at the seq of the last delta that carried the vnode there: 0 when
+    // the holder may lack the vnode's last state.
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
-      auto dit = repl_->dirty.find(req.op);
-      if (dit != repl_->dirty.end()) {
-        for (uint32_t vnode : req.vnodes) dit->second.erase(vnode);
-        if (dit->second.empty()) repl_->dirty.erase(dit);
+      for (uint32_t vnode : req.vnodes) {
+        auto holder = shard->holders.find(vnode);
+        reply.shipped.push_back(
+            holder == shard->holders.end()
+                ? 0
+                : repl_->peers[holder->second].CopySeq(req.op, vnode));
       }
-      auto& tomb = repl_->dropped[req.op];
-      tomb.insert(req.vnodes.begin(), req.vnodes.end());
     }
-    repl_->work_cv.notify_all();
+    RHINO_RETURN_NOT_OK(shard->host->Drop(req.vnodes));
   }
+  // The target extends the chains now (or rewrites them), and no stream
+  // of this node carries the vnodes any more: nothing of them is sent
+  // after their new owner's copy.
+  for (uint32_t vnode : req.vnodes) shard->chains.erase(vnode);
+  Restream(shard, req.op, req.vnodes, kNoHolder, 0);
   UpdateCapturedKeys();
+  std::string out;
+  reply.EncodeTo(&out);
+  return out;
+}
+
+Result<std::string> NodeServer::HandleRelabelVnodes(std::string_view body) {
+  RHINO_ASSIGN_OR_RETURN(RelabelRequest req, RelabelRequest::Decode(body));
+  if (req.target == node_id_.load() || req.seq == 0) {
+    return Status::InvalidArgument("relabel needs another node's seq");
+  }
+  // A copy at the origin's last shipped seq is exactly what the target
+  // took over: it becomes the target's copy at the seq the target
+  // reserved. Any other copy of the origin's is stale; dropped, it makes
+  // the target's next delta ship the vnode whole.
+  std::vector<uint32_t> stale;
+  uint64_t relabelled = 0;
+  for (const auto& [vnode, shipped] : req.shipped) {
+    auto copy = held_.find({req.op, vnode});
+    if (copy == held_.end() || copy->second.origin != req.origin) continue;
+    if (shipped != 0 && copy->second.seq == shipped) {
+      copy->second.origin = req.target;
+      copy->second.seq = req.seq;
+      ++relabelled;
+    } else {
+      stale.push_back(vnode);
+    }
+  }
+  RHINO_RETURN_NOT_OK(DropHeld(req.op, stale));
+  Bump(metrics_.relabelled, relabelled);
+  Bump(metrics_.relabel_dropped, stale.size());
   return std::string();
 }
 
@@ -635,8 +785,8 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(ReplicateStateRequest req,
                          ReplicateStateRequest::Decode(body));
   auto shard = shards_.find(req.op);
-  // The origin handed a vnode this node owns away: its deltas and
-  // tombstones of it are stale.
+  // The origin handed a vnode this node owns away: its deltas of it are
+  // stale.
   auto owned = [&](uint32_t vnode) {
     return shard != shards_.end() && shard->second.host->Owns(vnode);
   };
@@ -678,13 +828,6 @@ Result<std::string> NodeServer::HandleReplicateState(std::string_view body) {
         std::to_string(broken.front()) + " (delta " +
         std::to_string(req.stream_seq) + ")");
   }
-  // Tombstones first: the origin dropped those vnodes before it cut this
-  // delta (a vnode dropped and re-acquired ships whole below).
-  std::vector<uint32_t> dropped;
-  for (uint32_t vnode : req.dropped_vnodes) {
-    if (!owned(vnode) && origin_copy(vnode) != nullptr) dropped.push_back(vnode);
-  }
-  RHINO_RETURN_NOT_OK(DropHeld(req.op, dropped));
   for (VnodeImage* image : apply) {
     if (image->base_seq == 0) {
       // A whole vnode replaces whatever is held for it, whoever sent it.
@@ -751,8 +894,12 @@ Result<std::string> NodeServer::HandlePromoteReplica(std::string_view body) {
       untorn.push_back(image.vnode);
     }
   }
-  RHINO_RETURN_NOT_OK(TakeOver(shard, req.op, images));
+  RHINO_RETURN_NOT_OK(TakeOver(shard, images));
   AdoptChains(req.op, untorn);
+  // The promoted vnodes' holder died or became their owner: they ship
+  // whole to this node's ring successor.
+  Restream(shard, req.op, req.vnodes, RingSuccessor(), 0);
+  MarkReplDirty(*shard, req.op, req.vnodes);
   const int64_t empty =
       static_cast<int64_t>(images.size()) - promoted - restored;
   obs_->trace().Emit("net", "promote_replica",
@@ -802,13 +949,12 @@ Result<std::string> NodeServer::HandleStats() {
   reply.replicas_held = replicas.size();
   {
     std::lock_guard<std::mutex> lock(repl_->mu);
-    for (const auto& [op, set] : repl_->dirty) reply.repl_dirty += set.size();
-    for (const auto& [op, set] : repl_->dropped) {
-      reply.repl_dirty += set.size();
+    for (const auto& [id, stream] : repl_->peers) {
+      for (const auto& [op, set] : stream.dirty) reply.repl_dirty += set.size();
+      reply.repl_inflight += stream.inflight;
+      reply.repl_stream_seq += stream.stream_seq;
+      reply.repl_shipped += stream.shipped;
     }
-    reply.repl_inflight = repl_->inflight;
-    reply.repl_stream_seq = repl_->stream_seq;
-    reply.repl_shipped = repl_->shipped;
   }
   std::string out;
   reply.EncodeTo(&out);
@@ -820,128 +966,142 @@ void NodeServer::ReplicatorLoop() {
   // snapshotting; the actual ship is an async submit, so writers are
   // never blocked behind the network.
   auto repl = repl_;
+  uint32_t served = kNoHolder;  // the stream served last, for round-robin
   while (true) {
+    uint32_t peer = kNoHolder;
     std::string op;
     std::vector<uint32_t> vnodes;
-    std::vector<uint32_t> dropped;
-    bool paced = false;
     {
       std::unique_lock<std::mutex> lock(repl->mu);
-      repl->work_cv.wait(lock, [&] {
-        return repl->stop ||
-               ((!repl->dirty.empty() || !repl->dropped.empty()) &&
-                repl->inflight < kReplCreditWindow);
-      });
-      if (repl->stop) return;
-      op = !repl->dirty.empty() ? repl->dirty.begin()->first
-                                : repl->dropped.begin()->first;
-      auto dit = repl->dirty.find(op);
-      if (dit != repl->dirty.end()) {
-        vnodes.assign(dit->second.begin(), dit->second.end());
-        repl->dirty.erase(dit);
+      while (true) {
+        if (repl->stop) return;
+        // The first stream after the last one served with work, credit,
+        // and no failure to pace; else sleep until the earliest paced one
+        // may retry, or new work or credit.
+        const auto now = Clock::now();
+        auto wake = Clock::time_point::max();
+        auto ready = [&](auto first, auto last) {
+          for (auto it = first; it != last; ++it) {
+            const PeerStream& stream = it->second;
+            if (stream.dirty.empty() || stream.inflight >= kReplCreditWindow) {
+              continue;
+            }
+            if (stream.retry_at > now) {
+              wake = std::min(wake, stream.retry_at);
+              continue;
+            }
+            peer = it->first;
+            return true;
+          }
+          return false;
+        };
+        auto after = repl->peers.upper_bound(served);
+        if (ready(after, repl->peers.end()) ||
+            ready(repl->peers.begin(), after)) {
+          break;
+        }
+        if (wake == Clock::time_point::max()) {
+          repl->work_cv.wait(lock);
+        } else {
+          repl->work_cv.wait_until(lock, wake);
+        }
       }
-      auto tit = repl->dropped.find(op);
-      if (tit != repl->dropped.end()) {
-        dropped.assign(tit->second.begin(), tit->second.end());
-        repl->dropped.erase(tit);
-      }
-      ++repl->inflight;  // credit spent before the lock drops
-      paced = !repl->error.ok();
-    }
-    if (paced) {
-      // Last ship failed (dead successor until the ring re-forms): retry,
-      // but not in a busy loop.
-      std::this_thread::sleep_for(kReplErrorPacing);
-      std::lock_guard<std::mutex> lock(repl->mu);
-      if (repl->stop) {
-        --repl->inflight;
-        return;
-      }
+      served = peer;
+      PeerStream& stream = repl->peers[peer];
+      auto dit = stream.dirty.begin();
+      op = dit->first;
+      vnodes.assign(dit->second.begin(), dit->second.end());
+      stream.dirty.erase(dit);
+      ++stream.inflight;  // credit spent before the lock drops
     }
     // Build a consistent delta under mu_: each vnode's state (its whole
-    // run, or the keys written since its last delta) and its replay
+    // run, or the keys written since the holder's copy) and its replay
     // watermarks are captured together, so a promoted replica resumes
     // dedup exactly where its state stopped.
     ReplicateStateRequest req;
-    std::string successor;
+    std::string endpoint;
+    std::vector<uint32_t> live;
     Status failure;
-    bool have = false;
     obs::Counter* shipped_bytes = nullptr;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      successor = successor_;
+      endpoint = PeerEndpoint(peer);
       shipped_bytes = metrics_.shipped_bytes;
-      if (!successor.empty()) {
-        auto it = shards_.find(op);
-        Shard* shard = it != shards_.end() ? &it->second : nullptr;
-        std::vector<uint32_t> live;
-        if (shard != nullptr) {
-          for (uint32_t vnode : vnodes) {
-            // A vnode dirtied then handed away ships as a tombstone, not
-            // as state.
-            if (shard->host->Owns(vnode)) live.push_back(vnode);
+      auto it = shards_.find(op);
+      Shard* shard = it != shards_.end() ? &it->second : nullptr;
+      std::map<uint32_t, std::vector<uint32_t>> moved;
+      for (uint32_t vnode : vnodes) {
+        // A vnode handed away since it was marked has nothing to ship; one
+        // whose holder changed ships on its holder's stream.
+        if (shard == nullptr || !shard->host->Owns(vnode)) continue;
+        auto holder = shard->holders.find(vnode);
+        if (holder == shard->holders.end()) continue;
+        if (holder->second != peer) {
+          moved[holder->second].push_back(vnode);
+        } else {
+          live.push_back(vnode);
+        }
+      }
+      if (!live.empty() || !moved.empty()) {
+        std::lock_guard<std::mutex> rlock(repl->mu);
+        for (const auto& [holder, some] : moved) {
+          repl->peers[holder].dirty[op].insert(some.begin(), some.end());
+        }
+        if (!live.empty()) {
+          // A vnode its holder keeps a copy of ships as the keys written
+          // since; any other ships whole.
+          PeerStream& stream = repl->peers[peer];
+          req.stream_seq = ++stream.stream_seq;
+          auto& last = stream.last_seq[op];
+          for (uint32_t vnode : live) {
+            VnodeImage image;
+            image.vnode = vnode;
+            auto shipped = last.find(vnode);
+            if (shipped != last.end()) image.base_seq = shipped->second;
+            last[vnode] = req.stream_seq;
+            req.vnodes.push_back(std::move(image));
           }
         }
-        if (!live.empty() || !dropped.empty()) {
-          uint64_t seq;
-          {
-            std::lock_guard<std::mutex> rlock(repl->mu);
-            seq = ++repl->stream_seq;
-            // A vnode the successor holds as of its last delta ships as
-            // the keys written since; any other ships whole.
-            auto& last = repl->last_seq[op];
-            for (uint32_t vnode : live) {
-              VnodeImage image;
-              image.vnode = vnode;
-              auto shipped = last.find(vnode);
-              if (shipped != last.end()) image.base_seq = shipped->second;
-              last[vnode] = seq;
-              req.vnodes.push_back(std::move(image));
-            }
-          }
-          if (!live.empty()) failure = BuildDelta(shard, &req);
-          if (failure.ok()) {
-            req.origin_node = node_id_.load();
-            req.op = op;
-            req.stream_seq = seq;
-            req.dropped_vnodes = dropped;
-            have = true;
-          }
-          UpdateCapturedKeys();
-        }
+      }
+      if (!live.empty()) {
+        failure = BuildDelta(shard, &req);
+        req.origin_node = node_id_.load();
+        req.op = op;
+        UpdateCapturedKeys();
       }
     }
     // Puts unshipped work back on the stream. Its vnodes ship whole next:
-    // the successor may lack the failed delta's keys.
-    auto requeue = [repl, op, vnodes, dropped](const Status& st) {
+    // the holder may lack the failed delta's keys.
+    auto requeue = [repl, peer, op, live](const Status& st) {
       {
         std::lock_guard<std::mutex> lock(repl->mu);
-        --repl->inflight;
+        PeerStream& stream = repl->peers[peer];
+        --stream.inflight;
         // A chain mismatch only asks for whole vnodes; it does not break
         // the stream, so it neither paces it nor fails a barrier.
-        if (st.code() != StatusCode::kFailedPrecondition) repl->error = st;
-        auto last = repl->last_seq.find(op);
-        if (last != repl->last_seq.end()) {
-          for (uint32_t vnode : vnodes) last->second.erase(vnode);
+        if (st.code() != StatusCode::kFailedPrecondition) {
+          stream.error = st;
+          stream.retry_at = Clock::now() + kReplErrorPacing;
         }
-        repl->dirty[op].insert(vnodes.begin(), vnodes.end());
-        if (!dropped.empty()) {
-          repl->dropped[op].insert(dropped.begin(), dropped.end());
+        auto last = stream.last_seq.find(op);
+        if (last != stream.last_seq.end()) {
+          for (uint32_t vnode : live) last->second.erase(vnode);
         }
+        stream.dirty[op].insert(live.begin(), live.end());
       }
       repl->work_cv.notify_all();
       repl->barrier_cv.notify_all();
     };
-    if (!have) {
-      // Nothing to ship (no successor, or the vnodes all moved away) or
-      // the build failed. Return the credit; re-mark on failure.
-      if (!failure.ok()) {
-        requeue(failure);
-        continue;
-      }
+    if (!failure.ok()) {
+      requeue(failure);
+      continue;
+    }
+    if (live.empty()) {
+      // Nothing to ship here (the vnodes moved away or to other streams):
+      // return the credit.
       {
         std::lock_guard<std::mutex> lock(repl->mu);
-        --repl->inflight;
+        --repl->peers[peer].inflight;
       }
       repl->work_cv.notify_all();
       repl->barrier_cv.notify_all();
@@ -954,8 +1114,8 @@ void NodeServer::ReplicatorLoop() {
     // would have to re-mark): the transport may run it after this
     // NodeServer is gone.
     Status submitted = transport_->CallAsync(
-        successor, MessageType::kReplicateState, std::move(req_body),
-        [repl, requeue](Status st, std::string /*reply*/) {
+        endpoint, MessageType::kReplicateState, std::move(req_body),
+        [repl, peer, requeue](Status st, std::string /*reply*/) {
           if (!st.ok()) {
             // Unacked work goes back on the stream; a waiting barrier
             // fails fast on the sticky error.
@@ -964,9 +1124,10 @@ void NodeServer::ReplicatorLoop() {
           }
           {
             std::lock_guard<std::mutex> lock(repl->mu);
-            --repl->inflight;
-            ++repl->shipped;
-            repl->error = Status::OK();
+            PeerStream& stream = repl->peers[peer];
+            --stream.inflight;
+            ++stream.shipped;
+            stream.error = Status::OK();
           }
           repl->work_cv.notify_all();
           repl->barrier_cv.notify_all();
@@ -976,25 +1137,36 @@ void NodeServer::ReplicatorLoop() {
   }
 }
 
-Status NodeServer::WaitReplicationBarrier() {
+Status NodeServer::WaitReplicationBarrier(const std::set<uint32_t>& holders) {
   auto repl = repl_;
   const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(kBarrierTimeoutMs);
+      Clock::now() + std::chrono::milliseconds(kBarrierTimeoutMs);
   std::unique_lock<std::mutex> lock(repl->mu);
-  bool done = repl->barrier_cv.wait_until(lock, deadline, [&] {
-    return repl->stop || !repl->error.ok() ||
-           (repl->dirty.empty() && repl->dropped.empty() &&
-            repl->inflight == 0);
-  });
-  if (!repl->error.ok()) {
-    return Status(repl->error.code(),
-                  "replication stream to successor failed: " +
-                      repl->error.ToString());
+  uint32_t failed = kNoHolder;
+  auto drained = [&] {
+    failed = kNoHolder;
+    bool idle = true;
+    for (uint32_t holder : holders) {
+      const PeerStream& stream = repl->peers[holder];
+      if (!stream.error.ok()) {
+        failed = holder;
+        return true;
+      }
+      if (!stream.dirty.empty() || stream.inflight != 0) idle = false;
+    }
+    return idle;
+  };
+  bool done = repl->barrier_cv.wait_until(
+      lock, deadline, [&] { return repl->stop || drained(); });
+  if (failed != kNoHolder) {
+    const Status& error = repl->peers[failed].error;
+    return Status(error.code(), "replication stream to node " +
+                                    std::to_string(failed) +
+                                    " failed: " + error.ToString());
   }
   if (repl->stop) return Status::Aborted("node stopping");
   if (!done) {
-    return Status::TimedOut("replication barrier: stream not drained after " +
+    return Status::TimedOut("replication barrier: streams not drained after " +
                             std::to_string(kBarrierTimeoutMs) + "ms");
   }
   return Status::OK();

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -41,6 +42,15 @@
 /// replica-local ingest or a promoted copy (their held rows are taken
 /// over), nothing for a restored vnode (its chain was written).
 ///
+/// **Holders.** Every owned vnode has a holder, a live peer that keeps its
+/// replica, and the node streams each vnode to its holder: one stream per
+/// distinct holder, each with its own seq space, credit window and drain
+/// barrier. A vnode's first holder is its owner's ring successor (the
+/// first live peer after the owner in node-id order). A handover names
+/// the moved vnodes' next holder. A promoted or restored vnode, and one
+/// whose holder died, goes to its new owner's ring successor and ships
+/// whole to it. Every other vnode keeps its holder and ships nothing.
+///
 /// Protocol roles, mirroring the in-process engine:
 ///
 ///  * **data plane** — `kProcessBatch` folds routed records into the
@@ -50,35 +60,40 @@
 ///    deduplicated (exactly-once under replay), and a batch's state and
 ///    watermarks commit together as one WAL record;
 ///  * **replication** — every write marks its vnode dirty and a
-///    background replicator streams per-vnode deltas to the ring successor
-///    as pipelined `kReplicateState` requests under a small credit window
-///    — Rhino's state-centric replication as a continuous ordered stream,
-///    off the checkpoint path. A node replicates exactly when it has a
-///    transport. The stream is incremental: a vnode the successor already
-///    holds ships as a **key delta**, the keys its backend captured since
-///    the vnode's last delta, chained to that delta by `base_seq`; a vnode
-///    it may lack ships **whole**. Both carry the vnode's size and replay
-///    watermarks, captured atomically with its state. The successor keeps
-///    a replicated vnode as **held rows** of its own backend: a whole
+///    background replicator streams per-vnode deltas to each vnode's
+///    holder as pipelined `kReplicateState` requests under a small credit
+///    window per holder — Rhino's state-centric replication as continuous
+///    ordered streams, off the checkpoint path. A node replicates exactly
+///    when it has a transport. The streams are incremental: a vnode whose
+///    holder keeps a copy ships as a **key delta**, the keys its backend
+///    captured since that copy, chained to it by `base_seq`; a vnode the
+///    holder may lack ships **whole**. Both carry the vnode's size and
+///    replay watermarks, captured atomically with its state. The holder
+///    keeps a replicated vnode as **held rows** of its own backend: a whole
 ///    vnode replaces them, a key delta is one write of its change run;
 ///  * **checkpoint** — `kCheckpoint` brings each owned vnode's chain in
 ///    the shared checkpoint directory (the DFS stand-in) up to date: a key
 ///    record of the keys written since the vnode's last record, nothing
 ///    when it did not change, or one whole record when the node knows no
 ///    chain it may extend or extending would grow the chain past twice
-///    its base. It then waits for the replication stream to drain (a
-///    sequence-number barrier). Checkpoint bytes and lock time follow the
-///    keys written since the last checkpoint, not the state size;
+///    its base. It then waits for every stream to drain (a sequence-number
+///    barrier). Checkpoint bytes and lock time follow the keys written
+///    since the last checkpoint, not the state size;
 ///  * **handover** — `kExtractVnodes` / `kIngestVnodes` / `kDropVnodes`
 ///    implement the origin and target halves of a live migration, moving
-///    state *and* dedup watermarks. When the target is the origin's ring
-///    successor the move is **replica-local**: the origin drains its
-///    stream and sends each moved vnode as an empty run on top of the seq
-///    of its last delta, and the target takes its held rows of those
-///    vnodes over, copying no key. Any other target gets whole images.
-///    Either way the origin's extract first writes the moved vnodes'
-///    pending keys to their chains (the final incremental checkpoint), and
-///    the target extends those chains from then on;
+///    state *and* dedup watermarks. The origin's extract first drains its
+///    streams to the moved vnodes' holders and writes their pending keys
+///    to their chains (the final incremental checkpoint); the target
+///    extends those chains from then on. When the target is the moved
+///    vnodes' holder the move is **replica-local**: each image is an empty
+///    run on top of the seq of the vnode's last delta, the target takes
+///    its held rows over, copying no key, and the origin **demotes** its
+///    own rows to the copy it now holds for the target, writing nothing.
+///    Any other target gets whole images; the origin drops its rows and
+///    the old holder keeps its copy, which `kRelabelVnodes` hands to the
+///    target. Either way the target reserves a seq in its stream to the
+///    holder at the ingest, the holder's copy is labelled with it, and the
+///    target's next delta of each vnode chains to it;
 ///  * **recovery** — `kPromoteReplica` takes each requested vnode of a
 ///    dead peer from the first source that exists: the rows held here for
 ///    that peer, taken over copying no key (Rhino); else the vnode's
@@ -90,7 +105,7 @@
 /// **Chain invariant.** A node extends a vnode's chain only while its
 /// state of the vnode equals the chain's last record plus the keys its
 /// checkpoint reader captured since (`Chain`); taking the vnode over,
-/// dropping it or a failed write forgets the chain, and the next record
+/// releasing it or a failed write forgets the chain, and the next record
 /// is whole, unless the take-over adopts the chain (a handover target's
 /// moved vnodes, an untorn restored one). A chain on disk never exceeds
 /// twice its base, and a torn tail loses only the torn record.
@@ -101,29 +116,33 @@
 /// both capture readers; the catalog (`held_`) keeps only their origin,
 /// the seq of the stream delta they are as of, their size and their
 /// watermarks, and a held copy is one consistent snapshot of its origin.
-/// A delta never writes, and a tombstone never drops, rows of a vnode this
-/// node owns (its origin handed the vnode away: acked unapplied). A whole
-/// vnode replaces whatever is held for it. A key delta applies only to
-/// its origin's copy at exactly its `base_seq`; one at or below that seq
-/// is a replay, acked unapplied; any other mismatch drops the origin's
-/// copy and answers `FailedPrecondition`, upon which the origin ships the
-/// vnode whole. A tombstone drops only its origin's copy. A vnode that
-/// becomes owned other than by taking its held copy over — a full-path
-/// ingest, or the promotion of a vnode not held for the dead origin —
-/// first loses any rows of it, as its old owner's tombstone may still be
-/// in flight. A promoted vnode neither held nor chained starts empty with
-/// no watermarks, so the driver replays its inputs from offset 0 (the
-/// broker keeps every offset).
+/// Rows change between owned and held only in place: a take-over (a
+/// replica-local ingest, a promotion) makes held rows owned, and a
+/// **demote** makes owned rows the copy held for the new owner, at the seq
+/// it reserved. A **relabel** hands a copy held for a handover's origin
+/// to its target, at the target's reserved seq, when the copy is at the
+/// origin's last shipped seq; any other copy of the origin's is dropped.
+/// A delta never writes rows of a vnode this node owns (its origin handed
+/// the vnode away: acked unapplied). A whole vnode replaces whatever is
+/// held for it. A key delta applies only to its origin's copy at exactly
+/// its `base_seq`; one at or below that seq is a replay, acked unapplied;
+/// any other mismatch drops the origin's copy and answers
+/// `FailedPrecondition`, upon which the origin ships the vnode whole. A
+/// vnode that becomes owned other than by taking its held copy over — a
+/// full-path ingest, or the promotion of a vnode not held for the dead
+/// origin — first loses any rows of it. A promoted vnode neither held nor
+/// chained starts empty with no watermarks, so the driver replays its
+/// inputs from offset 0 (the broker keeps every offset).
 ///
 /// Thread safety: one mutex (`mu_`) serializes all verbs, so every
-/// checkpoint or extraction observes a consistent shard. The replicator
-/// thread takes `mu_` only while building a delta; stream bookkeeping
-/// lives under the separate `ReplStream::mu` (lock order: `mu_` before
-/// `ReplStream::mu`, never the reverse). `kCheckpoint` and a
-/// replica-local `kExtractVnodes` release `mu_` before waiting on the
-/// stream barrier, so the replicator can drain while the barrier waits —
-/// the one place a cycle could otherwise form. No handler makes a nested
-/// blocking RPC.
+/// checkpoint or extraction observes a consistent shard. One replicator
+/// thread serves every holder's stream; it takes `mu_` only while
+/// building a delta. All streams' bookkeeping lives under the separate
+/// `ReplStream::mu` (lock order: `mu_` before `ReplStream::mu`, never the
+/// reverse). `kCheckpoint` and `kExtractVnodes` release `mu_` before
+/// waiting on a stream barrier, so the replicator can drain while the
+/// barrier waits — the one place a cycle could otherwise form. No handler
+/// makes a nested blocking RPC.
 
 namespace rhino::net {
 
@@ -138,16 +157,15 @@ struct NodeServerOptions {
 
 class NodeServer {
  public:
-  /// `transport` carries this node's replication stream to its ring
-  /// successor; null turns replication off (single-node clusters, benches
-  /// that isolate the data plane).
+  /// `transport` carries this node's replication streams to the holders
+  /// of its vnodes; null turns replication off (single-node clusters,
+  /// benches that isolate the data plane).
   ///
   /// Over TCP, give every node a transport of its own, never the
   /// driver's or a peer's. `RpcServer` serves each connection serially
-  /// and a `kCheckpoint` handler waits for this node's stream to drain,
-  /// so a shared connection can queue a node's barrier ahead of its
-  /// predecessor's delta and stall the checkpoint until the barrier
-  /// times out.
+  /// and a `kCheckpoint` handler waits for this node's streams to drain,
+  /// so a shared connection can queue a node's barrier ahead of a peer's
+  /// delta and stall the checkpoint until the barrier times out.
   NodeServer(lsm::Env* env, Transport* transport, NodeServerOptions options,
              obs::Observability* obs = nullptr);
 
@@ -156,7 +174,7 @@ class NodeServer {
   /// after the node is gone.
   ~NodeServer();
 
-  /// Stops the replication stream and joins its thread. Idempotent; the
+  /// Stops the replication streams and joins their thread. Idempotent; the
   /// destructor calls it. Tests with in-process clusters call it on all
   /// nodes before tearing any node down, so no replicator is mid-call
   /// into a dying peer.
@@ -193,13 +211,16 @@ class NodeServer {
 
   /// One hosted operator instance. All state mechanics (backend,
   /// ownership, replay watermarks, apply/extract/absorb/drop) live in the
-  /// host; the shard keeps node-local traffic counters and the chains of
-  /// its vnodes.
+  /// host; the shard keeps node-local traffic counters, the chains of its
+  /// vnodes and their holders.
   struct Shard {
     std::unique_ptr<dataflow::OperatorHost> host;
     uint64_t applied = 0;
     uint64_t deduped = 0;
     std::map<uint32_t, Chain> chains;
+    /// Owned vnode -> the peer its stream ships it to; absent when the
+    /// node has no live peer.
+    std::map<uint32_t, uint32_t> holders;
   };
 
   /// Who writes a chain record: a checkpoint, or a handover origin's
@@ -207,28 +228,43 @@ class NodeServer {
   /// the chain over).
   enum class ChainPhase { kCheckpoint = 0, kHandover = 1 };
 
-  /// Bookkeeping of the continuous replication stream, shared between the
-  /// verb handlers (which mark vnodes dirty), the replicator thread, the
-  /// checkpoint barrier, and the transport completion callbacks. Held by
-  /// shared_ptr so a late callback outliving the NodeServer stays safe.
+  /// The stream to one holder: its own seq space, credit window and
+  /// drain barrier.
+  struct PeerStream {
+    /// op -> vnodes with unshipped writes. A vnode whose holder changed
+    /// since it was marked moves to its holder's stream when the
+    /// replicator pops it.
+    std::map<std::string, std::set<uint32_t>> dirty;
+    /// op -> vnode -> seq of the copy the holder keeps: the last delta
+    /// that carried the vnode, or the seq reserved when it changed hands.
+    /// The `base_seq` of its next key delta; absent means the holder may
+    /// lack the vnode, so it ships whole.
+    std::map<std::string, std::map<uint32_t, uint64_t>> last_seq;
+    uint64_t stream_seq = 0;  ///< last seq assigned or reserved
+    uint64_t shipped = 0;     ///< deltas acked by the holder
+    uint32_t inflight = 0;    ///< deltas submitted, not yet acked
+    /// Last stream failure; sticky until a delta succeeds or kHello
+    /// re-forms the cluster. A waiting barrier fails fast on it, and the
+    /// stream ships nothing before `retry_at`.
+    Status error;
+    std::chrono::steady_clock::time_point retry_at;
+
+    /// The seq of the holder's copy of `vnode` of `op` when that copy is
+    /// the vnode's last state (no unshipped write), else 0.
+    uint64_t CopySeq(const std::string& op, uint32_t vnode) const;
+  };
+
+  /// Bookkeeping of the replication streams, shared between the verb
+  /// handlers (which mark vnodes dirty), the replicator thread, the
+  /// barriers, and the transport completion callbacks. Held by shared_ptr
+  /// so a late callback outliving the NodeServer stays safe.
   struct ReplStream {
     std::mutex mu;
     std::condition_variable work_cv;     ///< replicator: work or credit
-    std::condition_variable barrier_cv;  ///< checkpoint barrier waiters
-    /// op -> vnodes with unshipped writes.
-    std::map<std::string, std::set<uint32_t>> dirty;
-    /// op -> vnodes dropped (handover) but not yet tombstoned downstream.
-    std::map<std::string, std::set<uint32_t>> dropped;
-    /// op -> vnode -> stream_seq of the last delta that carried the vnode
-    /// to the current successor: the `base_seq` of its next key delta.
-    /// Absent means the successor may lack the vnode, so it ships whole.
-    std::map<std::string, std::map<uint32_t, uint64_t>> last_seq;
-    uint64_t stream_seq = 0;  ///< last delta sequence number assigned
-    uint64_t shipped = 0;     ///< deltas acked by the successor
-    uint32_t inflight = 0;    ///< deltas submitted, not yet acked
-    /// Last stream failure; sticky until a delta succeeds or kHello
-    /// re-forms the ring. A waiting barrier fails fast on it.
-    Status error;
+    std::condition_variable barrier_cv;  ///< barrier waiters
+    /// Holder node id -> its stream. Entries are never erased, so a
+    /// callback may keep a reference.
+    std::map<uint32_t, PeerStream> peers;
     bool stop = false;
   };
 
@@ -241,6 +277,7 @@ class NodeServer {
   Result<std::string> HandleDropVnodes(std::string_view body);
   Result<std::string> HandleReplicateState(std::string_view body);
   Result<std::string> HandlePromoteReplica(std::string_view body);
+  Result<std::string> HandleRelabelVnodes(std::string_view body);
   Result<std::string> HandleQueryCount(std::string_view body);
   Result<std::string> HandleStats();
 
@@ -259,12 +296,11 @@ class NodeServer {
   /// written), a promoted vnode with neither (empty): the
   /// backend ingests the images (`StateBackend::IngestImages`: each run
   /// written, each size set), and their vnodes become owned with the
-  /// images' watermarks (assigned). They ship whole to this node's
-  /// successor, what the checkpoint reader captured of them is discarded,
-  /// and their chains are forgotten, so their next records are whole
-  /// unless the caller adopts the chains. Caller holds `mu_`.
-  Status TakeOver(Shard* shard, const std::string& op,
-                  const std::vector<VnodeImage>& images);
+  /// images' watermarks (assigned). What the checkpoint reader captured
+  /// of them is discarded, and their chains are forgotten, so their next
+  /// records are whole unless the caller adopts the chains. Where they
+  /// stream is the caller's (`Restream`). Caller holds `mu_`.
+  Status TakeOver(Shard* shard, const std::vector<VnodeImage>& images);
 
   /// Drops the rows and catalog entries of `vnodes` of `op`, none of them
   /// owned here. Caller holds `mu_`.
@@ -292,37 +328,56 @@ class NodeServer {
                      const std::vector<uint32_t>& vnodes, uint64_t id,
                      ChainPhase phase, uint64_t* bytes);
 
-  /// The successor may no longer hold `vnodes` of `op` as last shipped:
-  /// their next delta ships whole. Caller holds `mu_`.
-  void ForgetShipped(const std::string& op,
-                     const std::vector<uint32_t>& vnodes);
+  /// The endpoint of live peer `node`, or empty (dead, unknown, or this
+  /// node). Caller holds `mu_`.
+  std::string PeerEndpoint(uint32_t node) const;
+
+  /// This node's ring successor: the first live peer after it in node-id
+  /// order, or `kNoHolder`. Caller holds `mu_`.
+  uint32_t RingSuccessor() const;
+
+  /// From now on `vnodes` of `op` stream to `holder`, or to nobody
+  /// (`kNoHolder`): every stream forgets them, and the holder keeps a copy
+  /// of each at `seq`, their next key delta's base (0: it may lack them,
+  /// so they ship whole). Caller holds `mu_`.
+  void Restream(Shard* shard, const std::string& op,
+                const std::vector<uint32_t>& vnodes, uint32_t holder,
+                uint64_t seq);
+
+  /// Reserves the next seq of the stream to `holder`: no delta carries it,
+  /// so a copy labelled with it chains the next key delta of its vnode.
+  uint64_t ReserveSeq(uint32_t holder);
 
   /// Publishes the captured-key gauges of both capture readers. Caller
   /// holds `mu_`.
   void UpdateCapturedKeys();
 
-  /// Marks `vnodes` of `op` dirty on the replication stream. Caller holds
-  /// `mu_`; no-op unless the node replicates.
+  /// Marks `vnodes` of `shard` (operator `op`) dirty on their holders'
+  /// streams. Caller holds `mu_`; no-op unless the node replicates.
   template <typename Container>
-  void MarkReplDirty(const std::string& op, const Container& vnodes) {
+  void MarkReplDirty(const Shard& shard, const std::string& op,
+                     const Container& vnodes) {
     if (!replicating_ || vnodes.empty()) return;
     {
       std::lock_guard<std::mutex> lock(repl_->mu);
-      auto& set = repl_->dirty[op];
-      set.insert(vnodes.begin(), vnodes.end());
+      for (uint32_t vnode : vnodes) {
+        auto holder = shard.holders.find(vnode);
+        if (holder == shard.holders.end()) continue;
+        repl_->peers[holder->second].dirty[op].insert(vnode);
+      }
     }
     repl_->work_cv.notify_all();
   }
 
-  /// Body of the replicator thread: pops one operator's dirty/dropped
-  /// vnodes, snapshots a consistent delta under `mu_`, and streams it to
-  /// the successor under the credit window.
+  /// Body of the replicator thread: pops one stream's dirty vnodes of one
+  /// operator, snapshots a consistent delta under `mu_`, and ships it to
+  /// the holder under that stream's credit window.
   void ReplicatorLoop();
 
-  /// Blocks (with `mu_` RELEASED) until the stream has drained — dirty
-  /// and dropped empty, nothing in flight — or fails on a sticky stream
-  /// error / the barrier timeout.
-  Status WaitReplicationBarrier();
+  /// Blocks (with `mu_` RELEASED) until the streams to `holders` drained —
+  /// nothing dirty, nothing in flight — or fails on a sticky stream error
+  /// of one of them / the barrier timeout.
+  Status WaitReplicationBarrier(const std::set<uint32_t>& holders);
 
   lsm::Env* env_;
   Transport* transport_;
@@ -354,19 +409,26 @@ class NodeServer {
     obs::Gauge* ckpt_captured_keys = nullptr;
     obs::Counter* handover_replica = nullptr;
     obs::Counter* handover_full = nullptr;
+    obs::Counter* demoted = nullptr;
+    obs::Counter* relabelled = nullptr;
+    obs::Counter* relabel_dropped = nullptr;
     /// Chain records written, by ChainPhase and ChainRecord::Kind.
     obs::Counter* image_bytes[2][2] = {};
     obs::Counter* image_vnodes[2][2] = {};
   };
 
   std::mutex mu_;
-  std::string successor_;  ///< replication successor endpoint ("" = off)
+  /// Node id -> endpoint, empty for a dead peer (kHello).
+  std::vector<std::string> peers_;
   std::map<std::string, Shard> shards_;
   /// Replica catalog: (op, vnode) -> the held copy (the invariant above).
   /// Apart from the shards: a vnode's first, empty delta may arrive before
   /// the driver added the operator here.
   std::map<std::pair<std::string, uint32_t>, HeldVnode> held_;
   Metrics metrics_;
+
+  /// No holder: the node has no live peer.
+  static constexpr uint32_t kNoHolder = UINT32_MAX;
 
   /// True when the replicator thread was started (the node has a
   /// transport); constant after construction.

@@ -36,6 +36,9 @@ constexpr size_t kMinRecordBytes = 4;       // key | time | size | payload
 // vnode | base seq | bytes | watermark count | run length
 constexpr size_t kMinImageBytes = 5;
 constexpr size_t kMinWatermarkBytes = 2;    // source | offset
+constexpr size_t kMinStringBytes = 1;       // length
+constexpr size_t kMinSeqBytes = 1;          // varint seq
+constexpr size_t kMinShippedBytes = 2;      // vnode | seq
 
 void PutVnodes(BinaryWriter* w, const std::vector<uint32_t>& vnodes) {
   w->PutVarint(vnodes.size());
@@ -126,6 +129,7 @@ const char* MessageTypeName(MessageType type) {
     case MessageType::kQueryCount: return "QueryCount";
     case MessageType::kStats: return "Stats";
     case MessageType::kShutdown: return "Shutdown";
+    case MessageType::kRelabelVnodes: return "RelabelVnodes";
   }
   return "Unknown";
 }
@@ -146,7 +150,7 @@ Result<RequestEnvelope> RequestEnvelope::Decode(std::string_view data) {
   uint8_t type = 0;
   RHINO_RETURN_NOT_OK(r.GetU8(&type));
   if (type == 0 || type == kRetiredType ||
-      type > static_cast<uint8_t>(MessageType::kShutdown)) {
+      type > static_cast<uint8_t>(MessageType::kRelabelVnodes)) {
     return Status::Corruption("unknown request type " + std::to_string(type));
   }
   env.type = static_cast<MessageType>(type);
@@ -295,14 +299,20 @@ Result<dataflow::OperatorSpec> DecodeOperatorSpec(std::string_view data) {
 void HelloRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   w.PutU32(node_id);
-  w.PutString(successor);
+  w.PutVarint(peers.size());
+  for (const std::string& peer : peers) w.PutString(peer);
 }
 
 Result<HelloRequest> HelloRequest::Decode(std::string_view data) {
   BinaryReader r(data);
   HelloRequest req;
   RHINO_RETURN_NOT_OK(r.GetU32(&req.node_id));
-  RHINO_RETURN_NOT_OK(r.GetString(&req.successor));
+  uint64_t n = 0;
+  RHINO_RETURN_NOT_OK(r.GetCount(kMinStringBytes, &n));
+  req.peers.resize(n);
+  for (std::string& peer : req.peers) {
+    RHINO_RETURN_NOT_OK(r.GetString(&peer));
+  }
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "hello request"));
   return req;
 }
@@ -411,42 +421,127 @@ Result<std::vector<VnodeImage>> DecodeVnodeImages(std::string_view data) {
   return images;
 }
 
-void HandoverStateRequest::EncodeTo(std::string* out) const {
+void ExtractRequest::EncodeTo(std::string* out) const {
+  BinaryWriter w(out);
+  w.PutVarint(id);
+  w.PutString(op);
+  PutVnodes(&w, vnodes);
+  w.PutU8(replica_local);
+}
+
+Result<ExtractRequest> ExtractRequest::Decode(std::string_view data) {
+  BinaryReader r(data);
+  ExtractRequest req;
+  RHINO_RETURN_NOT_OK(r.GetVarint(&req.id));
+  RHINO_RETURN_NOT_OK(r.GetString(&req.op));
+  RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.vnodes));
+  RHINO_RETURN_NOT_OK(r.GetU8(&req.replica_local));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "extract request"));
+  return req;
+}
+
+void IngestRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   w.PutVarint(id);
   w.PutString(op);
   w.PutVarint(origin);
-  PutVnodes(&w, vnodes);
-  w.PutU8(replica_local);
+  w.PutVarint(holder);
   PutImages(&w, images);
 }
 
-Result<HandoverStateRequest> HandoverStateRequest::Decode(
-    std::string_view data) {
+Result<IngestRequest> IngestRequest::Decode(std::string_view data) {
   BinaryReader r(data);
-  HandoverStateRequest req;
+  IngestRequest req;
   RHINO_RETURN_NOT_OK(r.GetVarint(&req.id));
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
   RHINO_RETURN_NOT_OK(r.GetVarint32(&req.origin));
-  RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.vnodes));
-  RHINO_RETURN_NOT_OK(r.GetU8(&req.replica_local));
+  RHINO_RETURN_NOT_OK(r.GetVarint32(&req.holder));
   RHINO_RETURN_NOT_OK(GetImages(&r, &req.images));
-  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "handover state request"));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "ingest request"));
   return req;
 }
 
-void VnodeSetRequest::EncodeTo(std::string* out) const {
+void IngestReply::EncodeTo(std::string* out) const {
+  BinaryWriter(out).PutVarint(seq);
+}
+
+Result<IngestReply> IngestReply::Decode(std::string_view data) {
+  BinaryReader r(data);
+  IngestReply rep;
+  RHINO_RETURN_NOT_OK(r.GetVarint(&rep.seq));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "ingest reply"));
+  return rep;
+}
+
+void ReleaseRequest::EncodeTo(std::string* out) const {
   BinaryWriter w(out);
   w.PutString(op);
   PutVnodes(&w, vnodes);
+  w.PutVarint(seq);
+  if (seq != 0) w.PutVarint(target);
 }
 
-Result<VnodeSetRequest> VnodeSetRequest::Decode(std::string_view data) {
+Result<ReleaseRequest> ReleaseRequest::Decode(std::string_view data) {
   BinaryReader r(data);
-  VnodeSetRequest req;
+  ReleaseRequest req;
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
   RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.vnodes));
-  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "vnode-set request"));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&req.seq));
+  if (req.seq != 0) RHINO_RETURN_NOT_OK(r.GetVarint32(&req.target));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "release request"));
+  return req;
+}
+
+void ReleaseReply::EncodeTo(std::string* out) const {
+  BinaryWriter w(out);
+  w.PutVarint(shipped.size());
+  for (uint64_t seq : shipped) w.PutVarint(seq);
+}
+
+Result<ReleaseReply> ReleaseReply::Decode(std::string_view data) {
+  BinaryReader r(data);
+  ReleaseReply rep;
+  uint64_t n = 0;
+  RHINO_RETURN_NOT_OK(r.GetCount(kMinSeqBytes, &n));
+  rep.shipped.resize(n);
+  for (uint64_t& seq : rep.shipped) RHINO_RETURN_NOT_OK(r.GetVarint(&seq));
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "release reply"));
+  return rep;
+}
+
+void RelabelRequest::EncodeTo(std::string* out) const {
+  BinaryWriter w(out);
+  w.PutString(op);
+  w.PutVarint(origin);
+  w.PutVarint(target);
+  w.PutVarint(seq);
+  w.PutVarint(shipped.size());
+  for (const auto& [vnode, at] : shipped) {
+    w.PutVarint(vnode);
+    w.PutVarint(at);
+  }
+}
+
+Result<RelabelRequest> RelabelRequest::Decode(std::string_view data) {
+  BinaryReader r(data);
+  RelabelRequest req;
+  RHINO_RETURN_NOT_OK(r.GetString(&req.op));
+  RHINO_RETURN_NOT_OK(r.GetVarint32(&req.origin));
+  RHINO_RETURN_NOT_OK(r.GetVarint32(&req.target));
+  RHINO_RETURN_NOT_OK(r.GetVarint(&req.seq));
+  uint64_t n = 0;
+  RHINO_RETURN_NOT_OK(r.GetCount(kMinShippedBytes, &n));
+  for (uint64_t i = 0; i < n; ++i) {
+    uint32_t vnode = 0;
+    uint64_t at = 0;
+    RHINO_RETURN_NOT_OK(r.GetVarint32(&vnode));
+    RHINO_RETURN_NOT_OK(r.GetVarint(&at));
+    if (!req.shipped.emplace(vnode, at).second) {
+      return Status::Corruption("relabel request lists vnode " +
+                                std::to_string(vnode) + " twice");
+    }
+  }
+  RHINO_RETURN_NOT_OK(CheckAtEnd(r, "relabel request"));
   return req;
 }
 
@@ -455,7 +550,6 @@ void ReplicateStateRequest::EncodeTo(std::string* out) const {
   w.PutU32(origin_node);
   w.PutString(op);
   w.PutU64(stream_seq);
-  PutVnodes(&w, dropped_vnodes);
   PutImages(&w, vnodes);
 }
 
@@ -466,7 +560,6 @@ Result<ReplicateStateRequest> ReplicateStateRequest::Decode(
   RHINO_RETURN_NOT_OK(r.GetU32(&req.origin_node));
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
   RHINO_RETURN_NOT_OK(r.GetU64(&req.stream_seq));
-  RHINO_RETURN_NOT_OK(GetVnodes(&r, &req.dropped_vnodes));
   RHINO_RETURN_NOT_OK(GetImages(&r, &req.vnodes));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "replicate-state request"));
   return req;

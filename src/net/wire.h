@@ -31,24 +31,28 @@ namespace rhino::net {
 /// RPC verbs understood by a `NodeServer`. The driver plans checkpoints
 /// and handovers by issuing these over TCP (or the in-process loopback
 /// transport — same bytes either way). Values are stable: tools index
-/// per-verb counters by them. 10 is unused since version 8 (it was the
+/// per-verb counters by them, and tools that count verbs 0-15 only see
+/// every verb's bytes. 10 is unused since version 8 (it was the
 /// checkpoint restore, now part of `kPromoteReplica`), and a request of
 /// that type is refused like any unknown one.
 enum class MessageType : uint8_t {
   kReply = 0,           ///< server -> client response envelope
-  kHello = 1,           ///< configure node id + replication successor
+  kHello = 1,           ///< configure node id + the peers' endpoints
   kAddOperator = 2,     ///< host an operator instance + LSM shard
   kProcessBatch = 3,    ///< data plane: one routed batch
   kCheckpoint = 4,      ///< control: checkpoint barrier
   kExtractVnodes = 5,   ///< handover origin: serialize moved vnodes
   kIngestVnodes = 6,    ///< handover target: ingest moved vnodes
-  kDropVnodes = 7,      ///< handover origin: release migrated state
+  kDropVnodes = 7,      ///< handover origin: demote or drop moved vnodes
   kReplicateState = 8,  ///< node -> node: replication stream delta
   kPromoteReplica = 9,  ///< recovery: own a dead node's vnodes
   kQueryCount = 11,     ///< read side: keyed counter lookup
   kStats = 12,          ///< introspection for tests/benches
   kShutdown = 13,       ///< graceful stop
+  kRelabelVnodes = 14,  ///< cold handover: the old holder's copy changes hands
 };
+static_assert(static_cast<uint8_t>(MessageType::kRelabelVnodes) < 16,
+              "per-verb byte counters have 16 slots");
 
 const char* MessageTypeName(MessageType type);
 
@@ -95,7 +99,16 @@ const char* MessageTypeName(MessageType type);
 /// `CheckpointReply` lost its operator count. The checkpoint restore verb
 /// (10) is gone: `kPromoteReplica` takes each vnode from the replica held
 /// here, its checkpoint chain, or nothing.
-constexpr uint8_t kWireVersion = 8;
+/// Version 9 gave every vnode a holder beside its owner. `kHello` names
+/// the peers' endpoints by node id instead of one ring successor. The
+/// extract and the ingest have bodies of their own: the extract lost the
+/// origin, the ingest the moved-vnode list and the replica-local flag, and
+/// gained the holder the target streams the moved vnodes to; its reply is
+/// the stream seq the target reserved for them. `kDropVnodes` demotes the
+/// moved vnodes to the held copy of that seq, or drops them and answers
+/// their last shipped seqs, which `kRelabelVnodes` (14) checks at the old
+/// holder. Stream deltas carry no tombstones.
+constexpr uint8_t kWireVersion = 9;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on
@@ -161,12 +174,15 @@ Result<dataflow::OperatorSpec> DecodeOperatorSpec(std::string_view data);
 
 // ------------------------------------------------------- request bodies --
 
-/// kHello: assigns the node id and the chain-replication successor
-/// (endpoint string, empty = replication off). Sent by the driver once
-/// every node's port is known.
+/// kHello: assigns the node id and names the peers: `peers[i]` is node
+/// i's endpoint, empty for a dead node (the node's own entry is not
+/// read). A node streams each vnode it owns to the vnode's holder; a vnode
+/// it comes to own with no live holder named goes to its ring successor,
+/// the first live peer after it. Sent by the driver once every node's port
+/// is known, and again after each failure.
 struct HelloRequest {
   uint32_t node_id = 0;
-  std::string successor;
+  std::vector<std::string> peers;
 
   void EncodeTo(std::string* out) const;
   static Result<HelloRequest> Decode(std::string_view data);
@@ -226,8 +242,8 @@ struct CheckpointRequest {
 struct CheckpointReply {
   uint64_t checkpoint_id = 0;
   uint64_t bytes = 0;
-  /// 1 when the node's replication stream to its successor had drained
-  /// before the ack (0 when the node has no successor).
+  /// 1 when the node's replication streams had drained before the ack (0
+  /// when the node has no live peer).
   uint8_t replicated = 0;
 
   void EncodeTo(std::string* out) const;
@@ -243,52 +259,109 @@ using state::VnodeImage;
 void EncodeVnodeImages(const std::vector<VnodeImage>& images, std::string* out);
 Result<std::vector<VnodeImage>> DecodeVnodeImages(std::string_view data);
 
-/// kExtractVnodes / kIngestVnodes: `varint id | op | varint origin |
-/// vnodes | u8 replica_local | images`. `id` is the handover's (the
-/// origin's chain records carry it), `vnodes` the moved ones.
-///
-/// `replica_local` on an extract asks the origin for the replica path (the
-/// target is its ring successor); an extract carries no images. Its reply
-/// lists an image per moved vnode: whole (the full path), or, once the
-/// origin's stream to the target drained, an empty run on top of the seq
-/// of the last delta that carried the vnode. An ingest carries that list
-/// as `images`, one per moved vnode; the target writes a whole image's
-/// run, and takes the copy it holds of `origin` over for the others,
-/// which must each be at exactly their `base_seq`.
-struct HandoverStateRequest {
+/// kExtractVnodes: `varint id | op | vnodes | u8 replica_local`. `id` is
+/// the handover's (the origin's chain records carry it), `vnodes` the
+/// moved ones. The origin first drains its streams to the moved vnodes'
+/// holders. The reply lists an image per moved vnode: whole, or, when
+/// `replica_local` asks for the replica path (the target holds the
+/// vnodes) and the drain left every moved vnode as last shipped, an empty
+/// run on top of the seq of the last delta that carried it.
+struct ExtractRequest {
+  uint64_t id = 0;
+  std::string op;
+  std::vector<uint32_t> vnodes;
+  uint8_t replica_local = 0;
+
+  void EncodeTo(std::string* out) const;
+  static Result<ExtractRequest> Decode(std::string_view data);
+};
+
+/// kIngestVnodes: `varint id | op | varint origin | varint holder |
+/// images`, an image per moved vnode as the origin's extract answered.
+/// The target writes a whole image's run, and takes the copy it holds of
+/// `origin` over for the others, which must each be at exactly their
+/// `base_seq`. From then on it streams the vnodes to `holder`, a live
+/// peer: the origin, which demotes its rows to that copy, or the old
+/// holder, which relabels its copy. Either copy is labelled with the
+/// stream seq the target reserves for the vnodes here and answers.
+struct IngestRequest {
   uint64_t id = 0;
   std::string op;
   uint32_t origin = 0;
-  std::vector<uint32_t> vnodes;
-  uint8_t replica_local = 0;
+  uint32_t holder = 0;
   std::vector<VnodeImage> images;
 
   void EncodeTo(std::string* out) const;
-  static Result<HandoverStateRequest> Decode(std::string_view data);
+  static Result<IngestRequest> Decode(std::string_view data);
 };
 
-/// kDropVnodes.
-struct VnodeSetRequest {
-  std::string op;
-  std::vector<uint32_t> vnodes;
+/// kIngestVnodes' reply: the seq the target reserved in its stream to the
+/// holder, the label of the holder's copy of the moved vnodes.
+struct IngestReply {
+  uint64_t seq = 0;
 
   void EncodeTo(std::string* out) const;
-  static Result<VnodeSetRequest> Decode(std::string_view data);
+  static Result<IngestReply> Decode(std::string_view data);
+};
+
+/// kDropVnodes: the origin releases the moved vnodes once the target owns
+/// them: `op | vnodes | varint seq | [varint target]`. With `seq` set the
+/// origin demotes them: their rows stay, as held rows of `target`'s copy
+/// at that seq (the target reserved it at the ingest), and it writes
+/// nothing. With `seq` 0 (no target follows) it drops them, and answers
+/// per vnode the seq of its last delta of it to the vnode's holder.
+struct ReleaseRequest {
+  std::string op;
+  std::vector<uint32_t> vnodes;
+  uint64_t seq = 0;
+  uint32_t target = 0;
+
+  void EncodeTo(std::string* out) const;
+  static Result<ReleaseRequest> Decode(std::string_view data);
+};
+
+/// kDropVnodes' reply: for a drop, per moved vnode in request order, the
+/// seq of the origin's last delta of it to its holder, 0 when the holder
+/// may lack its last state (unshipped writes, or nothing shipped); empty
+/// for a demote.
+struct ReleaseReply {
+  std::vector<uint64_t> shipped;
+
+  void EncodeTo(std::string* out) const;
+  static Result<ReleaseReply> Decode(std::string_view data);
+};
+
+/// kRelabelVnodes: after a cold handover the old holder's copy of each
+/// moved vnode becomes the target's: `op | varint origin | varint target |
+/// varint seq | n x (varint vnode, varint shipped)`. A copy held for
+/// `origin` at exactly the origin's last shipped seq (`shipped`, from
+/// `ReleaseReply`) is relabelled as `target`'s copy at `seq`, the seq the
+/// target reserved at the ingest; any other copy held for `origin` is
+/// dropped, and the target's next delta, finding no copy, ships the
+/// vnode whole.
+struct RelabelRequest {
+  std::string op;
+  uint32_t origin = 0;
+  uint32_t target = 0;
+  uint64_t seq = 0;
+  std::map<uint32_t, uint64_t> shipped;
+
+  void EncodeTo(std::string* out) const;
+  static Result<RelabelRequest> Decode(std::string_view data);
 };
 
 /// kReplicateState: one element of `origin_node`'s continuous
-/// replication stream. `vnodes` holds an image of each vnode written since
-/// its last delta: whole, or a key delta on top of the previous delta
-/// that carried it to the same successor (`base_seq`).
-/// `dropped_vnodes` lists vnodes the origin no longer owns (handover
-/// tombstones), and `stream_seq` orders the stream. The receiver applies
-/// vnode by vnode to its replica catalog; it does NOT touch live state
-/// until promoted.
+/// replication stream to one holder. `vnodes` holds an image of each
+/// vnode written since its last delta: whole, or a key delta on top of
+/// the copy the holder keeps at `base_seq` (the previous delta that
+/// carried it, or the seq reserved when the vnode changed hands).
+/// `stream_seq` orders the stream, one seq space per origin and holder.
+/// The receiver applies vnode by vnode to its replica catalog; it does NOT
+/// touch live state until promoted.
 struct ReplicateStateRequest {
   uint32_t origin_node = 0;
   std::string op;
   uint64_t stream_seq = 0;
-  std::vector<uint32_t> dropped_vnodes;
   std::vector<VnodeImage> vnodes;
 
   void EncodeTo(std::string* out) const;
@@ -337,11 +410,12 @@ struct StatsReply {
   uint64_t owned_vnodes = 0;
   uint64_t replicas_held = 0;
   uint64_t state_bytes = 0;
-  /// Continuous-replication stream health: vnodes dirtied but not yet
-  /// shipped, deltas in flight to the successor, and the stream/acked
-  /// sequence numbers. `repl_dirty == 0 && repl_inflight == 0` means the
-  /// stream is idle (benches poll this to separate steady replication
-  /// from checkpoint-barrier cost).
+  /// Continuous-replication stream health, summed over the node's streams
+  /// to its holders: vnodes dirtied but not yet shipped, deltas in
+  /// flight, and the stream/acked sequence numbers.
+  /// `repl_dirty == 0 && repl_inflight == 0` means every stream is idle
+  /// (benches poll this to separate steady replication from
+  /// checkpoint-barrier cost).
   uint64_t repl_dirty = 0;
   uint64_t repl_inflight = 0;
   uint64_t repl_stream_seq = 0;

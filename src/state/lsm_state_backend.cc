@@ -226,6 +226,14 @@ Status LsmStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
   return Status::OK();
 }
 
+void LsmStateBackend::ForgetVnodes(const std::vector<uint32_t>& vnodes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (uint32_t v : vnodes) {
+    vnode_bytes_.erase(v);
+    for (auto& capture : captures_) capture.Discard(v);
+  }
+}
+
 Status LsmStateBackend::AddRun(uint32_t vnode, std::string_view run,
                                lsm::WriteBatch* batch) {
   std::string key = EncodeKey(vnode, "");

@@ -119,6 +119,7 @@ class LsmStateBackend : public StateBackend {
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
+  void ForgetVnodes(const std::vector<uint32_t>& vnodes) override;
   /// Streams the vnode's range from a DB iterator into the run: live keys
   /// only, no tombstones.
   Status ReadVnodeEntries(uint32_t vnode, std::string* run) override;

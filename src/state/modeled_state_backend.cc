@@ -102,9 +102,13 @@ Status ModeledStateBackend::IngestImages(const std::vector<VnodeImage>& images,
 }
 
 Status ModeledStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
+  ForgetVnodes(vnodes);
+  return Status::OK();
+}
+
+void ModeledStateBackend::ForgetVnodes(const std::vector<uint32_t>& vnodes) {
   std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t v : vnodes) vnode_bytes_.erase(v);
-  return Status::OK();
 }
 
 }  // namespace rhino::state

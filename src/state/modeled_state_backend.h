@@ -41,6 +41,8 @@ class ModeledStateBackend : public StateBackend {
   uint64_t VnodeBytes(uint32_t vnode) const override;
   Result<CheckpointDescriptor> Checkpoint(uint64_t checkpoint_id) override;
   Status DropVnodes(const std::vector<uint32_t>& vnodes) override;
+  /// The same as DropVnodes: a modeled vnode has no rows to keep.
+  void ForgetVnodes(const std::vector<uint32_t>& vnodes) override;
   /// Stores no values: a vnode's run is empty, and a held vnode is its
   /// size alone.
   Status ReadVnodeEntries(uint32_t, std::string* run) override {

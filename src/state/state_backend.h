@@ -105,6 +105,12 @@ class StateBackend {
   /// held rows included.
   virtual Status DropVnodes(const std::vector<uint32_t>& vnodes) = 0;
 
+  /// Forgets the nominal sizes of `vnodes` and what both capture readers
+  /// hold of them, writing nothing: their rows stay where they are, as
+  /// held rows (a handover origin that demotes the vnodes to the copy it
+  /// keeps for their new owner).
+  virtual void ForgetVnodes(const std::vector<uint32_t>& vnodes) = 0;
+
   // --------------------------------------------------------- entry runs --
   // State moves only as entry runs, EntryWriter's format
   // (lsm_state_backend.h): a whole vnode read by ReadVnodeEntries, or the

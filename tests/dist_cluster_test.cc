@@ -148,7 +148,7 @@ struct Cluster {
 
   ~Cluster() {
     // Stop every replicator before ANY node dies: over loopback a
-    // replicator calls straight into its successor's handler, so nodes
+    // replicator calls straight into a holder's handler, so nodes
     // must not be destroyed while a peer's stream is still running.
     for (auto& node : nodes) node->StopReplication();
   }
@@ -306,7 +306,7 @@ TEST(DistClusterTest, PumpAppliesAndCheckpointReplicates) {
   ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
   EXPECT_EQ(ckpt->checkpoint_id, 1u);
   EXPECT_EQ(ckpt->nodes, 3u);
-  // Ring replication: every node shipped its image to its successor.
+  // Every node shipped its vnodes to their holder, its ring successor.
   EXPECT_EQ(ckpt->replicated_nodes, 3u);
   EXPECT_GT(ckpt->bytes, 0u);
   for (uint32_t node = 0; node < 3; ++node) {
@@ -584,7 +584,7 @@ TEST(DistClusterTest, RecoveryRestoresFromItsChainAVnodeTheReplicaLost) {
 
 TEST(DistClusterTest, ContinuousReplicationRecoversWithoutAnyCheckpoint) {
   // The stream makes replicas current WITHOUT any checkpoint barrier:
-  // pump, wait for the stream to drain, kill a node — its successor's
+  // pump, wait for the stream to drain, kill a node — its holder's
   // replica alone must carry recovery (no durable image exists).
   Cluster cluster;
   cluster.Bootstrap();
@@ -621,7 +621,7 @@ TEST(DistClusterTest, PromotionFreesTheDeadOriginsReplica) {
   ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
   ASSERT_TRUE(cluster.WaitAllIdle());
   // Node 0 moved node 2's whole replica into live state; the only replica
-  // it still holds is node 1's, whose successor it became.
+  // it still holds is node 1's, whose vnodes' holder it became.
   auto stats = cluster.driver->NodeStats(0);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->replicas_held, 1u);
@@ -789,6 +789,445 @@ TEST(DistClusterTest, NoSuccessorCapturesNothing) {
   cluster.ExpectAllCounts(1000);
 }
 
+/// LSM user bytes (keys and values of committed writes) of every store in
+/// the process.
+uint64_t LsmUserWriteBytes() {
+  return obs::Observability::Default()
+      ->metrics()
+      .GetCounter("rhino_lsm_user_write_bytes_total")
+      ->value();
+}
+
+TEST(DistClusterTest, HandoverToItselfIsRefused) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  const std::vector<uint32_t> owned = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_FALSE(owned.empty());
+
+  // A handover to its own origin, or to a node that does not exist, is
+  // refused before any call: routing, state and the data path stay as
+  // they were.
+  Status self = cluster.driver->TriggerHandover(kOp, 0, 0, owned);
+  EXPECT_EQ(self.code(), StatusCode::kInvalidArgument) << self.ToString();
+  Status nowhere = cluster.driver->TriggerHandover(kOp, 0, 7, owned);
+  EXPECT_EQ(nowhere.code(), StatusCode::kInvalidArgument) << nowhere.ToString();
+  EXPECT_EQ(cluster.driver->VnodesOwnedBy(kOp, 0), owned);
+  auto stats = cluster.driver->NodeStats(0);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->owned_vnodes, owned.size());
+  cluster.ExpectAllCounts(1);
+  cluster.AppendWave();
+  auto pumped = cluster.driver->Pump();
+  ASSERT_TRUE(pumped.ok()) << pumped.status().ToString();
+  EXPECT_EQ(pumped->applied, kNumKeys);
+  cluster.ExpectAllCounts(2);
+
+  // A dead target is refused too (node 0 promoted node 2's vnodes).
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
+  const std::vector<uint32_t> promoted = cluster.driver->VnodesOwnedBy(kOp, 0);
+  Status dead = cluster.driver->TriggerHandover(kOp, 0, 2, owned);
+  EXPECT_EQ(dead.code(), StatusCode::kInvalidArgument) << dead.ToString();
+  EXPECT_EQ(cluster.driver->VnodesOwnedBy(kOp, 0), promoted);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(2);
+}
+
+TEST(DistClusterTest, HolderOfFollowsHandoversAndRecovery) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  EXPECT_EQ(cluster.driver->HolderOf("nope", 0).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(cluster.driver->HolderOf(kOp, kNumVnodes).status().code(),
+            StatusCode::kInvalidArgument);
+  // Every vnode starts at its owner's ring successor.
+  for (uint32_t vnode = 0; vnode < kNumVnodes; ++vnode) {
+    auto holder = cluster.driver->HolderOf(kOp, vnode);
+    ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+    uint32_t owned_by = 3;
+    for (uint32_t node = 0; node < 3; ++node) {
+      const auto vnodes = cluster.driver->VnodesOwnedBy(kOp, node);
+      if (std::count(vnodes.begin(), vnodes.end(), vnode) != 0) owned_by = node;
+    }
+    EXPECT_EQ(*holder, (owned_by + 1) % 3) << "vnode " << vnode;
+  }
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // A move to the holder makes the origin the holder; a cold move keeps
+  // the holder.
+  const std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+  for (uint32_t vnode : moved) {
+    EXPECT_EQ(*cluster.driver->HolderOf(kOp, vnode), 0u);
+  }
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 1, 2, moved).ok());
+  for (uint32_t vnode : moved) {
+    EXPECT_EQ(*cluster.driver->HolderOf(kOp, vnode), 0u);
+  }
+
+  // With one node left no node holds anything.
+  cluster.transport.Kill("node0");
+  cluster.transport.Kill("node1");
+  ASSERT_TRUE(cluster.driver->RecoverNodes({0, 1}).ok());
+  EXPECT_EQ(cluster.driver->HolderOf(kOp, moved.front()).status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectAllCounts(1);
+}
+
+TEST(DistClusterTest, DemoteMovesNoStateEitherWay) {
+  DeltaLog log;  // outlives the cluster's replicator threads
+  Cluster cluster;
+  for (uint32_t node = 0; node < 3; ++node) cluster.LogDeltas(node, &log);
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  size_t logged = 0;
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    logged = log.entries.size();
+  }
+
+  // 0 -> 1 and back 1 -> 0: each target holds the moved vnodes, so each
+  // move takes the replica path, the origin demotes, and no LSM entry is
+  // written anywhere.
+  const std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  const uint64_t lsm = LsmUserWriteBytes();
+  for (auto [origin, target] : {std::pair{0u, 1u}, std::pair{1u, 0u}}) {
+    const uint64_t replica =
+        NodeCounter("rhino_handover_total", target, "path", "replica");
+    const uint64_t full =
+        NodeCounter("rhino_handover_total", target, "path", "full");
+    const uint64_t demoted = NodeCounter("rhino_handover_vnodes_total", origin,
+                                         "step", "demote");
+    ASSERT_TRUE(
+        cluster.driver->TriggerHandover(kOp, origin, target, moved).ok());
+    ASSERT_TRUE(cluster.WaitAllIdle());
+    EXPECT_EQ(NodeCounter("rhino_handover_total", target, "path", "replica"),
+              replica + 1);
+    EXPECT_EQ(NodeCounter("rhino_handover_total", target, "path", "full"),
+              full);
+    EXPECT_EQ(NodeCounter("rhino_handover_vnodes_total", origin, "step",
+                          "demote"),
+              demoted + moved.size());
+    auto stats = cluster.driver->NodeStats(origin);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->owned_vnodes,
+              cluster.driver->VnodesOwnedBy(kOp, origin).size())
+        << "node " << origin;
+  }
+  EXPECT_EQ(LsmUserWriteBytes(), lsm);
+  {
+    // The moves shipped nothing: no stream delta since carries a vnode.
+    std::lock_guard<std::mutex> lock(log.mu);
+    EXPECT_EQ(log.entries.size(), logged);
+  }
+  cluster.ExpectCounts(expected);
+
+  // The next writes of a moved vnode ship as keys on top of the copy its
+  // holder (node 1 again) kept, chained to the seq node 0 reserved.
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    size_t carried = 0;
+    for (size_t i = logged; i < log.entries.size(); ++i) {
+      const DeltaLog::Entry& e = log.entries[i];
+      EXPECT_EQ(e.code, StatusCode::kOk);
+      for (uint32_t vnode : moved) {
+        const VnodeImage* image = EntryOf(e.req, vnode);
+        if (image == nullptr) continue;
+        ++carried;
+        EXPECT_EQ(e.req.origin_node, 0u);
+        EXPECT_NE(image->base_seq, 0u) << "vnode " << vnode << " shipped whole";
+      }
+    }
+    EXPECT_GT(carried, 0u);
+  }
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, NewOwnerKilledAfterDemotePromotesTheDemotedCopy) {
+  std::vector<VnodeImage> promoted;  // node 0's promotion reply
+  Cluster cluster;
+  cluster.Tap(0, [&promoted](MessageType type, std::string_view,
+                             const Result<std::string>& reply) {
+    if (type != MessageType::kPromoteReplica || !reply.ok()) return;
+    auto images = DecodeVnodeImages(*reply);
+    ASSERT_TRUE(images.ok()) << images.status().ToString();
+    promoted.insert(promoted.end(), images->begin(), images->end());
+  });
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 200, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  const std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+
+  // Node 1 streams the moved vnodes' keys to node 0, then its stream
+  // freezes: the last wave lives only in node 1.
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  cluster.nodes[1]->StopReplication();
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // Node 1 dies: node 0 promotes the moved vnodes from the copy it
+  // demoted, as of node 1's last delta, and node 2 promotes node 1's own.
+  cluster.transport.Kill("node1");
+  ASSERT_TRUE(cluster.driver->RecoverNode(1).ok());
+  std::set<uint32_t> back;
+  for (const VnodeImage& image : promoted) {
+    EXPECT_NE(image.base_seq, 0u) << "vnode " << image.vnode;
+    back.insert(image.vnode);
+  }
+  EXPECT_EQ(back, std::set<uint32_t>(moved.begin(), moved.end()));
+  EXPECT_EQ(cluster.driver->VnodesOwnedBy(kOp, 0), moved);
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_GT(replayed->applied, 0u) << "the frozen wave replays";
+  cluster.ExpectCounts(expected);
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, OldOriginKilledAfterDemoteReshipsOnlyTheMovedVnodes) {
+  DeltaLog log;  // outlives the cluster's replicator threads
+  Cluster cluster;
+  cluster.LogDeltas(2, &log);
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 200, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  const std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // Node 0, the moved vnodes' holder, dies owning nothing. Node 1 ships
+  // the moved vnodes whole to their new holder, node 2, and nothing else
+  // whole: its own vnodes keep node 2 as their holder.
+  size_t logged = 0;
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    logged = log.entries.size();
+  }
+  const uint64_t whole =
+      NodeCounter("rhino_repl_vnodes_total", 1, "kind", "whole");
+  cluster.transport.Kill("node0");
+  ASSERT_TRUE(cluster.driver->RecoverNode(0).ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  EXPECT_EQ(NodeCounter("rhino_repl_vnodes_total", 1, "kind", "whole"),
+            whole + moved.size());
+  std::set<uint32_t> shipped_whole;
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    for (size_t i = logged; i < log.entries.size(); ++i) {
+      const DeltaLog::Entry& e = log.entries[i];
+      if (e.req.origin_node != 1) continue;
+      for (const VnodeImage& image : e.req.vnodes) {
+        if (image.base_seq == 0) shipped_whole.insert(image.vnode);
+      }
+    }
+  }
+  EXPECT_EQ(shipped_whole, std::set<uint32_t>(moved.begin(), moved.end()));
+  for (uint32_t vnode : moved) {
+    EXPECT_EQ(*cluster.driver->HolderOf(kOp, vnode), 2u) << "vnode " << vnode;
+  }
+
+  // The new copies serve: node 1 dies next, and node 2 promotes them
+  // current, with nothing to replay.
+  cluster.transport.Kill("node1");
+  ASSERT_TRUE(cluster.driver->RecoverNode(1).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u);
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, ColdMoveRelabelsTheOldHoldersCopy) {
+  std::mutex mu;  // the tap's log outlives the cluster
+  std::vector<VnodeImage> promoted;
+  DeltaLog log;
+  Cluster cluster;
+  cluster.Tap(1, [&](MessageType type, std::string_view body,
+                     const Result<std::string>& reply) {
+    if (type == MessageType::kReplicateState) log.Record(body, reply);
+    if (type != MessageType::kPromoteReplica || !reply.ok()) return;
+    auto images = DecodeVnodeImages(*reply);
+    ASSERT_TRUE(images.ok()) << images.status().ToString();
+    std::lock_guard<std::mutex> lock(mu);
+    promoted.insert(promoted.end(), images->begin(), images->end());
+  });
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 200, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+
+  // Node 0's vnodes go to node 2, which holds none of them: a cold move.
+  // Node 1, their holder, relabels its copies as node 2's.
+  const std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  const uint64_t full = NodeCounter("rhino_handover_total", 2, "path", "full");
+  const uint64_t relabelled =
+      NodeCounter("rhino_handover_vnodes_total", 1, "step", "relabel");
+  const uint64_t dropped =
+      NodeCounter("rhino_handover_vnodes_total", 1, "step", "relabel_drop");
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 2, moved).ok());
+  EXPECT_EQ(NodeCounter("rhino_handover_total", 2, "path", "full"), full + 1);
+  EXPECT_EQ(NodeCounter("rhino_handover_vnodes_total", 1, "step", "relabel"),
+            relabelled + moved.size());
+  EXPECT_EQ(NodeCounter("rhino_handover_vnodes_total", 1, "step",
+                        "relabel_drop"),
+            dropped);
+  for (uint32_t vnode : moved) {
+    EXPECT_EQ(*cluster.driver->HolderOf(kOp, vnode), 1u) << "vnode " << vnode;
+  }
+
+  // Node 2's writes of the moved vnodes ship as keys on top of the
+  // relabelled copies; none ships whole.
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.WaitAllIdle());
+  size_t carried = 0;
+  {
+    std::lock_guard<std::mutex> lock(log.mu);
+    for (const DeltaLog::Entry& e : log.entries) {
+      if (e.req.origin_node != 2) continue;
+      for (uint32_t vnode : moved) {
+        const VnodeImage* image = EntryOf(e.req, vnode);
+        if (image == nullptr) continue;
+        ++carried;
+        EXPECT_EQ(e.code, StatusCode::kOk);
+        EXPECT_NE(image->base_seq, 0u) << "vnode " << vnode << " shipped whole";
+      }
+    }
+  }
+  EXPECT_GT(carried, 0u);
+
+  // Node 2 dies: node 1 promotes the moved vnodes from the relabelled
+  // copies, current, so nothing of them replays.
+  cluster.transport.Kill("node2");
+  ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    std::set<uint32_t> back;
+    for (const VnodeImage& image : promoted) {
+      EXPECT_NE(image.base_seq, 0u) << "vnode " << image.vnode;
+      back.insert(image.vnode);
+    }
+    for (uint32_t vnode : moved) EXPECT_EQ(back.count(vnode), 1u) << vnode;
+  }
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed->applied, 0u);
+  cluster.ExpectCounts(expected);
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, CorrelatedKillOfOwnerAndHolderRestoresFromChains) {
+  std::vector<VnodeImage> recovered;  // node 2's promotion replies
+  Cluster cluster;
+  cluster.Tap(2, [&recovered](MessageType type, std::string_view,
+                              const Result<std::string>& reply) {
+    if (type != MessageType::kPromoteReplica || !reply.ok()) return;
+    auto images = DecodeVnodeImages(*reply);
+    ASSERT_TRUE(images.ok()) << images.status().ToString();
+    recovered.insert(recovered.end(), images->begin(), images->end());
+  });
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  cluster.AppendRange(0, 400, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  const std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
+  ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 1, moved).ok());
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
+  cluster.AppendRange(0, 40, &expected);  // after the checkpoint: replays
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+
+  // Node 1 and node 0, the moved vnodes' holder, die together: node 2
+  // restores the moved vnodes from their chains and promotes node 1's own
+  // vnodes from the copies it holds.
+  cluster.transport.Kill("node0");
+  cluster.transport.Kill("node1");
+  ASSERT_TRUE(cluster.driver->RecoverNodes({0, 1}).ok());
+  EXPECT_EQ(cluster.driver->VnodesOwnedBy(kOp, 2).size(), kNumVnodes);
+  std::set<uint32_t> restored;
+  for (const VnodeImage& image : recovered) {
+    if (std::count(moved.begin(), moved.end(), image.vnode) != 0) {
+      auto chain = ReadChain(&cluster.env, ChainAt(image.vnode));
+      ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+      EXPECT_EQ(image.base_seq, chain->checkpoint_id)
+          << "vnode " << image.vnode;
+      EXPECT_EQ(image.watermarks, chain->watermarks) << "vnode " << image.vnode;
+      restored.insert(image.vnode);
+    } else {
+      EXPECT_NE(image.base_seq, 0u) << "vnode " << image.vnode;
+    }
+  }
+  EXPECT_EQ(restored, std::set<uint32_t>(moved.begin(), moved.end()));
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_GT(replayed->applied, 0u) << "the restored vnodes replay the tail";
+  EXPECT_LE(replayed->applied, 40u);
+  cluster.ExpectCounts(expected);
+  cluster.AppendRange(0, 40, &expected);
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  cluster.ExpectCounts(expected);
+}
+
+TEST(DistClusterTest, MovesToTheHolderNeverFallBack) {
+  Cluster cluster;
+  cluster.Bootstrap();
+  std::map<uint64_t, uint64_t> expected;
+  std::vector<uint32_t> moving = cluster.driver->VnodesOwnedBy(kOp, 0);
+  moving.resize(2);
+  uint32_t owner = 0;
+  uint64_t replica = 0, full = 0;
+  auto total = [](const char* path) {
+    uint64_t sum = 0;
+    for (uint32_t node = 0; node < 3; ++node) {
+      sum += NodeCounter("rhino_handover_total", node, "path", path);
+    }
+    return sum;
+  };
+  replica = total("replica");
+  full = total("full");
+  // The benchmark's walk, sent to the holder: every move is replica-local,
+  // and the vnode pair keeps travelling between two nodes.
+  for (int round = 0; round < 8; ++round) {
+    cluster.AppendRange(0, 40, &expected);
+    ASSERT_TRUE(cluster.driver->Pump().ok());
+    ASSERT_TRUE(cluster.WaitAllIdle());
+    auto holder = cluster.driver->HolderOf(kOp, moving.front());
+    ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+    ASSERT_TRUE(
+        cluster.driver->TriggerHandover(kOp, owner, *holder, moving).ok());
+    EXPECT_EQ(*cluster.driver->HolderOf(kOp, moving.front()), owner);
+    owner = *holder;
+  }
+  EXPECT_EQ(total("replica"), replica + 8);
+  EXPECT_EQ(total("full"), full);
+  cluster.ExpectCounts(expected);
+}
+
 TEST(DistClusterTest, HandoverToColdTargetUsesFullPath) {
   Cluster cluster;
   cluster.Bootstrap();
@@ -798,7 +1237,7 @@ TEST(DistClusterTest, HandoverToColdTargetUsesFullPath) {
       NodeCounter("rhino_handover_total", 2, "path", "replica");
   const uint64_t full = NodeCounter("rhino_handover_total", 2, "path", "full");
 
-  // Node 2 is not node 0's successor: it holds no replica of node 0.
+  // Node 2 does not hold node 0's vnodes: node 1 does.
   std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
   ASSERT_TRUE(cluster.driver->TriggerHandover(kOp, 0, 2, moved).ok());
   EXPECT_EQ(NodeCounter("rhino_handover_total", 2, "path", "full"), full + 1);
@@ -807,7 +1246,7 @@ TEST(DistClusterTest, HandoverToColdTargetUsesFullPath) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
   cluster.ExpectAllCounts(2);
 
-  // Node 2 is node 1's successor, but node 1's stream is stopped: its
+  // Node 2 holds node 1's vnodes, but node 1's stream is stopped: its
   // drain fails, so it ships the full image.
   ASSERT_TRUE(cluster.WaitAllIdle());
   cluster.nodes[1]->StopReplication();
@@ -835,11 +1274,11 @@ TEST(DistClusterTest, ReplicaIngestWithStaleSeqIsRejectedUntouched) {
 
   // A replica-local ingest whose seqs the catalog does not hold.
   std::vector<uint32_t> moved = cluster.driver->VnodesOwnedBy(kOp, 0);
-  HandoverStateRequest ingest;
+  IngestRequest ingest;
   ingest.id = 77;
   ingest.op = kOp;
   ingest.origin = 0;
-  ingest.vnodes = moved;
+  ingest.holder = 0;
   for (uint32_t vnode : moved) {
     VnodeImage image;
     image.vnode = vnode;
@@ -1044,8 +1483,8 @@ TEST(DistClusterTest, ChainFoldedAcrossHandoverRestoresExactlyOnce) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
 
   // Correlated failure: node 1 owns the moved vnodes, and node 2, which
-  // held node 1's replica, dies with it. Node 1's vnodes come back from
-  // their chains, whose records two nodes wrote.
+  // held node 1's own replica, dies with it. Node 1's own vnodes come back
+  // from their chains; the moved ones from the copy node 0 demoted.
   cluster.transport.Kill("node1");
   cluster.transport.Kill("node2");
   ASSERT_TRUE(cluster.driver->RecoverNodes({1, 2}).ok());
@@ -1206,15 +1645,6 @@ TEST(DistClusterTest, ChainStaysWithinTwiceItsBase) {
   EXPECT_GT(ImageTotal("vnodes", "whole"), whole + kNumVnodes)
       << "chains were rewritten after their first base";
   cluster.ExpectAllCounts(10);
-}
-
-/// LSM user bytes (keys and values of committed writes) of every store in
-/// the process.
-uint64_t LsmUserWriteBytes() {
-  return obs::Observability::Default()
-      ->metrics()
-      .GetCounter("rhino_lsm_user_write_bytes_total")
-      ->value();
 }
 
 TEST(DistClusterTest, PromotionAndReplicaLocalIngestCopyNoKey) {
@@ -1446,37 +1876,46 @@ VnodeModel ImageState(const std::vector<VnodeImage>& images, uint32_t vnode) {
   return state;
 }
 
-/// A handover request of `vnodes` of kOp from `origin`.
-HandoverStateRequest HandoverOf(uint64_t id, uint32_t origin,
-                                const std::vector<uint32_t>& vnodes) {
-  HandoverStateRequest req;
+/// An extract of `vnodes` of kOp, whole.
+ExtractRequest ExtractOf(uint64_t id, const std::vector<uint32_t>& vnodes) {
+  ExtractRequest req;
+  req.id = id;
+  req.op = kOp;
+  req.vnodes = vnodes;
+  return req;
+}
+
+/// An ingest of `images` of kOp from `origin`, streamed to `holder` after.
+IngestRequest IngestOf(uint64_t id, uint32_t origin, uint32_t holder) {
+  IngestRequest req;
   req.id = id;
   req.op = kOp;
   req.origin = origin;
-  req.vnodes = vnodes;
+  req.holder = holder;
   return req;
 }
 
 // The held-rows invariant against a std::map model: one node (node 1),
 // driven through seeded random rounds by two origins (nodes 0 and 2) —
 // whole vnodes, key deltas in and out of chain and from the wrong origin,
-// tombstones, stale deltas for vnodes the node owns, promotions,
-// replica-local and full-path ingests, batches and drops. The model
+// stale deltas for vnodes the node owns, promotions, replica-local and
+// full-path ingests, demotes, relabels, batches and drops. The model
 // keeps what the node owns, per vnode the one copy it holds and whose it
 // is, and per vnode the state its checkpoint chain ends in. After every
 // round each owned vnode extracts to the model (a promoted vnode to the
 // origin's copy the model held, else to its chain's state, else empty; a
 // replica-ingested one to the held copy), the node's size and stats count
 // owned vnodes only, and once a checkpoint and the stream have taken what
-// they captured, neither capture reader is left holding a key: held rows
-// reach neither.
+// they captured, neither capture reader is left holding a key: held rows,
+// demoted ones included, reach neither.
 TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
   constexpr uint32_t kVnodes = 8;
   constexpr uint32_t kNode = 1;
   const uint32_t origins[] = {0, 2};
   lsm::MemEnv env;
   LoopbackTransport transport;
-  // The node's own stream goes to a sink that acks every delta.
+  // The node's own streams go to a sink that acks every delta: both
+  // origins' endpoints.
   transport.Register("sink", [](MessageType, std::string_view) {
     return Result<std::string>(std::string());
   });
@@ -1488,7 +1927,7 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
   };
   HelloRequest hello;
   hello.node_id = kNode;
-  hello.successor = "sink";
+  hello.peers = {"sink", "", "sink"};
   ASSERT_TRUE(call(MessageType::kHello, hello).ok());
   AddOperatorRequest add;
   add.spec.kind = dataflow::OperatorKind::kKeyedCounter;
@@ -1510,6 +1949,8 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
   std::map<uint32_t, VnodeModel> chains;
   // Promoted vnodes by source: the origin's copy, a chain, nothing.
   uint64_t from_copy = 0, from_chain = 0, from_nothing = 0;
+  // Copies demoted here, relabelled, and dropped by a relabel.
+  uint64_t demoted = 0, relabelled = 0, relabel_dropped = 0;
   std::map<uint32_t, uint64_t> stream_seq;  // per origin
   uint64_t offset = 0, handover_id = 0, checkpoint_id = 0;
   uint64_t rng = 19;
@@ -1545,16 +1986,13 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
     if (out.empty() && !vnodes.empty()) out.push_back(vnodes[next(vnodes.size())]);
     return out;
   };
-  // A stream delta from `origin`: `image` (when set) and `dropped` as
-  // tombstones. Returns the node's answer.
-  auto deliver = [&](uint32_t origin, const VnodeImage* image,
-                     const std::vector<uint32_t>& dropped) {
+  // A stream delta of `image` from `origin`. Returns the node's answer.
+  auto deliver = [&](uint32_t origin, const VnodeImage& image) {
     ReplicateStateRequest req;
     req.origin_node = origin;
     req.op = kOp;
     req.stream_seq = ++stream_seq[origin];
-    req.dropped_vnodes = dropped;
-    if (image != nullptr) req.vnodes.push_back(*image);
+    req.vnodes.push_back(image);
     return call(MessageType::kReplicateState, req).status().code();
   };
   // A key delta of `vnode` on top of `base_seq` (never 0, which would make
@@ -1606,15 +2044,15 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
     return it->first;
   };
   enum Op {
-    kWhole, kKeys, kOutOfChain, kTombstone, kStale, kPromote,
-    kReplicaIngest, kFullIngest, kDrop, kBatch
+    kWhole, kKeys, kOutOfChain, kStale, kPromote, kReplicaIngest,
+    kFullIngest, kDemote, kRelabel, kDrop, kBatch
   };
   // Whole vnodes and key deltas come most often, so copies stay held for
   // the ops that check and consume them.
-  const Op ops[] = {kWhole,     kWhole,     kWhole,   kWhole,    kKeys,
-                    kKeys,      kKeys,      kOutOfChain, kOutOfChain,
-                    kTombstone, kTombstone, kStale,   kPromote,  kReplicaIngest,
-                    kFullIngest, kDrop,     kBatch,   kBatch};
+  const Op ops[] = {kWhole,      kWhole,   kWhole,   kWhole,      kKeys,
+                    kKeys,       kKeys,    kOutOfChain, kOutOfChain, kStale,
+                    kPromote,    kReplicaIngest, kFullIngest, kDemote,
+                    kRelabel,    kRelabel, kDrop,    kBatch,      kBatch};
   for (int round = 0; round < 300; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     const uint32_t origin = origins[next(2)];
@@ -1625,7 +2063,7 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         const uint32_t vnode = candidates[next(candidates.size())];
         VnodeModel state = random_state(vnode);
         const VnodeImage image = ModelImage(vnode, state);
-        ASSERT_EQ(deliver(origin, &image, {}), StatusCode::kOk);
+        ASSERT_EQ(deliver(origin, image), StatusCode::kOk);
         held[vnode] = HeldModel{origin, stream_seq[origin], state};
         break;
       }
@@ -1636,7 +2074,7 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         HeldModel& copy = it->second;
         VnodeModel state = copy.state;
         const VnodeImage image = key_delta(it->first, copy.seq, &state);
-        ASSERT_EQ(deliver(copy.origin, &image, {}), StatusCode::kOk);
+        ASSERT_EQ(deliver(copy.origin, image), StatusCode::kOk);
         copy.seq = stream_seq[copy.origin];
         copy.state = state;
         break;
@@ -1656,31 +2094,20 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         }
         VnodeModel state;
         const VnodeImage image = key_delta(vnode, base, &state);
-        ASSERT_EQ(deliver(origin, &image, {}),
-                  StatusCode::kFailedPrecondition);
+        ASSERT_EQ(deliver(origin, image), StatusCode::kFailedPrecondition);
         if (copy != held.end() && copy->second.origin == origin) {
           held.erase(copy);
         }
         break;
       }
-      case kTombstone: {  // a tombstone, which drops only its origin's copy
-        const uint32_t vnode =
-            held_vnode(static_cast<uint32_t>(next(kVnodes)));
-        ASSERT_EQ(deliver(origin, nullptr, {vnode}), StatusCode::kOk);
-        auto copy = held.find(vnode);
-        if (copy != held.end() && copy->second.origin == origin) {
-          held.erase(copy);
-        }
-        break;
-      }
-      case kStale: {  // a stale delta or tombstone of a vnode the node owns
+      case kStale: {  // a stale delta of a vnode the node owns
         if (owned.empty()) break;
         auto it = owned.begin();
         std::advance(it, next(owned.size()));
         VnodeModel state = random_state(it->first);
         VnodeImage image = ModelImage(it->first, state);
         if (next(2) == 0) image = key_delta(it->first, 1 + next(5), &state);
-        ASSERT_EQ(deliver(origin, &image, {it->first}), StatusCode::kOk);
+        ASSERT_EQ(deliver(origin, image), StatusCode::kOk);
         break;
       }
       case kPromote: {  // a promotion: the origin's copy, its chain, or nothing
@@ -1726,9 +2153,8 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
           if (copy.origin == origin) candidates.push_back(v);
         }
         if (candidates.empty()) break;
-        HandoverStateRequest ingest =
-            HandoverOf(++handover_id, origin, some_of(candidates));
-        const std::vector<uint32_t>& moved = ingest.vnodes;
+        IngestRequest ingest = IngestOf(++handover_id, origin, origin);
+        const std::vector<uint32_t> moved = some_of(candidates);
         for (uint32_t vnode : moved) {
           write_chain(vnode, held[vnode].state);
           VnodeImage image;
@@ -1746,6 +2172,9 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
           break;
         }
         ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        auto reserved = IngestReply::Decode(*reply);
+        ASSERT_TRUE(reserved.ok()) << reserved.status().ToString();
+        EXPECT_NE(reserved->seq, 0u);
         for (uint32_t vnode : moved) {
           owned[vnode] = held[vnode].state;
           held.erase(vnode);
@@ -1755,10 +2184,9 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
       case kFullIngest: {  // a full-path ingest, which replaces held rows
         const std::vector<uint32_t> candidates = unowned();
         if (candidates.empty()) break;
-        HandoverStateRequest ingest =
-            HandoverOf(++handover_id, origin, some_of(candidates));
+        IngestRequest ingest = IngestOf(++handover_id, origin, origin);
         std::map<uint32_t, VnodeModel> states;
-        for (uint32_t vnode : ingest.vnodes) {
+        for (uint32_t vnode : some_of(candidates)) {
           states[vnode] = random_state(vnode);
           write_chain(vnode, states[vnode]);
           ingest.images.push_back(ModelImage(vnode, states[vnode]));
@@ -1771,14 +2199,69 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
         }
         break;
       }
+      case kDemote: {  // owned vnodes demoted to a copy for their new owner
+        std::vector<uint32_t> candidates;
+        for (const auto& [v, state] : owned) candidates.push_back(v);
+        if (candidates.empty()) break;
+        ReleaseRequest demote;
+        demote.op = kOp;
+        demote.vnodes = some_of(candidates);
+        demote.target = origin;
+        demote.seq = ++stream_seq[origin];  // the new owner's reserved seq
+        auto reply = call(MessageType::kDropVnodes, demote);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        for (uint32_t vnode : demote.vnodes) {
+          held[vnode] = HeldModel{origin, demote.seq, owned[vnode]};
+          owned.erase(vnode);
+          ++demoted;
+        }
+        break;
+      }
+      case kRelabel: {  // a cold move's old holder hands copies on
+        if (held.empty()) break;
+        std::vector<uint32_t> copies;
+        for (const auto& [v, copy] : held) copies.push_back(v);
+        RelabelRequest relabel;
+        relabel.op = kOp;
+        relabel.origin = origin;
+        relabel.target = origins[0] == origin ? origins[1] : origins[0];
+        relabel.seq = ++stream_seq[relabel.target];
+        for (uint32_t vnode : some_of(copies)) {
+          // Mostly at the copy's seq; else one it is not at, or 0 (the
+          // origin had unshipped writes).
+          const uint64_t seq = held[vnode].seq;
+          const uint64_t pick = next(4);
+          relabel.shipped[vnode] = pick == 0 ? seq + 1 : pick == 1 ? 0 : seq;
+        }
+        ASSERT_TRUE(call(MessageType::kRelabelVnodes, relabel).ok());
+        for (const auto& [vnode, shipped] : relabel.shipped) {
+          HeldModel& copy = held[vnode];
+          if (copy.origin != origin) continue;  // another origin's: kept
+          if (shipped != 0 && shipped == copy.seq) {
+            copy.origin = relabel.target;
+            copy.seq = relabel.seq;
+            ++relabelled;
+          } else {
+            held.erase(vnode);
+            ++relabel_dropped;
+          }
+        }
+        break;
+      }
       case kDrop: {  // a drop of owned vnodes
         std::vector<uint32_t> candidates;
         for (const auto& [v, state] : owned) candidates.push_back(v);
         if (candidates.empty()) break;
-        VnodeSetRequest drop;
+        ReleaseRequest drop;
         drop.op = kOp;
         drop.vnodes = some_of(candidates);
-        ASSERT_TRUE(call(MessageType::kDropVnodes, drop).ok());
+        auto reply = call(MessageType::kDropVnodes, drop);
+        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+        auto released = ReleaseReply::Decode(*reply);
+        ASSERT_TRUE(released.ok()) << released.status().ToString();
+        // The last checkpoint drained the node's stream: each vnode's
+        // holder has it as last shipped, unless a batch wrote it since.
+        EXPECT_EQ(released->shipped.size(), drop.vnodes.size());
         for (uint32_t vnode : drop.vnodes) owned.erase(vnode);
         break;
       }
@@ -1818,7 +2301,7 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
       std::vector<uint32_t> vnodes;
       for (const auto& [v, state] : owned) vnodes.push_back(v);
       auto reply =
-          call(MessageType::kExtractVnodes, HandoverOf(++handover_id, kNode, vnodes));
+          call(MessageType::kExtractVnodes, ExtractOf(++handover_id, vnodes));
       ASSERT_TRUE(reply.ok()) << reply.status().ToString();
       auto images = DecodeVnodeImages(*reply);
       ASSERT_TRUE(images.ok()) << images.status().ToString();
@@ -1855,10 +2338,14 @@ TEST(DistClusterTest, HeldRowsMatchAMapModelOverRandomRounds) {
           << gauge;
     }
   }
-  // The rounds reach every source of a promoted vnode.
+  // The rounds reach every source of a promoted vnode, and both ends of a
+  // relabel.
   EXPECT_GT(from_copy, 0u);
   EXPECT_GT(from_chain, 0u);
   EXPECT_GT(from_nothing, 0u);
+  EXPECT_GT(demoted, 0u);
+  EXPECT_GT(relabelled, 0u);
+  EXPECT_GT(relabel_dropped, 0u);
 }
 
 /// Appends one wave of tagged records to `part` (payload "<tag><key>").

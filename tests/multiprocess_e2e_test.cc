@@ -180,8 +180,8 @@ TEST_F(MultiProcessClusterTest, CheckpointHandoverSigkillRecoveryExactlyOnce) {
   ASSERT_TRUE(driver.ConnectOperators(kOp, kDownstreamOp).ok());
 
   // Waves 1-2, then checkpoint #1: every node persists its image into the
-  // shared ckpt dir and drains its replication stream to its ring
-  // successor.
+  // shared ckpt dir and drains its replication streams to the holders of
+  // its vnodes.
   AppendWave(&partition);
   AppendWave(&partition);
   auto pumped = driver.Pump();
@@ -217,7 +217,7 @@ TEST_F(MultiProcessClusterTest, CheckpointHandoverSigkillRecoveryExactlyOnce) {
   nodes_[2].pid = -1;
   EXPECT_EQ(driver.ProbeFailures(), (std::vector<uint32_t>{2}));
 
-  // Recovery: node 0 (ring successor) promotes its in-memory replica of
+  // Recovery: node 0 (node 2's vnodes' holder) promotes its replica of
   // node 2, the driver rewinds the partition cursor to the restored
   // watermarks, and replay re-applies whatever the replica lacks —
   // survivors dedup it. The stream may have made the replica current
@@ -237,6 +237,71 @@ TEST_F(MultiProcessClusterTest, CheckpointHandoverSigkillRecoveryExactlyOnce) {
   driver.Shutdown();
   EXPECT_EQ(WaitExit(0), 0);
   EXPECT_EQ(WaitExit(1), 0);
+}
+
+TEST_F(MultiProcessClusterTest, SigkilledHandoverTargetComesBackFromTheOrigin) {
+  for (size_t id = 0; id < 3; ++id) {
+    Launch(id);
+    if (HasFatalFailure()) return;
+  }
+  std::vector<std::string> endpoints;
+  for (const auto& node : nodes_) {
+    endpoints.push_back("127.0.0.1:" + std::to_string(node.port));
+  }
+  PipelinedChannelOptions options;
+  options.retry.initial_backoff_us = 2 * kMillisecond;
+  options.retry.max_backoff_us = 100 * kMillisecond;
+  options.retry.max_attempts = 5;
+  TcpTransport transport(options);
+  ClusterDriver driver(&transport, endpoints);
+  ASSERT_TRUE(driver.ConnectAll().ok());
+  ASSERT_TRUE(driver.AddOperator(kOp, kNumVnodes).ok());
+  ASSERT_TRUE(driver.AddOperator(kDownstreamOp, kNumVnodes).ok());
+  broker::Partition partition(0);
+  driver.AddPartition(&partition);
+  ASSERT_TRUE(driver.ConnectPartition(kOp, 0).ok());
+  ASSERT_TRUE(driver.ConnectOperators(kOp, kDownstreamOp).ok());
+  AppendWave(&partition);
+  AppendWave(&partition);
+  ASSERT_TRUE(driver.Pump().ok());
+  ASSERT_TRUE(driver.Checkpoint().ok());
+
+  // Node 1 holds node 0's vnodes: the move takes its copies over, and
+  // node 0's process keeps its rows as the copies it now holds for node 1.
+  std::vector<uint32_t> moved = driver.VnodesOwnedBy(kOp, 0);
+  ASSERT_FALSE(moved.empty());
+  ASSERT_TRUE(driver.TriggerHandover(kOp, 0, 1, moved).ok());
+  for (uint32_t vnode : moved) {
+    auto holder = driver.HolderOf(kOp, vnode);
+    ASSERT_TRUE(holder.ok()) << holder.status().ToString();
+    EXPECT_EQ(*holder, 0u) << "vnode " << vnode;
+  }
+  AppendWave(&partition);  // wave 3, streamed from node 1 to node 0
+  ASSERT_TRUE(driver.Pump().ok());
+  ASSERT_TRUE(driver.Checkpoint().ok());
+  AppendWave(&partition);  // wave 4, may die with node 1
+  ASSERT_TRUE(driver.Pump().ok());
+  ExpectAllCounts(&driver, 4);
+
+  // SIGKILL the target: node 0 promotes the moved vnodes from its demoted
+  // copies, node 2 node 1's own; replay restores what the copies lacked.
+  ASSERT_EQ(::kill(nodes_[1].pid, SIGKILL), 0);
+  ::waitpid(nodes_[1].pid, nullptr, 0);
+  nodes_[1].pid = -1;
+  EXPECT_EQ(driver.ProbeFailures(), (std::vector<uint32_t>{1}));
+  ASSERT_TRUE(driver.RecoverNode(1).ok());
+  EXPECT_EQ(driver.VnodesOwnedBy(kOp, 0), moved);
+  auto replayed = driver.Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ExpectAllCounts(&driver, 4);
+
+  AppendWave(&partition);  // wave 5 on the survivors
+  ASSERT_TRUE(driver.Pump().ok());
+  ExpectAllCounts(&driver, 5);
+
+  driver.Shutdown();
+  EXPECT_EQ(WaitExit(0), 0);
+  EXPECT_EQ(WaitExit(2), 0);
 }
 
 TEST_F(MultiProcessClusterTest, CorrelatedSigkillRestoresChainsFromPeers) {
@@ -283,9 +348,10 @@ TEST_F(MultiProcessClusterTest, CorrelatedSigkillRestoresChainsFromPeers) {
   ASSERT_TRUE(driver.Pump().ok());
   ExpectAllCounts(&driver, 5);
 
-  // Correlated SIGKILL of node 1 and node 2, which held node 1's replica:
-  // node 0's process restores node 1's vnodes by folding chains other
-  // processes wrote, and promotes its replica of node 2.
+  // Correlated SIGKILL of node 1 and node 2, which held node 1's own
+  // vnodes: node 0's process restores those by folding chains other
+  // processes wrote, and promotes its copies of node 2's vnodes and of the
+  // vnodes it handed to node 1.
   for (size_t id : {1, 2}) {
     ASSERT_EQ(::kill(nodes_[id].pid, SIGKILL), 0);
     ::waitpid(nodes_[id].pid, nullptr, 0);

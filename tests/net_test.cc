@@ -494,7 +494,29 @@ TEST(WireTest, HugeElementCountIsCorruption) {
     BinaryWriter w(&body);
     w.PutString("counter");
     w.PutVarint(kHuge);
-    expect_corruption(VnodeSetRequest::Decode(body).status(), "vnode set");
+    expect_corruption(ReleaseRequest::Decode(body).status(), "release");
+  }
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutU32(1);  // node id
+    w.PutVarint(kHuge);
+    expect_corruption(HelloRequest::Decode(body).status(), "hello peers");
+  }
+  {
+    std::string body;
+    BinaryWriter(&body).PutVarint(kHuge);
+    expect_corruption(ReleaseReply::Decode(body).status(), "release reply");
+  }
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutString("counter");
+    w.PutVarint(0);  // origin
+    w.PutVarint(1);  // target
+    w.PutVarint(5);  // seq
+    w.PutVarint(kHuge);
+    expect_corruption(RelabelRequest::Decode(body).status(), "relabel");
   }
   {
     std::string spec, body;
@@ -525,31 +547,33 @@ TEST(WireTest, HugeElementCountIsCorruption) {
     expect_corruption(ReplicaFetchRequest::Decode(body).status(),
                       "replica fetch");
   }
-  for (bool huge_images : {false, true}) {
+  {
     std::string body;
     BinaryWriter w(&body);
     w.PutU32(1);
     w.PutString("counter");
     w.PutU64(3);  // stream seq
-    if (huge_images) w.PutVarint(0);  // dropped vnodes
     w.PutVarint(kHuge);
     expect_corruption(ReplicateStateRequest::Decode(body).status(),
-                      huge_images ? "replicate state images"
-                                  : "replicate state dropped vnodes");
+                      "replicate state images");
   }
-  for (bool huge_images : {false, true}) {
+  {
+    std::string body;
+    BinaryWriter w(&body);
+    w.PutVarint(9);  // handover id
+    w.PutString("counter");
+    w.PutVarint(kHuge);
+    expect_corruption(ExtractRequest::Decode(body).status(), "extract vnodes");
+  }
+  {
     std::string body;
     BinaryWriter w(&body);
     w.PutVarint(9);  // handover id
     w.PutString("counter");
     w.PutVarint(0);  // origin
-    if (huge_images) {
-      w.PutVarint(0);  // moved vnodes
-      w.PutU8(0);      // replica-local
-    }
+    w.PutVarint(1);  // holder
     w.PutVarint(kHuge);
-    expect_corruption(HandoverStateRequest::Decode(body).status(),
-                      huge_images ? "handover images" : "handover vnodes");
+    expect_corruption(IngestRequest::Decode(body).status(), "ingest images");
   }
   {
     std::string body;
@@ -571,13 +595,13 @@ TEST(WireTest, HugeElementCountIsCorruption) {
   // Elements of the minimum size fill the body exactly and decode: one
   // byte per vnode below 128, five per image (vnode, base seq, bytes,
   // watermark count, empty run).
-  VnodeSetRequest set;
+  ReleaseRequest set;
   set.op = "counter";
   for (uint32_t v = 0; v < 100; ++v) set.vnodes.push_back(v);
   std::string encoded;
   set.EncodeTo(&encoded);
-  EXPECT_EQ(encoded.size(), 1 + set.op.size() + 1 + set.vnodes.size());
-  auto decoded_set = VnodeSetRequest::Decode(encoded);
+  EXPECT_EQ(encoded.size(), 1 + set.op.size() + 1 + set.vnodes.size() + 1);
+  auto decoded_set = ReleaseRequest::Decode(encoded);
   ASSERT_TRUE(decoded_set.ok()) << decoded_set.status().ToString();
   EXPECT_EQ(decoded_set->vnodes, set.vnodes);
   std::vector<VnodeImage> images(50);
@@ -604,7 +628,7 @@ TEST(WireTest, EnvelopesRoundTripAndRejectJunk) {
   EXPECT_FALSE(RequestEnvelope::Decode("\xff junk").ok());
   // Type 10, the checkpoint restore verb until version 8, is refused like
   // any other type no verb has.
-  for (uint8_t type : {0, 10, 14, 255}) {
+  for (uint8_t type : {0, 10, 15, 255}) {
     std::string bad = encoded;
     bad[0] = static_cast<char>(type);
     auto refused = RequestEnvelope::Decode(bad);
@@ -690,18 +714,28 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
-TEST(WireTest, VersionIsEight) {
-  // Version 8: control bodies carry only what their handlers read. A
-  // version 7 envelope, whose handover and checkpoint bodies this decoder
-  // cannot read, is refused.
-  EXPECT_EQ(kWireVersion, 8);
+TEST(WireTest, VersionIsNine) {
+  // Version 9: vnodes have holders. A version 8 envelope, whose hello,
+  // handover and stream bodies this decoder cannot read, is refused, and
+  // the relabel verb (14) is known.
+  EXPECT_EQ(kWireVersion, 9);
   RequestEnvelope req;
-  req.type = MessageType::kProcessBatch;
+  req.type = MessageType::kRelabelVnodes;
   req.body = "b";
   std::string encoded;
   req.EncodeTo(&encoded);
-  encoded[1] = 7;
+  auto decoded = RequestEnvelope::Decode(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->type, MessageType::kRelabelVnodes);
+  EXPECT_STREQ(MessageTypeName(MessageType::kRelabelVnodes), "RelabelVnodes");
+  encoded[1] = 8;
   EXPECT_EQ(RequestEnvelope::Decode(encoded).status().code(),
+            StatusCode::kCorruption);
+  ReplyEnvelope rep;
+  encoded.clear();
+  rep.EncodeTo(&encoded);
+  encoded[1] = 8;
+  EXPECT_EQ(ReplyEnvelope::Decode(encoded).status().code(),
             StatusCode::kCorruption);
 }
 
@@ -710,7 +744,6 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   msg.origin_node = 2;
   msg.op = "counter";
   msg.stream_seq = 99;
-  msg.dropped_vnodes = {3, 7, 11};
   VnodeImage whole;
   whole.vnode = 4;
   whole.bytes = 64;
@@ -726,7 +759,6 @@ TEST(WireTest, ReplicateStateStreamFieldsRoundTrip) {
   auto decoded = ReplicateStateRequest::Decode(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->stream_seq, 99u);
-  EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
   EXPECT_EQ(decoded->vnodes, msg.vnodes);
   FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
   std::string trailing = encoded + "x";
@@ -757,15 +789,18 @@ TEST(WireTest, ExtractVnodesReplyRoundTripAndFuzz) {
 
 TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
   {
+    // The peers by node id, a dead one empty.
     HelloRequest msg;
     msg.node_id = 2;
-    msg.successor = "127.0.0.1:9999";
+    msg.peers = {"127.0.0.1:9999", "", "127.0.0.1:9998"};
     std::string encoded;
     msg.EncodeTo(&encoded);
     auto decoded = HelloRequest::Decode(encoded);
     ASSERT_TRUE(decoded.ok());
-    EXPECT_EQ(decoded->successor, msg.successor);
+    EXPECT_EQ(decoded->node_id, msg.node_id);
+    EXPECT_EQ(decoded->peers, msg.peers);
     FuzzPrefixes(encoded, HelloRequest::Decode);
+    EXPECT_FALSE(HelloRequest::Decode(encoded + "x").ok());
   }
   {
     AddOperatorRequest msg;
@@ -800,50 +835,121 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     FuzzPrefixes(encoded, ProcessBatchRequest::Decode);
   }
   {
-    // An extract: the move and the replica-local flag, no images. For four
-    // vnodes it costs id 1 + op 8 + origin 1 + vnodes 5 + flag 1 + an
-    // empty image list 1 bytes.
-    HandoverStateRequest msg;
+    // An extract: the move and the replica-local flag. For four vnodes it
+    // costs id 1 + op 8 + vnodes 5 + flag 1 bytes.
+    ExtractRequest msg;
     msg.id = 9;
     msg.op = "counter";
-    msg.origin = 2;
     msg.vnodes = {1, 3, 5, 7};
     msg.replica_local = 1;
     std::string encoded;
     msg.EncodeTo(&encoded);
-    EXPECT_EQ(encoded.size(), 17u);
-    auto decoded = HandoverStateRequest::Decode(encoded);
+    EXPECT_EQ(encoded.size(), 15u);
+    auto decoded = ExtractRequest::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->id, msg.id);
+    EXPECT_EQ(decoded->op, msg.op);
+    EXPECT_EQ(decoded->vnodes, msg.vnodes);
+    EXPECT_EQ(decoded->replica_local, 1);
+    FuzzPrefixes(encoded, ExtractRequest::Decode);
+    EXPECT_FALSE(ExtractRequest::Decode(encoded + "x").ok());
+  }
+  {
+    // An ingest: an image per moved vnode and the holder the target streams
+    // them to, with fields of every width.
+    IngestRequest msg;
+    msg.id = UINT64_MAX;
+    msg.op = "counter";
+    msg.origin = UINT32_MAX;
+    msg.holder = 300;
+    msg.images = MakeImages();
+    std::string encoded;
+    msg.EncodeTo(&encoded);
+    auto decoded = IngestRequest::Decode(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded->id, msg.id);
     EXPECT_EQ(decoded->op, msg.op);
     EXPECT_EQ(decoded->origin, msg.origin);
-    EXPECT_EQ(decoded->vnodes, msg.vnodes);
-    EXPECT_EQ(decoded->replica_local, 1);
-    EXPECT_TRUE(decoded->images.empty());
-    FuzzPrefixes(encoded, HandoverStateRequest::Decode);
-    EXPECT_FALSE(HandoverStateRequest::Decode(encoded + "x").ok());
+    EXPECT_EQ(decoded->holder, msg.holder);
+    EXPECT_EQ(decoded->images, msg.images);
+    FuzzPrefixes(encoded, IngestRequest::Decode);
+    EXPECT_FALSE(IngestRequest::Decode(encoded + "x").ok());
   }
-  {
-    // An ingest: an image per moved vnode, and fields of every width.
-    HandoverStateRequest msg;
-    msg.id = UINT64_MAX;
+  for (uint64_t seq : {uint64_t{1}, uint64_t{300}, UINT64_MAX}) {
+    // The ingest's reply: the seq the target reserved, one varint.
+    std::string encoded;
+    IngestReply{seq}.EncodeTo(&encoded);
+    auto decoded = IngestReply::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->seq, seq);
+    FuzzPrefixes(encoded, IngestReply::Decode);
+    EXPECT_FALSE(IngestReply::Decode(encoded + "x").ok());
+  }
+  for (bool demote : {false, true}) {
+    // A release: a drop carries no target, a demote the target and the seq
+    // it reserved.
+    ReleaseRequest msg;
     msg.op = "counter";
-    msg.origin = UINT32_MAX;
-    msg.images = MakeImages();
-    for (const VnodeImage& image : msg.images) {
-      msg.vnodes.push_back(image.vnode);
+    msg.vnodes = {2, 4, 600};
+    if (demote) {
+      msg.seq = 1ull << 40;
+      msg.target = 2;
     }
     std::string encoded;
     msg.EncodeTo(&encoded);
-    auto decoded = HandoverStateRequest::Decode(encoded);
+    EXPECT_EQ(encoded.size(), demote ? 20u : 14u);
+    auto decoded = ReleaseRequest::Decode(encoded);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded->id, msg.id);
-    EXPECT_EQ(decoded->origin, msg.origin);
+    EXPECT_EQ(decoded->op, msg.op);
     EXPECT_EQ(decoded->vnodes, msg.vnodes);
-    EXPECT_EQ(decoded->replica_local, 0);
-    EXPECT_EQ(decoded->images, msg.images);
-    FuzzPrefixes(encoded, HandoverStateRequest::Decode);
-    EXPECT_FALSE(HandoverStateRequest::Decode(encoded + "x").ok());
+    EXPECT_EQ(decoded->seq, msg.seq);
+    EXPECT_EQ(decoded->target, msg.target);
+    FuzzPrefixes(encoded, ReleaseRequest::Decode);
+    EXPECT_FALSE(ReleaseRequest::Decode(encoded + "x").ok());
+  }
+  {
+    ReleaseReply msg;
+    msg.shipped = {0, 7, UINT64_MAX};
+    std::string encoded;
+    msg.EncodeTo(&encoded);
+    auto decoded = ReleaseReply::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->shipped, msg.shipped);
+    FuzzPrefixes(encoded, ReleaseReply::Decode);
+    EXPECT_FALSE(ReleaseReply::Decode(encoded + "x").ok());
+  }
+  {
+    RelabelRequest msg;
+    msg.op = "counter";
+    msg.origin = 1;
+    msg.target = 2;
+    msg.seq = 1ull << 35;
+    msg.shipped = {{3, 0}, {6, 90}, {700, UINT64_MAX}};
+    std::string encoded;
+    msg.EncodeTo(&encoded);
+    auto decoded = RelabelRequest::Decode(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->op, msg.op);
+    EXPECT_EQ(decoded->origin, msg.origin);
+    EXPECT_EQ(decoded->target, msg.target);
+    EXPECT_EQ(decoded->seq, msg.seq);
+    EXPECT_EQ(decoded->shipped, msg.shipped);
+    FuzzPrefixes(encoded, RelabelRequest::Decode);
+    EXPECT_FALSE(RelabelRequest::Decode(encoded + "x").ok());
+    // A vnode listed twice is Corruption, not a silent merge.
+    std::string twice;
+    BinaryWriter w(&twice);
+    w.PutString("counter");
+    w.PutVarint(1);
+    w.PutVarint(2);
+    w.PutVarint(5);
+    w.PutVarint(2);
+    for (int i = 0; i < 2; ++i) {
+      w.PutVarint(3);
+      w.PutVarint(4);
+    }
+    EXPECT_EQ(RelabelRequest::Decode(twice).status().code(),
+              StatusCode::kCorruption);
   }
   // A checkpoint is its id, one varint; anything after it is Corruption.
   for (uint64_t id : {uint64_t{1}, uint64_t{300}, UINT64_MAX}) {
@@ -863,7 +969,6 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     msg.origin_node = 7;
     msg.op = "counter";
     msg.stream_seq = 1ull << 33;
-    msg.dropped_vnodes = {9, 300};
     msg.vnodes = MakeImages();
     std::string encoded;
     msg.EncodeTo(&encoded);
@@ -872,7 +977,6 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     EXPECT_EQ(decoded->origin_node, msg.origin_node);
     EXPECT_EQ(decoded->op, msg.op);
     EXPECT_EQ(decoded->stream_seq, msg.stream_seq);
-    EXPECT_EQ(decoded->dropped_vnodes, msg.dropped_vnodes);
     EXPECT_EQ(decoded->vnodes, msg.vnodes);
     FuzzPrefixes(encoded, ReplicateStateRequest::Decode);
   }
