@@ -91,19 +91,10 @@ GUARDED = [
 ]
 
 # (artifact name, key glob) pairs that are REPORT-ONLY: wall-clock numbers
-# from the realtime executor are host-dependent, so their deltas are
-# printed for visibility but never gate CI. A report-only artifact missing
-# from the current run is noted, not failed.
+# are host-dependent, so their deltas are printed for visibility but never
+# gate CI. A report-only artifact missing from the current run is noted,
+# not failed.
 REPORT_ONLY = [
-    ("realtime_handover", "wall_s.*"),
-    ("realtime_handover", "records_per_s.*"),
-    ("realtime_handover", "records.ingested"),
-    ("realtime_handover", "handovers.completed"),
-    ("realtime_handover", "threads"),
-    ("realtime_recovery", "wall_s.*"),
-    ("realtime_recovery", "records.*"),
-    ("realtime_recovery", "catchup.transfers"),
-    ("realtime_recovery", "threads"),
     ("dist_handover", "wall_s.*"),
     ("dist_handover", "bytes.*"),
     ("dist_handover", "lsm_bytes.*"),

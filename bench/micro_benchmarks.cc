@@ -567,7 +567,7 @@ void BenchIngestVnodes(bench::BenchArtifact* artifact) {
 
 /// Multi-threaded put/get/scan throughput at 1/2/4/8 threads over one
 /// store with sharded memtables and background maintenance — the
-/// configuration concurrent operators on the realtime executor hit. Each
+/// configuration a node's concurrent handlers and replicator hit. Each
 /// writer owns a disjoint key stripe; scans partition the keyspace.
 ///
 /// `mt_put_cpu_ns_per_op.t<T>` (report-only) is the process CPU time of

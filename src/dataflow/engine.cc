@@ -31,7 +31,6 @@ Channel* Engine::AddChannel(std::unique_ptr<Channel> channel) {
 
 hashring::RoutingTable* Engine::GetOrCreateRouting(const std::string& op_name,
                                                    uint32_t parallelism) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = routing_.find(op_name);
   if (it == routing_.end()) {
     Routing r;
@@ -44,14 +43,12 @@ hashring::RoutingTable* Engine::GetOrCreateRouting(const std::string& op_name,
 }
 
 hashring::RoutingTable* Engine::routing(const std::string& op_name) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = routing_.find(op_name);
   RHINO_CHECK(it != routing_.end()) << "no routing for operator " << op_name;
   return it->second.table.get();
 }
 
 const hashring::VirtualNodeMap* Engine::vnode_map(const std::string& op_name) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = routing_.find(op_name);
   RHINO_CHECK(it != routing_.end()) << "no routing for operator " << op_name;
   return it->second.map.get();
@@ -74,24 +71,21 @@ uint64_t Engine::TriggerCheckpoint() {
   obs_->metrics().GetCounter("rhino_checkpoint_triggered_total")->Increment();
   uint64_t id;
   int pending;
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    CheckpointRecord record;
-    record.id = next_checkpoint_id_++;
-    record.trigger_time = executor_->Now();
-    for (SourceInstance* s : sources_) {
-      if (!s->halted()) ++record.pending_acks;
-    }
-    for (StatefulInstance* s : stateful_) {
-      if (!s->halted()) ++record.pending_acks;
-    }
-    id = record.id;
-    pending = record.pending_acks;
-    checkpoints_.push_back(std::move(record));
-    checkpoint_in_flight_.store(true, std::memory_order_release);
+  CheckpointRecord record;
+  record.id = next_checkpoint_id_++;
+  record.trigger_time = executor_->Now();
+  for (SourceInstance* s : sources_) {
+    if (!s->halted()) ++record.pending_acks;
   }
+  for (StatefulInstance* s : stateful_) {
+    if (!s->halted()) ++record.pending_acks;
+  }
+  id = record.id;
+  pending = record.pending_acks;
+  checkpoints_.push_back(std::move(record));
+  checkpoint_in_flight_ = true;
 
-  // Barrier fan-out happens with the engine lock released: InjectControl
+  // Barrier fan-out comes after the record is registered: InjectControl
   // runs the instance's alignment logic, which calls back up into the
   // engine (snapshot acks of an empty pipeline complete synchronously).
   ControlEvent barrier;
@@ -106,78 +100,65 @@ uint64_t Engine::TriggerCheckpoint() {
 }
 
 void Engine::StartPeriodicCheckpoints(SimTime interval) {
-  periodic_checkpoints_.store(true, std::memory_order_relaxed);
+  periodic_checkpoints_ = true;
   // Offset the first checkpoint by one interval from now.
   std::function<void()> tick = [this, interval] {
-    if (!periodic_checkpoints_.load(std::memory_order_relaxed)) return;
+    if (!periodic_checkpoints_) return;
     if (!checkpoint_in_flight()) TriggerCheckpoint();
     StartPeriodicCheckpoints(interval);
   };
   executor_->Schedule(interval, std::move(tick));
 }
 
-CheckpointRecord* Engine::FindCheckpointLocked(uint64_t id) {
+CheckpointRecord* Engine::FindCheckpoint(uint64_t id) {
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
     if (it->id == id) return &*it;
   }
   return nullptr;
 }
 
-CheckpointRecord* Engine::FindCheckpoint(uint64_t id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return FindCheckpointLocked(id);
-}
-
 void Engine::OnSnapshotTaken(OperatorInstance* instance,
                              state::CheckpointDescriptor desc) {
   uint64_t id;
   const state::CheckpointDescriptor* stored;
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    CheckpointRecord* record = FindCheckpointLocked(desc.checkpoint_id);
-    if (record == nullptr || record->aborted || record->completed) {
-      // A barrier of an aborted checkpoint surfaced late (e.g. it was
-      // queued behind a handover when the failure hit); the snapshot is
-      // discarded.
-      return;
-    }
-    id = record->id;
-    // The map node (and the record itself — deque storage) stay stable
-    // while Persist runs without the lock; only this instance's ack path
-    // ever touches this key again.
-    stored = &(record->descriptors[InstanceKey(instance)] = std::move(desc));
+  CheckpointRecord* record = FindCheckpoint(desc.checkpoint_id);
+  if (record == nullptr || record->aborted || record->completed) {
+    // A barrier of an aborted checkpoint surfaced late (e.g. it was
+    // queued behind a handover when the failure hit); the snapshot is
+    // discarded.
+    return;
   }
+  id = record->id;
+  // The map node (and the record itself — deque storage) stay stable
+  // while Persist runs; only this instance's ack path ever touches this
+  // key again.
+  stored = &(record->descriptors[InstanceKey(instance)] = std::move(desc));
   auto durable = [this, id](Status st) {
     bool persist_failed = false;
-    {
-      std::lock_guard<std::recursive_mutex> lock(mu_);
-      CheckpointRecord* rec = FindCheckpointLocked(id);
-      if (rec == nullptr || rec->aborted || rec->completed) return;
-      if (!st.ok()) {
-        persist_failed = true;
-      } else if (--rec->pending_acks == 0) {
-        rec->completed = true;
-        rec->complete_time = executor_->Now();
-        checkpoint_in_flight_.store(false, std::memory_order_release);
-        obs_->metrics()
-            .GetCounter("rhino_checkpoint_completed_total")
-            ->Increment();
-        obs_->metrics()
-            .GetHistogram("rhino_checkpoint_duration_us")
-            ->Observe(rec->complete_time - rec->trigger_time);
-        obs_->trace().EmitSpan(
-            "checkpoint", "checkpoint", "engine", rec->trigger_time,
-            rec->complete_time, id,
-            {{"snapshots", static_cast<int64_t>(rec->descriptors.size())}});
-        if (checkpoint_listener_) checkpoint_listener_(*rec);
-      }
+    CheckpointRecord* rec = FindCheckpoint(id);
+    if (rec == nullptr || rec->aborted || rec->completed) return;
+    if (!st.ok()) {
+      persist_failed = true;
+    } else if (--rec->pending_acks == 0) {
+      rec->completed = true;
+      rec->complete_time = executor_->Now();
+      checkpoint_in_flight_ = false;
+      obs_->metrics()
+          .GetCounter("rhino_checkpoint_completed_total")
+          ->Increment();
+      obs_->metrics()
+          .GetHistogram("rhino_checkpoint_duration_us")
+          ->Observe(rec->complete_time - rec->trigger_time);
+      obs_->trace().EmitSpan(
+          "checkpoint", "checkpoint", "engine", rec->trigger_time,
+          rec->complete_time, id,
+          {{"snapshots", static_cast<int64_t>(rec->descriptors.size())}});
+      if (checkpoint_listener_) checkpoint_listener_(*rec);
     }
     if (persist_failed) {
       // Persistence failed (e.g. a replica chain member fail-stopped
       // mid-transfer). The checkpoint can never become fully durable;
-      // abort it so the next interval retries from scratch. Aborting
-      // flushes alignments on every instance, so the engine lock is
-      // released first.
+      // abort it so the next interval retries from scratch.
       RHINO_LOG(Warn) << "checkpoint " << id
                       << " persistence failed: " << st.ToString()
                       << "; aborting checkpoint";
@@ -192,7 +173,6 @@ void Engine::OnSnapshotTaken(OperatorInstance* instance,
 }
 
 const CheckpointRecord* Engine::LastCompletedCheckpoint() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
     if (it->completed) return &*it;
   }
@@ -213,7 +193,6 @@ ControlEvent Engine::HandoverMarkerFor(
 Status Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
                              bool inject_markers) {
   if (inject_markers) {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     std::set<uint32_t> moving;
     for (const HandoverRecord& record : handovers_) {
       if (record.completed ||
@@ -240,18 +219,15 @@ Status Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
   obs_->trace().Emit(
       "handover", "marker_injected", "engine", spec->id,
       {{"moves", static_cast<int64_t>(spec->moves.size())}});
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    HandoverRecord record;
-    record.spec = spec;
-    record.trigger_time = executor_->Now();
-    for (const auto& instance : instances_) {
-      if (!instance->halted()) {
-        record.participants.insert(InstanceKey(instance.get()));
-      }
+  HandoverRecord record;
+  record.spec = spec;
+  record.trigger_time = executor_->Now();
+  for (const auto& instance : instances_) {
+    if (!instance->halted()) {
+      record.participants.insert(InstanceKey(instance.get()));
     }
-    handovers_.push_back(std::move(record));
   }
+  handovers_.push_back(std::move(record));
 
   if (!inject_markers) return Status::OK();  // the caller injects
   ControlEvent marker = HandoverMarkerFor(spec);
@@ -263,25 +239,23 @@ Status Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
 
 void Engine::OnHandoverInstanceDone(uint64_t handover_id,
                                     OperatorInstance* instance) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   for (auto& record : handovers_) {
     if (record.spec->id != handover_id || record.completed) continue;
     record.acked.insert(InstanceKey(instance));
-    MaybeCompleteHandoverLocked(record);
+    MaybeCompleteHandover(record);
     return;
   }
   RHINO_LOG(Warn) << "ack for unknown handover " << handover_id;
 }
 
-void Engine::MaybeCompleteHandoverLocked(HandoverRecord& record) {
+void Engine::MaybeCompleteHandover(HandoverRecord& record) {
   if (record.completed) return;
   for (const std::string& key : record.participants) {
     if (!record.acked.count(key)) return;
   }
   record.completed = true;
   record.complete_time = executor_->Now();
-  // Commit the new configuration epoch in the coordinator's view. Routing
-  // entries are atomics, so in-flight routing lookups never tear.
+  // Commit the new configuration epoch in the coordinator's view.
   hashring::RoutingTable* table = routing(record.spec->operator_name);
   for (const HandoverMove& move : record.spec->moves) {
     for (uint32_t v : move.vnodes) {
@@ -301,7 +275,6 @@ void Engine::MaybeCompleteHandoverLocked(HandoverRecord& record) {
 }
 
 const HandoverRecord* Engine::FindHandover(uint64_t id) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   for (const auto& record : handovers_) {
     if (record.spec->id == id) return &record;
   }
@@ -336,51 +309,42 @@ void Engine::FailNode(int node_id) {
   // from the participant sets (permanently — a later Resume on a live
   // worker replays no markers) and re-check completion.
   uint64_t abort_id = 0;
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    for (auto& record : handovers_) {
-      if (record.completed) continue;
-      for (auto& instance : instances_) {
-        if (instance->halted()) {
-          record.participants.erase(InstanceKey(instance.get()));
-        }
+  for (auto& record : handovers_) {
+    if (record.completed) continue;
+    for (auto& instance : instances_) {
+      if (instance->halted()) {
+        record.participants.erase(InstanceKey(instance.get()));
       }
-      MaybeCompleteHandoverLocked(record);
     }
-    // A checkpoint in flight can never complete: instances on the failed
-    // node will not ack — and, worse, its barrier markers may have been
-    // wiped with the dead instances' queues. Abort it (Flink would equally
-    // discard it) and flush its alignments everywhere.
-    if (checkpoint_in_flight() && !checkpoints_.empty() &&
-        !checkpoints_.back().completed) {
-      abort_id = checkpoints_.back().id;
-    }
+    MaybeCompleteHandover(record);
+  }
+  // A checkpoint in flight can never complete: instances on the failed
+  // node will not ack — and, worse, its barrier markers may have been
+  // wiped with the dead instances' queues. Abort it (Flink would equally
+  // discard it) and flush its alignments everywhere.
+  if (checkpoint_in_flight() && !checkpoints_.empty() &&
+      !checkpoints_.back().completed) {
+    abort_id = checkpoints_.back().id;
   }
   if (abort_id != 0) AbortCheckpoint(abort_id);
 }
 
 void Engine::AbortCheckpoint(uint64_t id) {
-  {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    CheckpointRecord* record = FindCheckpointLocked(id);
-    if (record == nullptr || record->completed || record->aborted) return;
-    record->aborted = true;
-    obs_->metrics().GetCounter("rhino_checkpoint_aborted_total")->Increment();
-    obs_->trace().Emit("checkpoint", "abort", "engine", id);
-    if (!checkpoints_.empty() && checkpoints_.back().id == id) {
-      checkpoint_in_flight_.store(false, std::memory_order_release);
-    }
+  CheckpointRecord* record = FindCheckpoint(id);
+  if (record == nullptr || record->completed || record->aborted) return;
+  record->aborted = true;
+  obs_->metrics().GetCounter("rhino_checkpoint_aborted_total")->Increment();
+  obs_->trace().Emit("checkpoint", "abort", "engine", id);
+  if (!checkpoints_.empty() && checkpoints_.back().id == id) {
+    checkpoint_in_flight_ = false;
   }
-  // Alignment flushes take each instance's own lock; the engine lock is
-  // already released (instance -> engine is the only allowed nesting).
   for (auto& instance : instances_) {
     instance->AbortAlignment(ControlEvent::Type::kCheckpointBarrier, id);
   }
 }
 
 bool Engine::IsCheckpointAborted(uint64_t id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckpointRecord* record = FindCheckpointLocked(id);
+  CheckpointRecord* record = FindCheckpoint(id);
   return record != nullptr && record->aborted;
 }
 

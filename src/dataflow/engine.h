@@ -1,12 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,18 +24,8 @@
 /// failure handling. Rhino and the baselines plug in through the
 /// `CheckpointStorage` and `HandoverDelegate` strategy interfaces.
 ///
-/// ## Thread safety (RealtimeExecutor)
-///
-/// Coordinator records (checkpoints, handovers, routing registry) are
-/// guarded by a recursive engine mutex. The locking discipline is strict:
-/// the engine NEVER holds its mutex while calling into an instance or a
-/// storage/delegate strategy — records are mutated under the lock, then
-/// the lock is released before fanning out (barrier injection, alignment
-/// aborts, persistence). Instances hold their own lock when they call up
-/// into the engine, so the only cross-component lock order is
-/// instance -> engine, never the reverse. Listener callbacks fire under
-/// the engine lock (they may re-enter engine accessors — the mutex is
-/// recursive — but must not call into instances).
+/// Single-threaded: everything runs on the simulator's executor, one event
+/// at a time.
 ///
 /// Record containers are deques: completion paths hold references across
 /// asynchronous persistence, and deque growth never invalidates them.
@@ -187,9 +175,7 @@ class Engine {
   /// snapshots are discarded and its alignments flushed everywhere.
   void AbortCheckpoint(uint64_t id);
 
-  bool checkpoint_in_flight() const {
-    return checkpoint_in_flight_.load(std::memory_order_acquire);
-  }
+  bool checkpoint_in_flight() const { return checkpoint_in_flight_; }
   /// Most recent fully durable checkpoint, or nullptr.
   const CheckpointRecord* LastCompletedCheckpoint() const;
   const std::deque<CheckpointRecord>& checkpoints() const {
@@ -228,14 +214,6 @@ class Engine {
   }
   const std::deque<HandoverRecord>& handovers() const { return handovers_; }
 
-  /// Copy of the handover records, taken under the engine lock — safe to
-  /// iterate while other strands trigger or complete handovers (the deque
-  /// reference above is for quiescent reads only).
-  std::vector<HandoverRecord> SnapshotHandovers() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    return {handovers_.begin(), handovers_.end()};
-  }
-
   /// Handover record by id (nullptr when unknown).
   const HandoverRecord* FindHandover(uint64_t id) const;
   bool IsHandoverComplete(uint64_t id) const;
@@ -255,10 +233,7 @@ class Engine {
     latency_listener_ = std::move(fn);
   }
   void RecordLatency(const std::string& op, SimTime latency) {
-    if (latency_listener_) {
-      std::lock_guard<std::recursive_mutex> lock(mu_);
-      latency_listener_(op, executor_->Now(), latency);
-    }
+    if (latency_listener_) latency_listener_(op, executor_->Now(), latency);
   }
 
   // ------------------------------------------------------------- failure --
@@ -276,10 +251,8 @@ class Engine {
   void ReinitKeyedGates(const std::string& op);
 
  private:
-  /// Both Locked helpers require mu_ held by the caller.
-  CheckpointRecord* FindCheckpointLocked(uint64_t id);
   /// Completes `record` once every still-live participant acked.
-  void MaybeCompleteHandoverLocked(HandoverRecord& record);
+  void MaybeCompleteHandover(HandoverRecord& record);
 
   runtime::Executor* executor_;
   sim::Cluster* cluster_;
@@ -302,15 +275,10 @@ class Engine {
   CheckpointStorage* storage_ = nullptr;
   HandoverDelegate* delegate_ = nullptr;
 
-  /// Guards the coordinator records (checkpoints_, handovers_, routing_
-  /// lookups after wiring). Recursive so listeners can re-enter engine
-  /// accessors. Never held across calls into instances or strategies.
-  mutable std::recursive_mutex mu_;
-
   std::deque<CheckpointRecord> checkpoints_;
-  std::atomic<bool> checkpoint_in_flight_{false};
+  bool checkpoint_in_flight_ = false;
   uint64_t next_checkpoint_id_ = 1;
-  std::atomic<bool> periodic_checkpoints_{false};
+  bool periodic_checkpoints_ = false;
   std::function<void(const CheckpointRecord&)> checkpoint_listener_;
 
   std::deque<HandoverRecord> handovers_;

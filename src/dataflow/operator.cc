@@ -23,17 +23,17 @@ const char* AlignmentName(ControlEvent::Type type) {
 // --------------------------------------------------------------- Channel --
 
 void Channel::Send(ChannelItem item) {
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  in_flight_ += 1;
   uint64_t bytes = item.WireBytes();
   int src = from_ ? from_->node_id() : to_->node_id();
   int dst = to_->node_id();
   auto deliver = [this, item = std::move(item)]() mutable {
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    in_flight_ -= 1;
     to_->Deliver(to_channel_idx_, std::move(item));
   };
   if (src == dst) {
     // Local exchange: a scheduling quantum, no NIC time. Delivery runs on
-    // the receiver's node strand.
+    // the receiver's node queue.
     engine_->cluster()->node(dst).queue()->PostDelayed(50, std::move(deliver));
   } else {
     engine_->cluster()->Transfer(src, dst, bytes, std::move(deliver));
@@ -131,29 +131,25 @@ OperatorInstance::OperatorInstance(Engine* engine, std::string op_name,
       profile_(profile) {}
 
 void OperatorInstance::Deliver(int channel_idx, ChannelItem item) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (halted()) return;  // fail-stop: the instance is gone
   input_queues_[static_cast<size_t>(channel_idx)].push_back(std::move(item));
   TryProcessNext();
 }
 
 void OperatorInstance::Halt() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  halted_.store(true, std::memory_order_release);
+  halted_ = true;
   for (auto& q : input_queues_) q.clear();
   alignments_.clear();
   holding_ = false;
 }
 
 void OperatorInstance::Resume() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  halted_.store(false, std::memory_order_release);
+  halted_ = false;
   busy_ = false;
   TryProcessNext();
 }
 
 uint64_t OperatorInstance::QueuedItems() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   uint64_t total = 0;
   for (const auto& q : input_queues_) total += q.size();
   return total;
@@ -183,12 +179,9 @@ void OperatorInstance::TryProcessNext() {
                     profile_.records_per_sec * kSecond));
     }
     engine_->cluster()->node(node_id()).AddCpuBusy(cost);
-    // The completion runs on this instance's node strand (the simulator's
-    // global order refines this; under real threads it serializes the
-    // node's callbacks).
+    // The completion runs on this instance's node queue.
     engine_->cluster()->node(node_id()).queue()->PostDelayed(
         cost, [this, ch, item = std::move(item)]() mutable {
-          std::lock_guard<std::recursive_mutex> lock(mu_);
           busy_ = false;
           if (halted()) return;
           ProcessItem(ch, std::move(item));
@@ -257,7 +250,6 @@ bool OperatorInstance::AlignmentComplete(const Alignment& alignment) const {
 }
 
 std::string OperatorInstance::AlignmentDebugString() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (alignments_.empty()) return "no alignments";
   const Alignment& a = alignments_.front();
   std::string out = "front id=" + std::to_string(a.ev.id) +
@@ -277,12 +269,10 @@ std::string OperatorInstance::AlignmentDebugString() const {
 }
 
 void OperatorInstance::NotifyPeerFailure() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!halted()) MaybeCompleteFront();
 }
 
 void OperatorInstance::AbortAlignment(ControlEvent::Type type, uint64_t id) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (halted()) return;
   bool was_front = !alignments_.empty() && alignments_.front().ev.id == id &&
                    alignments_.front().ev.type == type;
@@ -335,7 +325,6 @@ void OperatorInstance::BeforeForwardControl(const ControlEvent& ev) {
 }
 
 void OperatorInstance::ReleaseAlignment() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   holding_ = false;
   if (!alignments_.empty()) alignments_.pop_front();
   MaybeCompleteFront();

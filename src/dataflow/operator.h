@@ -1,11 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,17 +21,8 @@
 /// band with records, and marker alignment (paper §4.1.1) is implemented
 /// by *not polling* a channel that already delivered the active marker.
 ///
-/// Thread safety (RealtimeExecutor): an instance's processing state is
-/// guarded by a per-instance recursive mutex taken at every public entry
-/// point (Deliver, the processing-completion callback, Halt/Resume,
-/// alignment maintenance). Processing callbacks are pinned to the
-/// instance's node strand, so intra-node callback order matches the
-/// simulator; the mutex covers the cross-strand entries (coordinator
-/// fan-out, transfers completing on another node's strand). Instances may
-/// call up into the engine while holding their own lock — the engine never
-/// calls down while holding its lock, so instance -> engine is the only
-/// cross-component order. `halted_` is an atomic read lock-free by peers
-/// (AlignmentComplete checks sender liveness) and the coordinator.
+/// Single-threaded, like the engine: processing callbacks run on the
+/// instance's node queue of the simulator's executor.
 
 namespace rhino::dataflow {
 
@@ -61,9 +50,7 @@ class Channel {
   void set_to_channel_idx(int idx) { to_channel_idx_ = idx; }
 
   /// Bytes currently in flight or queued at the receiver (diagnostics).
-  uint64_t in_flight_items() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  uint64_t in_flight_items() const { return in_flight_; }
 
  private:
   friend class OperatorInstance;
@@ -71,7 +58,7 @@ class Channel {
   OperatorInstance* from_;
   OperatorInstance* to_;
   int to_channel_idx_;
-  std::atomic<uint64_t> in_flight_{0};
+  uint64_t in_flight_ = 0;
 };
 
 /// How an output gate picks destination channels for data batches.
@@ -152,9 +139,9 @@ class OperatorInstance {
 
   const std::string& op_name() const { return op_name_; }
   int subtask() const { return subtask_; }
-  int node_id() const { return node_id_.load(std::memory_order_relaxed); }
+  int node_id() const { return node_id_; }
   void set_node_id(int node) {
-    node_id_.store(node, std::memory_order_relaxed);
+    node_id_ = node;
   }
   Engine* engine() { return engine_; }
 
@@ -177,7 +164,7 @@ class OperatorInstance {
 
   /// Stops processing and drops queued input (fail-stop or restart).
   void Halt();
-  bool halted() const { return halted_.load(std::memory_order_acquire); }
+  bool halted() const { return halted_; }
   /// Resumes after a restart (queues start empty).
   void Resume();
 
@@ -200,11 +187,9 @@ class OperatorInstance {
   /// Diagnostics: true while this instance holds its front alignment
   /// (target waiting for state), and the number of queued alignments.
   bool IsHoldingAlignment() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     return holding_;
   }
   size_t PendingAlignments() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     return alignments_.size();
   }
   /// Diagnostics: describes the front alignment and the live channels it
@@ -239,11 +224,6 @@ class OperatorInstance {
 
   Engine* engine_;
 
-  /// Per-instance lock; recursive because protocol roles re-enter (e.g. a
-  /// handover target's ReleaseAlignment resumes processing, which may
-  /// complete the next alignment synchronously).
-  mutable std::recursive_mutex mu_;
-
  private:
   /// One in-flight aligned control event. Several may overlap (e.g.
   /// reconfigurations of different operators in a multi-query job); FIFO
@@ -266,7 +246,7 @@ class OperatorInstance {
 
   std::string op_name_;
   int subtask_;
-  std::atomic<int> node_id_;
+  int node_id_;
   ProcessingProfile profile_;
 
   std::vector<Channel*> inputs_;
@@ -282,7 +262,7 @@ class OperatorInstance {
   bool holding_ = false;
 
   bool busy_ = false;
-  std::atomic<bool> halted_{false};
+  bool halted_ = false;
   int poll_cursor_ = 0;
 };
 

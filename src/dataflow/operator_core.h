@@ -20,10 +20,11 @@
 /// outputs" half of a stateful operator: no engine, no channels, no
 /// transport, no locks. The in-process `StatefulInstance` and the
 /// networked `NodeServer` both host cores through `OperatorHost`
-/// (operator_host.h), so one implementation of the keyed counter, the
-/// symmetric hash join, and the modeled state patterns runs unmodified in
-/// sim, realtime-thread, and multi-process modes — state a core wrote in
-/// one mode ingests byte-identically in the others.
+/// (operator_host.h), so one implementation of the keyed counter and the
+/// symmetric hash join runs unmodified in the simulator and on the
+/// networked runtime — state a core wrote in one ingests byte-identically
+/// in the other. The modeled state patterns run in the simulator only (a
+/// node refuses `kModeledState`).
 
 namespace rhino::dataflow {
 
@@ -34,14 +35,13 @@ enum class OperatorKind : uint8_t {
   /// big-endian form -> the count as a varint, nothing after it.
   kKeyedCounter = 1,
   kSymmetricHashJoin = 2,  ///< two-input append + probe (NBQ8-like)
-  kModeledState = 3,       ///< statistical state model (TB-scale sim)
+  kModeledState = 3,       ///< statistical state model (simulator only)
 };
 
 const char* OperatorKindName(OperatorKind kind);
 bool ValidOperatorKind(uint8_t kind);
 
-/// Statistical state model for the simulation benches (and the modeled
-/// operator kind of the networked runtime).
+/// Statistical state model for the simulation benches.
 struct StateModelConfig {
   enum class Pattern : uint8_t {
     kAppend,           ///< joins over long windows: state grows with input
@@ -63,7 +63,7 @@ struct StateModelConfig {
 
 /// Execution-location-independent description of a stateful operator:
 /// everything a host (engine subtask or node process) needs to
-/// instantiate it. This is what `kAddOperator` carries on the wire.
+/// instantiate it. `kAddOperator` carries it on the wire, all but `model`.
 struct OperatorSpec {
   OperatorKind kind = OperatorKind::kKeyedCounter;
   std::string name;
@@ -72,7 +72,7 @@ struct OperatorSpec {
   uint32_t num_vnodes = 0;
   /// Logical inputs (2 for the join; dedup cursors are per input source).
   uint32_t input_arity = 1;
-  /// Only meaningful for kModeledState.
+  /// Only meaningful for kModeledState (simulator only).
   StateModelConfig model;
 };
 

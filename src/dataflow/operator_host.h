@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -23,16 +24,19 @@
 /// deduplication, and checkpoint capture. The in-process
 /// `StatefulInstance` and the networked `NodeServer` both embed a host, so
 /// the data path — dedup, the operator core, the batch's one commit — is
-/// one implementation for every operator kind in sim, realtime-thread, and
-/// multi-process modes. State moves between hosts as `state::VnodeImage`s
-/// in both: `Describe` stamps an image, and when and how it travels is
-/// the embedder's.
+/// one implementation in the simulator and on the networked runtime.
+/// State moves between hosts as `state::VnodeImage`s in both: `Describe`
+/// stamps an image, and when and how it travels is the embedder's.
 ///
-/// Not thread-safe: the embedding runtime serializes calls (the engine via
-/// the instance mutex / executor strand, the node server under its own
-/// lock).
+/// Not thread-safe: the embedding runtime serializes calls (the simulator
+/// runs on one thread, the node server under its own lock).
 
 namespace rhino::dataflow {
+
+/// Key prefix of the output rows `OperatorHost::Apply` keeps. No operator
+/// core's key starts with it: a core's key is a record key's 8 bytes,
+/// alone or followed by a side byte of 0 or 1.
+inline const std::string kOutputRowPrefix = std::string(8, '\xff') + '\x02';
 
 /// Outcome of folding one batch into the host's state.
 struct ApplyResult {
@@ -46,6 +50,9 @@ struct ApplyResult {
   std::set<uint32_t> applied_vnodes;
   /// Vnodes fully dropped by dedup (slice-granular feeds; for tracing).
   std::set<uint32_t> dropped_vnodes;
+  /// Deduplicated vnodes whose kept outputs of this batch's (source,
+  /// offset) were appended to `out` (output rows; see `Apply`).
+  std::set<uint32_t> answered_vnodes;
   /// The entire batch was already reflected in the state.
   bool fully_deduped = false;
 };
@@ -95,8 +102,21 @@ class OperatorHost {
   /// host does not own fails the whole batch with FailedPrecondition
   /// *before* any state mutation (the networked runtime's stale-routing
   /// guard); the in-process engine routes by construction and skips it.
+  ///
+  /// With `output_cursor` (record-granular feeds whose outputs feed an
+  /// operator edge), the outputs are upstream backup kept with the state
+  /// that produced them: the commit also writes each applied vnode's
+  /// outputs as one **output row** of that vnode, keyed by the batch's
+  /// (source, offset) under `kOutputRowPrefix` with no nominal size, and
+  /// deletes the vnode's rows of the same source below `*output_cursor`
+  /// (offsets whose outputs the caller already holds). Output rows travel
+  /// with the vnode in stream deltas, handover images and chain records.
+  /// A deduplicated vnode whose rows hold this (source, offset) appends
+  /// them to `out` and is listed in `answered_vnodes`, so a batch whose
+  /// first reply was lost is answered with the outputs of its first apply.
   Result<ApplyResult> Apply(int side, Batch& batch, SimTime now, Batch* out,
-                            bool strict_ownership);
+                            bool strict_ownership,
+                            std::optional<uint64_t> output_cursor = {});
 
   /// Kind-specific point query for `key` against the vnode it routes to.
   Result<OperatorQueryResult> Query(uint64_t key);
@@ -151,6 +171,15 @@ class OperatorHost {
   Result<state::CheckpointDescriptor> CaptureCheckpoint(uint64_t checkpoint_id);
 
  private:
+  /// Stages the output rows of one apply (see `Apply`): deletes each
+  /// applied vnode's rows of `batch`'s source below `output_cursor`, and
+  /// writes its outputs among `out.records[first_output..]` as the row of
+  /// the batch's (source, offset).
+  Status KeepOutputs(const Batch& batch, uint64_t output_cursor,
+                     const ApplyResult& result, const Batch& out,
+                     size_t first_output,
+                     std::vector<state::StateWrite>* writes);
+
   OperatorHost(OperatorSpec spec, std::unique_ptr<state::StateBackend> backend,
                std::unique_ptr<StatefulOperatorCore> core, VnodeFn vnode_of,
                uint32_t instance_id)

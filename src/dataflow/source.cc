@@ -12,16 +12,10 @@ SourceInstance::SourceInstance(Engine* engine, std::string op_name, int subtask,
                                broker::Partition* partition)
     : OperatorInstance(engine, std::move(op_name), subtask, node_id, profile),
       partition_(partition) {
-  partition_->SetDataListener([this] {
-    // Fires on the producer's thread (generator or replayed append); the
-    // instance lock serializes it against this source's own strand.
-    std::lock_guard<std::recursive_mutex> lock(mu_);
-    TryFetch();
-  });
+  partition_->SetDataListener([this] { TryFetch(); });
 }
 
 void SourceInstance::Start() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   started_ = true;
   TryFetch();
 }
@@ -41,7 +35,6 @@ void SourceInstance::TryFetch() {
   engine_->cluster()->Transfer(
       partition_->home_node(), node_id(), batch.bytes,
       [this, epoch, batch = std::move(batch)]() mutable {
-        std::lock_guard<std::recursive_mutex> lock(mu_);
         fetch_in_flight_ = false;
         if (halted()) return;
         if (epoch != epoch_) {
@@ -58,7 +51,6 @@ void SourceInstance::TryFetch() {
 }
 
 void SourceInstance::ResetOffset(uint64_t offset) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   obs::TraceLog& trace = engine_->obs()->trace();
   if (trace.data_events()) {
     trace.Emit("source", "rewind", op_name() + "#" + std::to_string(subtask()),
@@ -72,14 +64,12 @@ void SourceInstance::ResetOffset(uint64_t offset) {
 
 void SourceInstance::RewindThroughMarkers(
     const std::vector<ControlEvent>& markers, uint64_t offset) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   for (const ControlEvent& ev : markers) InjectControl(ev);
   ResetOffset(offset);
   Start();
 }
 
 void SourceInstance::InjectControl(const ControlEvent& ev) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (halted()) return;
   BeforeForwardControl(ev);
   ForwardControl(ev);

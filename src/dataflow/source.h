@@ -32,7 +32,6 @@ class SourceInstance : public OperatorInstance {
   void InjectControl(const ControlEvent& ev);
 
   uint64_t offset() const {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     return offset_;
   }
   /// Rewinds (or advances) the consumer position; the next fetch reads
@@ -40,8 +39,8 @@ class SourceInstance : public OperatorInstance {
   /// flight is invalidated (its result is discarded).
   void ResetOffset(uint64_t offset);
 
-  /// Atomically injects `markers` at the current stream position, rewinds
-  /// to `offset`, and resumes fetching — all under the instance lock.
+  /// Injects `markers` at the current stream position, rewinds to
+  /// `offset`, and resumes fetching, in one step.
   /// Recovery must not let a fetch complete between marker injection and
   /// the rewind: its pre-rewind record would route through an already
   /// rewired gate and advance the new owner's replay watermark past the

@@ -85,18 +85,15 @@ void StatefulInstance::HandleBatch(int channel_idx, Batch& batch) {
 
 StatefulInstance::WatermarkMap StatefulInstance::GetWatermarks(
     const std::vector<uint32_t>& vnodes) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   return host_->GetWatermarks(vnodes);
 }
 
 void StatefulInstance::MergeWatermarks(const WatermarkMap& marks) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   host_->MergeWatermarks(marks);
 }
 
 Result<std::vector<state::VnodeImage>> StatefulInstance::ReadImages(
     const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   std::vector<state::VnodeImage> images;
   images.reserve(vnodes.size());
   for (uint32_t v : vnodes) {
@@ -109,7 +106,6 @@ Result<std::vector<state::VnodeImage>> StatefulInstance::ReadImages(
 
 Status StatefulInstance::IngestImages(
     const std::vector<state::VnodeImage>& images, bool already_durable) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   RHINO_RETURN_NOT_OK(host_->backend()->IngestImages(images, already_durable));
   WatermarkMap marks;
   for (const state::VnodeImage& image : images) {
@@ -230,7 +226,6 @@ void StatefulInstance::MaybeAckHandover(uint64_t handover_id) {
 
 void StatefulInstance::CompleteHandoverAsOrigin(const HandoverSpec& spec,
                                                 const HandoverMove& move) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   HandoverProgress& progress = handover_progress_[spec.id];
   if (progress.pending_origin.erase(MoveIndex(spec, move)) == 0) {
     return;  // already completed or abandoned
@@ -243,7 +238,6 @@ void StatefulInstance::CompleteHandoverAsOrigin(const HandoverSpec& spec,
 
 void StatefulInstance::AbandonHandoverMoveAsOrigin(const HandoverSpec& spec,
                                                    const HandoverMove& move) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   HandoverProgress& progress = handover_progress_[spec.id];
   if (progress.pending_origin.erase(MoveIndex(spec, move)) == 0) return;
   // Keep the state: the target never ingested it; the failure-recovery
@@ -253,7 +247,6 @@ void StatefulInstance::AbandonHandoverMoveAsOrigin(const HandoverSpec& spec,
 
 void StatefulInstance::CompleteHandoverAsTarget(const HandoverSpec& spec,
                                                 const HandoverMove& move) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   size_t idx = MoveIndex(spec, move);
   HandoverProgress& progress = handover_progress_[spec.id];
   if (!progress.aligned) {
@@ -276,7 +269,6 @@ void StatefulInstance::CompleteHandoverAsTarget(const HandoverSpec& spec,
 }
 
 void StatefulInstance::NotifyPeerFailure() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   if (!halted()) {
     for (auto& [id, progress] : handover_progress_) {
       if (!progress.aligned || progress.acked) continue;

@@ -49,7 +49,6 @@ class StatefulInstance : public OperatorInstance {
   /// Swaps in a fresh backend (restart-based recovery restores state by
   /// rebuilding the backend from a checkpoint).
   void ReplaceBackend(std::unique_ptr<state::StateBackend> backend) {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     host_->ReplaceBackend(std::move(backend));
   }
 
@@ -81,8 +80,8 @@ class StatefulInstance : public OperatorInstance {
 
   // ------------------------------------------------------ state images ----
 
-  /// Whole images of `vnodes`, each read in one step under the instance
-  /// lock (`OperatorHost::Describe` plus the backend's
+  /// Whole images of `vnodes`, each read in one step
+  /// (`OperatorHost::Describe` plus the backend's
   /// `ReadVnodeEntries`): what a handover moves and a checkpoint captures.
   Result<std::vector<state::VnodeImage>> ReadImages(
       const std::vector<uint32_t>& vnodes);
@@ -95,7 +94,6 @@ class StatefulInstance : public OperatorInstance {
   /// dedup positions back to the checkpoint; merging would wrongly keep
   /// post-checkpoint positions and drop the replay).
   void ResetWatermarks(WatermarkMap marks) {
-    std::lock_guard<std::recursive_mutex> lock(mu_);
     host_->ResetWatermarks(std::move(marks));
   }
 

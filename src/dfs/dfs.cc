@@ -1,7 +1,6 @@
 #include "dfs/dfs.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 
 #include "common/logging.h"
@@ -28,7 +27,6 @@ std::vector<int> DistributedFileSystem::PlaceBlock(int writer_node) {
 
 void DistributedFileSystem::RegisterFile(const std::string& path,
                                          uint64_t bytes, int writer_node) {
-  std::lock_guard<std::mutex> lock(mu_);
   File file;
   file.bytes = bytes;
   for (uint64_t off = 0; off < bytes; off += options_.block_bytes) {
@@ -47,23 +45,19 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
                                       int writer_node,
                                       std::function<void(Status)> done) {
   RegisterFile(path, bytes, writer_node);
-  bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-  // Copy the block layout: a concurrent overwrite of `path` would replace
-  // the File underneath a held reference.
-  File file;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    file = files_[path];
-  }
+  bytes_written_ += bytes;
+  // Copy the block layout: a later overwrite of `path` would replace the
+  // File underneath a held reference.
+  File file = files_[path];
   if (file.blocks.empty()) {
     cluster_->executor()->Schedule(0, [done] { done(Status::OK()); });
     return;
   }
-  auto remaining = std::make_shared<std::atomic<size_t>>(file.blocks.size());
-  auto failed = std::make_shared<std::atomic<bool>>(false);
+  auto remaining = std::make_shared<size_t>(file.blocks.size());
+  auto failed = std::make_shared<bool>(false);
   auto finish = [remaining, failed, done]() {
-    if (remaining->fetch_sub(1) == 1) {
-      done(failed->load(std::memory_order_relaxed)
+    if (--*remaining == 0) {
+      done((*failed)
                ? Status::IOError("block replication failed")
                : Status::OK());
     }
@@ -72,19 +66,15 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
     // Pipeline: every replica receives the block; the writer ships it to
     // each remote replica, and each replica spools to its local disk.
     auto pending =
-        std::make_shared<std::atomic<size_t>>(block.replicas.size());
+        std::make_shared<size_t>(block.replicas.size());
     auto block_done = [pending, finish]() {
-      if (pending->fetch_sub(1) == 1) finish();
+      if (--*pending == 0) finish();
     };
     for (int replica : block.replicas) {
       uint64_t block_bytes = block.bytes;
       auto write_disk = [this, replica, block_bytes, block_done] {
         sim::Node& node = cluster_->node(replica);
-        int disk;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          disk = disk_cursor_[replica]++ % node.num_disks();
-        }
+        int disk = disk_cursor_[replica]++ % node.num_disks();
         node.disk(disk).Write(block_bytes, block_done);
       };
       if (replica == writer_node) {
@@ -94,7 +84,7 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
             cluster_, writer_node, replica, block.bytes, options_.retry,
             options_.retry_seed ^ NextTransferSeq(), "dfs_block_write",
             std::move(write_disk), [failed, block_done](Status) {
-              failed->store(true, std::memory_order_relaxed);
+              *failed = true;
               block_done();
             });
       }
@@ -104,27 +94,23 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
 
 void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
                                      std::function<void(Status)> done) {
-  File file;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = files_.find(path);
-    if (it == files_.end()) {
-      cluster_->executor()->Schedule(
-          0, [done, path] { done(Status::NotFound(path)); });
-      return;
-    }
-    file = it->second;  // copy: overwrites must not invalidate the read
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    cluster_->executor()->Schedule(
+        0, [done, path] { done(Status::NotFound(path)); });
+    return;
   }
+  File file = it->second;  // copy: overwrites must not invalidate the read
   if (file.blocks.empty()) {
     cluster_->executor()->Schedule(0, [done] { done(Status::OK()); });
     return;
   }
-  auto remaining = std::make_shared<std::atomic<size_t>>(file.blocks.size());
-  auto failed = std::make_shared<std::atomic<bool>>(false);
+  auto remaining = std::make_shared<size_t>(file.blocks.size());
+  auto failed = std::make_shared<bool>(false);
   auto finish = [remaining, failed, done](Status st) {
-    if (!st.ok()) failed->store(true, std::memory_order_relaxed);
-    if (remaining->fetch_sub(1) == 1) {
-      done(failed->load() ? Status::IOError("block unavailable")
+    if (!st.ok()) *failed = true;
+    if (--*remaining == 0) {
+      done((*failed) ? Status::IOError("block unavailable")
                           : Status::OK());
     }
   };
@@ -148,16 +134,12 @@ void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
     }
     uint64_t block_bytes = block.bytes;
     sim::Node& src_node = cluster_->node(source);
-    int disk;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      disk = disk_cursor_[source]++ % src_node.num_disks();
-    }
+    int disk = disk_cursor_[source]++ % src_node.num_disks();
     if (local) {
-      local_bytes_read_.fetch_add(block_bytes, std::memory_order_relaxed);
+      local_bytes_read_ += block_bytes;
       src_node.disk(disk).Read(block_bytes, [finish] { finish(Status::OK()); });
     } else {
-      remote_bytes_read_.fetch_add(block_bytes, std::memory_order_relaxed);
+      remote_bytes_read_ += block_bytes;
       // Remote: disk read at the source, the network hop, then the
       // reader's client pipeline (the sustained-throughput bottleneck).
       sim::QueueResource* client = ClientQueue(reader_node);
@@ -180,7 +162,6 @@ void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
 }
 
 sim::QueueResource* DistributedFileSystem::ClientQueue(int reader_node) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = client_queues_.find(reader_node);
   if (it == client_queues_.end()) {
     it = client_queues_
@@ -195,14 +176,12 @@ sim::QueueResource* DistributedFileSystem::ClientQueue(int reader_node) {
 }
 
 Result<uint64_t> DistributedFileSystem::FileBytes(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(path);
   if (it == files_.end()) return Status::NotFound(path);
   return it->second.bytes;
 }
 
 Status DistributedFileSystem::DeleteFile(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (files_.erase(path) == 0) return Status::NotFound(path);
   return Status::OK();
 }

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -87,7 +85,6 @@ class DistributedFileSystem {
   void RegisterFile(const std::string& path, uint64_t bytes, int writer_node);
 
   bool Exists(const std::string& path) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return files_.count(path) > 0;
   }
   Result<uint64_t> FileBytes(const std::string& path) const;
@@ -95,9 +92,9 @@ class DistributedFileSystem {
 
   /// Split of the last ReadFile between local and remote bytes
   /// (cumulative across reads; diagnostic for the Table 1 breakdown).
-  uint64_t local_bytes_read() const { return local_bytes_read_.load(); }
-  uint64_t remote_bytes_read() const { return remote_bytes_read_.load(); }
-  uint64_t bytes_written() const { return bytes_written_.load(); }
+  uint64_t local_bytes_read() const { return local_bytes_read_; }
+  uint64_t remote_bytes_read() const { return remote_bytes_read_; }
+  uint64_t bytes_written() const { return bytes_written_; }
 
  private:
   struct File {
@@ -113,24 +110,19 @@ class DistributedFileSystem {
   sim::QueueResource* ClientQueue(int reader_node);
 
   /// Distinct backoff-jitter seed per block shipment.
-  uint64_t NextTransferSeq() {
-    return transfer_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
+  uint64_t NextTransferSeq() { return transfer_seq_++; }
 
-  std::atomic<uint64_t> transfer_seq_{0};
+  uint64_t transfer_seq_ = 0;
   sim::Cluster* cluster_;
   std::vector<int> datanodes_;
   DfsOptions options_;
-  /// Guards the namenode metadata (files_, rng_, cursors, client queues):
-  /// writers and readers run on their nodes' strands.
-  mutable std::mutex mu_;
   Random rng_;
   std::map<std::string, File> files_;
   std::map<int, int> disk_cursor_;  // per-node round-robin disk choice
   std::map<int, std::unique_ptr<sim::QueueResource>> client_queues_;
-  std::atomic<uint64_t> local_bytes_read_{0};
-  std::atomic<uint64_t> remote_bytes_read_{0};
-  std::atomic<uint64_t> bytes_written_{0};
+  uint64_t local_bytes_read_ = 0;
+  uint64_t remote_bytes_read_ = 0;
+  uint64_t bytes_written_ = 0;
 };
 
 }  // namespace rhino::dfs

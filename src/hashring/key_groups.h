@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -101,30 +100,20 @@ class VirtualNodeMap {
 /// A handover (or failure recovery) edits only this table; upstream
 /// instances consult it to route records, and its version number lets
 /// components detect configuration epochs (paper §4.1.1).
-///
-/// Entries are relaxed atomics: routing lookups stay lock-free on the hot
-/// path while the coordinator reassigns vnodes from another thread. A
-/// reader may briefly see the old owner during a reassignment — exactly
-/// the window the handover protocol's markers are designed to close.
 class RoutingTable {
  public:
   explicit RoutingTable(const VirtualNodeMap* map)
-      : map_(map),
-        num_vnodes_(map->num_vnodes()),
-        owner_(std::make_unique<std::atomic<uint32_t>[]>(map->num_vnodes())) {
+      : map_(map), owner_(map->num_vnodes()) {
     // Default assignment: virtual node v belongs to instance
     // v / vnodes_per_instance (contiguous blocks, as in Flink key groups).
-    for (uint32_t v = 0; v < num_vnodes_; ++v) {
-      owner_[v].store(v / map->vnodes_per_instance(),
-                      std::memory_order_relaxed);
+    for (uint32_t v = 0; v < owner_.size(); ++v) {
+      owner_[v] = v / map->vnodes_per_instance();
     }
   }
 
   const VirtualNodeMap& map() const { return *map_; }
 
-  uint32_t InstanceForVnode(uint32_t vnode) const {
-    return owner_[vnode].load(std::memory_order_relaxed);
-  }
+  uint32_t InstanceForVnode(uint32_t vnode) const { return owner_[vnode]; }
 
   uint32_t InstanceForKey(uint64_t key) const {
     return InstanceForVnode(map_->VnodeForKey(key));
@@ -136,28 +125,25 @@ class RoutingTable {
 
   /// Reassigns a virtual node to a new owner and bumps the version.
   void Assign(uint32_t vnode, uint32_t instance) {
-    owner_[vnode].store(instance, std::memory_order_relaxed);
-    version_.fetch_add(1, std::memory_order_relaxed);
+    owner_[vnode] = instance;
+    version_ += 1;
   }
 
   /// All virtual nodes currently owned by `instance`.
   std::vector<uint32_t> VnodesOfInstance(uint32_t instance) const {
     std::vector<uint32_t> out;
-    for (uint32_t v = 0; v < num_vnodes_; ++v) {
-      if (InstanceForVnode(v) == instance) out.push_back(v);
+    for (uint32_t v = 0; v < owner_.size(); ++v) {
+      if (owner_[v] == instance) out.push_back(v);
     }
     return out;
   }
 
-  uint64_t version() const {
-    return version_.load(std::memory_order_relaxed);
-  }
+  uint64_t version() const { return version_; }
 
  private:
   const VirtualNodeMap* map_;
-  uint32_t num_vnodes_;
-  std::unique_ptr<std::atomic<uint32_t>[]> owner_;
-  std::atomic<uint64_t> version_{0};
+  std::vector<uint32_t> owner_;
+  uint64_t version_ = 0;
 };
 
 }  // namespace rhino::hashring

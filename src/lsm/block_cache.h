@@ -21,8 +21,9 @@
 /// SSTableReader — a reader erases its blocks on close so a recycled id
 /// can never alias stale bytes.
 ///
-/// Thread-safe: the cache is shared by every DB in the process, and under
-/// the realtime executor those DBs are driven from different node strands.
+/// Thread-safe: the cache is shared by every DB in the process, and those
+/// DBs are driven from different threads (a node's handlers and
+/// replicator, the LSM's background work, several in-process nodes).
 /// One internal mutex covers the LRU list, the map, and the stats — the
 /// O(1) critical sections are short enough that sharding has not been
 /// needed. Table ids come from an atomic counter.

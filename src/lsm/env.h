@@ -122,11 +122,12 @@ class Env {
 /// In-memory Env. Hard links share the underlying `shared_ptr` content.
 ///
 /// Thread safety: one internal mutex guards the name→content catalog, so
-/// DBs on different threads can share an Env (as different nodes of a
-/// realtime cluster do). Content buffers themselves are not locked: a
-/// file's bytes mutate only through its owning DB's handles (serialized
-/// by the DB's own lock), and cross-DB sharing via LinkFile only ever
-/// covers immutable content (finished SSTs, checkpoint manifests).
+/// DBs on different threads can share an Env (as the nodes of an
+/// in-process loopback cluster do). Content buffers themselves are not
+/// locked: a file's bytes mutate only through its owning DB's handles
+/// (serialized by the DB's own lock), and cross-DB sharing via LinkFile
+/// only ever covers immutable content (finished SSTs, checkpoint
+/// manifests).
 class MemEnv : public Env {
  public:
   Status WriteFile(const std::string& path, std::string_view data) override;

@@ -21,9 +21,9 @@
 /// reach the file before the error — the torn-tail shape the WAL framing
 /// exists to detect, now reproducible on a real filesystem too.
 ///
-/// Thread safety: all mutable fault state sits behind one mutex, so DBs
-/// on different realtime strands can share a FaultEnv. The wrapper must
-/// outlive every handle it opened.
+/// Thread safety: all mutable fault state sits behind one mutex, so the
+/// DBs of several nodes, and their background threads, can share a
+/// FaultEnv. The wrapper must outlive every handle it opened.
 
 namespace rhino::lsm {
 
@@ -54,8 +54,9 @@ class FaultEnv : public Env {
 
   /// Busy-waits are wrong under TSan and sleeps are wall-clock: injected
   /// latency is applied with std::this_thread::sleep_for on every file
-  /// operation. 0 disables. Only meaningful under RealtimeExecutor /
-  /// plain tests — simulated time does not advance while sleeping.
+  /// operation. 0 disables. Only meaningful in wall-clock runs (the
+  /// networked runtime's tests): simulated time does not advance while
+  /// sleeping.
   void SetLatencyUs(int64_t us) {
     std::lock_guard<std::mutex> lock(mu_);
     latency_us_ = us;

@@ -202,9 +202,11 @@ Status ClusterDriver::RecordOutputs(OpRouting& routing, size_t input_idx,
   if (inserted) routing.entries.emplace_back();
   EdgeEntry& entry = routing.entries[it->second];
   entry.create_time = std::max(entry.create_time, create_time);
-  // Replace exactly the slots of vnodes this reply applied: an applied
-  // vnode with no output clears to empty; a deduplicated vnode (absent
-  // from the set) keeps the outputs retained from its original apply.
+  // Replace exactly the slots of vnodes this reply lists: an applied vnode
+  // with no output clears to empty, and a deduplicated vnode whose node
+  // kept the outputs of its first apply (output rows) refills from them.
+  // A deduplicated vnode absent from the set keeps its slot: its rows are
+  // gone only below the cursor, whose entries are complete here.
   std::set<uint32_t> applied(reply.applied_vnodes.begin(),
                              reply.applied_vnodes.end());
   for (uint32_t vnode : applied) entry.slots[vnode].clear();
@@ -341,6 +343,7 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
         req.op = op;
         req.side = input.side;
         req.return_outputs = routing.track_outputs ? 1 : 0;
+        req.cursor = input.cursor;
         req.batch = std::move(sub);
         std::string body;
         req.EncodeTo(&body);
@@ -420,10 +423,10 @@ Status ClusterDriver::PumpOperator(const std::string& op, OpRouting& routing,
     }
 
     // Single-threaded from here. Fold EVERY successful reply into stats
-    // and the edge log — even past a failed sibling, since a replay of
-    // that offset will dedup the successful sub-batch and return no
-    // outputs — then advance the cursor over the contiguous prefix of
-    // fully-acked offsets and mark those edge entries complete.
+    // and the edge log — even past a failed sibling, whose replay dedups
+    // the successful sub-batch — then advance the cursor over the
+    // contiguous prefix of fully-acked offsets and mark those edge entries
+    // complete.
     Status failure = shared.first_error;
     bool prefix_intact = true;
     for (const OffsetWork& work : works) {
@@ -697,12 +700,18 @@ Status ClusterDriver::RecoverNodes(const std::vector<uint32_t>& dead_nodes) {
     if (dead >= endpoints_.size()) {
       return Status::InvalidArgument("no such node");
     }
-    if (!alive_[dead]) continue;  // already recovered
+    if (!alive_[dead]) continue;  // already declared
     alive_[dead] = false;
     transport_->Forget(endpoints_[dead]);
     newly_dead.push_back(dead);
   }
-  if (newly_dead.empty()) return Status::OK();
+  // A recovery that failed part-way (a survivor died during it) left
+  // vnodes on dead nodes: this call re-homes them too.
+  bool orphaned = false;
+  for (const auto& [op, routing] : routing_) {
+    for (uint32_t owner : routing.owner) orphaned = orphaned || !alive_[owner];
+  }
+  if (newly_dead.empty() && !orphaned) return Status::OK();
   // A survivor's vnode whose holder died gets the next live node after
   // its owner; the Hello below makes each owner do the same.
   for (auto& [op, routing] : routing_) {
@@ -717,8 +726,8 @@ Status ClusterDriver::RecoverNodes(const std::vector<uint32_t>& dead_nodes) {
   // Survivors learn who died, so the checkpoint a caller takes right after
   // recovery replicates (and doesn't hang trying to reach a dead holder).
   RHINO_RETURN_NOT_OK(ReformRing());
-  for (uint32_t dead : newly_dead) {
-    RHINO_RETURN_NOT_OK(RecoverOne(dead));
+  for (uint32_t node = 0; node < endpoints_.size(); ++node) {
+    if (!alive_[node]) RHINO_RETURN_NOT_OK(RecoverOne(node));
   }
   return Status::OK();
 }

@@ -49,10 +49,13 @@
 /// upstream backup of every operator->operator edge, replayable exactly
 /// like a broker partition. Each edge-log entry keeps its output records
 /// in per-producer-vnode slots; a replayed upstream batch refreshes only
-/// the slots of vnodes the node actually re-applied
-/// (`ProcessBatchReply::applied_vnodes`), so deduplicated vnodes keep
-/// their original outputs and downstream operators never see duplicated
-/// or lost edge records.
+/// the slots of the vnodes its reply lists
+/// (`ProcessBatchReply::applied_vnodes`), so downstream operators never
+/// see duplicated or lost edge records. A node keeps an edge batch's
+/// outputs as rows of the producing vnodes' state until the input's
+/// cursor passes the batch, so a replay whose first reply was lost (the
+/// node died before replying, or the reply itself was lost) is answered
+/// with the outputs of the first apply, wherever the vnode now lives.
 ///
 /// Exactly-once: the driver may re-send any batch (after an RPC retry or
 /// a post-failure rewind); nodes deduplicate on per-(vnode, source) replay
@@ -191,14 +194,16 @@ class ClusterDriver {
   /// nodes down): every listed node is declared dead up front — so the
   /// re-formed cluster, the new holders and the recovery RPCs only touch
   /// true survivors — then each dead node's state is re-homed in turn.
+  /// Resumable: vnodes that a recovery which failed part-way (a survivor
+  /// died during it) left on dead nodes are re-homed by the next call,
+  /// whatever it lists.
   Status RecoverNodes(const std::vector<uint32_t>& dead_nodes);
 
   /// Probes every live node with kStats; returns ids that did not answer.
   std::vector<uint32_t> ProbeFailures();
 
   Result<uint64_t> QueryCount(const std::string& op, uint64_t key);
-  /// Kind-specific state query (join: per-side entry counts; modeled:
-  /// vnode bytes).
+  /// Kind-specific state query (join: per-side entry counts).
   Result<QueryCountReply> QueryState(const std::string& op, uint64_t key);
   Result<StatsReply> NodeStats(uint32_t node);
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/checkpoint_chain.h"
-#include "state/modeled_state_backend.h"
 
 namespace rhino::net {
 
@@ -201,6 +200,13 @@ Result<std::string> NodeServer::HandleAddOperator(std::string_view body) {
   if (spec.num_vnodes == 0) {
     return Status::InvalidArgument("num_vnodes must be > 0");
   }
+  if (spec.kind == dataflow::OperatorKind::kModeledState) {
+    // A modeled operator counts bytes and stores no values: a simulator
+    // concept, which the real runtime does not host.
+    return Status::InvalidArgument("operator " + spec.name +
+                                   " is modeled; nodes host only real "
+                                   "operators");
+  }
   auto it = shards_.find(spec.name);
   if (it != shards_.end()) {
     // Idempotent re-add (driver retry after a transport hiccup).
@@ -211,25 +217,16 @@ Result<std::string> NodeServer::HandleAddOperator(std::string_view body) {
     }
     return std::string();
   }
-  std::unique_ptr<state::StateBackend> backend;
-  if (spec.kind == dataflow::OperatorKind::kModeledState) {
-    // Modeled operators account bytes instead of materializing values —
-    // no LSM shard on disk, same protocols above the backend interface.
-    backend = std::make_unique<state::ModeledStateBackend>(spec.name,
-                                                           node_id_.load());
-  } else {
-    // Real worker processes take flushes/compactions off the RPC thread:
-    // a ProcessBatch that fills a memtable schedules the flush and
-    // returns instead of paying for it inline (failures surface on the
-    // next write).
-    lsm::Options lsm_options;
-    lsm_options.background_maintenance = true;
-    RHINO_ASSIGN_OR_RETURN(
-        backend,
-        state::LsmStateBackend::Open(env_, options_.data_dir + "/" + spec.name,
-                                     spec.name, node_id_.load(),
-                                     std::move(lsm_options)));
-  }
+  // Real worker processes take flushes/compactions off the RPC thread: a
+  // ProcessBatch that fills a memtable schedules the flush and returns
+  // instead of paying for it inline (failures surface on the next write).
+  lsm::Options lsm_options;
+  lsm_options.background_maintenance = true;
+  RHINO_ASSIGN_OR_RETURN(
+      std::unique_ptr<state::StateBackend> backend,
+      state::LsmStateBackend::Open(env_, options_.data_dir + "/" + spec.name,
+                                   spec.name, node_id_.load(),
+                                   std::move(lsm_options)));
   const uint32_t num_vnodes = spec.num_vnodes;
   RHINO_ASSIGN_OR_RETURN(
       auto host,
@@ -259,19 +256,27 @@ Result<std::string> NodeServer::HandleProcessBatch(std::string_view body) {
   RHINO_ASSIGN_OR_RETURN(Shard * shard, FindShard(req.op));
   // The host runs the same dedup + operator core as the in-process
   // engine; strict ownership turns a misrouted record into a clean
-  // FailedPrecondition before any state mutation.
+  // FailedPrecondition before any state mutation. A batch whose outputs
+  // feed an edge keeps them as output rows of the vnodes that made them,
+  // so a replay whose first reply was lost is answered with them.
   dataflow::Batch out;
   out.create_time = req.batch.create_time;
   RHINO_ASSIGN_OR_RETURN(
       dataflow::ApplyResult applied,
       shard->host->Apply(static_cast<int>(req.side), req.batch,
                          /*now=*/req.batch.create_time, &out,
-                         /*strict_ownership=*/true));
+                         /*strict_ownership=*/true,
+                         req.return_outputs != 0
+                             ? std::optional<uint64_t>(req.cursor)
+                             : std::nullopt));
   ProcessBatchReply reply;
   reply.applied = applied.applied;
   reply.deduped = applied.deduped;
   reply.applied_vnodes.assign(applied.applied_vnodes.begin(),
                               applied.applied_vnodes.end());
+  reply.applied_vnodes.insert(reply.applied_vnodes.end(),
+                              applied.answered_vnodes.begin(),
+                              applied.answered_vnodes.end());
   if (req.return_outputs != 0 && out.count > 0) {
     EncodeBatch(out, &reply.outputs);
   }
@@ -1098,10 +1103,14 @@ void NodeServer::ReplicatorLoop() {
     }
     if (live.empty()) {
       // Nothing to ship here (the vnodes moved away or to other streams):
-      // return the credit.
+      // return the credit. A failed delta of these vnodes is owed to this
+      // holder no more, so its failure no longer fails a barrier; any other
+      // unshipped work still holds the barrier back as dirty.
       {
         std::lock_guard<std::mutex> lock(repl->mu);
-        --repl->peers[peer].inflight;
+        PeerStream& stream = repl->peers[peer];
+        --stream.inflight;
+        stream.error = Status::OK();
       }
       repl->work_cv.notify_all();
       repl->barrier_cv.notify_all();

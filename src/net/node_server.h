@@ -55,10 +55,12 @@
 ///
 ///  * **data plane** — `kProcessBatch` folds routed records into the
 ///    hosted operator through the exact same `StatefulOperatorCore` the
-///    thread-mode `StatefulInstance` runs (keyed counter, symmetric hash
-///    join, modeled state); records below a vnode's replay watermark are
-///    deduplicated (exactly-once under replay), and a batch's state and
-///    watermarks commit together as one WAL record;
+///    simulator's `StatefulInstance` runs (keyed counter, symmetric hash
+///    join; a modeled operator is refused); records below a vnode's
+///    replay watermark are deduplicated (exactly-once under replay), and a
+///    batch's state and watermarks commit together as one WAL record. A
+///    batch whose outputs feed an edge also commits them, as output rows
+///    of the vnodes that made them, and a replay is answered with them;
 ///  * **replication** — every write marks its vnode dirty and a
 ///    background replicator streams per-vnode deltas to each vnode's
 ///    holder as pipelined `kReplicateState` requests under a small credit

@@ -167,7 +167,7 @@ void PipelinedChannel::ReaderLoop() {
     if (!st.ok()) {
       // Aborted/IOError: connection dropped. Corruption: the reply
       // stream lost sync. Either way the stream is unusable; park the
-      // window and reconnect (replay is idempotent server-side).
+      // window and reconnect.
       {
         std::lock_guard<std::mutex> lock(mu_);
         connected_ = false;
@@ -227,9 +227,10 @@ bool PipelinedChannel::ReconnectAndReplay() {
       last = st;
       continue;
     }
-    // Replay the whole window in seq order. Replies that were lost with
-    // the old connection re-apply server-side as dedups — idempotence is
-    // what makes replay exactly-once from the application's view.
+    // Replay the whole window in seq order. A batch whose reply was lost
+    // with the old connection is deduplicated server-side (and answered
+    // with the outputs its first apply kept); a control verb is not
+    // idempotent (pipeline.h).
     std::vector<std::pair<uint64_t, std::pair<MessageType, std::string>>> window;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -286,8 +287,9 @@ void PipelinedChannel::SweepDeadlines() {
   }
   for (auto& p : expired) {
     // The request may still apply server-side; a late reply to this id
-    // is dropped. Callers treat TimedOut as transient and replay — the
-    // server dedups.
+    // is dropped. Callers treat TimedOut as transient and replay: a batch
+    // is deduplicated (and answered with its kept outputs), a control
+    // verb is not idempotent.
     if (p.cb) {
       p.cb(Status::TimedOut(what_ + ": no reply within " +
                             std::to_string(options_.deadline_ms) + "ms"),

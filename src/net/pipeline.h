@@ -18,8 +18,7 @@
 /// \file pipeline.h
 /// Pipelined RPC channel: a bounded window of correlation-id-tagged
 /// requests in flight on ONE connection, with out-of-order reply
-/// matching, per-request deadlines, and idempotent window replay on
-/// reconnect.
+/// matching, per-request deadlines, and window replay on reconnect.
 ///
 /// Paying a full round trip per request would make the network the
 /// pipeline at the driver's batch sizes. This channel overlaps
@@ -43,8 +42,13 @@
 ///
 /// Failure semantics: a transport error parks the window and the reader
 /// reconnects under a fresh `runtime::BlockingRetrier` budget, replaying
-/// every pending request (the server's verbs are idempotent, so a request
-/// whose reply was lost is safely re-applied and answered `deduped`).
+/// every pending request. That is safe for the data plane only: a
+/// `kProcessBatch` whose first apply landed is deduplicated, and answered
+/// with the outputs that apply kept when they feed an operator edge; a
+/// `kReplicateState` delta at or below the holder's copy is acked
+/// unapplied. The control verbs are not idempotent: a replayed
+/// `kIngestVnodes` or `kDropVnodes` whose first apply landed fails, and
+/// the driver's routing and the nodes' ownership part.
 /// When the budget is exhausted the channel breaks: all pending and all
 /// future submits fail with the retrier's verdict, and the owner is
 /// expected to `Forget` the endpoint (driver failure handling) which

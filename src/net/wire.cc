@@ -1,6 +1,5 @@
 #include "net/wire.h"
 
-#include <bit>
 #include <utility>
 
 #include "common/serde.h"
@@ -98,19 +97,6 @@ Status GetImages(BinaryReader* r, std::vector<VnodeImage>* images) {
 
 // The request type of the checkpoint restore verb until version 8: unused.
 constexpr uint8_t kRetiredType = 10;
-
-// Doubles cross the wire as their IEEE-754 bit pattern in a u64; the
-// serde layer is integers-and-strings only.
-void PutDouble(BinaryWriter* w, double value) {
-  w->PutU64(std::bit_cast<uint64_t>(value));
-}
-
-Status GetDouble(BinaryReader* r, double* value) {
-  uint64_t bits = 0;
-  RHINO_RETURN_NOT_OK(r->GetU64(&bits));
-  *value = std::bit_cast<double>(bits);
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -253,12 +239,6 @@ void EncodeOperatorSpec(const dataflow::OperatorSpec& spec, std::string* out) {
   w.PutString(spec.name);
   w.PutU32(spec.num_vnodes);
   w.PutU32(spec.input_arity);
-  w.PutU8(static_cast<uint8_t>(spec.model.pattern));
-  PutDouble(&w, spec.model.state_bytes_per_input_byte);
-  w.PutU64(spec.model.rmw_cap_bytes_per_vnode);
-  w.PutI64(spec.model.retention_us);
-  PutDouble(&w, spec.model.output_selectivity);
-  w.PutU32(spec.model.output_record_bytes);
 }
 
 Result<dataflow::OperatorSpec> DecodeOperatorSpec(std::string_view data) {
@@ -276,20 +256,6 @@ Result<dataflow::OperatorSpec> DecodeOperatorSpec(std::string_view data) {
   RHINO_RETURN_NOT_OK(r.GetString(&spec.name));
   RHINO_RETURN_NOT_OK(r.GetU32(&spec.num_vnodes));
   RHINO_RETURN_NOT_OK(r.GetU32(&spec.input_arity));
-  uint8_t pattern = 0;
-  RHINO_RETURN_NOT_OK(r.GetU8(&pattern));
-  if (pattern >
-      static_cast<uint8_t>(dataflow::StateModelConfig::Pattern::kSession)) {
-    return Status::Corruption("unknown state model pattern " +
-                              std::to_string(pattern));
-  }
-  spec.model.pattern =
-      static_cast<dataflow::StateModelConfig::Pattern>(pattern);
-  RHINO_RETURN_NOT_OK(GetDouble(&r, &spec.model.state_bytes_per_input_byte));
-  RHINO_RETURN_NOT_OK(r.GetU64(&spec.model.rmw_cap_bytes_per_vnode));
-  RHINO_RETURN_NOT_OK(r.GetI64(&spec.model.retention_us));
-  RHINO_RETURN_NOT_OK(GetDouble(&r, &spec.model.output_selectivity));
-  RHINO_RETURN_NOT_OK(r.GetU32(&spec.model.output_record_bytes));
   RHINO_RETURN_NOT_OK(CheckAtEnd(r, "operator spec"));
   return spec;
 }
@@ -341,6 +307,7 @@ void ProcessBatchRequest::EncodeTo(std::string* out) const {
   w.PutString(op);
   w.PutU32(side);
   w.PutU8(return_outputs);
+  if (return_outputs != 0) w.PutVarint(cursor);
   std::string encoded;
   EncodeBatch(batch, &encoded);
   w.PutString(encoded);
@@ -352,6 +319,7 @@ Result<ProcessBatchRequest> ProcessBatchRequest::Decode(std::string_view data) {
   RHINO_RETURN_NOT_OK(r.GetString(&req.op));
   RHINO_RETURN_NOT_OK(r.GetU32(&req.side));
   RHINO_RETURN_NOT_OK(r.GetU8(&req.return_outputs));
+  if (req.return_outputs != 0) RHINO_RETURN_NOT_OK(r.GetVarint(&req.cursor));
   std::string_view encoded;
   RHINO_RETURN_NOT_OK(r.GetString(&encoded));
   RHINO_ASSIGN_OR_RETURN(req.batch, DecodeBatch(encoded));

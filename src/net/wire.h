@@ -108,7 +108,12 @@ const char* MessageTypeName(MessageType type);
 /// moved vnodes to the held copy of that seq, or drops them and answers
 /// their last shipped seqs, which `kRelabelVnodes` (14) checks at the old
 /// holder. Stream deltas carry no tombstones.
-constexpr uint8_t kWireVersion = 9;
+/// Version 10 keeps an operator edge's outputs with the state that made
+/// them: `kProcessBatch` carries the input's cursor when it asks for
+/// outputs, and a replayed batch is answered with the outputs its first
+/// apply kept. The operator spec lost the modeled-state config: the
+/// networked runtime hosts no modeled operators.
+constexpr uint8_t kWireVersion = 10;
 
 /// Always true: the pipelined data plane with continuous replication is
 /// the only one. Kept as a constant because `perfbench/` still guards on
@@ -165,7 +170,7 @@ void EncodeBatch(const dataflow::Batch& batch, std::string* out);
 Result<dataflow::Batch> DecodeBatch(std::string_view data);
 
 /// Operator specs travel inside `kAddOperator`: kind byte, name, vnode
-/// count, input arity, and the modeled-state config. An unknown kind byte
+/// count and input arity. An unknown kind byte
 /// decodes to `InvalidArgument` (not `Corruption`) — the frame is intact,
 /// the request is just not satisfiable, and the driver surfaces the error
 /// verbatim instead of silently hosting the wrong operator.
@@ -204,11 +209,16 @@ struct AddOperatorRequest {
 /// watermarks deduplicate on them. `side` is the operator's logical input
 /// (1 = the join's right column); `return_outputs` asks the node to ship
 /// produced records back in the reply so the driver can feed downstream
-/// operators or audit sink output.
+/// operators or audit sink output. Only then does the request carry
+/// `cursor`, the input's replay cursor: the node keeps each applied
+/// vnode's outputs as output rows of its state and deletes the vnode's
+/// rows below the cursor, whose outputs the driver holds
+/// (`dataflow::OperatorHost::Apply`).
 struct ProcessBatchRequest {
   std::string op;
   uint32_t side = 0;
   uint8_t return_outputs = 0;
+  uint64_t cursor = 0;  ///< encoded only with `return_outputs`
   dataflow::Batch batch;
 
   void EncodeTo(std::string* out) const;
@@ -218,9 +228,10 @@ struct ProcessBatchRequest {
 struct ProcessBatchReply {
   uint64_t applied = 0;
   uint64_t deduped = 0;
-  /// Vnodes the batch actually folded into (post-dedup) — the driver
-  /// replaces its edge-log output slots only for these, so replays cannot
-  /// clobber retained outputs of deduplicated vnodes.
+  /// Vnodes whose outputs of this batch the reply carries: those it
+  /// folded into (post-dedup), and deduplicated ones answered from their
+  /// output rows. The driver replaces its edge-log output slots only for
+  /// these, so replays cannot clobber retained outputs of other vnodes.
   std::vector<uint32_t> applied_vnodes;
   /// Encoded output batch when `return_outputs` was set and the operator
   /// produced records; empty otherwise.
@@ -393,8 +404,8 @@ struct QueryCountRequest {
   static Result<QueryCountRequest> Decode(std::string_view data);
 };
 
-/// Kind-specific: the running count (counter), total stored entries for
-/// the key with the per-side split (join), or vnode state bytes (modeled).
+/// Kind-specific: the running count (counter), or total stored entries
+/// for the key with the per-side split (join).
 struct QueryCountReply {
   uint64_t count = 0;
   uint64_t left = 0;

@@ -16,8 +16,9 @@
 /// and a possible allocation) and keeps the returned pointer; the hot-path
 /// update through that pointer is a plain arithmetic store — no lookup, no
 /// allocation, no branch on a registry lock. Counters and gauges are
-/// relaxed atomics so node threads under `RealtimeExecutor` update them
-/// without coordination; histograms take a short internal lock (they
+/// relaxed atomics so a networked node's threads (handlers, replicator,
+/// channel readers, LSM background work) update them without
+/// coordination; histograms take a short internal lock (they
 /// allocate). Registration itself is serialized by a registry mutex; the
 /// handle discipline is what keeps instrumentation off the hot path.
 ///

@@ -25,11 +25,11 @@
 /// timeline debugging (see exporters.h).
 ///
 /// Thread safety: recording (Emit/BeginSpan/EndSpan/EmitSpan) serializes
-/// on an internal mutex so node threads under `RealtimeExecutor` can
-/// trace concurrently; the enabled flags are lock-free so a disabled log
-/// costs one relaxed load. Queries (`events`, `Select`, `Spans`) read
-/// without the lock and are only valid once writers are quiescent (after
-/// the executor drained) — which is when tests and exporters run.
+/// on an internal mutex so a networked node's handler, replicator and
+/// transport threads can trace concurrently; the enabled flags are
+/// lock-free so a disabled log costs one relaxed load. Queries (`events`,
+/// `Select`, `Spans`) read without the lock and are only valid once
+/// writers are quiescent — which is when tests and exporters run.
 
 namespace rhino::obs {
 

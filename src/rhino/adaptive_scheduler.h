@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 
 #include "dataflow/engine.h"
 
@@ -42,22 +41,20 @@ class AdaptiveCheckpointScheduler {
   /// Starts the loop. Replaces any fixed periodic checkpointing — do not
   /// also call Engine::StartPeriodicCheckpoints.
   void Start() {
-    running_.store(true, std::memory_order_release);
+    running_ = true;
     Tick();
   }
-  void Stop() { running_.store(false, std::memory_order_release); }
+  void Stop() { running_ = false; }
 
   SimTime current_interval() const { return interval_; }
   uint64_t last_delta_bytes() const { return last_delta_; }
 
  private:
-  // Tick and the completion observer always run on the executor's default
-  // strand, so interval_/last_delta_ need no lock; running_ is atomic for
-  // the cross-thread Stop().
+  // Tick and the completion observer run on the executor's default queue.
   void Tick() {
-    if (!running_.load(std::memory_order_acquire)) return;
+    if (!running_) return;
     engine_->executor()->Schedule(interval_, [this] {
-      if (!running_.load(std::memory_order_acquire)) return;
+      if (!running_) return;
       if (!engine_->checkpoint_in_flight()) {
         uint64_t id = engine_->TriggerCheckpoint();
         ObserveWhenComplete(id);
@@ -95,7 +92,7 @@ class AdaptiveCheckpointScheduler {
   AdaptiveSchedulerOptions options_;
   SimTime interval_;
   uint64_t last_delta_ = 0;
-  std::atomic<bool> running_{false};
+  bool running_ = false;
 };
 
 }  // namespace rhino::rhino

@@ -45,11 +45,7 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
   };
   // The delta is spooled to the local disk (the primary copy)...
   sim::Node& node = cluster_->node(node_id);
-  int disk;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    disk = disk_cursor_[node_id]++ % node.num_disks();
-  }
+  int disk = disk_cursor_[node_id]++ % node.num_disks();
   node.disk(disk).Write(
       desc.DeltaBytes(),
       [this, op, subtask, node_id, desc, images = std::move(images),
@@ -118,17 +114,13 @@ void DfsCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
                         static_cast<uint32_t>(instance->subtask()));
   std::string path =
       "/checkpoints/" + key + "/delta-" + std::to_string(desc.checkpoint_id);
-  auto images = CaptureImages(stateful);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    paths_[key].push_back(path);
-    // The entry holds exactly this checkpoint's images: a vnode the
-    // instance gave away since its last checkpoint is its new owner's.
-    ReplicaState& rep = latest_[key];
-    rep.latest_checkpoint_id = desc.checkpoint_id;
-    rep.latest_descriptor = desc;
-    rep.images = std::move(images);
-  }
+  paths_[key].push_back(path);
+  // The entry holds exactly this checkpoint's images: a vnode the instance
+  // gave away since its last checkpoint is its new owner's.
+  ReplicaState& rep = latest_[key];
+  rep.latest_checkpoint_id = desc.checkpoint_id;
+  rep.latest_descriptor = desc;
+  rep.images = CaptureImages(stateful);
   obs::Observability* o = instance->engine()->obs();
   o->metrics()
       .GetCounter("rhino_checkpoint_dfs_upload_bytes_total")
@@ -145,7 +137,6 @@ void DfsCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
 
 std::vector<std::string> DfsCheckpointStorage::PathsFor(const std::string& op,
                                                         uint32_t subtask) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = paths_.find(Key(op, subtask));
   if (it == paths_.end()) return {};
   return it->second;
@@ -153,7 +144,6 @@ std::vector<std::string> DfsCheckpointStorage::PathsFor(const std::string& op,
 
 const ReplicaState* DfsCheckpointStorage::LatestFor(const std::string& op,
                                                     uint32_t subtask) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = latest_.find(Key(op, subtask));
   return it == latest_.end() ? nullptr : &it->second;
 }
@@ -163,7 +153,6 @@ std::map<uint32_t, state::VnodeImage> DfsCheckpointStorage::LatestImages(
   std::map<uint32_t, state::VnodeImage> images;
   std::map<uint32_t, uint64_t> checkpoint_of;
   const std::string prefix = op + "#";
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto it = latest_.lower_bound(prefix);
        it != latest_.end() && it->first.starts_with(prefix); ++it) {
     const ReplicaState& rep = it->second;
@@ -185,7 +174,6 @@ void DfsCheckpointStorage::SeedCheckpoint(
   std::string path =
       "/checkpoints/" + key + "/delta-" + std::to_string(desc.checkpoint_id);
   dfs_->RegisterFile(path, desc.TotalBytes(), home_node);
-  std::lock_guard<std::mutex> lock(mu_);
   paths_[key].push_back(path);
   ReplicaState& rep = latest_[key];
   rep.latest_checkpoint_id = desc.checkpoint_id;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,7 +62,6 @@ class RhinoCheckpointStorage : public dataflow::CheckpointStorage {
   sim::Cluster* cluster_;
   ReplicationRuntime* runtime_;
   runtime::RetryOptions retry_;
-  std::mutex mu_;  ///< guards disk_cursor_ (Persist runs on node strands)
   std::map<int, int> disk_cursor_;
 };
 
@@ -108,10 +106,9 @@ class DfsCheckpointStorage : public dataflow::CheckpointStorage {
 
   sim::Cluster* cluster_;
   dfs::DistributedFileSystem* dfs_;
-  /// Guards the catalog below. `LatestFor` hands out stable map-node
-  /// pointers; a later checkpoint of the same instance overwrites the
-  /// entry's fields, so callers copy promptly.
-  mutable std::mutex mu_;
+  /// `LatestFor` hands out stable map-node pointers; a later checkpoint of
+  /// the same instance overwrites the entry's fields, so callers copy
+  /// promptly.
   std::map<std::string, std::vector<std::string>> paths_;
   std::map<std::string, ReplicaState> latest_;
 };

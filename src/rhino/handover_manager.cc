@@ -28,12 +28,13 @@ struct Shipment {
   std::function<void()> deliver;
   std::function<void(Status)> give_up;
   std::shared_ptr<runtime::Retrier> retrier;
-  std::atomic<bool> settled{false};
+  bool settled = false;
 
-  bool Settle() { return !settled.exchange(true); }
+  /// True the first time only.
+  bool Settle() { return !std::exchange(settled, true); }
 
   static void Attempt(std::shared_ptr<Shipment> s) {
-    if (s->settled.load(std::memory_order_acquire)) return;
+    if (s->settled) return;
     sim::Cluster* cluster = s->engine->cluster();
     // Fail-stops are permanent — retrying cannot revive a dead endpoint.
     if (!cluster->node(s->src).alive() || !cluster->node(s->dst).alive()) {
@@ -47,7 +48,7 @@ struct Shipment {
     cluster->Transfer(
         s->src, s->dst, s->bytes,
         [s] {
-          if (s->settled.load(std::memory_order_acquire)) return;
+          if (s->settled) return;
           sim::Node& tgt = s->engine->cluster()->node(s->dst);
           tgt.disk(0).Write(s->bytes, [s] {
             if (s->Settle()) s->deliver();
@@ -63,7 +64,7 @@ struct Shipment {
                        spec.net_latency;
     SimTime timeout = expected * 3 + 50 * kMillisecond;
     s->engine->executor()->Schedule(timeout, [s] {
-      if (s->settled.load(std::memory_order_acquire)) return;
+      if (s->settled) return;
       SimTime backoff = 0;
       if (!s->retrier->NextBackoff(&backoff)) {
         if (s->Settle()) {
@@ -189,7 +190,7 @@ std::vector<uint64_t> HandoverManager::RecoverFailedNode(int node) {
     for (uint32_t v = 0; v < owner.size(); ++v) {
       owner[v] = table->InstanceForVnode(v);
     }
-    for (const auto& record : engine_->SnapshotHandovers()) {
+    for (const auto& record : engine_->handovers()) {
       if (record.completed || record.spec->operator_name != op) continue;
       for (const HandoverMove& mv : record.spec->moves) {
         for (uint32_t v : mv.vnodes) owner[v] = mv.target_instance;
@@ -251,13 +252,10 @@ std::vector<uint64_t> HandoverManager::RecoverFailedNode(int node) {
   }
 
   // Markers go in *before* the rewind (they rewire the upstream gates, so
-  // every replayed record routes to the new owners) — but both must land
-  // on each source atomically. Under real threads, a source left running
-  // between marker injection and its rewind can emit a pre-rewind record
-  // through an already-rewired gate; the new owner's replay watermark
-  // then jumps past the tail about to be replayed and deduplicates it as
-  // already seen — silently losing records the simulator (where this
-  // whole block is one event) could never lose.
+  // every replayed record routes to the new owners), and both land on each
+  // source in one step: a fetch completing in between would emit a
+  // pre-rewind record through an already-rewired gate, and the new owner's
+  // replay watermark would then jump past the tail about to be replayed.
   std::vector<dataflow::ControlEvent> markers;
   for (auto& [op, moves] : moves_per_op) {
     auto spec = std::make_shared<HandoverSpec>();
@@ -334,7 +332,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
   // the move (the origin keeps its state, the recovery handover re-homes
   // the vnodes later).
   auto abandon = [this, spec_copy, move_copy, origin, done]() {
-    abandoned_moves_.fetch_add(1, std::memory_order_relaxed);
+    abandoned_moves_ += 1;
     engine_->obs()
         ->metrics()
         .GetCounter("rhino_handover_abandoned_moves_total")
@@ -542,7 +540,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
     plan->missing = to_restore.size();
   }
   if (plan->missing > 0) {
-    degraded_restores_.fetch_add(1, std::memory_order_relaxed);
+    degraded_restores_ += 1;
     engine_->obs()
         ->metrics()
         .GetCounter("rhino_handover_degraded_restores_total")
@@ -627,7 +625,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
             // The remote copy stayed unreachable past the retry budget:
             // degrade to upstream replay, the same contract as vnodes with
             // no live copy at planning time.
-            degraded_restores_.fetch_add(1, std::memory_order_relaxed);
+            degraded_restores_ += 1;
             engine_->obs()
                 ->metrics()
                 .GetCounter("rhino_handover_degraded_restores_total")
@@ -658,8 +656,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       engine_->executor()->Schedule(options_.local_fetch_us, restore);
       return;
     }
-    auto remaining =
-        std::make_shared<std::atomic<size_t>>(paths.size());
+    auto remaining = std::make_shared<size_t>(paths.size());
     for (const auto& path : paths) {
       options_.dfs->ReadFile(path, target->node_id(),
                              [remaining, restore](Status st) {
@@ -668,14 +665,13 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
                                      << "DFS read failed during restore: "
                                      << st.ToString();
                                }
-                               if (remaining->fetch_sub(1) == 1) restore();
+                               if (--*remaining == 0) restore();
                              });
     }
   }
 }
 
 const HandoverStats* HandoverManager::StatsFor(uint64_t handover_id) const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
   auto it = stats_.find(handover_id);
   return it == stats_.end() ? nullptr : &it->second;
 }

@@ -1,11 +1,9 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -131,19 +129,13 @@ class HandoverManager : public dataflow::HandoverDelegate {
   // ---- diagnostics ----
   /// Moves abandoned because the target's worker fail-stopped mid-handover
   /// (the origin kept its state).
-  uint64_t abandoned_moves() const {
-    return abandoned_moves_.load(std::memory_order_relaxed);
-  }
+  uint64_t abandoned_moves() const { return abandoned_moves_; }
   /// Failed-origin restores that found no live copy for ≥1 vnode and fell
   /// back to upstream replay only.
-  uint64_t degraded_restores() const {
-    return degraded_restores_.load(std::memory_order_relaxed);
-  }
+  uint64_t degraded_restores() const { return degraded_restores_; }
 
  private:
-  uint64_t NextHandoverId() {
-    return next_handover_id_.fetch_add(1, std::memory_order_relaxed);
-  }
+  uint64_t NextHandoverId() { return next_handover_id_++; }
 
   /// Ships `bytes` from `src` to `dst` and spools them to the target's
   /// disk, retrying per `options_.retry` when an injected fault swallows
@@ -154,11 +146,9 @@ class HandoverManager : public dataflow::HandoverDelegate {
                           std::function<void()> deliver,
                           std::function<void(Status)> give_up);
 
-  /// Applies `fn` to the stats row of `id` under the stats lock (moves of
-  /// one handover resolve concurrently on different node strands).
+  /// Applies `fn` to the stats row of `id`.
   template <typename Fn>
   void UpdateStats(uint64_t id, Fn&& fn) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
     fn(stats_[id]);
   }
 
@@ -166,14 +156,13 @@ class HandoverManager : public dataflow::HandoverDelegate {
   ReplicationManager* manager_;
   ReplicationRuntime* runtime_;
   HandoverOptions options_;
-  std::atomic<uint64_t> next_handover_id_{1};
-  std::atomic<uint64_t> next_mini_checkpoint_{1ull << 32};  // disjoint ids
-  mutable std::mutex stats_mu_;
+  uint64_t next_handover_id_ = 1;
+  uint64_t next_mini_checkpoint_ = 1ull << 32;  // disjoint ids
   /// Map nodes are stable: StatsFor hands out pointers that outlive later
   /// insertions; read their fields only once the handover resolved.
   std::map<uint64_t, HandoverStats> stats_;
-  std::atomic<uint64_t> abandoned_moves_{0};
-  std::atomic<uint64_t> degraded_restores_{0};
+  uint64_t abandoned_moves_ = 0;
+  uint64_t degraded_restores_ = 0;
 };
 
 }  // namespace rhino::rhino

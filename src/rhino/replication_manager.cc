@@ -5,7 +5,6 @@
 namespace rhino::rhino {
 
 void ReplicationManager::BuildGroups(std::vector<InstanceInfo> instances) {
-  std::lock_guard<std::mutex> lock(mu_);
   groups_.clear();
   infos_.clear();
   load_.clear();
@@ -46,12 +45,11 @@ void ReplicationManager::BuildGroups(std::vector<InstanceInfo> instances) {
   }
   obs_->metrics()
       .GetGauge("rhino_replication_degraded_groups")
-      ->Set(static_cast<double>(DegradedGroupsLocked().size()));
+      ->Set(static_cast<double>(degraded_groups().size()));
 }
 
 std::vector<int> ReplicationManager::Group(const std::string& op,
                                            uint32_t subtask) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = groups_.find(Key(op, subtask));
   RHINO_CHECK(it != groups_.end())
       << "no replica group for " << op << "#" << subtask;
@@ -60,7 +58,6 @@ std::vector<int> ReplicationManager::Group(const std::string& op,
 
 bool ReplicationManager::NodeInGroup(const std::string& op, uint32_t subtask,
                                      int node) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = groups_.find(Key(op, subtask));
   if (it == groups_.end()) return false;
   return std::find(it->second.begin(), it->second.end(), node) !=
@@ -68,7 +65,6 @@ bool ReplicationManager::NodeInGroup(const std::string& op, uint32_t subtask,
 }
 
 std::vector<GroupRepair> ReplicationManager::HandleWorkerFailure(int failed) {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<GroupRepair> repairs;
   workers_.erase(std::remove(workers_.begin(), workers_.end(), failed),
                  workers_.end());
@@ -103,16 +99,11 @@ std::vector<GroupRepair> ReplicationManager::HandleWorkerFailure(int failed) {
       ->Increment(repairs.size());
   obs_->metrics()
       .GetGauge("rhino_replication_degraded_groups")
-      ->Set(static_cast<double>(DegradedGroupsLocked().size()));
+      ->Set(static_cast<double>(degraded_groups().size()));
   return repairs;
 }
 
 std::vector<std::string> ReplicationManager::degraded_groups() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DegradedGroupsLocked();
-}
-
-std::vector<std::string> ReplicationManager::DegradedGroupsLocked() const {
   std::vector<std::string> degraded;
   for (const auto& [key, group] : groups_) {
     if (static_cast<int>(group.size()) < replication_factor_) {
@@ -123,7 +114,6 @@ std::vector<std::string> ReplicationManager::DegradedGroupsLocked() const {
 }
 
 uint64_t ReplicationManager::WorkerLoad(int node) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = load_.find(node);
   return it == load_.end() ? 0 : it->second;
 }

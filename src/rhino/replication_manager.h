@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -65,12 +64,10 @@ class ReplicationManager {
   std::vector<std::string> degraded_groups() const;
 
   /// The replica chain of an instance (ordered: head first). Returned by
-  /// value: `HandleWorkerFailure` rewrites groups in place from the
-  /// coordinator while replication transfers start on node strands.
+  /// value: `HandleWorkerFailure` rewrites groups in place.
   std::vector<int> Group(const std::string& op, uint32_t subtask) const;
 
   bool HasGroup(const std::string& op, uint32_t subtask) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return groups_.count(Key(op, subtask)) > 0;
   }
 
@@ -97,12 +94,6 @@ class ReplicationManager {
     return op + "#" + std::to_string(subtask);
   }
 
-  /// Requires mu_ held by the caller.
-  std::vector<std::string> DegradedGroupsLocked() const;
-
-  /// Guards the group/load bookkeeping (read by replication transfers on
-  /// node strands, rewritten by failure repair on the coordinator).
-  mutable std::mutex mu_;
   std::vector<int> workers_;
   int replication_factor_;
   obs::Observability* obs_ = obs::Observability::Default();

@@ -1,19 +1,14 @@
 #include "rhino/replication_runtime.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace rhino::rhino {
 
 /// One checkpoint's journey down a replica chain.
-///
-/// Chunk completions land on the receiving nodes' strands, so a chain with
-/// several hops mutates this bookkeeping from several threads; `mu` guards
-/// it (recursive: a durability callback holds it while pumping the next
-/// hop, which re-locks).
 struct ReplicationRuntime::Transfer {
-  std::recursive_mutex mu;
   std::string op;
   uint32_t subtask = 0;
   std::vector<int> path;  // [primary, replica_1, ..., replica_r]
@@ -65,11 +60,11 @@ struct ReplicationRuntime::CatchUp {
   std::shared_ptr<ReplicaState> snapshot;
   std::function<void(Status)> finish;
   std::shared_ptr<runtime::Retrier> retrier;
-  std::atomic<bool> finished{false};
+  bool finished = false;
 
   /// First terminal event wins.
   bool Finish(Status st) {
-    if (finished.exchange(true)) return false;
+    if (std::exchange(finished, true)) return false;
     finish(std::move(st));
     return true;
   }
@@ -117,12 +112,10 @@ void ReplicationRuntime::ReplicateCheckpoint(
       {{"bytes", static_cast<int64_t>(delta)},
        {"hops", static_cast<int64_t>(hops)}});
 
-  // Runs with transfer->mu held (called from the tail's durability
-  // callback).
+  // Called from the tail's durability callback.
   auto finalize = [this, transfer] {
     if (transfer->completed) return;
     transfer->completed = true;
-    std::lock_guard<std::mutex> catalog_lock(catalog_mu_);
     // Record the secondary copies against the group's *current* live
     // membership: HandleWorkerFailure may have rewritten the group while
     // the chunks were in flight, and a node that left the group (or died)
@@ -148,7 +141,7 @@ void ReplicationRuntime::ReplicateCheckpoint(
       // that moved away since the previous checkpoint.
       rep.images = transfer->images;
     }
-    checkpoints_replicated_.fetch_add(1, std::memory_order_relaxed);
+    checkpoints_replicated_ += 1;
     obs_->metrics()
         .GetCounter("rhino_replication_completed_total")
         ->Increment();
@@ -160,7 +153,6 @@ void ReplicationRuntime::ReplicateCheckpoint(
   };
 
   if (transfer->total_chunks == 0) {
-    std::lock_guard<std::recursive_mutex> lock(transfer->mu);
     finalize();
     return;
   }
@@ -172,14 +164,12 @@ void ReplicationRuntime::ReplicateCheckpoint(
         obs_);
     ArmWatchdog(transfer, options_.retry.initial_backoff_us);
   }
-  std::lock_guard<std::recursive_mutex> lock(transfer->mu);
   for (size_t hop = 0; hop < hops; ++hop) PumpHop(transfer, hop);
 }
 
 void ReplicationRuntime::ArmWatchdog(std::shared_ptr<Transfer> transfer,
                                      SimTime delay) {
   cluster_->executor()->Schedule(delay, [this, transfer] {
-    std::lock_guard<std::recursive_mutex> lock(transfer->mu);
     if (transfer->completed) return;  // done or aborted: watchdog retires
     if (transfer->progress != transfer->progress_marker) {
       // Forward progress since the last check: reset the backoff ladder
@@ -199,7 +189,7 @@ void ReplicationRuntime::ArmWatchdog(std::shared_ptr<Transfer> transfer,
     // receiver's contiguous prefix and restore full credits. Duplicate
     // deliveries of chunks that were merely delayed are absorbed by the
     // received/written bitmaps.
-    retransmit_rounds_.fetch_add(1, std::memory_order_relaxed);
+    retransmit_rounds_ += 1;
     obs_->metrics()
         .GetCounter("rhino_replication_retransmit_rounds_total")
         ->Increment();
@@ -222,13 +212,12 @@ void ReplicationRuntime::ArmWatchdog(std::shared_ptr<Transfer> transfer,
 
 void ReplicationRuntime::AbortTransfer(const std::shared_ptr<Transfer>& transfer,
                                        Status status) {
-  // Requires transfer->mu held by the caller.
   if (transfer->completed) return;
   transfer->completed = true;
   // Break the self-reference cycle: `finalize` captures the transfer's own
   // shared_ptr, so a stored copy would keep the object alive forever.
   transfer->finalize = nullptr;
-  transfers_aborted_.fetch_add(1, std::memory_order_relaxed);
+  transfers_aborted_ += 1;
   obs_->metrics().GetCounter("rhino_replication_aborted_total")->Increment();
   obs_->trace().EndSpan(transfer->span, {{"aborted", 1}});
   obs_->trace().Emit("replication", "abort",
@@ -243,7 +232,6 @@ void ReplicationRuntime::AbortTransfer(const std::shared_ptr<Transfer>& transfer
 
 void ReplicationRuntime::PumpHop(std::shared_ptr<Transfer> transfer,
                                  size_t hop) {
-  // Requires transfer->mu held by the caller.
   if (transfer->completed) return;
   while (transfer->credits[hop] > 0 &&
          transfer->next_to_send[hop] < transfer->contiguous[hop]) {
@@ -265,20 +253,16 @@ void ReplicationRuntime::PumpHop(std::shared_ptr<Transfer> transfer,
     uint64_t chunk = transfer->next_to_send[hop]++;
     --transfer->credits[hop];
     int in_flight = options_.credit_window - transfer->credits[hop];
-    int seen = max_in_flight_.load(std::memory_order_relaxed);
-    while (in_flight > seen &&
-           !max_in_flight_.compare_exchange_weak(seen, in_flight)) {
-    }
+    max_in_flight_ = std::max(max_in_flight_, in_flight);
 
     uint64_t bytes = transfer->ChunkSize(chunk);
-    bytes_replicated_.fetch_add(bytes, std::memory_order_relaxed);
+    bytes_replicated_ += bytes;
     chunks_metric_->Increment();
     chunk_bytes_metric_->Increment(bytes);
     if (probe_) probe_("replication_chunk");
     cluster_->Transfer(
         src, dst, bytes,
         [this, transfer, hop, chunk, bytes] {
-          std::lock_guard<std::recursive_mutex> lock(transfer->mu);
           if (transfer->completed) return;
           // Chunk arrived at the receiver: it may flow further down the
           // chain immediately (chain replication pipelines hops)...
@@ -311,7 +295,6 @@ void ReplicationRuntime::PumpHop(std::shared_ptr<Transfer> transfer,
           int disk = transfer->disk_cursor[node_id]++ % node.num_disks();
           node.disk(disk).Write(
               bytes, [this, transfer, hop, receiver, chunk, node_id] {
-                std::lock_guard<std::recursive_mutex> lock(transfer->mu);
                 if (transfer->completed) return;
                 if (!cluster_->node(node_id).alive()) {
                   AbortTransfer(transfer,
@@ -349,7 +332,6 @@ const ReplicaState* ReplicationRuntime::ReplicaOn(const std::string& op,
                                                   uint32_t subtask,
                                                   int node) const {
   if (!cluster_->node(node).alive()) return nullptr;
-  std::lock_guard<std::mutex> lock(catalog_mu_);
   auto it = replicas_.find(Key(op, subtask));
   if (it == replicas_.end()) return nullptr;
   auto nit = it->second.find(node);
@@ -359,7 +341,6 @@ const ReplicaState* ReplicationRuntime::ReplicaOn(const std::string& op,
 
 int ReplicationRuntime::LiveReplicaNode(const std::string& op,
                                         uint32_t subtask) const {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
   auto it = replicas_.find(Key(op, subtask));
   if (it == replicas_.end()) return -1;
   int best = -1;
@@ -379,7 +360,6 @@ const ReplicaState* ReplicationRuntime::FindVnodeReplica(
     int* holder) const {
   *holder = -1;
   const ReplicaState* best = nullptr;
-  std::lock_guard<std::mutex> lock(catalog_mu_);
   std::string prefix = op + "#";
   for (auto it = replicas_.lower_bound(prefix);
        it != replicas_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
@@ -402,7 +382,6 @@ const ReplicaState* ReplicationRuntime::FindVnodeReplica(
 }
 
 void ReplicationRuntime::PurgeNode(int node) {
-  std::lock_guard<std::mutex> lock(catalog_mu_);
   size_t purged = 0;
   for (auto& [key, per_node] : replicas_) {
     purged += per_node.erase(node);
@@ -450,16 +429,14 @@ void ReplicationRuntime::CatchUpReplicas(const std::string& op,
   // Copy the reference state now: the catalog entry may be overwritten by
   // the next checkpoint (or purged) while the copies are on the wire.
   auto snapshot = std::make_shared<ReplicaState>(*ref);
-  // Copies complete on their targets' strands: the countdown is atomic and
-  // the aggregate status carries its own lock.
+  // The last copy to finish reports the first failure, or OK.
   struct Settle {
-    std::atomic<size_t> remaining;
-    std::mutex mu;
+    size_t remaining = 0;
     Status aggregate = Status::OK();
     std::function<void(Status)> done;
   };
   auto ctl = std::make_shared<Settle>();
-  ctl->remaining.store(lagging.size());
+  ctl->remaining = lagging.size();
   ctl->done = std::move(done);
   uint64_t bytes = snapshot->latest_descriptor.TotalBytes();
   for (int m : lagging) {
@@ -471,11 +448,9 @@ void ReplicationRuntime::CatchUpReplicas(const std::string& op,
     copy->snapshot = snapshot;
     copy->finish = [this, ctl](Status st) {
       if (!st.ok()) {
-        std::lock_guard<std::mutex> lock(ctl->mu);
         if (ctl->aggregate.ok()) ctl->aggregate = std::move(st);
       }
-      if (ctl->remaining.fetch_sub(1) == 1 && ctl->done) {
-        std::lock_guard<std::mutex> lock(ctl->mu);
+      if (--ctl->remaining == 0 && ctl->done) {
         ctl->done(ctl->aggregate);
       }
     };
@@ -489,7 +464,7 @@ void ReplicationRuntime::CatchUpReplicas(const std::string& op,
 }
 
 void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
-  if (ctl->finished.load(std::memory_order_acquire)) return;
+  if (ctl->finished) return;
   int m = ctl->target;
   // Fail-stops are permanent: no retry brings the copy (or its source)
   // back, so surface Aborted immediately.
@@ -504,8 +479,8 @@ void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
     return;
   }
   uint64_t bytes = ctl->bytes;
-  catchup_transfers_.fetch_add(1, std::memory_order_relaxed);
-  catchup_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  catchup_transfers_ += 1;
+  catchup_bytes_ += bytes;
   obs_->metrics().GetCounter("rhino_replication_catchup_total")->Increment();
   obs_->metrics()
       .GetCounter("rhino_replication_catchup_bytes_total")
@@ -518,18 +493,14 @@ void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
   cluster_->Transfer(
       ctl->source, m, bytes,
       [this, ctl, m, bytes]() mutable {
-        if (ctl->finished.load(std::memory_order_acquire)) return;
+        if (ctl->finished) return;
         if (!cluster_->node(m).alive()) {
           ctl->Finish(Status::Aborted("catch-up target node " +
                                       std::to_string(m) + " died"));
           return;
         }
         sim::Node& node = cluster_->node(m);
-        int disk;
-        {
-          std::lock_guard<std::mutex> lock(catalog_mu_);
-          disk = disk_cursor_[m]++ % node.num_disks();
-        }
+        int disk = disk_cursor_[m]++ % node.num_disks();
         node.disk(disk).Write(bytes, [this, ctl, m]() mutable {
           if (!cluster_->node(m).alive()) {
             ctl->Finish(Status::Aborted("catch-up target node " +
@@ -537,7 +508,6 @@ void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
             return;
           }
           if (ctl->Finish(Status::OK())) {
-            std::lock_guard<std::mutex> lock(catalog_mu_);
             replicas_[ctl->key][m] = *ctl->snapshot;
           }
         });
@@ -552,7 +522,7 @@ void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
       TransferTime(bytes, spec.disk_write_bytes_per_sec) + spec.net_latency;
   SimTime timeout = expected * 3 + 50 * kMillisecond;
   cluster_->executor()->Schedule(timeout, [this, ctl] {
-    if (ctl->finished.load(std::memory_order_acquire)) return;
+    if (ctl->finished) return;
     SimTime backoff = 0;
     if (!ctl->retrier->NextBackoff(&backoff)) {
       ctl->Finish(ctl->retrier->Exhausted(Status::TimedOut(
@@ -571,7 +541,6 @@ void ReplicationRuntime::SeedReplica(const std::string& op, uint32_t subtask,
                                      std::map<uint32_t, state::VnodeImage> images) {
   std::vector<int> group = manager_->Group(op, subtask);
   std::string key = Key(op, subtask);
-  std::lock_guard<std::mutex> lock(catalog_mu_);
   for (int node : group) {
     ReplicaState& rep = replicas_[key][node];
     rep.latest_checkpoint_id = desc.checkpoint_id;

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -152,8 +150,7 @@ class ReplicationRuntime {
 
   /// Installs the observability context (defaults to the process-wide one).
   /// Must be called before any transfer starts: the per-chunk counters are
-  /// resolved here, eagerly, so the hot chunk path (which runs on node
-  /// strands concurrently) never writes the cached pointers.
+  /// resolved here, eagerly, so the hot chunk path never looks them up.
   void SetObservability(obs::Observability* o) {
     obs_ = o;
     chunks_metric_ = obs_->metrics().GetCounter("rhino_replication_chunks_total");
@@ -162,16 +159,14 @@ class ReplicationRuntime {
   }
 
   // ---- diagnostics ----
-  uint64_t bytes_replicated() const { return bytes_replicated_.load(); }
-  int max_in_flight_chunks() const { return max_in_flight_.load(); }
-  uint64_t checkpoints_replicated() const {
-    return checkpoints_replicated_.load();
-  }
-  uint64_t transfers_aborted() const { return transfers_aborted_.load(); }
-  uint64_t catchup_transfers() const { return catchup_transfers_.load(); }
-  uint64_t catchup_bytes() const { return catchup_bytes_.load(); }
+  uint64_t bytes_replicated() const { return bytes_replicated_; }
+  int max_in_flight_chunks() const { return max_in_flight_; }
+  uint64_t checkpoints_replicated() const { return checkpoints_replicated_; }
+  uint64_t transfers_aborted() const { return transfers_aborted_; }
+  uint64_t catchup_transfers() const { return catchup_transfers_; }
+  uint64_t catchup_bytes() const { return catchup_bytes_; }
   /// Chunk retransmission rounds triggered by the stall watchdog.
-  uint64_t retransmit_rounds() const { return retransmit_rounds_.load(); }
+  uint64_t retransmit_rounds() const { return retransmit_rounds_; }
 
  private:
   struct Transfer;
@@ -198,20 +193,17 @@ class ReplicationRuntime {
   obs::Counter* chunks_metric_ = nullptr;
   obs::Counter* chunk_bytes_metric_ = nullptr;
 
-  /// Guards the replica catalog (replicas_, disk_cursor_): finalizing
-  /// transfers write it from node strands while recovery planning reads it.
-  mutable std::mutex catalog_mu_;
   /// replica catalog: instance key -> node -> state
   std::map<std::string, std::map<int, ReplicaState>> replicas_;
   std::map<int, int> disk_cursor_;
 
-  std::atomic<uint64_t> bytes_replicated_{0};
-  std::atomic<uint64_t> checkpoints_replicated_{0};
-  std::atomic<int> max_in_flight_{0};
-  std::atomic<uint64_t> transfers_aborted_{0};
-  std::atomic<uint64_t> catchup_transfers_{0};
-  std::atomic<uint64_t> catchup_bytes_{0};
-  std::atomic<uint64_t> retransmit_rounds_{0};
+  uint64_t bytes_replicated_ = 0;
+  uint64_t checkpoints_replicated_ = 0;
+  int max_in_flight_ = 0;
+  uint64_t transfers_aborted_ = 0;
+  uint64_t catchup_transfers_ = 0;
+  uint64_t catchup_bytes_ = 0;
+  uint64_t retransmit_rounds_ = 0;
 };
 
 }  // namespace rhino::rhino

@@ -8,20 +8,16 @@
 #include "common/units.h"
 
 /// \file executor.h
-/// The execution substrate: a clock + scheduler abstraction that decouples
-/// every runtime component (engine, replication chains, handover protocol,
-/// DFS, bench harness) from the discrete-event simulator.
+/// The simulator's clock + scheduler seam: the in-process engine, the
+/// replication chains, the handover protocol, the DFS and the bench
+/// harness schedule through it instead of naming the discrete-event
+/// kernel.
 ///
-/// Two backends implement the contract:
-///
-///  * `SimExecutor` — a thin adapter over the deterministic simulation
-///    kernel (`sim::Simulation`). Single-threaded; events run in strict
-///    (time, submission-order) sequence, so every experiment is exactly
-///    reproducible.
-///  * `RealtimeExecutor` — a thread pool driven by `steady_clock` timers.
-///    Callbacks posted to the same `TaskQueue` never run concurrently or
-///    out of order; callbacks on different queues genuinely run in
-///    parallel on OS threads.
+/// One backend implements the contract: `SimExecutor`, a thin adapter over
+/// the deterministic simulation kernel (`sim::Simulation`). It is
+/// single-threaded; events run in strict (time, submission-order)
+/// sequence, so every experiment is exactly reproducible. The networked
+/// runtime (`net/`) runs on OS threads and sockets and uses no executor.
 ///
 /// ## Contract
 ///
@@ -31,8 +27,7 @@
 ///    clamp in `clamped_schedules()` — misuse of the clock is observable.
 ///  * Two tasks posted to the same `TaskQueue` with equal deadlines run in
 ///    submission order (FIFO). Tasks on *different* queues with equal
-///    deadlines run in submission order under `SimExecutor` and in
-///    unspecified (possibly concurrent) order under `RealtimeExecutor`.
+///    deadlines run in submission order too.
 ///  * `Schedule`/`ScheduleAt` on the executor itself post to a default
 ///    serial queue, so directly scheduled callbacks never race each other.
 ///  * A callback may re-enter `Schedule`/`Post*` (including on its own
@@ -45,9 +40,8 @@ namespace rhino::runtime {
 class Executor;
 
 /// A serial ("strand") queue: tasks posted to one queue execute in
-/// deadline-then-FIFO order and never concurrently with each other.
-/// Components of one worker node share that node's queue, preserving
-/// intra-node ordering while distinct nodes run in parallel.
+/// deadline-then-FIFO order. Components of one worker node share that
+/// node's queue, preserving intra-node ordering.
 class TaskQueue {
  public:
   using Callback = std::function<void()>;
@@ -77,15 +71,14 @@ class TaskQueue {
   std::string name_;
 };
 
-/// Clock + scheduler interface shared by both backends.
+/// Clock + scheduler interface.
 class Executor {
  public:
   using Callback = std::function<void()>;
 
   virtual ~Executor() = default;
 
-  /// Current time in microseconds (simulated or wall-clock since the
-  /// executor's epoch).
+  /// Current (simulated) time in microseconds.
   virtual SimTime Now() const = 0;
 
   /// Schedules `fn` to run `delay` microseconds from now (delay >= 0) on
@@ -102,16 +95,12 @@ class Executor {
   /// the executor; components keep raw pointers.
   virtual TaskQueue* CreateQueue(const std::string& name) = 0;
 
-  /// Advances to time `t`: the sim backend runs all events with deadline
-  /// <= t and sets the clock to t; the realtime backend sleeps until the
-  /// wall clock reaches epoch + t (workers keep executing meanwhile).
+  /// Advances to time `t`: runs all events with deadline <= t and sets
+  /// the clock to t.
   virtual void RunUntil(SimTime t) = 0;
 
   /// Runs until no task is queued or running (timers included).
   virtual void Drain() = 0;
-
-  /// True for backends that execute on OS threads in wall-clock time.
-  virtual bool realtime() const = 0;
 
   /// Number of ScheduleAt/PostAt calls whose deadline was already in the
   /// past and got clamped to Now().

@@ -171,7 +171,7 @@ class Retrier {
 /// `steady_clock` and slept on the calling thread.
 ///
 /// Not for use under `SimExecutor`: real sleeps would desynchronize the
-/// simulated clock. The networked runtime is realtime by construction.
+/// simulated clock. The networked runtime runs in wall-clock time.
 class BlockingRetrier {
  public:
   BlockingRetrier(RetryOptions options, uint64_t seed, std::string what,

@@ -37,7 +37,6 @@ class SimExecutor final : public Executor {
   }
   void RunUntil(SimTime t) override { sim_.RunUntil(t); }
   void Drain() override { sim_.Run(); }
-  bool realtime() const override { return false; }
   uint64_t clamped_schedules() const override {
     return sim_.clamped_schedules();
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,10 +18,7 @@
 ///
 /// Each node owns a serial `TaskQueue` ("node<i>"): channel deliveries,
 /// disk completions, and operator processing for that node are posted
-/// there, so under `RealtimeExecutor` every node is a genuinely parallel
-/// strand while intra-node callback order matches the simulator's.
-/// Liveness, memory, and CPU accounting are atomics so protocol threads
-/// can read them without taking a node lock.
+/// there. Single-threaded, like everything on the simulator's executor.
 
 namespace rhino::sim {
 
@@ -41,8 +37,7 @@ struct LinkFault {
 };
 
 /// Seam for injected network faults: consulted by `Cluster::Transfer` on
-/// every send. Implementations must be thread-safe — under
-/// `RealtimeExecutor`, transfers originate on many node strands at once.
+/// every send.
 class FaultPolicy {
  public:
   virtual ~FaultPolicy() = default;
@@ -68,7 +63,7 @@ class Disk {
  public:
   Disk(runtime::Executor* executor, const std::string& name,
        const NodeSpec& spec, runtime::TaskQueue* completions = nullptr,
-       const std::atomic<SimTime>* penalty = nullptr)
+       const SimTime* penalty = nullptr)
       : read_(executor, name + "/read", spec.disk_read_bytes_per_sec,
               completions),
         write_(executor, name + "/write", spec.disk_write_bytes_per_sec,
@@ -86,14 +81,11 @@ class Disk {
   QueueResource& write_queue() { return write_; }
 
  private:
-  SimTime PenaltyNow() const {
-    return penalty_ == nullptr ? 0
-                               : penalty_->load(std::memory_order_relaxed);
-  }
+  SimTime PenaltyNow() const { return penalty_ == nullptr ? 0 : *penalty_; }
 
   QueueResource read_;
   QueueResource write_;
-  const std::atomic<SimTime>* penalty_;
+  const SimTime* penalty_;
 };
 
 /// One modeled VM: full-duplex NIC, disks, memory budget, liveness flag.
@@ -116,12 +108,10 @@ class Node {
 
   int id() const { return id_; }
   const NodeSpec& spec() const { return spec_; }
-  bool alive() const { return alive_.load(std::memory_order_acquire); }
-  void set_alive(bool alive) {
-    alive_.store(alive, std::memory_order_release);
-  }
+  bool alive() const { return alive_; }
+  void set_alive(bool alive) { alive_ = alive; }
 
-  /// The node's serial strand: all callbacks of this node's components.
+  /// The node's serial queue: all callbacks of this node's components.
   runtime::TaskQueue* queue() const { return queue_; }
 
   QueueResource& tx() { return tx_; }
@@ -131,41 +121,25 @@ class Node {
 
   /// Injected per-operation latency on this node's disks (slow-disk
   /// faults). 0 = healthy.
-  void set_disk_penalty_us(SimTime penalty) {
-    disk_penalty_us_.store(penalty, std::memory_order_relaxed);
-  }
-  SimTime disk_penalty_us() const {
-    return disk_penalty_us_.load(std::memory_order_relaxed);
-  }
+  void set_disk_penalty_us(SimTime penalty) { disk_penalty_us_ = penalty; }
+  SimTime disk_penalty_us() const { return disk_penalty_us_; }
 
   /// Tracks modeled heap usage (Megaphone's in-memory state lives here).
   /// Returns false when the allocation would exceed the node's memory.
   bool AllocateMemory(uint64_t bytes) {
-    uint64_t used = memory_used_.load(std::memory_order_relaxed);
-    do {
-      if (used + bytes > spec_.memory_bytes) return false;
-    } while (!memory_used_.compare_exchange_weak(used, used + bytes,
-                                                 std::memory_order_relaxed));
+    if (memory_used_ + bytes > spec_.memory_bytes) return false;
+    memory_used_ += bytes;
     return true;
   }
   void FreeMemory(uint64_t bytes) {
-    uint64_t used = memory_used_.load(std::memory_order_relaxed);
-    while (!memory_used_.compare_exchange_weak(
-        used, bytes > used ? 0 : used - bytes, std::memory_order_relaxed)) {
-    }
+    memory_used_ = bytes > memory_used_ ? 0 : memory_used_ - bytes;
   }
-  uint64_t memory_used() const {
-    return memory_used_.load(std::memory_order_relaxed);
-  }
+  uint64_t memory_used() const { return memory_used_; }
 
   /// Cumulative modeled CPU busy time across all operator instances pinned
   /// to this node (filled in by the dataflow runtime).
-  void AddCpuBusy(SimTime us) {
-    cpu_busy_us_.fetch_add(us, std::memory_order_relaxed);
-  }
-  SimTime cpu_busy_us() const {
-    return cpu_busy_us_.load(std::memory_order_relaxed);
-  }
+  void AddCpuBusy(SimTime us) { cpu_busy_us_ += us; }
+  SimTime cpu_busy_us() const { return cpu_busy_us_; }
 
  private:
   int id_;
@@ -174,10 +148,10 @@ class Node {
   QueueResource tx_;
   QueueResource rx_;
   std::vector<std::unique_ptr<Disk>> disks_;
-  std::atomic<SimTime> disk_penalty_us_{0};
-  std::atomic<bool> alive_{true};
-  std::atomic<uint64_t> memory_used_{0};
-  std::atomic<SimTime> cpu_busy_us_{0};
+  SimTime disk_penalty_us_ = 0;
+  bool alive_ = true;
+  uint64_t memory_used_ = 0;
+  SimTime cpu_busy_us_ = 0;
 };
 
 /// The modeled cluster: a set of nodes sharing one executor.
@@ -201,29 +175,25 @@ class Cluster {
   /// Installs (or clears, with nullptr) the fault policy consulted on
   /// every transfer. The policy must outlive the cluster or be cleared
   /// before destruction.
-  void SetFaultPolicy(FaultPolicy* policy) {
-    fault_policy_.store(policy, std::memory_order_release);
-  }
+  void SetFaultPolicy(FaultPolicy* policy) { fault_policy_ = policy; }
 
   /// Transfers dropped by the fault policy (the `done` callback was
   /// swallowed; upper layers recover via their timeout/retry machinery).
-  uint64_t dropped_transfers() const {
-    return dropped_transfers_.load(std::memory_order_relaxed);
-  }
+  uint64_t dropped_transfers() const { return dropped_transfers_; }
 
   /// Transfers `bytes` between two nodes (or hands it to the local
   /// loopback, which is free, when src == dst). `done` runs on the
-  /// destination node's strand. `kind` tags the payload for the fault
+  /// destination node's queue. `kind` tags the payload for the fault
   /// policy: kState transfers may be dropped (their protocols retry),
   /// kData transfers are at most delayed (reliable-transport semantics).
   SimTime Transfer(int src, int dst, uint64_t bytes,
                    std::function<void()> done = nullptr,
                    TransferKind kind = TransferKind::kData) {
     SimTime extra = 0;
-    if (FaultPolicy* policy = fault_policy_.load(std::memory_order_acquire)) {
+    if (FaultPolicy* policy = fault_policy_) {
       LinkFault fault = policy->OnTransfer(src, dst, bytes, kind);
       if (fault.drop) {
-        dropped_transfers_.fetch_add(1, std::memory_order_relaxed);
+        dropped_transfers_ += 1;
         return executor_->Now();
       }
       extra = fault.extra_latency;
@@ -242,8 +212,8 @@ class Cluster {
  private:
   runtime::Executor* executor_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::atomic<FaultPolicy*> fault_policy_{nullptr};
-  std::atomic<uint64_t> dropped_transfers_{0};
+  FaultPolicy* fault_policy_ = nullptr;
+  uint64_t dropped_transfers_ = 0;
 };
 
 }  // namespace rhino::sim

@@ -59,7 +59,6 @@ void FaultInjector::CrashAt(SimTime when, int node, std::string cause) {
 void FaultInjector::CrashOnEvent(const std::string& event, uint64_t nth,
                                  int node, SimTime delay) {
   RHINO_CHECK_GE(nth, 1u) << "event occurrences are 1-based";
-  std::lock_guard<std::mutex> lock(mu_);
   event_triggers_[event].push_back(EventTrigger{nth, node, delay});
 }
 
@@ -70,21 +69,18 @@ void FaultInjector::Notify(const std::string& event) {
     std::string cause;
   };
   std::vector<Pending> to_fire;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    uint64_t count = ++event_counts_[event];
-    auto it = event_triggers_.find(event);
-    if (it == event_triggers_.end()) return;
-    std::vector<EventTrigger>& armed = it->second;
-    for (auto t = armed.begin(); t != armed.end();) {
-      if (t->nth != count) {
-        ++t;
-        continue;
-      }
-      to_fire.push_back(Pending{
-          t->node, t->delay, "event:" + event + "#" + std::to_string(count)});
-      t = armed.erase(t);
+  uint64_t count = ++event_counts_[event];
+  auto it = event_triggers_.find(event);
+  if (it == event_triggers_.end()) return;
+  std::vector<EventTrigger>& armed = it->second;
+  for (auto t = armed.begin(); t != armed.end();) {
+    if (t->nth != count) {
+      ++t;
+      continue;
     }
+    to_fire.push_back(Pending{
+        t->node, t->delay, "event:" + event + "#" + std::to_string(count)});
+    t = armed.erase(t);
   }
   // Always bounce through the event queue, even at delay 0: firing
   // synchronously would re-enter the protocol code that called the probe.
@@ -126,12 +122,9 @@ std::vector<CrashEvent> FaultInjector::ScheduleRandomCrashes(
 }
 
 void FaultInjector::AddTransient(const TransientFault& fault) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    transients_.push_back(fault);
-    if (fault.type != TransientFault::Type::kSlowDisk) {
-      link_windows_.push_back(LinkWindow{fault});
-    }
+  transients_.push_back(fault);
+  if (fault.type != TransientFault::Type::kSlowDisk) {
+    link_windows_.push_back(LinkWindow{fault});
   }
   obs_->metrics().GetCounter("rhino_fault_transients_total")->Increment();
   obs_->trace().Emit("fault", "transient", "scheduler",
@@ -180,8 +173,7 @@ void FaultInjector::SlowDisk(int node, SimTime extra_us, SimTime start,
   f.duration = duration;
   f.extra_us = extra_us;
   AddTransient(f);
-  // The start/heal callbacks both run on the executor's default queue, so
-  // overlapping windows accumulate without racing on the penalty atomic.
+  // Overlapping windows accumulate on the node's disk penalty.
   executor_->ScheduleAt(start, [this, node, extra_us] {
     Node& n = cluster_->node(node);
     n.set_disk_penalty_us(n.disk_penalty_us() + extra_us);
@@ -263,25 +255,22 @@ LinkFault FaultInjector::OnTransfer(int src, int dst, uint64_t /*bytes*/,
   LinkFault verdict;
   SimTime now = executor_->Now();
   bool dropped = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const LinkWindow& w : link_windows_) {
-      const TransientFault& f = w.fault;
-      if (now < f.start || now >= f.start + f.duration) continue;
-      if (!w.Matches(src, dst)) continue;
-      if (f.type == TransientFault::Type::kPartition) {
-        if (kind == TransferKind::kState) {
-          dropped = true;
-          verdict.drop = true;
-        } else {
-          // Reliable-transport semantics for the data plane: delivery is
-          // deferred until just after the partition heals, never lost.
-          SimTime until_heal = f.start + f.duration - now + 1000;
-          verdict.extra_latency = std::max(verdict.extra_latency, until_heal);
-        }
-      } else {  // kLinkDelay
-        verdict.extra_latency += f.extra_us;
+  for (const LinkWindow& w : link_windows_) {
+    const TransientFault& f = w.fault;
+    if (now < f.start || now >= f.start + f.duration) continue;
+    if (!w.Matches(src, dst)) continue;
+    if (f.type == TransientFault::Type::kPartition) {
+      if (kind == TransferKind::kState) {
+        dropped = true;
+        verdict.drop = true;
+      } else {
+        // Reliable-transport semantics for the data plane: delivery is
+        // deferred until just after the partition heals, never lost.
+        SimTime until_heal = f.start + f.duration - now + 1000;
+        verdict.extra_latency = std::max(verdict.extra_latency, until_heal);
       }
+    } else {  // kLinkDelay
+      verdict.extra_latency += f.extra_us;
     }
   }
   if (dropped) {
@@ -293,28 +282,24 @@ LinkFault FaultInjector::OnTransfer(int src, int dst, uint64_t /*bytes*/,
 
 void FaultInjector::Fire(int node, const std::string& cause) {
   size_t crash_index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (crashed_.count(node)) return;  // at most one fail-stop per node
-    crashed_.insert(node);
-    if (!cluster_->node(node).alive()) {
-      return;  // someone else already killed it
-    }
-    CrashEvent ev;
-    ev.time = executor_->Now();
-    ev.node = node;
-    ev.cause = cause;
-    ev.fired = true;
-    crashes_.push_back(ev);
-    crash_index = crashes_.size();
+  if (crashed_.count(node)) return;  // at most one fail-stop per node
+  crashed_.insert(node);
+  if (!cluster_->node(node).alive()) {
+    return;  // someone else already killed it
   }
+  CrashEvent ev;
+  ev.time = executor_->Now();
+  ev.node = node;
+  ev.cause = cause;
+  ev.fired = true;
+  crashes_.push_back(ev);
+  crash_index = crashes_.size();
   obs_->metrics().GetCounter("rhino_fault_crashes_total")->Increment();
   obs_->trace().Emit("fault", "crash", "node" + std::to_string(node),
                      static_cast<uint64_t>(crash_index));
   RHINO_LOG(Info) << "fault-injector: crashing node " << node << " at t="
                   << executor_->Now() << "us (" << cause << ")";
-  // The handler re-enters the engine's failure path; the injector lock is
-  // released so probe callbacks from that path cannot deadlock.
+  // The handler re-enters the engine's failure path.
   if (crash_handler_) {
     crash_handler_(node);
   } else {

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,17 +15,14 @@
 
 /// \file fault_injector.h
 /// Seeded fault-injection framework (paper §4.2.3 fail-stop model, plus
-/// the transient faults realtime hardening needs).
+/// transient faults).
 ///
 /// Crashes can be pinned to an absolute time, to the k-th occurrence of a
 /// named protocol event (k-th checkpoint trigger, k-th replication chunk,
 /// k-th handover marker, ...), or drawn from a seeded random schedule —
 /// including multi-node and cascading schedules. All scheduling goes
-/// through the executor's event queue: on `SimExecutor` a fault run with
-/// the same seed is exactly reproducible; on `RealtimeExecutor` the same
-/// schedule executes against wall-clock timers, so the *schedule* is
-/// reproducible while thread interleavings vary run to run (that is the
-/// point of the realtime chaos lane).
+/// through the executor's event queue, so a fault run with the same seed
+/// is exactly reproducible.
 ///
 /// Besides fail-stop crashes the injector schedules transient faults
 /// through the `Cluster`'s `FaultPolicy` seam (install with
@@ -108,7 +104,6 @@ class FaultInjector : public FaultPolicy {
 
   /// Occurrences of `event` observed so far.
   uint64_t EventCount(const std::string& event) const {
-    std::lock_guard<std::mutex> lock(mu_);
     auto it = event_counts_.find(event);
     return it == event_counts_.end() ? 0 : it->second;
   }
@@ -162,34 +157,17 @@ class FaultInjector : public FaultPolicy {
   // ------------------------------------------------------ FaultPolicy ----
 
   /// Applies the active partition / link-delay windows to one transfer.
-  /// Thread-safe; called from any node strand.
   LinkFault OnTransfer(int src, int dst, uint64_t bytes,
                        TransferKind kind) override;
 
   // ----------------------------------------------------- diagnostics ------
 
-  bool crashed(int node) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return crashed_.count(node) > 0;
-  }
-  /// Every crash that actually fired, in firing order. Read after the
-  /// executor has drained (the vector grows while crashes fire).
+  bool crashed(int node) const { return crashed_.count(node) > 0; }
+  /// Every crash that actually fired, in firing order.
   const std::vector<CrashEvent>& crashes() const { return crashes_; }
-  /// Thread-safe snapshot of the fired crashes — safe to read while the
-  /// realtime executor is still running faults.
-  std::vector<CrashEvent> CrashLog() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return crashes_;
-  }
-  /// Every transient fault scheduled so far, in scheduling order.
-  std::vector<TransientFault> TransientLog() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return transients_;
-  }
   /// One-line reproduction recipe (seed + full schedule) for failure
-  /// messages. Thread-safe.
+  /// messages.
   std::string Recipe() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return FaultScheduleRecipe(seed_, crashes_, transients_);
   }
   uint64_t seed() const { return seed_; }
@@ -207,7 +185,7 @@ class FaultInjector : public FaultPolicy {
 
   /// An active (or pending) partition / link-delay window, matched
   /// against transfers by OnTransfer. Slow-disk windows act through the
-  /// node's disk-penalty atomic instead and never appear here.
+  /// node's disk penalty instead and never appear here.
   struct LinkWindow {
     TransientFault fault;
     bool Matches(int src, int dst) const {
@@ -232,9 +210,6 @@ class FaultInjector : public FaultPolicy {
   std::function<void(int)> crash_handler_;
   obs::Observability* obs_ = obs::Observability::Default();
 
-  /// Guards the schedules and counts; never held while calling the crash
-  /// handler (which re-enters engine code).
-  mutable std::mutex mu_;
   std::set<int> crashed_;
   std::vector<CrashEvent> crashes_;
   std::vector<TransientFault> transients_;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,12 +35,13 @@ struct ReliableTransferState {
   std::function<void()> deliver;
   std::function<void(Status)> give_up;
   std::shared_ptr<runtime::Retrier> retrier;
-  std::atomic<bool> settled{false};
+  bool settled = false;
 
-  bool Settle() { return !settled.exchange(true); }
+  /// True the first time only.
+  bool Settle() { return !std::exchange(settled, true); }
 
   static void Attempt(std::shared_ptr<ReliableTransferState> t) {
-    if (t->settled.load(std::memory_order_acquire)) return;
+    if (t->settled) return;
     // Fail-stops are permanent: no resend reaches a dead endpoint.
     if (!t->cluster->node(t->src).alive() ||
         !t->cluster->node(t->dst).alive()) {
@@ -61,11 +61,10 @@ struct ReliableTransferState {
     runtime::Executor* executor = t->cluster->executor();
     // `projected` is the cluster's own delivery estimate, NIC queue
     // backlog included; a dropped transfer projects "now". Waiting out
-    // the projection (plus slack for the fault-free duration and
-    // realtime scheduling jitter) keeps the watchdog from mistaking
-    // congestion for a drop — a fan-in of bulk reads can queue a block
-    // far beyond any multiple of its uncontended transfer time, and a
-    // retry storm there only deepens the backlog.
+    // the projection (plus slack for the fault-free duration) keeps the
+    // watchdog from mistaking congestion for a drop — a fan-in of bulk
+    // reads can queue a block far beyond any multiple of its uncontended
+    // transfer time, and a retry storm there only deepens the backlog.
     SimTime now = executor->Now();
     SimTime queue_wait = projected > now ? projected - now : 0;
     const NodeSpec& spec = t->cluster->node(t->dst).spec();
@@ -73,7 +72,7 @@ struct ReliableTransferState {
         TransferTime(t->bytes, spec.net_bytes_per_sec) + spec.net_latency;
     SimTime timeout = queue_wait + expected * 3 + 50 * kMillisecond;
     executor->Schedule(timeout, [t, executor] {
-      if (t->settled.load(std::memory_order_acquire)) return;
+      if (t->settled) return;
       SimTime backoff = 0;
       if (!t->retrier->NextBackoff(&backoff)) {
         if (t->Settle()) {
@@ -91,7 +90,7 @@ struct ReliableTransferState {
 }  // namespace detail
 
 /// Sends `bytes` from `src` to `dst` with retries per `retry`. Exactly one
-/// of `deliver` (runs on the destination's strand, first arrival) or
+/// of `deliver` (runs on the destination's queue, first arrival) or
 /// `give_up` fires. `what` labels the `rhino_retry_attempts_total` counter.
 inline void ReliableTransfer(Cluster* cluster, int src, int dst,
                              uint64_t bytes, runtime::RetryOptions retry,

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
 
 #include "common/units.h"
@@ -17,12 +16,6 @@
 /// the standard M/G/1-style model for links and disks in cluster
 /// simulators; it preserves the transfer-time ratios the paper's evaluation
 /// depends on. Busy time is accumulated for utilization reporting (Fig. 5).
-///
-/// Thread safety: the reservation state (`free_at_`, busy/bytes counters)
-/// is guarded by an internal mutex so multiple node threads can share a
-/// resource under `RealtimeExecutor`. Coupled transfers that must reserve
-/// two resources atomically (`NetworkTransfer`) take both mutexes via
-/// `std::scoped_lock` and use the `*Locked` accessors.
 
 namespace rhino::sim {
 
@@ -31,7 +24,7 @@ class QueueResource {
  public:
   /// `completions` (optional) is the serial queue completion callbacks are
   /// posted to — typically the owning node's queue, so a disk or NIC
-  /// completion runs on its node's strand. Defaults to the executor's
+  /// completion runs on its node's queue. Defaults to the executor's
   /// default queue.
   QueueResource(runtime::Executor* executor, std::string name,
                 double bytes_per_sec,
@@ -43,8 +36,8 @@ class QueueResource {
 
   /// Earliest time a new request could start service.
   SimTime FreeAt() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return FreeAtLocked();
+    SimTime now = executor_->Now();
+    return free_at_ < now ? now : free_at_;
   }
 
   /// Enqueues a request of `bytes`; invokes `done` (if set) at completion.
@@ -53,25 +46,24 @@ class QueueResource {
   /// like real service, so utilization accounting reflects the slowdown.
   SimTime Submit(uint64_t bytes, std::function<void()> done = nullptr,
                  SimTime extra_latency = 0) {
-    SimTime end;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      SimTime start = FreeAtLocked();
-      SimTime duration = TransferTime(bytes, bytes_per_sec_) + extra_latency;
-      end = start + duration;
-      free_at_ = end;
-      busy_us_ += duration;
-      bytes_served_ += bytes;
-    }
+    SimTime start = FreeAt();
+    SimTime duration = TransferTime(bytes, bytes_per_sec_) + extra_latency;
+    SimTime end = start + duration;
+    free_at_ = end;
+    busy_us_ += duration;
+    bytes_served_ += bytes;
     if (done) PostCompletion(end, std::move(done));
     return end;
   }
 
-  /// Reserves the interval [start, start+duration) without a callback.
-  /// Used by coupled transfers that compute their own completion time.
+  /// Reserves the interval [start, start+duration) without a callback
+  /// (starting no earlier than `FreeAt()`). Used by coupled transfers that
+  /// compute their own completion time.
   void Occupy(SimTime start, SimTime duration, uint64_t bytes) {
-    std::lock_guard<std::mutex> lock(mu_);
-    OccupyLocked(start, duration, bytes);
+    if (start < FreeAt()) start = FreeAt();
+    free_at_ = start + duration;
+    busy_us_ += duration;
+    bytes_served_ += bytes;
   }
 
   double bytes_per_sec() const { return bytes_per_sec_; }
@@ -83,29 +75,9 @@ class QueueResource {
   }
 
   /// Cumulative busy time, for utilization sampling.
-  SimTime busy_us() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return busy_us_;
-  }
-  uint64_t bytes_served() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return bytes_served_;
-  }
+  SimTime busy_us() const { return busy_us_; }
+  uint64_t bytes_served() const { return bytes_served_; }
 
-  // ---- coupled two-resource reservations (NetworkTransfer) ----
-  std::mutex& mu() const { return mu_; }
-  /// Caller holds mu().
-  SimTime FreeAtLocked() const {
-    SimTime now = executor_->Now();
-    return free_at_ < now ? now : free_at_;
-  }
-  /// Caller holds mu().
-  void OccupyLocked(SimTime start, SimTime duration, uint64_t bytes) {
-    if (start < FreeAtLocked()) start = FreeAtLocked();
-    free_at_ = start + duration;
-    busy_us_ += duration;
-    bytes_served_ += bytes;
-  }
   /// Posts `done` at `end` on the completion queue (or the executor's
   /// default queue).
   void PostCompletion(SimTime end, std::function<void()> done) {
@@ -121,7 +93,6 @@ class QueueResource {
   std::string name_;
   double bytes_per_sec_;
   runtime::TaskQueue* completions_;
-  mutable std::mutex mu_;
   SimTime free_at_ = 0;
   SimTime busy_us_ = 0;
   uint64_t bytes_served_ = 0;
@@ -137,25 +108,12 @@ inline SimTime NetworkTransfer(runtime::Executor* /*executor*/,
                                QueueResource* tx, QueueResource* rx,
                                uint64_t bytes, SimTime latency,
                                std::function<void()> done = nullptr) {
-  SimTime end;
-  {
-    // Both reservations must see a consistent (free_at) snapshot or two
-    // concurrent transfers could overlap on one NIC; scoped_lock orders
-    // the two mutexes internally, so no lock-order cycle is possible.
-    std::unique_lock<std::mutex> tx_lock(tx->mu(), std::defer_lock);
-    std::unique_lock<std::mutex> rx_lock(rx->mu(), std::defer_lock);
-    if (tx == rx) {
-      tx_lock.lock();
-    } else {
-      std::lock(tx_lock, rx_lock);
-    }
-    SimTime start = std::max(tx->FreeAtLocked(), rx->FreeAtLocked());
-    SimTime duration = TransferTime(
-        bytes, std::min(tx->bytes_per_sec(), rx->bytes_per_sec()));
-    tx->OccupyLocked(start, duration, bytes);
-    if (tx != rx) rx->OccupyLocked(start, duration, bytes);
-    end = start + duration + latency;
-  }
+  SimTime start = std::max(tx->FreeAt(), rx->FreeAt());
+  SimTime duration =
+      TransferTime(bytes, std::min(tx->bytes_per_sec(), rx->bytes_per_sec()));
+  tx->Occupy(start, duration, bytes);
+  if (tx != rx) rx->Occupy(start, duration, bytes);
+  SimTime end = start + duration + latency;
   if (done) rx->PostCompletion(end, std::move(done));
   return end;
 }

@@ -3,21 +3,11 @@
 namespace rhino::state {
 
 void ModeledStateBackend::AddBytes(uint32_t vnode, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  AddBytesLocked(vnode, bytes);
-}
-
-void ModeledStateBackend::AddBytesLocked(uint32_t vnode, uint64_t bytes) {
   vnode_bytes_[vnode] += bytes;
   uncheckpointed_bytes_ += bytes;
 }
 
 void ModeledStateBackend::RemoveBytes(uint32_t vnode, uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  RemoveBytesLocked(vnode, bytes);
-}
-
-void ModeledStateBackend::RemoveBytesLocked(uint32_t vnode, uint64_t bytes) {
   auto it = vnode_bytes_.find(vnode);
   if (it == vnode_bytes_.end()) return;
   it->second = bytes > it->second ? 0 : it->second - bytes;
@@ -28,12 +18,11 @@ Status ModeledStateBackend::Get(uint32_t, std::string_view, std::string*) {
 }
 
 Status ModeledStateBackend::ApplyBatch(const std::vector<StateWrite>& writes) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& w : writes) {
     if (w.is_delete) {
-      RemoveBytesLocked(w.vnode, w.nominal_bytes);
+      RemoveBytes(w.vnode, w.nominal_bytes);
     } else {
-      AddBytesLocked(w.vnode, w.nominal_bytes);
+      AddBytes(w.vnode, w.nominal_bytes);
     }
   }
   return Status::OK();
@@ -45,21 +34,18 @@ ModeledStateBackend::ScanPrefix(uint32_t, std::string_view) {
 }
 
 uint64_t ModeledStateBackend::SizeBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
   for (const auto& [_, bytes] : vnode_bytes_) total += bytes;
   return total;
 }
 
 uint64_t ModeledStateBackend::VnodeBytes(uint32_t vnode) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = vnode_bytes_.find(vnode);
   return it == vnode_bytes_.end() ? 0 : it->second;
 }
 
 Result<CheckpointDescriptor> ModeledStateBackend::Checkpoint(
     uint64_t checkpoint_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (uncheckpointed_bytes_ > 0) {
     StateFile delta;
     delta.name = operator_name_ + "-" + std::to_string(instance_id_) +
@@ -81,7 +67,6 @@ Result<CheckpointDescriptor> ModeledStateBackend::Checkpoint(
 
 Status ModeledStateBackend::IngestImages(const std::vector<VnodeImage>& images,
                                          bool already_durable) {
-  std::lock_guard<std::mutex> lock(mu_);
   uint64_t ingested = 0;
   for (const VnodeImage& image : images) {
     vnode_bytes_[image.vnode] = image.bytes;
@@ -107,7 +92,6 @@ Status ModeledStateBackend::DropVnodes(const std::vector<uint32_t>& vnodes) {
 }
 
 void ModeledStateBackend::ForgetVnodes(const std::vector<uint32_t>& vnodes) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t v : vnodes) vnode_bytes_.erase(v);
 }
 

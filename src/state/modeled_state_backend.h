@@ -1,7 +1,6 @@
 #pragma once
 
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,12 +19,8 @@
 
 namespace rhino::state {
 
-/// Size-only implementation of StateBackend.
-///
-/// Thread safety: every method locks one internal mutex (the counters are
-/// cheap; contention is not a concern for a size-only backend). No public
-/// method calls another — ApplyBatch goes through the unlocked helpers —
-/// so the mutex is a plain one.
+/// Size-only implementation of StateBackend, for the simulator (single
+/// threaded; not thread-safe).
 class ModeledStateBackend : public StateBackend {
  public:
   ModeledStateBackend(std::string operator_name, uint32_t instance_id)
@@ -65,11 +60,6 @@ class ModeledStateBackend : public StateBackend {
   void RemoveBytes(uint32_t vnode, uint64_t bytes);
 
  private:
-  /// The unlocked bodies of AddBytes and RemoveBytes. Require mu_.
-  void AddBytesLocked(uint32_t vnode, uint64_t bytes);
-  void RemoveBytesLocked(uint32_t vnode, uint64_t bytes);
-
-  mutable std::mutex mu_;
   std::string operator_name_;
   uint32_t instance_id_;
   std::map<uint32_t, uint64_t> vnode_bytes_;

@@ -8,7 +8,10 @@
 // The exactly-once assertions run on the real KeyedCounter pipeline (the
 // NEXMark operators are statistically modeled and carry byte counts, not
 // records); a Testbed-based NEXMark chaos run asserts the convergence
-// invariants at bench scale.
+// invariants at bench scale. A second schedule adds transient faults
+// (network partitions, link delays, slow disks), which the retry and
+// backoff paths must absorb. The networked runtime's chaos suite is
+// dist_chaos_test.
 
 #include <gtest/gtest.h>
 
@@ -224,6 +227,60 @@ TEST_P(ChaosTest, RandomFaultScheduleIsExactlyOnce) {
   EXPECT_GT(trace.Spans("replication", "transfer").size(), 0u);
   // (Open alignment spans are legal here: an instance halted by a crash
   // keeps its in-flight alignment forever.)
+}
+
+TEST_P(ChaosTest, TransientFaultScheduleIsExactlyOnce) {
+  // 1-2 crashes plus two transient faults, all drawn from the seed, and a
+  // checkpoint every third wave: dropped state transfers are resent and
+  // nothing is permanently lost.
+  const uint64_t seed = GetParam();
+  ChaosStack stack(seed);
+  stack.injector.InstallNetworkFaults();
+  const int crash_count = 1 + static_cast<int>(seed % 2);
+  auto crashes = stack.injector.ScheduleRandomCrashes(
+      crash_count, {1, 2, 3, 4, 5, 6}, 2 * kSecond, 7 * kSecond,
+      /*min_gap=*/1500 * kMillisecond);
+  ASSERT_EQ(crashes.size(), static_cast<size_t>(crash_count));
+  auto transients = stack.injector.ScheduleRandomTransients(
+      2, {1, 2, 3, 4, 5, 6}, 1500 * kMillisecond, 6 * kSecond,
+      500 * kMillisecond, 1500 * kMillisecond);
+  ASSERT_EQ(transients.size(), 2u);
+  SCOPED_TRACE("chaos repro: " + stack.injector.Recipe());
+
+  for (int wave = 0; wave < kWaves; ++wave) {
+    stack.ProduceWave();
+    if (wave % 3 == 2 && !stack.engine.checkpoint_in_flight()) {
+      stack.engine.TriggerCheckpoint();
+    }
+    stack.sim.RunUntil(stack.sim.Now() + kSecond);
+  }
+  stack.sim.Run();
+  // One more wave after convergence: routing and liveness settled.
+  stack.ProduceWave();
+  stack.sim.Run();
+
+  EXPECT_EQ(stack.injector.crashes().size(), crashes.size());
+  for (uint64_t key = 0; key < kKeys; ++key) {
+    EXPECT_EQ(stack.counts[key], static_cast<uint64_t>(kWaves) + 1)
+        << "key " << key;
+  }
+  for (const auto& record : stack.engine.handovers()) {
+    EXPECT_TRUE(record.completed) << "handover " << record.spec->id;
+  }
+  auto* table = stack.engine.routing("counter");
+  for (uint32_t v = 0; v < table->map().num_vnodes(); ++v) {
+    uint32_t inst = table->InstanceForVnode(v);
+    EXPECT_FALSE(stack.graph->stateful("counter")[inst]->halted())
+        << "vnode " << v;
+  }
+  for (const auto& crash : stack.injector.crashes()) {
+    for (uint32_t sub = 0; sub < kParallelism; ++sub) {
+      EXPECT_EQ(stack.runtime.ReplicaOn("counter", sub, crash.node), nullptr);
+    }
+  }
+  // The injector is the cluster's fault policy; nothing may consult it
+  // once it is gone.
+  stack.cluster.SetFaultPolicy(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosTest, ::testing::Range<uint64_t>(1, 9));

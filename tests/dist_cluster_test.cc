@@ -175,9 +175,9 @@ struct Cluster {
 
   /// Re-registers `node` behind `tap`, which sees every request the node
   /// serves and its reply (on the calling thread, which may be a peer's
-  /// replicator).
+  /// replicator), and may replace the reply (a lost one).
   using TapFn = std::function<void(MessageType, std::string_view,
-                                   const Result<std::string>&)>;
+                                   Result<std::string>&)>;
   void Tap(uint32_t node, TapFn tap) {
     NodeServer* server = nodes[node].get();
     transport.Register("node" + std::to_string(node),
@@ -2484,47 +2484,113 @@ TEST(DistClusterTest, OperatorEdgeFeedsDownstreamExactlyOnceThroughRecovery) {
   }
 }
 
-TEST(DistClusterTest, ModeledOperatorRunsDistributedWithRecovery) {
-  // The modeled state pattern runs under rhino_node unmodified: byte
-  // accounting per vnode instead of materialized values, same checkpoint
-  // / replication / recovery protocols above the backend seam.
+/// Wires stage1 (fed by the partition) -> stage2, both keyed counters.
+void WireTwoStages(Cluster& cluster) {
+  ASSERT_TRUE(cluster.driver->ConnectAll().ok());
+  ASSERT_TRUE(cluster.driver->AddOperator("stage1", kNumVnodes).ok());
+  ASSERT_TRUE(cluster.driver->AddOperator("stage2", kNumVnodes).ok());
+  cluster.driver->AddPartition(&cluster.partition);
+  ASSERT_TRUE(cluster.driver->ConnectPartition("stage1", 0).ok());
+  ASSERT_TRUE(cluster.driver->ConnectOperators("stage1", "stage2").ok());
+}
+
+/// True for a stage1 batch that `reply` says applied records.
+bool AppliedStage1Batch(MessageType type, std::string_view body,
+                        const Result<std::string>& reply) {
+  if (type != MessageType::kProcessBatch || !reply.ok()) return false;
+  auto req = ProcessBatchRequest::Decode(body);
+  auto rep = ProcessBatchReply::Decode(*reply);
+  return req.ok() && rep.ok() && req->op == "stage1" && rep->applied > 0;
+}
+
+/// Both stages count every key exactly `waves` times.
+void ExpectBothStages(Cluster& cluster, uint64_t waves) {
+  for (uint64_t key = 0; key < kNumKeys; ++key) {
+    for (const char* op : {"stage1", "stage2"}) {
+      auto count = cluster.driver->QueryCount(op, key);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(*count, waves) << op << " key " << key;
+    }
+  }
+}
+
+TEST(DistClusterTest, LostBatchReplyKeepsEdgeOutputs) {
+  // Node 0 applies a stage1 batch, but its reply never arrives. The
+  // driver's replay is deduplicated there; the node answers it with the
+  // outputs its first apply kept, so stage2 misses none of them.
+  Cluster cluster;
+  WireTwoStages(cluster);
+  bool dropped = false;
+  cluster.Tap(0, [&dropped](MessageType type, std::string_view body,
+                            Result<std::string>& reply) {
+    // Only the driver's thread sends batches; peers' replicators call too.
+    if (AppliedStage1Batch(type, body, reply) && !dropped) {
+      dropped = true;
+      reply = Status::IOError("reply lost");
+    }
+  });
+  cluster.AppendWave();
+  EXPECT_FALSE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(dropped);
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_GT(replayed->deduped, 0u);
+  ExpectBothStages(cluster, 1);
+
+  // Later waves trim the kept rows and stay exact.
+  cluster.AppendWave();
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ExpectBothStages(cluster, 3);
+}
+
+TEST(DistClusterTest, CrashBeforeBatchReplyKeepsEdgeOutputs) {
+  // Node 1 applies a stage1 batch and its stream ships the result to the
+  // holder, then the node dies before it replies. The holder's promoted
+  // copy deduplicates the replay and answers it with the kept outputs.
+  Cluster cluster;
+  WireTwoStages(cluster);
+  bool crashed = false;
+  NodeServer* server = cluster.nodes[1].get();
+  cluster.Tap(1, [&](MessageType type, std::string_view body,
+                     Result<std::string>& reply) {
+    if (!AppliedStage1Batch(type, body, reply) || crashed) return;
+    crashed = true;
+    for (int waited = 0; waited < 5000; waited += 5) {
+      auto stats = StatsReply::Decode(*server->Handle(MessageType::kStats, {}));
+      if (stats.ok() && stats->repl_dirty == 0 && stats->repl_inflight == 0) {
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    cluster.transport.Kill("node1");
+    reply = Status::IOError("node died before replying");
+  });
+  cluster.AppendWave();
+  EXPECT_FALSE(cluster.driver->Pump().ok());
+  ASSERT_TRUE(crashed);
+  EXPECT_EQ(cluster.driver->ProbeFailures(), (std::vector<uint32_t>{1}));
+  ASSERT_TRUE(cluster.driver->RecoverNode(1).ok());
+  auto replayed = cluster.driver->Pump();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ExpectBothStages(cluster, 1);
+
+  cluster.AppendWave();
+  ASSERT_TRUE(cluster.driver->Pump().ok());
+  ExpectBothStages(cluster, 2);
+}
+
+TEST(DistClusterTest, ModeledOperatorIsRefused) {
+  // Modeled operators count bytes and store no values; only the simulator
+  // hosts them.
   Cluster cluster;
   ASSERT_TRUE(cluster.driver->ConnectAll().ok());
   dataflow::OperatorSpec spec;
   spec.kind = dataflow::OperatorKind::kModeledState;
   spec.name = "modeled";
   spec.num_vnodes = kNumVnodes;
-  spec.model.pattern = dataflow::StateModelConfig::Pattern::kAppend;
-  spec.model.state_bytes_per_input_byte = 1.0;
-  ASSERT_TRUE(cluster.driver->AddOperator(spec).ok());
-  cluster.driver->AddPartition(&cluster.partition);
-  ASSERT_TRUE(cluster.driver->ConnectPartition("modeled", 0).ok());
-
-  cluster.AppendWave();
-  cluster.AppendWave();
-  ASSERT_TRUE(cluster.driver->Pump().ok());
-  ASSERT_TRUE(cluster.driver->Checkpoint().ok());
-  cluster.AppendWave();
-  ASSERT_TRUE(cluster.driver->Pump().ok());
-
-  cluster.transport.Kill("node2");
-  ASSERT_TRUE(cluster.driver->RecoverNode(2).ok());
-  ASSERT_TRUE(cluster.driver->Pump().ok());
-
-  // Exactness audit at byte granularity: each vnode holds exactly
-  // (records routed to it) * 32 bytes * waves — replay must not double-
-  // account the recovered vnodes.
-  std::map<uint32_t, uint64_t> keys_per_vnode;
-  for (uint64_t key = 0; key < kNumKeys; ++key) {
-    keys_per_vnode[VnodeForKey(key, kNumVnodes)] += 1;
-  }
-  for (uint64_t key = 0; key < kNumKeys; ++key) {
-    auto state = cluster.driver->QueryState("modeled", key);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
-    EXPECT_EQ(state->count,
-              keys_per_vnode[VnodeForKey(key, kNumVnodes)] * 32 * 3)
-        << "key " << key;
-  }
+  EXPECT_EQ(cluster.driver->AddOperator(spec).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

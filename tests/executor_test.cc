@@ -1,43 +1,32 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/executor.h"
-#include "runtime/realtime_executor.h"
 #include "runtime/sim_executor.h"
 
 /// Conformance suite for the Executor contract (executor.h), run against
-/// both backends. Everything asserted here is backend-independent: FIFO
-/// within one queue at equal deadlines, past-deadline clamping, re-entrant
-/// scheduling, and Drain covering future timers and nested work. Ordering
-/// ACROSS queues at equal deadlines is deliberately not asserted — the
-/// contract leaves it unspecified under RealtimeExecutor.
+/// each backend; `SimExecutor` is the only one. Everything asserted here is
+/// backend-independent: FIFO within one queue at equal deadlines,
+/// past-deadline clamping, re-entrant scheduling, and Drain covering
+/// future timers and nested work. Ordering ACROSS queues at equal
+/// deadlines is the sim backend's own refinement, tested apart.
 
 namespace rhino::runtime {
 namespace {
 
-enum class Backend { kSim, kRealtime };
+enum class Backend { kSim };
 
-std::string BackendName(const ::testing::TestParamInfo<Backend>& info) {
-  return info.param == Backend::kSim ? "Sim" : "Realtime";
+std::string BackendName(const ::testing::TestParamInfo<Backend>&) {
+  return "Sim";
 }
 
 class ExecutorConformanceTest : public ::testing::TestWithParam<Backend> {
  protected:
-  ExecutorConformanceTest() {
-    if (GetParam() == Backend::kSim) {
-      executor_ = std::make_unique<SimExecutor>();
-    } else {
-      executor_ = std::make_unique<RealtimeExecutor>(4);
-    }
-  }
+  ExecutorConformanceTest() : executor_(std::make_unique<SimExecutor>()) {}
 
   Executor& exec() { return *executor_; }
 
@@ -65,7 +54,7 @@ TEST_P(ExecutorConformanceTest, SameDeadlineTasksOnOneQueueRunFifo) {
 
 TEST_P(ExecutorConformanceTest, DefaultQueueSerializesSchedules) {
   // Schedule/ScheduleAt target one serial queue, so equal delays keep
-  // submission order even on the multi-threaded backend.
+  // submission order.
   std::vector<int> order;
   for (int i = 1; i <= 5; ++i) {
     exec().Schedule(1000, [&order, i] { order.push_back(i); });
@@ -98,7 +87,7 @@ TEST_P(ExecutorConformanceTest, PastDeadlineClampsToNowAndCounts) {
 }
 
 TEST_P(ExecutorConformanceTest, CallbacksMayReenterSchedule) {
-  std::atomic<int> fired{0};
+  int fired = 0;
   Executor* e = &exec();
   TaskQueue* q = e->CreateQueue("strand");
   e->Schedule(0, [&fired, e, q] {
@@ -107,7 +96,7 @@ TEST_P(ExecutorConformanceTest, CallbacksMayReenterSchedule) {
     q->Post([&fired] { ++fired; });         // another queue
   });
   exec().Drain();
-  EXPECT_EQ(fired.load(), 3);
+  EXPECT_EQ(fired, 3);
 }
 
 TEST_P(ExecutorConformanceTest, DrainWaitsForFutureTimers) {
@@ -120,40 +109,39 @@ TEST_P(ExecutorConformanceTest, DrainWaitsForFutureTimers) {
 TEST_P(ExecutorConformanceTest, DrainWaitsForNestedChains) {
   // A chain of tasks, each scheduling the next: Drain must follow the
   // whole chain, not just the tasks queued when it was called.
-  std::atomic<int> depth{0};
+  int depth = 0;
   Executor* e = &exec();
   std::function<void()> step = [&depth, e, &step] {
     if (++depth < 10) e->Schedule(100, step);
   };
   e->Schedule(0, step);
   exec().Drain();
-  EXPECT_EQ(depth.load(), 10);
+  EXPECT_EQ(depth, 10);
 }
 
 TEST_P(ExecutorConformanceTest, QueuesDoNotStarveEachOther) {
   TaskQueue* a = exec().CreateQueue("a");
   TaskQueue* b = exec().CreateQueue("b");
-  std::atomic<int> ran{0};
+  int ran = 0;
   for (int i = 0; i < 100; ++i) {
     a->Post([&ran] { ++ran; });
     b->Post([&ran] { ++ran; });
   }
   exec().Drain();
-  EXPECT_EQ(ran.load(), 200);
+  EXPECT_EQ(ran, 200);
 }
 
 TEST_P(ExecutorConformanceTest, RunUntilAdvancesTheClock) {
-  std::atomic<bool> ran{false};
+  bool ran = false;
   exec().Schedule(1000, [&ran] { ran = true; });
   exec().RunUntil(exec().Now() + 5000);
-  exec().Drain();  // realtime RunUntil does not imply quiescence
-  EXPECT_TRUE(ran.load());
+  exec().Drain();
+  EXPECT_TRUE(ran);
   EXPECT_GE(exec().Now(), 5000);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ExecutorConformanceTest,
-                         ::testing::Values(Backend::kSim, Backend::kRealtime),
-                         BackendName);
+                         ::testing::Values(Backend::kSim), BackendName);
 
 // ---- Backend-specific guarantees -----------------------------------------
 
@@ -170,139 +158,6 @@ TEST(SimExecutorTest, CrossQueueOrderIsGlobalSubmissionOrder) {
   a->PostAt(10, [&order] { order.push_back(3); });
   exec.Drain();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(RealtimeExecutorTest, DistinctQueuesRunConcurrently) {
-  // Two tasks that each wait for the other to start can only both finish
-  // if their queues genuinely run on different threads.
-  RealtimeExecutor exec(4);
-  TaskQueue* a = exec.CreateQueue("a");
-  TaskQueue* b = exec.CreateQueue("b");
-  std::atomic<int> started{0};
-  auto rendezvous = [&started] {
-    started.fetch_add(1);
-    while (started.load() < 2) {
-    }
-  };
-  a->Post(rendezvous);
-  b->Post(rendezvous);
-  exec.Drain();
-  EXPECT_EQ(started.load(), 2);
-}
-
-TEST(RealtimeExecutorTest, ShutdownDropsQueuedWorkAndJoins) {
-  auto exec = std::make_unique<RealtimeExecutor>(2);
-  std::atomic<bool> ran{false};
-  exec->Schedule(60 * kSecond, [&ran] { ran = true; });  // far future
-  exec->Shutdown();
-  exec.reset();
-  EXPECT_FALSE(ran.load()) << "undelivered tasks are dropped, not run";
-}
-
-TEST(RealtimeExecutorTest, ShutdownRacesPendingTimers) {
-  // Shutdown while timers at mixed deadlines are pending and more are
-  // being scheduled from other threads: must join cleanly, never run a
-  // task after the destructor returned, and never touch freed state
-  // (the ASan/TSan lanes give this test its teeth).
-  for (int round = 0; round < 20; ++round) {
-    auto exec = std::make_unique<RealtimeExecutor>(4);
-    auto ran = std::make_shared<std::atomic<int>>(0);
-    std::atomic<bool> stop{false};
-    std::thread scheduler([&exec, ran, &stop] {
-      for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
-        // A mix of due-now and far-future deadlines.
-        SimTime delay = (i % 3 == 0) ? 0 : (i % 3 == 1) ? 200 : 60 * kSecond;
-        exec->Schedule(delay, [ran] {
-          ran->fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-    });
-    std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
-    exec->Shutdown();
-    stop.store(true, std::memory_order_release);
-    scheduler.join();
-    exec.reset();
-    int after_reset = ran->load(std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    // No task may fire after the executor is gone.
-    EXPECT_EQ(ran->load(std::memory_order_relaxed), after_reset);
-  }
-}
-
-TEST(RealtimeExecutorTest, ShutdownWaitsForInFlightStrandTasks) {
-  // A strand task is mid-execution when Shutdown is called: the join must
-  // wait for it (no use-after-free of queue state), and a task that
-  // re-posts onto its own strand during shutdown must not crash.
-  for (int round = 0; round < 20; ++round) {
-    RealtimeExecutor exec(2);
-    TaskQueue* q = exec.CreateQueue("strand");
-    std::atomic<bool> entered{false};
-    std::atomic<bool> finished{false};
-    q->Post([&entered, &finished, q] {
-      entered.store(true, std::memory_order_release);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      q->Post([] {});  // re-post during (possible) shutdown: dropped or run
-      finished.store(true, std::memory_order_release);
-    });
-    while (!entered.load(std::memory_order_acquire)) {
-    }
-    exec.Shutdown();
-    // Shutdown joined the workers: the in-flight task ran to completion.
-    EXPECT_TRUE(finished.load(std::memory_order_acquire));
-  }
-}
-
-TEST(RealtimeExecutorTest, DrainConcurrentWithPost) {
-  // Producers post from outside the pool while the main thread drains.
-  // Drain must not miss work posted before the producers finished and
-  // must not deadlock; a final drain after joining sees everything.
-  constexpr int kProducers = 4;
-  constexpr int kTasksPerProducer = 500;
-  RealtimeExecutor exec(4);
-  TaskQueue* q = exec.CreateQueue("strand");
-  std::atomic<int> ran{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&exec, q, &ran, p] {
-      for (int i = 0; i < kTasksPerProducer; ++i) {
-        if ((p + i) % 2 == 0) {
-          q->Post([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-        } else {
-          exec.Schedule(i % 50, [&ran] {
-            ran.fetch_add(1, std::memory_order_relaxed);
-          });
-        }
-      }
-    });
-  }
-  // Interleave drains with the posting storm.
-  exec.Drain();
-  for (auto& t : producers) t.join();
-  exec.Drain();
-  EXPECT_EQ(ran.load(), kProducers * kTasksPerProducer);
-}
-
-TEST(RealtimeExecutorTest, DrainFromTimerStormTerminates) {
-  // Chains of timers that re-schedule a bounded number of times: Drain
-  // must follow the chains to quiescence (not return while a timer is
-  // about to re-arm) and terminate once they stop.
-  RealtimeExecutor exec(2);
-  std::atomic<int> hops{0};
-  std::function<void()> hop = [&exec, &hops, &hop] {
-    if (hops.fetch_add(1, std::memory_order_relaxed) < 100) {
-      exec.Schedule(100, hop);
-    }
-  };
-  exec.Schedule(0, hop);
-  exec.Drain();
-  EXPECT_GE(hops.load(), 101);
-}
-
-TEST(RealtimeExecutorTest, RealtimeFlagDistinguishesBackends) {
-  RealtimeExecutor rt(1);
-  SimExecutor sim;
-  EXPECT_TRUE(rt.realtime());
-  EXPECT_FALSE(sim.realtime());
 }
 
 }  // namespace

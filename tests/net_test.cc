@@ -714,11 +714,12 @@ TEST(WireTest, EnvelopeByteMutationFuzz) {
   }
 }
 
-TEST(WireTest, VersionIsNine) {
-  // Version 9: vnodes have holders. A version 8 envelope, whose hello,
-  // handover and stream bodies this decoder cannot read, is refused, and
-  // the relabel verb (14) is known.
-  EXPECT_EQ(kWireVersion, 9);
+TEST(WireTest, VersionIsTen) {
+  // Version 10: a batch that asks for outputs carries its input's cursor,
+  // and operator specs carry no model. A version 9 envelope, whose batch
+  // and operator bodies this decoder cannot read, is refused, and the
+  // relabel verb (14) is known.
+  EXPECT_EQ(kWireVersion, 10);
   RequestEnvelope req;
   req.type = MessageType::kRelabelVnodes;
   req.body = "b";
@@ -728,13 +729,13 @@ TEST(WireTest, VersionIsNine) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->type, MessageType::kRelabelVnodes);
   EXPECT_STREQ(MessageTypeName(MessageType::kRelabelVnodes), "RelabelVnodes");
-  encoded[1] = 8;
+  encoded[1] = 9;
   EXPECT_EQ(RequestEnvelope::Decode(encoded).status().code(),
             StatusCode::kCorruption);
   ReplyEnvelope rep;
   encoded.clear();
   rep.EncodeTo(&encoded);
-  encoded[1] = 8;
+  encoded[1] = 9;
   EXPECT_EQ(ReplyEnvelope::Decode(encoded).status().code(),
             StatusCode::kCorruption);
 }
@@ -824,6 +825,7 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     msg.op = "counter";
     msg.side = 1;
     msg.return_outputs = 1;
+    msg.cursor = 300;
     msg.batch = MakeBatch();
     std::string encoded;
     msg.EncodeTo(&encoded);
@@ -831,8 +833,18 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded->side, 1u);
     EXPECT_EQ(decoded->return_outputs, 1);
+    EXPECT_EQ(decoded->cursor, 300u);
     EXPECT_EQ(decoded->batch.records.size(), msg.batch.records.size());
     FuzzPrefixes(encoded, ProcessBatchRequest::Decode);
+    // Without outputs the cursor stays off the wire: its two varint bytes
+    // are the whole difference.
+    msg.return_outputs = 0;
+    std::string bare;
+    msg.EncodeTo(&bare);
+    EXPECT_EQ(bare.size() + 2, encoded.size());
+    decoded = ProcessBatchRequest::Decode(bare);
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->cursor, 0u);
   }
   {
     // An extract: the move and the replica-local flag. For four vnodes it
@@ -1091,29 +1103,20 @@ TEST(WireTest, RequestBodiesRoundTripAndFuzz) {
 
 TEST(WireTest, OperatorSpecRoundTripAndFuzz) {
   dataflow::OperatorSpec spec;
-  spec.kind = dataflow::OperatorKind::kModeledState;
-  spec.name = "modeled";
+  spec.kind = dataflow::OperatorKind::kSymmetricHashJoin;
+  spec.name = "join";
   spec.num_vnodes = 64;
-  spec.input_arity = 1;
-  spec.model.pattern = dataflow::StateModelConfig::Pattern::kSession;
-  spec.model.state_bytes_per_input_byte = 2.5;
-  spec.model.rmw_cap_bytes_per_vnode = 1024;
-  spec.model.retention_us = 5'000'000;
-  spec.model.output_selectivity = 0.125;
-  spec.model.output_record_bytes = 48;
+  spec.input_arity = 2;
   std::string encoded;
   EncodeOperatorSpec(spec, &encoded);
+  // kind 1 + name 5 + vnodes 4 + arity 4 bytes: no model config.
+  EXPECT_EQ(encoded.size(), 14u);
   auto decoded = DecodeOperatorSpec(encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->kind, spec.kind);
   EXPECT_EQ(decoded->name, spec.name);
   EXPECT_EQ(decoded->num_vnodes, spec.num_vnodes);
-  EXPECT_EQ(decoded->model.pattern, spec.model.pattern);
-  EXPECT_DOUBLE_EQ(decoded->model.state_bytes_per_input_byte, 2.5);
-  EXPECT_EQ(decoded->model.rmw_cap_bytes_per_vnode, 1024u);
-  EXPECT_EQ(decoded->model.retention_us, 5'000'000);
-  EXPECT_DOUBLE_EQ(decoded->model.output_selectivity, 0.125);
-  EXPECT_EQ(decoded->model.output_record_bytes, 48u);
+  EXPECT_EQ(decoded->input_arity, spec.input_arity);
   FuzzPrefixes(encoded, DecodeOperatorSpec);
   // Single-byte corruption must never crash, and whatever it produces is
   // a Status, not garbage state.
