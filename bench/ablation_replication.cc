@@ -14,8 +14,8 @@
 #include "metrics/table.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
 #include "sim/cluster.h"
+#include "sim/simulation.h"
 
 namespace rhino::rhino {
 namespace {
@@ -32,7 +32,7 @@ state::CheckpointDescriptor Desc(uint64_t delta) {
 
 SimTime Replicate(int r, ReplicationOptions options, uint64_t delta,
                   bool store_and_forward = false) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 8);
   ReplicationManager rm({0, 1, 2, 3, 4, 5, 6, 7}, r);
   rm.BuildGroups({{"op", 0, 0, 1}});
@@ -84,7 +84,7 @@ void Run(bench::BenchArtifact* artifact) {
   metrics::TablePrinter w_table({"window", "replication time",
                                  "max in-flight chunks"});
   for (int window : {1, 2, 4, 8, 16}) {
-    runtime::SimExecutor sim;
+    sim::Simulation sim;
     sim::Cluster cluster(&sim, 8);
     ReplicationManager rm({0, 1, 2, 3, 4, 5, 6, 7}, 2);
     rm.BuildGroups({{"op", 0, 0, 1}});

@@ -88,7 +88,7 @@ void RunDoubleFailureScenario(const std::string& query, Sut sut,
   Testbed tb(opts);
   tb.SeedState(SeedFor(query));
 
-  sim::FaultInjector injector(&tb.sim, &tb.cluster, /*seed=*/11);
+  sim::FaultInjector injector(&tb.cluster, /*seed=*/11);
   injector.SetObservability(&tb.observability);
   injector.SetCrashHandler([&tb](int node) {
     tb.engine.FailNode(node);

@@ -82,7 +82,7 @@ class MegaphoneDelegate : public dataflow::HandoverDelegate {
     if (it == queues_.end()) {
       it = queues_
                .emplace(key, std::make_unique<sim::QueueResource>(
-                                 engine_->executor(), "megaphone-serde",
+                                 engine_->sim(), "megaphone-serde",
                                  options_.serialize_bytes_per_sec))
                .first;
     }
@@ -125,7 +125,7 @@ Testbed::Testbed(TestbedOptions opts)
     : options(std::move(opts)),
       cluster(&sim, options.num_workers + options.num_broker_nodes),
       broker(BrokerNodes(options)),
-      engine(&sim, &cluster, &broker, MakeEngineOptions(options)),
+      engine(&cluster, &broker, MakeEngineOptions(options)),
       dfs(&cluster, WorkerNodeList(options)),
       rm(WorkerNodeList(options), options.replication_factor),
       replication(&cluster, &rm, options.replication),
@@ -136,13 +136,14 @@ Testbed::Testbed(TestbedOptions opts)
   engine.SetObservability(&observability);  // before BuildQuery: instances
                                             // cache handles at registration
   replication.SetObservability(&observability);
+  dfs.SetObservability(&observability);
   rm.SetObservability(&observability);
   stateful_ops = nexmark::StatefulOpsOf(options.query);
   BuildQuery();
   WireSut();
   BuildReplicaGroups();
   monitor = std::make_unique<metrics::ResourceMonitor>(
-      &sim, &cluster, WorkerNodeList(options), kSecond);
+      &cluster, WorkerNodeList(options), kSecond);
   monitor->SetMemoryProbe([this] { return TotalStateBytes(); });
 }
 

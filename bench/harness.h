@@ -20,8 +20,8 @@
 #include "rhino/handover_manager.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
 #include "sim/cluster.h"
+#include "sim/simulation.h"
 
 /// \file harness.h
 /// Shared experiment testbed for every bench binary: the paper's cluster
@@ -122,10 +122,9 @@ class Testbed {
 
   // ---- components (construction order matters) ----
   TestbedOptions options;
-  /// Deterministic execution substrate (the member keeps its historical
-  /// name: scenario drivers step it exactly as they stepped the raw
-  /// kernel, and its call-order-to-event-order mapping is identical).
-  runtime::SimExecutor sim;
+  /// The discrete-event kernel every component schedules on; scenario
+  /// drivers step it.
+  sim::Simulation sim;
   /// Per-testbed observability context (simulated-clock trace + metrics);
   /// installed on the engine and the out-of-engine components in the ctor
   /// so benches that build several testbeds in one process don't bleed

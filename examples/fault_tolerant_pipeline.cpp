@@ -18,11 +18,10 @@
 #include "rhino/handover_manager.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace sim = rhino::sim;
-namespace runtime = rhino::runtime;
 namespace broker = rhino::broker;
 namespace lsm = rhino::lsm;
 namespace state = rhino::state;
@@ -32,7 +31,7 @@ using namespace rhino::dataflow;  // NOLINT: example brevity
 int main() {
   std::printf("== Fault-tolerant join pipeline ==\n\n");
 
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 5);  // node 0: broker; 1-4: workers
   broker::Broker broker({0});
   broker.CreateTopic("left", 2);
@@ -41,7 +40,7 @@ int main() {
   EngineOptions engine_opts;
   engine_opts.num_key_groups = 128;
   engine_opts.vnodes_per_instance = 2;
-  Engine engine(&sim, &cluster, &broker, engine_opts);
+  Engine engine(&cluster, &broker, engine_opts);
 
   core::ReplicationManager rm({1, 2, 3, 4}, 1);
   core::ReplicationRuntime replication(&cluster, &rm);

@@ -22,11 +22,10 @@
 #include "rhino/handover_manager.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace sim = rhino::sim;
-namespace runtime = rhino::runtime;
 namespace broker = rhino::broker;
 namespace lsm = rhino::lsm;
 namespace state = rhino::state;
@@ -38,7 +37,7 @@ int main() {
 
   // 1. A simulated 4-node cluster: node 0 hosts the broker, 1-3 are
   //    workers.
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 4);
   broker::Broker broker({0});
   broker.CreateTopic("events", 2);
@@ -47,7 +46,7 @@ int main() {
   EngineOptions engine_opts;
   engine_opts.num_key_groups = 128;
   engine_opts.vnodes_per_instance = 4;
-  Engine engine(&sim, &cluster, &broker, engine_opts);
+  Engine engine(&cluster, &broker, engine_opts);
 
   // 3. Rhino: replica groups, chain replication, handover manager.
   core::ReplicationManager rm({1, 2, 3}, /*replication_factor=*/1);

@@ -18,7 +18,7 @@ using dataflow::StatefulInstance;
 
 void FlinkRestartController::RestartFromLastCheckpoint(
     int failed_node, std::function<void(RestartBreakdown)> done) {
-  runtime::Executor* sim = engine_->executor();
+  sim::Simulation* sim = engine_->sim();
   const auto* ckpt = engine_->LastCompletedCheckpoint();
   SimTime start = sim->Now();
 

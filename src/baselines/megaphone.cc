@@ -21,7 +21,7 @@ bool MegaphoneModel::FitsMemory(uint64_t total_state_bytes) const {
 void MegaphoneModel::Migrate(const std::map<int, uint64_t>& bytes_per_origin,
                              uint64_t total_state_bytes, int num_bins,
                              std::function<void(MegaphoneResult)> done) {
-  runtime::Executor* sim = cluster_->executor();
+  sim::Simulation* sim = cluster_->sim();
   if (!FitsMemory(total_state_bytes)) {
     sim->Schedule(0, [done] {
       MegaphoneResult result;

@@ -73,7 +73,7 @@ uint64_t Engine::TriggerCheckpoint() {
   int pending;
   CheckpointRecord record;
   record.id = next_checkpoint_id_++;
-  record.trigger_time = executor_->Now();
+  record.trigger_time = sim()->Now();
   for (SourceInstance* s : sources_) {
     if (!s->halted()) ++record.pending_acks;
   }
@@ -107,7 +107,7 @@ void Engine::StartPeriodicCheckpoints(SimTime interval) {
     if (!checkpoint_in_flight()) TriggerCheckpoint();
     StartPeriodicCheckpoints(interval);
   };
-  executor_->Schedule(interval, std::move(tick));
+  sim()->Schedule(interval, std::move(tick));
 }
 
 CheckpointRecord* Engine::FindCheckpoint(uint64_t id) {
@@ -141,7 +141,7 @@ void Engine::OnSnapshotTaken(OperatorInstance* instance,
       persist_failed = true;
     } else if (--rec->pending_acks == 0) {
       rec->completed = true;
-      rec->complete_time = executor_->Now();
+      rec->complete_time = sim()->Now();
       checkpoint_in_flight_ = false;
       obs_->metrics()
           .GetCounter("rhino_checkpoint_completed_total")
@@ -221,7 +221,7 @@ Status Engine::StartHandover(std::shared_ptr<const HandoverSpec> spec,
       {{"moves", static_cast<int64_t>(spec->moves.size())}});
   HandoverRecord record;
   record.spec = spec;
-  record.trigger_time = executor_->Now();
+  record.trigger_time = sim()->Now();
   for (const auto& instance : instances_) {
     if (!instance->halted()) {
       record.participants.insert(InstanceKey(instance.get()));
@@ -254,7 +254,7 @@ void Engine::MaybeCompleteHandover(HandoverRecord& record) {
     if (!record.acked.count(key)) return;
   }
   record.completed = true;
-  record.complete_time = executor_->Now();
+  record.complete_time = sim()->Now();
   // Commit the new configuration epoch in the coordinator's view.
   hashring::RoutingTable* table = routing(record.spec->operator_name);
   for (const HandoverMove& move : record.spec->moves) {

@@ -14,7 +14,6 @@
 #include "dataflow/operator.h"
 #include "hashring/key_groups.h"
 #include "obs/observability.h"
-#include "runtime/executor.h"
 #include "sim/cluster.h"
 #include "state/checkpoint.h"
 
@@ -24,8 +23,8 @@
 /// failure handling. Rhino and the baselines plug in through the
 /// `CheckpointStorage` and `HandoverDelegate` strategy interfaces.
 ///
-/// Single-threaded: everything runs on the simulator's executor, one event
-/// at a time.
+/// Single-threaded: everything runs on the cluster's simulation kernel, one
+/// event at a time.
 ///
 /// Record containers are deques: completion paths hold references across
 /// asynchronous persistence, and deque growth never invalidates them.
@@ -102,15 +101,13 @@ struct EngineOptions {
 /// The per-query runtime coordinator.
 class Engine {
  public:
-  Engine(runtime::Executor* executor, sim::Cluster* cluster,
-         broker::Broker* broker, EngineOptions options = EngineOptions())
-      : executor_(executor),
-        cluster_(cluster),
-        broker_(broker),
-        options_(options) {}
+  Engine(sim::Cluster* cluster, broker::Broker* broker,
+         EngineOptions options = EngineOptions())
+      : cluster_(cluster), broker_(broker), options_(options) {}
 
-  runtime::Executor* executor() { return executor_; }
   sim::Cluster* cluster() { return cluster_; }
+  /// The cluster's simulation kernel: the clock and the scheduler.
+  sim::Simulation* sim() { return cluster_->sim(); }
   broker::Broker* broker() { return broker_; }
   const EngineOptions& options() const { return options_; }
 
@@ -123,7 +120,7 @@ class Engine {
   // ------------------------------------------------------- registration --
 
   /// Takes ownership of an instance. Called by the graph builder (wiring
-  /// happens before the executor runs; registration is not thread-safe).
+  /// happens before the simulation runs; registration is not thread-safe).
   OperatorInstance* AddInstance(std::unique_ptr<OperatorInstance> instance);
   Channel* AddChannel(std::unique_ptr<Channel> channel);
 
@@ -164,7 +161,7 @@ class Engine {
 
   /// Checkpoint record by id (nullptr when unknown). The pointer is stable
   /// (deque storage); read its fields only from engine callbacks or after
-  /// the executor drained.
+  /// the simulation drained.
   CheckpointRecord* FindCheckpoint(uint64_t id);
 
   /// True when checkpoint `id` was aborted by a failure; its barriers are
@@ -233,7 +230,7 @@ class Engine {
     latency_listener_ = std::move(fn);
   }
   void RecordLatency(const std::string& op, SimTime latency) {
-    if (latency_listener_) latency_listener_(op, executor_->Now(), latency);
+    if (latency_listener_) latency_listener_(op, sim()->Now(), latency);
   }
 
   // ------------------------------------------------------------- failure --
@@ -254,7 +251,6 @@ class Engine {
   /// Completes `record` once every still-live participant acked.
   void MaybeCompleteHandover(HandoverRecord& record);
 
-  runtime::Executor* executor_;
   sim::Cluster* cluster_;
   broker::Broker* broker_;
   EngineOptions options_;

@@ -32,9 +32,8 @@ void Channel::Send(ChannelItem item) {
     to_->Deliver(to_channel_idx_, std::move(item));
   };
   if (src == dst) {
-    // Local exchange: a scheduling quantum, no NIC time. Delivery runs on
-    // the receiver's node queue.
-    engine_->cluster()->node(dst).queue()->PostDelayed(50, std::move(deliver));
+    // Local exchange: a scheduling quantum, no NIC time.
+    engine_->sim()->Schedule(50, std::move(deliver));
   } else {
     engine_->cluster()->Transfer(src, dst, bytes, std::move(deliver));
   }
@@ -179,8 +178,7 @@ void OperatorInstance::TryProcessNext() {
                     profile_.records_per_sec * kSecond));
     }
     engine_->cluster()->node(node_id()).AddCpuBusy(cost);
-    // The completion runs on this instance's node queue.
-    engine_->cluster()->node(node_id()).queue()->PostDelayed(
+    engine_->sim()->Schedule(
         cost, [this, ch, item = std::move(item)]() mutable {
           busy_ = false;
           if (halted()) return;

@@ -21,8 +21,8 @@
 /// band with records, and marker alignment (paper §4.1.1) is implemented
 /// by *not polling* a channel that already delivered the active marker.
 ///
-/// Single-threaded, like the engine: processing callbacks run on the
-/// instance's node queue of the simulator's executor.
+/// Single-threaded, like the engine: processing callbacks are events of
+/// the simulation kernel.
 
 namespace rhino::dataflow {
 

@@ -40,7 +40,7 @@ int StatefulInstance::ChannelSide(int channel_idx) const {
 }
 
 void StatefulInstance::HandleBatch(int channel_idx, Batch& batch) {
-  SimTime now = engine_->executor()->Now();
+  SimTime now = engine_->sim()->Now();
   Batch out;
   out.create_time = batch.create_time;
   // The host deduplicates the batch against the replay watermarks, folds

@@ -8,6 +8,14 @@
 
 namespace rhino::dfs {
 
+namespace {
+
+/// Seed of the block shipments' backoff jitter, mixed with a per-shipment
+/// sequence number.
+constexpr uint64_t kRetrySeed = 0xDF5;
+
+}  // namespace
+
 std::vector<int> DistributedFileSystem::PlaceBlock(int writer_node) {
   std::vector<int> replicas;
   bool writer_is_datanode =
@@ -50,7 +58,7 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
   // File underneath a held reference.
   File file = files_[path];
   if (file.blocks.empty()) {
-    cluster_->executor()->Schedule(0, [done] { done(Status::OK()); });
+    cluster_->sim()->Schedule(0, [done] { done(Status::OK()); });
     return;
   }
   auto remaining = std::make_shared<size_t>(file.blocks.size());
@@ -82,7 +90,7 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
       } else {
         sim::ReliableTransfer(
             cluster_, writer_node, replica, block.bytes, options_.retry,
-            options_.retry_seed ^ NextTransferSeq(), "dfs_block_write",
+            kRetrySeed ^ NextTransferSeq(), "dfs_block_write", obs_,
             std::move(write_disk), [failed, block_done](Status) {
               *failed = true;
               block_done();
@@ -96,13 +104,13 @@ void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
                                      std::function<void(Status)> done) {
   auto it = files_.find(path);
   if (it == files_.end()) {
-    cluster_->executor()->Schedule(
+    cluster_->sim()->Schedule(
         0, [done, path] { done(Status::NotFound(path)); });
     return;
   }
   File file = it->second;  // copy: overwrites must not invalidate the read
   if (file.blocks.empty()) {
-    cluster_->executor()->Schedule(0, [done] { done(Status::OK()); });
+    cluster_->sim()->Schedule(0, [done] { done(Status::OK()); });
     return;
   }
   auto remaining = std::make_shared<size_t>(file.blocks.size());
@@ -129,7 +137,7 @@ void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
       if (source < 0) source = replica;
     }
     if (source < 0) {
-      cluster_->executor()->Schedule(0, [finish] { finish(Status::IOError("")); });
+      cluster_->sim()->Schedule(0, [finish] { finish(Status::IOError("")); });
       continue;
     }
     uint64_t block_bytes = block.bytes;
@@ -148,7 +156,7 @@ void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
           [this, source, reader_node, block_bytes, finish, client] {
             sim::ReliableTransfer(
                 cluster_, source, reader_node, block_bytes, options_.retry,
-                options_.retry_seed ^ NextTransferSeq(), "dfs_block_read",
+                kRetrySeed ^ NextTransferSeq(), "dfs_block_read", obs_,
                 [client, block_bytes, finish] {
                   client->Submit(block_bytes,
                                  [finish] { finish(Status::OK()); });
@@ -167,7 +175,7 @@ sim::QueueResource* DistributedFileSystem::ClientQueue(int reader_node) {
     it = client_queues_
              .emplace(reader_node,
                       std::make_unique<sim::QueueResource>(
-                          cluster_->executor(),
+                          cluster_->sim(),
                           "dfs-client-" + std::to_string(reader_node),
                           options_.client_bytes_per_sec))
              .first;

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "obs/observability.h"
 #include "runtime/retry.h"
 #include "sim/cluster.h"
 #include "sim/resource.h"
@@ -40,7 +41,6 @@ struct DfsOptions {
   /// with jittered backoff; exhaustion surfaces IOError on the file
   /// operation. See `sim::ReliableTransfer`.
   runtime::RetryOptions retry = DefaultRetry();
-  uint64_t retry_seed = 0xDF5;
 
   static runtime::RetryOptions DefaultRetry() {
     runtime::RetryOptions r;
@@ -67,6 +67,10 @@ class DistributedFileSystem {
         datanodes_(std::move(datanodes)),
         options_(options),
         rng_(seed) {}
+
+  /// Installs the observability context the block shipments count their
+  /// retries in (defaults to the process-wide one).
+  void SetObservability(obs::Observability* o) { obs_ = o; }
 
   /// Writes a file of `bytes` from `writer_node`: local first replica
   /// (when the writer is a datanode) plus pipelined remote copies.
@@ -117,6 +121,7 @@ class DistributedFileSystem {
   std::vector<int> datanodes_;
   DfsOptions options_;
   Random rng_;
+  obs::Observability* obs_ = obs::Observability::Default();
   std::map<std::string, File> files_;
   std::map<int, int> disk_cursor_;  // per-node round-robin disk choice
   std::map<int, std::unique_ptr<sim::QueueResource>> client_queues_;

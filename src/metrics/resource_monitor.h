@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "runtime/executor.h"
 #include "sim/cluster.h"
 
 /// \file resource_monitor.h
@@ -29,10 +28,9 @@ struct ResourceSample {
 /// Samples utilization deltas every `interval` of simulated time.
 class ResourceMonitor {
  public:
-  ResourceMonitor(runtime::Executor* executor, sim::Cluster* cluster,
-                  std::vector<int> nodes, SimTime interval = kSecond)
-      : executor_(executor), cluster_(cluster), nodes_(std::move(nodes)),
-        interval_(interval) {}
+  ResourceMonitor(sim::Cluster* cluster, std::vector<int> nodes,
+                  SimTime interval = kSecond)
+      : cluster_(cluster), nodes_(std::move(nodes)), interval_(interval) {}
 
   /// Extra memory to report (e.g. modeled operator state), queried at each
   /// sample.
@@ -76,12 +74,12 @@ class ResourceMonitor {
 
   void Tick() {
     if (!running_) return;
-    executor_->Schedule(interval_, [this] {
+    cluster_->sim()->Schedule(interval_, [this] {
       if (!running_) return;
       Counters now;
       Snapshot(&now);
       ResourceSample sample;
-      sample.time = executor_->Now();
+      sample.time = cluster_->sim()->Now();
       double n = static_cast<double>(nodes_.size());
       double interval = static_cast<double>(interval_);
       int cores = cluster_->node(nodes_[0]).spec().cores;
@@ -104,7 +102,6 @@ class ResourceMonitor {
     });
   }
 
-  runtime::Executor* executor_;
   sim::Cluster* cluster_;
   std::vector<int> nodes_;
   SimTime interval_;

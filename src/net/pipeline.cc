@@ -14,12 +14,12 @@ PipelinedChannel::PipelinedChannel(std::string host, uint16_t port,
     : host_(std::move(host)),
       port_(port),
       options_(options),
-      what_(std::move(what)) {
-  if (obs == nullptr) obs = obs::Observability::Default();
-  inflight_gauge_ = obs->metrics().GetGauge("rhino_net_inflight",
-                                            {{"endpoint", endpoint()}});
-  latency_us_ = obs->metrics().GetHistogram("rhino_net_call_latency_us",
-                                            {{"endpoint", endpoint()}});
+      what_(std::move(what)),
+      obs_(obs != nullptr ? obs : obs::Observability::Default()) {
+  inflight_gauge_ = obs_->metrics().GetGauge("rhino_net_inflight",
+                                             {{"endpoint", endpoint()}});
+  latency_us_ = obs_->metrics().GetHistogram("rhino_net_call_latency_us",
+                                             {{"endpoint", endpoint()}});
   reader_ = std::thread([this] { ReaderLoop(); });
 }
 
@@ -191,12 +191,20 @@ void PipelinedChannel::ReaderLoop() {
 
 bool PipelinedChannel::ReconnectAndReplay() {
   std::unique_lock<std::mutex> wlock(wmu_);
+  // The retry ladder reads no clock: it is handed steady-clock
+  // microseconds, and the delays it picks are slept here.
+  auto now_us = [] {
+    return static_cast<SimTime>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  };
   // Fresh budget per outage episode, seeded deterministically (endpoint +
   // progress so far) so channels de-synchronize without wall-clock
   // entropy.
-  runtime::BlockingRetrier retrier(options_.retry,
-                                   Fnv1a64(host_) + port_ + next_seq_,
-                                   what_ + ":reconnect");
+  runtime::Retrier retrier(now_us(), options_.retry,
+                           Fnv1a64(host_) + port_ + next_seq_,
+                           what_ + ":reconnect", obs_);
   Status last = Status::IOError(what_ + ": not connected");
   bool first_attempt = true;
   while (true) {
@@ -205,14 +213,18 @@ bool PipelinedChannel::ReconnectAndReplay() {
       if (closing_) return false;
       if (pending_.empty()) return true;  // nothing owed; connect lazily
     }
-    if (!first_attempt && !retrier.BackoffAndRetry()) {
-      Status verdict = retrier.Exhausted(last);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        broken_ = verdict;
+    if (!first_attempt) {
+      SimTime delay = 0;
+      if (!retrier.NextBackoff(now_us(), &delay)) {
+        Status verdict = retrier.Exhausted(now_us(), last);
+        {
+          std::lock_guard<std::mutex> lock(mu_);
+          broken_ = verdict;
+        }
+        FailAllPending(verdict);
+        return false;
       }
-      FailAllPending(verdict);
-      return false;
+      std::this_thread::sleep_for(std::chrono::microseconds(delay));
     }
     first_attempt = false;
     conn_.Close();

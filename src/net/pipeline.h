@@ -41,7 +41,7 @@
 /// silently.
 ///
 /// Failure semantics: a transport error parks the window and the reader
-/// reconnects under a fresh `runtime::BlockingRetrier` budget, replaying
+/// reconnects under a fresh `runtime::Retrier` budget, replaying
 /// every pending request. That is safe for the data plane only: a
 /// `kProcessBatch` whose first apply landed is deduplicated, and answered
 /// with the outputs that apply kept when they feed an operator edge; a
@@ -133,6 +133,8 @@ class PipelinedChannel {
   const uint16_t port_;
   const PipelinedChannelOptions options_;
   const std::string what_;
+  /// Registry of the channel's gauges, latencies and reconnect retries.
+  obs::Observability* const obs_;
 
   obs::Gauge* inflight_gauge_ = nullptr;
   obs::HistogramMetric* latency_us_ = nullptr;

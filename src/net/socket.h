@@ -12,8 +12,9 @@
 /// Every networked component in `src/net` speaks through this class, so
 /// error handling is uniform: syscall failures become `IOError`, receive
 /// timeouts become `TimedOut`, and an orderly peer close observed at a
-/// message boundary becomes `Aborted` — the three classes the RPC layer
-/// and `runtime::IsTransientStatus` distinguish.
+/// message boundary becomes `Aborted`. The RPC server and the pipelined
+/// channel treat a `TimedOut` read as a poll tick and both others as a
+/// dropped connection.
 ///
 /// Sockets are blocking with an optional receive timeout (`SO_RCVTIMEO`):
 /// a wedged peer costs at most one timeout interval, never a hung thread.

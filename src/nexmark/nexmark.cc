@@ -19,16 +19,16 @@ void NexmarkGenerator::Start() {
 
 void NexmarkGenerator::Tick() {
   if (!running_) return;
-  executor_->Schedule(options_.tick, [this] {
+  sim_->Schedule(options_.tick, [this] {
     if (!running_) return;
     double factor =
-        options_.rate_factor ? options_.rate_factor(executor_->Now()) : 1.0;
+        options_.rate_factor ? options_.rate_factor(sim_->Now()) : 1.0;
     auto bytes = static_cast<uint64_t>(options_.bytes_per_sec * factor *
                                        ToSeconds(options_.tick));
     uint64_t count = std::max<uint64_t>(1, bytes / options_.record_bytes);
     for (int p = 0; p < topic_->num_partitions(); ++p) {
       dataflow::Batch batch;
-      batch.create_time = executor_->Now();
+      batch.create_time = sim_->Now();
       batch.count = count;
       batch.bytes = bytes;
       if (options_.real_records) {
@@ -36,7 +36,7 @@ void NexmarkGenerator::Tick() {
         for (uint64_t i = 0; i < count; ++i) {
           dataflow::Record r;
           r.key = rng_.Uniform(options_.key_space);
-          r.event_time = executor_->Now();
+          r.event_time = sim_->Now();
           r.size = options_.record_bytes;
           batch.records.push_back(std::move(r));
         }

@@ -7,7 +7,7 @@
 #include "broker/broker.h"
 #include "common/random.h"
 #include "dataflow/graph.h"
-#include "runtime/executor.h"
+#include "sim/simulation.h"
 
 /// \file nexmark.h
 /// NEXMark workload (paper §5.1.2): the event model, a rate-controlled
@@ -46,9 +46,9 @@ struct GeneratorOptions {
 /// Drives a broker topic with modeled (or real) NEXMark traffic.
 class NexmarkGenerator {
  public:
-  NexmarkGenerator(runtime::Executor* executor, broker::Topic* topic,
+  NexmarkGenerator(sim::Simulation* sim, broker::Topic* topic,
                    GeneratorOptions options, uint64_t seed = 42)
-      : executor_(executor),
+      : sim_(sim),
         topic_(topic),
         options_(std::move(options)),
         rng_(seed) {}
@@ -62,7 +62,7 @@ class NexmarkGenerator {
  private:
   void Tick();
 
-  runtime::Executor* executor_;
+  sim::Simulation* sim_;
   broker::Topic* topic_;
   GeneratorOptions options_;
   Random rng_;

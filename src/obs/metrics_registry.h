@@ -60,8 +60,8 @@ class Gauge {
 
 /// Sample distribution with percentile queries (wraps rhino::Histogram).
 /// Observations lock internally; `histogram()` hands out the unlocked
-/// sample set and must only be read when writers are quiescent (after the
-/// executor drained) — which is when exporters and tests run.
+/// sample set and must only be read when writers are quiescent (after a run
+/// drained) — which is when exporters and tests run.
 class HistogramMetric {
  public:
   void Observe(int64_t v) {
@@ -98,7 +98,7 @@ class MetricsRegistry {
   };
 
   /// Instruments in registration-key order (name, then serialized labels).
-  /// Enumeration is unlocked: export/assert after the executor drained.
+  /// Enumeration is unlocked: export/assert after a run drained.
   const std::map<std::string, Instrument<Counter>>& counters() const {
     return counters_;
   }

@@ -50,10 +50,10 @@ class AdaptiveCheckpointScheduler {
   uint64_t last_delta_bytes() const { return last_delta_; }
 
  private:
-  // Tick and the completion observer run on the executor's default queue.
+  // Tick and the completion observer are events of the simulation kernel.
   void Tick() {
     if (!running_) return;
-    engine_->executor()->Schedule(interval_, [this] {
+    engine_->sim()->Schedule(interval_, [this] {
       if (!running_) return;
       if (!engine_->checkpoint_in_flight()) {
         uint64_t id = engine_->TriggerCheckpoint();
@@ -66,7 +66,7 @@ class AdaptiveCheckpointScheduler {
   void ObserveWhenComplete(uint64_t id) {
     // Poll cheaply on the simulated clock; the checkpoint completes within
     // a few seconds of simulated time.
-    engine_->executor()->Schedule(kSecond, [this, id] {
+    engine_->sim()->Schedule(kSecond, [this, id] {
       const dataflow::CheckpointRecord* record = engine_->FindCheckpoint(id);
       if (record == nullptr || record->aborted) return;
       if (!record->completed) {

@@ -48,13 +48,13 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
   int disk = disk_cursor_[node_id]++ % node.num_disks();
   node.disk(disk).Write(
       desc.DeltaBytes(),
-      [this, op, subtask, node_id, desc, images = std::move(images),
+      [this, o, op, subtask, node_id, desc, images = std::move(images),
        done = std::move(done)]() mutable {
         // ...then replicated asynchronously down the chain (§4.2.2), with
         // transient replication failures retried before surfacing.
         auto retrier = std::make_shared<runtime::Retrier>(
-            cluster_->executor(), retry_, 0xC4E ^ desc.checkpoint_id,
-            "checkpoint_persist");
+            cluster_->sim()->Now(), retry_, 0xC4E ^ desc.checkpoint_id,
+            "checkpoint_persist", o);
         ReplicateWithRetry(
             std::move(op), subtask, node_id, desc, std::move(retrier),
             std::make_shared<const std::map<uint32_t, state::VnodeImage>>(
@@ -82,8 +82,8 @@ void RhinoCheckpointStorage::ReplicateWithRetry(
           return;
         }
         SimTime backoff = 0;
-        if (!retrier->NextBackoff(&backoff)) {
-          done(retrier->Exhausted(st));
+        if (!retrier->NextBackoff(cluster_->sim()->Now(), &backoff)) {
+          done(retrier->Exhausted(cluster_->sim()->Now(), st));
           return;
         }
         RHINO_LOG(Warn) << "replication of " << op << "#" << subtask
@@ -91,7 +91,7 @@ void RhinoCheckpointStorage::ReplicateWithRetry(
                         << " failed transiently (" << st.ToString()
                         << "); retry " << retrier->retries() << " in "
                         << backoff << "us";
-        cluster_->executor()->Schedule(
+        cluster_->sim()->Schedule(
             backoff, [this, op = std::move(op), subtask, node_id, desc,
                       retrier = std::move(retrier), images = std::move(images),
                       done = std::move(done)]() mutable {

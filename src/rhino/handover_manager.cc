@@ -16,6 +16,9 @@ using dataflow::StatefulInstance;
 
 namespace {
 
+/// Seed of the shipments' backoff jitter, mixed with the handover id.
+constexpr uint64_t kRetrySeed = 0x4a0b;
+
 /// One bulk state shipment (migration tail / remote replica fetch) with a
 /// durability timeout and retransmission. `settled` makes the first
 /// terminal event win: a timed-out attempt's late delivery cannot fire
@@ -63,18 +66,20 @@ struct Shipment {
                        TransferTime(s->bytes, spec.disk_write_bytes_per_sec) +
                        spec.net_latency;
     SimTime timeout = expected * 3 + 50 * kMillisecond;
-    s->engine->executor()->Schedule(timeout, [s] {
+    s->engine->sim()->Schedule(timeout, [s] {
       if (s->settled) return;
+      sim::Simulation* sim = s->engine->sim();
       SimTime backoff = 0;
-      if (!s->retrier->NextBackoff(&backoff)) {
+      if (!s->retrier->NextBackoff(sim->Now(), &backoff)) {
         if (s->Settle()) {
-          s->give_up(s->retrier->Exhausted(Status::TimedOut(
-              "state shipment to node " + std::to_string(s->dst) +
-              " not durable in time")));
+          s->give_up(s->retrier->Exhausted(
+              sim->Now(), Status::TimedOut("state shipment to node " +
+                                           std::to_string(s->dst) +
+                                           " not durable in time")));
         }
         return;
       }
-      s->engine->executor()->Schedule(backoff, [s] { Attempt(s); });
+      sim->Schedule(backoff, [s] { Attempt(s); });
     });
   }
 };
@@ -85,17 +90,6 @@ void HandoverManager::ShipStateWithRetry(int src, int dst, uint64_t bytes,
                                          uint64_t handover_id,
                                          std::function<void()> deliver,
                                          std::function<void(Status)> give_up) {
-  if (options_.retry.initial_backoff_us == 0) {
-    // Watchdog disabled: the historical fire-and-forget path.
-    sim::Node& tgt = engine_->cluster()->node(dst);
-    engine_->cluster()->Transfer(
-        src, dst, bytes,
-        [&tgt, bytes, deliver = std::move(deliver)]() mutable {
-          tgt.disk(0).Write(bytes, std::move(deliver));
-        },
-        sim::TransferKind::kState);
-    return;
-  }
   auto s = std::make_shared<Shipment>();
   s->engine = engine_;
   s->src = src;
@@ -104,7 +98,7 @@ void HandoverManager::ShipStateWithRetry(int src, int dst, uint64_t bytes,
   s->deliver = std::move(deliver);
   s->give_up = std::move(give_up);
   s->retrier = std::make_shared<runtime::Retrier>(
-      engine_->executor(), options_.retry, options_.retry_seed ^ handover_id,
+      engine_->sim()->Now(), options_.retry, kRetrySeed ^ handover_id,
       "handover_shipment", engine_->obs());
   Shipment::Attempt(std::move(s));
 }
@@ -117,7 +111,7 @@ uint64_t HandoverManager::TriggerReconfiguration(
   spec->moves = std::move(moves);
   UpdateStats(spec->id, [&](HandoverStats& stats) {
     stats.handover_id = spec->id;
-    stats.triggered_at = engine_->executor()->Now();
+    stats.triggered_at = engine_->sim()->Now();
     stats.moves = static_cast<int>(spec->moves.size());
   });
   Status started = engine_->StartHandover(spec);
@@ -265,7 +259,7 @@ std::vector<uint64_t> HandoverManager::RecoverFailedNode(int node) {
     spec->origin_failed = true;
     UpdateStats(spec->id, [&](HandoverStats& stats) {
       stats.handover_id = spec->id;
-      stats.triggered_at = engine_->executor()->Now();
+      stats.triggered_at = engine_->sim()->Now();
       stats.moves = static_cast<int>(spec->moves.size());
     });
     RHINO_CHECK_OK(engine_->StartHandover(spec, /*inject_markers=*/false));
@@ -311,7 +305,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
                                     StatefulInstance* origin,
                                     StatefulInstance* target,
                                     std::function<void()> done) {
-  SimTime start = engine_->executor()->Now();
+  SimTime start = engine_->sim()->Now();
   HandoverSpec spec_copy = spec;
   HandoverMove move_copy = move;
 
@@ -354,7 +348,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
   if (origin != nullptr) {
     // ---- live migration: incremental checkpoint + tail transfer --------
     if (target == nullptr || target->halted()) {
-      engine_->executor()->Schedule(0, abandon);
+      engine_->sim()->Schedule(0, abandon);
       return;
     }
     auto images = origin->ReadImages(move.vnodes);
@@ -396,7 +390,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
     auto ingest = [this, spec_copy, move_copy, origin, target, done, abandon,
                    start, target_has_replica,
                    images = std::move(images).MoveValue()]() {
-      SimTime fetch = engine_->executor()->Now() - start;
+      SimTime fetch = engine_->sim()->Now() - start;
       UpdateStats(spec_copy.id, [&](HandoverStats& s) {
         s.state_fetch_us = std::max(s.state_fetch_us, fetch);
       });
@@ -405,7 +399,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
           .GetHistogram("rhino_handover_state_fetch_us")
           ->Observe(fetch);
       SimTime load = options_.load_per_file_us * 8;
-      engine_->executor()->Schedule(load, [this, spec_copy, move_copy, origin,
+      engine_->sim()->Schedule(load, [this, spec_copy, move_copy, origin,
                                       target, done, abandon,
                                       target_has_replica, images, load] {
         if (target->halted()) {
@@ -438,7 +432,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
     int origin_node = origin->node_id();
     int target_node = target->node_id();
     if (origin_node == target_node) {
-      engine_->executor()->Schedule(0, std::move(ingest));
+      engine_->sim()->Schedule(0, std::move(ingest));
     } else {
       // Write the tail locally (part of the checkpoint), then ship it and
       // spool it at the target. A shipment swallowed by an injected fault
@@ -462,7 +456,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
   if (target->halted()) {
     // Cascading failure: the chosen substitute died too. The next
     // RecoverFailedNode re-plans these vnodes.
-    engine_->executor()->Schedule(0, abandon);
+    engine_->sim()->Schedule(0, abandon);
     return;
   }
   const std::string& op = spec.operator_name;
@@ -556,7 +550,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
   }
 
   auto restore = [this, spec_copy, move_copy, target, done, plan, start] {
-    SimTime fetch = engine_->executor()->Now() - start;
+    SimTime fetch = engine_->sim()->Now() - start;
     UpdateStats(spec_copy.id, [&](HandoverStats& s) {
       s.state_fetch_us = std::max(s.state_fetch_us, fetch);
     });
@@ -566,7 +560,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
         ->Observe(fetch);
     SimTime load = options_.load_fixed_us +
                    options_.load_per_file_us * static_cast<SimTime>(plan->files);
-    engine_->executor()->Schedule(load, [this, spec_copy, move_copy, target, done,
+    engine_->sim()->Schedule(load, [this, spec_copy, move_copy, target, done,
                                     plan, load] {
       UpdateStats(spec_copy.id, [&](HandoverStats& s2) {
         s2.state_load_us = std::max(s2.state_load_us, load);
@@ -603,7 +597,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       // hard-linking checkpoint files (paper: ~0.2 s, size-independent).
       UpdateStats(spec.id,
                   [](HandoverStats& stats) { stats.local_fetch = true; });
-      engine_->executor()->Schedule(options_.local_fetch_us, restore);
+      engine_->sim()->Schedule(options_.local_fetch_us, restore);
     } else {
       // Replica lives elsewhere: one bulk hop to the target's disks, then
       // the usual local fetch + load.
@@ -619,7 +613,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       ShipStateWithRetry(
           plan->remote_source, target->node_id(), wire, spec.id,
           [this, restore]() {
-            engine_->executor()->Schedule(options_.local_fetch_us, restore);
+            engine_->sim()->Schedule(options_.local_fetch_us, restore);
           },
           [this, op, spec_copy, move_copy, plan, restore](Status st) {
             // The remote copy stayed unreachable past the retry budget:
@@ -639,7 +633,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
                             << st.ToString()
                             << "); restoring from upstream replay only";
             plan->images.clear();
-            engine_->executor()->Schedule(options_.local_fetch_us, restore);
+            engine_->sim()->Schedule(options_.local_fetch_us, restore);
           });
     }
   } else {
@@ -653,7 +647,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       paths = options_.dfs_paths(op, move.origin_instance);
     }
     if (paths.empty()) {
-      engine_->executor()->Schedule(options_.local_fetch_us, restore);
+      engine_->sim()->Schedule(options_.local_fetch_us, restore);
       return;
     }
     auto remaining = std::make_shared<size_t>(paths.size());

@@ -61,10 +61,8 @@ struct HandoverOptions {
   /// generous multiple of its fault-free duration is resent with jittered
   /// backoff (injected partitions drop state transfers). The deadline
   /// bounds continuous failure, not total shipment time; exhaustion
-  /// abandons the move / degrades the restore to upstream replay. Set
-  /// `retry.initial_backoff_us = 0` to disable.
+  /// abandons the move / degrades the restore to upstream replay.
   runtime::RetryOptions retry = ReplicationOptions::DefaultRetry();
-  uint64_t retry_seed = 0x4a0b;
 };
 
 /// Per-handover observability (drives Table 1's time breakdown).

@@ -7,6 +7,14 @@
 
 namespace rhino::rhino {
 
+namespace {
+
+/// Seed of the watchdog's and the catch-up copies' backoff jitter, mixed
+/// with the checkpoint id.
+constexpr uint64_t kRetrySeed = 0x7e71;
+
+}  // namespace
+
 /// One checkpoint's journey down a replica chain.
 struct ReplicationRuntime::Transfer {
   std::string op;
@@ -148,8 +156,8 @@ void ReplicationRuntime::ReplicateCheckpoint(
     obs_->trace().EndSpan(transfer->span);
     // Tail ack travels back up the chain, one hop latency each.
     SimTime ack = options_.ack_latency * static_cast<SimTime>(transfer->path.size() - 1);
-    cluster_->executor()->Schedule(ack,
-                                   [transfer] { transfer->done(Status::OK()); });
+    cluster_->sim()->Schedule(ack,
+                              [transfer] { transfer->done(Status::OK()); });
   };
 
   if (transfer->total_chunks == 0) {
@@ -157,32 +165,31 @@ void ReplicationRuntime::ReplicateCheckpoint(
     return;
   }
   transfer->finalize = std::move(finalize);
-  if (options_.retry.initial_backoff_us > 0) {
-    transfer->retrier = std::make_unique<runtime::Retrier>(
-        cluster_->executor(), options_.retry,
-        options_.retry_seed ^ desc.checkpoint_id, "replication_transfer",
-        obs_);
-    ArmWatchdog(transfer, options_.retry.initial_backoff_us);
-  }
+  transfer->retrier = std::make_unique<runtime::Retrier>(
+      cluster_->sim()->Now(), options_.retry, kRetrySeed ^ desc.checkpoint_id,
+      "replication_transfer", obs_);
+  ArmWatchdog(transfer, options_.retry.initial_backoff_us);
   for (size_t hop = 0; hop < hops; ++hop) PumpHop(transfer, hop);
 }
 
 void ReplicationRuntime::ArmWatchdog(std::shared_ptr<Transfer> transfer,
                                      SimTime delay) {
-  cluster_->executor()->Schedule(delay, [this, transfer] {
+  cluster_->sim()->Schedule(delay, [this, transfer] {
     if (transfer->completed) return;  // done or aborted: watchdog retires
     if (transfer->progress != transfer->progress_marker) {
       // Forward progress since the last check: reset the backoff ladder
       // and the stall deadline, check again after the base interval.
       transfer->progress_marker = transfer->progress;
-      transfer->retrier->Arm();
+      transfer->retrier->Arm(cluster_->sim()->Now());
       ArmWatchdog(transfer, options_.retry.initial_backoff_us);
       return;
     }
     SimTime backoff = 0;
-    if (!transfer->retrier->NextBackoff(&backoff)) {
-      AbortTransfer(transfer, transfer->retrier->Exhausted(Status::TimedOut(
-                                  "replication chain stalled")));
+    SimTime now = cluster_->sim()->Now();
+    if (!transfer->retrier->NextBackoff(now, &backoff)) {
+      AbortTransfer(transfer,
+                    transfer->retrier->Exhausted(
+                        now, Status::TimedOut("replication chain stalled")));
       return;
     }
     // Stalled (chunks or durability acks lost): rewind each hop to its
@@ -455,9 +462,9 @@ void ReplicationRuntime::CatchUpReplicas(const std::string& op,
       }
     };
     copy->retrier = std::make_shared<runtime::Retrier>(
-        cluster_->executor(), options_.retry,
-        options_.retry_seed ^ (snapshot->latest_checkpoint_id * 31 +
-                               static_cast<uint64_t>(m)),
+        cluster_->sim()->Now(), options_.retry,
+        kRetrySeed ^ (snapshot->latest_checkpoint_id * 31 +
+                      static_cast<uint64_t>(m)),
         "replication_catchup", obs_);
     AttemptCatchUp(std::move(copy));
   }
@@ -521,16 +528,18 @@ void ReplicationRuntime::AttemptCatchUp(std::shared_ptr<CatchUp> ctl) {
       TransferTime(bytes, spec.net_bytes_per_sec) +
       TransferTime(bytes, spec.disk_write_bytes_per_sec) + spec.net_latency;
   SimTime timeout = expected * 3 + 50 * kMillisecond;
-  cluster_->executor()->Schedule(timeout, [this, ctl] {
+  cluster_->sim()->Schedule(timeout, [this, ctl] {
     if (ctl->finished) return;
     SimTime backoff = 0;
-    if (!ctl->retrier->NextBackoff(&backoff)) {
-      ctl->Finish(ctl->retrier->Exhausted(Status::TimedOut(
-          "catch-up copy to node " + std::to_string(ctl->target) +
-          " not durable in time")));
+    if (!ctl->retrier->NextBackoff(cluster_->sim()->Now(), &backoff)) {
+      ctl->Finish(ctl->retrier->Exhausted(
+          cluster_->sim()->Now(),
+          Status::TimedOut("catch-up copy to node " +
+                           std::to_string(ctl->target) +
+                           " not durable in time")));
       return;
     }
-    cluster_->executor()->Schedule(backoff, [this, ctl]() mutable {
+    cluster_->sim()->Schedule(backoff, [this, ctl]() mutable {
       AttemptCatchUp(std::move(ctl));
     });
   });

@@ -54,10 +54,7 @@ struct ReplicationOptions {
   /// total transfer time: it re-arms on every chunk arrival or durability
   /// ack, so a slow-but-progressing transfer never times out, while a
   /// fully stalled one aborts with TimedOut once the budget runs out.
-  /// Set `retry.initial_backoff_us = 0` to disable the watchdog.
   runtime::RetryOptions retry = DefaultRetry();
-  /// Seed of the watchdog's backoff jitter (deterministic under sim).
-  uint64_t retry_seed = 0x7e71;
 
   static runtime::RetryOptions DefaultRetry() {
     runtime::RetryOptions r;

@@ -6,8 +6,8 @@
 
 #include "common/logging.h"
 #include "common/units.h"
-#include "runtime/executor.h"
 #include "sim/resource.h"
+#include "sim/simulation.h"
 
 /// \file cluster.h
 /// Modeled cluster of worker nodes.
@@ -16,9 +16,9 @@
 /// VMs with 16 vcores, 64 GiB RAM, two local NVMe SSDs, and a
 /// 2 Gbps-per-vcore virtual network (= 4 GB/s full duplex per VM).
 ///
-/// Each node owns a serial `TaskQueue` ("node<i>"): channel deliveries,
-/// disk completions, and operator processing for that node are posted
-/// there. Single-threaded, like everything on the simulator's executor.
+/// Every node's channel deliveries, disk completions and operator
+/// processing are events of the one discrete-event kernel the cluster
+/// holds. Single-threaded, like everything in the simulator.
 
 namespace rhino::sim {
 
@@ -61,13 +61,10 @@ struct NodeSpec {
 /// fault injector models a degraded device by raising it for a while.
 class Disk {
  public:
-  Disk(runtime::Executor* executor, const std::string& name,
-       const NodeSpec& spec, runtime::TaskQueue* completions = nullptr,
+  Disk(Simulation* sim, const std::string& name, const NodeSpec& spec,
        const SimTime* penalty = nullptr)
-      : read_(executor, name + "/read", spec.disk_read_bytes_per_sec,
-              completions),
-        write_(executor, name + "/write", spec.disk_write_bytes_per_sec,
-               completions),
+      : read_(sim, name + "/read", spec.disk_read_bytes_per_sec),
+        write_(sim, name + "/write", spec.disk_write_bytes_per_sec),
         penalty_(penalty) {}
 
   SimTime Read(uint64_t bytes, std::function<void()> done = nullptr) {
@@ -91,18 +88,15 @@ class Disk {
 /// One modeled VM: full-duplex NIC, disks, memory budget, liveness flag.
 class Node {
  public:
-  Node(runtime::Executor* executor, int id, const NodeSpec& spec)
+  Node(Simulation* sim, int id, const NodeSpec& spec)
       : id_(id),
         spec_(spec),
-        queue_(executor->CreateQueue("node" + std::to_string(id))),
-        tx_(executor, "node" + std::to_string(id) + "/tx",
-            spec.net_bytes_per_sec, queue_),
-        rx_(executor, "node" + std::to_string(id) + "/rx",
-            spec.net_bytes_per_sec, queue_) {
+        tx_(sim, "node" + std::to_string(id) + "/tx", spec.net_bytes_per_sec),
+        rx_(sim, "node" + std::to_string(id) + "/rx", spec.net_bytes_per_sec) {
     for (int d = 0; d < spec.num_disks; ++d) {
       disks_.push_back(std::make_unique<Disk>(
-          executor, "node" + std::to_string(id) + "/disk" + std::to_string(d),
-          spec, queue_, &disk_penalty_us_));
+          sim, "node" + std::to_string(id) + "/disk" + std::to_string(d), spec,
+          &disk_penalty_us_));
     }
   }
 
@@ -110,9 +104,6 @@ class Node {
   const NodeSpec& spec() const { return spec_; }
   bool alive() const { return alive_; }
   void set_alive(bool alive) { alive_ = alive; }
-
-  /// The node's serial queue: all callbacks of this node's components.
-  runtime::TaskQueue* queue() const { return queue_; }
 
   QueueResource& tx() { return tx_; }
   QueueResource& rx() { return rx_; }
@@ -144,7 +135,6 @@ class Node {
  private:
   int id_;
   NodeSpec spec_;
-  runtime::TaskQueue* queue_;
   QueueResource tx_;
   QueueResource rx_;
   std::vector<std::unique_ptr<Disk>> disks_;
@@ -154,18 +144,19 @@ class Node {
   SimTime cpu_busy_us_ = 0;
 };
 
-/// The modeled cluster: a set of nodes sharing one executor.
+/// The modeled cluster: a set of nodes sharing one simulation kernel.
 class Cluster {
  public:
-  Cluster(runtime::Executor* executor, int num_nodes,
-          const NodeSpec& spec = NodeSpec())
-      : executor_(executor) {
+  Cluster(Simulation* sim, int num_nodes, const NodeSpec& spec = NodeSpec())
+      : sim_(sim) {
     for (int i = 0; i < num_nodes; ++i) {
-      nodes_.push_back(std::make_unique<Node>(executor, i, spec));
+      nodes_.push_back(std::make_unique<Node>(sim, i, spec));
     }
   }
 
-  runtime::Executor* executor() { return executor_; }
+  /// The kernel every component of the cluster schedules on and reads the
+  /// clock from.
+  Simulation* sim() const { return sim_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   Node& node(int id) { return *nodes_[static_cast<size_t>(id)]; }
 
@@ -182,8 +173,8 @@ class Cluster {
   uint64_t dropped_transfers() const { return dropped_transfers_; }
 
   /// Transfers `bytes` between two nodes (or hands it to the local
-  /// loopback, which is free, when src == dst). `done` runs on the
-  /// destination node's queue. `kind` tags the payload for the fault
+  /// loopback, which is free, when src == dst). `done` runs when the bytes
+  /// have arrived. `kind` tags the payload for the fault
   /// policy: kState transfers may be dropped (their protocols retry),
   /// kData transfers are at most delayed (reliable-transport semantics).
   SimTime Transfer(int src, int dst, uint64_t bytes,
@@ -194,23 +185,23 @@ class Cluster {
       LinkFault fault = policy->OnTransfer(src, dst, bytes, kind);
       if (fault.drop) {
         dropped_transfers_ += 1;
-        return executor_->Now();
+        return sim_->Now();
       }
       extra = fault.extra_latency;
     }
     if (src == dst) {
-      SimTime end = executor_->Now() + extra;
-      if (done) node(dst).queue()->PostAt(end, std::move(done));
+      SimTime end = sim_->Now() + extra;
+      if (done) sim_->ScheduleAt(end, std::move(done));
       return end;
     }
     Node& s = node(src);
     Node& d = node(dst);
-    return NetworkTransfer(executor_, &s.tx(), &d.rx(), bytes,
+    return NetworkTransfer(&s.tx(), &d.rx(), bytes,
                            s.spec().net_latency + extra, std::move(done));
   }
 
  private:
-  runtime::Executor* executor_;
+  Simulation* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   FaultPolicy* fault_policy_ = nullptr;
   uint64_t dropped_transfers_ = 0;

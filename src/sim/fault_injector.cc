@@ -51,7 +51,7 @@ std::string FaultScheduleRecipe(uint64_t seed,
 }
 
 void FaultInjector::CrashAt(SimTime when, int node, std::string cause) {
-  executor_->ScheduleAt(when, [this, node, cause = std::move(cause)] {
+  cluster_->sim()->ScheduleAt(when, [this, node, cause = std::move(cause)] {
     Fire(node, cause);
   });
 }
@@ -85,7 +85,7 @@ void FaultInjector::Notify(const std::string& event) {
   // Always bounce through the event queue, even at delay 0: firing
   // synchronously would re-enter the protocol code that called the probe.
   for (Pending& p : to_fire) {
-    executor_->Schedule(
+    cluster_->sim()->Schedule(
         p.delay, [this, node = p.node, cause = std::move(p.cause)] {
           Fire(node, cause);
         });
@@ -174,13 +174,14 @@ void FaultInjector::SlowDisk(int node, SimTime extra_us, SimTime start,
   f.extra_us = extra_us;
   AddTransient(f);
   // Overlapping windows accumulate on the node's disk penalty.
-  executor_->ScheduleAt(start, [this, node, extra_us] {
+  cluster_->sim()->ScheduleAt(start, [this, node, extra_us] {
     Node& n = cluster_->node(node);
     n.set_disk_penalty_us(n.disk_penalty_us() + extra_us);
     RHINO_LOG(Info) << "fault-injector: slow disk on node " << node << " (+"
-                    << extra_us << "us) at t=" << executor_->Now() << "us";
+                    << extra_us << "us) at t=" << cluster_->sim()->Now()
+                    << "us";
   });
-  executor_->ScheduleAt(start + duration, [this, node, extra_us] {
+  cluster_->sim()->ScheduleAt(start + duration, [this, node, extra_us] {
     Node& n = cluster_->node(node);
     SimTime cur = n.disk_penalty_us();
     n.set_disk_penalty_us(cur > extra_us ? cur - extra_us : 0);
@@ -253,7 +254,7 @@ std::vector<TransientFault> FaultInjector::ScheduleRandomTransients(
 LinkFault FaultInjector::OnTransfer(int src, int dst, uint64_t /*bytes*/,
                                     TransferKind kind) {
   LinkFault verdict;
-  SimTime now = executor_->Now();
+  SimTime now = cluster_->sim()->Now();
   bool dropped = false;
   for (const LinkWindow& w : link_windows_) {
     const TransientFault& f = w.fault;
@@ -288,7 +289,7 @@ void FaultInjector::Fire(int node, const std::string& cause) {
     return;  // someone else already killed it
   }
   CrashEvent ev;
-  ev.time = executor_->Now();
+  ev.time = cluster_->sim()->Now();
   ev.node = node;
   ev.cause = cause;
   ev.fired = true;
@@ -298,7 +299,7 @@ void FaultInjector::Fire(int node, const std::string& cause) {
   obs_->trace().Emit("fault", "crash", "node" + std::to_string(node),
                      static_cast<uint64_t>(crash_index));
   RHINO_LOG(Info) << "fault-injector: crashing node " << node << " at t="
-                  << executor_->Now() << "us (" << cause << ")";
+                  << cluster_->sim()->Now() << "us (" << cause << ")";
   // The handler re-enters the engine's failure path.
   if (crash_handler_) {
     crash_handler_(node);

@@ -10,7 +10,6 @@
 #include "common/random.h"
 #include "common/units.h"
 #include "obs/observability.h"
-#include "runtime/executor.h"
 #include "sim/cluster.h"
 
 /// \file fault_injector.h
@@ -21,8 +20,8 @@
 /// named protocol event (k-th checkpoint trigger, k-th replication chunk,
 /// k-th handover marker, ...), or drawn from a seeded random schedule —
 /// including multi-node and cascading schedules. All scheduling goes
-/// through the executor's event queue, so a fault run with the same seed
-/// is exactly reproducible.
+/// through the cluster's simulation kernel, so a fault run with the same
+/// seed is exactly reproducible.
 ///
 /// Besides fail-stop crashes the injector schedules transient faults
 /// through the `Cluster`'s `FaultPolicy` seam (install with
@@ -69,9 +68,8 @@ std::string FaultScheduleRecipe(uint64_t seed,
 /// Deterministic crash + transient-fault scheduler over a cluster.
 class FaultInjector : public FaultPolicy {
  public:
-  FaultInjector(runtime::Executor* executor, Cluster* cluster,
-                uint64_t seed = 42)
-      : executor_(executor), cluster_(cluster), seed_(seed), rng_(seed) {}
+  explicit FaultInjector(Cluster* cluster, uint64_t seed = 42)
+      : cluster_(cluster), seed_(seed), rng_(seed) {}
 
   /// Replaces the default crash action (`Cluster::FailNode`). Engines
   /// install their own handler so a crash also halts instances, aborts
@@ -87,7 +85,7 @@ class FaultInjector : public FaultPolicy {
 
   /// Fail-stops `node` `delay` microseconds from now.
   void CrashAfter(SimTime delay, int node, std::string cause = "timed") {
-    CrashAt(executor_->Now() + delay, node, std::move(cause));
+    CrashAt(cluster_->sim()->Now() + delay, node, std::move(cause));
   }
 
   // ------------------------------------------------- event schedules ------
@@ -142,7 +140,7 @@ class FaultInjector : public FaultPolicy {
                   SimTime duration);
 
   /// Inflates every disk op on `node` by `extra_us` for
-  /// [start, start+duration) (scheduled through the executor).
+  /// [start, start+duration) (scheduled on the kernel).
   void SlowDisk(int node, SimTime extra_us, SimTime start, SimTime duration);
 
   /// Draws `count` transient faults (partitions, slow disks, link delays)
@@ -203,7 +201,6 @@ class FaultInjector : public FaultPolicy {
   /// active-window list.
   void AddTransient(const TransientFault& fault);
 
-  runtime::Executor* executor_;
   Cluster* cluster_;
   uint64_t seed_;
   Random rng_;

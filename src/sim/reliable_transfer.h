@@ -58,31 +58,32 @@ struct ReliableTransferState {
           if (t->Settle()) t->deliver();
         },
         TransferKind::kState);
-    runtime::Executor* executor = t->cluster->executor();
+    Simulation* sim = t->cluster->sim();
     // `projected` is the cluster's own delivery estimate, NIC queue
     // backlog included; a dropped transfer projects "now". Waiting out
     // the projection (plus slack for the fault-free duration) keeps the
     // watchdog from mistaking congestion for a drop — a fan-in of bulk
     // reads can queue a block far beyond any multiple of its uncontended
     // transfer time, and a retry storm there only deepens the backlog.
-    SimTime now = executor->Now();
+    SimTime now = sim->Now();
     SimTime queue_wait = projected > now ? projected - now : 0;
     const NodeSpec& spec = t->cluster->node(t->dst).spec();
     SimTime expected =
         TransferTime(t->bytes, spec.net_bytes_per_sec) + spec.net_latency;
     SimTime timeout = queue_wait + expected * 3 + 50 * kMillisecond;
-    executor->Schedule(timeout, [t, executor] {
+    sim->Schedule(timeout, [t, sim] {
       if (t->settled) return;
       SimTime backoff = 0;
-      if (!t->retrier->NextBackoff(&backoff)) {
+      if (!t->retrier->NextBackoff(sim->Now(), &backoff)) {
         if (t->Settle()) {
-          t->give_up(t->retrier->Exhausted(Status::TimedOut(
-              "transfer to node " + std::to_string(t->dst) +
-              " not delivered in time")));
+          t->give_up(t->retrier->Exhausted(
+              sim->Now(), Status::TimedOut("transfer to node " +
+                                           std::to_string(t->dst) +
+                                           " not delivered in time")));
         }
         return;
       }
-      executor->Schedule(backoff, [t] { Attempt(t); });
+      sim->Schedule(backoff, [t] { Attempt(t); });
     });
   }
 };
@@ -91,13 +92,14 @@ struct ReliableTransferState {
 
 /// Sends `bytes` from `src` to `dst` with retries per `retry`. Exactly one
 /// of `deliver` (runs on the destination's queue, first arrival) or
-/// `give_up` fires. `what` labels the `rhino_retry_attempts_total` counter.
+/// `give_up` fires. `what` labels the `rhino_retry_attempts_total` counter
+/// in `obs`'s registry.
 inline void ReliableTransfer(Cluster* cluster, int src, int dst,
                              uint64_t bytes, runtime::RetryOptions retry,
                              uint64_t seed, const std::string& what,
+                             obs::Observability* obs,
                              std::function<void()> deliver,
-                             std::function<void(Status)> give_up,
-                             obs::Observability* obs = nullptr) {
+                             std::function<void(Status)> give_up) {
   auto t = std::make_shared<detail::ReliableTransferState>();
   t->cluster = cluster;
   t->src = src;
@@ -105,8 +107,8 @@ inline void ReliableTransfer(Cluster* cluster, int src, int dst,
   t->bytes = bytes;
   t->deliver = std::move(deliver);
   t->give_up = std::move(give_up);
-  t->retrier = std::make_shared<runtime::Retrier>(cluster->executor(), retry,
-                                                  seed, what, obs);
+  t->retrier = std::make_shared<runtime::Retrier>(cluster->sim()->Now(),
+                                                  retry, seed, what, obs);
   detail::ReliableTransferState::Attempt(std::move(t));
 }
 

@@ -5,7 +5,7 @@
 #include <string>
 
 #include "common/units.h"
-#include "runtime/executor.h"
+#include "sim/simulation.h"
 
 /// \file resource.h
 /// Modeled bandwidth resources (NIC queues, disks, per-instance CPU).
@@ -22,21 +22,12 @@ namespace rhino::sim {
 /// FIFO bandwidth resource.
 class QueueResource {
  public:
-  /// `completions` (optional) is the serial queue completion callbacks are
-  /// posted to — typically the owning node's queue, so a disk or NIC
-  /// completion runs on its node's queue. Defaults to the executor's
-  /// default queue.
-  QueueResource(runtime::Executor* executor, std::string name,
-                double bytes_per_sec,
-                runtime::TaskQueue* completions = nullptr)
-      : executor_(executor),
-        name_(std::move(name)),
-        bytes_per_sec_(bytes_per_sec),
-        completions_(completions) {}
+  QueueResource(Simulation* sim, std::string name, double bytes_per_sec)
+      : sim_(sim), name_(std::move(name)), bytes_per_sec_(bytes_per_sec) {}
 
   /// Earliest time a new request could start service.
   SimTime FreeAt() const {
-    SimTime now = executor_->Now();
+    SimTime now = sim_->Now();
     return free_at_ < now ? now : free_at_;
   }
 
@@ -68,31 +59,20 @@ class QueueResource {
 
   double bytes_per_sec() const { return bytes_per_sec_; }
   const std::string& name() const { return name_; }
-  runtime::Executor* executor() const { return executor_; }
-  runtime::TaskQueue* completion_queue() const { return completions_; }
-  void set_completion_queue(runtime::TaskQueue* queue) {
-    completions_ = queue;
-  }
 
   /// Cumulative busy time, for utilization sampling.
   SimTime busy_us() const { return busy_us_; }
   uint64_t bytes_served() const { return bytes_served_; }
 
-  /// Posts `done` at `end` on the completion queue (or the executor's
-  /// default queue).
+  /// Schedules `done` at `end`.
   void PostCompletion(SimTime end, std::function<void()> done) {
-    if (completions_ != nullptr) {
-      completions_->PostAt(end, std::move(done));
-    } else {
-      executor_->ScheduleAt(end, std::move(done));
-    }
+    sim_->ScheduleAt(end, std::move(done));
   }
 
  private:
-  runtime::Executor* executor_;
+  Simulation* sim_;
   std::string name_;
   double bytes_per_sec_;
-  runtime::TaskQueue* completions_;
   SimTime free_at_ = 0;
   SimTime busy_us_ = 0;
   uint64_t bytes_served_ = 0;
@@ -102,10 +82,9 @@ class QueueResource {
 ///
 /// The transfer starts when both queues are free and occupies both for the
 /// full duration (full-duplex NIC model); `latency` is added once at the
-/// end (propagation + protocol overhead). Invokes `done` at completion (on
-/// the *receiver's* completion queue) and returns the completion time.
-inline SimTime NetworkTransfer(runtime::Executor* /*executor*/,
-                               QueueResource* tx, QueueResource* rx,
+/// end (propagation + protocol overhead). Invokes `done` at completion and
+/// returns the completion time.
+inline SimTime NetworkTransfer(QueueResource* tx, QueueResource* rx,
                                uint64_t bytes, SimTime latency,
                                std::function<void()> done = nullptr) {
   SimTime start = std::max(tx->FreeAt(), rx->FreeAt());

@@ -95,11 +95,13 @@ class EntryReader {
 ///
 /// Thread safety: a backend-level mutex guards the nominal byte accounting,
 /// change capture and checkpoint bookkeeping (the DB underneath is safe for
-/// concurrent use on its own). The protocols already serialize writes to
-/// one instance's state on its node strand; the lock covers the
-/// cross-strand readers — checkpoint persistence and handover extraction
-/// reading sizes while the owner keeps processing. No method calls
-/// another while it holds the mutex, so the mutex is a plain one.
+/// concurrent use on its own). In a networked node, one shard's backend is
+/// reached by the RPC handler threads (one per connection: the driver's
+/// batches and control verbs, peers' replication deltas) and by the
+/// replicator thread, which reads the change capture to build deltas.
+/// `NodeServer` serializes those under its own mutex; this lock keeps the
+/// backend safe without relying on that. No method calls another while it
+/// holds the mutex, so the mutex is a plain one.
 class LsmStateBackend : public StateBackend {
  public:
   /// Opens (or creates) the backing DB under `dir`. Checkpoints are placed

@@ -13,7 +13,7 @@
 #include "dfs/dfs.h"
 #include "lsm/env.h"
 #include "rhino/checkpoint_storage.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace rhino::baselines {
@@ -30,7 +30,7 @@ using dataflow::Record;
 // ------------------------------------------------------------- Megaphone --
 
 TEST(MegaphoneModelTest, MemoryCeilingMatchesPaper) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::NodeSpec spec;  // 64 GiB per node
   sim::Cluster cluster(&sim, 8, spec);
   MegaphoneModel model(&cluster, {0, 1, 2, 3, 4, 5, 6, 7});
@@ -41,7 +41,7 @@ TEST(MegaphoneModelTest, MemoryCeilingMatchesPaper) {
 }
 
 TEST(MegaphoneModelTest, MigrationTimeScalesWithState) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 8);
   MegaphoneModel model(&cluster, {0, 1, 2, 3, 4, 5, 6, 7});
   std::map<uint64_t, SimTime> durations;
@@ -67,7 +67,7 @@ TEST(MegaphoneModelTest, MigrationTimeScalesWithState) {
 }
 
 TEST(MegaphoneModelTest, OomReportedWithoutTransfers) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 8);
   MegaphoneModel model(&cluster, {0, 1, 2, 3, 4, 5, 6, 7});
   MegaphoneResult result;
@@ -85,7 +85,7 @@ class FlinkRestartTest : public ::testing::Test {
   FlinkRestartTest()
       : cluster_(&sim_, 5),
         broker_({0}),
-        engine_(&sim_, &cluster_, &broker_, SmallEngineOptions()),
+        engine_(&cluster_, &broker_, SmallEngineOptions()),
         dfs_(&cluster_, {1, 2, 3, 4}),
         storage_(&cluster_, &dfs_) {
     broker_.CreateTopic("events", 2);
@@ -142,7 +142,7 @@ class FlinkRestartTest : public ::testing::Test {
     }
   }
 
-  runtime::SimExecutor sim_;
+  sim::Simulation sim_;
   sim::Cluster cluster_;
   broker::Broker broker_;
   lsm::MemEnv env_;

@@ -32,8 +32,8 @@
 #include "rhino/handover_manager.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
 #include "sim/fault_injector.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace rhino::rhino {
@@ -74,7 +74,7 @@ void AssertNoDeliveryDuringHold(const obs::TraceLog& trace) {
 /// Pipeline over a 7-node cluster (0 = broker, 1-6 = workers; 4 stateful
 /// instances plus spare capacity to absorb up to two failures).
 struct ChaosStack {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   obs::Observability obs;
   sim::Cluster cluster;
   broker::Broker broker;
@@ -91,12 +91,12 @@ struct ChaosStack {
   explicit ChaosStack(uint64_t seed)
       : cluster(&sim, 7),
         broker({0}),
-        engine(&sim, &cluster, &broker, Opts()),
+        engine(&cluster, &broker, Opts()),
         rm({1, 2, 3, 4, 5, 6}, /*r=*/2),
         runtime(&cluster, &rm),
         storage(&cluster, &runtime),
         hm(&engine, &rm, &runtime),
-        injector(&sim, &cluster, seed) {
+        injector(&cluster, seed) {
     obs.SetClock([this] { return sim.Now(); });
     obs.trace().set_data_events(true);
     engine.SetObservability(&obs);
@@ -298,7 +298,7 @@ TEST(NexmarkChaos, TwoRandomFailuresConverge) {
   tb.observability.trace().set_data_events(true);
   tb.SeedState(64 * kMiB);
 
-  sim::FaultInjector injector(&tb.sim, &tb.cluster, /*seed=*/7);
+  sim::FaultInjector injector(&tb.cluster, /*seed=*/7);
   injector.SetObservability(&tb.observability);
   injector.SetCrashHandler([&](int node) {
     tb.engine.FailNode(node);

@@ -12,7 +12,7 @@
 #include "dataflow/source.h"
 #include "dataflow/stateful.h"
 #include "lsm/env.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace rhino::dataflow {
@@ -28,7 +28,7 @@ class DataflowTest : public ::testing::Test {
   DataflowTest()
       : cluster_(&sim_, 4),
         broker_({kBrokerNode}),
-        engine_(&sim_, &cluster_, &broker_, SmallEngineOptions()) {
+        engine_(&cluster_, &broker_, SmallEngineOptions()) {
     broker_.CreateTopic("events", kPartitions);
     broker_.CreateTopic("left", kPartitions);
     broker_.CreateTopic("right", kPartitions);
@@ -81,7 +81,7 @@ class DataflowTest : public ::testing::Test {
     broker_.topic(topic).partition(partition).Append(std::move(batch));
   }
 
-  runtime::SimExecutor sim_;
+  sim::Simulation sim_;
   sim::Cluster cluster_;
   broker::Broker broker_;
   lsm::MemEnv env_;
@@ -273,7 +273,7 @@ TEST_F(DataflowTest, FailNodeHaltsItsInstances) {
 /// point, deliver them to the target after a modeled delay.
 class InlineDelegate : public HandoverDelegate {
  public:
-  InlineDelegate(runtime::SimExecutor* sim, SimTime delay)
+  InlineDelegate(sim::Simulation* sim, SimTime delay)
       : sim_(sim), delay_(delay) {}
 
   void TransferState(const HandoverSpec& spec, const HandoverMove& move,
@@ -296,7 +296,7 @@ class InlineDelegate : public HandoverDelegate {
   int transfers() const { return transfers_; }
 
  private:
-  runtime::SimExecutor* sim_;
+  sim::Simulation* sim_;
   SimTime delay_;
   int transfers_ = 0;
 };
@@ -348,12 +348,12 @@ TEST_F(DataflowTest, HandoverPreservesExactlyOnceCounts) {
   // Golden run: no handover.
   std::map<uint64_t, uint64_t> golden;
   {
-    runtime::SimExecutor sim;
+    sim::Simulation sim;
     sim::Cluster cluster(&sim, 4);
     broker::Broker broker({kBrokerNode});
     broker.CreateTopic("events", kPartitions);
     lsm::MemEnv env;
-    Engine engine(&sim, &cluster, &broker, SmallEngineOptions());
+    Engine engine(&cluster, &broker, SmallEngineOptions());
     QueryDef def;
     def.AddSource("src", "events", kPartitions)
         .AddStateful("counter", 2, {"src"},

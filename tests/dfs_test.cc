@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dfs/dfs.h"
-#include "runtime/sim_executor.h"
+#include "obs/observability.h"
+#include "sim/cluster.h"
+#include "sim/simulation.h"
 
 namespace rhino::dfs {
 namespace {
@@ -18,7 +22,7 @@ sim::NodeSpec Spec() {
 class DfsTest : public ::testing::Test {
  protected:
   DfsTest() : cluster_(&sim_, 4, Spec()), dfs_(&cluster_, {0, 1, 2, 3}) {}
-  runtime::SimExecutor sim_;
+  sim::Simulation sim_;
   sim::Cluster cluster_;
   DistributedFileSystem dfs_;
 };
@@ -102,6 +106,59 @@ TEST_F(DfsTest, ReadSurvivesSingleNodeFailure) {
   dfs_.ReadFile("/f", 2, [&](Status st) { result = st; });
   sim_.Run();
   EXPECT_TRUE(result.ok()) << result.ToString();
+}
+
+/// Drops the next `drops` state transfers; data transfers pass.
+class DropStateTransfers : public sim::FaultPolicy {
+ public:
+  sim::LinkFault OnTransfer(int, int, uint64_t,
+                            sim::TransferKind kind) override {
+    sim::LinkFault fault;
+    if (kind == sim::TransferKind::kState && drops > 0) {
+      --drops;
+      fault.drop = true;
+    }
+    return fault;
+  }
+  int drops = 0;
+};
+
+TEST_F(DfsTest, DroppedBlockShipmentIsRetriedAndCountedInItsRegistry) {
+  obs::Observability obs;
+  // Datanodes 0 and 1 with replication 2: a write from node 0 ships its
+  // block to node 1, and a read from node 2 fetches it from node 0.
+  DistributedFileSystem dfs(&cluster_, {0, 1});
+  dfs.SetObservability(&obs);
+  DropStateTransfers policy;
+  cluster_.SetFaultPolicy(&policy);
+  auto attempts = [](obs::Observability* o, const std::string& what) {
+    return o->metrics()
+        .GetCounter("rhino_retry_attempts_total", {{"what", what}})
+        ->value();
+  };
+  obs::Observability* process_wide = obs::Observability::Default();
+  uint64_t writes_before = attempts(process_wide, "dfs_block_write");
+  uint64_t reads_before = attempts(process_wide, "dfs_block_read");
+
+  policy.drops = 1;
+  Status wrote = Status::Aborted("pending");
+  dfs.WriteFile("/f", 64 * kMiB, 0, [&](Status st) { wrote = st; });
+  sim_.Run();
+  EXPECT_TRUE(wrote.ok()) << wrote.ToString();
+  EXPECT_EQ(attempts(&obs, "dfs_block_write"), 1u);
+
+  policy.drops = 1;
+  Status read = Status::Aborted("pending");
+  dfs.ReadFile("/f", 2, [&](Status st) { read = st; });
+  sim_.Run();
+  EXPECT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(attempts(&obs, "dfs_block_read"), 1u);
+  EXPECT_EQ(dfs.remote_bytes_read(), 64 * kMiB);
+
+  EXPECT_EQ(cluster_.dropped_transfers(), 2u);
+  EXPECT_EQ(attempts(process_wide, "dfs_block_write"), writes_before);
+  EXPECT_EQ(attempts(process_wide, "dfs_block_read"), reads_before);
+  cluster_.SetFaultPolicy(nullptr);
 }
 
 TEST_F(DfsTest, DeleteRemovesFile) {

@@ -229,9 +229,11 @@ TEST(FaultEnvTest, WalTornTailMidGroupCommitRecoversOnPosix) {
   std::filesystem::remove_all(dir);
 }
 
-/// FaultEnv is shared across threads (as realtime nodes share an Env):
-/// concurrent write-class operations against one budget must be safe and
-/// the budget must be consumed exactly once per operation.
+/// FaultEnv is shared across threads (the nodes of an in-process loopback
+/// cluster share one Env, so their RPC handler, replicator and LSM
+/// background threads all reach it): concurrent write-class operations
+/// against one budget must be safe and the budget must be consumed exactly
+/// once per operation.
 TEST(FaultEnvTest, ConcurrentBudgetConsumptionIsSafe) {
   MemEnv base;
   FaultEnv env(&base);

@@ -29,8 +29,8 @@
 #include "rhino/handover_manager.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
 #include "sim/fault_injector.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace rhino::rhino {
@@ -81,12 +81,12 @@ struct ChainOutcome {
 /// One chain transfer with a crash of `victim` at `crash_time` (victim < 0
 /// = fault-free). All protocol invariants are asserted inside.
 ChainOutcome RunChainTransfer(SimTime crash_time, int victim) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 4, FastSpec());
   ReplicationManager rm({0, 1, 2, 3}, /*r=*/2);
   rm.BuildGroups({{"op", 0, 0, 100}});
   ReplicationRuntime runtime(&cluster, &rm);
-  sim::FaultInjector injector(&sim, &cluster, /*seed=*/1);
+  sim::FaultInjector injector(&cluster, /*seed=*/1);
   if (victim >= 0) injector.CrashAt(crash_time, victim);
 
   ChainOutcome outcome;
@@ -137,7 +137,7 @@ TEST(ReplicationChainCrashSweep, EveryInstantEveryVictimConverges) {
 
   // Victims: both chain members and the primary itself; instants sweep
   // from before the first chunk to past completion.
-  runtime::SimExecutor probe_sim;
+  sim::Simulation probe_sim;
   sim::Cluster probe_cluster(&probe_sim, 4, FastSpec());
   ReplicationManager probe_rm({0, 1, 2, 3}, 2);
   probe_rm.BuildGroups({{"op", 0, 0, 100}});
@@ -166,7 +166,7 @@ TEST(ReplicationChainCrashSweep, EveryInstantEveryVictimConverges) {
 struct RhinoStack {
   static constexpr int kPartitions = 2;
 
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster;
   broker::Broker broker;
   lsm::MemEnv env;
@@ -182,12 +182,12 @@ struct RhinoStack {
   explicit RhinoStack(int replication_factor = 1, uint64_t seed = 42)
       : cluster(&sim, 5),
         broker({0}),
-        engine(&sim, &cluster, &broker, SmallEngineOptions()),
+        engine(&cluster, &broker, SmallEngineOptions()),
         rm({1, 2, 3, 4}, replication_factor),
         runtime(&cluster, &rm),
         storage(&cluster, &runtime),
         hm(&engine, &rm, &runtime),
-        injector(&sim, &cluster, seed) {
+        injector(&cluster, seed) {
     broker.CreateTopic("events", kPartitions);
     engine.SetCheckpointStorage(&storage);
     // A crash fail-stops the node engine-wide, then the coordinator

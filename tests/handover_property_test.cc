@@ -25,7 +25,7 @@
 #include "dataflow/stateful.h"
 #include "lsm/env.h"
 #include "obs/observability.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace rhino::dataflow {
@@ -47,7 +47,7 @@ struct PlannedMove {
 /// Deterministic transfer delegate with a seed-dependent delay.
 class DelayedDelegate : public HandoverDelegate {
  public:
-  DelayedDelegate(runtime::SimExecutor* sim, SimTime delay)
+  DelayedDelegate(sim::Simulation* sim, SimTime delay)
       : sim_(sim), delay_(delay) {}
 
   void TransferState(const HandoverSpec& spec, const HandoverMove& move,
@@ -67,7 +67,7 @@ class DelayedDelegate : public HandoverDelegate {
   }
 
  private:
-  runtime::SimExecutor* sim_;
+  sim::Simulation* sim_;
   SimTime delay_;
 };
 
@@ -80,14 +80,14 @@ struct RunResult {
 
 /// Runs the workload; when `moves` is empty this is the golden run.
 RunResult RunSchedule(uint64_t seed, const std::vector<PlannedMove>& moves) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 5);
   broker::Broker broker({0});
   broker.CreateTopic("events", kPartitions);
   EngineOptions opts;
   opts.num_key_groups = 64;
   opts.vnodes_per_instance = 4;
-  Engine engine(&sim, &cluster, &broker, opts);
+  Engine engine(&cluster, &broker, opts);
   lsm::MemEnv env;
 
   // Per-run trace on the simulated clock, with the per-batch data-event

@@ -14,12 +14,14 @@
 #include "lsm/fault_env.h"
 #include "lsm/write_batch.h"
 
-/// Concurrency coverage for the shared LSM layers: the realtime executor
-/// runs node strands on OS threads, and state backends on different strands
-/// share one MemEnv and one process-wide BlockCache, while checkpoint
-/// persistence reads a DB its owner strand keeps writing. These tests hammer
-/// exactly those shapes; under the TSan CI lane they double as race
-/// detectors for the store-wide locks added with the execution substrate.
+/// Concurrency coverage for the shared LSM layers. In a networked node, a
+/// shard's DB is written by RPC handler threads (one per connection: the
+/// driver's batches, peers' replication deltas), read by the replicator
+/// thread, and flushed and compacted on background threads; every shard of
+/// the process shares the process-wide BlockCache and BlockPool, and the
+/// nodes of an in-process loopback cluster share one MemEnv. These tests
+/// hammer exactly those shapes; under the TSan CI lane they double as race
+/// detectors for the store-wide locks.
 
 namespace rhino::lsm {
 namespace {
@@ -211,8 +213,8 @@ TEST(DBConcurrencyTest, CheckpointWhileWriting) {
     ASSERT_TRUE((*db)->Put(Key(k), "base").ok());
   }
 
-  // Checkpoints race with a writer — the shape of Rhino's checkpoint
-  // persistence running off-strand from the operator's commits.
+  // Checkpoints race with a writer: one thread captures the DB while
+  // another keeps committing.
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (int k = 0; k < 2000; ++k) {

@@ -2,8 +2,8 @@
 
 #include "metrics/resource_monitor.h"
 #include "metrics/timeline.h"
-#include "runtime/sim_executor.h"
 #include "sim/cluster.h"
+#include "sim/simulation.h"
 
 namespace rhino::metrics {
 namespace {
@@ -33,13 +33,13 @@ TEST(TimeSeriesTest, PeakMeanRespectsWindow) {
 }
 
 TEST(ResourceMonitorTest, SamplesUtilizationDeltas) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::NodeSpec spec;
   spec.cores = 2;
   spec.net_bytes_per_sec = 1e9;
   spec.net_latency = 0;
   sim::Cluster cluster(&sim, 2, spec);
-  ResourceMonitor monitor(&sim, &cluster, {0, 1}, kSecond);
+  ResourceMonitor monitor(&cluster, {0, 1}, kSecond);
   monitor.Start();
 
   // Busy the network for ~0.5 s out of the first second.
@@ -63,9 +63,9 @@ TEST(ResourceMonitorTest, SamplesUtilizationDeltas) {
 }
 
 TEST(ResourceMonitorTest, MemoryProbeIsIncluded) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   sim::Cluster cluster(&sim, 1);
-  ResourceMonitor monitor(&sim, &cluster, {0}, kSecond);
+  ResourceMonitor monitor(&cluster, {0}, kSecond);
   monitor.SetMemoryProbe([] { return uint64_t{12345}; });
   monitor.Start();
   sim.RunUntil(kSecond);

@@ -2,13 +2,13 @@
 
 #include "broker/broker.h"
 #include "nexmark/nexmark.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 
 namespace rhino::nexmark {
 namespace {
 
 TEST(GeneratorTest, ProducesAtConfiguredRate) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   broker::Broker broker({0});
   broker::Topic& topic = broker.CreateTopic("bids", 4);
   GeneratorOptions options;
@@ -31,7 +31,7 @@ TEST(GeneratorTest, ProducesAtConfiguredRate) {
 }
 
 TEST(GeneratorTest, RateFactorModulatesOutput) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   broker::Broker broker({0});
   broker::Topic& topic = broker.CreateTopic("bids", 1);
   GeneratorOptions options;
@@ -48,7 +48,7 @@ TEST(GeneratorTest, RateFactorModulatesOutput) {
 }
 
 TEST(GeneratorTest, RealRecordsCarryKeysAndSizes) {
-  runtime::SimExecutor sim;
+  sim::Simulation sim;
   broker::Broker broker({0});
   broker::Topic& topic = broker.CreateTopic("bids", 1);
   GeneratorOptions options;

@@ -15,7 +15,7 @@
 #include "rhino/handover_manager.h"
 #include "rhino/replication_manager.h"
 #include "rhino/replication_runtime.h"
-#include "runtime/sim_executor.h"
+#include "sim/simulation.h"
 #include "state/lsm_state_backend.h"
 
 namespace rhino::rhino {
@@ -147,7 +147,7 @@ class ReplicationRuntimeTest : public ::testing::Test {
     desc.delta_files = {{"delta-" + std::to_string(id), delta}};
     return desc;
   }
-  runtime::SimExecutor sim_;
+  sim::Simulation sim_;
   sim::Cluster cluster_;
   ReplicationManager rm_;
 };
@@ -270,7 +270,7 @@ class RhinoEndToEndTest : public ::testing::Test {
   RhinoEndToEndTest()
       : cluster_(&sim_, 5),
         broker_({0}),
-        engine_(&sim_, &cluster_, &broker_, SmallEngineOptions()),
+        engine_(&cluster_, &broker_, SmallEngineOptions()),
         rm_({1, 2, 3, 4}, 1),
         runtime_(&cluster_, &rm_),
         storage_(&cluster_, &runtime_),
@@ -328,7 +328,7 @@ class RhinoEndToEndTest : public ::testing::Test {
     }
   }
 
-  runtime::SimExecutor sim_;
+  sim::Simulation sim_;
   sim::Cluster cluster_;
   broker::Broker broker_;
   lsm::MemEnv env_;
