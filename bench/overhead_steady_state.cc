@@ -51,13 +51,14 @@ void Run(BenchArtifact* artifact) {
       tb.Run(run_time);  // several checkpoint/replication cycles
       tb.StopGenerators();
 
-      const Histogram* hist = tb.latency.HistogramFor(PrimaryOpOf(query));
-      // Aggregate records across the query's stateful operators, from the
-      // engine's own metric registry.
+      // Latency and records both come from the engine's own metric
+      // registry; records aggregate across the query's stateful operators.
+      obs::MetricsRegistry& registry = tb.observability.metrics();
+      const obs::Histogram& hist = *registry.GetHistogram(
+          "rhino_op_latency_us", {{"op", PrimaryOpOf(query)}});
       uint64_t records = 0;
       for (const std::string& op : tb.stateful_ops) {
-        records += tb.observability.metrics()
-                       .GetCounter("rhino_op_records_total", {{"op", op}})
+        records += registry.GetCounter("rhino_op_records_total", {{"op", op}})
                        ->value();
       }
       double throughput = static_cast<double>(records) / ToSeconds(run_time);
@@ -68,26 +69,23 @@ void Run(BenchArtifact* artifact) {
       }
       auto n = static_cast<double>(tb.monitor->samples().size());
 
+      const double mean_ms = hist.Mean() / kMillisecond;
+      const double p99_ms =
+          static_cast<double>(hist.Percentile(99)) / kMillisecond;
       std::string prefix = query + "." + SutName(sut);
-      if (hist != nullptr) {
-        artifact->Set("latency_mean_ms." + prefix, hist->Mean() / kMillisecond);
-        artifact->Set("latency_p50_ms." + prefix,
-                      static_cast<double>(hist->Percentile(50)) / kMillisecond);
-        artifact->Set("latency_p99_ms." + prefix,
-                      static_cast<double>(hist->Percentile(99)) / kMillisecond);
-      }
+      artifact->Set("latency_mean_ms." + prefix, mean_ms);
+      artifact->Set("latency_p50_ms." + prefix,
+                    static_cast<double>(hist.Percentile(50)) / kMillisecond);
+      artifact->Set("latency_p99_ms." + prefix, p99_ms);
       artifact->Set("throughput_records_per_s." + prefix, throughput);
       artifact->Set("net_util_pct." + prefix, n > 0 ? net / n * 100 : 0.0);
       artifact->Set("disk_util_pct." + prefix, n > 0 ? disk / n * 100 : 0.0);
 
       char mean[32], min[32], p99[32], rps[32], nu[32], du[32];
-      std::snprintf(mean, sizeof(mean), "%.1f",
-                    hist ? hist->Mean() / kMillisecond : 0.0);
+      std::snprintf(mean, sizeof(mean), "%.1f", mean_ms);
       std::snprintf(min, sizeof(min), "%.1f",
-                    hist ? static_cast<double>(hist->Min()) / kMillisecond : 0.0);
-      std::snprintf(p99, sizeof(p99), "%.1f",
-                    hist ? static_cast<double>(hist->Percentile(99)) / kMillisecond
-                         : 0.0);
+                    static_cast<double>(hist.Min()) / kMillisecond);
+      std::snprintf(p99, sizeof(p99), "%.1f", p99_ms);
       std::snprintf(rps, sizeof(rps), "%.2e", throughput);
       std::snprintf(nu, sizeof(nu), "%.1f", n > 0 ? net / n * 100 : 0.0);
       std::snprintf(du, sizeof(du), "%.1f", n > 0 ? disk / n * 100 : 0.0);

@@ -153,7 +153,6 @@ void Engine::OnSnapshotTaken(OperatorInstance* instance,
           "checkpoint", "checkpoint", "engine", rec->trigger_time,
           rec->complete_time, id,
           {{"snapshots", static_cast<int64_t>(rec->descriptors.size())}});
-      if (checkpoint_listener_) checkpoint_listener_(*rec);
     }
     if (persist_failed) {
       // Persistence failed (e.g. a replica chain member fail-stopped
@@ -271,7 +270,6 @@ void Engine::MaybeCompleteHandover(HandoverRecord& record) {
       record.complete_time, record.spec->id,
       {{"moves", static_cast<int64_t>(record.spec->moves.size())},
        {"participants", static_cast<int64_t>(record.participants.size())}});
-  if (handover_listener_) handover_listener_(record);
 }
 
 const HandoverRecord* Engine::FindHandover(uint64_t id) const {

@@ -178,9 +178,6 @@ class Engine {
   const std::deque<CheckpointRecord>& checkpoints() const {
     return checkpoints_;
   }
-  void SetCheckpointListener(std::function<void(const CheckpointRecord&)> fn) {
-    checkpoint_listener_ = std::move(fn);
-  }
 
   // ------------------------------------------------------------ handover --
 
@@ -206,9 +203,6 @@ class Engine {
   /// Instance-level acknowledgment (paper step ④).
   void OnHandoverInstanceDone(uint64_t handover_id, OperatorInstance* instance);
 
-  void SetHandoverListener(std::function<void(const HandoverRecord&)> fn) {
-    handover_listener_ = std::move(fn);
-  }
   const std::deque<HandoverRecord>& handovers() const { return handovers_; }
 
   /// Handover record by id (nullptr when unknown).
@@ -275,10 +269,8 @@ class Engine {
   bool checkpoint_in_flight_ = false;
   uint64_t next_checkpoint_id_ = 1;
   bool periodic_checkpoints_ = false;
-  std::function<void(const CheckpointRecord&)> checkpoint_listener_;
 
   std::deque<HandoverRecord> handovers_;
-  std::function<void(const HandoverRecord&)> handover_listener_;
   std::function<void(const std::string&)> probe_;
 
   std::function<void(const std::string&, SimTime, SimTime)> latency_listener_;

@@ -247,25 +247,6 @@ bool OperatorInstance::AlignmentComplete(const Alignment& alignment) const {
   return true;
 }
 
-std::string OperatorInstance::AlignmentDebugString() const {
-  if (alignments_.empty()) return "no alignments";
-  const Alignment& a = alignments_.front();
-  std::string out = "front id=" + std::to_string(a.ev.id) +
-                    " type=" + std::to_string(static_cast<int>(a.ev.type)) +
-                    " got=" + std::to_string(a.channels.size()) + "/" +
-                    std::to_string(inputs_.size()) + " missing-live=[";
-  for (size_t ch = 0; ch < inputs_.size(); ++ch) {
-    OperatorInstance* sender = inputs_[ch]->from();
-    if (sender != nullptr && sender->halted()) continue;
-    if (!a.channels.count(static_cast<int>(ch))) {
-      out += (sender ? sender->op_name() + "#" + std::to_string(sender->subtask())
-                     : "?") + " ";
-    }
-  }
-  out += "] depth=" + std::to_string(alignments_.size());
-  return out;
-}
-
 void OperatorInstance::NotifyPeerFailure() {
   if (!halted()) MaybeCompleteFront();
 }

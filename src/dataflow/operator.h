@@ -184,18 +184,6 @@ class OperatorInstance {
   /// never complete and would block the instance forever.
   void AbortAlignment(ControlEvent::Type type, uint64_t id);
 
-  /// Diagnostics: true while this instance holds its front alignment
-  /// (target waiting for state), and the number of queued alignments.
-  bool IsHoldingAlignment() const {
-    return holding_;
-  }
-  size_t PendingAlignments() const {
-    return alignments_.size();
-  }
-  /// Diagnostics: describes the front alignment and the live channels it
-  /// is still waiting on.
-  std::string AlignmentDebugString() const;
-
  protected:
   /// Data batch hook.
   virtual void HandleBatch(int channel_idx, Batch& batch) = 0;

@@ -156,7 +156,7 @@ class StatefulInstance : public OperatorInstance {
   obs::Counter* batches_total_ = nullptr;
   obs::Counter* records_total_ = nullptr;
   obs::Counter* dedup_dropped_total_ = nullptr;
-  obs::HistogramMetric* latency_us_ = nullptr;
+  obs::Histogram* latency_us_ = nullptr;
   /// Open buffering-hold span while this target waits for moved state.
   uint64_t hold_span_ = 0;
 };

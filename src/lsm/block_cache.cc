@@ -94,8 +94,6 @@ void BlockCache::ResetStats() {
 }
 
 const std::shared_ptr<BlockCache>& BlockCache::Default() {
-  // Sized here rather than from lsm::Options to avoid a header cycle; the
-  // value is mirrored by Options{}.block_cache_bytes.
   static const uint64_t kDefaultCapacityBytes = 64ull * 1024 * 1024;
   static std::shared_ptr<BlockCache> cache =
       std::make_shared<BlockCache>(kDefaultCapacityBytes);

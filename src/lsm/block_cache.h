@@ -88,8 +88,8 @@ class BlockCache {
   /// (defaults to the process-wide context at construction).
   void SetObservability(obs::Observability* o);
 
-  /// Process-wide cache used by DBs whose Options carry no explicit cache.
-  /// Sized from Options{}.block_cache_bytes at first use.
+  /// Process-wide cache used by DBs whose Options carry no explicit cache
+  /// (64 MiB).
   static const std::shared_ptr<BlockCache>& Default();
 
  private:

@@ -80,12 +80,10 @@ struct Options {
   /// snapshot record (bounds recovery replay and file growth).
   uint64_t manifest_rotate_edits = 64;
   /// Data-block cache shared across DBs. When null the process-wide
-  /// BlockCache::Default() (64 MiB, `block_cache_bytes`) is used — one
-  /// budget across the hundreds of DBs a simulation opens.
+  /// BlockCache::Default() (64 MiB) is used — one budget across the
+  /// hundreds of DBs a simulation opens. A custom budget is an explicit
+  /// cache.
   std::shared_ptr<BlockCache> block_cache;
-  /// Capacity of BlockCache::Default(), for reference/sizing; a custom
-  /// budget is set by passing an explicit `block_cache`.
-  uint64_t block_cache_bytes = 64 * 1024 * 1024;
   /// Cap on simultaneously open SSTable handles (footer + index + bloom
   /// each); least-recently-used handles are closed beyond it.
   size_t max_open_tables = 64;

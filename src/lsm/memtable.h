@@ -140,7 +140,6 @@ class ShardedMemTable {
   uint64_t ArenaBytes() const;
   uint64_t NumEntries() const;
   bool Empty() const { return NumEntries() == 0; }
-  size_t num_shards() const { return shards_.size(); }
 
   /// Copies entries in `[begin, end)` (empty `end` = unbounded) out of all
   /// shards, globally sorted by key. Each shard is entered at `begin`, so

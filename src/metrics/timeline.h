@@ -6,14 +6,14 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/units.h"
 #include "dataflow/engine.h"
 
 /// \file timeline.h
 /// Latency observability: per-operator time series (bucketed aggregates
-/// for the Figure 4/6 timelines) plus whole-run histograms (for the
-/// mean/min/p99 numbers the paper quotes).
+/// for the Figure 4/6 timelines). Whole-run distributions (the mean/min/p99
+/// numbers the paper quotes) are the engine's `rhino_op_latency_us{op}`
+/// histograms.
 
 namespace rhino::metrics {
 
@@ -71,8 +71,8 @@ class TimeSeries {
   std::map<SimTime, Bucket> buckets_;
 };
 
-/// Binds to the engine's latency hook and keeps a series + histogram per
-/// instrumented operator.
+/// Binds to the engine's latency hook and keeps a series per instrumented
+/// operator.
 class LatencyRecorder {
  public:
   explicit LatencyRecorder(dataflow::Engine* engine,
@@ -85,7 +85,6 @@ class LatencyRecorder {
             it = series_.emplace(op, TimeSeries(bucket_width_)).first;
           }
           it->second.Add(now, static_cast<double>(latency));
-          histograms_[op].Add(latency);
         });
   }
 
@@ -93,15 +92,10 @@ class LatencyRecorder {
     auto it = series_.find(op);
     return it == series_.end() ? nullptr : &it->second;
   }
-  const Histogram* HistogramFor(const std::string& op) const {
-    auto it = histograms_.find(op);
-    return it == histograms_.end() ? nullptr : &it->second;
-  }
 
  private:
   SimTime bucket_width_;
   std::map<std::string, TimeSeries> series_;
-  std::map<std::string, Histogram> histograms_;
 };
 
 }  // namespace rhino::metrics

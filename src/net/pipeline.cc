@@ -77,7 +77,7 @@ Status PipelinedChannel::Submit(MessageType type, std::string body,
     if (pending_.size() > high_water_) {
       high_water_ = static_cast<uint32_t>(pending_.size());
     }
-    inflight_gauge_->Set(static_cast<double>(pending_.size()));
+    inflight_gauge_->Add(1);
     write_now = connected_;
   }
   if (write_now) {
@@ -293,7 +293,7 @@ void PipelinedChannel::SweepDeadlines() {
       }
     }
     if (!expired.empty()) {
-      inflight_gauge_->Set(static_cast<double>(pending_.size()));
+      inflight_gauge_->Add(-static_cast<double>(expired.size()));
       space_cv_.notify_all();
     }
   }
@@ -315,7 +315,7 @@ void PipelinedChannel::FailAllPending(const Status& st) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     failed.swap(pending_);
-    inflight_gauge_->Set(0);
+    inflight_gauge_->Add(-static_cast<double>(failed.size()));
     space_cv_.notify_all();
   }
   for (auto& [seq, p] : failed) {
@@ -332,7 +332,7 @@ void PipelinedChannel::CompleteOne(uint64_t seq, const Status& st,
     if (it == pending_.end()) return;  // expired or replaced; drop late reply
     p = std::move(it->second);
     pending_.erase(it);
-    inflight_gauge_->Set(static_cast<double>(pending_.size()));
+    inflight_gauge_->Add(-1);
     space_cv_.notify_all();
   }
   latency_us_->Observe(std::chrono::duration_cast<std::chrono::microseconds>(

@@ -46,9 +46,10 @@
 /// `kProcessBatch` whose first apply landed is deduplicated, and answered
 /// with the outputs that apply kept when they feed an operator edge; a
 /// `kReplicateState` delta at or below the holder's copy is acked
-/// unapplied. The control verbs are not idempotent: a replayed
-/// `kIngestVnodes` or `kDropVnodes` whose first apply landed fails, and
-/// the driver's routing and the nodes' ownership part.
+/// unapplied. The control verbs are not idempotent (rpc.h, verb by verb):
+/// a replayed `kDropVnodes`, or replica-local `kIngestVnodes`, whose first
+/// apply landed fails, and the driver's routing and the nodes' ownership
+/// part.
 /// When the budget is exhausted the channel breaks: all pending and all
 /// future submits fail with the retrier's verdict, and the owner is
 /// expected to `Forget` the endpoint (driver failure handling) which
@@ -136,8 +137,10 @@ class PipelinedChannel {
   /// Registry of the channel's gauges, latencies and reconnect retries.
   obs::Observability* const obs_;
 
+  /// Shared by every channel of the registry to this endpoint: each adds
+  /// its own pending changes, so the gauge reads their total.
   obs::Gauge* inflight_gauge_ = nullptr;
-  obs::HistogramMetric* latency_us_ = nullptr;
+  obs::Histogram* latency_us_ = nullptr;
 
   /// Guards bookkeeping: the pending window, seq counter, connection
   /// state flags. Never held across a syscall or a callback.

@@ -25,11 +25,32 @@
 /// all reads are bounded by receive timeouts.
 ///
 /// The client side is `PipelinedChannel` (pipeline.h), reached through
-/// `TcpTransport`. Its reconnect replays pending requests, which is safe
-/// because every verb a node serves is idempotent — batch application
-/// dedups on replay watermarks, ingest/drop/replicate are set-state
-/// operations — mirroring how the in-process protocol tolerates
-/// re-delivered completions.
+/// `TcpTransport`. Its reconnect replays every pending request, and a
+/// request whose reply was lost has already applied. What such a replay
+/// does at a `NodeServer`, verb by verb:
+///  - `kProcessBatch`: deduplicated on the replay watermarks, and answered
+///    with the outputs the first apply kept.
+///  - `kReplicateState`: a delta at or below the holder's copy is acked
+///    unapplied.
+///  - `kAddOperator`: the same spec is accepted again; another is refused.
+///  - `kHello`: sets the same peers and marks every owned vnode for the
+///    stream again; the state ends the same.
+///  - `kCheckpoint`: appends to each chain only what changed since the
+///    first apply, then waits on the stream barrier again.
+///  - `kExtractVnodes`: answers the images again while the origin still
+///    owns the vnodes, which it does until the driver's drop.
+///  - `kIngestVnodes`: a whole image's rows are dropped and written again,
+///    under a newly reserved seq. An image on top of a held copy is
+///    refused: the first apply took the copy over.
+///  - `kDropVnodes`: refused ("release of unowned vnode"): the vnodes
+///    left with the first apply.
+///  - `kRelabelVnodes`: finds no copy of the origin's and changes nothing.
+///  - `kPromoteReplica`: the first apply took the held copy over, so a
+///    replay drops the promoted rows, takes each vnode from its chain or
+///    empty, and answers with that older state's watermarks.
+///  - `kQueryCount`, `kStats` and `kShutdown` read, or set a flag again.
+/// Replay is therefore safe for the data plane only. The control verbs
+/// need a retry that each node answers idempotently (ROADMAP item 4(b)).
 
 namespace rhino::net {
 

@@ -81,11 +81,11 @@ std::string ToPrometheusText(const MetricsRegistry& registry) {
   }
   for (const auto& [key, inst] : registry.histograms()) {
     (void)key;
-    const Histogram& h = inst.metric.histogram();
+    const Histogram& h = inst.metric;
     out += MetricsRegistry::KeyOf(inst.name + "_count", inst.labels) + " " +
            FormatU64(h.count()) + "\n";
     out += MetricsRegistry::KeyOf(inst.name + "_sum", inst.labels) + " " +
-           FormatDouble(h.Mean() * static_cast<double>(h.count())) + "\n";
+           FormatI64(h.sum()) + "\n";
     out += KeyWith(inst.name, inst.labels, "quantile", "0.5") + " " +
            FormatI64(h.Percentile(50)) + "\n";
     out += KeyWith(inst.name, inst.labels, "quantile", "0.99") + " " +
@@ -110,11 +110,11 @@ std::string MetricsToJson(const MetricsRegistry& registry) {
   }
   for (const auto& [key, inst] : registry.histograms()) {
     (void)key;
-    const Histogram& h = inst.metric.histogram();
+    const Histogram& h = inst.metric;
     add(MetricsRegistry::KeyOf(inst.name + "_count", inst.labels),
         FormatU64(h.count()));
-    add(MetricsRegistry::KeyOf(inst.name + "_mean", inst.labels),
-        FormatDouble(h.Mean()));
+    add(MetricsRegistry::KeyOf(inst.name + "_sum", inst.labels),
+        FormatI64(h.sum()));
     add(KeyWith(inst.name, inst.labels, "quantile", "0.5"),
         FormatI64(h.Percentile(50)));
     add(KeyWith(inst.name, inst.labels, "quantile", "0.99"),

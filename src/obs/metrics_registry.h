@@ -1,12 +1,13 @@
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
-
-#include "common/histogram.h"
 
 /// \file metrics_registry.h
 /// Lock-cheap metrics registry: counters, gauges, and histograms with
@@ -15,12 +16,12 @@
 /// Protocol code registers an instrument **once** (paying a name lookup
 /// and a possible allocation) and keeps the returned pointer; the hot-path
 /// update through that pointer is a plain arithmetic store — no lookup, no
-/// allocation, no branch on a registry lock. Counters and gauges are
-/// relaxed atomics so a networked node's threads (handlers, replicator,
-/// channel readers, LSM background work) update them without
-/// coordination; histograms take a short internal lock (they
-/// allocate). Registration itself is serialized by a registry mutex; the
-/// handle discipline is what keeps instrumentation off the hot path.
+/// allocation, no branch on a registry lock. Every instrument is made of
+/// atomics, so a networked node's threads (handlers, replicator, channel
+/// readers, LSM background work) update them without coordination, and a
+/// histogram is fixed-size from construction. Registration itself is
+/// serialized by a registry mutex; the handle discipline is what keeps
+/// instrumentation off the hot path.
 ///
 /// Naming convention (see DESIGN.md "Observability"):
 ///   rhino_<subsystem>_<quantity>_<unit|total>
@@ -39,7 +40,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -58,25 +58,58 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-/// Sample distribution with percentile queries (wraps rhino::Histogram).
-/// Observations lock internally; `histogram()` hands out the unlocked
-/// sample set and must only be read when writers are quiescent (after a run
-/// drained) — which is when exporters and tests run.
-class HistogramMetric {
+/// Distribution of integer samples (latencies in µs) in fixed memory.
+///
+/// Every instance has the same bucket layout: a value below 128 has a
+/// bucket of its own, each power of two above it is cut into 64 equal
+/// buckets, and values at or above `kCap` share the top bucket. So two
+/// histograms add up bucket by bucket. `count`, `sum`, `Min` and `Max` are
+/// exact; `Percentile` is nearest-rank and reports its bucket's midpoint
+/// clamped to [Min, Max], within 1/128 of the true sample below `kCap`.
+///
+/// `Observe` takes no lock and allocates nothing. Its updates are relaxed
+/// except the count's, which publishes them: a reader running beside
+/// observers sees at least every observation it counts.
+class Histogram {
  public:
+  /// Values at or above it share the top bucket (2^40 µs is 12.7 days).
+  static constexpr int kCapBits = 40;
+  static constexpr int64_t kCap = int64_t{1} << kCapBits;
+  /// 128 exact buckets, then 64 for each power of two from 2^7 to kCap.
+  static constexpr size_t kBuckets = 128 + 64 * (kCapBits - 7);
+
   void Observe(int64_t v) {
-    std::lock_guard<std::mutex> lock(mu_);
-    hist_.Add(v);
-  }
-  const Histogram& histogram() const { return hist_; }
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    hist_.Clear();
+    int64_t seen = min_.load(std::memory_order_relaxed);
+    while (v < seen && !min_.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
+    seen = max_.load(std::memory_order_relaxed);
+    while (v > seen && !max_.compare_exchange_weak(
+                           seen, v, std::memory_order_relaxed)) {
+    }
+    buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_release);
   }
 
+  uint64_t count() const { return count_.load(std::memory_order_acquire); }
+  int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  double Mean() const;
+  /// 0 when empty, like `Max` and `Percentile`.
+  int64_t Min() const;
+  int64_t Max() const;
+  /// Percentile in [0, 100], nearest-rank.
+  int64_t Percentile(double p) const;
+
  private:
-  mutable std::mutex mu_;
-  Histogram hist_;
+  static size_t BucketOf(int64_t v);
+  static int64_t Midpoint(size_t bucket);
+
+  std::atomic<uint64_t> count_{0};
+  std::atomic<int64_t> sum_{0};
+  std::atomic<int64_t> min_{std::numeric_limits<int64_t>::max()};
+  std::atomic<int64_t> max_{std::numeric_limits<int64_t>::min()};
+  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
 };
 
 /// Registry of named instruments. Instruments live as long as the
@@ -86,8 +119,7 @@ class MetricsRegistry {
   /// Idempotent: the same (name, labels) always returns the same handle.
   Counter* GetCounter(const std::string& name, const Labels& labels = {});
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
-  HistogramMetric* GetHistogram(const std::string& name,
-                                const Labels& labels = {});
+  Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
   /// One registered instrument of type T, for exporter enumeration.
   template <typename T>
@@ -105,7 +137,7 @@ class MetricsRegistry {
   const std::map<std::string, Instrument<Gauge>>& gauges() const {
     return gauges_;
   }
-  const std::map<std::string, Instrument<HistogramMetric>>& histograms() const {
+  const std::map<std::string, Instrument<Histogram>>& histograms() const {
     return histograms_;
   }
 
@@ -124,7 +156,7 @@ class MetricsRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Instrument<Counter>> counters_;
   std::map<std::string, Instrument<Gauge>> gauges_;
-  std::map<std::string, Instrument<HistogramMetric>> histograms_;
+  std::map<std::string, Instrument<Histogram>> histograms_;
 };
 
 }  // namespace rhino::obs

@@ -56,14 +56,6 @@ std::vector<int> ReplicationManager::Group(const std::string& op,
   return it->second;
 }
 
-bool ReplicationManager::NodeInGroup(const std::string& op, uint32_t subtask,
-                                     int node) const {
-  auto it = groups_.find(Key(op, subtask));
-  if (it == groups_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), node) !=
-         it->second.end();
-}
-
 std::vector<GroupRepair> ReplicationManager::HandleWorkerFailure(int failed) {
   std::vector<GroupRepair> repairs;
   workers_.erase(std::remove(workers_.begin(), workers_.end(), failed),

@@ -71,9 +71,6 @@ class ReplicationManager {
     return groups_.count(Key(op, subtask)) > 0;
   }
 
-  /// True when `node` holds a secondary copy of the instance's state.
-  bool NodeInGroup(const std::string& op, uint32_t subtask, int node) const;
-
   /// Fail-stop repair (paper §4.2.3): removes `failed` from every group and
   /// substitutes the least-loaded surviving worker. Returns one entry per
   /// rewritten group so the replication runtime can catch the substitute up

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/histogram.h"
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/status.h"
@@ -188,32 +187,6 @@ TEST(RandomTest, UniformIsRoughlyUniform) {
     EXPECT_GT(c, 9000);
     EXPECT_LT(c, 11000);
   }
-}
-
-TEST(HistogramTest, EmptyIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Percentile(99), 0);
-  EXPECT_EQ(h.Min(), 0);
-}
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (int i = 1; i <= 100; ++i) h.Add(i);
-  EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
-  EXPECT_EQ(h.Min(), 1);
-  EXPECT_EQ(h.Max(), 100);
-  EXPECT_EQ(h.Percentile(50), 50);
-  EXPECT_EQ(h.Percentile(99), 99);
-  EXPECT_EQ(h.Percentile(100), 100);
-}
-
-TEST(HistogramTest, AddAfterPercentileQuery) {
-  Histogram h;
-  h.Add(5);
-  EXPECT_EQ(h.Percentile(99), 5);
-  h.Add(10);
-  EXPECT_EQ(h.Percentile(99), 10);  // re-sorts lazily
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1706,11 +1708,9 @@ TEST(TcpTransportTest, CallLatencyIsRecordedInMicroseconds) {
       });
   ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
   const std::string endpoint = LocalEndpoint(server.port());
-  const Histogram& latency =
-      obs::Observability::Default()
-          ->metrics()
-          .GetHistogram("rhino_net_call_latency_us", {{"endpoint", endpoint}})
-          ->histogram();
+  const obs::Histogram& latency =
+      *obs::Observability::Default()->metrics().GetHistogram(
+          "rhino_net_call_latency_us", {{"endpoint", endpoint}});
   const size_t before = latency.count();
   {
     TcpTransport client(FastChannelOptions());
@@ -1721,6 +1721,53 @@ TEST(TcpTransportTest, CallLatencyIsRecordedInMicroseconds) {
   // resolution it recorded 0.
   ASSERT_EQ(latency.count(), before + 1);
   EXPECT_GT(latency.Max(), 0);
+}
+
+TEST(TcpTransportTest, InflightGaugeSumsTheEndpointsChannels) {
+  // The handler blocks on each connection's first call, so every call
+  // stays in flight until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  RpcServer server(
+      [&](MessageType, std::string_view body) -> Result<std::string> {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return release; });
+        return std::string(body);
+      });
+  ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
+  const std::string endpoint = LocalEndpoint(server.port());
+  const obs::Gauge& inflight =
+      *obs::Observability::Default()->metrics().GetGauge(
+          "rhino_net_inflight", {{"endpoint", endpoint}});
+  constexpr int kCalls = 3;
+  std::atomic<int> done{0};
+  {
+    TcpTransport first(FastChannelOptions()), second(FastChannelOptions());
+    for (int i = 0; i < kCalls; ++i) {
+      for (TcpTransport* transport : {&first, &second}) {
+        EXPECT_TRUE(transport
+                        ->CallAsync(endpoint, MessageType::kHello, "x",
+                                    [&done](Status st, std::string) {
+                                      if (st.ok()) ++done;
+                                    })
+                        .ok());
+      }
+    }
+    // One channel per transport, both to the endpoint: the gauge reads
+    // their total.
+    EXPECT_EQ(inflight.value(), 2 * kCalls);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    for (int spins = 0; done.load() < 2 * kCalls && spins < 1000; ++spins) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_EQ(done.load(), 2 * kCalls);
+    EXPECT_EQ(inflight.value(), 0);
+  }
 }
 
 TEST(LoopbackTransportTest, KillMakesEndpointUnreachable) {

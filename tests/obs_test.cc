@@ -1,15 +1,42 @@
 // Unit tests for the observability layer: metrics registry handle
-// discipline, trace-log span bookkeeping, and the three exporters.
+// discipline, the fixed-size histogram, trace-log span bookkeeping, and the
+// three exporters.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <new>
+#include <thread>
+#include <vector>
 
+#include "common/random.h"
 #include "obs/exporters.h"
 #include "obs/metrics_registry.h"
 #include "obs/observability.h"
 #include "obs/trace_log.h"
+
+namespace {
+// Heap allocations made by the calling thread. This binary replaces the
+// global operator new to count them, so a test can show that a path
+// allocates nothing.
+thread_local uint64_t allocations_on_this_thread = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++allocations_on_this_thread;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Not inlined: a caller that sees `free` of what `new` returned warns.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rhino::obs {
 namespace {
@@ -64,12 +91,137 @@ TEST(MetricsRegistry, GaugeAndHistogram) {
   g->Add(-1);
   EXPECT_DOUBLE_EQ(g->value(), 2.0);
 
-  HistogramMetric* h = registry.GetHistogram("rhino_latency_us");
+  Histogram* h = registry.GetHistogram("rhino_latency_us");
   for (int i = 1; i <= 100; ++i) h->Observe(i * 1000);
-  EXPECT_EQ(h->histogram().count(), 100u);
-  EXPECT_GE(h->histogram().Percentile(99), h->histogram().Percentile(50));
-  h->Reset();
-  EXPECT_EQ(h->histogram().count(), 0u);
+  EXPECT_EQ(h->count(), 100u);
+  EXPECT_GE(h->Percentile(99), h->Percentile(50));
+}
+
+// --------------------------------------------------------------- histogram --
+
+TEST(HistogramTest, EmptyIsZero) {
+  Histogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0);
+  EXPECT_EQ(h.Mean(), 0.0);
+  EXPECT_EQ(h.Min(), 0);
+  EXPECT_EQ(h.Max(), 0);
+  for (double p : {0.0, 50.0, 99.0, 100.0}) EXPECT_EQ(h.Percentile(p), 0);
+}
+
+TEST(HistogramTest, BasicStats) {
+  Histogram h;
+  for (int i = 1; i <= 100; ++i) h.Observe(i);
+  EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
+  EXPECT_EQ(h.Min(), 1);
+  EXPECT_EQ(h.Max(), 100);
+  EXPECT_EQ(h.Percentile(50), 50);
+  EXPECT_EQ(h.Percentile(99), 99);
+  EXPECT_EQ(h.Percentile(100), 100);
+  // Below 128 every value has a bucket of its own: the median of
+  // {0, v, 127} is v itself, not a bucket midpoint.
+  for (int64_t v = 0; v < 128; ++v) {
+    Histogram three;
+    three.Observe(0);
+    three.Observe(v);
+    three.Observe(127);
+    EXPECT_EQ(three.Percentile(50), v);
+  }
+}
+
+TEST(HistogramTest, AddAfterPercentileQuery) {
+  Histogram h;
+  h.Observe(5);
+  EXPECT_EQ(h.Percentile(99), 5);
+  h.Observe(10);
+  EXPECT_EQ(h.Percentile(99), 10);
+}
+
+TEST(HistogramTest, PercentilesAreWithinOnePercentUpToTheCap) {
+  // Log-uniform samples from 1 to just below the cap, plus its edges.
+  Random rng(7);
+  std::vector<int64_t> samples = {1, Histogram::kCap - 1};
+  for (int i = 0; i < 20000; ++i) {
+    samples.push_back(static_cast<int64_t>(
+        std::exp2(rng.NextDouble() *
+                  std::log2(static_cast<double>(Histogram::kCap - 1)))));
+  }
+  Histogram h;
+  for (int64_t v : samples) h.Observe(v);
+  std::sort(samples.begin(), samples.end());
+  for (int tenths = 1; tenths <= 1000; ++tenths) {
+    const double p = tenths / 10.0;
+    auto rank = static_cast<size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(samples.size())));
+    const int64_t truth = samples[std::max<size_t>(rank, 1) - 1];
+    const int64_t got = h.Percentile(p);
+    EXPECT_LE(std::abs(static_cast<double>(got - truth)),
+              0.01 * static_cast<double>(truth))
+        << "p" << p << ": " << got << " vs " << truth;
+  }
+}
+
+TEST(HistogramTest, CountSumMinAndMaxAreExact) {
+  // Values at and above the cap share the top bucket; the max stays exact.
+  const std::vector<int64_t> values = {977, 3, 1000003, 123456789011, 0,
+                                       Histogram::kCap,
+                                       3 * Histogram::kCap + 1};
+  Histogram h;
+  int64_t sum = 0;
+  for (int64_t v : values) {
+    h.Observe(v);
+    sum += v;
+  }
+  EXPECT_EQ(h.count(), values.size());
+  EXPECT_EQ(h.sum(), sum);
+  EXPECT_DOUBLE_EQ(h.Mean(), static_cast<double>(sum) / values.size());
+  EXPECT_EQ(h.Min(), 0);
+  EXPECT_EQ(h.Max(), 3 * Histogram::kCap + 1);
+  EXPECT_EQ(h.Percentile(0), 0);
+  EXPECT_EQ(h.Percentile(100), 3 * Histogram::kCap + 1);
+}
+
+TEST(HistogramTest, ObservingAllocatesNothing) {
+  MetricsRegistry registry;
+  auto* h = registry.GetHistogram("rhino_test_latency_us");
+  const uint64_t before = allocations_on_this_thread;
+  for (int64_t i = 0; i < 1000000; ++i) h->Observe(i * 7919 % 5000000);
+  EXPECT_EQ(allocations_on_this_thread - before, 0u);
+}
+
+TEST(HistogramTest, ReadersRunBesideObservers) {
+  constexpr int kObservers = 4;
+  constexpr int64_t kPerObserver = 100000;
+  Histogram h;
+  std::atomic<bool> observing{true};
+  int bad_reads = 0;
+  std::thread reader([&] {
+    uint64_t last = 0;
+    do {
+      const uint64_t n = h.count();
+      const int64_t p50 = h.Percentile(50), p99 = h.Percentile(99);
+      // Every value observed lies in [1, kPerObserver], and so does any
+      // percentile of them, whatever moment it reads.
+      const bool in_range = n == 0 || (p50 >= 1 && p50 <= kPerObserver &&
+                                       p99 >= 1 && p99 <= kPerObserver);
+      if (n < last || !in_range) ++bad_reads;
+      last = n;
+    } while (observing.load());
+  });
+  std::vector<std::thread> observers;
+  for (int t = 0; t < kObservers; ++t) {
+    observers.emplace_back([&h] {
+      for (int64_t v = 1; v <= kPerObserver; ++v) h.Observe(v);
+    });
+  }
+  for (std::thread& t : observers) t.join();
+  observing.store(false);
+  reader.join();
+  EXPECT_EQ(bad_reads, 0);
+  EXPECT_EQ(h.count(), static_cast<uint64_t>(kObservers * kPerObserver));
+  EXPECT_EQ(h.sum(), kObservers * kPerObserver * (kPerObserver + 1) / 2);
+  EXPECT_EQ(h.Min(), 1);
+  EXPECT_EQ(h.Max(), kPerObserver);
 }
 
 // --------------------------------------------------------------- trace log --
@@ -165,8 +317,7 @@ TEST(Exporters, PrometheusTextListsEveryFamily) {
   MetricsRegistry registry;
   registry.GetCounter("rhino_checkpoint_completed_total")->Increment(4);
   registry.GetGauge("rhino_replication_degraded_groups")->Set(1.5);
-  HistogramMetric* h =
-      registry.GetHistogram("rhino_op_latency_us", {{"op", "join"}});
+  Histogram* h = registry.GetHistogram("rhino_op_latency_us", {{"op", "join"}});
   h->Observe(1000);
   h->Observe(3000);
 
@@ -176,6 +327,8 @@ TEST(Exporters, PrometheusTextListsEveryFamily) {
   EXPECT_NE(text.find("rhino_replication_degraded_groups 1.5\n"),
             std::string::npos);
   EXPECT_NE(text.find("rhino_op_latency_us_count{op=\"join\"} 2\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("rhino_op_latency_us_sum{op=\"join\"} 4000\n"),
             std::string::npos);
   EXPECT_NE(text.find("rhino_op_latency_us{op=\"join\",quantile=\"0.99\"}"),
             std::string::npos);
@@ -190,6 +343,8 @@ TEST(Exporters, MetricsJsonIsFlatAndComplete) {
   EXPECT_NE(json.find("\"rhino_handover_bytes_total\": 123"),
             std::string::npos);
   EXPECT_NE(json.find("\"rhino_handover_duration_us_count\": 1"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"rhino_handover_duration_us_sum\": 500"),
             std::string::npos);
   // Inner quotes around the quantile label are escaped in the JSON key.
   EXPECT_NE(
