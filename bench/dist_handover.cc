@@ -71,7 +71,6 @@
 #include "artifact.h"
 #include "broker/broker.h"
 #include "common/logging.h"
-#include "common/units.h"
 #include "counting_transport.h"
 #include "lsm/env.h"
 #include "metrics/table.h"
@@ -153,15 +152,7 @@ struct TcpCluster {
   std::unique_ptr<ClusterDriver> driver;
   broker::Partition partition{0};
 
-  static PipelinedChannelOptions ChannelOptions() {
-    PipelinedChannelOptions options;
-    options.retry.initial_backoff_us = 2 * kMillisecond;
-    options.retry.max_backoff_us = 100 * kMillisecond;
-    options.retry.max_attempts = 5;
-    return options;
-  }
-
-  TcpCluster() : transport(ChannelOptions()) {
+  TcpCluster() {
     char root_template[] = "/tmp/rhino_dist_handover_XXXXXX";
     RHINO_CHECK(mkdtemp(root_template) != nullptr);
     root = root_template;
@@ -175,7 +166,7 @@ struct TcpCluster {
       std::string data_dir = root + "/n" + std::to_string(i);
       RHINO_CHECK_OK(env.CreateDir(data_dir));
       node_transports.push_back(
-          std::make_unique<TcpTransport>(ChannelOptions()));
+          std::make_unique<TcpTransport>());
       nodes.push_back(std::make_unique<NodeServer>(
           &env, node_transports.back().get(),
           NodeServerOptions{data_dir, root + "/ckpt"}));

@@ -57,7 +57,6 @@
 #include "artifact.h"
 #include "broker/broker.h"
 #include "common/logging.h"
-#include "common/units.h"
 #include "counting_transport.h"
 #include "lsm/env.h"
 #include "metrics/table.h"
@@ -83,16 +82,6 @@ const char* const kOp = "counter";
 /// Emulated per-batch service latency for the headline ingest phases
 /// (see the phase comment in Run).
 constexpr int kServiceDelayUs = 500;
-
-/// Fast reconnect budget: a fail-stopped node is detected in well under
-/// a second of backoff.
-PipelinedChannelOptions FastChannelOptions() {
-  PipelinedChannelOptions options;
-  options.retry.initial_backoff_us = 2 * kMillisecond;
-  options.retry.max_backoff_us = 100 * kMillisecond;
-  options.retry.max_attempts = 5;
-  return options;
-}
 
 /// `node`'s handler for its `RpcServer`. With `service_delay_us` > 0 each
 /// kProcessBatch first sleeps that long on the server's connection thread,
@@ -128,7 +117,7 @@ struct PipelineCluster {
   PipelineCluster(lsm::PosixEnv* e, const std::string& parent,
                   const std::string& tag, bool replicate,
                   uint32_t credit_window, int service_delay_us = 0)
-      : env(e), root(parent + "/" + tag), transport(FastChannelOptions()) {
+      : env(e), root(parent + "/" + tag) {
     RHINO_CHECK_OK(env->CreateDir(root));
     RHINO_CHECK_OK(env->CreateDir(root + "/ckpt"));
     std::vector<std::string> endpoints;
@@ -141,7 +130,7 @@ struct PipelineCluster {
       Transport* node_transport = nullptr;
       if (replicate) {
         node_transports.push_back(
-            std::make_unique<TcpTransport>(FastChannelOptions()));
+            std::make_unique<TcpTransport>());
         node_transport = node_transports.back().get();
       }
       nodes.push_back(std::make_unique<NodeServer>(env, node_transport,

@@ -92,7 +92,7 @@ void RunDoubleFailureScenario(const std::string& query, Sut sut,
   injector.SetObservability(&tb.observability);
   injector.SetCrashHandler([&tb](int node) {
     tb.engine.FailNode(node);
-    tb.sim.Schedule(tb.hm->options().recovery_scheduling_us,
+    tb.sim.Schedule(rhino::kRecoverySchedulingUs,
                     [&tb, node] { tb.hm->RecoverFailedNode(node); });
   });
   tb.engine.SetFaultProbe([&](const std::string& e) { injector.Notify(e); });

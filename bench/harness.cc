@@ -36,9 +36,7 @@ namespace {
 /// moves with serialization costs, everything resident in memory.
 class MegaphoneDelegate : public dataflow::HandoverDelegate {
  public:
-  MegaphoneDelegate(dataflow::Engine* engine,
-                    baselines::MegaphoneOptions options)
-      : engine_(engine), options_(options) {}
+  explicit MegaphoneDelegate(dataflow::Engine* engine) : engine_(engine) {}
 
   void TransferState(const dataflow::HandoverSpec& spec,
                      const HandoverMove& move, StatefulInstance* origin,
@@ -83,14 +81,13 @@ class MegaphoneDelegate : public dataflow::HandoverDelegate {
       it = queues_
                .emplace(key, std::make_unique<sim::QueueResource>(
                                  engine_->sim(), "megaphone-serde",
-                                 options_.serialize_bytes_per_sec))
+                                 baselines::kMegaphoneSerializeBytesPerSec))
                .first;
     }
     return it->second.get();
   }
 
   dataflow::Engine* engine_;
-  baselines::MegaphoneOptions options_;
   std::map<int, std::unique_ptr<sim::QueueResource>> queues_;
 };
 
@@ -260,10 +257,10 @@ void Testbed::WireSut() {
     case Sut::kMegaphone: {
       // No checkpointing, no fault tolerance; migrations run in band.
       megaphone_delegate =
-          std::make_unique<MegaphoneDelegate>(&engine, options.megaphone);
+          std::make_unique<MegaphoneDelegate>(&engine);
       engine.SetHandoverDelegate(megaphone_delegate.get());
       megaphone = std::make_unique<baselines::MegaphoneModel>(
-          &cluster, WorkerNodeList(options), options.megaphone);
+          &cluster, WorkerNodeList(options));
       break;
     }
   }
@@ -350,7 +347,7 @@ Testbed::RecoveryBreakdown Testbed::Recover(int worker_index) {
     case Sut::kRhinoDfs: {
       // Failure detection + reconfiguration planning before the markers
       // are injected (part of the paper's "scheduling" phase).
-      Run(hm->options().recovery_scheduling_us);
+      Run(rhino::kRecoverySchedulingUs);
       size_t before = engine.handovers().size();
       auto ids = hm->RecoverFailedNode(worker_index);
       // Run until every recovery handover completes.

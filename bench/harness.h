@@ -65,7 +65,6 @@ struct TestbedOptions {
   /// DOP 56 -> 64 means 1/8 of the instances start idle).
   int spare_instances = 0;
   rhino::ReplicationOptions replication;
-  baselines::MegaphoneOptions megaphone;
 };
 
 /// A fully wired experiment.

@@ -16,6 +16,17 @@ using dataflow::SinkInstance;
 using dataflow::SourceInstance;
 using dataflow::StatefulInstance;
 
+namespace {
+
+/// Cancel + redeploy bookkeeping (paper Table 1: ~2.2-2.6 s).
+constexpr SimTime kSchedulingFixedUs = 2200 * kMillisecond;
+constexpr SimTime kSchedulingPerInstanceUs = 2 * kMillisecond;
+/// RocksDB open after materialization (paper: ~1.3-1.8 s).
+constexpr SimTime kLoadFixedUs = 1300 * kMillisecond;
+constexpr SimTime kLoadPerFileUs = 2 * kMillisecond;
+
+}  // namespace
+
 void FlinkRestartController::RestartFromLastCheckpoint(
     int failed_node, std::function<void(RestartBreakdown)> done) {
   sim::Simulation* sim = engine_->sim();
@@ -63,8 +74,8 @@ void FlinkRestartController::RestartFromLastCheckpoint(
   }
 
   SimTime scheduling =
-      options_.scheduling_fixed_us +
-      options_.scheduling_per_instance_us * static_cast<SimTime>(instances);
+      kSchedulingFixedUs +
+      kSchedulingPerInstanceUs * static_cast<SimTime>(instances);
 
   sim->Schedule(scheduling, [this, sim, ckpt, start, scheduling,
                              done = std::move(done)] {
@@ -90,12 +101,12 @@ void FlinkRestartController::RestartFromLastCheckpoint(
                     done = std::move(done)] {
       SimTime fetch = sim->Now() - fetch_start;
       // 4. State loading: open the materialized files.
-      SimTime load = options_.load_fixed_us;
+      SimTime load = kLoadFixedUs;
       for (StatefulInstance* inst : engine_->stateful()) {
         const rhino::ReplicaState* latest = storage_->LatestFor(
             inst->op_name(), static_cast<uint32_t>(inst->subtask()));
         if (latest != nullptr) {
-          load += options_.load_per_file_us *
+          load += kLoadPerFileUs *
                   static_cast<SimTime>(
                       latest->latest_descriptor.files.size()) /
                   std::max<SimTime>(

@@ -21,15 +21,6 @@
 
 namespace rhino::baselines {
 
-struct FlinkOptions {
-  /// Cancel + redeploy bookkeeping (paper Table 1: ~2.2-2.6 s).
-  SimTime scheduling_fixed_us = 2200 * kMillisecond;
-  SimTime scheduling_per_instance_us = 2 * kMillisecond;
-  /// RocksDB open after materialization (paper: ~1.3-1.8 s).
-  SimTime load_fixed_us = 1300 * kMillisecond;
-  SimTime load_per_file_us = 2 * kMillisecond;
-};
-
 /// Builds a fresh state backend for an instance during restore.
 using BackendFactory = std::function<std::unique_ptr<state::StateBackend>(
     const std::string& op, uint32_t subtask)>;
@@ -49,12 +40,10 @@ class FlinkRestartController {
  public:
   FlinkRestartController(dataflow::Engine* engine,
                          rhino::DfsCheckpointStorage* storage,
-                         BackendFactory backend_factory,
-                         FlinkOptions options = FlinkOptions())
+                         BackendFactory backend_factory)
       : engine_(engine),
         storage_(storage),
-        backend_factory_(std::move(backend_factory)),
-        options_(options) {}
+        backend_factory_(std::move(backend_factory)) {}
 
   /// Full restart from the last completed checkpoint. `failed_node >= 0`
   /// reassigns that node's instances to live workers first. `done`
@@ -68,7 +57,6 @@ class FlinkRestartController {
   dataflow::Engine* engine_;
   rhino::DfsCheckpointStorage* storage_;
   BackendFactory backend_factory_;
-  FlinkOptions options_;
 };
 
 }  // namespace rhino::baselines

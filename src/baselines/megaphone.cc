@@ -7,6 +7,15 @@
 
 namespace rhino::baselines {
 
+namespace {
+
+/// Per-bin scheduling overhead (Megaphone plans per-bin moves).
+constexpr SimTime kPerBinOverheadUs = 50;
+/// Chunk used to pipeline serialize -> network -> deserialize.
+constexpr uint64_t kChunkBytes = 64 * kMiB;
+
+}  // namespace
+
 bool MegaphoneModel::FitsMemory(uint64_t total_state_bytes) const {
   uint64_t memory = 0;
   for (int w : workers_) memory += cluster_->node(w).spec().memory_bytes;
@@ -46,14 +55,14 @@ void MegaphoneModel::Migrate(const std::map<int, uint64_t>& bytes_per_origin,
   };
 
   // Scheduling overhead: Megaphone plans each bin's move.
-  SimTime plan = options_.per_bin_overhead_us * static_cast<SimTime>(num_bins) /
+  SimTime plan = kPerBinOverheadUs * static_cast<SimTime>(num_bins) /
                  std::max<SimTime>(1, static_cast<SimTime>(workers_.size()));
 
   auto serializers = std::make_shared<std::vector<std::unique_ptr<sim::QueueResource>>>();
   auto deserializers = std::make_shared<std::map<int, std::unique_ptr<sim::QueueResource>>>();
   for (int w : workers_) {
     (*deserializers)[w] = std::make_unique<sim::QueueResource>(
-        sim, "megaphone-deser", options_.serialize_bytes_per_sec);
+        sim, "megaphone-deser", kMegaphoneSerializeBytesPerSec);
   }
 
   for (const auto& [origin, bytes] : bytes_per_origin) {
@@ -61,15 +70,14 @@ void MegaphoneModel::Migrate(const std::map<int, uint64_t>& bytes_per_origin,
     result->bytes_moved += bytes;
     ++*pending;
     auto serializer = std::make_unique<sim::QueueResource>(
-        sim, "megaphone-ser", options_.serialize_bytes_per_sec);
+        sim, "megaphone-ser", kMegaphoneSerializeBytesPerSec);
     sim::QueueResource* ser = serializer.get();
     serializers->push_back(std::move(serializer));
 
-    uint64_t chunks = (bytes + options_.chunk_bytes - 1) / options_.chunk_bytes;
+    uint64_t chunks = (bytes + kChunkBytes - 1) / kChunkBytes;
     auto remaining = std::make_shared<uint64_t>(chunks);
     for (uint64_t c = 0; c < chunks; ++c) {
-      uint64_t chunk = std::min(options_.chunk_bytes,
-                                bytes - c * options_.chunk_bytes);
+      uint64_t chunk = std::min(kChunkBytes, bytes - c * kChunkBytes);
       int target = workers_[(static_cast<size_t>(origin) + 1 + c) %
                             workers_.size()];
       if (target == origin) target = workers_[(c + 1) % workers_.size()];

@@ -28,18 +28,9 @@
 
 namespace rhino::baselines {
 
-struct MegaphoneOptions {
-  /// Per-node serialization/deserialization throughput. Timely's Rust
-  /// pipelines serialize at several hundred MB/s per worker.
-  double serialize_bytes_per_sec = 900e6;
-  /// Migration buffers: bytes resident per byte being migrated (source
-  /// buffer + wire copy + target buffer, amortized by batching).
-  double buffer_overhead = 0.10;
-  /// Per-bin scheduling overhead (Megaphone plans per-bin moves).
-  SimTime per_bin_overhead_us = 50;
-  /// Chunk used to pipeline serialize -> network -> deserialize.
-  uint64_t chunk_bytes = 64 * kMiB;
-};
+/// Per-node serialization/deserialization throughput. Timely's Rust
+/// pipelines serialize at several hundred MB/s per worker.
+inline constexpr double kMegaphoneSerializeBytesPerSec = 900e6;
 
 /// Outcome of one planned migration.
 struct MegaphoneResult {
@@ -51,9 +42,8 @@ struct MegaphoneResult {
 /// Analytic-plus-simulated model of Megaphone's migration path.
 class MegaphoneModel {
  public:
-  MegaphoneModel(sim::Cluster* cluster, std::vector<int> workers,
-                 MegaphoneOptions options = MegaphoneOptions())
-      : cluster_(cluster), workers_(std::move(workers)), options_(options) {}
+  MegaphoneModel(sim::Cluster* cluster, std::vector<int> workers)
+      : cluster_(cluster), workers_(std::move(workers)) {}
 
   /// Can a workload with this much operator state run at all? Timely
   /// keeps all state on the heap, so it must fit the aggregate memory.
@@ -70,7 +60,6 @@ class MegaphoneModel {
  private:
   sim::Cluster* cluster_;
   std::vector<int> workers_;
-  MegaphoneOptions options_;
 };
 
 }  // namespace rhino::baselines

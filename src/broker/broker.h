@@ -36,26 +36,8 @@ struct LogEntry {
   dataflow::Batch batch;
 };
 
-/// Read side of one partition — the seam consumers (sources, the
-/// networked driver's replay pump) depend on instead of the concrete
-/// in-memory log. `Partition` below implements it directly; a remote
-/// client fetching over the `src/net` RPC layer implements the same
-/// interface, so replay code is identical whether the upstream backup is
-/// in-process or across a socket.
-class PartitionSource {
- public:
-  virtual ~PartitionSource() = default;
-
-  /// The batch at `offset`, or nullptr when past the end. The pointer
-  /// stays valid for the experiment's lifetime (append-only log).
-  virtual const LogEntry* Fetch(uint64_t offset) const = 0;
-
-  /// One past the newest assigned offset.
-  virtual uint64_t end_offset() const = 0;
-};
-
 /// One append-only partition.
-class Partition : public PartitionSource {
+class Partition {
  public:
   explicit Partition(int home_node) : home_node_(home_node) {}
 
@@ -78,7 +60,7 @@ class Partition : public PartitionSource {
   }
 
   /// The batch at `offset`, or nullptr when past the end.
-  const LogEntry* Fetch(uint64_t offset) const override {
+  const LogEntry* Fetch(uint64_t offset) const {
     std::lock_guard<std::mutex> lock(mu_);
     if (offset >= next_offset_) return nullptr;
     uint64_t first = entries_.empty() ? next_offset_ : entries_.front().offset;
@@ -86,7 +68,8 @@ class Partition : public PartitionSource {
     return &entries_[offset - first];
   }
 
-  uint64_t end_offset() const override {
+  /// One past the newest assigned offset.
+  uint64_t end_offset() const {
     std::lock_guard<std::mutex> lock(mu_);
     return next_offset_;
   }

@@ -22,7 +22,7 @@ std::vector<int> DistributedFileSystem::PlaceBlock(int writer_node) {
       std::find(datanodes_.begin(), datanodes_.end(), writer_node) !=
       datanodes_.end();
   if (writer_is_datanode) replicas.push_back(writer_node);
-  while (replicas.size() < static_cast<size_t>(options_.replication) &&
+  while (replicas.size() < static_cast<size_t>(kReplication) &&
          replicas.size() < datanodes_.size()) {
     int candidate = datanodes_[rng_.Uniform(datanodes_.size())];
     if (std::find(replicas.begin(), replicas.end(), candidate) ==
@@ -37,9 +37,9 @@ void DistributedFileSystem::RegisterFile(const std::string& path,
                                          uint64_t bytes, int writer_node) {
   File file;
   file.bytes = bytes;
-  for (uint64_t off = 0; off < bytes; off += options_.block_bytes) {
+  for (uint64_t off = 0; off < bytes; off += kBlockBytes) {
     Block block;
-    block.bytes = std::min(options_.block_bytes, bytes - off);
+    block.bytes = std::min(kBlockBytes, bytes - off);
     block.replicas = PlaceBlock(writer_node);
     file.blocks.push_back(std::move(block));
   }
@@ -89,7 +89,7 @@ void DistributedFileSystem::WriteFile(const std::string& path, uint64_t bytes,
         write_disk();
       } else {
         sim::ReliableTransfer(
-            cluster_, writer_node, replica, block.bytes, options_.retry,
+            cluster_, writer_node, replica, block.bytes, kBlockShipmentRetry,
             kRetrySeed ^ NextTransferSeq(), "dfs_block_write", obs_,
             std::move(write_disk), [failed, block_done](Status) {
               *failed = true;
@@ -155,7 +155,7 @@ void DistributedFileSystem::ReadFile(const std::string& path, int reader_node,
           block_bytes,
           [this, source, reader_node, block_bytes, finish, client] {
             sim::ReliableTransfer(
-                cluster_, source, reader_node, block_bytes, options_.retry,
+                cluster_, source, reader_node, block_bytes, kBlockShipmentRetry,
                 kRetrySeed ^ NextTransferSeq(), "dfs_block_read", obs_,
                 [client, block_bytes, finish] {
                   client->Submit(block_bytes,
@@ -177,7 +177,7 @@ sim::QueueResource* DistributedFileSystem::ClientQueue(int reader_node) {
                       std::make_unique<sim::QueueResource>(
                           cluster_->sim(),
                           "dfs-client-" + std::to_string(reader_node),
-                          options_.client_bytes_per_sec))
+                          kClientBytesPerSec))
              .first;
   }
   return it->second.get();

@@ -10,16 +10,16 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "obs/observability.h"
-#include "runtime/retry.h"
 #include "sim/cluster.h"
+#include "sim/retry.h"
 #include "sim/resource.h"
 
 /// \file dfs.h
 /// Block-centric distributed file system (the HDFS role, paper §3.1 and
 /// Figure 3).
 ///
-/// Files are split into fixed-size blocks; each block is replicated on
-/// `replication` datanodes — the first copy local to the writer, the rest
+/// Files are split into `kBlockBytes` blocks; each block is replicated on
+/// `kReplication` datanodes — the first copy local to the writer, the rest
 /// on other nodes (HDFS default placement). On a read, local blocks come
 /// off the local disk while remote blocks cross the network: exactly the
 /// cost asymmetry that makes Flink's and RhinoDFS's state fetching grow
@@ -28,28 +28,22 @@
 
 namespace rhino::dfs {
 
-struct DfsOptions {
-  uint64_t block_bytes = 128 * kMiB;
-  int replication = 2;
-  /// Sustained per-client fetch throughput for remote blocks. HDFS client
-  /// streaming tops out well below the NIC line rate (protocol overhead,
-  /// single-pipeline reads); the paper's Flink fetch times imply roughly
-  /// 0.4-0.5 GB/s per restoring task manager.
-  double client_bytes_per_sec = 600e6;
-  /// Retry policy of block shipments (write pipeline copies and remote
-  /// reads): blocks swallowed by an injected network partition are resent
-  /// with jittered backoff; exhaustion surfaces IOError on the file
-  /// operation. See `sim::ReliableTransfer`.
-  runtime::RetryOptions retry = DefaultRetry();
-
-  static runtime::RetryOptions DefaultRetry() {
-    runtime::RetryOptions r;
-    r.initial_backoff_us = 100 * kMillisecond;
-    r.max_backoff_us = kSecond;
-    r.max_attempts = 0;               // deadline-governed
-    r.deadline_us = 60 * kSecond;     // per block shipment
-    return r;
-  }
+inline constexpr uint64_t kBlockBytes = 128 * kMiB;
+inline constexpr int kReplication = 2;
+/// Sustained per-client fetch throughput for remote blocks. HDFS client
+/// streaming tops out well below the NIC line rate (protocol overhead,
+/// single-pipeline reads); the paper's Flink fetch times imply roughly
+/// 0.4-0.5 GB/s per restoring task manager.
+inline constexpr double kClientBytesPerSec = 600e6;
+/// Retry policy of block shipments (write pipeline copies and remote
+/// reads): blocks swallowed by an injected network partition are resent
+/// with jittered backoff; exhaustion surfaces IOError on the file
+/// operation. See `sim::ReliableTransfer`.
+inline constexpr sim::RetryOptions kBlockShipmentRetry{
+    .initial_backoff_us = 100 * kMillisecond,
+    .max_backoff_us = kSecond,
+    .max_attempts = 0,            // deadline-governed
+    .deadline_us = 60 * kSecond,  // per block shipment
 };
 
 /// One replicated block.
@@ -62,11 +56,8 @@ struct Block {
 class DistributedFileSystem {
  public:
   DistributedFileSystem(sim::Cluster* cluster, std::vector<int> datanodes,
-                        DfsOptions options = DfsOptions(), uint64_t seed = 42)
-      : cluster_(cluster),
-        datanodes_(std::move(datanodes)),
-        options_(options),
-        rng_(seed) {}
+                        uint64_t seed = 42)
+      : cluster_(cluster), datanodes_(std::move(datanodes)), rng_(seed) {}
 
   /// Installs the observability context the block shipments count their
   /// retries in (defaults to the process-wide one).
@@ -106,7 +97,7 @@ class DistributedFileSystem {
     std::vector<Block> blocks;
   };
 
-  /// Picks `replication` distinct datanodes, preferring `writer_node` as
+  /// Picks `kReplication` distinct datanodes, preferring `writer_node` as
   /// the first copy (HDFS default placement policy).
   std::vector<int> PlaceBlock(int writer_node);
 
@@ -119,7 +110,6 @@ class DistributedFileSystem {
   uint64_t transfer_seq_ = 0;
   sim::Cluster* cluster_;
   std::vector<int> datanodes_;
-  DfsOptions options_;
   Random rng_;
   obs::Observability* obs_ = obs::Observability::Default();
   std::map<std::string, File> files_;

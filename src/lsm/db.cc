@@ -541,8 +541,7 @@ Status DB::WriteLevel0Table(const ShardedMemTable& mem) {
     number = versions_.NewFileNumber();
   }
   RHINO_ASSIGN_OR_RETURN(auto sink, NewTableSink(number));
-  SSTableBuilder builder(sink.get(), options_.block_bytes,
-                         options_.bloom_bits_per_key);
+  SSTableBuilder builder(sink.get(), kTableBlockBytes, kBloomBitsPerKey);
   // The table is frozen (or the caller owns it exclusively), so the
   // merging cursor streams the shards lock-free in global key order —
   // identical bytes to what a single skiplist would have produced.
@@ -717,7 +716,7 @@ Result<DB::Iterator> DB::NewIterator(std::string_view begin,
 
 uint64_t DB::MaxBytesForLevel(int level) const {
   double bytes = static_cast<double>(options_.level_base_bytes);
-  for (int l = 1; l < level; ++l) bytes *= options_.level_multiplier;
+  for (int l = 1; l < level; ++l) bytes *= kLevelMultiplier;
   return static_cast<uint64_t>(bytes);
 }
 
@@ -786,7 +785,7 @@ Status DB::CompactRange() {
   }
   if (imm != nullptr) RHINO_RETURN_NOT_OK(FlushFrozenMemTable(std::move(imm)));
   // Repeatedly push every populated level into the next one.
-  for (int l = 0; l < options_.num_levels - 1; ++l) {
+  for (int l = 0; l < kNumLevels - 1; ++l) {
     while (true) {
       {
         std::lock_guard<std::mutex> lock(versions_mu_);
@@ -860,7 +859,7 @@ Status DB::DoCompaction(const std::vector<std::pair<int, FileMetaData>>& inputs,
       }
       RHINO_ASSIGN_OR_RETURN(sink, NewTableSink(output_number));
       builder = std::make_unique<SSTableBuilder>(
-          sink.get(), options_.block_bytes, options_.bloom_bits_per_key);
+          sink.get(), kTableBlockBytes, kBloomBitsPerKey);
     }
     builder->Add(entry.key, entry.seq, entry.type, entry.value);
     if (builder->data_bytes() >= options_.target_file_bytes) {

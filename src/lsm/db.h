@@ -57,18 +57,23 @@
 
 namespace rhino::lsm {
 
+/// The tree's fixed shape, RocksDB's defaults: uncompressed data blocks
+/// of `kTableBlockBytes`, `kBloomBitsPerKey` filter bits per key (~1%
+/// false positives), and `kNumLevels` levels, each below L1 holding
+/// `kLevelMultiplier` times the bytes of the one above.
+inline constexpr size_t kTableBlockBytes = 4096;
+inline constexpr int kBloomBitsPerKey = 10;
+inline constexpr double kLevelMultiplier = 10.0;
+inline constexpr int kNumLevels = 7;
+
 /// Tuning knobs. Defaults are scaled-down versions of the paper's RocksDB
 /// settings (64 MiB memtables / 64 MiB table blocks on NVMe) so tests
 /// exercise flush/compaction quickly.
 struct Options {
   uint64_t memtable_bytes = 4 * 1024 * 1024;
-  size_t block_bytes = 4096;
-  int bloom_bits_per_key = 10;
   int l0_compaction_trigger = 4;
   uint64_t level_base_bytes = 16 * 1024 * 1024;
-  double level_multiplier = 10.0;
   uint64_t target_file_bytes = 2 * 1024 * 1024;
-  int num_levels = 7;
   /// When false, compaction only runs via CompactRange() (tests use this
   /// to pin the tree shape).
   bool auto_compact = true;
@@ -324,7 +329,7 @@ class DB {
         block_cache_(options_.block_cache ? options_.block_cache
                                           : BlockCache::Default()),
         mem_(std::make_shared<ShardedMemTable>(options_.memtable_shards)),
-        versions_(options_.num_levels) {
+        versions_(kNumLevels) {
     BindMetrics(obs::Observability::Default());
   }
 

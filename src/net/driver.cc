@@ -118,7 +118,7 @@ Status ClusterDriver::AddOperator(const std::string& op, uint32_t num_vnodes) {
   return AddOperator(spec);
 }
 
-void ClusterDriver::AddPartition(const broker::PartitionSource* partition) {
+void ClusterDriver::AddPartition(const broker::Partition* partition) {
   partitions_.push_back(partition);
 }
 

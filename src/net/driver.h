@@ -57,8 +57,8 @@
 /// node died before replying, or the reply itself was lost) is answered
 /// with the outputs of the first apply, wherever the vnode now lives.
 ///
-/// Exactly-once: the driver may re-send any batch (after an RPC retry or
-/// a post-failure rewind); nodes deduplicate on per-(vnode, source) replay
+/// Exactly-once: the driver may re-send any batch (a re-pump after a
+/// failed pump, or a post-failure rewind); nodes deduplicate on per-(vnode, source) replay
 /// watermarks — every operator input has its own source id, so the same
 /// rule covers broker partitions and operator edges uniformly.
 ///
@@ -136,7 +136,7 @@ class ClusterDriver {
 
   /// Registers one upstream-backup partition (feeds nothing until
   /// connected).
-  void AddPartition(const broker::PartitionSource* partition);
+  void AddPartition(const broker::Partition* partition);
 
   /// Feeds broker partition `partition` into input `side` of `op`.
   Status ConnectPartition(const std::string& op, size_t partition,
@@ -318,7 +318,7 @@ class ClusterDriver {
 
   std::map<std::string, OpRouting> routing_;
   std::vector<std::string> op_order_;  ///< topological (AddOperator order)
-  std::vector<const broker::PartitionSource*> partitions_;
+  std::vector<const broker::Partition*> partitions_;
   /// Edge source ids live far above any partition index so one operator's
   /// inputs never collide in its watermark maps.
   int next_edge_source_id_ = 1 << 20;

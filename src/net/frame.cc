@@ -26,7 +26,10 @@ Status ReadFrame(Socket& sock, std::string* payload,
                               std::to_string(max_frame_bytes));
   }
   payload->resize(len);
-  if (len > 0) RHINO_RETURN_NOT_OK(sock.ReadExact(payload->data(), len));
+  if (len > 0) {
+    RHINO_RETURN_NOT_OK(
+        sock.ReadExact(payload->data(), len, /*mid_message=*/true));
+  }
   if (lsm::LogChecksum(*payload) != crc) {
     return Status::Corruption("frame checksum mismatch (" +
                               std::to_string(len) + " bytes)");

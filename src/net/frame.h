@@ -21,10 +21,13 @@
 ///  * checksum mismatch        -> `Corruption`;
 ///  * peer disconnect mid-frame-> `IOError` (from the socket layer);
 ///  * clean close between frames -> `Aborted` (a normal end of stream);
-///  * receive timeout          -> `TimedOut`.
+///  * receive timeout before the frame's first byte -> `TimedOut`.
 ///
-/// No failure hangs: reads inherit the socket's receive timeout, and the
-/// length prefix is validated against `max_frame_bytes` up front.
+/// A frame is read whole: once its first byte arrived, a receive timeout
+/// only means "wait on", so a frame whose bytes arrive a poll apart is
+/// not cut in two. No failure hangs: a frame that stalls for
+/// `kReadStallMs` mid-way is `IOError`, and the length prefix is
+/// validated against `max_frame_bytes` up front.
 
 namespace rhino::net {
 

@@ -3,7 +3,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "net/frame.h"
 
 namespace rhino::net {
@@ -14,12 +13,12 @@ PipelinedChannel::PipelinedChannel(std::string host, uint16_t port,
     : host_(std::move(host)),
       port_(port),
       options_(options),
-      what_(std::move(what)),
-      obs_(obs != nullptr ? obs : obs::Observability::Default()) {
-  inflight_gauge_ = obs_->metrics().GetGauge("rhino_net_inflight",
-                                             {{"endpoint", endpoint()}});
-  latency_us_ = obs_->metrics().GetHistogram("rhino_net_call_latency_us",
-                                             {{"endpoint", endpoint()}});
+      what_(std::move(what)) {
+  if (obs == nullptr) obs = obs::Observability::Default();
+  inflight_gauge_ = obs->metrics().GetGauge("rhino_net_inflight",
+                                            {{"endpoint", endpoint()}});
+  latency_us_ = obs->metrics().GetHistogram("rhino_net_call_latency_us",
+                                            {{"endpoint", endpoint()}});
   reader_ = std::thread([this] { ReaderLoop(); });
 }
 
@@ -36,8 +35,7 @@ Status PipelinedChannel::Submit(MessageType type, std::string body,
       return closing_ || !broken_.ok() ||
              pending_.size() + reserved_ < options_.window;
     });
-    if (closing_) return Status::Aborted(what_ + ": channel closed");
-    if (!broken_.ok()) return broken_;
+    RHINO_RETURN_NOT_OK(RefusalLocked());
     // Hold the slot (not yet a pending entry) across the wmu_ wait below
     // so concurrent submitters cannot oversubscribe the window.
     ++reserved_;
@@ -47,56 +45,75 @@ Status PipelinedChannel::Submit(MessageType type, std::string body,
   // critical section: wire order == seq order, which the server's serial
   // apply turns into FIFO application per channel (see file comment).
   std::unique_lock<std::mutex> wlock(wmu_);
+  Status st = Connect();
   std::string frame;
-  uint64_t seq = 0;
-  bool write_now = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     --reserved_;
-    if (closing_) {
+    if (st.ok()) st = RefusalLocked();
+    if (!st.ok()) {
       space_cv_.notify_all();
-      return Status::Aborted(what_ + ": channel closed");
+      return st;
     }
-    if (!broken_.ok()) {
-      space_cv_.notify_all();
-      return broken_;
-    }
-    seq = next_seq_++;
     RequestEnvelope env;
     env.type = type;
-    env.seq = seq;
+    env.seq = next_seq_++;
     env.body = std::move(body);
     env.EncodeTo(&frame);
     Pending p;
-    p.type = type;
-    p.body = std::move(env.body);
     p.cb = std::move(cb);
     p.submitted = std::chrono::steady_clock::now();
     p.deadline = p.submitted + std::chrono::milliseconds(options_.deadline_ms);
-    pending_.emplace(seq, std::move(p));
+    pending_.emplace(env.seq, std::move(p));
     if (pending_.size() > high_water_) {
       high_water_ = static_cast<uint32_t>(pending_.size());
     }
     inflight_gauge_->Add(1);
-    write_now = connected_;
   }
-  if (write_now) {
-    Status st = WriteFrame(conn_, frame);
-    if (!st.ok()) {
-      // Park the window for the reader to replay. Shutdown (not close):
-      // the fd number stays reserved so no submitter can ever write into
-      // a recycled descriptor.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        connected_ = false;
-      }
-      conn_.ShutdownBoth();
-    }
-  }
+  // A failed write breaks the channel: the reader fails the window, this
+  // request included.
+  st = WriteFrame(conn_, frame);
+  if (!st.ok()) Break(st);
   wlock.unlock();
-  // Reader may be idle (empty window) or parked on a dead connection.
-  work_cv_.notify_all();
+  work_cv_.notify_all();  // the reader may be idle on an empty window
   return Status::OK();
+}
+
+Status PipelinedChannel::Connect() {
+  if (conn_.valid()) return Status::OK();
+  {
+    // A refused first connect broke the channel: never connect again.
+    std::lock_guard<std::mutex> lock(mu_);
+    RHINO_RETURN_NOT_OK(RefusalLocked());
+  }
+  auto sock = Socket::Connect(host_, port_);
+  Status st =
+      sock.ok() ? sock->SetRecvTimeout(options_.poll_ms) : sock.status();
+  if (!st.ok()) return Break(st);
+  conn_ = std::move(sock).MoveValue();
+  return Status::OK();
+}
+
+Status PipelinedChannel::Break(const Status& cause) {
+  Status refusal;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (broken_.ok() && !closing_) {
+      broken_ = Status::IOError(what_ + ": " + cause.ToString());
+    }
+    refusal = RefusalLocked();
+  }
+  // Shutdown, not close: the fd number stays reserved, so no submitter
+  // can write into a recycled descriptor, and a blocked reader wakes.
+  conn_.ShutdownBoth();
+  work_cv_.notify_all();
+  space_cv_.notify_all();
+  return refusal;
+}
+
+Status PipelinedChannel::RefusalLocked() const {
+  if (closing_) return Status::Aborted(what_ + ": channel closed");
+  return broken_;
 }
 
 Status PipelinedChannel::Drain() {
@@ -121,7 +138,8 @@ void PipelinedChannel::Close() {
   work_cv_.notify_all();
   space_cv_.notify_all();
   {
-    // Unblocks a reader mid-ReadFrame; reconnect loops observe closing_.
+    // Waits out a submitter's connect or write, then unblocks a reader
+    // mid-ReadFrame.
     std::lock_guard<std::mutex> wlock(wmu_);
     conn_.ShutdownBoth();
   }
@@ -138,145 +156,36 @@ uint32_t PipelinedChannel::inflight_high_water() const {
   return high_water_;
 }
 
-uint64_t PipelinedChannel::replayed_total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return replayed_total_;
-}
-
 void PipelinedChannel::ReaderLoop() {
+  Status refusal;
   while (true) {
-    bool need_reconnect = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
         return closing_ || !broken_.ok() || !pending_.empty();
       });
-      if (closing_ || !broken_.ok()) return;
-      need_reconnect = !connected_;
+      refusal = RefusalLocked();
+      if (!refusal.ok()) break;
     }
-    if (need_reconnect) {
-      if (!ReconnectAndReplay()) return;
-      continue;
-    }
+    // A pending request means the first submit connected.
     std::string payload;
     Status st = ReadFrame(conn_, &payload);
     if (st.code() == StatusCode::kTimedOut) {
       SweepDeadlines();
       continue;
     }
-    if (!st.ok()) {
-      // Aborted/IOError: connection dropped. Corruption: the reply
-      // stream lost sync. Either way the stream is unusable; park the
-      // window and reconnect.
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        connected_ = false;
-      }
-      {
-        std::lock_guard<std::mutex> wlock(wmu_);
-        conn_.ShutdownBoth();
-      }
-      SweepDeadlines();
-      continue;
-    }
-    auto reply = ReplyEnvelope::Decode(payload);
+    Result<ReplyEnvelope> reply =
+        st.ok() ? ReplyEnvelope::Decode(payload) : Result<ReplyEnvelope>(st);
     if (!reply.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      connected_ = false;
-      continue;
+      // Aborted/IOError: the peer is gone. Corruption: the reply stream
+      // lost sync. Either way no reply arrives on this connection again.
+      refusal = Break(reply.status());
+      break;
     }
     CompleteOne(reply->seq, reply->ToStatus(), std::move(reply->body));
   }
-}
-
-bool PipelinedChannel::ReconnectAndReplay() {
-  std::unique_lock<std::mutex> wlock(wmu_);
-  // The retry ladder reads no clock: it is handed steady-clock
-  // microseconds, and the delays it picks are slept here.
-  auto now_us = [] {
-    return static_cast<SimTime>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
-  // Fresh budget per outage episode, seeded deterministically (endpoint +
-  // progress so far) so channels de-synchronize without wall-clock
-  // entropy.
-  runtime::Retrier retrier(now_us(), options_.retry,
-                           Fnv1a64(host_) + port_ + next_seq_,
-                           what_ + ":reconnect", obs_);
-  Status last = Status::IOError(what_ + ": not connected");
-  bool first_attempt = true;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closing_) return false;
-      if (pending_.empty()) return true;  // nothing owed; connect lazily
-    }
-    if (!first_attempt) {
-      SimTime delay = 0;
-      if (!retrier.NextBackoff(now_us(), &delay)) {
-        Status verdict = retrier.Exhausted(now_us(), last);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          broken_ = verdict;
-        }
-        FailAllPending(verdict);
-        return false;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
-    }
-    first_attempt = false;
-    conn_.Close();
-    auto sock = Socket::Connect(host_, port_);
-    if (!sock.ok()) {
-      last = sock.status();
-      continue;
-    }
-    conn_ = std::move(sock).MoveValue();
-    Status st = conn_.SetRecvTimeout(options_.poll_ms);
-    if (!st.ok()) {
-      last = st;
-      continue;
-    }
-    // Replay the whole window in seq order. A batch whose reply was lost
-    // with the old connection is deduplicated server-side (and answered
-    // with the outputs its first apply kept); a control verb is not
-    // idempotent (pipeline.h).
-    std::vector<std::pair<uint64_t, std::pair<MessageType, std::string>>> window;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& [seq, p] : pending_) {
-        window.emplace_back(seq, std::make_pair(p.type, p.body));
-      }
-    }
-    bool wrote_all = true;
-    for (auto& [seq, req] : window) {
-      RequestEnvelope env;
-      env.type = req.first;
-      env.seq = seq;
-      env.body = std::move(req.second);
-      std::string frame;
-      env.EncodeTo(&frame);
-      st = WriteFrame(conn_, frame);
-      if (!st.ok()) {
-        last = st;
-        wrote_all = false;
-        break;
-      }
-    }
-    if (!wrote_all) continue;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closing_) return false;
-      connected_ = true;
-      // The lazy FIRST connection also flows through here; only a
-      // re-established one counts as replay.
-      if (ever_connected_) replayed_total_ += window.size();
-      ever_connected_ = true;
-    }
-    return true;
-  }
+  // No request can join the window any more; fail what is in it.
+  FailAllPending(refusal);
 }
 
 void PipelinedChannel::SweepDeadlines() {
@@ -298,10 +207,10 @@ void PipelinedChannel::SweepDeadlines() {
     }
   }
   for (auto& p : expired) {
-    // The request may still apply server-side; a late reply to this id
-    // is dropped. Callers treat TimedOut as transient and replay: a batch
-    // is deduplicated (and answered with its kept outputs), a control
-    // verb is not idempotent.
+    // The request may still apply at the server; a late reply to this id
+    // is dropped. The channel resends nothing: a caller that resends
+    // owns the outcome (a batch is deduplicated, a control verb is not
+    // idempotent; rpc.h).
     if (p.cb) {
       p.cb(Status::TimedOut(what_ + ": no reply within " +
                             std::to_string(options_.deadline_ms) + "ms"),
@@ -329,7 +238,7 @@ void PipelinedChannel::CompleteOne(uint64_t seq, const Status& st,
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pending_.find(seq);
-    if (it == pending_.end()) return;  // expired or replaced; drop late reply
+    if (it == pending_.end()) return;  // expired; drop the late reply
     p = std::move(it->second);
     pending_.erase(it);
     inflight_gauge_->Add(-1);

@@ -70,9 +70,10 @@ void RpcServer::Serve(Socket& conn) {
     if (st.code() == StatusCode::kTimedOut) continue;  // poll stop flag
     if (!st.ok()) {
       // Aborted = client hung up cleanly; IOError = mid-message
-      // disconnect; Corruption = garbage framing. None of them can be
-      // answered (the stream is unsynchronized), so drop the connection —
-      // the client reconnects on a fresh stream and replays its window.
+      // disconnect or a frame that stalled; Corruption = garbage framing.
+      // None of them can be answered (the stream is unsynchronized), so
+      // drop the connection; the client's channel breaks with it and
+      // resends nothing.
       break;
     }
     auto request = RequestEnvelope::Decode(frame);

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 namespace rhino::net {
@@ -133,26 +134,35 @@ Status Socket::WriteAll(std::string_view data) {
   return Status::OK();
 }
 
-Status Socket::ReadExact(char* buf, size_t n) {
+Status Socket::ReadExact(char* buf, size_t n, bool mid_message) {
   size_t got = 0;
+  auto last_byte = std::chrono::steady_clock::now();
   while (got < n) {
     ssize_t r = ::recv(fd_, buf + got, n - got, 0);
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::TimedOut("recv timed out after " +
-                                std::to_string(got) + "/" +
-                                std::to_string(n) + " bytes");
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        return Status::IOError(Errno("recv"));
       }
-      return Status::IOError(Errno("recv"));
+      if (!mid_message && got == 0) return Status::TimedOut("recv timed out");
+      // Mid-message the timeout is only a poll tick: the message is read
+      // whole or the connection is dead.
+      if (std::chrono::steady_clock::now() - last_byte <
+          std::chrono::milliseconds(kReadStallMs)) {
+        continue;
+      }
+      return Status::IOError("no byte for " + std::to_string(kReadStallMs) +
+                             "ms mid-message (" + std::to_string(got) + "/" +
+                             std::to_string(n) + " bytes)");
     }
     if (r == 0) {
-      if (got == 0) return Status::Aborted("peer closed");
+      if (!mid_message && got == 0) return Status::Aborted("peer closed");
       return Status::IOError("peer disconnected mid-message (" +
                              std::to_string(got) + "/" + std::to_string(n) +
                              " bytes)");
     }
     got += static_cast<size_t>(r);
+    last_byte = std::chrono::steady_clock::now();
   }
   return Status::OK();
 }

@@ -10,19 +10,27 @@
 /// Thin RAII wrapper over blocking TCP sockets (IPv4 loopback/LAN).
 ///
 /// Every networked component in `src/net` speaks through this class, so
-/// error handling is uniform: syscall failures become `IOError`, receive
-/// timeouts become `TimedOut`, and an orderly peer close observed at a
-/// message boundary becomes `Aborted`. The RPC server and the pipelined
-/// channel treat a `TimedOut` read as a poll tick and both others as a
-/// dropped connection.
+/// error handling is uniform: syscall failures become `IOError`, a receive
+/// timeout before a message's first byte becomes `TimedOut`, and an
+/// orderly peer close observed at a message boundary becomes `Aborted`.
+/// The RPC server and the pipelined channel treat a `TimedOut` read as a
+/// poll tick and both others as a dropped connection.
 ///
-/// Sockets are blocking with an optional receive timeout (`SO_RCVTIMEO`):
-/// a wedged peer costs at most one timeout interval, never a hung thread.
+/// Sockets are blocking with an optional receive timeout (`SO_RCVTIMEO`).
+/// A message is read whole: once its first byte arrived, a receive
+/// timeout only means "wait on", and the read gives up with `IOError`
+/// when no byte came for `kReadStallMs`. A wedged peer costs a bounded
+/// wait, never a hung thread, and a slow one never loses a message's
+/// bytes to a poll tick.
 /// Servers listen with `port = 0` by default so parallel test shards get
 /// kernel-assigned ports that cannot collide; `local_port()` reports the
 /// actual binding.
 
 namespace rhino::net {
+
+/// How long a read that has begun a message waits for its next byte
+/// before it declares the connection dead.
+inline constexpr int kReadStallMs = 10'000;
 
 /// Move-only owner of one socket file descriptor.
 class Socket {
@@ -50,7 +58,9 @@ class Socket {
   /// loops can poll their stop flag).
   Result<Socket> Accept() const;
 
-  /// Caps how long a blocking read (or accept) waits. 0 disables.
+  /// Caps how long a read waits for a message's first byte, and how long
+  /// an accept waits; mid-message it is the poll tick of `ReadExact`'s
+  /// stall bound. 0 disables.
   Status SetRecvTimeout(int timeout_ms);
 
   /// Toggles TCP_NODELAY. The data plane exchanges small request/reply
@@ -68,13 +78,16 @@ class Socket {
   /// pipe or reset is `IOError`.
   Status WriteAll(std::string_view data);
 
-  /// Reads exactly `n` bytes into `buf`.
-  ///  * `Aborted`  — the peer closed before the FIRST byte (clean EOF at a
-  ///    message boundary);
-  ///  * `IOError`  — EOF or a socket error after a partial read (the peer
-  ///    disconnected mid-message);
-  ///  * `TimedOut` — the receive timeout elapsed with the read incomplete.
-  Status ReadExact(char* buf, size_t n);
+  /// Reads exactly `n` bytes into `buf`. `mid_message` says the caller
+  /// already read an earlier part of the same message (a frame's header
+  /// before its payload), so these bytes do not start one.
+  ///  * `TimedOut` — the receive timeout elapsed before the message's
+  ///    first byte (the idle poll tick); never returned after it;
+  ///  * `Aborted`  — the peer closed before the message's first byte
+  ///    (clean EOF at a message boundary);
+  ///  * `IOError`  — a socket error, EOF after the first byte (the peer
+  ///    disconnected mid-message), or no byte for `kReadStallMs` after it.
+  Status ReadExact(char* buf, size_t n, bool mid_message = false);
 
   /// Port this socket is bound to (after Listen with port 0).
   uint16_t local_port() const;

@@ -69,17 +69,19 @@ class Transport {
     return Status::OK();
   }
 
-  /// Drops any cached connection to `endpoint` (after a peer restart).
-  /// Pending pipelined requests to it fail with `Aborted`.
+  /// Drops any cached connection to `endpoint` (a peer declared dead),
+  /// so the next call to it connects afresh. Pending pipelined requests
+  /// to it fail with `Aborted`.
   virtual void Forget(const std::string& /*endpoint*/) {}
 };
 
 /// Real sockets. Caches one `PipelinedChannel` per endpoint, so blocking
-/// and pipelined calls to a peer share one connection and one
-/// reconnect/replay path. `Call` is `CallAsync` plus a wait; each call
-/// has one deadline (`PipelinedChannelOptions::deadline_ms`). A channel
-/// whose reconnect budget ran out fails every call fast until the
-/// endpoint is `Forget`-ed.
+/// and pipelined calls to a peer share one connection. `Call` is
+/// `CallAsync` plus a wait; each call has one deadline
+/// (`PipelinedChannelOptions::deadline_ms`). Each request is sent at most
+/// once: a refused connect or a lost connection breaks the endpoint's
+/// channel, which fails every call fast until the endpoint is
+/// `Forget`-ed.
 class TcpTransport : public Transport {
  public:
   explicit TcpTransport(PipelinedChannelOptions options = {})

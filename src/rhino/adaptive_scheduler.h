@@ -21,12 +21,7 @@ namespace rhino::rhino {
 struct AdaptiveSchedulerOptions {
   /// Desired aggregate delta per checkpoint (across all instances).
   uint64_t target_delta_bytes = 32ull * 1024 * 1024 * 1024;
-  SimTime min_interval = 15 * kSecond;
-  SimTime max_interval = 10 * kMinute;
   SimTime initial_interval = 2 * kMinute;
-  /// Damping: fraction of the computed correction applied per step (1 =
-  /// jump straight to the estimate; lower = smoother convergence).
-  double gain = 0.5;
 };
 
 /// Drives Engine::TriggerCheckpoint at a self-tuned cadence.
@@ -82,11 +77,18 @@ class AdaptiveCheckpointScheduler {
       // interval' = interval * (target / delta), damped and clamped.
       double scale = static_cast<double>(options_.target_delta_bytes) /
                      static_cast<double>(delta);
-      double damped = 1.0 + options_.gain * (scale - 1.0);
+      double damped = 1.0 + kGain * (scale - 1.0);
       auto next = static_cast<SimTime>(static_cast<double>(interval_) * damped);
-      interval_ = std::clamp(next, options_.min_interval, options_.max_interval);
+      interval_ = std::clamp(next, kMinInterval, kMaxInterval);
     });
   }
+
+  /// Bounds of the self-tuned interval.
+  static constexpr SimTime kMinInterval = 15 * kSecond;
+  static constexpr SimTime kMaxInterval = 10 * kMinute;
+  /// Damping: fraction of the computed correction applied per step (1 =
+  /// jump straight to the estimate; lower = smoother convergence).
+  static constexpr double kGain = 0.5;
 
   dataflow::Engine* engine_;
   AdaptiveSchedulerOptions options_;

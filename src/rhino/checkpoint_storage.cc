@@ -5,6 +5,17 @@
 
 namespace rhino::rhino {
 
+namespace {
+
+/// Retry policy of a checkpoint's chain replication.
+constexpr sim::RetryOptions kPersistRetry{
+    .initial_backoff_us = 200 * kMillisecond,
+    .max_backoff_us = 2 * kSecond,
+    .max_attempts = 3,  // the periodic checkpoint cadence is the backstop
+};
+
+}  // namespace
+
 std::map<uint32_t, state::VnodeImage> CaptureImages(
     dataflow::StatefulInstance* instance) {
   std::vector<uint32_t> owned(instance->owned_vnodes().begin(),
@@ -52,8 +63,8 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
        done = std::move(done)]() mutable {
         // ...then replicated asynchronously down the chain (§4.2.2), with
         // transient replication failures retried before surfacing.
-        auto retrier = std::make_shared<runtime::Retrier>(
-            cluster_->sim()->Now(), retry_, 0xC4E ^ desc.checkpoint_id,
+        auto retrier = std::make_shared<sim::Retrier>(
+            cluster_->sim()->Now(), kPersistRetry, 0xC4E ^ desc.checkpoint_id,
             "checkpoint_persist", o);
         ReplicateWithRetry(
             std::move(op), subtask, node_id, desc, std::move(retrier),
@@ -66,7 +77,7 @@ void RhinoCheckpointStorage::Persist(dataflow::OperatorInstance* instance,
 void RhinoCheckpointStorage::ReplicateWithRetry(
     std::string op, uint32_t subtask, int node_id,
     state::CheckpointDescriptor desc,
-    std::shared_ptr<runtime::Retrier> retrier,
+    std::shared_ptr<sim::Retrier> retrier,
     std::shared_ptr<const std::map<uint32_t, state::VnodeImage>> images,
     std::function<void(Status)> done) {
   // Each attempt consumes its own copy of the images (ReplicateCheckpoint
@@ -75,7 +86,7 @@ void RhinoCheckpointStorage::ReplicateWithRetry(
       op, subtask, node_id, desc, *images,
       [this, op, subtask, node_id, desc, retrier, images,
        done = std::move(done)](Status st) mutable {
-        if (st.ok() || !runtime::IsTransientStatus(st)) {
+        if (st.ok() || !sim::IsTransientStatus(st)) {
           // Success, or a permanent fault (Aborted = fail-stop): surface
           // as-is. The periodic checkpoint cadence re-replicates later.
           done(std::move(st));

@@ -33,27 +33,19 @@ namespace rhino::rhino {
 /// propagate immediately — the next checkpoint re-replicates.
 class RhinoCheckpointStorage : public dataflow::CheckpointStorage {
  public:
-  RhinoCheckpointStorage(sim::Cluster* cluster, ReplicationRuntime* runtime,
-                         runtime::RetryOptions retry = DefaultRetry())
-      : cluster_(cluster), runtime_(runtime), retry_(retry) {}
+  RhinoCheckpointStorage(sim::Cluster* cluster, ReplicationRuntime* runtime)
+      : cluster_(cluster), runtime_(runtime) {}
 
   void Persist(dataflow::OperatorInstance* instance,
                const state::CheckpointDescriptor& desc,
                std::function<void(Status)> done) override;
 
-  static runtime::RetryOptions DefaultRetry() {
-    runtime::RetryOptions r;
-    r.initial_backoff_us = 200 * kMillisecond;
-    r.max_backoff_us = 2 * kSecond;
-    r.max_attempts = 3;  // the periodic checkpoint cadence is the backstop
-    return r;
-  }
-
  private:
-  /// One replication attempt; retries per `retry_` on transient failure.
+  /// One replication attempt; retries per `kPersistRetry` on transient
+  /// failure.
   void ReplicateWithRetry(std::string op, uint32_t subtask, int node_id,
                           state::CheckpointDescriptor desc,
-                          std::shared_ptr<runtime::Retrier> retrier,
+                          std::shared_ptr<sim::Retrier> retrier,
                           std::shared_ptr<const std::map<uint32_t,
                                                          state::VnodeImage>>
                               images,
@@ -61,7 +53,6 @@ class RhinoCheckpointStorage : public dataflow::CheckpointStorage {
 
   sim::Cluster* cluster_;
   ReplicationRuntime* runtime_;
-  runtime::RetryOptions retry_;
   std::map<int, int> disk_cursor_;
 };
 

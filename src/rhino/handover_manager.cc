@@ -19,6 +19,13 @@ namespace {
 /// Seed of the shipments' backoff jitter, mixed with the handover id.
 constexpr uint64_t kRetrySeed = 0x4a0b;
 
+/// Local-fetch cost: hard links + metadata only (paper ~0.2 s).
+constexpr SimTime kLocalFetchUs = 200 * kMillisecond;
+/// RocksDB-style state loading: open files + read metadata
+/// (paper: 1.3-1.5 s regardless of size).
+constexpr SimTime kLoadFixedUs = 1300 * kMillisecond;
+constexpr SimTime kLoadPerFileUs = 2 * kMillisecond;
+
 /// One bulk state shipment (migration tail / remote replica fetch) with a
 /// durability timeout and retransmission. `settled` makes the first
 /// terminal event win: a timed-out attempt's late delivery cannot fire
@@ -30,7 +37,7 @@ struct Shipment {
   uint64_t bytes = 0;
   std::function<void()> deliver;
   std::function<void(Status)> give_up;
-  std::shared_ptr<runtime::Retrier> retrier;
+  std::shared_ptr<sim::Retrier> retrier;
   bool settled = false;
 
   /// True the first time only.
@@ -97,8 +104,8 @@ void HandoverManager::ShipStateWithRetry(int src, int dst, uint64_t bytes,
   s->bytes = bytes;
   s->deliver = std::move(deliver);
   s->give_up = std::move(give_up);
-  s->retrier = std::make_shared<runtime::Retrier>(
-      engine_->sim()->Now(), options_.retry, kRetrySeed ^ handover_id,
+  s->retrier = std::make_shared<sim::Retrier>(
+      engine_->sim()->Now(), kReplicationRetry, kRetrySeed ^ handover_id,
       "handover_shipment", engine_->obs());
   Shipment::Attempt(std::move(s));
 }
@@ -398,7 +405,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
           ->metrics()
           .GetHistogram("rhino_handover_state_fetch_us")
           ->Observe(fetch);
-      SimTime load = options_.load_per_file_us * 8;
+      SimTime load = kLoadPerFileUs * 8;
       engine_->sim()->Schedule(load, [this, spec_copy, move_copy, origin,
                                       target, done, abandon,
                                       target_has_replica, images, load] {
@@ -558,8 +565,8 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
         ->metrics()
         .GetHistogram("rhino_handover_state_fetch_us")
         ->Observe(fetch);
-    SimTime load = options_.load_fixed_us +
-                   options_.load_per_file_us * static_cast<SimTime>(plan->files);
+    SimTime load =
+        kLoadFixedUs + kLoadPerFileUs * static_cast<SimTime>(plan->files);
     engine_->sim()->Schedule(load, [this, spec_copy, move_copy, target, done,
                                     plan, load] {
       UpdateStats(spec_copy.id, [&](HandoverStats& s2) {
@@ -597,7 +604,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       // hard-linking checkpoint files (paper: ~0.2 s, size-independent).
       UpdateStats(spec.id,
                   [](HandoverStats& stats) { stats.local_fetch = true; });
-      engine_->sim()->Schedule(options_.local_fetch_us, restore);
+      engine_->sim()->Schedule(kLocalFetchUs, restore);
     } else {
       // Replica lives elsewhere: one bulk hop to the target's disks, then
       // the usual local fetch + load.
@@ -613,7 +620,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       ShipStateWithRetry(
           plan->remote_source, target->node_id(), wire, spec.id,
           [this, restore]() {
-            engine_->sim()->Schedule(options_.local_fetch_us, restore);
+            engine_->sim()->Schedule(kLocalFetchUs, restore);
           },
           [this, op, spec_copy, move_copy, plan, restore](Status st) {
             // The remote copy stayed unreachable past the retry budget:
@@ -633,7 +640,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
                             << st.ToString()
                             << "); restoring from upstream replay only";
             plan->images.clear();
-            engine_->sim()->Schedule(options_.local_fetch_us, restore);
+            engine_->sim()->Schedule(kLocalFetchUs, restore);
           });
     }
   } else {
@@ -647,7 +654,7 @@ void HandoverManager::TransferState(const HandoverSpec& spec,
       paths = options_.dfs_paths(op, move.origin_instance);
     }
     if (paths.empty()) {
-      engine_->sim()->Schedule(options_.local_fetch_us, restore);
+      engine_->sim()->Schedule(kLocalFetchUs, restore);
       return;
     }
     auto remaining = std::make_shared<size_t>(paths.size());

@@ -46,24 +46,10 @@ struct HandoverOptions {
   /// (the data-plane complement of dfs_paths).
   std::function<const ReplicaState*(const std::string& op, uint32_t subtask)>
       dfs_replica_lookup;
-
-  /// Local-fetch cost: hard links + metadata only (paper ~0.2 s).
-  SimTime local_fetch_us = 200 * kMillisecond;
-  /// RocksDB-style state loading: open files + read metadata
-  /// (paper: 1.3-1.5 s regardless of size).
-  SimTime load_fixed_us = 1300 * kMillisecond;
-  SimTime load_per_file_us = 2 * kMillisecond;
-  /// Failure-detection + planning delay before a recovery handover.
-  SimTime recovery_scheduling_us = 2500 * kMillisecond;
-
-  /// Retry policy of the bulk state shipments (migration tail, remote
-  /// replica fetch): a shipment that is not durable at the target within a
-  /// generous multiple of its fault-free duration is resent with jittered
-  /// backoff (injected partitions drop state transfers). The deadline
-  /// bounds continuous failure, not total shipment time; exhaustion
-  /// abandons the move / degrades the restore to upstream replay.
-  runtime::RetryOptions retry = ReplicationOptions::DefaultRetry();
 };
+
+/// Failure-detection + planning delay before a recovery handover.
+inline constexpr SimTime kRecoverySchedulingUs = 2500 * kMillisecond;
 
 /// Per-handover observability (drives Table 1's time breakdown).
 struct HandoverStats {
@@ -136,7 +122,7 @@ class HandoverManager : public dataflow::HandoverDelegate {
   uint64_t NextHandoverId() { return next_handover_id_++; }
 
   /// Ships `bytes` from `src` to `dst` and spools them to the target's
-  /// disk, retrying per `options_.retry` when an injected fault swallows
+  /// disk, retrying per `kReplicationRetry` when an injected fault swallows
   /// the shipment. Exactly one of `deliver` (durable at the target) or
   /// `give_up` (a chain member died, or the retry budget ran out) fires.
   void ShipStateWithRetry(int src, int dst, uint64_t bytes,

@@ -13,6 +13,9 @@ namespace {
 /// with the checkpoint id.
 constexpr uint64_t kRetrySeed = 0x7e71;
 
+/// One-way latency of a (tiny) ack message.
+constexpr SimTime kAckLatency = 200;
+
 }  // namespace
 
 /// One checkpoint's journey down a replica chain.
@@ -49,7 +52,7 @@ struct ReplicationRuntime::Transfer {
   /// compares against `progress_marker` to detect a stall.
   uint64_t progress = 0;
   uint64_t progress_marker = 0;
-  std::unique_ptr<runtime::Retrier> retrier;
+  std::unique_ptr<sim::Retrier> retrier;
 
   uint64_t ChunkSize(uint64_t index) const {
     return index + 1 == total_chunks ? last_chunk_bytes : chunk_bytes;
@@ -67,7 +70,7 @@ struct ReplicationRuntime::CatchUp {
   uint64_t bytes = 0;
   std::shared_ptr<ReplicaState> snapshot;
   std::function<void(Status)> finish;
-  std::shared_ptr<runtime::Retrier> retrier;
+  std::shared_ptr<sim::Retrier> retrier;
   bool finished = false;
 
   /// First terminal event wins.
@@ -155,7 +158,7 @@ void ReplicationRuntime::ReplicateCheckpoint(
         ->Increment();
     obs_->trace().EndSpan(transfer->span);
     // Tail ack travels back up the chain, one hop latency each.
-    SimTime ack = options_.ack_latency * static_cast<SimTime>(transfer->path.size() - 1);
+    SimTime ack = kAckLatency * static_cast<SimTime>(transfer->path.size() - 1);
     cluster_->sim()->Schedule(ack,
                               [transfer] { transfer->done(Status::OK()); });
   };
@@ -165,10 +168,10 @@ void ReplicationRuntime::ReplicateCheckpoint(
     return;
   }
   transfer->finalize = std::move(finalize);
-  transfer->retrier = std::make_unique<runtime::Retrier>(
-      cluster_->sim()->Now(), options_.retry, kRetrySeed ^ desc.checkpoint_id,
-      "replication_transfer", obs_);
-  ArmWatchdog(transfer, options_.retry.initial_backoff_us);
+  transfer->retrier = std::make_unique<sim::Retrier>(
+      cluster_->sim()->Now(), kReplicationRetry,
+      kRetrySeed ^ desc.checkpoint_id, "replication_transfer", obs_);
+  ArmWatchdog(transfer, kReplicationRetry.initial_backoff_us);
   for (size_t hop = 0; hop < hops; ++hop) PumpHop(transfer, hop);
 }
 
@@ -181,7 +184,7 @@ void ReplicationRuntime::ArmWatchdog(std::shared_ptr<Transfer> transfer,
       // and the stall deadline, check again after the base interval.
       transfer->progress_marker = transfer->progress;
       transfer->retrier->Arm(cluster_->sim()->Now());
-      ArmWatchdog(transfer, options_.retry.initial_backoff_us);
+      ArmWatchdog(transfer, kReplicationRetry.initial_backoff_us);
       return;
     }
     SimTime backoff = 0;
@@ -461,8 +464,8 @@ void ReplicationRuntime::CatchUpReplicas(const std::string& op,
         ctl->done(ctl->aggregate);
       }
     };
-    copy->retrier = std::make_shared<runtime::Retrier>(
-        cluster_->sim()->Now(), options_.retry,
+    copy->retrier = std::make_shared<sim::Retrier>(
+        cluster_->sim()->Now(), kReplicationRetry,
         kRetrySeed ^ (snapshot->latest_checkpoint_id * 31 +
                       static_cast<uint64_t>(m)),
         "replication_catchup", obs_);

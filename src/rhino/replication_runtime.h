@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "obs/observability.h"
 #include "rhino/replication_manager.h"
-#include "runtime/retry.h"
+#include "sim/retry.h"
 #include "sim/cluster.h"
 #include "state/checkpoint.h"
 #include "state/state_backend.h"
@@ -45,25 +45,21 @@ struct ReplicationOptions {
   uint64_t chunk_bytes = 8 * kMiB;
   /// Credits per hop: max chunks in flight towards one receiver.
   int credit_window = 4;
-  /// One-way latency of a (tiny) ack message.
-  SimTime ack_latency = 200;
-  /// Stall recovery: a per-transfer watchdog retransmits unacknowledged
-  /// chunks when the chain makes no forward progress for one (jittered,
-  /// exponentially growing) backoff interval — e.g. chunks dropped by an
-  /// injected network partition. The deadline measures *stall* time, not
-  /// total transfer time: it re-arms on every chunk arrival or durability
-  /// ack, so a slow-but-progressing transfer never times out, while a
-  /// fully stalled one aborts with TimedOut once the budget runs out.
-  runtime::RetryOptions retry = DefaultRetry();
+};
 
-  static runtime::RetryOptions DefaultRetry() {
-    runtime::RetryOptions r;
-    r.initial_backoff_us = 100 * kMillisecond;
-    r.max_backoff_us = kSecond;
-    r.max_attempts = 0;               // deadline-governed
-    r.deadline_us = 120 * kSecond;    // of continuous stall
-    return r;
-  }
+/// Stall recovery: a per-transfer watchdog retransmits unacknowledged
+/// chunks when the chain makes no forward progress for one (jittered,
+/// exponentially growing) backoff interval — e.g. chunks dropped by an
+/// injected network partition. The deadline measures *stall* time, not
+/// total transfer time: it re-arms on every chunk arrival or durability
+/// ack, so a slow-but-progressing transfer never times out, while a fully
+/// stalled one aborts with TimedOut once the budget runs out. Catch-up
+/// copies and the handover's bulk state shipments retry the same way.
+inline constexpr sim::RetryOptions kReplicationRetry{
+    .initial_backoff_us = 100 * kMillisecond,
+    .max_backoff_us = kSecond,
+    .max_attempts = 0,             // deadline-governed
+    .deadline_us = 120 * kSecond,  // of continuous stall
 };
 
 /// Everything the replicas know about one instance's latest state.

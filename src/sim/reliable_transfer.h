@@ -7,8 +7,8 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "runtime/retry.h"
 #include "sim/cluster.h"
+#include "sim/retry.h"
 
 /// \file reliable_transfer.h
 /// A network transfer with an arrival timeout and seeded backoff retries.
@@ -34,7 +34,7 @@ struct ReliableTransferState {
   uint64_t bytes = 0;
   std::function<void()> deliver;
   std::function<void(Status)> give_up;
-  std::shared_ptr<runtime::Retrier> retrier;
+  std::shared_ptr<Retrier> retrier;
   bool settled = false;
 
   /// True the first time only.
@@ -95,7 +95,7 @@ struct ReliableTransferState {
 /// `give_up` fires. `what` labels the `rhino_retry_attempts_total` counter
 /// in `obs`'s registry.
 inline void ReliableTransfer(Cluster* cluster, int src, int dst,
-                             uint64_t bytes, runtime::RetryOptions retry,
+                             uint64_t bytes, RetryOptions retry,
                              uint64_t seed, const std::string& what,
                              obs::Observability* obs,
                              std::function<void()> deliver,
@@ -107,8 +107,8 @@ inline void ReliableTransfer(Cluster* cluster, int src, int dst,
   t->bytes = bytes;
   t->deliver = std::move(deliver);
   t->give_up = std::move(give_up);
-  t->retrier = std::make_shared<runtime::Retrier>(cluster->sim()->Now(),
-                                                  retry, seed, what, obs);
+  t->retrier = std::make_shared<Retrier>(cluster->sim()->Now(), retry, seed,
+                                         what, obs);
   detail::ReliableTransferState::Attempt(std::move(t));
 }
 

@@ -11,10 +11,11 @@
 #include "obs/observability.h"
 
 /// \file retry.h
-/// Shared retry-with-backoff and deadline policy for protocol steps of
-/// both runtimes: the simulator's replication chunks, catch-up copies,
-/// handover state fetches, checkpoint persistence and DFS block shipments,
-/// and the networked runtime's reconnects (`net::PipelinedChannel`).
+/// Retry-with-backoff and deadline policy for the simulator's protocol
+/// steps: replication chunks, catch-up copies, handover state fetches,
+/// checkpoint persistence and DFS block shipments. (The networked runtime
+/// retries nothing in its transport: workers fail-stop, and a lost
+/// connection is a dead peer; net/pipeline.h.)
 ///
 /// Transient faults — injected I/O errors, dropped state transfers during
 /// a network partition, slow devices — must degrade into bounded extra
@@ -24,18 +25,17 @@
 /// backoff, and the attempt budget / overall deadline decide when to stop
 /// retrying and report the last error.
 ///
-/// The ladder reads no clock: every call that needs the time takes it.
-/// Simulator paths pass the kernel's clock, so retry timing is
-/// deterministic for a fixed seed; the networked runtime passes
-/// steady-clock microseconds and sleeps the delay itself. A `Retrier`
-/// belongs to one logical operation on one thread and holds no lock.
+/// The ladder reads no clock: every call that needs the time takes it,
+/// and callers pass the kernel's clock, so retry timing is deterministic
+/// for a fixed seed. A `Retrier` belongs to one logical operation and
+/// holds no lock.
 ///
 /// Attempts are observable: every backoff increments the
 /// `rhino_retry_attempts_total{what=...}` counter of the registry the
 /// owning component passes in, so a chaos run shows which paths absorbed
 /// faults (and a production-style dashboard would show retry storms).
 
-namespace rhino::runtime {
+namespace rhino::sim {
 
 struct RetryOptions {
   /// Backoff before the first retry; doubles after each subsequent
@@ -137,4 +137,4 @@ class Retrier {
   int retries_ = 0;
 };
 
-}  // namespace rhino::runtime
+}  // namespace rhino::sim

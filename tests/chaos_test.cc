@@ -302,7 +302,7 @@ TEST(NexmarkChaos, TwoRandomFailuresConverge) {
   injector.SetObservability(&tb.observability);
   injector.SetCrashHandler([&](int node) {
     tb.engine.FailNode(node);
-    tb.sim.Schedule(tb.hm->options().recovery_scheduling_us,
+    tb.sim.Schedule(rhino::kRecoverySchedulingUs,
                     [&tb, node] { tb.hm->RecoverFailedNode(node); });
   });
   tb.engine.SetFaultProbe(

@@ -755,7 +755,7 @@ TEST(DistClusterTest, DuplicateDeltaIsAckedNotReapplied) {
   ASSERT_TRUE(cluster.driver->Pump().ok());
   ASSERT_TRUE(cluster.WaitAllIdle());
 
-  // A channel replay of wave-1 deltas: acked, not applied. Applied, they
+  // Wave-1 deltas delivered again: acked, not applied. Applied, they
   // would roll node 0's replica back to wave 1.
   const uint64_t rejected = NodeCounter("rhino_repl_rejected_total", 1);
   for (const std::string& body : first_wave) {

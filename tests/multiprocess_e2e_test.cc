@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "broker/broker.h"
-#include "common/units.h"
 #include "net/driver.h"
 #include "net/transport.h"
 
@@ -165,11 +164,7 @@ TEST_F(MultiProcessClusterTest, CheckpointHandoverSigkillRecoveryExactlyOnce) {
   for (const auto& node : nodes_) {
     endpoints.push_back("127.0.0.1:" + std::to_string(node.port));
   }
-  PipelinedChannelOptions options;
-  options.retry.initial_backoff_us = 2 * kMillisecond;
-  options.retry.max_backoff_us = 100 * kMillisecond;
-  options.retry.max_attempts = 5;
-  TcpTransport transport(options);
+  TcpTransport transport;
   ClusterDriver driver(&transport, endpoints);
   ASSERT_TRUE(driver.ConnectAll().ok());
   ASSERT_TRUE(driver.AddOperator(kOp, kNumVnodes).ok());
@@ -248,11 +243,7 @@ TEST_F(MultiProcessClusterTest, SigkilledHandoverTargetComesBackFromTheOrigin) {
   for (const auto& node : nodes_) {
     endpoints.push_back("127.0.0.1:" + std::to_string(node.port));
   }
-  PipelinedChannelOptions options;
-  options.retry.initial_backoff_us = 2 * kMillisecond;
-  options.retry.max_backoff_us = 100 * kMillisecond;
-  options.retry.max_attempts = 5;
-  TcpTransport transport(options);
+  TcpTransport transport;
   ClusterDriver driver(&transport, endpoints);
   ASSERT_TRUE(driver.ConnectAll().ok());
   ASSERT_TRUE(driver.AddOperator(kOp, kNumVnodes).ok());
@@ -313,11 +304,7 @@ TEST_F(MultiProcessClusterTest, CorrelatedSigkillRestoresChainsFromPeers) {
   for (const auto& node : nodes_) {
     endpoints.push_back("127.0.0.1:" + std::to_string(node.port));
   }
-  PipelinedChannelOptions options;
-  options.retry.initial_backoff_us = 2 * kMillisecond;
-  options.retry.max_backoff_us = 100 * kMillisecond;
-  options.retry.max_attempts = 5;
-  TcpTransport transport(options);
+  TcpTransport transport;
   ClusterDriver driver(&transport, endpoints);
   ASSERT_TRUE(driver.ConnectAll().ok());
   ASSERT_TRUE(driver.AddOperator(kOp, kNumVnodes).ok());

@@ -26,8 +26,10 @@
 /// \file net_test.cc
 /// The networked substrate in isolation: socket error contract, frame
 /// robustness (truncated / corrupt / oversized / mid-message disconnect on
-/// BOTH sides), RPC request/reply incl. reconnect-after-restart, and wire
-/// serialization round trips with prefix-truncation fuzzing.
+/// BOTH sides, and a frame whose halves arrive far apart read whole),
+/// RPC request/reply over at-most-once channels (a refused connect or a
+/// lost connection breaks the channel until the endpoint is forgotten),
+/// and wire serialization round trips with prefix-truncation fuzzing.
 ///
 /// Everything binds port 0 (kernel-assigned), so parallel test shards
 /// never collide.
@@ -205,10 +207,19 @@ TEST(FrameTest, OversizedLengthPrefixIsRejectedBeforeAllocation) {
 PipelinedChannelOptions FastChannelOptions() {
   PipelinedChannelOptions options;
   options.poll_ms = 10;
-  options.retry.initial_backoff_us = 1000;  // 1ms: keep tests snappy
-  options.retry.max_backoff_us = 10000;
-  options.retry.max_attempts = 4;
   return options;
+}
+
+/// `payload` framed and written in two halves `gap_ms` apart: many
+/// receive polls of either end pass between them.
+void WriteFrameInHalves(Socket* conn, const std::string& payload,
+                        int gap_ms) {
+  std::string framed;
+  lsm::AppendLogRecord(&framed, payload);
+  const size_t half = framed.size() / 2;
+  ASSERT_TRUE(conn->WriteAll(std::string_view(framed).substr(0, half)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(gap_ms));
+  ASSERT_TRUE(conn->WriteAll(std::string_view(framed).substr(half)).ok());
 }
 
 std::string LocalEndpoint(uint16_t port) {
@@ -298,9 +309,7 @@ TEST(RpcTest, ClientSurvivesGarbageReply) {
       (void)conn->WriteAll(garbage);
     }
   });
-  PipelinedChannelOptions options = FastChannelOptions();
-  options.retry.max_attempts = 2;
-  TcpTransport client(options);
+  TcpTransport client(FastChannelOptions());
   std::string reply;
   Status st = client.Call(LocalEndpoint(port), MessageType::kHello, "hi",
                           &reply);
@@ -308,7 +317,38 @@ TEST(RpcTest, ClientSurvivesGarbageReply) {
   server.join();
 }
 
-TEST(RpcTest, ClientReconnectsAfterServerRestart) {
+TEST(RpcTest, SlowRequestFrameIsServed) {
+  std::atomic<int> served{0};
+  RpcServer server(
+      [&](MessageType, std::string_view body) -> Result<std::string> {
+        ++served;
+        return "echo:" + std::string(body);
+      });
+  ASSERT_TRUE(server.Start("127.0.0.1", 0).ok());
+  auto conn = Socket::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  // The server polls its connections every 100 ms: the request's second
+  // half arrives three polls after its first.
+  RequestEnvelope request;
+  request.type = MessageType::kHello;
+  request.seq = 7;
+  request.body = std::string(4096, 'q');
+  std::string payload;
+  request.EncodeTo(&payload);
+  WriteFrameInHalves(&*conn, payload, 300);
+  ASSERT_TRUE(conn->SetRecvTimeout(5000).ok());
+  std::string frame;
+  Status st = ReadFrame(*conn, &frame);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  auto reply = ReplyEnvelope::Decode(frame);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->seq, 7u);
+  EXPECT_TRUE(reply->ToStatus().ok()) << reply->ToStatus().ToString();
+  EXPECT_EQ(reply->body, "echo:" + request.body);
+  EXPECT_EQ(served.load(), 1);
+}
+
+TEST(RpcTest, StaleChannelFailsUntilForgotten) {
   auto handler = [](MessageType, std::string_view body) -> Result<std::string> {
     return std::string(body);
   };
@@ -322,28 +362,40 @@ TEST(RpcTest, ClientReconnectsAfterServerRestart) {
   ASSERT_TRUE(client.Call(endpoint, MessageType::kHello, "before", &reply).ok());
 
   // Restart the server on the same port (SO_REUSEADDR): the client's
-  // cached connection is now stale, so the next call must transparently
-  // reconnect and replay.
+  // connection died with the old server, which breaks its channel. The
+  // channel sends nothing again, not even to the live new server, until
+  // the endpoint is forgotten.
   server->Stop();
   server = std::make_unique<RpcServer>(handler);
   ASSERT_TRUE(server->Start("127.0.0.1", port).ok());
+  for (int i = 0; i < 2; ++i) {
+    Status st = client.Call(endpoint, MessageType::kHello, "stale", &reply);
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  }
+  client.Forget(endpoint);
   ASSERT_TRUE(client.Call(endpoint, MessageType::kHello, "after", &reply).ok());
   EXPECT_EQ(reply, "after");
 }
 
-TEST(RpcTest, DeadEndpointFailsFastWithExhaustedRetries) {
+TEST(RpcTest, DeadEndpointFailsAtOnce) {
   uint16_t dead_port;
   {
     auto listen = Socket::Listen("127.0.0.1", 0);
     ASSERT_TRUE(listen.ok());
     dead_port = listen->local_port();
   }
-  TcpTransport client(FastChannelOptions());
+  // Default options: a refused connect is the peer's death, not a reason
+  // to back off and try again.
+  TcpTransport client;
+  const auto start = std::chrono::steady_clock::now();
   Status st =
       client.Call(LocalEndpoint(dead_port), MessageType::kStats, "", nullptr);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("gave up after"), std::string::npos)
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find("connect 127.0.0.1:" + std::to_string(dead_port)),
+            std::string::npos)
       << st.ToString();
+  EXPECT_LT(took, std::chrono::milliseconds(100));
 }
 
 // ------------------------------------------------------- wire round trips --
@@ -1441,7 +1493,6 @@ TEST(PipelinedChannelTest, OutOfOrderRepliesMatchByCorrelationId) {
   // The server held all replies until it had read all requests, so the
   // whole window was in flight at once.
   EXPECT_EQ(channel.inflight_high_water(), static_cast<uint32_t>(kN));
-  EXPECT_EQ(channel.replayed_total(), 0u);
   channel.Close();
   server.join();
 }
@@ -1563,72 +1614,128 @@ TEST(PipelinedChannelTest, DeadlineExpiresOneRequestWhileWindowKeepsMoving) {
   server.join();
 }
 
-TEST(PipelinedChannelTest, ReconnectReplaysPendingWindowExactlyOnce) {
+TEST(PipelinedChannelTest, ConnectionLossFailsTheWindowOnceAndBreaksTheChannel) {
   auto listen = Socket::Listen("127.0.0.1", 0);
   ASSERT_TRUE(listen.ok());
+  ASSERT_TRUE(listen->SetRecvTimeout(300).ok());  // bounded accept waits
   uint16_t port = listen->local_port();
-  std::thread server([listener = std::move(listen).MoveValue()]() mutable {
-    // First connection: serve one of three requests, then drop carrying
-    // two unanswered (a mid-window outage).
-    uint64_t pending_a = 0, pending_b = 0;
+  std::atomic<bool> probe{false};
+  std::atomic<bool> second_connection{false};
+  std::thread server([&, listener = std::move(listen).MoveValue()]() mutable {
     {
+      // Serve one of three requests, then drop the connection carrying
+      // two unanswered (a mid-window outage).
       auto conn = listener.Accept();
       if (!conn.ok()) return;
+      conn->SetRecvTimeout(5000);  // not the listener's accept poll
       RequestEnvelope r1 = ReadRequest(&*conn);
-      RequestEnvelope r2 = ReadRequest(&*conn);
-      RequestEnvelope r3 = ReadRequest(&*conn);
+      ReadRequest(&*conn);
+      ReadRequest(&*conn);
       SendReply(&*conn, r1.seq, "echo:" + r1.body);
-      pending_a = r2.seq;
-      pending_b = r3.seq;
-      // conn drops here (destructor closes the socket).
     }
-    // Second connection: the channel must replay ONLY the unanswered
-    // window, in correlation-id order.
-    auto conn = listener.Accept();
-    if (!conn.ok()) return;
-    RequestEnvelope replay1 = ReadRequest(&*conn);
-    RequestEnvelope replay2 = ReadRequest(&*conn);
-    EXPECT_EQ(replay1.seq, pending_a);
-    EXPECT_EQ(replay2.seq, pending_b);
-    SendReply(&*conn, replay1.seq, "echo:" + replay1.body);
-    SendReply(&*conn, replay2.seq, "echo:" + replay2.body);
-    HoldOpen(&*conn);
+    // Once the client has submitted again, no second connection comes.
+    while (!probe.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    second_connection.store(listener.Accept().ok());
   });
 
   PipelinedChannel channel("127.0.0.1", port, FastChannelOptions(), "test");
   std::mutex mu;
   std::condition_variable cv;
-  std::map<int, int> fired;  // exactly-once audit: callback count per req
-  std::map<int, std::string> results;
+  std::map<int, int> fired;  // callback count per request
+  std::map<int, Status> statuses;
+  std::map<int, std::string> bodies;
   int total_fired = 0;
+  // EXPECT, not ASSERT, while the server thread runs: it must be joined.
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(channel
+    EXPECT_TRUE(channel
                     .Submit(MessageType::kHello, "r" + std::to_string(i),
                             [&, i](Status st, std::string body) {
                               std::lock_guard<std::mutex> lock(mu);
                               ++fired[i];
                               ++total_fired;
-                              results[i] =
-                                  st.ok() ? body : "ERR:" + st.ToString();
+                              statuses[i] = st;
+                              bodies[i] = body;
                               cv.notify_all();
                             })
                     .ok());
   }
-  ASSERT_TRUE(channel.Drain().ok());
   {
-    // Drain guarantees the window is empty, not that the last callback
-    // already returned — wait for the audit itself.
     std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
                             [&] { return total_fired >= 3; }));
-    for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(fired[i], 1) << "request " << i << " callback count";
-      EXPECT_EQ(results[i], "echo:r" + std::to_string(i)) << "request " << i;
+    EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+    EXPECT_EQ(bodies[0], "echo:r0");
+    for (int i = 1; i < 3; ++i) {
+      EXPECT_EQ(statuses[i].code(), StatusCode::kIOError)
+          << "request " << i << ": " << statuses[i].ToString();
     }
   }
-  EXPECT_EQ(channel.replayed_total(), 2u);
-  channel.Close();
+  EXPECT_EQ(channel.Drain().code(), StatusCode::kIOError);
+  // A later submit fails fast, and its callback never runs.
+  std::atomic<int> late_fired{0};
+  const auto start = std::chrono::steady_clock::now();
+  Status late = channel.Submit(MessageType::kHello, "late",
+                               [&](Status, std::string) { ++late_fired; });
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(100));
+  EXPECT_EQ(late.code(), StatusCode::kIOError) << late.ToString();
+  probe.store(true);
   server.join();
+  EXPECT_FALSE(second_connection.load());
+  channel.Close();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(fired[i], 1) << "request " << i << " callback count";
+    }
+  }
+  EXPECT_EQ(late_fired.load(), 0);
+}
+
+TEST(PipelinedChannelTest, SlowReplyFrameIsReadWhole) {
+  // A hand-rolled server that writes each reply frame in two halves
+  // 300 ms apart, thirty of the channel's 10 ms receive polls, and counts
+  // the connections it accepts and the requests it serves.
+  auto listen = Socket::Listen("127.0.0.1", 0);
+  ASSERT_TRUE(listen.ok());
+  ASSERT_TRUE(listen->SetRecvTimeout(20).ok());  // accept polls `stop`
+  const uint16_t port = listen->local_port();
+  std::atomic<int> accepted{0};
+  std::atomic<int> served{0};
+  std::atomic<bool> stop{false};
+  std::thread server([&, listener = std::move(listen).MoveValue()]() mutable {
+    while (!stop.load()) {
+      auto conn = listener.Accept();
+      if (!conn.ok()) continue;
+      ++accepted;
+      conn->SetRecvTimeout(5000);  // not the listener's accept poll
+      while (true) {
+        RequestEnvelope req = ReadRequest(&*conn);
+        if (req.seq == 0) break;  // the client closed the connection
+        ++served;
+        ReplyEnvelope rep;
+        rep.seq = req.seq;
+        rep.body = std::string(4096, 'r');
+        std::string out;
+        rep.EncodeTo(&out);
+        WriteFrameInHalves(&*conn, out, 300);
+      }
+    }
+  });
+  {
+    TcpTransport client(FastChannelOptions());
+    std::string reply;
+    Status st = client.Call(LocalEndpoint(port), MessageType::kHello, "x",
+                            &reply);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(reply, st.ok() ? std::string(4096, 'r') : std::string());
+  }  // the transport closes its connection
+  stop.store(true);
+  server.join();
+  EXPECT_EQ(accepted.load(), 1);
+  EXPECT_EQ(served.load(), 1);
 }
 
 TEST(TcpTransportTest, CallAndCallAsyncShareOneConnection) {

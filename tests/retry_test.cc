@@ -5,13 +5,12 @@
 #include <vector>
 
 #include "obs/observability.h"
-#include "runtime/retry.h"
+#include "sim/retry.h"
 
-/// The retry ladder both runtimes share: attempt budget, jittered
-/// doubling backoff under a cap, deadline, re-arming, and where the
-/// attempts are counted.
+/// The simulator's retry ladder: attempt budget, jittered doubling backoff
+/// under a cap, deadline, re-arming, and where the attempts are counted.
 
-namespace rhino::runtime {
+namespace rhino::sim {
 namespace {
 
 constexpr SimTime kBase = 1000;
@@ -125,4 +124,4 @@ TEST(RetrierTest, AttemptsAreCountedInThePassedRegistry) {
 }
 
 }  // namespace
-}  // namespace rhino::runtime
+}  // namespace rhino::sim
